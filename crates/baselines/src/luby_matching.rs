@@ -14,11 +14,11 @@
 //! bounded-degree graphs.
 
 use dima_core::automata::Phase;
-use dima_core::{ColoringConfig, CoreError, Engine};
+use dima_core::{ColoringConfig, CoreError};
 use dima_graph::{Graph, VertexId};
+use dima_sim::telemetry::NoopTracer;
 use dima_sim::{
-    run_parallel, run_sequential, EngineConfig, NodeSeed, NodeStatus, Protocol, RoundCtx,
-    RunOutcome, RunStats, Topology,
+    run, ChurnSchedule, NodeSeed, NodeStatus, Protocol, RoundCtx, RunOutcome, RunStats, Topology,
 };
 
 /// Messages of the Luby matching protocol.
@@ -180,20 +180,11 @@ pub struct LubyMatchingResult {
 pub fn luby_matching(g: &Graph, cfg: &ColoringConfig) -> Result<LubyMatchingResult, CoreError> {
     cfg.validate()?;
     let topo = Topology::from_graph(g);
-    let engine_cfg = EngineConfig {
-        seed: cfg.seed,
-        max_rounds: 3 * cfg.compute_round_budget(g.max_degree()),
-        collect_round_stats: cfg.collect_round_stats,
-        validate_sends: cfg.validate_sends,
-        faults: cfg.faults.clone(),
-        profile: cfg.profile,
-        metrics: cfg.collect_metrics,
-    };
+    let engine_cfg = cfg.engine_config(3 * cfg.compute_round_budget(g.max_degree()));
     let factory = |seed: NodeSeed<'_>| LubyNode::new(&seed);
-    let outcome: RunOutcome<LubyNode> = match cfg.engine {
-        Engine::Sequential => run_sequential(&topo, &engine_cfg, factory)?,
-        Engine::Parallel { threads } => run_parallel(&topo, &engine_cfg, threads, factory)?,
-    };
+    let threads = cfg.engine.threads();
+    let outcome: RunOutcome<LubyNode> =
+        run(&topo, &engine_cfg, threads, &ChurnSchedule::empty(), factory, &mut NoopTracer)?;
 
     let mut pairs = Vec::new();
     let mut pair_round = Vec::new();
@@ -222,6 +213,7 @@ pub fn luby_matching(g: &Graph, cfg: &ColoringConfig) -> Result<LubyMatchingResu
 mod tests {
     use super::*;
     use dima_core::verify::verify_matching;
+    use dima_core::Engine;
     use dima_graph::gen::{erdos_renyi_avg_degree, structured};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;

@@ -17,11 +17,11 @@
 //! round, lowest-color rule keeps the palette near `Δ`).
 
 use dima_core::palette::{Color, ColorSet};
-use dima_core::{ColoringConfig, CoreError, Engine};
+use dima_core::{ColoringConfig, CoreError};
 use dima_graph::{EdgeId, Graph, VertexId};
+use dima_sim::telemetry::NoopTracer;
 use dima_sim::{
-    run_parallel, run_sequential, EngineConfig, NodeSeed, NodeStatus, Protocol, RoundCtx,
-    RunOutcome, RunStats, Topology,
+    run, ChurnSchedule, NodeSeed, NodeStatus, Protocol, RoundCtx, RunOutcome, RunStats, Topology,
 };
 
 use dima_core::automata::Phase;
@@ -240,20 +240,11 @@ pub fn random_trial_coloring(
     let delta = g.max_degree();
     let palette = (2 * delta).max(1) as u32;
     let topo = Topology::from_graph(g);
-    let engine_cfg = EngineConfig {
-        seed: cfg.seed,
-        max_rounds: 3 * cfg.compute_round_budget(delta),
-        collect_round_stats: cfg.collect_round_stats,
-        validate_sends: cfg.validate_sends,
-        faults: cfg.faults.clone(),
-        profile: cfg.profile,
-        metrics: cfg.collect_metrics,
-    };
+    let engine_cfg = cfg.engine_config(3 * cfg.compute_round_budget(delta));
     let factory = |seed: NodeSeed<'_>| RandomTrialNode::new(&seed, g, palette);
-    let outcome: RunOutcome<RandomTrialNode> = match cfg.engine {
-        Engine::Sequential => run_sequential(&topo, &engine_cfg, factory)?,
-        Engine::Parallel { threads } => run_parallel(&topo, &engine_cfg, threads, factory)?,
-    };
+    let threads = cfg.engine.threads();
+    let outcome: RunOutcome<RandomTrialNode> =
+        run(&topo, &engine_cfg, threads, &ChurnSchedule::empty(), factory, &mut NoopTracer)?;
 
     let mut colors: Vec<Option<Color>> = vec![None; g.num_edges()];
     let mut agreement = true;
@@ -286,6 +277,7 @@ pub fn random_trial_coloring(
 mod tests {
     use super::*;
     use dima_core::verify::verify_edge_coloring;
+    use dima_core::Engine;
     use dima_graph::gen::{erdos_renyi_avg_degree, structured};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;

@@ -62,15 +62,15 @@ commands:
   trace diff <a.jsonl> <b.jsonl>
       compare two traces event by event and localize the first
       divergent round (engine identity is ignored, so identical-seed
-      sequential vs parallel runs must diff empty)
+      runs at any --threads must diff empty)
   metrics dump <graph.edges> [--workload color|strong-color|matching]
                [--out FILE] [run flags]
       run a workload with the metrics plane on and emit the merged
       counter/gauge/histogram registry as flat JSONL
   metrics diff <a.jsonl> <b.jsonl>
       compare two metrics dumps entry by entry (env-dependent mem/ and
-      pool/ families excluded, so identical-seed sequential vs parallel
-      dumps must diff empty); nonzero exit on divergence
+      pool/ families excluded, so identical-seed dumps at any --threads
+      must diff empty); nonzero exit on divergence
   serve <graph.edges> [--seed S] [--protocol ec|strong] [--threads T]
         [--width K] [--watchdog T] [--state-dir DIR] [--snapshot-every N]
         [--compact-after N] [--queue CAP] [--queue-policy block|shed]
@@ -103,7 +103,7 @@ fault-injection flags (color | strong-color | matching):
 
 profiling flags (color | strong-color | matching):
   --profile               measure per-phase engine wall-clock (step,
-                          route, collect, churn) to stderr; under
+                          collect, churn) to stderr; under
                           --threads the per-shard breakdown shows which
                           shard gates each round barrier
 
@@ -117,7 +117,7 @@ metrics flags (color | strong-color | matching):
 trace flags (color | strong-color | matching | trace record):
   --trace FILE            stream a structured JSONL trace of the run
   --trace-sample N        keep node events only for nodes with id % N == 0
-                          (bounds trace size and the parallel engine's
+                          (bounds trace size and the multi-shard
                           deterministic-merge cost)";
 
 /// Flags that take no value; present means "on".
@@ -205,7 +205,7 @@ fn run_config(flags: &HashMap<String, String>) -> Result<ColoringConfig, String>
     let seed: u64 = flag(flags, "seed", 0)?;
     let threads: usize = flag(flags, "threads", 0)?;
     if threads == 0 && flags.contains_key("threads") {
-        return Err("--threads must be >= 1 (omit the flag for the sequential engine)".into());
+        return Err("--threads must be >= 1 (omit the flag for 1 shard)".into());
     }
     let width: usize = flag(flags, "width", 1)?;
     let transport = match flags.get("transport").map(String::as_str) {
@@ -228,9 +228,9 @@ fn run_config(flags: &HashMap<String, String>) -> Result<ColoringConfig, String>
 }
 
 /// `--profile` breakdown: engine phase wall-clock totals, plus the
-/// per-shard rows under the parallel engine (the imbalance view — a
-/// shard whose `step` dwarfs the others is the one gating each round
-/// barrier).
+/// per-shard rows when the run has more than one shard (the imbalance
+/// view — a shard whose `step` dwarfs the others is the one gating each
+/// round barrier).
 fn report_profile(stats: &dima_sim::RunStats) {
     let p = &stats.phase_nanos;
     if p.total() == 0 {
@@ -238,20 +238,20 @@ fn report_profile(stats: &dima_sim::RunStats) {
     }
     let ms = |n: u64| n as f64 / 1e6;
     eprintln!(
-        "profile: step {:.3} ms, route {:.3} ms, collect {:.3} ms, churn {:.3} ms \
+        "profile: step {:.3} ms, collect {:.3} ms, churn {:.3} ms \
          (total {:.3} ms across workers)",
         ms(p.step),
-        ms(p.route),
         ms(p.collect),
         ms(p.churn),
         ms(p.total()),
     );
+    if stats.shard_phases.len() < 2 {
+        return;
+    }
     for (i, sp) in stats.shard_phases.iter().enumerate() {
         eprintln!(
-            "profile:   shard {i}: step {:.3} ms, route {:.3} ms, collect {:.3} ms, \
-             churn {:.3} ms",
+            "profile:   shard {i}: step {:.3} ms, collect {:.3} ms, churn {:.3} ms",
             ms(sp.step),
-            ms(sp.route),
             ms(sp.collect),
             ms(sp.churn),
         );
@@ -384,8 +384,8 @@ fn trace_flags(flags: &HashMap<String, String>) -> Result<TraceFlags, String> {
     Ok(TraceFlags { path, sample })
 }
 
-/// Printed at most once per process: an unsampled trace under the
-/// parallel engine has a real deterministic-merge cost.
+/// Printed at most once per process: an unsampled trace over several
+/// shards has a real deterministic-merge cost.
 static MERGE_COST_WARNED: AtomicBool = AtomicBool::new(false);
 
 /// The CLI's composite tracer: an optional [`TransportTally`] feeding
@@ -437,9 +437,9 @@ impl CliTrace {
                 if threads > 1 && tf.sample <= 1 && !MERGE_COST_WARNED.swap(true, Ordering::Relaxed)
                 {
                     eprintln!(
-                        "warning: --trace under the parallel engine buffers every event per \
-                         worker and merges the buffers into the canonical deterministic order; \
-                         on large runs that merge dominates the run. Bound it with \
+                        "warning: --trace over several shards (--threads > 1) buffers every \
+                         event per worker and merges the buffers into the canonical deterministic \
+                         order; on large runs that merge dominates the run. Bound it with \
                          --trace-sample N (keeps node events for node ids divisible by N). \
                          This warning prints once."
                     );
@@ -1402,8 +1402,8 @@ fn cmd_trace_summarize(args: &[String]) -> Result<(), String> {
 
 /// `trace diff` — lockstep comparison of two traces. Engine identity
 /// (`engine`, `threads`) is ignored in the header so the tool's main
-/// use — checking that a sequential and a parallel run of the same
-/// seed emit identical streams — reports a clean diff.
+/// use — checking that runs of the same seed at different shard counts
+/// emit identical streams — reports a clean diff.
 fn cmd_trace_diff(args: &[String]) -> Result<(), String> {
     let (Some(apath), Some(bpath)) = (args.first(), args.get(1)) else {
         return Err("trace diff needs two trace files".into());
@@ -1564,8 +1564,12 @@ mod tests {
         args.iter().map(|a| a.to_string()).collect()
     }
 
+    /// A scratch directory private to the calling test (the harness names
+    /// each test's thread after the test), so tests running in parallel
+    /// never remove each other's files.
     fn tmpdir() -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("dima_cli_{}", std::process::id()));
+        let test = std::thread::current().name().unwrap_or("main").replace("::", "_");
+        let dir = std::env::temp_dir().join(format!("dima_cli_{}_{test}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }

@@ -143,11 +143,11 @@ pub fn cmd_serve(args: &[String]) -> Result<(), String> {
     let width: usize = crate::cmd::flag(&flags, "width", 1)?;
     let threads: usize = crate::cmd::flag(&flags, "threads", 0)?;
     if threads == 0 && flags.contains_key("threads") {
-        return Err("--threads must be >= 1 (omit the flag for the sequential engine)".into());
+        return Err("--threads must be >= 1 (omit the flag for 1 shard)".into());
     }
-    // The parallel stepper is bit-identical to the sequential one, so
-    // the service runs on either engine. The one combination we refuse
-    // is a full-rate trace request under the pool: at sample 1 the
+    // The stepper is bit-identical at every shard count, so the service
+    // runs on any. The one combination we refuse is a full-rate trace
+    // request over several shards: at sample 1 the
     // deterministic merge buffers every node event per round, which is
     // exactly the workload serve's latency budget cannot absorb.
     if threads > 1 && flags.contains_key("trace") {
@@ -159,8 +159,8 @@ pub fn cmd_serve(args: &[String]) -> Result<(), String> {
                  every round and merge them in node order at the barrier, and serve's per-tick \
                  latency budget cannot absorb that. Two workarounds: sample the trace \
                  (e.g. --trace-sample 64 records one node in 64, merge still deterministic \
-                 and cheap), or drop --threads so the sequential engine streams the \
-                 full-rate trace without buffering. See DESIGN.md §13."
+                 and cheap), or drop --threads so the single shard emits the \
+                 full-rate trace without a cross-shard merge. See DESIGN.md §13."
                     .into(),
             );
         }
@@ -278,9 +278,9 @@ pub fn cmd_serve(args: &[String]) -> Result<(), String> {
             }
         }
     }
-    let engine_desc = match svc.config().coloring.engine {
-        Engine::Sequential => "seq".to_string(),
-        Engine::Parallel { threads } => format!("par{threads}"),
+    let engine_desc = match svc.config().coloring.engine.threads() {
+        1 => "1 shard".to_string(),
+        threads => format!("{threads} shards"),
     };
     eprintln!(
         "serve: {} protocol, {} nodes, round {}, engine {}, watchdog {} ticks, queue {} ({})",

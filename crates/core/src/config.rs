@@ -6,6 +6,7 @@
 
 use dima_sim::fault::FaultPlan;
 use dima_sim::reliable::ArqConfig;
+use dima_sim::EngineConfig;
 
 use crate::error::CoreError;
 
@@ -37,17 +38,30 @@ pub enum ResponsePolicy {
     LowestColor,
 }
 
-/// Which engine executes the protocol.
+/// How many shards the engine splits the nodes into. There is one
+/// engine ([`dima_sim::run`]); results are bit-identical for every
+/// shard count.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// Deterministic single-threaded reference engine.
+    /// One shard, stepped inline on the caller's thread.
     #[default]
     Sequential,
-    /// Sharded multi-threaded engine; produces bit-identical results.
+    /// `threads` shards stepped in lockstep on the worker pool.
     Parallel {
-        /// Number of worker threads.
+        /// Number of shards (worker threads, the caller included).
         threads: usize,
     },
+}
+
+impl Engine {
+    /// The shard count this engine choice runs with (1 for
+    /// [`Engine::Sequential`]).
+    pub fn threads(self) -> usize {
+        match self {
+            Engine::Sequential => 1,
+            Engine::Parallel { threads } => threads,
+        }
+    }
 }
 
 /// How protocol messages travel between nodes.
@@ -204,6 +218,20 @@ impl ColoringConfig {
     /// bit-identical either way; only wall-clock differs.
     pub fn for_measurement(seed: u64) -> Self {
         ColoringConfig { validate_sends: false, ..ColoringConfig::seeded(seed) }
+    }
+
+    /// The engine configuration a run of this config uses, with a round
+    /// budget of `max_rounds`.
+    pub fn engine_config(&self, max_rounds: u64) -> EngineConfig {
+        EngineConfig {
+            seed: self.seed,
+            max_rounds,
+            collect_round_stats: self.collect_round_stats,
+            validate_sends: self.validate_sends,
+            faults: self.faults.clone(),
+            profile: self.profile,
+            metrics: self.collect_metrics,
+        }
     }
 
     /// Validate ranges; returns a [`CoreError::Config`] on nonsense.

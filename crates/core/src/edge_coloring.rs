@@ -49,7 +49,7 @@
 use dima_graph::{Graph, VertexId};
 use dima_sim::churn::{ChurnSchedule, NeighborhoodChange};
 use dima_sim::telemetry::{NoopTracer, PaletteAction, StateTimeline, Tracer};
-use dima_sim::{EngineConfig, NodeSeed, NodeStatus, Protocol, RoundCtx, RunStats, Topology};
+use dima_sim::{NodeSeed, NodeStatus, Protocol, RoundCtx, RunStats, Topology};
 use rand::rngs::SmallRng;
 
 use crate::automata::{choose_role, pick_uniform, pick_uniform_iter, Phase, Role};
@@ -546,8 +546,8 @@ pub struct EdgeColoringResult {
 }
 
 /// Run Algorithm 1 on `g` and additionally collect a per-communication-
-/// round census of automata states (sequential engine only — censuses
-/// are an observation tool, not a result).
+/// round census of automata states (censuses are an observation tool,
+/// not a result).
 ///
 /// Built on the telemetry plane: the run is traced into a
 /// [`StateTimeline`] whose per-round snapshots are folded into the
@@ -567,20 +567,12 @@ pub fn color_edges_with_census(
     }
     let delta = g.max_degree();
     let topo = Topology::from_graph(g);
-    let engine_cfg = EngineConfig {
-        seed: cfg.seed,
-        max_rounds: 3 * cfg.compute_round_budget(delta),
-        collect_round_stats: cfg.collect_round_stats,
-        validate_sends: cfg.validate_sends,
-        faults: cfg.faults.clone(),
-        profile: cfg.profile,
-        metrics: cfg.collect_metrics,
-    };
     let palette_bound = (2 * delta).saturating_sub(1).max(1) as u32;
     let mut timeline = StateTimeline::new(g.num_vertices());
-    let outcome = dima_sim::run_sequential_traced(
+    let outcome = run_protocol_traced(
         &topo,
-        &engine_cfg,
+        cfg,
+        3 * cfg.compute_round_budget(delta),
         |seed: NodeSeed<'_>| EdgeColoringNode::new(&seed, cfg, palette_bound),
         &mut timeline,
     )?;

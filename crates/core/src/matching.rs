@@ -200,9 +200,8 @@ impl Protocol for MatchingNode {
 }
 
 /// Construct a matching node directly, for custom runs through the
-/// simulator APIs (e.g. state censuses via
-/// [`dima_sim::run_sequential_observed`]); normal use goes through
-/// [`maximal_matching`].
+/// simulator APIs (e.g. state censuses read off a
+/// [`dima_sim::Stepper`]); normal use goes through [`maximal_matching`].
 pub fn new_node_for_census(seed: &NodeSeed<'_>, cfg: &ColoringConfig) -> MatchingNode {
     MatchingNode::new(seed, cfg)
 }

@@ -2,8 +2,8 @@
 //!
 //! Every public algorithm ([`crate::maximal_matching`],
 //! [`crate::color_edges`], [`crate::strong_color_digraph`]) runs its
-//! per-vertex protocol through [`run_protocol`], which picks the engine
-//! ([`Engine::Sequential`] or [`Engine::Parallel`]) and, when
+//! per-vertex protocol through [`run_protocol_traced`], which runs
+//! [`dima_sim::run`] at the shard count [`crate::Engine::threads`] picks and, when
 //! [`Transport::Reliable`] is configured, wraps every node in the ARQ
 //! layer of [`dima_sim::reliable`] so lossy links look perfect to the
 //! protocol. The extra engine rounds the ARQ layer spends on
@@ -13,15 +13,12 @@
 
 use dima_sim::churn::ChurnSchedule;
 use dima_sim::telemetry::Tracer;
-use dima_sim::{
-    run_parallel_churn_traced, run_parallel_traced, run_sequential_churn_traced,
-    run_sequential_traced, EngineConfig, NodeSeed, Protocol, ReliableNode, Topology,
-};
+use dima_sim::{run, EngineConfig, NodeSeed, Protocol, ReliableNode, Topology};
 
-use crate::config::{ColoringConfig, Engine, Transport};
+use crate::config::{ColoringConfig, Transport};
 use crate::error::CoreError;
 
-/// What comes back from [`run_protocol`]: final protocol states plus the
+/// What comes back from [`run_protocol_traced`]: final protocol states plus the
 /// run metadata the result assemblers need.
 pub(crate) struct EngineRun<P> {
     /// Final per-node protocol states (inner protocols — the ARQ wrapper,
@@ -70,13 +67,15 @@ where
 {
     match cfg.transport {
         Transport::Bare => {
-            let engine_cfg = engine_config(cfg, bare_max_rounds);
-            let outcome = match cfg.engine {
-                Engine::Sequential => run_sequential_traced(topo, &engine_cfg, factory, tracer)?,
-                Engine::Parallel { threads } => {
-                    run_parallel_traced(topo, &engine_cfg, threads, factory, tracer)?
-                }
-            };
+            let engine_cfg = cfg.engine_config(bare_max_rounds);
+            let outcome = run(
+                topo,
+                &engine_cfg,
+                cfg.engine.threads(),
+                &ChurnSchedule::empty(),
+                factory,
+                tracer,
+            )?;
             Ok(EngineRun {
                 nodes: outcome.nodes,
                 stats: outcome.stats,
@@ -85,14 +84,16 @@ where
             })
         }
         Transport::Reliable(arq) => {
-            let engine_cfg = engine_config(cfg, arq.round_budget(bare_max_rounds));
+            let engine_cfg = cfg.engine_config(arq.round_budget(bare_max_rounds));
             let wrapped = ReliableNode::factory(arq, factory);
-            let outcome = match cfg.engine {
-                Engine::Sequential => run_sequential_traced(topo, &engine_cfg, wrapped, tracer)?,
-                Engine::Parallel { threads } => {
-                    run_parallel_traced(topo, &engine_cfg, threads, wrapped, tracer)?
-                }
-            };
+            let outcome = run(
+                topo,
+                &engine_cfg,
+                cfg.engine.threads(),
+                &ChurnSchedule::empty(),
+                wrapped,
+                tracer,
+            )?;
             // The protocol's own round count is the fastest node's inner
             // progress: every non-crashed node reaches the same inner
             // round count it would in a bare run on the residual graph.
@@ -139,31 +140,12 @@ where
                 .into(),
         ));
     }
-    let engine_cfg = EngineConfig { collect_round_stats: true, ..engine_config(cfg, max_rounds) };
-    let outcome = match cfg.engine {
-        Engine::Sequential => {
-            run_sequential_churn_traced(topo, &engine_cfg, schedule, factory, tracer)?
-        }
-        Engine::Parallel { threads } => {
-            run_parallel_churn_traced(topo, &engine_cfg, threads, schedule, factory, tracer)?
-        }
-    };
+    let engine_cfg = EngineConfig { collect_round_stats: true, ..cfg.engine_config(max_rounds) };
+    let outcome = run(topo, &engine_cfg, cfg.engine.threads(), schedule, factory, tracer)?;
     Ok(EngineRun {
         nodes: outcome.nodes,
         stats: outcome.stats,
         crashed: outcome.crashed,
         transport_overhead_rounds: 0,
     })
-}
-
-fn engine_config(cfg: &ColoringConfig, max_rounds: u64) -> EngineConfig {
-    EngineConfig {
-        seed: cfg.seed,
-        max_rounds,
-        collect_round_stats: cfg.collect_round_stats,
-        validate_sends: cfg.validate_sends,
-        faults: cfg.faults.clone(),
-        profile: cfg.profile,
-        metrics: cfg.collect_metrics,
-    }
 }

@@ -46,8 +46,8 @@ use dima_sim::telemetry::read::{parse_line, Record};
 use dima_sim::telemetry::NoopTracer;
 use dima_sim::wire::crc32;
 use dima_sim::{
-    ChurnBatch, ChurnEvent, ChurnSchedule, EngineConfig, EventFeed, FeedError, NodeSeed,
-    ParStepper, SimError, Stepper, Topology,
+    ChurnBatch, ChurnEvent, ChurnSchedule, EngineConfig, EventFeed, FeedError, NodeSeed, SimError,
+    Stepper, Topology,
 };
 
 use crate::config::{
@@ -122,8 +122,8 @@ pub struct ServiceConfig {
     pub protocol: ServeProtocol,
     /// Coloring parameters. The service requires the bare transport and
     /// a reliable fault plan (quiescence must mean "every node is
-    /// done", and snapshots must replay); either engine is accepted —
-    /// the parallel stepper is bit-identical to the sequential one.
+    /// done", and snapshots must replay); any shard count is accepted —
+    /// the coloring is bit-identical for all of them.
     pub coloring: ColoringConfig,
     /// Consecutive stalled ticks (no rise of the progress high-water
     /// mark — committed color slots plus done nodes — while not
@@ -151,10 +151,10 @@ impl ServiceConfig {
 
     fn validate(&self) -> Result<(), ServiceError> {
         self.coloring.validate().map_err(|e| ServiceError::Config(e.to_string()))?;
-        // Both engines are accepted: the parallel stepper is
-        // bit-identical to the sequential one (same colorings, same
-        // round clock, same snapshots), so serving from the pool is an
-        // implementation detail, not a semantic choice.
+        // Any shard count is accepted: the stepper is bit-identical
+        // across them (same colorings, same round clock, same
+        // snapshots), so serving from the pool is an implementation
+        // detail, not a semantic choice.
         if self.coloring.transport != Transport::Bare {
             return Err(ServiceError::Config("the service requires the bare transport".into()));
         }
@@ -498,82 +498,87 @@ pub fn hash_coloring(edges: &[ColoredEdge]) -> u64 {
     h
 }
 
-// `Fn + Sync` (not just `FnMut + Send`) so the same boxed factory drives
-// either engine — the parallel stepper's workers call it concurrently
-// when churn joins land in different shards.
+// `Fn + Sync` because the stepper's shard workers call the factory
+// concurrently when churn joins land in different shards.
 type EcFactory = Box<dyn Fn(NodeSeed<'_>) -> EdgeColoringNode + Send + Sync>;
 type StrongFactory = Box<dyn Fn(NodeSeed<'_>) -> StrongColoringNode + Send + Sync>;
 
 enum Inner {
     Ec(Stepper<EdgeColoringNode, EcFactory>),
     Strong(Stepper<StrongColoringNode, StrongFactory>),
-    EcPar(ParStepper<EdgeColoringNode, EcFactory>),
-    StrongPar(ParStepper<StrongColoringNode, StrongFactory>),
-}
-
-/// Dispatch one method call over all four stepper variants (the
-/// sequential and parallel steppers expose the same API by design).
-macro_rules! each_stepper {
-    ($inner:expr, $s:ident => $body:expr) => {
-        match $inner {
-            Inner::Ec($s) => $body,
-            Inner::Strong($s) => $body,
-            Inner::EcPar($s) => $body,
-            Inner::StrongPar($s) => $body,
-        }
-    };
 }
 
 impl Inner {
     fn round(&self) -> u64 {
-        each_stepper!(self, s => s.round())
-    }
-
-    fn is_quiescent(&self) -> bool {
-        each_stepper!(self, s => s.is_quiescent())
-    }
-
-    fn still_active(&self) -> usize {
-        each_stepper!(self, s => s.still_active())
-    }
-
-    fn num_nodes(&self) -> usize {
-        each_stepper!(self, s => s.num_nodes())
-    }
-
-    fn topology(&self) -> &Topology {
-        each_stepper!(self, s => s.topology())
-    }
-
-    fn tick(&mut self, batch: Option<&ChurnBatch>) -> Result<dima_sim::RoundStats, SimError> {
-        each_stepper!(self, s => s.tick(batch, &mut NoopTracer))
-    }
-
-    fn restart(&mut self) {
-        each_stepper!(self, s => s.restart())
-    }
-
-    fn park_all(&mut self) {
-        each_stepper!(self, s => s.park_all())
-    }
-
-    /// The strong-coloring automata, when this service runs that
-    /// protocol (on either engine).
-    fn strong_nodes_mut(&mut self) -> Option<&mut [StrongColoringNode]> {
         match self {
-            Inner::Strong(s) => Some(s.nodes_mut()),
-            Inner::StrongPar(s) => Some(s.nodes_mut()),
-            Inner::Ec(_) | Inner::EcPar(_) => None,
+            Inner::Ec(s) => s.round(),
+            Inner::Strong(s) => s.round(),
         }
     }
 
-    /// The edge-coloring automata, when this service runs that protocol
-    /// (on either engine).
+    fn is_quiescent(&self) -> bool {
+        match self {
+            Inner::Ec(s) => s.is_quiescent(),
+            Inner::Strong(s) => s.is_quiescent(),
+        }
+    }
+
+    fn still_active(&self) -> usize {
+        match self {
+            Inner::Ec(s) => s.still_active(),
+            Inner::Strong(s) => s.still_active(),
+        }
+    }
+
+    fn num_nodes(&self) -> usize {
+        match self {
+            Inner::Ec(s) => s.num_nodes(),
+            Inner::Strong(s) => s.num_nodes(),
+        }
+    }
+
+    fn topology(&self) -> &Topology {
+        match self {
+            Inner::Ec(s) => s.topology(),
+            Inner::Strong(s) => s.topology(),
+        }
+    }
+
+    fn tick(&mut self, batch: Option<&ChurnBatch>) -> Result<dima_sim::RoundStats, SimError> {
+        match self {
+            Inner::Ec(s) => s.tick(batch, &mut NoopTracer),
+            Inner::Strong(s) => s.tick(batch, &mut NoopTracer),
+        }
+    }
+
+    fn restart(&mut self) {
+        match self {
+            Inner::Ec(s) => s.restart(),
+            Inner::Strong(s) => s.restart(),
+        }
+    }
+
+    fn park_all(&mut self) {
+        match self {
+            Inner::Ec(s) => s.park_all(),
+            Inner::Strong(s) => s.park_all(),
+        }
+    }
+
+    /// The strong-coloring automata, when this service runs that
+    /// protocol.
+    fn strong_nodes_mut(&mut self) -> Option<&mut [StrongColoringNode]> {
+        match self {
+            Inner::Strong(s) => Some(s.nodes_mut()),
+            Inner::Ec(_) => None,
+        }
+    }
+
+    /// The edge-coloring automata, when this service runs that protocol.
     fn ec_nodes_mut(&mut self) -> Option<&mut [EdgeColoringNode]> {
         match self {
             Inner::Ec(s) => Some(s.nodes_mut()),
-            Inner::EcPar(s) => Some(s.nodes_mut()),
-            Inner::Strong(_) | Inner::StrongPar(_) => None,
+            Inner::Strong(_) => None,
         }
     }
 
@@ -583,15 +588,7 @@ impl Inner {
                 let nodes = s.nodes();
                 (nodes[u.0 as usize].color_toward(v), nodes[v.0 as usize].color_toward(u))
             }
-            Inner::EcPar(s) => {
-                let nodes = s.nodes();
-                (nodes[u.0 as usize].color_toward(v), nodes[v.0 as usize].color_toward(u))
-            }
             Inner::Strong(s) => {
-                let nodes = s.nodes();
-                (nodes[u.0 as usize].out_color_toward(v), nodes[v.0 as usize].out_color_toward(u))
-            }
-            Inner::StrongPar(s) => {
                 let nodes = s.nodes();
                 (nodes[u.0 as usize].out_color_toward(v), nodes[v.0 as usize].out_color_toward(u))
             }
@@ -599,7 +596,54 @@ impl Inner {
     }
 
     fn palette(&self, v: VertexId) -> Vec<Color> {
-        each_stepper!(self, s => s.nodes()[v.0 as usize].palette())
+        match self {
+            Inner::Ec(s) => s.nodes()[v.index()].palette(),
+            Inner::Strong(s) => s.nodes()[v.index()].palette(),
+        }
+    }
+}
+
+/// One node's edge-coloring write-back: its port colors and its
+/// neighbors' palettes (`None` skips the node).
+type EcSlots = Option<(Vec<Option<Color>>, Vec<ColorSet>)>;
+
+/// Per-node write-back of a settled edge coloring: each node's port
+/// colors plus its neighbors' full palettes, so future repair proposals
+/// stay exact (Proposition 2 relies on one-hop knowledge being current at
+/// quiescence). `color(u, v)` is `u`'s slot toward `v`. Departed nodes
+/// get `None`: a parked leaver keeps its pre-leave ports while the
+/// topology lists none, and a rejoin rebuilds it from the factory anyway.
+fn ec_write_back(
+    topo: &Topology,
+    alive: impl Fn(usize) -> bool,
+    color: impl Fn(VertexId, VertexId) -> Option<Color>,
+) -> Vec<EcSlots> {
+    let n = topo.num_nodes();
+    let palettes: Vec<ColorSet> = (0..n)
+        .map(|i| {
+            let u = VertexId(i as u32);
+            topo.neighbors(u).iter().filter_map(|&v| color(u, v)).collect()
+        })
+        .collect();
+    (0..n)
+        .map(|i| {
+            let u = VertexId(i as u32);
+            alive(i).then(|| {
+                let own = topo.neighbors(u).iter().map(|&v| color(u, v)).collect();
+                let knowledge =
+                    topo.neighbors(u).iter().map(|&v| palettes[v.index()].clone()).collect();
+                (own, knowledge)
+            })
+        })
+        .collect()
+}
+
+/// Apply an [`ec_write_back`] to the parked automata.
+fn adopt_ec(nodes: &mut [EdgeColoringNode], per_node: Vec<EcSlots>) {
+    for (node, slots) in nodes.iter_mut().zip(per_node) {
+        if let Some((own, knowledge)) = slots {
+            node.adopt_compaction(&own, knowledge);
+        }
     }
 }
 
@@ -674,6 +718,7 @@ impl ColoringService {
             metrics: false,
         };
         let topo = Topology::from_graph(g);
+        let threads = cfg.coloring.engine.threads();
         let mut d0 = None;
         let inner = match cfg.protocol {
             ServeProtocol::EdgeColoring => {
@@ -681,12 +726,7 @@ impl ColoringService {
                 let factory: EcFactory = Box::new(move |seed: NodeSeed<'_>| {
                     EdgeColoringNode::new(&seed, &ccfg, palette_bound)
                 });
-                match cfg.coloring.engine {
-                    Engine::Sequential => Inner::Ec(Stepper::new(&topo, &engine_cfg, factory)),
-                    Engine::Parallel { threads } => {
-                        Inner::EcPar(ParStepper::new(&topo, &engine_cfg, threads, factory))
-                    }
-                }
+                Inner::Ec(Stepper::new(&topo, &engine_cfg, threads, factory))
             }
             ServeProtocol::StrongColoring => {
                 let d = Digraph::symmetric_closure(g);
@@ -694,12 +734,7 @@ impl ColoringService {
                 let ccfg = cfg.coloring.clone();
                 let factory: StrongFactory =
                     Box::new(move |seed: NodeSeed<'_>| StrongColoringNode::new(&seed, &d, &ccfg));
-                match cfg.coloring.engine {
-                    Engine::Sequential => Inner::Strong(Stepper::new(&topo, &engine_cfg, factory)),
-                    Engine::Parallel { threads } => {
-                        Inner::StrongPar(ParStepper::new(&topo, &engine_cfg, threads, factory))
-                    }
-                }
+                Inner::Strong(Stepper::new(&topo, &engine_cfg, threads, factory))
             }
         };
         (inner, d0, palette_bound)
@@ -1004,7 +1039,7 @@ impl ColoringService {
         let ColorReduction::Kempe(kcfg) = self.cfg.coloring.reduction else {
             return None;
         };
-        if !matches!(self.inner, Inner::Ec(_) | Inner::EcPar(_)) {
+        if !matches!(self.inner, Inner::Ec(_)) {
             return None;
         }
         // Rebuild the live graph (edge ids: u ascending, then v) and
@@ -1036,10 +1071,6 @@ impl ColoringService {
             crate::kempe::reduce_palette(&g, &mut colors, &alive, &kcfg, &self.cfg.coloring)
                 .ok()?;
         if report.trivial_recolors + report.chains_flipped > 0 {
-            // Write back: each parked node adopts its port colors and
-            // its neighbors' full post-compaction palettes (so future
-            // repair proposals stay exact — Proposition 2 relies on
-            // one-hop knowledge being current at quiescence).
             let mut by_edge: HashMap<(u32, u32), Option<Color>> = HashMap::new();
             for (&(u, v), &c) in pairs.iter().zip(colors.iter()) {
                 by_edge.insert((u.0, v.0), c);
@@ -1048,31 +1079,11 @@ impl ColoringService {
                 let key = if u < v { (u.0, v.0) } else { (v.0, u.0) };
                 by_edge.get(&key).copied().flatten()
             };
-            let palettes: Vec<ColorSet> = (0..n)
-                .map(|i| {
-                    let u = VertexId(i as u32);
-                    topo.neighbors(u).iter().filter_map(|&v| color_of(u, v)).collect()
-                })
-                .collect();
-            let per_node: Vec<(Vec<Option<Color>>, Vec<ColorSet>)> = (0..n)
-                .map(|i| {
-                    let u = VertexId(i as u32);
-                    let own = topo.neighbors(u).iter().map(|&v| color_of(u, v)).collect::<Vec<_>>();
-                    let knowledge = topo
-                        .neighbors(u)
-                        .iter()
-                        .map(|&v| palettes[v.index()].clone())
-                        .collect::<Vec<_>>();
-                    (own, knowledge)
-                })
-                .collect();
+            let per_node = ec_write_back(topo, |i| alive[i], color_of);
             // The protocol was matched as edge-coloring above; if the
-            // engine variant disagrees, skip the write-back rather than
-            // panic — the un-compacted coloring is still proper.
-            let nodes = self.inner.ec_nodes_mut()?;
-            for (i, (own, knowledge)) in per_node.into_iter().enumerate() {
-                nodes[i].adopt_compaction(&own, knowledge);
-            }
+            // stepper disagrees, skip the write-back rather than panic —
+            // the un-compacted coloring is still proper.
+            adopt_ec(self.inner.ec_nodes_mut()?, per_node);
         }
         Some(report)
     }
@@ -1156,28 +1167,15 @@ impl ColoringService {
                 (r, f)
             }
         };
-        let is_ec = matches!(inner, Inner::Ec(_) | Inner::EcPar(_));
+        let is_ec = matches!(inner, Inner::Ec(_));
         let topo = inner.topology();
         let n = topo.num_nodes();
         if is_ec {
-            let palettes: Vec<ColorSet> = (0..n)
-                .map(|i| {
-                    let u = VertexId(i as u32);
-                    topo.neighbors(u).iter().filter_map(|&v| slot(u, v).0).collect()
-                })
-                .collect();
-            let per_node: Vec<(Vec<Option<Color>>, Vec<ColorSet>)> = (0..n)
-                .map(|i| {
-                    let u = VertexId(i as u32);
-                    let own = topo.neighbors(u).iter().map(|&v| slot(u, v).0).collect::<Vec<_>>();
-                    let knowledge =
-                        topo.neighbors(u).iter().map(|&v| palettes[v.index()].clone()).collect();
-                    (own, knowledge)
-                })
-                .collect();
-            let Some(nodes) = inner.ec_nodes_mut() else { return };
-            for (i, (own, knowledge)) in per_node.into_iter().enumerate() {
-                nodes[i].adopt_compaction(&own, knowledge);
+            // Every automaton was just built over `topo`, departed
+            // (isolated) nodes included, so all of them take the write-back.
+            let per_node = ec_write_back(topo, |_| true, |u, v| slot(u, v).0);
+            if let Some(nodes) = inner.ec_nodes_mut() {
+                adopt_ec(nodes, per_node);
             }
         } else {
             // A strong-coloring node's forbidden set accumulates every
@@ -1519,7 +1517,7 @@ impl ColoringService {
     /// structurally validated; the journal is read tolerantly (a torn
     /// final line ends recovery at the tear). The restored service has
     /// finished any in-flight repair (it is settled unless journal
-    /// events were re-staged). Replays sequentially — a pooled host uses
+    /// events were re-staged). Replays on one shard — a pooled host uses
     /// [`ColoringService::restore_with`].
     pub fn restore(
         snapshot: &str,
@@ -1529,7 +1527,7 @@ impl ColoringService {
     }
 
     /// [`ColoringService::restore`] replaying on `engine`. The coloring
-    /// is bit-identical on either engine (the acceptance suite pins
+    /// is bit-identical for every shard count (the acceptance suite pins
     /// this), so a host running a worker pool restores on the pool
     /// instead of single-threading the replay.
     pub fn restore_with(
@@ -1964,15 +1962,14 @@ impl ColoringService {
     }
 
     // ------------------------------------------------------------------
-    // Cross-engine recompute
+    // Batch recompute
     // ------------------------------------------------------------------
 
     /// Recompute the coloring from scratch by compiling the committed
     /// history into a [`ChurnSchedule`] and running it through the
-    /// batch engines under `engine` — the independent cross-check the
-    /// acceptance suite diffs against the live state. Only available
-    /// for escalation-free histories (the batch engines have no restart
-    /// path).
+    /// batch entry point under `engine` — the independent cross-check
+    /// the acceptance suite diffs against the live state. Only available
+    /// for escalation-free histories (a batch run has no restart path).
     pub fn recompute(&self, engine: Engine) -> Result<Vec<ColoredEdge>, ServiceError> {
         if self.epoch > 0 {
             // A compacted service adopted its coloring across a rebase;

@@ -31,13 +31,12 @@
 use dima_graph::{EdgeId, Graph, VertexId};
 use dima_sim::telemetry::{NoopTracer, PaletteAction, Tracer};
 use dima_sim::{
-    run_parallel_traced, run_sequential_traced, EngineConfig, NodeSeed, NodeStatus, Protocol,
-    RoundCtx, RunOutcome, RunStats, Topology,
+    run, ChurnSchedule, NodeSeed, NodeStatus, Protocol, RoundCtx, RunOutcome, RunStats, Topology,
 };
 use rand::rngs::SmallRng;
 
 use crate::automata::{choose_role, pick_uniform, pick_uniform_iter, Role};
-use crate::config::{ColorPolicy, ColoringConfig, Engine, ResponsePolicy};
+use crate::config::{ColorPolicy, ColoringConfig, ResponsePolicy};
 use crate::error::CoreError;
 use crate::palette::{Color, ColorSet};
 
@@ -451,25 +450,14 @@ pub fn strong_color_graph_traced<T: Tracer + Sync>(
     cfg.validate()?;
     let delta = g.max_degree();
     let topo = Topology::from_graph(g);
-    let engine_cfg = EngineConfig {
-        seed: cfg.seed,
-        // Five communication rounds per computation round, and strong
-        // coloring needs more rounds than plain coloring: double the
-        // usual budget.
-        max_rounds: 5 * 2 * cfg.compute_round_budget(delta),
-        collect_round_stats: cfg.collect_round_stats,
-        validate_sends: cfg.validate_sends,
-        faults: cfg.faults.clone(),
-        profile: cfg.profile,
-        metrics: cfg.collect_metrics,
-    };
+    // Five communication rounds per computation round, and strong
+    // coloring needs more rounds than plain coloring: double the usual
+    // budget.
+    let engine_cfg = cfg.engine_config(5 * 2 * cfg.compute_round_budget(delta));
     let factory = |seed: NodeSeed<'_>| StrongUndirectedNode::new(&seed, g, cfg);
-    let outcome: RunOutcome<StrongUndirectedNode> = match cfg.engine {
-        Engine::Sequential => run_sequential_traced(&topo, &engine_cfg, factory, tracer)?,
-        Engine::Parallel { threads } => {
-            run_parallel_traced(&topo, &engine_cfg, threads, factory, tracer)?
-        }
-    };
+    let threads = cfg.engine.threads();
+    let outcome: RunOutcome<StrongUndirectedNode> =
+        run(&topo, &engine_cfg, threads, &ChurnSchedule::empty(), factory, tracer)?;
 
     let mut colors: Vec<Option<Color>> = vec![None; g.num_edges()];
     let mut agreement = true;
@@ -552,6 +540,7 @@ pub fn verify_strong_undirected(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Engine;
     use dima_graph::conflict::strong_line_graph;
     use dima_graph::gen::{erdos_renyi_avg_degree, structured};
     use rand::rngs::SmallRng;

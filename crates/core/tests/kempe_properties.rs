@@ -10,12 +10,14 @@
 use dima_core::verify::{count_colors, verify_edge_coloring, verify_residual_edge_coloring};
 use dima_core::{
     color_edges, color_edges_churn, reduce_palette, ChurnPlan, ChurnSchedule, ColorReduction,
-    ColoringConfig, Engine, KempeConfig,
+    ColoringConfig, ColoringService, Engine, KempeConfig, ServeProtocol, ServiceConfig,
 };
 use dima_graph::gen::{erdos_renyi_avg_degree, random_regular};
+use dima_graph::{GraphBuilder, VertexId};
+use dima_sim::ChurnEvent;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// A graph plus a proper coloring of it, produced by the main protocol.
 fn colored_instance(
@@ -170,4 +172,51 @@ fn churn_repair_recompacts_over_fifty_seeds() {
         opportunities > 0,
         "corpus never exceeded Δ+1 — the acceptance check exercised nothing"
     );
+}
+
+/// Regression: with Kempe on, a serve-mode compaction written back
+/// after a node left must skip the departed node. Its parked automaton
+/// keeps its pre-leave ports while the live topology lists none, and
+/// the write-back used to panic on the length mismatch. Mixed-kind
+/// 8-event batches (link up/down, leave, join) on a small seeded ER
+/// graph; the coloring must verify on the live graph after every batch.
+#[test]
+fn serve_kempe_write_back_survives_node_leave() {
+    let n = 40u32;
+    let mut rng = SmallRng::seed_from_u64(2);
+    let g = erdos_renyi_avg_degree(n as usize, 6.0, &mut rng).expect("valid ER parameters");
+    let mut cfg = ServiceConfig::new(ServeProtocol::EdgeColoring, 9);
+    cfg.coloring.reduction = ColorReduction::Kempe(KempeConfig::default());
+    let mut svc = ColoringService::new(&g, cfg).expect("service");
+    svc.run_to_quiescence(svc.tick_budget()).expect("initial coloring");
+    let mut ev = SmallRng::seed_from_u64(5);
+    let mut leaves = 0;
+    for batch in 0..12 {
+        let mut staged = 0;
+        while staged < 8 {
+            let (a, b) = (VertexId(ev.random_range(0..n)), VertexId(ev.random_range(0..n)));
+            let event = match ev.random_range(0..4u32) {
+                0 => ChurnEvent::LinkUp(a.min(b), a.max(b)),
+                1 => ChurnEvent::LinkDown(a.min(b), a.max(b)),
+                2 => ChurnEvent::NodeLeave(a),
+                _ => ChurnEvent::NodeJoin(a),
+            };
+            if svc.stage(event).is_ok() {
+                leaves += u32::from(matches!(event, ChurnEvent::NodeLeave(_)));
+                staged += 1;
+            }
+        }
+        svc.commit().expect("commit");
+        svc.run_to_quiescence(svc.tick_budget()).expect("repair converges");
+        let edges = svc.coloring();
+        let mut live = GraphBuilder::with_capacity(n as usize, edges.len());
+        for e in &edges {
+            assert_eq!(e.forward, e.reverse, "batch {batch}: endpoints disagree on {e:?}");
+            live.add_edge(e.u, e.v);
+        }
+        let colors: Vec<_> = edges.iter().map(|e| e.forward).collect();
+        verify_edge_coloring(&live.build().expect("live graph"), &colors)
+            .unwrap_or_else(|v| panic!("batch {batch}: {v:?}"));
+    }
+    assert!(leaves > 0, "the event stream never removed a node");
 }

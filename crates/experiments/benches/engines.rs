@@ -1,7 +1,7 @@
-//! Sequential vs parallel engine benchmark on identical workloads.
+//! Engine benchmark across shard counts on identical workloads.
 //!
-//! Both engines produce bit-identical results (property-tested); this
-//! bench shows what the lockstep parallelism buys (or costs — for small
+//! Every shard count produces bit-identical results (property-tested);
+//! this bench shows what the lockstep parallelism buys (or costs — for small
 //! graphs the per-round barriers dominate, which is itself a finding
 //! worth publishing alongside the equivalence guarantee).
 

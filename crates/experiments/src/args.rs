@@ -18,7 +18,7 @@ pub struct CommonArgs {
     pub seed: u64,
     /// Output directory for CSV files.
     pub out: PathBuf,
-    /// Parallel engine threads (0 = sequential engine).
+    /// Engine shards (0 = the default single shard).
     pub threads: usize,
 }
 

@@ -18,9 +18,11 @@
 //!                [--oversubscribe]
 //! ```
 //!
-//! Parallel scenarios are named after their width (`color_par4`,
+//! Multi-shard scenarios are named after their width (`color_par4`,
 //! `thread_sweep_t8`); the default width is a constant, not the host's
-//! core count, so the same names appear in every snapshot. An explicit
+//! core count, so the same names appear in every snapshot. The `*_seq`
+//! scenarios run the same engine on 1 shard; they keep their names so
+//! `bench_diff` compares like with like across snapshots. An explicit
 //! `--threads` larger than the host's parallelism is refused unless
 //! `--oversubscribe` is passed — a silently clamped run would publish
 //! numbers that don't match its scenario names.
@@ -32,10 +34,10 @@ use dima_core::{
 use dima_graph::gen::GraphFamily;
 use dima_graph::{Graph, VertexId};
 use dima_sim::fault::FaultPlan;
-use dima_sim::telemetry::{BatchSample, SloRecorder, TraceMeta, TraceWriter};
+use dima_sim::telemetry::{BatchSample, NoopTracer, SloRecorder, TraceMeta, TraceWriter};
 use dima_sim::{
-    run_parallel, run_sequential, run_sequential_traced, ChurnEvent, EngineConfig, NodeSeed,
-    NodeStatus, Protocol, RoundCtx, Shared, Topology,
+    run, ChurnEvent, ChurnSchedule, EngineConfig, NodeSeed, NodeStatus, Protocol, RoundCtx, Shared,
+    Topology,
 };
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -196,17 +198,15 @@ fn small_gossip_scenario<'a>(
     name: &str,
     topo: &'a Topology,
     rounds: u64,
-    engine_threads: Option<usize>,
+    threads: usize,
     reps: usize,
 ) -> Scenario<'a> {
     Scenario::new(name, reps, move |rep| {
         let cfg =
             EngineConfig { seed: 0x5AA + rep, max_rounds: rounds + 4, ..EngineConfig::default() };
         let factory = |seed: NodeSeed<'_>| SmallGossip { rounds, digest: seed.node.0 as u64 };
-        let outcome = match engine_threads {
-            None => run_sequential(topo, &cfg, factory).expect("gossip run"),
-            Some(t) => run_parallel(topo, &cfg, t, factory).expect("gossip run"),
-        };
+        let outcome = run(topo, &cfg, threads, &ChurnSchedule::empty(), factory, &mut NoopTracer)
+            .expect("gossip run");
         black_box(outcome.nodes.iter().map(|n| n.digest).fold(0u64, u64::wrapping_add));
     })
 }
@@ -225,7 +225,7 @@ fn gossip_scenario<'a>(
     topo: &'a Topology,
     rounds: u64,
     payload_len: usize,
-    engine_threads: Option<usize>,
+    threads: usize,
     metrics: bool,
     reps: usize,
 ) -> Scenario<'a> {
@@ -241,10 +241,8 @@ fn gossip_scenario<'a>(
             payload: Shared::new((0..payload_len as u64).map(|i| i ^ seed.node.0 as u64).collect()),
             digest: 0,
         };
-        let outcome = match engine_threads {
-            None => run_sequential(topo, &cfg, factory).expect("gossip run"),
-            Some(t) => run_parallel(topo, &cfg, t, factory).expect("gossip run"),
-        };
+        let outcome = run(topo, &cfg, threads, &ChurnSchedule::empty(), factory, &mut NoopTracer)
+            .expect("gossip run");
         black_box(outcome.stats.metrics.is_some());
         black_box(outcome.nodes.iter().map(|n| n.digest).fold(0u64, u64::wrapping_add));
     })
@@ -281,7 +279,8 @@ fn gossip_traced_scenario<'a>(
             sample,
         };
         let mut w = TraceWriter::new(std::io::sink(), &meta);
-        let outcome = run_sequential_traced(topo, &cfg, factory, &mut w).expect("gossip run");
+        let outcome =
+            run(topo, &cfg, 1, &ChurnSchedule::empty(), factory, &mut w).expect("gossip run");
         black_box(w.events_written());
         black_box(outcome.nodes.iter().map(|n| n.digest).fold(0u64, u64::wrapping_add));
     })
@@ -705,7 +704,7 @@ fn main() {
             &dense_topo,
             dense_rounds,
             payload_len,
-            None,
+            1,
             false,
             reps,
         ));
@@ -726,7 +725,7 @@ fn main() {
             &dense_topo,
             dense_rounds,
             payload_len,
-            None,
+            1,
             true,
             reps,
         ));
@@ -737,7 +736,7 @@ fn main() {
             &dense_topo,
             dense_rounds,
             payload_len,
-            Some(par_threads),
+            par_threads,
             false,
             reps,
         ));
@@ -747,7 +746,7 @@ fn main() {
             "small_broadcast_seq",
             &dense_topo,
             dense_rounds * 4,
-            None,
+            1,
             reps,
         ));
     }
@@ -756,7 +755,7 @@ fn main() {
             &par_name("small_broadcast"),
             &dense_topo,
             dense_rounds * 4,
-            Some(par_threads),
+            par_threads,
             reps,
         ));
     }

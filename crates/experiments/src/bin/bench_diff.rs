@@ -19,9 +19,8 @@
 //!
 //! `--gate-par R` additionally checks the *new* snapshot's parallel
 //! sanity invariant: at the largest thread-sweep point the recorded
-//! host could actually parallelize, the pooled engine may be at most
-//! `R`× sequential on the big coloring workload (the old CI heredoc
-//! used 1.10). This is an intra-snapshot check — it needs no baseline
+//! host could actually parallelize, N shards may be at most `R`× 1 shard
+//! on the big coloring workload (the old CI heredoc used 1.10). This is an intra-snapshot check — it needs no baseline
 //! and is immune to cross-host noise.
 
 use std::process::ExitCode;
@@ -157,8 +156,8 @@ fn diff_snapshots(old: &Snapshot, new: &Snapshot, threshold: f64) -> usize {
 }
 
 /// The intra-snapshot parallel gate: at the widest sweep point the
-/// snapshot's host could really parallelize, pooled must be within
-/// `max_ratio` of sequential.
+/// snapshot's host could really parallelize, N shards must be within
+/// `max_ratio` of 1 shard.
 fn gate_par(snap: &Snapshot, max_ratio: f64) -> Result<(), String> {
     let mean = |name: &str| {
         snap.rows
@@ -183,7 +182,7 @@ fn gate_par(snap: &Snapshot, max_ratio: f64) -> Result<(), String> {
     );
     if ratio > max_ratio {
         return Err(format!(
-            "parallel engine at t={pick} is {ratio:.2}x sequential (budget {max_ratio:.2}x) \
+            "engine at t={pick} shards is {ratio:.2}x 1 shard (budget {max_ratio:.2}x) \
              — pool regression"
         ));
     }

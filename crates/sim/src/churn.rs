@@ -11,12 +11,12 @@
 //!
 //! Every batch is **precompiled**: it carries the post-mutation [`Graph`]
 //! and [`Topology`] snapshot plus the net per-node neighborhood diffs
-//! ([`NeighborhoodChange`]) against the previous snapshot. Both engines
-//! apply a batch by indexing this shared immutable data at the top of the
-//! batch's round, before any node is stepped — which is what keeps the
-//! sequential and parallel engines bit-identical under churn: there is no
-//! engine-side randomness or order-dependence in the mutation path at
-//! all. Churn composes freely with the [`crate::fault`] layer; fault
+//! ([`NeighborhoodChange`]) against the previous snapshot. Every shard
+//! applies its slice of a batch by indexing this shared immutable data at
+//! the top of the batch's round, before any node is stepped — which is
+//! what keeps runs bit-identical across shard counts under churn: there
+//! is no engine-side randomness or order-dependence in the mutation path
+//! at all. Churn composes freely with the [`crate::fault`] layer; fault
 //! decisions remain pure hashes of `(seed, round, edge, k)`.
 //!
 //! A schedule generated with a given `(graph, plan)` is deterministic,
@@ -147,26 +147,26 @@ pub struct NeighborhoodChange {
     pub removed: Vec<VertexId>,
 }
 
-/// One precompiled mutation batch, applied by the engines at the top of
+/// One precompiled mutation batch, applied by the engine at the top of
 /// round [`ChurnBatch::round`], before any node is stepped.
 #[derive(Clone, Debug)]
 pub struct ChurnBatch {
     /// The communication round this batch fires at.
     pub round: u64,
     /// The primitive events this batch was generated from (for reporting;
-    /// the engines only consume the compiled fields below).
+    /// the engine only consumes the compiled fields below).
     pub events: Vec<ChurnEvent>,
     /// The topology *after* this batch.
     pub graph: Graph,
-    /// CSR form of [`ChurnBatch::graph`] for the engines.
+    /// CSR form of [`ChurnBatch::graph`] for the engine.
     pub topo: Topology,
     /// Nodes that (re)joined in this batch (dead → alive), sorted. The
-    /// engines recreate their protocol instances via the factory; each
+    /// engine recreates their protocol instances via the factory; each
     /// join node also carries a [`ChurnBatch::changes`] entry listing its
     /// full new neighbor list as `added`.
     pub joins: Vec<VertexId>,
-    /// Nodes that left in this batch (alive → dead), sorted. The engines
-    /// park them as done.
+    /// Nodes that left in this batch (alive → dead), sorted. The engine
+    /// parks them as done.
     pub leaves: Vec<VertexId>,
     /// Per-node net neighborhood diffs for surviving nodes (sorted by
     /// node id); delivered through `Protocol::on_topology_change`.
@@ -224,9 +224,9 @@ impl ChurnSchedule {
     }
 
     /// Assemble a schedule from precompiled batches (e.g. the committed
-    /// history of a live [`EventFeed`] session, re-run through the batch
-    /// engines for a cross-engine check). Batch rounds must be strictly
-    /// increasing — the engines assume it.
+    /// history of a live [`EventFeed`] session, re-run through
+    /// [`crate::run`] as an independent cross-check). Batch rounds must be strictly
+    /// increasing — the engine assumes it.
     pub fn from_batches(batches: Vec<ChurnBatch>) -> Self {
         assert!(
             batches.windows(2).all(|w| w[0].round < w[1].round),
@@ -493,7 +493,7 @@ impl std::error::Error for FeedError {}
 /// arrive one at a time (from a socket, a file, an operator), each is
 /// validated against the current graph state, and accepted events
 /// accumulate until [`EventFeed::commit`] compiles them into a
-/// [`ChurnBatch`] for the engines — byte-for-byte the batch a generated
+/// [`ChurnBatch`] for the engine — byte-for-byte the batch a generated
 /// schedule would carry for the same mutations.
 ///
 /// Inconsistent events ([`FeedError`]) are rejected without touching the
@@ -628,7 +628,7 @@ impl EventFeed {
 
     /// Compile the staged events into a [`ChurnBatch`] firing at `round`
     /// and advance the committed state. Returns `None` when nothing is
-    /// staged (the engines never see empty batches from a feed).
+    /// staged (the engine never sees empty batches from a feed).
     pub fn commit(&mut self, round: u64) -> Option<ChurnBatch> {
         if self.staged.is_empty() {
             return None;

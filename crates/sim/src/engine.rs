@@ -1,23 +1,78 @@
-//! The deterministic sequential engine — the reference implementation.
+//! The engine: sharded workers in lockstep over a persistent pool.
 //!
-//! Nodes are stepped in id order; messages produced in round `r` are
-//! delivered (sorted by sender id) at round `r+1`; the run ends when every
-//! node has reported [`NodeStatus::Done`] or the round budget is
-//! exhausted. Given the same topology, config and factory, two runs are
-//! bit-identical — and so is a [`crate::par::run_parallel`] run, which the
-//! test suites verify.
+//! Nodes are partitioned into contiguous shards (weighted by CSR degree,
+//! so shards carry equal *edge* load, not just equal node counts), one
+//! participant per shard. Workers come from the process-wide persistent
+//! pool ([`crate::pool`]) — nothing is spawned per run, let alone per
+//! round — and the caller itself drives shard 0, so a one-shard run
+//! (`threads == 1`) executes inline on the caller's thread and never
+//! touches the pool at all.
+//!
+//! Each communication round is one [`Stepper::tick`]. Within a tick,
+//! the participants move through phases separated by an
+//! [`EpochBarrier`]:
+//!
+//! 1. **churn** (only on batch rounds) — each participant applies the
+//!    slice of the batch falling in its shard, then a barrier makes the
+//!    new done flags and topology visible before any node steps;
+//! 2. **step & deposit** — every participant steps its live nodes in id
+//!    order, pushing each delivery directly into the `(sender shard,
+//!    receiver shard)` slot of the `MailGrid` — in place, no mutex,
+//!    no post-barrier shuffle. Exactly one participant writes any slot
+//!    in this phase, which is what makes the lock-free deposit sound;
+//! 3. **barrier A**, then **boundary + collect** — each participant
+//!    applies the wake-ups addressed to its shard, publishes its new
+//!    done flags, and drains its grid *column* straight into its flat
+//!    inbox arena: one counting pass sizes each receiver's run, one
+//!    placement pass moves each envelope to its final slot. Walking sender shards in
+//!    ascending order (each slot already in sender-id order) yields the
+//!    documented sorted-by-sender delivery order *by construction* — no
+//!    sort, no per-node buckets, one move per message. Deliveries to a
+//!    node that parked or crashed this round are dropped here.
+//!
+//! The scope join doubles as barrier B: no participant can deposit for
+//! round `r + 1` before every participant finished collecting round `r`.
+//!
+//! Combined with per-node RNGs seeded only by `(master seed, node id)`
+//! (see [`crate::rng`]) and hash-based fault decisions, a run is
+//! *bit-identical* for every shard count: same final protocol states,
+//! same aggregate message counts, same round count, same telemetry
+//! events. The determinism oracle is the ~100-line reference model in
+//! the crate's plane proptests, which replays the documented mailbox and
+//! churn semantics independently and is compared against the engine at
+//! 1, 2, 3 and 8 shards.
+//!
+//! [`run`] is the batch entry point; step-wise hosts (the serve-mode
+//! [`ColoringService`]) drive a [`Stepper`] directly.
+//!
+//! [`ColoringService`]: ../../dima_core/struct.ColoringService.html
 
-use dima_telemetry::{NoopTracer, Tracer};
+// The in-place message plane shares per-node arrays across the pool
+// scope through raw pointers with barrier-enforced phase discipline;
+// the aliasing rules are documented on [`MailGrid`] and [`NodeArrays`]
+// and at each unsafe block.
+#![allow(unsafe_code)]
 
-use crate::churn::ChurnSchedule;
+use std::cell::UnsafeCell;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+
+use dima_graph::VertexId;
+use dima_telemetry::{
+    merge_shards, Event, EventSink, KindTable, KindTotals, MetricsHandle, MetricsRegistry,
+    PhaseNanos, ProfileScope, ShardBuf, Stamped, TraceHandle, Tracer,
+};
+use parking_lot::Mutex;
+
+use crate::churn::{ChurnBatch, ChurnSchedule};
 use crate::error::SimError;
 use crate::fault::FaultPlan;
-use crate::protocol::{NodeSeed, Protocol};
-use crate::stats::{RoundStats, RunStats};
-use crate::stepper::Stepper;
+use crate::pool::{self, EpochBarrier};
+use crate::protocol::{Envelope, NodeSeed, NodeStatus, Protocol, RoundCtx, Target};
+use crate::rng::node_rng;
+use crate::stats::{note_round_metrics, RoundStats, RunStats};
 use crate::topology::Topology;
 
-/// Engine configuration shared by both engines.
+/// Engine configuration.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
     /// Master seed; all node RNGs derive from it.
@@ -34,14 +89,14 @@ pub struct EngineConfig {
     pub faults: FaultPlan,
     /// Measure wall-clock time per engine stage into
     /// [`RunStats::phase_nanos`]. Off by default so run statistics stay
-    /// bit-comparable across engines and runs.
+    /// bit-comparable across shard counts and runs.
     pub profile: bool,
     /// Collect aggregate metrics (counters/gauges/histograms) into
     /// [`RunStats::metrics`]. All recorded quantities are deterministic
     /// — counts and round-denominated latencies — so metric registries
-    /// are bit-identical across engines, except the `pool/` per-shard
-    /// entries which only appear when `profile` is also on (they are
-    /// wall-clock and engine-specific by nature).
+    /// are bit-identical across shard counts, except the `pool/`
+    /// per-shard entries which only appear when `profile` is also on
+    /// (they are wall-clock and shard-specific by nature).
     pub metrics: bool,
 }
 
@@ -87,7 +142,8 @@ impl<P> RunOutcome<P> {
     }
 }
 
-/// What an observer sees after each communication round.
+/// A run as of the last round boundary ([`Stepper::view`]): what a
+/// per-round observer such as a state census reads.
 #[derive(Debug)]
 pub struct RoundView<'a, P> {
     /// 0-based round just executed.
@@ -102,149 +158,38 @@ pub struct RoundView<'a, P> {
     pub stats: RoundStats,
 }
 
-/// Run `factory`-created protocols on `topo` until all nodes are done.
+/// Run `factory`-created protocols on `topo` over `threads` shards
+/// (clamped to `[1, n]`; 1 runs inline on the caller's thread) until
+/// every node is done and `schedule` is exhausted, feeding telemetry
+/// events to `tracer`. Static runs pass [`ChurnSchedule::empty`] and
+/// [`NoopTracer`](dima_telemetry::NoopTracer), whose tracing branches
+/// monomorphize away.
 ///
-/// The factory is called once per node, in node order, with the node's
-/// id and neighbor list.
-pub fn run_sequential<P, F>(
+/// The factory is called once per node, in node order, and again for
+/// every churn join (from the worker owning the joiner's shard, hence
+/// `Sync`). Each [`crate::churn::ChurnBatch`] is applied at the top of
+/// its round, before any node is stepped (see [`Stepper::tick`]);
+/// quiescent stretches between batches fast-forward. Telemetry events
+/// arrive in the canonical deterministic order (see
+/// [`dima_telemetry::event`]): per round, the churn batch summary, node
+/// events in node-id order, per-message-kind counters in kind-name
+/// order, then the round footer. The tracer needs `Sync` because
+/// workers consult its sampling predicate.
+pub fn run<P, F, T>(
     topo: &Topology,
     cfg: &EngineConfig,
-    factory: F,
-) -> Result<RunOutcome<P>, SimError>
-where
-    P: Protocol,
-    F: FnMut(NodeSeed<'_>) -> P,
-{
-    run_sequential_observed(topo, cfg, factory, |_| {})
-}
-
-/// [`run_sequential`] under a topology-churn schedule (see
-/// [`run_sequential_churn_observed`] for the batch semantics).
-pub fn run_sequential_churn<P, F>(
-    topo: &Topology,
-    cfg: &EngineConfig,
-    schedule: &ChurnSchedule,
-    factory: F,
-) -> Result<RunOutcome<P>, SimError>
-where
-    P: Protocol,
-    F: FnMut(NodeSeed<'_>) -> P,
-{
-    run_sequential_churn_observed(topo, cfg, schedule, factory, |_| {})
-}
-
-/// [`run_sequential`] with a per-round observer — the hook behind state
-/// censuses ([`crate::trace`]) and mid-run inspection in tests. The
-/// observer runs after each round's done-flags merge, i.e. it sees
-/// exactly the state the next round will start from.
-pub fn run_sequential_observed<P, F, O>(
-    topo: &Topology,
-    cfg: &EngineConfig,
-    factory: F,
-    observer: O,
-) -> Result<RunOutcome<P>, SimError>
-where
-    P: Protocol,
-    F: FnMut(NodeSeed<'_>) -> P,
-    O: FnMut(RoundView<'_, P>),
-{
-    run_sequential_churn_observed(topo, cfg, &ChurnSchedule::empty(), factory, observer)
-}
-
-/// [`run_sequential_observed`] under a topology-churn schedule.
-///
-/// Each [`crate::churn::ChurnBatch`] is applied at the top of its round,
-/// before any node is stepped: leavers are parked as done with their
-/// inboxes cleared, joiners get a *fresh* protocol instance from the
-/// factory (but keep their RNG stream — node randomness is a function of
-/// `(seed, node id)` alone, in both engines), and every surviving node
-/// with a neighborhood diff is told through
-/// [`Protocol::on_topology_change`], whose return value replaces its done
-/// flag. The run ends when every node is done *and* the schedule is
-/// exhausted — parked nodes idle through quiescent stretches between
-/// batches.
-pub fn run_sequential_churn_observed<P, F, O>(
-    topo: &Topology,
-    cfg: &EngineConfig,
-    schedule: &ChurnSchedule,
-    factory: F,
-    observer: O,
-) -> Result<RunOutcome<P>, SimError>
-where
-    P: Protocol,
-    F: FnMut(NodeSeed<'_>) -> P,
-    O: FnMut(RoundView<'_, P>),
-{
-    run_sequential_churn_observed_traced(topo, cfg, schedule, factory, observer, &mut NoopTracer)
-}
-
-/// [`run_sequential`] feeding telemetry events to `tracer` (see
-/// [`dima_telemetry`]). With [`NoopTracer`] this is exactly
-/// [`run_sequential`]: the tracing branches test an associated constant
-/// and monomorphize away.
-pub fn run_sequential_traced<P, F, T>(
-    topo: &Topology,
-    cfg: &EngineConfig,
-    factory: F,
-    tracer: &mut T,
-) -> Result<RunOutcome<P>, SimError>
-where
-    P: Protocol,
-    F: FnMut(NodeSeed<'_>) -> P,
-    T: Tracer,
-{
-    run_sequential_churn_observed_traced(
-        topo,
-        cfg,
-        &ChurnSchedule::empty(),
-        factory,
-        |_| {},
-        tracer,
-    )
-}
-
-/// [`run_sequential_traced`] under a topology-churn schedule.
-pub fn run_sequential_churn_traced<P, F, T>(
-    topo: &Topology,
-    cfg: &EngineConfig,
+    threads: usize,
     schedule: &ChurnSchedule,
     factory: F,
     tracer: &mut T,
 ) -> Result<RunOutcome<P>, SimError>
 where
     P: Protocol,
-    F: FnMut(NodeSeed<'_>) -> P,
-    T: Tracer,
+    F: Fn(NodeSeed<'_>) -> P + Sync,
+    T: Tracer + Sync,
 {
-    run_sequential_churn_observed_traced(topo, cfg, schedule, factory, |_| {}, tracer)
-}
-
-/// The fully-general sequential entry point: churn schedule + per-round
-/// observer + telemetry tracer. Every other `run_sequential*` wrapper
-/// delegates here.
-///
-/// Telemetry events are emitted in the canonical deterministic order
-/// (see [`dima_telemetry::event`]): per round, the churn batch summary,
-/// node events in node-id order, per-message-kind counters in kind-name
-/// order, then the round footer. The parallel engine reproduces this
-/// exact sequence.
-pub fn run_sequential_churn_observed_traced<P, F, O, T>(
-    topo: &Topology,
-    cfg: &EngineConfig,
-    schedule: &ChurnSchedule,
-    factory: F,
-    mut observer: O,
-    tracer: &mut T,
-) -> Result<RunOutcome<P>, SimError>
-where
-    P: Protocol,
-    F: FnMut(NodeSeed<'_>) -> P,
-    O: FnMut(RoundView<'_, P>),
-    T: Tracer,
-{
-    let mut stepper = Stepper::new(topo, cfg, factory);
-    let n = stepper.num_nodes();
-    if n == 0 {
+    let mut stepper = Stepper::new(topo, cfg, threads, factory);
+    if stepper.num_nodes() == 0 {
         return Ok(stepper.into_outcome(0, 0));
     }
     let mut next_batch = 0usize;
@@ -254,7 +199,6 @@ where
             next_batch += 1;
         }
         let rs = stepper.tick(batch, tracer)?;
-        observer(stepper.view(rs));
         if stepper.is_quiescent() {
             if next_batch == schedule.len() {
                 return Ok(
@@ -264,11 +208,9 @@ where
             // Idle-round fast-forward: this round was fully quiescent (no
             // node stepped, so nothing is in flight) yet every node is
             // parked waiting for a future churn batch. Its `active == 0`
-            // stats row above is the quiescence marker batch reports key
-            // off; jump straight to the batch round instead of spinning
-            // the gap one empty round at a time. The decision is a pure
-            // function of state both engines share, so they jump
-            // identically.
+            // stats row is the quiescence marker batch reports key off;
+            // jump straight to the batch round instead of spinning the
+            // gap one empty round at a time.
             if rs.active == 0 {
                 if let Some(b) = schedule.batches().get(next_batch) {
                     stepper.skip_to_round(b.round);
@@ -282,12 +224,1137 @@ where
     })
 }
 
+/// Contiguous shard bounds balanced by CSR weight (degree plus a fixed
+/// per-node cost), so a skewed-degree graph does not leave most shards
+/// idle while one drowns in edges. Deterministic in `(topo, threads)`;
+/// the cut positions never affect delivery order (see the module docs),
+/// so bit-identity is preserved for any partition.
+fn shard_bounds(topo: &Topology, threads: usize) -> Vec<(usize, usize)> {
+    // Stepping a node costs roughly a constant plus its degree.
+    const NODE_COST: u64 = 8;
+    let n = topo.num_nodes();
+    let weight = |i: usize| NODE_COST + topo.degree(VertexId(i as u32)) as u64;
+    let total: u64 = (0..n).map(weight).sum();
+    let mut bounds = Vec::with_capacity(threads);
+    let mut lo = 0usize;
+    let mut acc = 0u64;
+    for t in 0..threads {
+        if t == threads - 1 {
+            bounds.push((lo, n));
+            break;
+        }
+        let target = total * (t as u64 + 1) / threads as u64;
+        // Leave at least one node for each later shard.
+        let max_hi = n - (threads - 1 - t);
+        let mut hi = lo;
+        while hi < max_hi && (hi == lo || acc < target) {
+            acc += weight(hi);
+            hi += 1;
+        }
+        bounds.push((lo, hi));
+        lo = hi;
+    }
+    bounds
+}
+
+/// The mailbox grid: one slot per `(sender shard, receiver shard)` pair.
+///
+/// Slots are plain vectors behind `UnsafeCell` — no mutex. Soundness is
+/// phase discipline, enforced by the round barrier:
+///
+/// * in the **deposit** phase, slot `(s, r)` is written only by
+///   participant `s` (each participant owns its *row*);
+/// * in the **collect** phase (after barrier A), slot `(s, r)` is
+///   drained only by participant `r` (each participant owns its
+///   *column*);
+/// * the phases never overlap: barrier A separates them within a tick,
+///   and the scope join + next dispatch separate a tick's collect from
+///   the next tick's deposit.
+///
+/// Draining in place (`Vec::drain`) keeps each slot's capacity with its
+/// channel pair, so steady-state rounds allocate nothing.
+/// One grid slot: messages addressed from a sender shard to the nodes
+/// of a receiver shard.
+type MailSlot<M> = UnsafeCell<Vec<(VertexId, Envelope<M>)>>;
+
+struct MailGrid<M> {
+    slots: Vec<MailSlot<M>>,
+    threads: usize,
+}
+
+// SAFETY: see the struct docs — every slot has exactly one accessor per
+// barrier-separated phase.
+unsafe impl<M: Send> Sync for MailGrid<M> {}
+
+impl<M> MailGrid<M> {
+    fn new(threads: usize) -> Self {
+        MailGrid {
+            slots: (0..threads * threads).map(|_| UnsafeCell::new(Vec::new())).collect(),
+            threads,
+        }
+    }
+
+    /// The `(sender shard, receiver shard)` slot.
+    ///
+    /// # Safety
+    /// The caller must be the slot's unique accessor for the current
+    /// phase: participant `s` during deposit, participant `r` during
+    /// collect.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn slot(&self, s: usize, r: usize) -> &mut Vec<(VertexId, Envelope<M>)> {
+        &mut *self.slots[s * self.threads + r].get()
+    }
+}
+
+/// Per-shard persistent state plus the per-tick outputs the caller folds
+/// after the join. Only the owning participant touches a `ShardState`
+/// during a tick.
+struct ShardState<M> {
+    /// This shard's inboxes as a flat arena: node `lo + li` reads
+    /// `inbox_len[li]` envelopes from `inbox_data[inbox_start[li]..]`.
+    /// Only the nodes listed in `receivers` have a nonzero length, so
+    /// collecting a round costs O(deliveries), not O(shard size) — a
+    /// long tail of near-silent rounds (a Kempe pass) stays cheap.
+    inbox_data: Vec<Envelope<M>>,
+    inbox_start: Vec<u32>,
+    inbox_len: Vec<u32>,
+    /// Local ids with a nonempty inbox, in first-delivery order.
+    receivers: Vec<u32>,
+    outbox: Vec<(Target, M)>,
+    newly_done: Vec<usize>,
+    suppressed_now: Vec<usize>,
+    /// Telemetry: stamped event buffer (merged at each round boundary)
+    /// and partial per-kind counters (summed during the merge).
+    buf: ShardBuf,
+    kinds: Option<KindTable>,
+    /// Protocol-level metric updates from this shard's nodes. All
+    /// updates are commutative, so merging the shard registries in any
+    /// order reproduces the same registry for every shard count — no
+    /// boundary normalization needed (unlike `buf`).
+    metrics: Option<MetricsRegistry>,
+    /// Cumulative per-phase wall-clock for this shard (profiled runs).
+    phases: PhaseNanos,
+    // --- per-tick outputs ---
+    sent: u64,
+    delivered: u64,
+    active: usize,
+    dropped: u64,
+    corrupted: u64,
+    duplicated: u64,
+    done_delta: i64,
+    crashed_delta: usize,
+    error: Option<SimError>,
+}
+
+impl<M> ShardState<M> {
+    fn new(len: usize) -> Self {
+        ShardState {
+            inbox_data: Vec::new(),
+            inbox_start: vec![0; len],
+            inbox_len: vec![0; len],
+            receivers: Vec::new(),
+            outbox: Vec::new(),
+            newly_done: Vec::new(),
+            suppressed_now: Vec::new(),
+            buf: ShardBuf::default(),
+            kinds: None,
+            metrics: None,
+            phases: PhaseNanos::default(),
+            sent: 0,
+            delivered: 0,
+            active: 0,
+            dropped: 0,
+            corrupted: 0,
+            duplicated: 0,
+            done_delta: 0,
+            crashed_delta: 0,
+            error: None,
+        }
+    }
+}
+
+/// Raw views into the stepper's per-node arrays, handed to the tick
+/// participants. All access goes through tiny unsafe helpers so the
+/// aliasing story stays auditable:
+///
+/// * `protocols`, `rngs` — element `i` is accessed (mutably) only by
+///   the participant owning node `i`'s shard;
+/// * `done`, `crashed`, `suppress` — written only by the owner, and
+///   only in phases where no other participant reads them (churn and
+///   boundary); read freely in the step phase, where nobody writes.
+///   The phase transitions are barriers, which order the accesses;
+/// * `shards` — element `tid` is touched only by participant `tid`.
+struct NodeArrays<P: Protocol> {
+    protocols: *mut P,
+    rngs: *mut rand::rngs::SmallRng,
+    done: *mut bool,
+    crashed: *mut bool,
+    suppress: *mut bool,
+    shards: *mut ShardState<P::Msg>,
+    n: usize,
+}
+
+// SAFETY: the pointers partition by shard / by phase as documented; the
+// barrier provides the cross-thread ordering.
+unsafe impl<P: Protocol> Sync for NodeArrays<P> {}
+
+impl<P: Protocol> NodeArrays<P> {
+    /// # Safety
+    /// Caller must own shard `tid` for this tick.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn shard(&self, tid: usize) -> &mut ShardState<P::Msg> {
+        &mut *self.shards.add(tid)
+    }
+    /// # Safety
+    /// `i` must be in the caller's shard.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn protocol(&self, i: usize) -> &mut P {
+        &mut *self.protocols.add(i)
+    }
+    /// # Safety
+    /// `i` must be in the caller's shard.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn rng(&self, i: usize) -> &mut rand::rngs::SmallRng {
+        &mut *self.rngs.add(i)
+    }
+    /// # Safety
+    /// Caller must be in a phase where the owner of `i` is not writing.
+    unsafe fn done(&self, i: usize) -> bool {
+        *self.done.add(i)
+    }
+    /// # Safety
+    /// `i` must be in the caller's shard, in a write phase.
+    unsafe fn set_done(&self, i: usize, v: bool) {
+        *self.done.add(i) = v;
+    }
+    /// # Safety
+    /// See [`NodeArrays::done`].
+    unsafe fn crashed(&self, i: usize) -> bool {
+        *self.crashed.add(i)
+    }
+    /// # Safety
+    /// `i` must be in the caller's shard, in a write phase.
+    unsafe fn set_crashed(&self, i: usize, v: bool) {
+        *self.crashed.add(i) = v;
+    }
+    /// # Safety
+    /// `i` must be in the caller's shard.
+    unsafe fn suppressed(&self, i: usize) -> bool {
+        *self.suppress.add(i)
+    }
+    /// # Safety
+    /// `i` must be in the caller's shard.
+    unsafe fn set_suppress(&self, i: usize, v: bool) {
+        *self.suppress.add(i) = v;
+    }
+    /// The full done array as a shared slice, for the delivery-fate
+    /// check.
+    ///
+    /// # Safety
+    /// Only valid during the step phase, where no participant writes
+    /// the array; the slice must be dropped before barrier A.
+    unsafe fn done_view(&self) -> &[bool] {
+        std::slice::from_raw_parts(self.done, self.n)
+    }
+}
+
+/// Everything a tick participant needs, shared by reference across the
+/// pool scope.
+struct TickCtx<'a, P: Protocol, F, T> {
+    cfg: &'a EngineConfig,
+    topo: &'a Topology,
+    batch: Option<&'a ChurnBatch>,
+    bounds: &'a [(usize, usize)],
+    shard_of: &'a [u32],
+    crash_round: &'a [Option<u64>],
+    grid: &'a MailGrid<P::Msg>,
+    barrier: &'a EpochBarrier,
+    arrays: NodeArrays<P>,
+    factory: &'a F,
+    tracer: &'a T,
+    panic: &'a Mutex<Option<Box<dyn std::any::Any + Send>>>,
+    round: u64,
+    threads: usize,
+}
+
+/// The engine's per-round state machine: one communication round per
+/// [`Stepper::tick`]. See the module docs for the phase structure and
+/// the bit-identity argument.
+///
+/// [`run`] is a thin run-to-quiescence loop over this type, so a
+/// `Stepper` driven tick-by-tick is *bit-identical* to a batch run over
+/// the same inputs: same per-node RNG streams, same delivery order, same
+/// churn-batch semantics. That split is what lets a long-lived service
+/// (`dima serve`) interleave repair rounds with event ingest and
+/// snapshot queries while keeping the determinism guarantees the batch
+/// entry point is tested for.
+///
+/// The caller owns the loop: it decides when to [`tick`](Stepper::tick),
+/// which [`ChurnBatch`] (if any) fires at the top of a round, when to
+/// [`skip_to_round`](Stepper::skip_to_round) over a quiescent stretch,
+/// and when to stop. Unlike [`run`] there is no round budget here —
+/// budget enforcement stays with the caller.
+pub struct Stepper<P: Protocol, F> {
+    cfg: EngineConfig,
+    factory: F,
+    topo: Topology,
+    threads: usize,
+    bounds: Vec<(usize, usize)>,
+    shard_of: Vec<u32>,
+    barrier: EpochBarrier,
+    grid: MailGrid<P::Msg>,
+    shards: Vec<ShardState<P::Msg>>,
+    protocols: Vec<P>,
+    rngs: Vec<rand::rngs::SmallRng>,
+    done: Vec<bool>,
+    done_count: usize,
+    crash_round: Vec<Option<u64>>,
+    crashed: Vec<bool>,
+    crashed_count: usize,
+    suppress: Vec<bool>,
+    panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
+    stats: RunStats,
+    // The caller-side registry: engine-level round metrics land here
+    // directly (the fold in `tick` owns the round's stats), and the
+    // per-shard protocol registries merge
+    // into it at `into_outcome`.
+    metrics: Option<Box<MetricsRegistry>>,
+    kinds_on: bool,
+    round: u64,
+    executed: u64,
+}
+
+impl<P, F> Stepper<P, F>
+where
+    P: Protocol,
+    F: Fn(NodeSeed<'_>) -> P + Sync,
+{
+    /// Create the per-node protocol instances on `topo` and stand ready
+    /// at round 0, sharded for `threads` participants (clamped to
+    /// `[1, n]`). The factory is called once per node in node order, and
+    /// kept for churn joins and [`Stepper::restart`].
+    pub fn new(topo: &Topology, cfg: &EngineConfig, threads: usize, factory: F) -> Self {
+        let n = topo.num_nodes();
+        let threads = threads.max(1).min(n.max(1));
+        let bounds = shard_bounds(topo, threads);
+        let shard_of: Vec<u32> = {
+            let mut v = vec![0u32; n];
+            for (t, &(lo, hi)) in bounds.iter().enumerate() {
+                v[lo..hi].fill(t as u32);
+            }
+            v
+        };
+        let protocols: Vec<P> = (0..n)
+            .map(|i| {
+                let node = VertexId(i as u32);
+                factory(NodeSeed { node, neighbors: topo.neighbors(node) })
+            })
+            .collect();
+        let rngs: Vec<_> = (0..n).map(|i| node_rng(cfg.seed, i as u32)).collect();
+        let crash_round: Vec<Option<u64>> =
+            (0..n).map(|i| cfg.faults.crashed_at(cfg.seed, i as u32)).collect();
+        let stats =
+            RunStats { per_round: cfg.collect_round_stats.then(Vec::new), ..Default::default() };
+        Stepper {
+            cfg: cfg.clone(),
+            factory,
+            topo: topo.clone(),
+            threads,
+            shards: bounds
+                .iter()
+                .map(|&(lo, hi)| {
+                    let mut st = ShardState::new(hi - lo);
+                    st.metrics = cfg.metrics.then(MetricsRegistry::new);
+                    st
+                })
+                .collect(),
+            bounds,
+            shard_of,
+            barrier: EpochBarrier::new(threads),
+            grid: MailGrid::new(threads),
+            protocols,
+            rngs,
+            done: vec![false; n],
+            done_count: 0,
+            crash_round,
+            crashed: vec![false; n],
+            crashed_count: 0,
+            suppress: vec![false; n],
+            panic: Mutex::new(None),
+            stats,
+            metrics: cfg.metrics.then(|| Box::new(MetricsRegistry::new())),
+            kinds_on: false,
+            round: 0,
+            executed: 0,
+        }
+    }
+
+    /// Number of nodes.
+    pub fn num_nodes(&self) -> usize {
+        self.protocols.len()
+    }
+
+    /// The participant count after clamping.
+    pub fn threads(&self) -> usize {
+        self.threads
+    }
+
+    /// The round the next [`Stepper::tick`] will execute.
+    pub fn round(&self) -> u64 {
+        self.round
+    }
+
+    /// Rounds actually executed so far (excludes skipped idle rounds).
+    pub fn executed(&self) -> u64 {
+        self.executed
+    }
+
+    /// True when every node is parked (done or crashed) — quiescence.
+    pub fn is_quiescent(&self) -> bool {
+        self.done_count + self.crashed_count == self.num_nodes()
+    }
+
+    /// Nodes still active (not done, not crashed).
+    pub fn still_active(&self) -> usize {
+        self.num_nodes() - self.done_count - self.crashed_count
+    }
+
+    /// Final protocol state per node, by node id.
+    pub fn nodes(&self) -> &[P] {
+        &self.protocols
+    }
+
+    /// Mutable access to the protocol instances, for hosts that apply an
+    /// out-of-band pass between repairs (e.g. serve-mode palette
+    /// compaction) and write the outcome back into the parked automata.
+    /// The engine does not re-validate node state — callers must
+    /// preserve the protocol's invariants.
+    pub fn nodes_mut(&mut self) -> &mut [P] {
+        &mut self.protocols
+    }
+
+    /// Which nodes have crash-stopped.
+    pub fn crashed(&self) -> &[bool] {
+        &self.crashed
+    }
+
+    /// Which nodes are done as of the last round boundary.
+    pub fn done(&self) -> &[bool] {
+        &self.done
+    }
+
+    /// The topology currently in force (swapped by churn batches).
+    pub fn topology(&self) -> &Topology {
+        &self.topo
+    }
+
+    /// Aggregate statistics so far.
+    pub fn stats(&self) -> &RunStats {
+        &self.stats
+    }
+
+    /// The observer view for the round whose stats are `rs`.
+    pub fn view(&self, rs: RoundStats) -> RoundView<'_, P> {
+        RoundView {
+            round: rs.round,
+            nodes: &self.protocols,
+            done: &self.done,
+            crashed: &self.crashed,
+            stats: rs,
+        }
+    }
+
+    /// Jump the round clock forward to `target` without executing the
+    /// intervening rounds — the idle fast-forward. Only legal when the
+    /// stepper is quiescent with empty mailboxes (nothing can happen in
+    /// the skipped rounds); a no-op when `target` is not ahead.
+    pub fn skip_to_round(&mut self, target: u64) {
+        debug_assert!(self.is_quiescent(), "cannot skip rounds with active nodes");
+        if target > self.round {
+            self.stats.idle_rounds_skipped += target - self.round;
+            self.round = target;
+        }
+    }
+
+    /// Consume the stepper into a [`RunOutcome`]. On profiled runs this
+    /// also folds the per-shard phase timers into
+    /// [`RunStats::phase_nanos`] and publishes the per-shard breakdown
+    /// as [`RunStats::shard_phases`].
+    pub fn into_outcome(mut self, churn_batches: u64, churn_events: u64) -> RunOutcome<P> {
+        self.stats.crashed = self.crashed_count;
+        self.stats.churn_batches = churn_batches;
+        self.stats.churn_events = churn_events;
+        for st in &self.shards {
+            self.stats.phase_nanos.add(st.phases);
+        }
+        if self.cfg.profile {
+            self.stats.shard_phases = self.shards.iter().map(|st| st.phases).collect();
+        }
+        if let Some(reg) = self.metrics.as_deref_mut() {
+            // Fold the per-shard protocol registries in. Every update
+            // is commutative, so any merge order gives the same content
+            // bit for bit.
+            for st in &self.shards {
+                if let Some(sm) = st.metrics.as_ref() {
+                    reg.merge(sm);
+                }
+            }
+            // Wall-clock per-shard work and barrier-wait imbalance are
+            // engine-specific by nature, so they only exist on profiled
+            // runs — which are never `==`-compared across engines.
+            if self.cfg.profile {
+                reg.gauge_max("pool/threads", self.threads as u64);
+                for (i, st) in self.shards.iter().enumerate() {
+                    reg.gauge_max(format!("pool/shard{}/work_nanos", i), st.phases.step);
+                    reg.gauge_max(format!("pool/shard{}/barrier_wait_nanos", i), st.phases.barrier);
+                }
+                let max_wait = self.shards.iter().map(|st| st.phases.barrier).max().unwrap_or(0);
+                let min_wait = self.shards.iter().map(|st| st.phases.barrier).min().unwrap_or(0);
+                reg.gauge_max("pool/barrier_wait_spread_nanos", max_wait - min_wait);
+            }
+        }
+        self.stats.metrics = self.metrics.take();
+        RunOutcome { nodes: self.protocols, stats: self.stats, crashed: self.crashed }
+    }
+
+    /// Throw away every surviving node's protocol state and start the
+    /// algorithm over on the current topology: fresh factory instances
+    /// (built on the caller's thread), cleared mailboxes, all done flags
+    /// reset. RNG streams continue from where they are (node randomness
+    /// stays a function of the executed step sequence), so a restart is
+    /// exactly as deterministic as the rounds that led to it — the
+    /// escalation path of `dima serve`'s convergence watchdog relies on
+    /// that.
+    pub fn restart(&mut self) {
+        for i in 0..self.num_nodes() {
+            if self.crashed[i] {
+                continue;
+            }
+            let node = VertexId(i as u32);
+            self.protocols[i] =
+                (self.factory)(NodeSeed { node, neighbors: self.topo.neighbors(node) });
+            if self.done[i] {
+                self.done[i] = false;
+                self.done_count -= 1;
+            }
+        }
+        self.clear_mail();
+    }
+
+    /// Park every surviving node as done without stepping it, leaving
+    /// protocol state exactly as constructed. This is the bootstrap for a
+    /// *rebased* service: after history compaction the nodes are built
+    /// directly in a settled configuration (adopting a previously
+    /// converged coloring), so the stepper must start quiescent instead
+    /// of running the algorithm from scratch. Mailboxes are cleared; the
+    /// round clock is untouched. Wake-class traffic (a later churn batch)
+    /// un-parks nodes exactly as it would after natural convergence.
+    pub fn park_all(&mut self) {
+        for i in 0..self.num_nodes() {
+            if !self.crashed[i] && !self.done[i] {
+                self.done[i] = true;
+                self.done_count += 1;
+            }
+        }
+        self.clear_mail();
+    }
+
+    /// Empty every inbox and grid slot, and clear pending suppress
+    /// flags.
+    fn clear_mail(&mut self) {
+        self.suppress.fill(false);
+        for st in &mut self.shards {
+            st.inbox_data.clear();
+            st.inbox_len.fill(0);
+            st.receivers.clear();
+            st.suppressed_now.clear();
+            st.newly_done.clear();
+        }
+        for cell in &self.grid.slots {
+            // SAFETY: `&mut self` — no tick in flight.
+            unsafe { (*cell.get()).clear() };
+        }
+    }
+
+    /// Execute one communication round across all shards: apply `batch`
+    /// first if given (its [`ChurnBatch::round`] must equal
+    /// [`Stepper::round`]), step every active node, deposit + collect,
+    /// apply wake-ups and done flags at the boundary, and advance the round
+    /// clock. Returns the round's counters, or
+    /// [`SimError::NotANeighbor`] if a protocol unicast an illegal
+    /// destination while [`EngineConfig::validate_sends`] is on.
+    ///
+    /// Batch semantics: leavers are parked as done with their inboxes
+    /// suppressed, joiners get a *fresh* protocol instance from the
+    /// factory (but keep their RNG stream — node randomness is a function
+    /// of `(seed, node id)` alone) and an empty first inbox, and every
+    /// surviving node with a neighborhood diff is told through
+    /// [`Protocol::on_topology_change`], whose return value replaces its
+    /// done flag. Crashed nodes ignore batches.
+    ///
+    /// The tracer type must stay consistent across the stepper's life —
+    /// per-kind message counters are only maintained when a real tracer
+    /// is attached on the first tick.
+    ///
+    /// If a protocol panics on any shard, the round barrier is poisoned
+    /// so every participant drains out, and the panic is re-raised here;
+    /// the stepper is not usable afterwards (nor after an `Err`).
+    pub fn tick<T: Tracer + Sync>(
+        &mut self,
+        batch: Option<&ChurnBatch>,
+        tracer: &mut T,
+    ) -> Result<RoundStats, SimError> {
+        if T::ENABLED && !self.kinds_on && self.executed == 0 {
+            self.kinds_on = true;
+            for st in &mut self.shards {
+                st.kinds = Some(KindTable::new());
+            }
+        }
+        self.executed += 1;
+        let round = self.round;
+        if let Some(b) = batch {
+            debug_assert_eq!(b.round, round, "batch applied at the wrong round");
+            // Participants step against the post-batch topology; their
+            // own shard's membership changes are applied inside the
+            // scope, behind the churn barrier.
+            self.topo = b.topo.clone();
+        }
+        let ctx = TickCtx {
+            cfg: &self.cfg,
+            topo: &self.topo,
+            batch,
+            bounds: &self.bounds,
+            shard_of: &self.shard_of,
+            crash_round: &self.crash_round,
+            grid: &self.grid,
+            barrier: &self.barrier,
+            arrays: NodeArrays {
+                protocols: self.protocols.as_mut_ptr(),
+                rngs: self.rngs.as_mut_ptr(),
+                done: self.done.as_mut_ptr(),
+                crashed: self.crashed.as_mut_ptr(),
+                suppress: self.suppress.as_mut_ptr(),
+                shards: self.shards.as_mut_ptr(),
+                n: self.protocols.len(),
+            },
+            factory: &self.factory,
+            tracer: &*tracer,
+            panic: &self.panic,
+            round,
+            threads: self.threads,
+        };
+        pool::global().scope(self.threads, &|tid| {
+            // A protocol panic must not strand the other participants at
+            // the barrier: poison it, record the payload, drain out.
+            if let Err(p) = catch_unwind(AssertUnwindSafe(|| tick_shard::<P, F, T>(&ctx, tid))) {
+                ctx.barrier.poison();
+                ctx.panic.lock().get_or_insert(p);
+            }
+        });
+        if self.barrier.is_poisoned() {
+            let payload =
+                self.panic.lock().take().unwrap_or_else(|| Box::new("engine participant panicked"));
+            resume_unwind(payload);
+        }
+
+        // Fold the shard outputs (deterministic: shard order).
+        let (mut sent, mut delivered, mut active) = (0u64, 0u64, 0usize);
+        let mut error: Option<SimError> = None;
+        for st in &mut self.shards {
+            sent += st.sent;
+            delivered += st.delivered;
+            active += st.active;
+            self.stats.dropped += st.dropped;
+            self.stats.corrupted += st.corrupted;
+            self.stats.duplicated += st.duplicated;
+            self.done_count = (self.done_count as i64 + st.done_delta) as usize;
+            self.crashed_count += st.crashed_delta;
+            if error.is_none() {
+                error = st.error.take();
+            }
+        }
+        if let Some(e) = error {
+            // An invalid send aborts the round before its stats or events
+            // are published; the stepper is dead.
+            return Err(e);
+        }
+        if T::ENABLED {
+            // The round footer joins shard 0's buffer so the merge puts
+            // every event of this round in the canonical order.
+            let buf = &mut self.shards[0].buf;
+            buf.round = round;
+            buf.node = 0;
+            buf.sink(Event::Round {
+                round,
+                active: active as u64,
+                done: self.done_count as u64,
+                sent,
+                delivered,
+            });
+            let event_shards: Vec<Vec<Stamped>> =
+                self.shards.iter_mut().map(|st| std::mem::take(&mut st.buf.events)).collect();
+            for ev in merge_shards(event_shards) {
+                tracer.emit(ev);
+            }
+        }
+        let rs = RoundStats { round, active, done: self.done_count, sent, delivered };
+        if let Some(reg) = self.metrics.as_deref_mut() {
+            // Engine-level round metrics are recorded once, here, by the
+            // single thread that owns the folded RoundStats.
+            note_round_metrics(reg, &rs);
+        }
+        self.stats.push_round(rs);
+        self.round += 1;
+        Ok(rs)
+    }
+}
+
+/// One participant's work for one tick. Runs on the pool (or inline for
+/// shard 0). See the module docs for the phase structure.
+fn tick_shard<P, F, T>(ctx: &TickCtx<'_, P, F, T>, tid: usize)
+where
+    P: Protocol,
+    F: Fn(NodeSeed<'_>) -> P + Sync,
+    T: Tracer + Sync,
+{
+    let (lo, hi) = ctx.bounds[tid];
+    let round = ctx.round;
+    let a = &ctx.arrays;
+    // SAFETY: `tid` is this participant's shard, exclusively.
+    let st = unsafe { a.shard(tid) };
+    let ShardState {
+        inbox_data,
+        inbox_start,
+        inbox_len,
+        receivers,
+        outbox,
+        newly_done,
+        suppressed_now,
+        buf,
+        kinds,
+        metrics,
+        phases,
+        ..
+    } = st;
+    newly_done.clear();
+
+    // --- Churn phase (batch rounds only): every participant applies the
+    //     slice of the batch in its own shard; the barrier then makes
+    //     the new done flags, fresh protocol instances and topology
+    //     visible before any node is stepped. ---
+    let churn_scope = ProfileScope::start(ctx.cfg.profile);
+    let mut done_delta = 0i64;
+    if let Some(batch) = ctx.batch {
+        if T::ENABLED && tid == 0 {
+            buf.round = round;
+            buf.node = 0;
+            buf.sink(Event::Churn {
+                round,
+                joins: batch.joins.len() as u32,
+                leaves: batch.leaves.len() as u32,
+                changes: batch.changes.len() as u32,
+            });
+        }
+        // SAFETY (this whole block): all reads/writes are to indices in
+        // [lo, hi) — this participant's own rows — during the churn
+        // phase, which no other participant reads.
+        unsafe {
+            for &v in &batch.leaves {
+                let i = v.index();
+                if i < lo || i >= hi || a.crashed(i) {
+                    continue;
+                }
+                if !a.done(i) {
+                    a.set_done(i, true);
+                    done_delta += 1;
+                }
+                if !a.suppressed(i) {
+                    a.set_suppress(i, true);
+                    suppressed_now.push(i);
+                }
+            }
+            for &v in &batch.joins {
+                let i = v.index();
+                if i < lo || i >= hi || a.crashed(i) {
+                    continue;
+                }
+                *a.protocol(i) =
+                    (ctx.factory)(NodeSeed { node: v, neighbors: batch.topo.neighbors(v) });
+                if a.done(i) {
+                    a.set_done(i, false);
+                    done_delta -= 1;
+                }
+                if !a.suppressed(i) {
+                    a.set_suppress(i, true);
+                    suppressed_now.push(i);
+                }
+            }
+            for (v, change) in &batch.changes {
+                let i = v.index();
+                if i < lo || i >= hi || a.crashed(i) {
+                    continue;
+                }
+                let status = a.protocol(i).on_topology_change(
+                    NodeSeed { node: *v, neighbors: batch.topo.neighbors(*v) },
+                    change,
+                );
+                match status {
+                    NodeStatus::Active if a.done(i) => {
+                        a.set_done(i, false);
+                        done_delta -= 1;
+                    }
+                    NodeStatus::Done if !a.done(i) => {
+                        a.set_done(i, true);
+                        done_delta += 1;
+                    }
+                    _ => {}
+                }
+            }
+        }
+        churn_scope.stop_into(&mut phases.churn);
+        let wait_scope = ProfileScope::start(ctx.cfg.profile);
+        if !ctx.barrier.wait() {
+            return;
+        }
+        wait_scope.stop_into(&mut phases.barrier);
+    } else {
+        churn_scope.stop_into(&mut phases.churn);
+    }
+
+    // --- Step & deposit phase: nobody writes the done/crashed arrays
+    //     here, so shared reads across shards are safe; deposits go
+    //     into this participant's grid row only. ---
+    let step_scope = ProfileScope::start(ctx.cfg.profile);
+    let mut sent = 0u64;
+    let mut delivered = 0u64;
+    let mut active = 0usize;
+    let mut crashed_delta = 0usize;
+    let mut error: Option<SimError> = None;
+    // Fault counters land in a scratch RunStats the caller folds in
+    // shard order.
+    let mut fstats = RunStats::default();
+    {
+        // SAFETY: step phase — no participant writes `done`.
+        let done_view = unsafe { a.done_view() };
+        for i in lo..hi {
+            // SAFETY: own-shard reads/writes; see NodeArrays docs.
+            unsafe {
+                if a.done(i) || a.crashed(i) {
+                    continue;
+                }
+                if ctx.crash_round[i].is_some_and(|cr| round >= cr) {
+                    a.set_crashed(i, true);
+                    crashed_delta += 1;
+                    continue;
+                }
+            }
+            active += 1;
+            let node = VertexId(i as u32);
+            outbox.clear();
+            let li = i - lo;
+            let len = inbox_len[li] as usize;
+            let inbox: &[Envelope<P::Msg>] = if len == 0 || unsafe { a.suppressed(i) } {
+                &[]
+            } else {
+                let start = inbox_start[li] as usize;
+                &inbox_data[start..start + len]
+            };
+            let status = {
+                let trace = if T::ENABLED && ctx.tracer.sample(node.0) {
+                    buf.round = round;
+                    buf.node = node.0;
+                    TraceHandle::to(buf)
+                } else {
+                    TraceHandle::none()
+                };
+                let mut rctx = RoundCtx {
+                    node,
+                    round,
+                    neighbors: ctx.topo.neighbors(node),
+                    inbox,
+                    outbox,
+                    // SAFETY: own-shard RNG.
+                    rng: unsafe { a.rng(i) },
+                    trace,
+                    metrics: MetricsHandle::from_opt(metrics.as_mut()),
+                };
+                // SAFETY: own-shard protocol.
+                unsafe { a.protocol(i) }.on_round(&mut rctx)
+            };
+            for (k, (target, msg)) in outbox.drain(..).enumerate() {
+                sent += 1;
+                let mut kind_row: Option<&mut KindTotals> =
+                    kinds.as_mut().map(|t| t.row(P::kind_of(&msg)));
+                // A delivery that goes through to a parked node wakes it
+                // at the boundary (see below).
+                let wakes = P::wakes(&msg);
+                match target {
+                    Target::Unicast(to) => {
+                        if ctx.cfg.validate_sends && !ctx.topo.are_neighbors(node, to) {
+                            error.get_or_insert(SimError::NotANeighbor { from: node, to });
+                            continue;
+                        }
+                        let copies = deliver_fate(
+                            ctx.cfg,
+                            round,
+                            node,
+                            to,
+                            k,
+                            done_view,
+                            wakes,
+                            ctx.crash_round,
+                            &mut fstats,
+                            kind_row,
+                        );
+                        delivered += u64::from(copies);
+                        // SAFETY: deposit into this participant's grid
+                        // row.
+                        let slot = unsafe { ctx.grid.slot(tid, ctx.shard_of[to.index()] as usize) };
+                        if copies == 2 {
+                            slot.push((to, Envelope::new(node, msg.clone())));
+                        }
+                        if copies > 0 {
+                            slot.push((to, Envelope::new(node, msg)));
+                        }
+                    }
+                    Target::Broadcast => {
+                        for &to in ctx.topo.neighbors(node) {
+                            let copies = deliver_fate(
+                                ctx.cfg,
+                                round,
+                                node,
+                                to,
+                                k,
+                                done_view,
+                                wakes,
+                                ctx.crash_round,
+                                &mut fstats,
+                                kind_row.as_deref_mut(),
+                            );
+                            delivered += u64::from(copies);
+                            for _ in 0..copies {
+                                // SAFETY: own grid row.
+                                unsafe { ctx.grid.slot(tid, ctx.shard_of[to.index()] as usize) }
+                                    .push((to, Envelope::new(node, msg.clone())));
+                            }
+                        }
+                    }
+                }
+            }
+            if status == NodeStatus::Done {
+                newly_done.push(i);
+            }
+        }
+    }
+    for &i in suppressed_now.iter() {
+        // SAFETY: own-shard suppress flags.
+        unsafe { a.set_suppress(i, false) };
+    }
+    suppressed_now.clear();
+    step_scope.stop_into(&mut phases.step);
+    // Flush this participant's partial per-kind counters; the boundary
+    // merge sums partial rows with equal (round, kind) across shards
+    // into one row.
+    if let Some(k) = kinds.as_mut() {
+        buf.round = round;
+        buf.node = 0;
+        k.flush(round, |ev| buf.sink(ev));
+    }
+
+    // --- Barrier A: all deposits for this round are in the grid. The
+    //     wait is timed apart from the phases: per-shard barrier time
+    //     relative to step time is the load-imbalance signal. ---
+    let wait_scope = ProfileScope::start(ctx.cfg.profile);
+    if !ctx.barrier.wait() {
+        return;
+    }
+    wait_scope.stop_into(&mut phases.barrier);
+
+    // --- Boundary: apply wake-ups, then publish this shard's new done
+    //     flags. Done-ness takes effect at round boundaries — no
+    //     participant read the shared flags since the barrier, so they
+    //     still say who was parked when the round began. A delivery in
+    //     this shard's column to such a node can only be wake-class
+    //     (`deliver_fate` drops everything else), and it re-enters the
+    //     node before collect would drop its inbox. A node cannot be
+    //     both woken and newly done: wake-ups only reach nodes that were
+    //     parked, hence not stepped. ---
+    for s in 0..ctx.threads {
+        // SAFETY: boundary phase — this participant owns grid column
+        // `tid`, and the done flags it writes are its own shard's.
+        for (to, _) in unsafe { ctx.grid.slot(s, tid) }.iter() {
+            if unsafe { a.done(to.index()) } {
+                unsafe { a.set_done(to.index(), false) };
+                done_delta -= 1;
+            }
+        }
+    }
+    for &i in newly_done.iter() {
+        // SAFETY: own-shard writes in the boundary phase.
+        unsafe { a.set_done(i, true) };
+        done_delta += 1;
+    }
+
+    // --- Collect: drain this participant's grid column into its arena.
+    //     Sender shards ascending × sender ids ascending within a slot
+    //     = delivery order sorted by sender, by construction. One
+    //     counting pass sizes each receiver's run, one placement pass
+    //     moves each envelope once. ---
+    let collect_scope = ProfileScope::start(ctx.cfg.profile);
+    for &li in receivers.iter() {
+        inbox_len[li as usize] = 0;
+    }
+    receivers.clear();
+    let mut total = 0u32;
+    for s in 0..ctx.threads {
+        // SAFETY: collect phase — this participant owns grid column
+        // `tid`.
+        let slot = unsafe { ctx.grid.slot(s, tid) };
+        for (to, _) in slot.iter() {
+            let i = to.index();
+            // Deliveries to nodes that parked or crashed this round are
+            // dropped.
+            // SAFETY: own-shard reads (the boundary writes above were
+            // ours).
+            if unsafe { a.done(i) || a.crashed(i) } {
+                continue;
+            }
+            let li = i - lo;
+            if inbox_len[li] == 0 {
+                receivers.push(li as u32);
+            }
+            inbox_len[li] += 1;
+            total += 1;
+        }
+    }
+    // Lay the receivers' runs out back to back; `inbox_start` doubles
+    // as the placement cursor and is rewound afterwards.
+    let mut at = 0u32;
+    for &li in receivers.iter() {
+        inbox_start[li as usize] = at;
+        at += inbox_len[li as usize];
+    }
+    inbox_data.clear();
+    inbox_data.reserve(total as usize);
+    let base = inbox_data.as_mut_ptr();
+    for s in 0..ctx.threads {
+        // SAFETY: own column, as above.
+        let slot = unsafe { ctx.grid.slot(s, tid) };
+        for (to, env) in slot.drain(..) {
+            let i = to.index();
+            if unsafe { a.done(i) || a.crashed(i) } {
+                continue; // env dropped
+            }
+            let li = i - lo;
+            let at = inbox_start[li] as usize;
+            inbox_start[li] += 1;
+            // SAFETY: `at < total <= capacity`, each slot written once
+            // (the cursor pass mirrors the counting pass exactly).
+            unsafe { base.add(at).write(env) };
+        }
+    }
+    for &li in receivers.iter() {
+        inbox_start[li as usize] -= inbox_len[li as usize];
+    }
+    // SAFETY: exactly `total` elements were placed above.
+    unsafe { inbox_data.set_len(total as usize) };
+    collect_scope.stop_into(&mut phases.collect);
+
+    // Publish this tick's outputs for the caller's fold.
+    st.sent = sent;
+    st.delivered = delivered;
+    st.active = active;
+    st.dropped = fstats.dropped;
+    st.corrupted = fstats.corrupted;
+    st.duplicated = fstats.duplicated;
+    st.done_delta = done_delta;
+    st.crashed_delta = crashed_delta;
+    st.error = error;
+}
+
+/// Decide a delivery's fate: the number of copies (0, 1 or 2) that reach
+/// the recipient's next-round inbox, updating fault counters. `wakes`
+/// carries [`Protocol::wakes`] for the message: a wake-class delivery
+/// goes through to a done node (the caller then re-enters the node).
+#[inline]
+#[allow(clippy::too_many_arguments)] // two call sites; mirrors the fault-decision tuple
+fn deliver_fate(
+    cfg: &EngineConfig,
+    round: u64,
+    from: VertexId,
+    to: VertexId,
+    k: usize,
+    done: &[bool],
+    wakes: bool,
+    crash_round: &[Option<u64>],
+    stats: &mut RunStats,
+    mut kind: Option<&mut KindTotals>,
+) -> u32 {
+    if let Some(kr) = kind.as_deref_mut() {
+        kr.sent += 1;
+    }
+    if done[to.index()] && !wakes {
+        return 0;
+    }
+    // A message sent at round `r` is read at round `r + 1`; if the
+    // receiver has crashed by then, the delivery silently evaporates
+    // (just like a delivery to a done node).
+    if crash_round[to.index()].is_some_and(|cr| round + 1 >= cr) {
+        return 0;
+    }
+    if cfg.faults.drops(cfg.seed, round, from.0, to.0, k as u32) {
+        stats.dropped += 1;
+        if let Some(kr) = kind.as_deref_mut() {
+            kr.dropped += 1;
+        }
+        return 0;
+    }
+    if cfg.faults.corrupts(cfg.seed, round, from.0, to.0, k as u32) {
+        stats.corrupted += 1;
+        if let Some(kr) = kind.as_deref_mut() {
+            kr.corrupted += 1;
+        }
+        return 0;
+    }
+    let copies = if cfg.faults.duplicates(cfg.seed, round, from.0, to.0, k as u32) {
+        stats.duplicated += 1;
+        if let Some(kr) = kind.as_deref_mut() {
+            kr.duplicated += 1;
+        }
+        2
+    } else {
+        1
+    };
+    if let Some(kr) = kind {
+        kr.delivered += u64::from(copies);
+    }
+    copies
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{NodeStatus, RoundCtx};
     use dima_graph::gen::structured;
-    use dima_graph::{Graph, VertexId};
+    use dima_graph::Graph;
+    use dima_telemetry::NoopTracer;
+
+    /// The shard counts every behavioural test runs at: the inline
+    /// single shard and a multi-shard split.
+    const SHARDS: [usize; 2] = [1, 3];
+
+    /// A static, untraced [`run`].
+    fn run_static<P, F>(
+        topo: &Topology,
+        cfg: &EngineConfig,
+        threads: usize,
+        factory: F,
+    ) -> Result<RunOutcome<P>, SimError>
+    where
+        P: Protocol,
+        F: Fn(NodeSeed<'_>) -> P + Sync,
+    {
+        run(topo, cfg, threads, &ChurnSchedule::empty(), factory, &mut NoopTracer)
+    }
 
     /// Flood: every node broadcasts its id once, collects neighbor ids,
     /// and finishes when it has heard from every neighbor.
@@ -320,51 +1387,6 @@ mod tests {
         Flood { heard: Vec::new(), expected: seed.neighbors.len(), sent: false }
     }
 
-    #[test]
-    fn flood_completes_in_two_rounds() {
-        let g = structured::cycle(8);
-        let topo = Topology::from_graph(&g);
-        let out = run_sequential(&topo, &EngineConfig::seeded(1), flood_factory).unwrap();
-        assert_eq!(out.stats.rounds, 2);
-        assert_eq!(out.stats.messages_sent, 8);
-        assert_eq!(out.stats.deliveries, 16);
-        for (i, node) in out.nodes.iter().enumerate() {
-            let mut heard = node.heard.clone();
-            heard.sort_unstable();
-            let expect: Vec<VertexId> = topo.neighbors(VertexId(i as u32)).to_vec();
-            assert_eq!(heard, expect);
-        }
-    }
-
-    #[test]
-    fn inbox_is_sorted_by_sender() {
-        let g = structured::star(6);
-        let topo = Topology::from_graph(&g);
-        let out = run_sequential(&topo, &EngineConfig::seeded(1), flood_factory).unwrap();
-        // Hub (node 0) heard all leaves, delivered in sender order.
-        let heard = &out.nodes[0].heard;
-        let mut sorted = heard.clone();
-        sorted.sort_unstable();
-        assert_eq!(heard, &sorted);
-    }
-
-    #[test]
-    fn empty_topology_finishes_immediately() {
-        let topo = Topology::from_graph(&Graph::empty(0));
-        let out = run_sequential(&topo, &EngineConfig::default(), flood_factory).unwrap();
-        assert_eq!(out.stats.rounds, 0);
-        assert!(out.nodes.is_empty());
-    }
-
-    #[test]
-    fn isolated_nodes_finish_in_one_round() {
-        let topo = Topology::from_graph(&Graph::empty(4));
-        let out = run_sequential(&topo, &EngineConfig::default(), flood_factory).unwrap();
-        assert_eq!(out.stats.rounds, 1);
-        assert_eq!(out.stats.messages_sent, 4); // broadcasts to nobody
-        assert_eq!(out.stats.deliveries, 0);
-    }
-
     /// A protocol that never finishes.
     #[derive(Debug)]
     struct Forever;
@@ -375,52 +1397,137 @@ mod tests {
         }
     }
 
-    #[test]
-    fn round_budget_enforced() {
-        let topo = Topology::from_graph(&structured::path(3));
-        let cfg = EngineConfig { max_rounds: 10, ..Default::default() };
-        let err = run_sequential(&topo, &cfg, |_| Forever).unwrap_err();
-        assert_eq!(err, SimError::MaxRoundsExceeded { max_rounds: 10, still_active: 3 });
-    }
-
-    /// A protocol that illegally unicasts to a fixed non-neighbor.
+    /// Node 0 illegally unicasts to node 2 (not a neighbor on a path).
     #[derive(Debug)]
     struct BadSender;
     impl Protocol for BadSender {
         type Msg = ();
         fn on_round(&mut self, ctx: &mut RoundCtx<'_, ()>) -> NodeStatus {
-            ctx.send(VertexId(2), ());
+            if ctx.node() == VertexId(0) {
+                ctx.send(VertexId(2), ());
+            }
             NodeStatus::Done
         }
     }
 
     #[test]
-    fn unicast_to_non_neighbor_rejected() {
+    fn flood_completes_in_two_rounds() {
+        let topo = Topology::from_graph(&structured::cycle(8));
+        for threads in SHARDS {
+            let out = run_static(&topo, &EngineConfig::seeded(1), threads, flood_factory).unwrap();
+            assert_eq!(out.stats.rounds, 2);
+            assert_eq!(out.stats.messages_sent, 8);
+            assert_eq!(out.stats.deliveries, 16);
+            for (i, node) in out.nodes.iter().enumerate() {
+                let mut heard = node.heard.clone();
+                heard.sort_unstable();
+                let expect: Vec<VertexId> = topo.neighbors(VertexId(i as u32)).to_vec();
+                assert_eq!(heard, expect, "threads = {threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn inbox_is_sorted_by_sender() {
+        let topo = Topology::from_graph(&structured::star(6));
+        for threads in SHARDS {
+            let out = run_static(&topo, &EngineConfig::seeded(1), threads, flood_factory).unwrap();
+            // Hub (node 0) heard all leaves, delivered in sender order
+            // even though the leaves sit in different shards.
+            let heard = &out.nodes[0].heard;
+            let mut sorted = heard.clone();
+            sorted.sort_unstable();
+            assert_eq!(heard, &sorted, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn shard_counts_agree_on_flood() {
+        let topo = Topology::from_graph(&structured::grid(6, 7));
+        let cfg = EngineConfig { collect_round_stats: true, ..EngineConfig::seeded(11) };
+        let one = run_static(&topo, &cfg, 1, flood_factory).unwrap();
+        for threads in [2, 3, 8] {
+            let many = run_static(&topo, &cfg, threads, flood_factory).unwrap();
+            assert_eq!(many.stats, one.stats, "threads = {threads}");
+            for (a, b) in many.nodes.iter().zip(&one.nodes) {
+                assert_eq!(a.heard, b.heard);
+            }
+        }
+    }
+
+    #[test]
+    fn empty_topology() {
+        let topo = Topology::from_graph(&Graph::empty(0));
+        for threads in [1, 4] {
+            let out = run_static(&topo, &EngineConfig::default(), threads, flood_factory).unwrap();
+            assert_eq!(out.stats.rounds, 0);
+            assert!(out.nodes.is_empty());
+        }
+    }
+
+    #[test]
+    fn isolated_nodes_finish_in_one_round() {
+        let topo = Topology::from_graph(&Graph::empty(4));
+        for threads in SHARDS {
+            let out = run_static(&topo, &EngineConfig::default(), threads, flood_factory).unwrap();
+            assert_eq!(out.stats.rounds, 1);
+            assert_eq!(out.stats.messages_sent, 4); // broadcasts to nobody
+            assert_eq!(out.stats.deliveries, 0);
+        }
+    }
+
+    #[test]
+    fn more_threads_than_nodes() {
+        let topo = Topology::from_graph(&structured::path(3));
+        let out = run_static(&topo, &EngineConfig::seeded(2), 64, flood_factory).unwrap();
+        assert_eq!(out.nodes.len(), 3);
+        assert_eq!(out.stats.rounds, 2);
+    }
+
+    #[test]
+    fn round_budget_enforced() {
+        let topo = Topology::from_graph(&structured::path(3));
+        let cfg = EngineConfig { max_rounds: 10, ..Default::default() };
+        for threads in SHARDS {
+            let err = run_static(&topo, &cfg, threads, |_| Forever).unwrap_err();
+            assert_eq!(err, SimError::MaxRoundsExceeded { max_rounds: 10, still_active: 3 });
+        }
+    }
+
+    #[test]
+    fn unicast_validation_propagates() {
         let topo = Topology::from_graph(&structured::path(3)); // 0-1-2
-        let err = run_sequential(&topo, &EngineConfig::default(), |_| BadSender).unwrap_err();
-        assert_eq!(err, SimError::NotANeighbor { from: VertexId(0), to: VertexId(2) });
+        for threads in SHARDS {
+            let err =
+                run_static(&topo, &EngineConfig::default(), threads, |_| BadSender).unwrap_err();
+            assert_eq!(err, SimError::NotANeighbor { from: VertexId(0), to: VertexId(2) });
+        }
     }
 
     #[test]
     fn validation_can_be_disabled() {
         let topo = Topology::from_graph(&structured::path(3));
         let cfg = EngineConfig { validate_sends: false, ..Default::default() };
-        // With validation off the bogus send is routed (still only to the
-        // inbox of node 2) and the run completes.
-        let out = run_sequential(&topo, &cfg, |_| BadSender).unwrap();
-        assert_eq!(out.stats.rounds, 1);
+        for threads in SHARDS {
+            // With validation off the bogus send is routed (still only to
+            // the inbox of node 2) and the run completes.
+            let out = run_static(&topo, &cfg, threads, |_| BadSender).unwrap();
+            assert_eq!(out.stats.rounds, 1);
+        }
     }
 
     #[test]
     fn per_round_stats_collected_when_asked() {
         let topo = Topology::from_graph(&structured::cycle(4));
         let cfg = EngineConfig { collect_round_stats: true, ..EngineConfig::seeded(3) };
-        let out = run_sequential(&topo, &cfg, flood_factory).unwrap();
-        let pr = out.stats.per_round.as_ref().unwrap();
-        assert_eq!(pr.len(), 2);
-        assert_eq!(pr[0].active, 4);
-        assert_eq!(pr[0].sent, 4);
-        assert_eq!(pr[1].done, 4);
+        for threads in SHARDS {
+            let out = run_static(&topo, &cfg, threads, flood_factory).unwrap();
+            let pr = out.stats.per_round.as_ref().unwrap();
+            assert_eq!(pr.len(), 2);
+            assert_eq!(pr[0].active, 4);
+            assert_eq!(pr[0].sent, 4);
+            assert_eq!(pr[1].done, 4);
+        }
     }
 
     #[test]
@@ -431,8 +1538,10 @@ mod tests {
             max_rounds: 20,
             ..EngineConfig::seeded(3)
         };
-        let err = run_sequential(&topo, &cfg, flood_factory).unwrap_err();
-        assert!(matches!(err, SimError::MaxRoundsExceeded { .. }));
+        for threads in SHARDS {
+            let err = run_static(&topo, &cfg, threads, flood_factory).unwrap_err();
+            assert!(matches!(err, SimError::MaxRoundsExceeded { .. }));
+        }
     }
 
     #[test]
@@ -442,17 +1551,19 @@ mod tests {
             faults: FaultPlan { duplicate_probability: 1.0, ..FaultPlan::reliable() },
             ..EngineConfig::seeded(5)
         };
-        let out = run_sequential(&topo, &cfg, flood_factory).unwrap();
-        // 4 broadcasts, 8 base deliveries, each duplicated.
-        assert_eq!(out.stats.rounds, 2);
-        assert_eq!(out.stats.messages_sent, 4);
-        assert_eq!(out.stats.deliveries, 16);
-        assert_eq!(out.stats.duplicated, 8);
-        // Each node heard each neighbor exactly twice, adjacently.
-        for node in &out.nodes {
-            assert_eq!(node.heard.len(), 4);
-            assert_eq!(node.heard[0], node.heard[1]);
-            assert_eq!(node.heard[2], node.heard[3]);
+        for threads in SHARDS {
+            let out = run_static(&topo, &cfg, threads, flood_factory).unwrap();
+            // 4 broadcasts, 8 base deliveries, each duplicated.
+            assert_eq!(out.stats.rounds, 2);
+            assert_eq!(out.stats.messages_sent, 4);
+            assert_eq!(out.stats.deliveries, 16);
+            assert_eq!(out.stats.duplicated, 8);
+            // Each node heard each neighbor exactly twice, adjacently.
+            for node in &out.nodes {
+                assert_eq!(node.heard.len(), 4);
+                assert_eq!(node.heard[0], node.heard[1]);
+                assert_eq!(node.heard[2], node.heard[3]);
+            }
         }
     }
 
@@ -477,9 +1588,49 @@ mod tests {
             faults: FaultPlan { corrupt_probability: 0.5, ..FaultPlan::reliable() },
             ..EngineConfig::seeded(5)
         };
-        let out = run_sequential(&topo, &cfg, |_| Chatter).unwrap();
-        assert!(out.stats.corrupted > 0);
-        assert_eq!(out.stats.dropped, 0);
+        for threads in SHARDS {
+            let out = run_static(&topo, &cfg, threads, |_| Chatter).unwrap();
+            assert!(out.stats.corrupted > 0);
+            assert_eq!(out.stats.dropped, 0);
+        }
+    }
+
+    #[test]
+    fn faulty_runs_agree_across_shard_counts() {
+        let topo = Topology::from_graph(&structured::grid(5, 5));
+        let cfg = EngineConfig {
+            faults: FaultPlan::uniform(0.2),
+            max_rounds: 50,
+            collect_round_stats: true,
+            ..EngineConfig::seeded(21)
+        };
+        match (run_static(&topo, &cfg, 1, flood_factory), run_static(&topo, &cfg, 3, flood_factory))
+        {
+            (Ok(a), Ok(b)) => assert_eq!(a.stats, b.stats),
+            (Err(a), Err(b)) => assert_eq!(a, b),
+            (a, b) => panic!("shard counts disagree: {a:?} vs {b:?}"),
+        }
+    }
+
+    #[test]
+    fn crashing_runs_agree_across_shard_counts() {
+        let topo = Topology::from_graph(&structured::grid(5, 5));
+        let cfg = EngineConfig {
+            faults: FaultPlan { duplicate_probability: 0.1, ..FaultPlan::crashing(0.3, 1) },
+            max_rounds: 50,
+            collect_round_stats: true,
+            ..EngineConfig::seeded(33)
+        };
+        match (run_static(&topo, &cfg, 1, flood_factory), run_static(&topo, &cfg, 4, flood_factory))
+        {
+            (Ok(a), Ok(b)) => {
+                assert_eq!(a.stats, b.stats);
+                assert_eq!(a.crashed, b.crashed);
+                assert!(a.stats.crashed > 0, "plan should actually crash someone");
+            }
+            (Err(a), Err(b)) => assert_eq!(a, b),
+            (a, b) => panic!("shard counts disagree: {a:?} vs {b:?}"),
+        }
     }
 
     #[test]
@@ -492,10 +1643,12 @@ mod tests {
             max_rounds: 100,
             ..EngineConfig::seeded(7)
         };
-        let out = run_sequential(&topo, &cfg, |_| Forever).unwrap();
-        assert_eq!(out.stats.crashed, 4);
-        assert!(out.crashed.iter().all(|&c| c));
-        assert!(out.stats.rounds <= 3 + cfg.faults.crash_spread);
+        for threads in SHARDS {
+            let out = run_static(&topo, &cfg, threads, |_| Forever).unwrap();
+            assert_eq!(out.stats.crashed, 4);
+            assert!(out.crashed.iter().all(|&c| c));
+            assert!(out.stats.rounds <= 3 + cfg.faults.crash_spread);
+        }
     }
 
     #[test]
@@ -507,20 +1660,24 @@ mod tests {
             faults: FaultPlan { crash_spread: 1, ..FaultPlan::crashing(1.0, 1) },
             ..EngineConfig::seeded(7)
         };
-        let out = run_sequential(&topo, &cfg, flood_factory).unwrap();
-        assert_eq!(out.stats.deliveries, 0);
-        assert_eq!(out.stats.crashed, 2);
-        for node in &out.nodes {
-            assert!(node.heard.is_empty());
+        for threads in SHARDS {
+            let out = run_static(&topo, &cfg, threads, flood_factory).unwrap();
+            assert_eq!(out.stats.deliveries, 0);
+            assert_eq!(out.stats.crashed, 2);
+            for node in &out.nodes {
+                assert!(node.heard.is_empty());
+            }
         }
     }
 
     #[test]
     fn runs_are_reproducible() {
         let topo = Topology::from_graph(&structured::cycle(10));
-        let a = run_sequential(&topo, &EngineConfig::seeded(9), flood_factory).unwrap();
-        let b = run_sequential(&topo, &EngineConfig::seeded(9), flood_factory).unwrap();
-        assert_eq!(a.stats, b.stats);
+        for threads in SHARDS {
+            let a = run_static(&topo, &EngineConfig::seeded(9), threads, flood_factory).unwrap();
+            let b = run_static(&topo, &EngineConfig::seeded(9), threads, flood_factory).unwrap();
+            assert_eq!(a.stats, b.stats);
+        }
     }
 
     #[test]
@@ -542,16 +1699,80 @@ mod tests {
             }
         }
         let topo = Topology::from_graph(&structured::complete(3));
-        let out = run_sequential(&topo, &EngineConfig::default(), |seed| Spammer {
-            quit_early: seed.node == VertexId(0),
-        })
-        .unwrap();
-        // Node 0 was stepped exactly once.
-        assert_eq!(out.stats.rounds, 4);
-        // Deliveries to node 0 after round 0 were suppressed:
-        // round 0: 3 broadcasts × 2 deliveries = 6.
-        // rounds 1..3: 2 broadcasts × 2 neighbors, but deliveries to node
-        // 0 suppressed => each sender reaches 1 live peer = 2 per round.
-        assert_eq!(out.stats.deliveries, 6 + 3 * 2);
+        for threads in SHARDS {
+            let out = run_static(&topo, &EngineConfig::default(), threads, |seed| Spammer {
+                quit_early: seed.node == VertexId(0),
+            })
+            .unwrap();
+            // Node 0 was stepped exactly once.
+            assert_eq!(out.stats.rounds, 4);
+            // Deliveries to node 0 after round 0 were suppressed:
+            // round 0: 3 broadcasts × 2 deliveries = 6.
+            // rounds 1..3: 2 broadcasts × 2 neighbors, but deliveries to
+            // node 0 suppressed => each sender reaches 1 live peer = 2
+            // per round.
+            assert_eq!(out.stats.deliveries, 6 + 3 * 2);
+        }
+    }
+
+    #[test]
+    fn shard_bounds_cover_and_balance() {
+        // A star graph: node 0 carries all the edges. Weighted bounds
+        // must still cover [0, n) contiguously with non-empty shards.
+        let topo = Topology::from_graph(&structured::star(100));
+        for threads in [1, 2, 3, 7, 8] {
+            let bounds = shard_bounds(&topo, threads);
+            assert_eq!(bounds.len(), threads);
+            assert_eq!(bounds[0].0, 0);
+            assert_eq!(bounds[threads - 1].1, topo.num_nodes());
+            for w in bounds.windows(2) {
+                assert_eq!(w[0].1, w[1].0, "shards must be contiguous");
+            }
+            for &(lo, hi) in &bounds {
+                assert!(hi > lo, "no empty shards while threads <= n");
+            }
+        }
+    }
+
+    #[test]
+    fn stepper_ticks_match_batch_run() {
+        // Driving the Stepper tick by tick is the same computation as the
+        // batch entry point.
+        let topo = Topology::from_graph(&structured::grid(4, 5));
+        let cfg = EngineConfig { collect_round_stats: true, ..EngineConfig::seeded(5) };
+        for threads in SHARDS {
+            let batch = run_static(&topo, &cfg, threads, flood_factory).unwrap();
+            let mut stepper = Stepper::new(&topo, &cfg, threads, flood_factory);
+            while !stepper.is_quiescent() {
+                stepper.tick(None, &mut NoopTracer).unwrap();
+            }
+            let stepped = stepper.into_outcome(0, 0);
+            assert_eq!(stepped.stats, batch.stats);
+            for (a, b) in stepped.nodes.iter().zip(&batch.nodes) {
+                assert_eq!(a.heard, b.heard);
+            }
+        }
+    }
+
+    #[test]
+    fn protocol_panic_propagates_and_poisons() {
+        #[derive(Debug)]
+        struct Bomb;
+        impl Protocol for Bomb {
+            type Msg = ();
+            fn on_round(&mut self, ctx: &mut RoundCtx<'_, ()>) -> NodeStatus {
+                if ctx.node() == VertexId(3) {
+                    panic!("protocol bomb");
+                }
+                NodeStatus::Active
+            }
+        }
+        let topo = Topology::from_graph(&structured::path(8));
+        for threads in [1, 4] {
+            let err = std::panic::catch_unwind(|| {
+                let _ = run_static(&topo, &EngineConfig::seeded(1), threads, |_| Bomb);
+            });
+            assert!(err.is_err(), "the protocol panic must reach the caller");
+        }
     }
 }

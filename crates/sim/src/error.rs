@@ -4,7 +4,7 @@ use std::fmt;
 
 use dima_graph::VertexId;
 
-/// Errors surfaced by the engines.
+/// Errors surfaced by the engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
     /// The protocol did not terminate within the configured round budget.

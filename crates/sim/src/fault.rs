@@ -150,7 +150,7 @@ impl FaultPlan {
     }
 
     /// Decide one delivery's loss: message `k` of `sender`'s outbox this
-    /// round, delivered to `receiver`. Pure — identical across engines.
+    /// round, delivered to `receiver`. Pure — identical across shard counts.
     #[inline]
     pub(crate) fn drops(&self, seed: u64, round: u64, sender: u32, receiver: u32, k: u32) -> bool {
         if round < self.from_round {
@@ -202,7 +202,7 @@ impl FaultPlan {
     }
 
     /// The round at which `node` crash-stops, if it ever does. Pure —
-    /// both engines (and the send and receive sides of a link) agree on
+    /// every shard (and the send and receive sides of a link) agree on
     /// every node's fate without communicating.
     ///
     /// A crashed node is not stepped at any round `>= crashed_at(node)`,

@@ -8,54 +8,52 @@
 //!
 //! This crate implements that model. Each vertex of a graph becomes a
 //! compute node running a [`Protocol`] — a state machine that is handed
-//! its inbox once per communication round and fills an outbox. Two engines
-//! execute protocols:
-//!
-//! * [`engine::run_sequential`] — a deterministic single-threaded engine,
-//!   the reference implementation used by experiments;
-//! * [`par::run_parallel`] — a multi-threaded engine (one worker per shard
-//!   of nodes, lockstep barriers between rounds) that produces
-//!   **bit-identical** results to the sequential engine, because all
-//!   randomness is drawn from per-node RNGs seeded only by
-//!   `(master seed, node id)` and inboxes are delivered in sender order.
+//! its inbox once per communication round and fills an outbox. One
+//! engine executes protocols: [`run`] (batch) or a [`Stepper`] driven
+//! one round per tick (step-wise hosts such as `dima serve`). It splits
+//! the nodes into `threads` shards stepped in lockstep on a persistent
+//! worker pool ([`pool`]); with `threads == 1` the single shard runs
+//! inline on the caller's thread. Results are **bit-identical** for
+//! every shard count, because all randomness is drawn from per-node RNGs
+//! seeded only by `(master seed, node id)` and inboxes are delivered in
+//! sender order. A ~100-line reference model in the crate's plane
+//! proptests replays the mailbox and churn semantics independently and
+//! is the determinism oracle the engine is checked against.
 //!
 //! Instrumentation ([`stats`]) counts rounds, sends and deliveries —
-//! the quantities the paper's figures report; [`trace`] adds per-round
-//! automata-state censuses via an observer hook. [`fault`] can inject
+//! the quantities the paper's figures report. [`fault`] can inject
 //! deterministic message loss to demonstrate that the algorithms' safety
 //! depends on the reliable-delivery assumption. [`wire`] provides a
 //! compact binary envelope encoding for protocols that want to measure
 //! bytes-on-the-wire rather than message counts. [`churn`] compiles
 //! deterministic topology-mutation schedules (`LinkUp` / `LinkDown` /
-//! `NodeJoin` / `NodeLeave`) that both engines apply mid-run — still
+//! `NodeJoin` / `NodeLeave`) that the engine applies mid-run — still
 //! bit-identically — so protocols can repair their state incrementally
 //! instead of restarting.
 //!
 //! The telemetry plane ([`dima_telemetry`], re-exported as
-//! [`telemetry`]) adds structured per-round tracing: both engines have
-//! `*_traced` variants taking a [`telemetry::Tracer`], and with the
-//! default [`telemetry::NoopTracer`] every tracing branch folds away at
-//! monomorphization — the traced entry points *are* the plain ones.
-//! Event streams are deterministic and engine-independent: a parallel
-//! run replays, event for event, the sequence a sequential run emits.
+//! [`telemetry`]) adds structured per-round tracing through the
+//! [`telemetry::Tracer`] that [`run`] takes; with
+//! [`telemetry::NoopTracer`] every tracing branch folds away at
+//! monomorphization. Event streams are deterministic and
+//! shard-independent; per-round state censuses ([`trace`]) are folded
+//! from a [`telemetry::StateTimeline`] or read off [`Stepper::view`].
 
 #![deny(missing_docs)]
 // Unsafe is denied crate-wide; the two modules that implement the
-// parallel engine's lock-free message plane ([`pool`] and [`par`])
-// opt back in locally, each with a module-level safety argument.
+// engine's lock-free message plane ([`pool`] and [`engine`]) opt back
+// in locally, each with a module-level safety argument.
 #![deny(unsafe_code)]
 
 pub mod churn;
 pub mod engine;
 pub mod error;
 pub mod fault;
-pub mod par;
 pub mod pool;
 pub mod protocol;
 pub mod reliable;
 pub mod rng;
 pub mod stats;
-pub mod stepper;
 pub mod topology;
 pub mod trace;
 pub mod wire;
@@ -69,17 +67,9 @@ pub use churn::{
     ChurnBatch, ChurnEvent, ChurnKinds, ChurnPlan, ChurnSchedule, EventFeed, FeedError,
     NeighborhoodChange,
 };
-pub use engine::{
-    run_sequential, run_sequential_churn, run_sequential_churn_observed,
-    run_sequential_churn_traced, run_sequential_observed, run_sequential_traced, EngineConfig,
-    RoundView, RunOutcome,
-};
+pub use engine::{run, EngineConfig, RoundView, RunOutcome, Stepper};
 pub use error::SimError;
-pub use par::{
-    run_parallel, run_parallel_churn, run_parallel_churn_traced, run_parallel_traced, ParStepper,
-};
 pub use protocol::{Envelope, NodeSeed, NodeStatus, Protocol, RoundCtx, Shared};
 pub use reliable::{ArqConfig, ArqMsg, ReliableNode};
 pub use stats::{RoundStats, RunStats};
-pub use stepper::Stepper;
 pub use topology::Topology;

@@ -1,19 +1,19 @@
 //! Differential property tests for the message plane.
 //!
-//! The plane refactor (double-buffered mailboxes in the sequential
-//! engine, the staging/slot/bucket pipeline in the parallel one) must be
-//! invisible to protocols: inboxes keep the documented
-//! sorted-by-sender delivery order and byte-identical contents. These
-//! tests pin that down against a *reference model* — the straightforward
-//! per-node `Vec` mailbox implementation the engines used before the
-//! refactor, reconstructed here in ~40 lines — across random topologies
-//! and fault plans (loss, burst, corruption, duplication, crash), in
-//! both engines. Churn is covered by a third property: under a random
-//! churn schedule both engines must log byte-identical inbox streams.
+//! The engine's in-place plane (grid deposit, inbox arenas, shard
+//! workers) must be invisible to protocols: inboxes keep the documented
+//! sorted-by-sender delivery order and byte-identical contents for every
+//! shard count. These tests pin that down against a *reference model* —
+//! the straightforward per-node `Vec` mailbox semantics, replayed
+//! directly in ~100 lines — across random topologies, fault plans (loss,
+//! burst, corruption, duplication, crash), wake-class messages and churn
+//! schedules, at 1, 2, 3 and 8 shards. The model is the determinism oracle: there is no
+//! second engine to compare against.
 //!
 //! The model shares only the *pure* fault-decision functions
-//! ([`FaultPlan::drops`] & co.) and the topology with the engines; the
-//! mailbox mechanics — the thing under test — are independent.
+//! ([`FaultPlan::drops`] & co.), the topology and the compiled churn
+//! batches with the engine; the mailbox and churn mechanics — the thing
+//! under test — are independent.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -22,10 +22,11 @@ use rand::SeedableRng;
 use dima_graph::gen;
 use dima_graph::VertexId;
 
+use dima_telemetry::NoopTracer;
+
 use crate::churn::{ChurnPlan, ChurnSchedule};
-use crate::engine::{run_sequential, run_sequential_churn, EngineConfig};
+use crate::engine::{run, EngineConfig};
 use crate::fault::{FaultPlan, GilbertElliott};
-use crate::par::{run_parallel, run_parallel_churn};
 use crate::protocol::{NodeSeed, NodeStatus, Protocol, RoundCtx};
 use crate::rng::splitmix64;
 use crate::topology::Topology;
@@ -34,20 +35,29 @@ use crate::topology::Topology;
 /// pairs in delivery order.
 type InboxLog = Vec<(u64, Vec<(u32, u64)>)>;
 
+/// Payload bit marking a wake-class spy message.
+const WAKE_BIT: u64 = 1 << 63;
+
+/// Spies send wake-class messages only before this round, so woken
+/// spies (which finish again at once) cannot keep each other awake.
+const WAKE_UNTIL: u64 = 12;
+
 /// What the spy sends in one round: `(target port or broadcast, payload)`.
 /// A pure function of `(node, round)` so the reference model can replay
-/// it without running the protocol.
+/// it without running the protocol. About one message in eight early on
+/// is wake-class ([`WAKE_BIT`]).
 fn spy_outbox(me: u32, round: u64, degree: usize) -> Vec<(Option<usize>, u64)> {
     let h = splitmix64(splitmix64(me as u64 ^ 0x0005_e9d0_f5b7).wrapping_add(round));
     let mut out = Vec::new();
     for k in 0..(h % 3) {
-        let hk = splitmix64(h ^ (k + 1));
+        let hk = splitmix64(h ^ (k + 1)) & !WAKE_BIT;
         let target = if degree > 0 && hk & 1 == 1 {
             Some((hk >> 1) as usize % degree)
         } else {
             None // broadcast (also the degree-0 no-op case)
         };
-        out.push((target, hk));
+        let wake = round < WAKE_UNTIL && (hk >> 8).is_multiple_of(8);
+        out.push((target, if wake { hk | WAKE_BIT } else { hk }));
     }
     out
 }
@@ -68,6 +78,10 @@ struct SpyNode {
 
 impl Protocol for SpyNode {
     type Msg = u64;
+
+    fn wakes(msg: &u64) -> bool {
+        msg & WAKE_BIT != 0
+    }
 
     fn on_round(&mut self, ctx: &mut RoundCtx<'_, u64>) -> NodeStatus {
         let round = ctx.round();
@@ -93,43 +107,99 @@ fn spy_factory(horizon: u64) -> impl Fn(NodeSeed<'_>) -> SpyNode + Sync {
     move |seed: NodeSeed<'_>| SpyNode { me: seed.node, horizon, log: Vec::new() }
 }
 
-/// The pre-refactor mailbox semantics, replayed directly: per-node
-/// `Vec<(sender, payload)>` inboxes, senders stepped in id order, a
-/// message sent at round `r` read at `r + 1`, deliveries to done nodes
-/// and crashed-by-receive-round nodes discarded, fault decisions taken
-/// per `(round, sender, receiver, outbox index)` in the documented
-/// drop → corrupt → duplicate order.
-fn reference_logs(topo: &Topology, cfg: &EngineConfig, horizon: u64) -> Vec<InboxLog> {
+/// What the reference model reports besides the inbox logs: the run
+/// accounting the engine must agree with.
+#[derive(Debug, PartialEq)]
+struct ModelRun {
+    logs: Vec<InboxLog>,
+    /// The round clock at the end: last executed round + 1.
+    rounds: u64,
+    deliveries: u64,
+    idle_rounds_skipped: u64,
+    crashed: Vec<bool>,
+}
+
+/// The documented mailbox and churn semantics, replayed directly:
+/// per-node `Vec<(sender, payload)>` inboxes, senders stepped in id
+/// order, a message sent at round `r` read at `r + 1`, deliveries to
+/// done nodes (unless wake-class) and crashed-by-receive-round nodes
+/// discarded, fault decisions taken per `(round, sender, receiver,
+/// outbox index)` in the documented drop → corrupt → duplicate order. At
+/// the boundary, new done flags land first, then every done node that a
+/// wake-class delivery reached is re-activated, then deliveries to a
+/// node still parked or crashed are dropped.
+///
+/// A churn batch applies at the top of its round, before any node steps
+/// (see [`crate::Stepper::tick`]): leavers park as done with their
+/// inbox suppressed; joiners restart as fresh spies (empty log), undone,
+/// with their inbox suppressed; every node with a neighborhood change
+/// takes its `on_topology_change` status (the spy keeps the default,
+/// `Active`); crashed nodes ignore the batch; then the topology swaps.
+/// Once every node is parked the run ends if the schedule is exhausted,
+/// and a fully idle round fast-forwards to the next batch.
+fn reference_run(
+    topo: &Topology,
+    cfg: &EngineConfig,
+    schedule: &ChurnSchedule,
+    horizon: u64,
+) -> ModelRun {
     let n = topo.num_nodes();
+    let mut topo = topo.clone();
     let crash_round: Vec<Option<u64>> =
         (0..n).map(|i| cfg.faults.crashed_at(cfg.seed, i as u32)).collect();
     let mut done = vec![false; n];
     let mut crashed = vec![false; n];
-    let mut done_count = 0usize;
-    let mut crashed_count = 0usize;
+    let mut suppress = vec![false; n];
+    let mut woken = vec![false; n];
     let mut cur: Vec<Vec<(u32, u64)>> = vec![Vec::new(); n];
     let mut next: Vec<Vec<(u32, u64)>> = vec![Vec::new(); n];
     let mut logs: Vec<InboxLog> = vec![Vec::new(); n];
+    let (mut round, mut executed, mut deliveries, mut idle) = (0u64, 0u64, 0u64, 0u64);
+    let mut batches = schedule.batches().iter().peekable();
 
-    for round in 0..cfg.max_rounds {
+    while executed < cfg.max_rounds {
+        executed += 1;
+        if let Some(batch) = batches.next_if(|b| b.round == round) {
+            for &v in &batch.leaves {
+                if !crashed[v.index()] {
+                    done[v.index()] = true;
+                    suppress[v.index()] = true;
+                }
+            }
+            for &v in &batch.joins {
+                if !crashed[v.index()] {
+                    logs[v.index()].clear();
+                    done[v.index()] = false;
+                    suppress[v.index()] = true;
+                }
+            }
+            for (v, _) in &batch.changes {
+                if !crashed[v.index()] {
+                    done[v.index()] = false;
+                }
+            }
+            topo = batch.topo.clone();
+        }
         let mut newly_done = Vec::new();
+        let mut active = 0;
         for i in 0..n {
             if done[i] || crashed[i] {
                 continue;
             }
             if crash_round[i].is_some_and(|cr| round >= cr) {
                 crashed[i] = true;
-                crashed_count += 1;
                 continue;
             }
+            active += 1;
             let me = i as u32;
-            logs[i].push((round, cur[i].clone()));
+            logs[i].push((round, if suppress[i] { Vec::new() } else { cur[i].clone() }));
             let neighbors = topo.neighbors(VertexId(me));
             for (k, (target, payload)) in spy_outbox(me, round, neighbors.len()).iter().enumerate()
             {
+                let wakes = payload & WAKE_BIT != 0;
                 let mut route = |to: VertexId| {
-                    if done[to.index()] {
-                        return; // the spy's messages are not wake-class
+                    if done[to.index()] && !wakes {
+                        return;
                     }
                     if crash_round[to.index()].is_some_and(|cr| round + 1 >= cr) {
                         return;
@@ -145,6 +215,8 @@ fn reference_logs(topo: &Topology, cfg: &EngineConfig, horizon: u64) -> Vec<Inbo
                     } else {
                         1
                     };
+                    deliveries += copies;
+                    woken[to.index()] |= done[to.index()];
                     for _ in 0..copies {
                         next[to.index()].push((me, *payload));
                     }
@@ -158,19 +230,70 @@ fn reference_logs(topo: &Topology, cfg: &EngineConfig, horizon: u64) -> Vec<Inbo
                 newly_done.push(i);
             }
         }
+        suppress.fill(false);
         for i in newly_done {
             done[i] = true;
-            done_count += 1;
         }
-        if done_count + crashed_count == n {
-            break;
+        for i in 0..n {
+            if std::mem::take(&mut woken[i]) {
+                done[i] = false;
+            }
+            cur[i].clear();
+            if !done[i] && !crashed[i] {
+                std::mem::swap(&mut cur[i], &mut next[i]);
+            }
+            next[i].clear();
         }
-        for mailbox in cur.iter_mut() {
-            mailbox.clear();
+        round += 1;
+        if (0..n).all(|i| done[i] || crashed[i]) {
+            match batches.peek() {
+                None => break,
+                Some(b) if active == 0 => {
+                    idle += b.round - round;
+                    round = b.round;
+                }
+                Some(_) => {}
+            }
         }
-        std::mem::swap(&mut cur, &mut next);
     }
-    logs
+    ModelRun { logs, rounds: round, deliveries, idle_rounds_skipped: idle, crashed }
+}
+
+/// Run the engine over `threads` shards and report it in the model's
+/// terms.
+fn engine_run(
+    topo: &Topology,
+    cfg: &EngineConfig,
+    schedule: &ChurnSchedule,
+    threads: usize,
+) -> ModelRun {
+    let out = run(topo, cfg, threads, schedule, spy_factory(HORIZON), &mut NoopTracer)
+        .expect("run terminates");
+    ModelRun {
+        logs: out.nodes.into_iter().map(|n| n.log).collect(),
+        rounds: out.stats.rounds,
+        deliveries: out.stats.deliveries,
+        idle_rounds_skipped: out.stats.idle_rounds_skipped,
+        crashed: out.crashed,
+    }
+}
+
+/// Compare the engine against the model at every shard count in
+/// [`THREADS`], node by node first so a divergence names its node.
+fn assert_matches_model(
+    topo: &Topology,
+    cfg: &EngineConfig,
+    schedule: &ChurnSchedule,
+) -> Result<(), TestCaseError> {
+    let expected = reference_run(topo, cfg, schedule, HORIZON);
+    for threads in THREADS {
+        let got = engine_run(topo, cfg, schedule, threads);
+        for (i, (g, e)) in got.logs.iter().zip(&expected.logs).enumerate() {
+            prop_assert_eq!(g, e, "node {} inbox stream diverged ({} threads)", i, threads);
+        }
+        prop_assert_eq!(&got, &expected, "run accounting diverged ({} threads)", threads);
+    }
+    Ok(())
 }
 
 /// Finish horizon for the spies; crashes spread over at most
@@ -191,13 +314,12 @@ fn graph_strategy() -> impl Strategy<Value = Topology> {
     })
 }
 
-/// Shard counts worth exercising: the degenerate single shard, small
-/// counts that leave every shard multi-node, and an oversubscribed 8
-/// (more shards than this host has cores, and often more than the graph
-/// has nodes — non-empty shards are still guaranteed by construction).
-fn threads_strategy() -> impl Strategy<Value = usize> {
-    (0usize..4).prop_map(|i| [1usize, 2, 3, 8][i])
-}
+/// Shard counts every case runs at: the degenerate single shard (run
+/// inline on the caller's thread), small counts that leave every shard
+/// multi-node, and an oversubscribed 8 (more shards than most hosts have
+/// cores, and often more than the graph has nodes — non-empty shards are
+/// still guaranteed by construction).
+const THREADS: [usize; 4] = [1, 2, 3, 8];
 
 fn fault_strategy() -> impl Strategy<Value = FaultPlan> {
     // Percent knobs stand in for f64 strategies; `burst_sel == 0` means
@@ -224,51 +346,29 @@ fn engine_config(seed: u64, faults: FaultPlan) -> EngineConfig {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-    /// Sequential engine vs the reference model: identical inbox streams
-    /// (round, contents, sender order) for every node.
+    /// Static runs: identical inbox streams (round, contents, sender
+    /// order) for every node, and identical accounting.
     #[test]
-    fn sequential_matches_reference_mailboxes(
+    fn engine_matches_reference_mailboxes(
         topo in graph_strategy(),
         faults in fault_strategy(),
         seed in 0u64..1_000,
     ) {
         let cfg = engine_config(seed, faults);
-        let expected = reference_logs(&topo, &cfg, HORIZON);
-        let out = run_sequential(&topo, &cfg, spy_factory(HORIZON)).expect("run terminates");
-        let got: Vec<&InboxLog> = out.nodes.iter().map(|n| &n.log).collect();
-        for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
-            prop_assert_eq!(*g, e, "node {} inbox stream diverged", i);
-        }
+        assert_matches_model(&topo, &cfg, &ChurnSchedule::empty())?;
     }
 
-    /// Parallel engine vs the reference model, across shard counts.
+    /// Under a random churn schedule (joins recreate nodes, so the
+    /// model and the engine lose the same log prefix) the engine must
+    /// still match the model, fast-forward accounting included.
     #[test]
-    fn parallel_matches_reference_mailboxes(
-        topo in graph_strategy(),
-        faults in fault_strategy(),
-        seed in 0u64..1_000,
-        threads in threads_strategy(),
-    ) {
-        let cfg = engine_config(seed, faults);
-        let expected = reference_logs(&topo, &cfg, HORIZON);
-        let out = run_parallel(&topo, &cfg, threads, spy_factory(HORIZON)).expect("run terminates");
-        let got: Vec<&InboxLog> = out.nodes.iter().map(|n| &n.log).collect();
-        for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
-            prop_assert_eq!(*g, e, "node {} inbox stream diverged ({} threads)", i, threads);
-        }
-    }
-
-    /// Under a random churn schedule the two engines must log
-    /// byte-identical inbox streams (joins recreate nodes, so both
-    /// engines lose the same prefix) and agree on the round/delivery/
-    /// fast-forward accounting.
-    #[test]
-    fn churn_engines_log_identical_inboxes(
+    fn churn_matches_reference_mailboxes(
         n in 4usize..20,
         deg_tenths in 10u32..50,
         rate_pct in 5u32..40,
+        first_round in 1u64..12,
+        every in 1u64..8,
         seed in 0u64..1_000,
-        threads in threads_strategy(),
     ) {
         let rate = rate_pct as f64 / 100.0;
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -276,23 +376,16 @@ proptest! {
         let g = gen::erdos_renyi_avg_degree(n, avg_degree, &mut rng)
             .expect("valid family parameters");
         let topo = Topology::from_graph(&g);
-        let schedule = ChurnSchedule::generate(&g, &ChurnPlan::new(seed ^ 0xc4a2, rate));
+        // Batches land mid-run as often as after quiescence, so churn
+        // meets in-flight mail, suppressed inboxes and parked nodes.
+        let plan = ChurnPlan { first_round, every, ..ChurnPlan::new(seed ^ 0xc4a2, rate) };
+        let schedule = ChurnSchedule::generate(&g, &plan);
         let last_batch = schedule.batches().last().map_or(0, |b| b.round);
         let cfg = EngineConfig {
             seed,
             max_rounds: last_batch + HORIZON + 16,
             ..EngineConfig::seeded(seed)
         };
-        let seq = run_sequential_churn(&topo, &cfg, &schedule, spy_factory(HORIZON))
-            .expect("sequential churn run terminates");
-        let par = run_parallel_churn(&topo, &cfg, threads, &schedule, spy_factory(HORIZON))
-            .expect("parallel churn run terminates");
-        for (i, (s, p)) in seq.nodes.iter().zip(&par.nodes).enumerate() {
-            prop_assert_eq!(&s.log, &p.log, "node {} inbox stream diverged", i);
-        }
-        prop_assert_eq!(seq.stats.rounds, par.stats.rounds);
-        prop_assert_eq!(seq.stats.deliveries, par.stats.deliveries);
-        prop_assert_eq!(seq.stats.idle_rounds_skipped, par.stats.idle_rounds_skipped);
-        prop_assert_eq!(&seq.crashed, &par.crashed);
+        assert_matches_model(&topo, &cfg, &schedule)?;
     }
 }

@@ -1,6 +1,6 @@
-//! The persistent worker pool behind the parallel engine.
+//! The persistent worker pool behind the engine's shards.
 //!
-//! The old parallel engine spawned `threads - 1` OS threads per *run*
+//! An earlier engine spawned `threads - 1` OS threads per *run*
 //! (`std::thread::scope`), which put thread creation and teardown on the
 //! critical path of every benchmark repetition and every serve-mode
 //! repair. This module keeps one process-wide pool alive across rounds

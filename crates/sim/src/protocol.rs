@@ -174,7 +174,7 @@ pub struct RoundCtx<'a, M> {
     /// emission) when tracing is off or the node is sampled out.
     pub(crate) trace: TraceHandle<'a>,
     /// Aggregate-metrics sink for this node this round (the engine's
-    /// registry — per-shard in the parallel engine). Dead (one branch
+    /// registry — per-shard in the engine). Dead (one branch
     /// per update) when metrics are off.
     pub(crate) metrics: MetricsHandle<'a>,
 }
@@ -211,7 +211,7 @@ impl<'a, M> RoundCtx<'a, M> {
     }
 
     /// The node's deterministic RNG (seeded from the engine master seed
-    /// and the node id only, so both engines draw identical streams).
+    /// and the node id only, so every shard count draws identical streams).
     #[inline]
     pub fn rng(&mut self) -> &mut SmallRng {
         self.rng
@@ -274,7 +274,7 @@ impl<'a, M> RoundCtx<'a, M> {
     ///
     /// Updates must be deterministic — a pure function of `(topology,
     /// seed, config)` — because the metrics registry participates in
-    /// the engines' bit-identity contract. Count things in rounds and
+    /// the engine's bit-identity contract. Count things in rounds and
     /// messages, never in wall-clock time.
     #[inline]
     pub fn metrics_on(&self) -> bool {
@@ -302,13 +302,13 @@ impl<'a, M> RoundCtx<'a, M> {
 
 /// A distributed algorithm, from one node's point of view.
 ///
-/// The engines create one instance per vertex (via a factory closure),
+/// The engine creates one instance per vertex (via a factory closure),
 /// then call [`Protocol::on_round`] in lockstep until every node reports
 /// [`NodeStatus::Done`] or the round limit is hit.
 pub trait Protocol: Send {
     /// The message type exchanged between nodes. `Sync` because a
     /// broadcast payload is shared (not copied) across all recipient
-    /// envelopes, which the parallel engine reads from several threads.
+    /// envelopes, which shard workers read from several threads.
     type Msg: Clone + Send + Sync + 'static;
 
     /// Execute one communication round. Messages placed in the outbox are
@@ -329,7 +329,7 @@ pub trait Protocol: Send {
     /// (done) node, it re-enters the node into the run instead of being
     /// discarded, and the node reads it the next round. Everything else
     /// sent to a done node still evaporates. The decision must be a pure
-    /// function of the message — the engines consult it while routing,
+    /// function of the message — the engine consults it while routing,
     /// where the receiver's state is not accessible — and it is subject
     /// to the fault layer like any other delivery (a dropped wake-up
     /// wakes nobody). The default wakes on nothing, which keeps every
@@ -343,9 +343,8 @@ pub trait Protocol: Send {
 
     /// A churn batch changed this node's neighborhood (see
     /// [`crate::churn`]). `seed` carries the node's *new* neighbor list;
-    /// `change` the net diff against the old one. Called by the
-    /// churn-aware engines at the top of the batch's round, before any
-    /// node is stepped. The returned status replaces the node's done
+    /// `change` the net diff against the old one. Called by the engine at
+    /// the top of the batch's round, before any node is stepped. The returned status replaces the node's done
     /// flag: `Active` re-enters a parked node into the run, `Done` parks
     /// it (e.g. when every remaining port is already colored).
     ///

@@ -253,7 +253,7 @@ impl<P: Protocol> ReliableNode<P> {
     /// Wrap a protocol factory: the returned closure builds a
     /// [`ReliableNode`] around each node the inner factory creates. The
     /// closure is `Fn` (and `Sync` when the inner factory is), so it
-    /// works with both engines.
+    /// works at every shard count.
     pub fn factory<F>(cfg: ArqConfig, inner: F) -> impl Fn(NodeSeed<'_>) -> Self
     where
         F: Fn(NodeSeed<'_>) -> P,
@@ -539,11 +539,23 @@ impl<P: Protocol> Protocol for ReliableNode<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{run_sequential, EngineConfig};
+    use crate::churn::ChurnSchedule;
+    use crate::engine::{run, EngineConfig, RunOutcome};
+    use crate::error::SimError;
     use crate::fault::FaultPlan;
-    use crate::par::run_parallel;
     use crate::topology::Topology;
     use dima_graph::gen::structured;
+    use dima_telemetry::NoopTracer;
+
+    /// A static, untraced [`run`] over `threads` shards.
+    fn run_on<P: Protocol>(
+        topo: &Topology,
+        cfg: &EngineConfig,
+        threads: usize,
+        factory: impl Fn(NodeSeed<'_>) -> P + Sync,
+    ) -> Result<RunOutcome<P>, SimError> {
+        run(topo, cfg, threads, &ChurnSchedule::empty(), factory, &mut NoopTracer)
+    }
 
     /// Flood that tolerates dead links: every node broadcasts its id
     /// once and finishes when it has heard from every *reachable*
@@ -583,7 +595,7 @@ mod tests {
         Flood { heard: Vec::new(), expected: seed.neighbors.len(), sent: false }
     }
 
-    fn wrapped_factory(cfg: ArqConfig) -> impl Fn(NodeSeed<'_>) -> ReliableNode<Flood> {
+    fn wrapped_factory(cfg: ArqConfig) -> impl Fn(NodeSeed<'_>) -> ReliableNode<Flood> + Sync {
         ReliableNode::factory(cfg, flood_factory)
     }
 
@@ -591,8 +603,8 @@ mod tests {
     fn fault_free_run_is_transparent() {
         let topo = Topology::from_graph(&structured::cycle(8));
         let cfg = EngineConfig::seeded(5);
-        let bare = run_sequential(&topo, &cfg, flood_factory).unwrap();
-        let arq = run_sequential(&topo, &cfg, wrapped_factory(ArqConfig::default())).unwrap();
+        let bare = run_on(&topo, &cfg, 1, flood_factory).unwrap();
+        let arq = run_on(&topo, &cfg, 1, wrapped_factory(ArqConfig::default())).unwrap();
         for (b, w) in bare.nodes.iter().zip(&arq.nodes) {
             assert_eq!(b.heard, w.inner().heard);
             // Inner rounds ran in lockstep with the bare engine.
@@ -608,13 +620,13 @@ mod tests {
     fn survives_uniform_loss() {
         let topo = Topology::from_graph(&structured::complete(8));
         let reliable_cfg = EngineConfig::seeded(11);
-        let bare = run_sequential(&topo, &reliable_cfg, flood_factory).unwrap();
+        let bare = run_on(&topo, &reliable_cfg, 1, flood_factory).unwrap();
         let cfg = EngineConfig {
             faults: FaultPlan::uniform(0.25),
             max_rounds: 500,
             ..EngineConfig::seeded(11)
         };
-        let arq = run_sequential(&topo, &cfg, wrapped_factory(ArqConfig::default())).unwrap();
+        let arq = run_on(&topo, &cfg, 1, wrapped_factory(ArqConfig::default())).unwrap();
         assert!(arq.stats.dropped > 0, "the plan should actually drop messages");
         for (b, w) in bare.nodes.iter().zip(&arq.nodes) {
             let mut got = w.inner().heard.clone();
@@ -633,7 +645,7 @@ mod tests {
             max_rounds: 800,
             ..EngineConfig::seeded(17)
         };
-        let arq = run_sequential(&topo, &cfg, wrapped_factory(ArqConfig::default())).unwrap();
+        let arq = run_on(&topo, &cfg, 1, wrapped_factory(ArqConfig::default())).unwrap();
         // Sequencing dedups the duplicates: every node heard each
         // neighbor exactly once.
         for (i, w) in arq.nodes.iter().enumerate() {
@@ -655,7 +667,7 @@ mod tests {
             max_rounds: 2_000,
             ..EngineConfig::seeded(23)
         };
-        let arq = run_sequential(&topo, &cfg, wrapped_factory(ArqConfig::default())).unwrap();
+        let arq = run_on(&topo, &cfg, 1, wrapped_factory(ArqConfig::default())).unwrap();
         assert!(arq.stats.crashed > 0, "the plan should actually crash someone");
         for (i, w) in arq.nodes.iter().enumerate() {
             if arq.crashed[i] {
@@ -710,8 +722,8 @@ mod tests {
             ..EngineConfig::seeded(41)
         };
         let factory = |_seed: NodeSeed<'_>| Chatter { rounds_left: 12, heard: 0 };
-        let run = run_sequential(&topo, &cfg, ReliableNode::factory(ArqConfig::default(), factory))
-            .unwrap();
+        let run =
+            run_on(&topo, &cfg, 1, ReliableNode::factory(ArqConfig::default(), factory)).unwrap();
         assert!(run.stats.crashed > 0, "the plan should actually crash someone");
         for (i, w) in run.nodes.iter().enumerate() {
             if !run.crashed[i] {
@@ -721,7 +733,7 @@ mod tests {
     }
 
     #[test]
-    fn engines_agree_under_arq_and_loss() {
+    fn shard_counts_agree_under_arq_and_loss() {
         let topo = Topology::from_graph(&structured::grid(5, 4));
         let cfg = EngineConfig {
             faults: FaultPlan::uniform(0.2),
@@ -729,10 +741,9 @@ mod tests {
             collect_round_stats: true,
             ..EngineConfig::seeded(31)
         };
-        let seq = run_sequential(&topo, &cfg, wrapped_factory(ArqConfig::default())).unwrap();
+        let seq = run_on(&topo, &cfg, 1, wrapped_factory(ArqConfig::default())).unwrap();
         for threads in [2, 4] {
-            let par =
-                run_parallel(&topo, &cfg, threads, wrapped_factory(ArqConfig::default())).unwrap();
+            let par = run_on(&topo, &cfg, threads, wrapped_factory(ArqConfig::default())).unwrap();
             assert_eq!(par.stats, seq.stats, "threads {threads}");
             for (a, b) in par.nodes.iter().zip(&seq.nodes) {
                 assert_eq!(a.inner().heard, b.inner().heard);

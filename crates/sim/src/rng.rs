@@ -1,10 +1,10 @@
 //! Deterministic RNG derivation.
 //!
 //! Every stochastic choice a node makes is drawn from a `SmallRng` whose
-//! seed depends only on `(master_seed, node_id)`. Both engines therefore
-//! produce identical random streams for every node, regardless of
-//! scheduling or thread count — the foundation of the sequential/parallel
-//! equivalence property.
+//! seed depends only on `(master_seed, node_id)`. The engine therefore
+//! produces identical random streams for every node, regardless of
+//! scheduling or shard count — the foundation of its shard-count
+//! invariance.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;

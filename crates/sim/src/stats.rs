@@ -36,7 +36,7 @@ pub struct RunStats {
     pub duplicated: u64,
     /// Nodes that crash-stopped during the run.
     pub crashed: usize,
-    /// Quiescent rounds the engines fast-forwarded over instead of
+    /// Quiescent rounds the engine fast-forwarded over instead of
     /// executing (every node parked, next churn batch still in the
     /// future). These rounds appear in no per-round breakdown and do not
     /// count against the round budget; `rounds` still reports the
@@ -48,18 +48,18 @@ pub struct RunStats {
     pub churn_events: u64,
     /// Wall-clock nanoseconds per engine stage. All-zero unless the run
     /// was profiled ([`crate::EngineConfig::profile`]), so run
-    /// statistics stay comparable across engines with `==`.
+    /// statistics stay comparable across shard counts with `==`.
     pub phase_nanos: PhaseNanos,
-    /// Per-shard phase breakdown from the parallel engine, indexed by
-    /// shard id — attributes the wall-clock to step/route/collect per
-    /// worker. Empty unless the run was profiled *and* parallel, so run
-    /// statistics stay comparable across engines with `==`.
+    /// Per-shard phase breakdown, indexed by shard id — attributes the
+    /// wall-clock to step/collect/barrier per worker. Empty unless the
+    /// run was profiled, so run statistics stay comparable across shard
+    /// counts with `==`.
     pub shard_phases: Vec<PhaseNanos>,
     /// Aggregate metrics registry (present iff
     /// [`crate::EngineConfig::metrics`] was on). Deterministic content
-    /// — the parallel engine merges its per-shard registries
-    /// commutatively, so this compares bit-identically across engines
-    /// with `==`; only profiled runs add engine-specific `pool/`
+    /// — the engine merges its per-shard registries commutatively, so
+    /// this compares bit-identically across shard counts with `==`; only
+    /// profiled runs add shard-specific `pool/`
     /// entries (and profiled runs are never `==`-compared anyway,
     /// their `phase_nanos` already differ).
     pub metrics: Option<Box<MetricsRegistry>>,
@@ -68,11 +68,10 @@ pub struct RunStats {
     pub per_round: Option<Vec<RoundStats>>,
 }
 
-/// Record one finished round's engine-level metrics. One shared
-/// function for both engines, called once per round from the single
-/// thread that owns the round's [`RoundStats`] — that (plus the
-/// commutative shard merge for protocol-level updates) is why the
-/// final registries are bit-identical across engines.
+/// Record one finished round's engine-level metrics, called once per
+/// round from the single thread that owns the round's [`RoundStats`] —
+/// that (plus the commutative shard merge for protocol-level updates) is
+/// why the final registries are bit-identical across shard counts.
 pub(crate) fn note_round_metrics(reg: &mut MetricsRegistry, rs: &RoundStats) {
     reg.inc("engine/rounds", 1);
     reg.inc("engine/messages_sent", rs.sent);

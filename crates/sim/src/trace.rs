@@ -5,7 +5,8 @@
 //! population distributes over its states round by round is the most
 //! direct way to see the automata working (and to debug a protocol that
 //! stalls). Protocols opt in by implementing [`StateLabel`]; the census
-//! is collected through [`crate::engine::run_sequential_observed`].
+//! is folded from a [`dima_telemetry::StateTimeline`] or read round by
+//! round off [`crate::Stepper::view`].
 
 use std::collections::BTreeMap;
 

@@ -3,14 +3,14 @@
 //!
 //! The unit tests in `trace.rs` cover the histogram arithmetic in
 //! isolation; these exercise the full collection path — a real protocol
-//! run under [`run_sequential_observed`], one census row per round,
-//! including parked (done) nodes, which the observer still sees.
+//! driven tick by tick through a [`Stepper`], one census row per round
+//! read off [`Stepper::view`], including parked (done) nodes, which the
+//! view still shows.
 
 use dima_graph::gen::structured::cycle;
+use dima_sim::telemetry::NoopTracer;
 use dima_sim::trace::{StateCensus, StateLabel};
-use dima_sim::{
-    run_sequential_observed, EngineConfig, NodeSeed, NodeStatus, Protocol, RoundCtx, Topology,
-};
+use dima_sim::{EngineConfig, NodeSeed, NodeStatus, Protocol, RoundCtx, Stepper, Topology};
 
 /// A node counts down from its own id: node `i` is in state `C` for `i`
 /// rounds, then parks in `D`. Deterministic, message-free, and gives
@@ -47,14 +47,14 @@ fn run_census(n: usize) -> StateCensus {
     let g = cycle(n);
     let topo = Topology::from_graph(&g);
     let mut census = StateCensus::new();
-    let outcome = run_sequential_observed(
-        &topo,
-        &EngineConfig::default(),
-        |seed: NodeSeed<'_>| Countdown { remaining: seed.node.index(), parked: false },
-        |view| census.record(view.nodes.iter().map(|p| p.state_label())),
-    )
-    .expect("countdown terminates");
-    assert_eq!(outcome.stats.rounds as usize, census.len(), "one census row per round");
+    let mut stepper = Stepper::new(&topo, &EngineConfig::default(), 1, |seed: NodeSeed<'_>| {
+        Countdown { remaining: seed.node.index(), parked: false }
+    });
+    while !stepper.is_quiescent() {
+        let rs = stepper.tick(None, &mut NoopTracer).expect("countdown steps");
+        census.record(stepper.view(rs).nodes.iter().map(|p| p.state_label()));
+    }
+    assert_eq!(stepper.stats().rounds as usize, census.len(), "one census row per round");
     census
 }
 

@@ -1,14 +1,23 @@
-//! Trace-equality tests: the parallel engine must replay, event for
-//! event, the telemetry sequence the sequential engine emits — across
+//! Trace-equality tests: a multi-shard run must replay, event for
+//! event, the telemetry sequence the one-shard run emits — across
 //! faults, churn, sampling and the reliable (ARQ) transport.
 
 use dima_graph::gen::structured;
-use dima_sim::telemetry::{BufferTracer, Event, PaletteAction, Tracer};
+use dima_sim::telemetry::{BufferTracer, Event, NoopTracer, PaletteAction, Tracer};
 use dima_sim::{
-    run_parallel_churn_traced, run_parallel_traced, run_sequential_churn_traced,
-    run_sequential_traced, ArqConfig, ChurnPlan, ChurnSchedule, EngineConfig, NodeSeed, NodeStatus,
-    Protocol, ReliableNode, RoundCtx, Topology,
+    run, ArqConfig, ChurnPlan, ChurnSchedule, EngineConfig, NodeSeed, NodeStatus, Protocol,
+    ReliableNode, RoundCtx, Topology,
 };
+
+/// A static traced run over `threads` shards.
+fn traced<P, F, T>(topo: &Topology, cfg: &EngineConfig, threads: usize, factory: F, tracer: &mut T)
+where
+    P: Protocol,
+    F: Fn(NodeSeed<'_>) -> P + Sync,
+    T: Tracer + Sync,
+{
+    run(topo, cfg, threads, &ChurnSchedule::empty(), factory, tracer).unwrap();
+}
 
 /// A protocol exercising every event class: each node broadcasts a
 /// greeting, records a state transition per round, and "commits" a
@@ -81,24 +90,24 @@ impl Tracer for EvenSampler {
 }
 
 #[test]
-fn parallel_trace_matches_sequential() {
+fn multi_shard_trace_matches_one_shard() {
     let topo = Topology::from_graph(&structured::grid(5, 4));
     let cfg = EngineConfig::seeded(42);
-    let mut seq = BufferTracer::default();
-    run_sequential_traced(&topo, &cfg, chatty_factory, &mut seq).unwrap();
-    assert!(seq.events.iter().any(|e| matches!(e, Event::State { .. })));
-    assert!(seq.events.iter().any(|e| matches!(e, Event::Palette { .. })));
-    assert!(seq.events.iter().any(|e| matches!(e, Event::MsgKind { kind: "even", .. })));
-    assert!(seq.events.iter().any(|e| matches!(e, Event::Round { .. })));
-    for threads in [1, 2, 3, 7] {
-        let mut par = BufferTracer::default();
-        run_parallel_traced(&topo, &cfg, threads, chatty_factory, &mut par).unwrap();
-        assert_eq!(seq.events, par.events, "threads = {threads}");
+    let mut one = BufferTracer::default();
+    traced(&topo, &cfg, 1, chatty_factory, &mut one);
+    assert!(one.events.iter().any(|e| matches!(e, Event::State { .. })));
+    assert!(one.events.iter().any(|e| matches!(e, Event::Palette { .. })));
+    assert!(one.events.iter().any(|e| matches!(e, Event::MsgKind { kind: "even", .. })));
+    assert!(one.events.iter().any(|e| matches!(e, Event::Round { .. })));
+    for threads in [2, 3, 7] {
+        let mut many = BufferTracer::default();
+        traced(&topo, &cfg, threads, chatty_factory, &mut many);
+        assert_eq!(one.events, many.events, "threads = {threads}");
     }
 }
 
 #[test]
-fn faulty_trace_matches_sequential() {
+fn faulty_trace_matches_one_shard() {
     let topo = Topology::from_graph(&structured::grid(4, 4));
     let cfg = EngineConfig {
         faults: dima_sim::fault::FaultPlan {
@@ -108,51 +117,50 @@ fn faulty_trace_matches_sequential() {
         max_rounds: 50,
         ..EngineConfig::seeded(7)
     };
-    let mut seq = BufferTracer::default();
-    run_sequential_traced(&topo, &cfg, chatty_factory, &mut seq).unwrap();
+    let mut one = BufferTracer::default();
+    traced(&topo, &cfg, 1, chatty_factory, &mut one);
     let has_dropped =
-        seq.events.iter().any(|e| matches!(e, Event::MsgKind { dropped, .. } if *dropped > 0));
+        one.events.iter().any(|e| matches!(e, Event::MsgKind { dropped, .. } if *dropped > 0));
     assert!(has_dropped, "fault plan should actually drop something");
     for threads in [2, 5] {
-        let mut par = BufferTracer::default();
-        run_parallel_traced(&topo, &cfg, threads, chatty_factory, &mut par).unwrap();
-        assert_eq!(seq.events, par.events, "threads = {threads}");
+        let mut many = BufferTracer::default();
+        traced(&topo, &cfg, threads, chatty_factory, &mut many);
+        assert_eq!(one.events, many.events, "threads = {threads}");
     }
 }
 
 #[test]
-fn churn_trace_matches_sequential() {
+fn churn_trace_matches_one_shard() {
     let g = structured::grid(4, 5);
     let topo = Topology::from_graph(&g);
     let schedule = ChurnSchedule::generate(&g, &ChurnPlan::new(99, 0.3));
     let last_batch = schedule.batches().last().map_or(0, |b| b.round);
     let cfg = EngineConfig { max_rounds: last_batch + 64, ..EngineConfig::seeded(5) };
-    let mut seq = BufferTracer::default();
-    run_sequential_churn_traced(&topo, &cfg, &schedule, chatty_factory, &mut seq).unwrap();
-    assert!(seq.events.iter().any(|e| matches!(e, Event::Churn { .. })));
+    let mut one = BufferTracer::default();
+    run(&topo, &cfg, 1, &schedule, chatty_factory, &mut one).unwrap();
+    assert!(one.events.iter().any(|e| matches!(e, Event::Churn { .. })));
     for threads in [2, 4] {
-        let mut par = BufferTracer::default();
-        run_parallel_churn_traced(&topo, &cfg, threads, &schedule, chatty_factory, &mut par)
-            .unwrap();
-        assert_eq!(seq.events, par.events, "threads = {threads}");
+        let mut many = BufferTracer::default();
+        run(&topo, &cfg, threads, &schedule, chatty_factory, &mut many).unwrap();
+        assert_eq!(one.events, many.events, "threads = {threads}");
     }
 }
 
 #[test]
-fn sampled_trace_matches_sequential() {
+fn sampled_trace_matches_one_shard() {
     let topo = Topology::from_graph(&structured::grid(5, 5));
     let cfg = EngineConfig::seeded(13);
-    let mut seq = EvenSampler::default();
-    run_sequential_traced(&topo, &cfg, chatty_factory, &mut seq).unwrap();
-    assert!(seq.events.iter().all(|e| e.class() != 1 || e.node() % 2 == 0));
-    assert!(seq.events.iter().any(|e| e.class() == 1));
-    let mut par = EvenSampler::default();
-    run_parallel_traced(&topo, &cfg, 3, chatty_factory, &mut par).unwrap();
-    assert_eq!(seq.events, par.events);
+    let mut one = EvenSampler::default();
+    traced(&topo, &cfg, 1, chatty_factory, &mut one);
+    assert!(one.events.iter().all(|e| e.class() != 1 || e.node() % 2 == 0));
+    assert!(one.events.iter().any(|e| e.class() == 1));
+    let mut many = EvenSampler::default();
+    traced(&topo, &cfg, 3, chatty_factory, &mut many);
+    assert_eq!(one.events, many.events);
 }
 
 #[test]
-fn arq_trace_matches_sequential_and_stamps_inner_rounds() {
+fn arq_trace_matches_one_shard_and_stamps_inner_rounds() {
     // Heavy loss forces retransmissions; the protocol under the ARQ
     // layer observes inner rounds that lag the engine round.
     let topo = Topology::from_graph(&structured::grid(3, 4));
@@ -162,18 +170,18 @@ fn arq_trace_matches_sequential_and_stamps_inner_rounds() {
         ..EngineConfig::seeded(17)
     };
     let factory = || ReliableNode::factory(ArqConfig::default(), chatty_factory);
-    let mut seq = BufferTracer::default();
-    run_sequential_traced(&topo, &cfg, factory(), &mut seq).unwrap();
+    let mut one = BufferTracer::default();
+    traced(&topo, &cfg, 1, factory(), &mut one);
     assert!(
-        seq.events.iter().any(|e| matches!(e, Event::Arq { .. })),
+        one.events.iter().any(|e| matches!(e, Event::Arq { .. })),
         "loss this heavy should force at least one retransmission"
     );
-    assert!(seq.events.iter().any(|e| matches!(e, Event::MsgKind { kind: "arq-data", .. })));
-    assert!(seq.events.iter().any(|e| matches!(e, Event::MsgKind { kind: "arq-ack", .. })));
+    assert!(one.events.iter().any(|e| matches!(e, Event::MsgKind { kind: "arq-data", .. })));
+    assert!(one.events.iter().any(|e| matches!(e, Event::MsgKind { kind: "arq-ack", .. })));
     for threads in [2, 3] {
-        let mut par = BufferTracer::default();
-        run_parallel_traced(&topo, &cfg, threads, factory(), &mut par).unwrap();
-        assert_eq!(seq.events, par.events, "threads = {threads}");
+        let mut many = BufferTracer::default();
+        traced(&topo, &cfg, threads, factory(), &mut many);
+        assert_eq!(one.events, many.events, "threads = {threads}");
     }
 }
 
@@ -184,9 +192,10 @@ fn tracing_does_not_change_run_results() {
     // proptest lives in dima-core).
     let topo = Topology::from_graph(&structured::grid(5, 4));
     let cfg = EngineConfig { collect_round_stats: true, ..EngineConfig::seeded(3) };
-    let plain = dima_sim::run_sequential(&topo, &cfg, chatty_factory).unwrap();
+    let empty = ChurnSchedule::empty();
+    let plain = run(&topo, &cfg, 1, &empty, chatty_factory, &mut NoopTracer).unwrap();
     let mut buf = BufferTracer::default();
-    let traced = run_sequential_traced(&topo, &cfg, chatty_factory, &mut buf).unwrap();
+    let traced = run(&topo, &cfg, 1, &empty, chatty_factory, &mut buf).unwrap();
     assert_eq!(plain.stats, traced.stats);
     let round_footers = buf.events.iter().filter(|e| matches!(e, Event::Round { .. })).count();
     assert_eq!(round_footers as u64, traced.stats.rounds);

@@ -1,5 +1,5 @@
 //! The structured event taxonomy of the telemetry plane, plus the
-//! deterministic merge used by the parallel engine.
+//! deterministic merge used by the sharded engine.
 //!
 //! Every event is a small `Copy` value built exclusively from integers
 //! and `&'static str` labels: emitting one never allocates, and a
@@ -8,10 +8,9 @@
 //! ## Deterministic ordering
 //!
 //! A trace is a sequence of events; two runs are *trace-equal* when the
-//! sequences match element-wise. The sequential engine emits events in
-//! its natural execution order; the parallel engine buffers per-worker
-//! and merges at the end of the run. Both orders are normalized to the
-//! same canonical key, per engine round:
+//! sequences match element-wise. The engine buffers events per shard
+//! worker and merges them at each round boundary, normalized to the
+//! same canonical key for every shard count, per engine round:
 //!
 //! 1. class 0 — the round's [`Event::Churn`] batch summary (if any),
 //! 2. class 1 — node events ([`Event::State`], [`Event::Palette`],
@@ -200,7 +199,7 @@ impl Event {
 }
 
 /// An event stamped with its *engine* round and emitting node, as
-/// buffered by the parallel engine's workers. The stamp — not the
+/// buffered by the engine's shard workers. The stamp — not the
 /// event's own `round` field — drives the deterministic merge, because
 /// node events under the reliable transport carry inner rounds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -219,12 +218,12 @@ impl Stamped {
     }
 }
 
-/// Merge per-worker event buffers into the canonical sequential order.
+/// Merge per-worker event buffers into the canonical order.
 ///
 /// `shards` must be passed in worker (thread) order; each worker's
 /// buffer is already in that worker's emission order, and workers own
 /// contiguous node ranges, so a stable sort by the canonical key
-/// reproduces exactly the order the sequential engine emits in.
+/// reproduces exactly the order a one-shard run emits in.
 /// Adjacent [`Event::MsgKind`] partial rows from different workers with
 /// equal `(round, kind)` are summed into one row.
 pub fn merge_shards(shards: Vec<Vec<Stamped>>) -> Vec<Event> {

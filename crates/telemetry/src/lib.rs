@@ -14,8 +14,8 @@
 //!   [`TraceWriter`]; [`BufferTracer`] captures raw events for tests,
 //!   [`TransportTally`] aggregates the transport counters behind CLI
 //!   reports, and [`Tee`] composes two sinks.
-//! * **Determinism** — both engines emit the same event sequence for
-//!   the same seed. The parallel engine buffers per-worker
+//! * **Determinism** — every shard count emits the same event sequence
+//!   for the same seed. The engine buffers per-worker
 //!   ([`ShardBuf`]) and normalizes with [`merge_shards`]; the canonical
 //!   order is defined in [`event`].
 //!

@@ -9,13 +9,12 @@
 //! * **Zero-cost when off.** Instrumented code holds a
 //!   [`MetricsHandle`] — a nullable reference, one branch per update
 //!   when disabled, nothing allocated.
-//! * **Deterministic across engines.** Every update is commutative
+//! * **Deterministic across shard counts.** Every update is commutative
 //!   (counter adds, gauge maxima, histogram bucket increments), so the
-//!   parallel engine can give each worker shard its own
-//!   [`MetricsRegistry`] and [`MetricsRegistry::merge`] them in any
-//!   order at the end of the run: the result is bit-identical to the
-//!   sequential engine's single registry. Proptests pin this at
-//!   threads ∈ {1, 2, 3, 8}.
+//!   engine can give each worker shard its own [`MetricsRegistry`] and
+//!   [`MetricsRegistry::merge`] them in any order at the end of the run:
+//!   the result is bit-identical to a single-shard registry. Proptests
+//!   pin this at threads ∈ {1, 2, 3, 8}.
 //! * **Deterministic content.** Registries that participate in the
 //!   cross-engine equality contract must only record quantities that
 //!   are pure functions of `(topology, seed, config)` — counts and
@@ -487,7 +486,7 @@ mod tests {
     #[test]
     fn merge_is_order_independent() {
         // Simulate 3 shards recording interleaved updates; any merge
-        // order must equal the sequential registry.
+        // order must equal the single-registry recording.
         let mut seq = MetricsRegistry::new();
         let mut shards =
             vec![MetricsRegistry::new(), MetricsRegistry::new(), MetricsRegistry::new()];

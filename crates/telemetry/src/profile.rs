@@ -11,19 +11,14 @@ use std::time::Instant;
 pub struct PhaseNanos {
     /// Applying churn batches (topology swap + node re-seeding).
     pub churn: u64,
-    /// Stepping protocol state machines (including message staging).
+    /// Stepping protocol state machines, including depositing each
+    /// delivery in place into the mail grid.
     pub step: u64,
-    /// Routing staged messages toward next-round inboxes. Both engines
-    /// now deposit in place while stepping, so this is folded into
-    /// `step`; the field stays for older profiles and future stages
-    /// that batch their routing.
-    pub route: u64,
     /// Collecting/delivering messages into inbox arenas.
     pub collect: u64,
-    /// Waiting at the parallel engine's round barriers — the
-    /// imbalance signal: a shard with large `barrier` relative to its
-    /// `step` finished early and idled. Always 0 for the sequential
-    /// engine.
+    /// Waiting at the engine's round barriers — the imbalance signal: a
+    /// shard with large `barrier` relative to its `step` finished early
+    /// and idled. Near 0 on one shard, whose barriers return at once.
     pub barrier: u64,
 }
 
@@ -31,14 +26,13 @@ impl PhaseNanos {
     /// Sum of all stages (barrier wait included — it is wall-clock the
     /// worker spent, just not useful work).
     pub fn total(&self) -> u64 {
-        self.churn + self.step + self.route + self.collect + self.barrier
+        self.churn + self.step + self.collect + self.barrier
     }
 
     /// Accumulate another reading (used to fold per-worker profiles).
     pub fn add(&mut self, other: PhaseNanos) {
         self.churn += other.churn;
         self.step += other.step;
-        self.route += other.route;
         self.collect += other.collect;
         self.barrier += other.barrier;
     }

@@ -82,7 +82,7 @@ impl<T: Tracer> EventSink for T {
     }
 }
 
-/// A per-worker shard buffer used by the parallel engine: stamps each
+/// A per-worker shard buffer used by the engine: stamps each
 /// event with the engine round and node id currently being stepped
 /// (both set by the engine before handing the node its context).
 #[derive(Debug, Default)]

@@ -26,7 +26,7 @@ pub struct TraceMeta {
     pub nodes: u64,
     /// Engine name (`seq` / `par`).
     pub engine: String,
-    /// Worker threads (1 for the sequential engine).
+    /// Engine shards (1 without `--threads`).
     pub threads: u32,
     /// Node sampling modulus (0/1 = every node).
     pub sample: u32,

@@ -1,5 +1,5 @@
-//! The sequential and parallel engines are bit-identical — demonstrated
-//! live on a non-trivial workload, with timings.
+//! The engine is bit-identical at every shard count — demonstrated live
+//! on a non-trivial workload, with timings.
 //!
 //! Determinism matters for a probabilistic algorithm's science: every
 //! number in EXPERIMENTS.md can be regenerated from a seed, regardless of
@@ -26,24 +26,24 @@ fn main() {
     );
 
     let t0 = Instant::now();
-    let seq = color_edges(&g, &ColoringConfig::seeded(11)).expect("sequential run failed");
-    let t_seq = t0.elapsed();
-    println!("sequential: {} colors, {} rounds, {:?}", seq.colors_used, seq.compute_rounds, t_seq);
+    let one = color_edges(&g, &ColoringConfig::seeded(11)).expect("1-shard run failed");
+    let t_one = t0.elapsed();
+    println!("1 shard: {} colors, {} rounds, {:?}", one.colors_used, one.compute_rounds, t_one);
 
     for threads in [2, 4, 8] {
         let cfg =
             ColoringConfig { engine: Engine::Parallel { threads }, ..ColoringConfig::seeded(11) };
         let t0 = Instant::now();
-        let par = color_edges(&g, &cfg).expect("parallel run failed");
-        let t_par = t0.elapsed();
-        assert_eq!(par.colors, seq.colors, "colorings must be bit-identical");
-        assert_eq!(par.comm_rounds, seq.comm_rounds);
-        assert_eq!(par.stats.messages_sent, seq.stats.messages_sent);
+        let many = color_edges(&g, &cfg).expect("multi-shard run failed");
+        let t_many = t0.elapsed();
+        assert_eq!(many.colors, one.colors, "colorings must be bit-identical");
+        assert_eq!(many.comm_rounds, one.comm_rounds);
+        assert_eq!(many.stats.messages_sent, one.stats.messages_sent);
         println!(
-            "parallel x{threads}: identical coloring, {:?} ({:.2}x vs sequential)",
-            t_par,
-            t_seq.as_secs_f64() / t_par.as_secs_f64()
+            "{threads} shards: identical coloring, {:?} ({:.2}x vs 1 shard)",
+            t_many,
+            t_one.as_secs_f64() / t_many.as_secs_f64()
         );
     }
-    println!("\nevery engine produced the exact same coloring from seed 11.");
+    println!("\nevery shard count produced the exact same coloring from seed 11.");
 }

@@ -128,10 +128,11 @@ fn worst_case_bound_never_reached_experimentally() {
 #[test]
 fn state_labels_work_for_all_automata_protocols() {
     // The matching and strong-coloring protocols also report their Fig-1
-    // states; drive them through the observer hook directly.
+    // states; drive them tick by tick and read each round's view.
     use dima::graph::gen::structured;
+    use dima::sim::telemetry::NoopTracer;
     use dima::sim::trace::{StateCensus, StateLabel};
-    use dima::sim::{run_sequential_observed, EngineConfig, Topology};
+    use dima::sim::{EngineConfig, NodeSeed, Stepper, Topology};
 
     let g = structured::cycle(8);
     let topo = Topology::from_graph(&g);
@@ -140,14 +141,14 @@ fn state_labels_work_for_all_automata_protocols() {
 
     // Matching protocol census.
     let mut census = StateCensus::new();
-    let outcome = run_sequential_observed(
-        &topo,
-        &engine_cfg,
-        |seed| dima::core::matching::new_node_for_census(&seed, &cfg_core),
-        |view| census.record(view.nodes.iter().map(|n| n.state_label())),
-    )
-    .unwrap();
-    assert!(outcome.stats.rounds > 0);
+    let mut stepper = Stepper::new(&topo, &engine_cfg, 1, |seed: NodeSeed<'_>| {
+        dima::core::matching::new_node_for_census(&seed, &cfg_core)
+    });
+    while !stepper.is_quiescent() {
+        let rs = stepper.tick(None, &mut NoopTracer).unwrap();
+        census.record(stepper.view(rs).nodes.iter().map(|n| n.state_label()));
+    }
+    assert!(stepper.stats().rounds > 0);
     assert_eq!(census.count(0, "I") + census.count(0, "L"), 8);
     let last = census.len() - 1;
     assert!(census.count(last, "D") > 0);
