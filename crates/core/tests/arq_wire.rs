@@ -1,0 +1,144 @@
+//! Wire-identity golden test for the reliable (ARQ) transport.
+//!
+//! The fault layer decides each delivery's fate from a hash of the
+//! sender's outbox index, so the exact sequence of frames the ARQ layer
+//! emits — which bundles, acks and retransmissions, in which order —
+//! determines every drop, duplicate and round. This test runs DiMaEC
+//! over `Transport::reliable()` under three fault plans and pins the
+//! run counters, the `arq/*` metric counters and a hash of the coloring
+//! to constants. Any change to the frame stream moves at least one of
+//! them; a pure speed-up of the ARQ layer must move none.
+
+use dima_core::{color_edges, Color, ColoringConfig, Engine, Transport};
+use dima_graph::gen::erdos_renyi_avg_degree;
+use dima_graph::Graph;
+use dima_sim::fault::FaultPlan;
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
+
+/// What one run pins: the `RunStats` counts, the `arq/*` counters
+/// (sorted by name) and the coloring hash.
+#[derive(Debug, PartialEq, Eq)]
+struct Wire {
+    messages_sent: u64,
+    deliveries: u64,
+    dropped: u64,
+    duplicated: u64,
+    rounds: u64,
+    arq: Vec<(String, u64)>,
+    coloring: u64,
+}
+
+fn graph() -> Graph {
+    let mut rng = SmallRng::seed_from_u64(7);
+    erdos_renyi_avg_degree(48, 6.0, &mut rng).unwrap()
+}
+
+/// FNV-1a over the per-edge colors (`None` hashes as `u32::MAX`).
+fn hash_colors(colors: &[Option<Color>]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for c in colors {
+        for b in c.map_or(u32::MAX, |c| c.0).to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+fn wire(plan: FaultPlan, threads: usize) -> Wire {
+    let cfg = ColoringConfig {
+        faults: plan,
+        transport: Transport::reliable(),
+        engine: if threads == 1 { Engine::Sequential } else { Engine::Parallel { threads } },
+        collect_metrics: true,
+        ..ColoringConfig::seeded(13)
+    };
+    let r = color_edges(&graph(), &cfg).unwrap();
+    let metrics = r.stats.metrics.as_ref().expect("metrics were requested");
+    Wire {
+        messages_sent: r.stats.messages_sent,
+        deliveries: r.stats.deliveries,
+        dropped: r.stats.dropped,
+        duplicated: r.stats.duplicated,
+        rounds: r.stats.rounds,
+        arq: metrics
+            .counters()
+            .filter(|(name, _)| name.starts_with("arq/"))
+            .map(|(name, v)| (name.to_string(), v))
+            .collect(),
+        coloring: hash_colors(&r.colors),
+    }
+}
+
+fn arq(counters: &[(&str, u64)]) -> Vec<(String, u64)> {
+    counters.iter().map(|&(name, v)| (name.to_string(), v)).collect()
+}
+
+fn check(plan: FaultPlan, want: Wire) {
+    for threads in [1, 3] {
+        assert_eq!(wire(plan.clone(), threads), want, "threads {threads}");
+    }
+}
+
+#[test]
+fn uniform_loss_wire_is_pinned() {
+    check(
+        FaultPlan::uniform(0.02),
+        Wire {
+            messages_sent: 18477,
+            deliveries: 18092,
+            dropped: 385,
+            duplicated: 0,
+            rounds: 165,
+            arq: arq(&[
+                ("arq/acks_standalone", 6122),
+                ("arq/dup_bundles", 218),
+                ("arq/retransmits", 471),
+            ]),
+            coloring: 502170302334765220,
+        },
+    );
+}
+
+#[test]
+fn bursty_duplicating_wire_is_pinned() {
+    check(
+        FaultPlan { duplicate_probability: 0.2, ..FaultPlan::bursty(0.05, 0.9) },
+        Wire {
+            messages_sent: 28440,
+            deliveries: 26703,
+            dropped: 6235,
+            duplicated: 4544,
+            rounds: 642,
+            arq: arq(&[
+                ("arq/acks_standalone", 10277),
+                ("arq/dup_bundles", 5080),
+                ("arq/link_down_exhausted", 2),
+                ("arq/retransmits", 6320),
+            ]),
+            coloring: 502170302334765220,
+        },
+    );
+}
+
+#[test]
+fn crashing_wire_is_pinned() {
+    check(
+        FaultPlan { drop_probability: 0.02, ..FaultPlan::crashing(0.15, 5) },
+        Wire {
+            messages_sent: 7471,
+            deliveries: 5994,
+            dropped: 124,
+            duplicated: 0,
+            rounds: 643,
+            arq: arq(&[
+                ("arq/acks_standalone", 1879),
+                ("arq/dup_bundles", 110),
+                ("arq/link_down_exhausted", 65),
+                ("arq/link_down_silent", 7),
+                ("arq/retransmits", 1468),
+            ]),
+            coloring: 3107613867984287825,
+        },
+    );
+}

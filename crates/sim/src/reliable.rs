@@ -4,10 +4,11 @@
 //! The paper assumes reliable synchronous message passing. The fault
 //! plans in [`crate::fault`] break that assumption; this module wins it
 //! back. [`ReliableNode`] wraps an inner protocol and is itself a
-//! [`Protocol`], so either engine can run it unchanged. Per neighbor it
-//! maintains a sequenced, cumulatively-acknowledged stream of *bundles* —
-//! one bundle per inner round per link, possibly empty — and retransmits
-//! unacknowledged bundles with a bounded, deterministic backoff.
+//! [`Protocol`], so the engine runs it unchanged at any shard count.
+//! Per neighbor it maintains a sequenced, cumulatively-acknowledged
+//! stream of *bundles* — one bundle per inner round per link, possibly
+//! empty — and retransmits unacknowledged bundles with a bounded,
+//! deterministic backoff.
 //!
 //! The wrapper doubles as an **α-synchronizer**: inner round `i` executes
 //! only once the bundle for inner round `i − 1` has arrived from every
@@ -33,13 +34,33 @@
 //!   declared dead too. The timeout is sized so a live peer that is
 //!   merely stalled (detecting its own dead neighbor) is never falsely
 //!   killed: any receipt — data or ack — resets it.
+//!
+//! # Data layout
+//!
+//! The layer sits on every frame of a reliable run, so its hot path is
+//! O(d + inbox) per engine round and allocates per inner round, never
+//! per frame: in steady state only the payload of an inner round that
+//! sends and the inner inbox of a round that receives hit the heap.
+//!
+//! - **Receive** is one merge-walk of the inbox (sorted by sender)
+//!   against the links (sorted by peer).
+//! - **Receive window.** Each link buffers arrived, not yet consumed
+//!   bundles in a `RecvWindow` ring indexed by round.
+//! - **Outgoing bundles.** An inner round whose outbox is all
+//!   broadcasts — every round of static DiMaEC — builds *one*
+//!   [`Shared`] payload that every link's bundle holds a handle to; an
+//!   empty outbox reuses the node's one empty payload. Only outboxes
+//!   with unicasts are split per link.
+//! - **Inner inbox and outbox.** The inbox is sized once per inner
+//!   round and its messages are cloned out of the shared bundles by
+//!   reference; the outbox is a scratch buffer reused across rounds.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use dima_graph::VertexId;
-use dima_telemetry::ArqEventKind;
+use dima_telemetry::{ArqEventKind, MetricsHandle};
 
-use crate::protocol::{NodeSeed, NodeStatus, Protocol, RoundCtx, Shared};
+use crate::protocol::{Envelope, NodeSeed, NodeStatus, Protocol, RoundCtx, Shared, Target};
 
 /// Tuning for the ARQ layer.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -103,8 +124,9 @@ pub enum ArqMsg<M> {
         ack: u32,
         /// The inner messages (possibly none — empty bundles carry the
         /// synchronization signal). Refcounted: every (re)transmission
-        /// and engine-injected duplicate of a bundle shares the one
-        /// allocation built when the inner round ran, so the ARQ tax
+        /// and engine-injected duplicate of a bundle — and, for an
+        /// all-broadcast inner round, every link's bundle — shares the
+        /// one allocation built when the inner round ran, so the ARQ tax
         /// per copy is a pointer bump, not a deep `Vec` clone.
         msgs: Shared<Vec<M>>,
         /// `true` on the sender's final bundle: its inner protocol
@@ -137,19 +159,93 @@ struct Bundle<M> {
     first_sent: Option<u64>,
 }
 
+impl<M> Bundle<M> {
+    fn new(round: u32, msgs: Shared<Vec<M>>, fin: bool) -> Self {
+        Bundle { round, msgs, fin, attempts: 0, last_sent: None, first_sent: None }
+    }
+}
+
+/// One link's receive window: arrived, not yet consumed bundles in a
+/// ring indexed by `round − base`.
+///
+/// Rounds are consumed in order, one per inner round (`take`), and the
+/// cumulative ack `ceil` only grows, so the window never needs rounds
+/// below `base = min(ceil, next)`: a round under `ceil` is redundant on
+/// arrival whatever the window holds, and a round under `next` is never
+/// consumed again. In steady state `base == next` and the ring holds
+/// the one or two rounds in flight; only on a dead link, whose inner
+/// rounds may run ahead of its cumulative ack, can `base` trail `next`.
+/// The semantics are exactly those of a `round → payload` map with
+/// insert-if-new-and-`≥ ceil` and remove-on-consume (the unit tests
+/// check the two against each other).
+#[derive(Debug)]
+struct RecvWindow<T> {
+    slots: VecDeque<Option<T>>,
+    /// Round held by `slots[0]`.
+    base: u32,
+    /// Every round below this has been received (the cumulative ack).
+    ceil: u32,
+    /// The round the next `take` consumes.
+    next: u32,
+}
+
+impl<T> RecvWindow<T> {
+    fn new() -> Self {
+        RecvWindow { slots: VecDeque::new(), base: 0, ceil: 0, next: 0 }
+    }
+
+    /// Store round `round`'s payload. Returns `true` when the arrival
+    /// was redundant (below the cumulative ack, or already held).
+    fn absorb(&mut self, round: u32, payload: T) -> bool {
+        if round < self.ceil {
+            return true;
+        }
+        let i = (round - self.base) as usize;
+        if i >= self.slots.len() {
+            self.slots.resize_with(i + 1, || None);
+        }
+        if self.slots[i].is_some() {
+            return true;
+        }
+        self.slots[i] = Some(payload);
+        while self.slots.get((self.ceil - self.base) as usize).is_some_and(Option::is_some) {
+            self.ceil += 1;
+        }
+        self.trim();
+        false
+    }
+
+    /// The next round's payload, if it arrived, without consuming it.
+    fn peek(&self) -> Option<&T> {
+        self.slots.get((self.next - self.base) as usize).and_then(Option::as_ref)
+    }
+
+    /// Consume the next round's payload, if it arrived.
+    fn take(&mut self) -> Option<T> {
+        let out = self.slots.get_mut((self.next - self.base) as usize).and_then(Option::take);
+        self.next += 1;
+        self.trim();
+        out
+    }
+
+    /// Drop the slots below `min(ceil, next)` — nothing reads them.
+    fn trim(&mut self) {
+        while self.base < self.ceil.min(self.next) {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+    }
+}
+
 /// Per-neighbor link state.
 #[derive(Debug)]
 struct Link<M> {
     peer: VertexId,
     /// Unacknowledged outgoing bundles, oldest first.
     outq: VecDeque<Bundle<M>>,
-    /// Received, not yet consumed bundles, by inner round. Holding the
-    /// shared handle (not a copy) keeps absorption allocation-free; the
-    /// payload is recovered when the inner round consumes it.
-    recvq: BTreeMap<u32, Shared<Vec<M>>>,
-    /// Every bundle round below this has been received (cumulative ack
-    /// we advertise).
-    recv_ceil: u32,
+    /// Received, not yet consumed bundles. Holding the shared handle
+    /// (not a copy) keeps absorption allocation-free.
+    recv: RecvWindow<Shared<Vec<M>>>,
     /// The peer's final inner round, once its `fin` bundle arrived.
     peer_fin: Option<u32>,
     /// Retransmissions exhausted or silence timeout hit — the peer is
@@ -173,8 +269,7 @@ impl<M> Link<M> {
         Link {
             peer,
             outq: VecDeque::new(),
-            recvq: BTreeMap::new(),
-            recv_ceil: 0,
+            recv: RecvWindow::new(),
             peer_fin: None,
             dead: false,
             got_data: false,
@@ -190,15 +285,20 @@ impl<M> Link<M> {
         self.peer_fin.is_some()
     }
 
-    /// Drop every outgoing bundle acknowledged by `ack`. When `lat` is
-    /// given, each newly-acked bundle's first-send → ack latency (in
-    /// engine rounds) is pushed for the `arq/ack_rounds` histogram.
-    fn absorb_ack(&mut self, ack: u32, engine_round: u64, lat: Option<&mut Vec<u64>>) {
-        let mut lat = lat;
-        while self.outq.front().is_some_and(|b| b.round < ack) {
-            let b = self.outq.pop_front().expect("front checked above");
-            if let (Some(out), Some(first)) = (lat.as_deref_mut(), b.first_sent) {
-                out.push(engine_round.saturating_sub(first));
+    /// Still sending bundles: neither dead nor talking to a finished peer.
+    fn open(&self) -> bool {
+        !self.dead && !self.peer_finished()
+    }
+
+    /// Drop every outgoing bundle acknowledged by `ack`, recording each
+    /// one's first-send → ack latency (in engine rounds) in the
+    /// `arq/ack_rounds` histogram.
+    fn absorb_ack(&mut self, ack: u32, engine_round: u64, metrics: &mut MetricsHandle<'_>) {
+        // `outq` is sorted by round, so the acked bundles are a prefix.
+        let acked = self.outq.partition_point(|b| b.round < ack);
+        for b in self.outq.drain(..acked) {
+            if let Some(first) = b.first_sent {
+                metrics.observe("arq/ack_rounds", engine_round.saturating_sub(first));
             }
         }
     }
@@ -211,15 +311,7 @@ impl<M> Link<M> {
         if fin {
             self.peer_fin = Some(round);
         }
-        if round >= self.recv_ceil && !self.recvq.contains_key(&round) {
-            self.recvq.insert(round, msgs);
-            while self.recvq.contains_key(&self.recv_ceil) {
-                self.recv_ceil += 1;
-            }
-            false
-        } else {
-            true
-        }
+        self.recv.absorb(round, msgs)
     }
 
     /// Whether this link holds (or will never produce) the input bundle
@@ -229,7 +321,7 @@ impl<M> Link<M> {
             return true;
         }
         let need = r - 1;
-        if self.recv_ceil as u64 > need {
+        if self.recv.ceil as u64 > need {
             return true;
         }
         // A finished peer sends nothing beyond its fin bundle.
@@ -243,10 +335,17 @@ impl<M> Link<M> {
 pub struct ReliableNode<P: Protocol> {
     inner: P,
     cfg: ArqConfig,
+    /// [`ArqConfig::death_timeout`], computed once per factory.
+    death_timeout: u64,
     links: Vec<Link<P::Msg>>,
     /// Next inner round to execute == inner rounds executed so far.
     inner_round: u64,
     inner_done: bool,
+    /// The payload every empty bundle of this node shares.
+    empty: Shared<Vec<P::Msg>>,
+    /// The inner protocol's outbox, reused across inner rounds (it is
+    /// drained into bundles every inner round).
+    outbox: Vec<(Target, P::Msg)>,
 }
 
 impl<P: Protocol> ReliableNode<P> {
@@ -258,12 +357,16 @@ impl<P: Protocol> ReliableNode<P> {
     where
         F: Fn(NodeSeed<'_>) -> P,
     {
+        let death_timeout = cfg.death_timeout();
         move |seed| ReliableNode {
             inner: inner(seed.clone()),
             cfg,
+            death_timeout,
             links: seed.neighbors.iter().map(|&v| Link::new(v)).collect(),
             inner_round: 0,
             inner_done: false,
+            empty: Shared::new(Vec::new()),
+            outbox: Vec::new(),
         }
     }
 
@@ -288,16 +391,95 @@ impl<P: Protocol> ReliableNode<P> {
         self.links.iter().filter(|l| l.dead).map(|l| l.peer).collect()
     }
 
-    fn port_of(&self, to: VertexId) -> usize {
-        self.links
-            .binary_search_by_key(&to, |l| l.peer)
-            .unwrap_or_else(|_| panic!("inner protocol sent to non-neighbor {to:?}"))
-    }
-
     /// Every link can supply (or will never supply) the bundle inner
     /// round `self.inner_round` needs.
     fn can_execute_inner(&self) -> bool {
         !self.inner_done && self.links.iter().all(|l| l.ready_for(self.inner_round))
+    }
+
+    /// Run inner round `self.inner_round` on the bundles it consumes and
+    /// queue its outbox as this round's bundle on every open link. A
+    /// unicast to a non-neighbor goes straight into the engine's outbox
+    /// (as a one-message bundle), so the engine's send validation
+    /// reports it exactly as it would for the bare protocol.
+    fn execute_inner(&mut self, ctx: &mut RoundCtx<'_, ArqMsg<P::Msg>>) {
+        let r = self.inner_round;
+        let mut inbox = Vec::new();
+        if r > 0 {
+            // Every link consumes bundle `r − 1` (links are in sender
+            // order, so the inbox is too). Sized up front: one
+            // allocation, and none of it outlives the inner round.
+            let len = self.links.iter().filter_map(|l| l.recv.peek()).map(|m| m.len()).sum();
+            inbox.reserve_exact(len);
+            for link in &mut self.links {
+                if let Some(msgs) = link.recv.take() {
+                    let peer = link.peer;
+                    inbox.extend(msgs.iter().map(|m| Envelope::new(peer, m.clone())));
+                }
+            }
+        }
+        let status = {
+            let mut inner_ctx = RoundCtx {
+                node: ctx.node,
+                round: r,
+                neighbors: ctx.neighbors,
+                inbox: &inbox,
+                outbox: &mut self.outbox,
+                // The wrapper draws nothing from the RNG itself, so the
+                // inner protocol sees the exact stream a bare run would.
+                rng: &mut *ctx.rng,
+                // Inner telemetry flows through the outer handle; the
+                // inner ctx carries the *inner* round, so the protocol's
+                // events are stamped with the round its logic actually
+                // observed.
+                trace: ctx.trace.reborrow(),
+                metrics: ctx.metrics.reborrow(),
+            };
+            self.inner.on_round(&mut inner_ctx)
+        };
+        self.inner_done = status == NodeStatus::Done;
+        self.inner_round += 1;
+
+        let (round, fin) = (r as u32, self.inner_done);
+        if self.outbox.iter().all(|(t, _)| *t == Target::Broadcast) {
+            // Every link carries the same bundle: share one payload.
+            let msgs = if self.outbox.is_empty() {
+                self.empty.clone()
+            } else {
+                Shared::new(self.outbox.drain(..).map(|(_, m)| m).collect())
+            };
+            for link in self.links.iter_mut().filter(|l| l.open()) {
+                link.outq.push_back(Bundle::new(round, msgs.clone(), fin));
+            }
+        } else {
+            let mut bundles: Vec<Vec<P::Msg>> = vec![Vec::new(); self.links.len()];
+            for (target, msg) in self.outbox.drain(..) {
+                match target {
+                    Target::Unicast(to) => match self.links.binary_search_by_key(&to, |l| l.peer) {
+                        Ok(port) => bundles[port].push(msg),
+                        Err(_) => ctx.outbox.push((
+                            Target::Unicast(to),
+                            ArqMsg::Data { round, ack: 0, msgs: Shared::new(vec![msg]), fin },
+                        )),
+                    },
+                    Target::Broadcast => {
+                        for b in &mut bundles {
+                            b.push(msg.clone());
+                        }
+                    }
+                }
+            }
+            for (link, msgs) in self.links.iter_mut().zip(bundles) {
+                if link.open() {
+                    let msgs = if msgs.is_empty() { self.empty.clone() } else { Shared::new(msgs) };
+                    link.outq.push_back(Bundle::new(round, msgs, fin));
+                }
+            }
+        }
+        if self.inner_done {
+            // The scratch outbox is never needed again.
+            self.outbox = Vec::new();
+        }
     }
 }
 
@@ -314,29 +496,29 @@ impl<P: Protocol> Protocol for ReliableNode<P> {
     fn on_round(&mut self, ctx: &mut RoundCtx<'_, Self::Msg>) -> NodeStatus {
         let engine_round = ctx.round();
 
-        // --- Receive: absorb acks, bundles and fins. ---
+        // --- Receive: absorb acks, bundles and fins in one merge-walk of
+        //     the inbox (sorted by sender) against the links (sorted by
+        //     peer). The inbox borrow is copied out of `ctx`, leaving
+        //     `ctx.metrics` free for the ack-latency histogram. ---
+        let inbox = ctx.inbox;
+        let mut at = 0;
+        let mut dup_bundles = 0u64;
         for link in &mut self.links {
             link.got_data = false;
             link.sent_data = false;
             link.got_any = false;
-        }
-        // Latency samples are staged locally because the inbox borrow
-        // pins `ctx` for the whole receive loop; `Vec::new` does not
-        // allocate, so the metrics-off cost is one bool check.
-        let metrics_on = ctx.metrics_on();
-        let mut ack_lat: Vec<u64> = Vec::new();
-        let mut dup_bundles = 0u64;
-        for port in 0..self.links.len() {
-            // Inbox is sorted by sender; collect this peer's envelopes.
-            let peer = self.links[port].peer;
-            for env in ctx.inbox().iter().filter(|e| e.from == peer) {
-                self.links[port].got_any = true;
-                let lat = if metrics_on { Some(&mut ack_lat) } else { None };
+            // Only an unvalidated run delivers from a non-neighbor; such
+            // envelopes are skipped.
+            while inbox.get(at).is_some_and(|e| e.from < link.peer) {
+                at += 1;
+            }
+            while let Some(env) = inbox.get(at).filter(|e| e.from == link.peer) {
+                at += 1;
+                link.got_any = true;
                 match env.msg() {
-                    ArqMsg::Ack { ack } => self.links[port].absorb_ack(*ack, engine_round, lat),
+                    ArqMsg::Ack { ack } => link.absorb_ack(*ack, engine_round, &mut ctx.metrics),
                     ArqMsg::Data { round, ack, msgs, fin } => {
-                        let link = &mut self.links[port];
-                        link.absorb_ack(*ack, engine_round, lat);
+                        link.absorb_ack(*ack, engine_round, &mut ctx.metrics);
                         let fresh_fin = *fin && link.peer_fin.is_none();
                         if link.absorb_data(*round, msgs.clone(), *fin) {
                             dup_bundles += 1;
@@ -353,97 +535,22 @@ impl<P: Protocol> Protocol for ReliableNode<P> {
                 }
             }
         }
-
-        for lat in ack_lat.drain(..) {
-            ctx.metric_observe("arq/ack_rounds", lat);
-        }
         if dup_bundles > 0 {
             ctx.metric_inc("arq/dup_bundles", dup_bundles);
         }
 
         // --- Synchronize: run the inner round if its inputs are here. ---
         if self.can_execute_inner() {
-            let r = self.inner_round;
-            let mut inbox = Vec::new();
-            for link in &mut self.links {
-                if r > 0 {
-                    if let Some(msgs) = link.recvq.remove(&((r - 1) as u32)) {
-                        let peer = link.peer;
-                        // Usually the last handle (the sender drops its
-                        // bundle on ack), so this moves rather than
-                        // clones.
-                        inbox.extend(
-                            msgs.unwrap_or_clone()
-                                .into_iter()
-                                .map(|msg| crate::protocol::Envelope::new(peer, msg)),
-                        );
-                    }
-                }
-            }
-            let mut inner_outbox = Vec::new();
-            let status = {
-                let mut inner_ctx = RoundCtx {
-                    node: ctx.node,
-                    round: r,
-                    neighbors: ctx.neighbors,
-                    inbox: &inbox,
-                    outbox: &mut inner_outbox,
-                    // The wrapper draws nothing from the RNG itself, so
-                    // the inner protocol sees the exact stream a bare run
-                    // would.
-                    rng: &mut *ctx.rng,
-                    // Inner telemetry flows through the outer handle; the
-                    // inner ctx carries the *inner* round, so the
-                    // protocol's events are stamped with the round its
-                    // logic actually observed.
-                    trace: ctx.trace.reborrow(),
-                    metrics: ctx.metrics.reborrow(),
-                };
-                self.inner.on_round(&mut inner_ctx)
-            };
-            self.inner_done = status == NodeStatus::Done;
-            self.inner_round += 1;
-
-            // Partition the inner outbox into per-link bundles.
-            let mut bundles: Vec<Vec<P::Msg>> = vec![Vec::new(); self.links.len()];
-            for (target, msg) in inner_outbox {
-                match target {
-                    crate::protocol::Target::Unicast(to) => {
-                        bundles[self.port_of(to)].push(msg);
-                    }
-                    crate::protocol::Target::Broadcast => {
-                        for b in &mut bundles {
-                            b.push(msg.clone());
-                        }
-                    }
-                }
-            }
-            let fin = self.inner_done;
-            for (link, msgs) in self.links.iter_mut().zip(bundles) {
-                if link.dead || link.peer_finished() {
-                    continue;
-                }
-                link.outq.push_back(Bundle {
-                    round: r as u32,
-                    msgs: Shared::new(msgs),
-                    fin,
-                    attempts: 0,
-                    last_sent: None,
-                    first_sent: None,
-                });
-            }
+            self.execute_inner(ctx);
         }
 
         // --- Transmit: new bundles now, timed-out bundles with backoff;
         //     exhausted or silent-past-timeout links are declared dead. ---
-        let cfg = self.cfg;
+        let (cfg, death_timeout) = (self.cfg, self.death_timeout);
         let (inner_round, inner_done) = (self.inner_round, self.inner_done);
         let mut downed: Vec<VertexId> = Vec::new();
-        for link in &mut self.links {
-            if link.dead || link.peer_finished() {
-                continue;
-            }
-            let ack = link.recv_ceil;
+        for link in self.links.iter_mut().filter(|l| l.open()) {
+            let ack = link.recv.ceil;
             let mut died: Option<ArqEventKind> = None;
             for b in &mut link.outq {
                 let due = match b.last_sent {
@@ -463,7 +570,7 @@ impl<P: Protocol> Protocol for ReliableNode<P> {
                     ctx.metric_inc("arq/retransmits", 1);
                 }
                 ctx.outbox.push((
-                    crate::protocol::Target::Unicast(link.peer),
+                    Target::Unicast(link.peer),
                     ArqMsg::Data { round: b.round, ack, msgs: b.msgs.clone(), fin: b.fin },
                 ));
                 b.attempts += 1;
@@ -481,7 +588,7 @@ impl<P: Protocol> Protocol for ReliableNode<P> {
                 link.stall = 0;
             } else if !inner_done && !link.ready_for(inner_round) {
                 link.stall += 1;
-                if link.stall > cfg.death_timeout() {
+                if link.stall > death_timeout {
                     died = Some(ArqEventKind::LinkDownSilent);
                 }
             }
@@ -509,16 +616,13 @@ impl<P: Protocol> Protocol for ReliableNode<P> {
         // --- Acknowledge receipts that carried no piggybacked reply. ---
         for link in &mut self.links {
             if link.got_data && !link.sent_data && !link.dead {
-                ctx.outbox.push((
-                    crate::protocol::Target::Unicast(link.peer),
-                    ArqMsg::Ack { ack: link.recv_ceil },
-                ));
+                ctx.outbox.push((Target::Unicast(link.peer), ArqMsg::Ack { ack: link.recv.ceil }));
                 ctx.metric_inc("arq/acks_standalone", 1);
             }
         }
 
         // --- Linger until every outgoing bundle is delivered or moot. ---
-        let settled = self.links.iter().all(|l| l.dead || l.peer_finished() || l.outq.is_empty());
+        let settled = self.links.iter().all(|l| !l.open() || l.outq.is_empty());
         if self.inner_done && settled {
             NodeStatus::Done
         } else {
@@ -527,9 +631,10 @@ impl<P: Protocol> Protocol for ReliableNode<P> {
     }
 
     fn on_link_down(&mut self, neighbor: VertexId) {
-        let port = self.port_of(neighbor);
-        self.links[port].dead = true;
-        self.links[port].outq.clear();
+        if let Ok(port) = self.links.binary_search_by_key(&neighbor, |l| l.peer) {
+            self.links[port].dead = true;
+            self.links[port].outq.clear();
+        }
         if !self.inner_done {
             self.inner.on_link_down(neighbor);
         }
@@ -546,6 +651,8 @@ mod tests {
     use crate::topology::Topology;
     use dima_graph::gen::structured;
     use dima_telemetry::NoopTracer;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     /// A static, untraced [`run`] over `threads` shards.
     fn run_on<P: Protocol>(
@@ -748,6 +855,132 @@ mod tests {
             for (a, b) in par.nodes.iter().zip(&seq.nodes) {
                 assert_eq!(a.inner().heard, b.inner().heard);
                 assert_eq!(a.inner_rounds(), b.inner_rounds());
+            }
+        }
+    }
+
+    /// Unicasts to a non-neighbor: node 0 of the path 0–1–2 sends to 2.
+    #[derive(Debug)]
+    struct BadSender;
+
+    impl Protocol for BadSender {
+        type Msg = ();
+        fn on_round(&mut self, ctx: &mut RoundCtx<'_, ()>) -> NodeStatus {
+            if ctx.node() == VertexId(0) {
+                ctx.send(VertexId(2), ());
+            }
+            NodeStatus::Done
+        }
+    }
+
+    #[test]
+    fn non_neighbor_unicast_is_the_engines_typed_error() {
+        let topo = Topology::from_graph(&structured::path(3));
+        let factory = || ReliableNode::factory(ArqConfig::default(), |_: NodeSeed<'_>| BadSender);
+        for threads in [1, 3] {
+            let err = run_on(&topo, &EngineConfig::default(), threads, factory()).unwrap_err();
+            assert_eq!(err, SimError::NotANeighbor { from: VertexId(0), to: VertexId(2) });
+            // With validation off the stray frame reaches node 2, whose
+            // wrapper ignores a sender it has no link to.
+            let cfg = EngineConfig { validate_sends: false, ..Default::default() };
+            let out = run_on(&topo, &cfg, threads, factory()).unwrap();
+            assert!(out.nodes.iter().all(|n| n.inner_rounds() == 1 && n.dead_links().is_empty()));
+        }
+    }
+
+    /// The receive side before the ring window: a map from round to
+    /// payload with insert-if-new-and-at-or-above-the-ack and
+    /// remove-on-consume.
+    #[derive(Debug, Default)]
+    struct MapModel {
+        recvq: BTreeMap<u32, u64>,
+        recv_ceil: u32,
+        peer_fin: Option<u32>,
+        dead: bool,
+    }
+
+    impl MapModel {
+        fn absorb_data(&mut self, round: u32, payload: u64, fin: bool) -> bool {
+            if fin {
+                self.peer_fin = Some(round);
+            }
+            if round >= self.recv_ceil && !self.recvq.contains_key(&round) {
+                self.recvq.insert(round, payload);
+                while self.recvq.contains_key(&self.recv_ceil) {
+                    self.recv_ceil += 1;
+                }
+                false
+            } else {
+                true
+            }
+        }
+
+        fn ready_for(&self, r: u64) -> bool {
+            r == 0
+                || self.dead
+                || self.recv_ceil as u64 > r - 1
+                || self.peer_fin.is_some_and(|f| (f as u64) < r - 1)
+        }
+    }
+
+    #[derive(Clone, Debug)]
+    enum WindowOp {
+        /// A bundle arrives for round `next + ahead − 4` (so from four
+        /// below the consume cursor to seven above it).
+        Absorb { ahead: u32, fin: bool },
+        /// The inner round that consumes the next bundle runs, if its
+        /// input is ready.
+        Take,
+        /// The link is declared dead: inner rounds stop waiting for it.
+        Kill,
+    }
+
+    /// About 60% arrivals (5% of them fins), 39% takes and 1% kills.
+    fn arb_op() -> impl Strategy<Value = WindowOp> {
+        (0u32..100, 0u32..12, 0u32..20).prop_map(|(kind, ahead, fin)| match kind {
+            0..=59 => WindowOp::Absorb { ahead, fin: fin == 0 },
+            60..=98 => WindowOp::Take,
+            _ => WindowOp::Kill,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+        /// Random arrivals — duplicates, out-of-order and late rounds,
+        /// fins, a link dying mid-sequence — drive the ring window and
+        /// the map model side by side: the cumulative ack, the
+        /// redundancy flags, readiness and every consumed payload
+        /// agree. Payloads are unique per arrival, so keeping a
+        /// different copy of a round would show.
+        #[test]
+        fn ring_window_matches_the_map_model(ops in proptest::collection::vec(arb_op(), 1..200)) {
+            let mut link: Link<u64> = Link::new(VertexId(1));
+            let mut model = MapModel::default();
+            let mut next = 0u32;
+            for (i, op) in ops.into_iter().enumerate() {
+                match op {
+                    WindowOp::Absorb { ahead, fin } => {
+                        let round = (next + ahead).saturating_sub(4);
+                        let redundant = link.absorb_data(round, Shared::new(vec![i as u64]), fin);
+                        prop_assert_eq!(redundant, model.absorb_data(round, i as u64, fin));
+                    }
+                    WindowOp::Take => {
+                        // Inner round `next + 1` consumes bundle `next`.
+                        let r = u64::from(next) + 1;
+                        prop_assert_eq!(link.ready_for(r), model.ready_for(r));
+                        if model.ready_for(r) {
+                            let got = link.recv.take().map(|m| m[0]);
+                            prop_assert_eq!(got, model.recvq.remove(&next));
+                            next += 1;
+                        }
+                    }
+                    WindowOp::Kill => {
+                        link.dead = true;
+                        model.dead = true;
+                    }
+                }
+                prop_assert_eq!(link.recv.ceil, model.recv_ceil);
             }
         }
     }
