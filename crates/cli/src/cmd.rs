@@ -603,10 +603,15 @@ fn coloring_from_text(text: &str, len: usize) -> Result<Vec<Option<Color>>, Stri
             .ok_or_else(|| format!("line {}: missing color", lineno + 1))?
             .parse()
             .map_err(|_| format!("line {}: bad color", lineno + 1))?;
+        if tok.next().is_some() {
+            return Err(format!("line {}: trailing tokens after color", lineno + 1));
+        }
         if e >= len {
             return Err(format!("line {}: edge id {e} out of range", lineno + 1));
         }
-        colors[e] = Some(Color(c));
+        if colors[e].replace(Color(c)).is_some() {
+            return Err(format!("line {}: edge id {e} colored twice", lineno + 1));
+        }
     }
     Ok(colors)
 }
@@ -1780,6 +1785,16 @@ mod tests {
         assert!(coloring_from_text("x 1\n", 3).is_err());
         assert!(coloring_from_text("0\n", 3).is_err());
         assert!(coloring_from_text("# comment\n\n0 5\n", 1).unwrap()[0] == Some(Color(5)));
+    }
+
+    #[test]
+    fn coloring_text_rejects_duplicate_ids_and_trailing_tokens() {
+        let dup = coloring_from_text("0 1\n1 2\n0 3\n", 2).unwrap_err();
+        assert!(dup.contains("line 3") && dup.contains("twice"), "{dup}");
+        let trailing = coloring_from_text("0 1\n1 2 7\n", 2).unwrap_err();
+        assert!(trailing.contains("line 2") && trailing.contains("trailing"), "{trailing}");
+        let valid = coloring_from_text("# header\n1 4\n\n0 2\n", 2).unwrap();
+        assert_eq!(valid, vec![Some(Color(2)), Some(Color(4))]);
     }
 
     #[test]
