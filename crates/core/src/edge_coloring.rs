@@ -48,13 +48,13 @@
 
 use dima_graph::{Graph, VertexId};
 use dima_sim::churn::{ChurnSchedule, NeighborhoodChange};
-use dima_sim::telemetry::{NoopTracer, PaletteAction, StateTimeline, Tracer};
+use dima_sim::telemetry::{NoopTracer, PaletteAction, Tracer};
 use dima_sim::{NodeSeed, NodeStatus, Protocol, RoundCtx, RunStats, Topology};
 use rand::rngs::SmallRng;
 
 use crate::automata::{choose_role, pick_uniform, pick_uniform_iter, Phase, Role};
 use crate::churn::{batch_reports, ChurnColoringResult};
-use crate::config::{ColorPolicy, ColoringConfig, ResponsePolicy, Transport};
+use crate::config::{ColorPolicy, ColoringConfig, ResponsePolicy};
 use crate::error::CoreError;
 use crate::kempe::{reduce_palette_metered, KempeReport};
 use crate::palette::{Color, ColorSet};
@@ -139,7 +139,8 @@ pub struct EdgeColoringNode {
     /// round this node runs; drained unconditionally so the buffer never
     /// grows when tracing is off).
     pending_released: Vec<(Color, VertexId)>,
-    /// Automata state after the last round (for state censuses).
+    /// Automata state after the last round; churn reads it to wake a
+    /// parked (`D`) node.
     state: &'static str,
 }
 
@@ -497,12 +498,6 @@ impl Protocol for EdgeColoringNode {
     }
 }
 
-impl dima_sim::trace::StateLabel for EdgeColoringNode {
-    fn state_label(&self) -> &'static str {
-        self.state
-    }
-}
-
 /// The outcome of an edge-coloring run.
 #[derive(Clone, Debug)]
 pub struct EdgeColoringResult {
@@ -543,45 +538,6 @@ pub struct EdgeColoringResult {
     /// the run (own used set + per-neighbor knowledge). Divide by the
     /// vertex count for the bytes/node figure the run reports print.
     pub palette_bytes: u64,
-}
-
-/// Run Algorithm 1 on `g` and additionally collect a per-communication-
-/// round census of automata states (censuses are an observation tool,
-/// not a result).
-///
-/// Built on the telemetry plane: the run is traced into a
-/// [`StateTimeline`] whose per-round snapshots are folded into the
-/// rendered [`StateCensus`](dima_sim::trace::StateCensus) shape the
-/// experiment binaries consume.
-pub fn color_edges_with_census(
-    g: &Graph,
-    cfg: &ColoringConfig,
-) -> Result<(EdgeColoringResult, dima_sim::trace::StateCensus), CoreError> {
-    cfg.validate()?;
-    if cfg.transport != Transport::Bare {
-        return Err(CoreError::Config(
-            "state censuses observe the bare transport only \
-             (the ARQ wrapper has no automata states)"
-                .into(),
-        ));
-    }
-    let delta = g.max_degree();
-    let topo = Topology::from_graph(g);
-    let palette_bound = (2 * delta).saturating_sub(1).max(1) as u32;
-    let mut timeline = StateTimeline::new(g.num_vertices());
-    let outcome = run_protocol_traced(
-        &topo,
-        cfg,
-        3 * cfg.compute_round_budget(delta),
-        |seed: NodeSeed<'_>| EdgeColoringNode::new(&seed, cfg, palette_bound),
-        &mut timeline,
-    )?;
-    let mut census = dima_sim::trace::StateCensus::new();
-    for snap in timeline.rounds() {
-        census.record(snap.labels());
-    }
-    let result = assemble_result(g, delta, &outcome.nodes, outcome.stats, outcome.crashed, 0);
-    Ok((result, census))
 }
 
 /// Run Algorithm 1 on `g`.
@@ -765,10 +721,11 @@ fn apply_reduction<T: Tracer + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Engine;
+    use crate::config::{Engine, Transport};
     use crate::verify::verify_edge_coloring;
     use dima_graph::gen::{erdos_renyi_avg_degree, structured, watts_strogatz};
     use dima_sim::fault::FaultPlan;
+    use dima_sim::telemetry::StateTimeline;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -1005,30 +962,23 @@ mod tests {
     }
 
     #[test]
-    fn census_requires_bare_transport() {
-        let g = structured::path(3);
-        let cfg = ColoringConfig { transport: Transport::reliable(), ..ColoringConfig::seeded(1) };
-        assert!(matches!(color_edges_with_census(&g, &cfg), Err(CoreError::Config(_))));
-    }
-
-    #[test]
     fn census_tracks_automata_states() {
         let g = structured::grid(4, 4);
-        let (r, census) = color_edges_with_census(&g, &ColoringConfig::seeded(5)).unwrap();
-        assert_good_coloring(&g, &r);
-        assert_eq!(census.len() as u64, r.comm_rounds);
-        // Round 0 is the invite step: every node is I or L.
         let n = g.num_vertices();
-        assert_eq!(census.count(0, "I") + census.count(0, "L"), n);
+        let mut timeline = StateTimeline::new(n);
+        let r = color_edges_traced(&g, &ColoringConfig::seeded(5), &mut timeline).unwrap();
+        assert_good_coloring(&g, &r);
+        let census = timeline.rounds();
+        assert_eq!(census.len() as u64, r.comm_rounds, "one snapshot per communication round");
+        // Round 0 is the invite step: every node is I or L.
+        assert_eq!(census[0].count("I") + census[0].count("L"), n as u32);
         // Round 1 is the respond step: every node is W or R.
-        assert_eq!(census.count(1, "W") + census.count(1, "R"), n);
+        assert_eq!(census[1].count("W") + census[1].count("R"), n as u32);
         // Final round: everyone done.
-        let last = census.len() - 1;
-        assert!(census.count(last, "D") > 0);
-        // Census agrees with the plain runner on the result.
+        assert!(census.last().unwrap().count("D") > 0);
+        // The census agrees with the plain runner on the result.
         let plain = color_edges(&g, &ColoringConfig::seeded(5)).unwrap();
         assert_eq!(plain.colors, r.colors);
-        assert!(!census.render().is_empty());
     }
 
     #[test]

@@ -242,7 +242,6 @@ pub(crate) struct KempeNode {
     chains_flipped: u64,
     max_chain_len: u32,
     aborts: u64,
-    state: &'static str,
 }
 
 impl KempeNode {
@@ -297,7 +296,6 @@ impl KempeNode {
             chains_flipped: 0,
             max_chain_len: 0,
             aborts: 0,
-            state: "C",
         }
     }
 
@@ -722,13 +720,11 @@ impl Protocol for KempeNode {
                     _ => {}
                 }
             }
-            self.state = "D";
             return NodeStatus::Done;
         }
         if ctx.round() == 0 {
             // Prime every neighbor's knowledge before anyone initiates.
             self.hello(ctx);
-            self.state = "C";
             return NodeStatus::Active;
         }
         let inbox: Vec<(VertexId, KMsg)> =
@@ -841,27 +837,17 @@ impl Protocol for KempeNode {
             }
         }
         if self.op != OwnerOp::Idle {
-            self.state = "O";
             ctx.trace_state("O", "owner-op");
             NodeStatus::Active
         } else if self.lock != LockState::Free {
-            self.state = "L";
             ctx.trace_state("L", "locked");
             NodeStatus::Active
         } else if self.best_candidate().is_some() && ctx.round() <= self.deadline {
-            self.state = "C";
             NodeStatus::Active
         } else {
-            self.state = "D";
             ctx.trace_state("D", "reduced");
             NodeStatus::Done
         }
-    }
-}
-
-impl dima_sim::trace::StateLabel for KempeNode {
-    fn state_label(&self) -> &'static str {
-        self.state
     }
 }
 

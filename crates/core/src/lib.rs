@@ -55,7 +55,6 @@ pub mod strong_coloring;
 pub mod strong_undirected;
 pub mod verify;
 pub mod vertex_cover;
-pub mod wire;
 
 pub use churn::{
     BatchReport, ChurnColoringResult, ChurnKinds, ChurnPlan, ChurnSchedule, ChurnStrongResult,
@@ -65,7 +64,7 @@ pub use config::{
 };
 pub use edge_coloring::{
     color_edges, color_edges_churn, color_edges_churn_traced, color_edges_traced,
-    color_edges_with_census, EdgeColoringResult,
+    EdgeColoringResult,
 };
 pub use error::CoreError;
 pub use kempe::{reduce_palette, reduce_palette_traced, KempeReport};

@@ -57,8 +57,6 @@ pub struct MatchingNode {
     invited: Option<VertexId>,
     invite_probability: f64,
     response_policy: ResponsePolicy,
-    /// Automata state after the last round (for state censuses).
-    state: &'static str,
 }
 
 impl MatchingNode {
@@ -73,7 +71,6 @@ impl MatchingNode {
             invited: None,
             invite_probability: cfg.invite_probability,
             response_policy: cfg.response_policy,
-            state: "C",
         }
     }
 
@@ -115,14 +112,12 @@ impl Protocol for MatchingNode {
                 if candidates.is_empty() {
                     // Every neighbor is matched: this node can never pair
                     // again — it leaves unmatched (maximality preserved).
-                    self.state = "D";
                     ctx.trace_state("D", "isolated");
                     return NodeStatus::Done;
                 }
                 self.invited = None;
                 self.role = choose_role(ctx.rng(), self.invite_probability);
-                self.state = if self.role == Role::Invitor { "I" } else { "L" };
-                ctx.trace_state(self.state, "coin");
+                ctx.trace_state(if self.role == Role::Invitor { "I" } else { "L" }, "coin");
                 if self.role == Role::Invitor {
                     let &target =
                         pick_uniform(ctx.rng(), &candidates).expect("candidates nonempty");
@@ -157,8 +152,7 @@ impl Protocol for MatchingNode {
                         ctx.trace_palette(PaletteAction::Committed, 0, partner);
                     }
                 }
-                self.state = if self.role == Role::Invitor { "W" } else { "R" };
-                ctx.trace_state(self.state, "await");
+                ctx.trace_state(if self.role == Role::Invitor { "W" } else { "R" }, "await");
                 NodeStatus::Active
             }
             Phase::ExchangeStep => {
@@ -178,11 +172,9 @@ impl Protocol for MatchingNode {
                 }
                 if self.matched_with.is_some() {
                     ctx.broadcast(MatchMsg::Matched);
-                    self.state = "D";
                     ctx.trace_state("D", "paired");
                     return NodeStatus::Done;
                 }
-                self.state = "U";
                 ctx.trace_state("U", "unpaired");
                 NodeStatus::Active
             }
@@ -196,19 +188,6 @@ impl Protocol for MatchingNode {
         if let Some(p) = self.port_of(neighbor) {
             self.available[p] = false;
         }
-    }
-}
-
-/// Construct a matching node directly, for custom runs through the
-/// simulator APIs (e.g. state censuses read off a
-/// [`dima_sim::Stepper`]); normal use goes through [`maximal_matching`].
-pub fn new_node_for_census(seed: &NodeSeed<'_>, cfg: &ColoringConfig) -> MatchingNode {
-    MatchingNode::new(seed, cfg)
-}
-
-impl dima_sim::trace::StateLabel for MatchingNode {
-    fn state_label(&self) -> &'static str {
-        self.state
     }
 }
 

@@ -13,9 +13,9 @@
 //! not of wall-clock arrival times. That makes the whole trajectory
 //! replayable: a snapshot records nothing but the initial graph and the
 //! *history* (committed batches and recolor escalations, each pinned to
-//! its round), and [`ColoringService::restore`] re-executes that history
-//! through the very same tick loop to a bit-identical coloring. A
-//! crash-recovery journal of the same line format covers the tail since
+//! its round), and [`ColoringService::restore_chain`] re-executes that
+//! history through the very same tick loop to a bit-identical coloring.
+//! A crash-recovery journal of the same line format covers the tail since
 //! the last snapshot; its markers carry a history index so a stale
 //! (unrotated) journal deduplicates cleanly against the snapshot.
 //!
@@ -44,7 +44,6 @@ use dima_sim::fault::FaultPlan;
 use dima_sim::rng::splitmix64;
 use dima_sim::telemetry::read::{parse_line, Record};
 use dima_sim::telemetry::NoopTracer;
-use dima_sim::wire::crc32;
 use dima_sim::{
     ChurnBatch, ChurnEvent, ChurnSchedule, EngineConfig, EventFeed, FeedError, NodeSeed, SimError,
     Stepper, Topology,
@@ -60,7 +59,7 @@ use crate::palette::{Color, ColorSet};
 use crate::runner::run_protocol_churn_traced;
 use crate::strong_coloring::StrongColoringNode;
 
-/// Snapshot format version accepted by [`ColoringService::restore`].
+/// Snapshot format version accepted by [`ColoringService::restore_chain`].
 pub const SNAPSHOT_VERSION: u64 = 1;
 
 /// Materialized-base snapshot format version accepted by
@@ -394,8 +393,7 @@ pub struct ServiceStatus {
     pub hash: u64,
 }
 
-/// What [`ColoringService::restore`] (or
-/// [`ColoringService::restore_chain`]) replayed.
+/// What [`ColoringService::restore_chain`] replayed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RestoreReport {
     /// History entries replayed from the snapshot/base itself (zero for
@@ -1512,32 +1510,6 @@ impl ColoringService {
         Ok(out)
     }
 
-    /// Rebuild a service from a snapshot, then recover the tail from a
-    /// journal if one is given. The snapshot is CRC-checked and
-    /// structurally validated; the journal is read tolerantly (a torn
-    /// final line ends recovery at the tear). The restored service has
-    /// finished any in-flight repair (it is settled unless journal
-    /// events were re-staged). Replays on one shard — a pooled host uses
-    /// [`ColoringService::restore_with`].
-    pub fn restore(
-        snapshot: &str,
-        journal: Option<&str>,
-    ) -> Result<(Self, RestoreReport), ServiceError> {
-        Self::restore_with(snapshot, journal, Engine::Sequential)
-    }
-
-    /// [`ColoringService::restore`] replaying on `engine`. The coloring
-    /// is bit-identical for every shard count (the acceptance suite pins
-    /// this), so a host running a worker pool restores on the pool
-    /// instead of single-threading the replay.
-    pub fn restore_with(
-        snapshot: &str,
-        journal: Option<&str>,
-        engine: Engine,
-    ) -> Result<(Self, RestoreReport), ServiceError> {
-        Self::restore_chain(snapshot, &[], journal, engine)
-    }
-
     /// Rebuild a service from a checkpoint chain: a base (either a full
     /// `serve-snapshot` or a materialized `serve-base`), zero or more
     /// `serve-delta` files in chain order, and an optional journal
@@ -1552,7 +1524,10 @@ impl ColoringService {
     /// checkpoint and the [`RestoreReport::fallback`] field says why.
     /// Journal markers already captured by the chain (older epoch, or
     /// this epoch at an already-covered history index) deduplicate
-    /// away.
+    /// away. The journal is read tolerantly: a torn final line ends
+    /// recovery at the tear. The restored service has finished any
+    /// in-flight repair (it is settled unless journal events were
+    /// re-staged), and its coloring is bit-identical for every `engine`.
     pub fn restore_chain(
         base: &str,
         deltas: &[&str],
@@ -2127,17 +2102,49 @@ fn verify_crc(text: &str) -> Result<(&str, u32), ServiceError> {
             line: crc_lineno,
             message: "truncated checkpoint: last line is not a CRC trailer".into(),
         })?;
-    let expected = crc_rec.num("value").ok_or(ServiceError::Snapshot {
+    let value = crc_rec.num("value").ok_or(ServiceError::Snapshot {
         line: crc_lineno,
         message: "CRC trailer has no value".into(),
-    })? as u32;
-    let mut hashed = body.as_bytes().to_vec();
-    hashed.push(b'\n');
-    let actual = crc32(&hashed);
+    })?;
+    let expected = u32::try_from(value).map_err(|_| ServiceError::Snapshot {
+        line: crc_lineno,
+        message: format!("CRC trailer value {value} does not fit in 32 bits"),
+    })?;
+    // The CRC covers the body and its newline, which the input holds
+    // verbatim as a prefix.
+    let actual = crc32(&text.as_bytes()[..body.len() + 1]);
     if expected != actual {
         return Err(ServiceError::CrcMismatch { expected, actual });
     }
     Ok((body, expected))
+}
+
+static CRC32_TABLE: [u32; 256] = crc32_table();
+
+const fn crc32_table() -> [u32; 256] {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            k += 1;
+        }
+        table[i] = c;
+        i += 1;
+    }
+    table
+}
+
+/// IEEE CRC-32 of `data` (the Ethernet/zip polynomial), the checksum
+/// every checkpoint file's trailer records.
+fn crc32(data: &[u8]) -> u32 {
+    let mut c = 0xFFFF_FFFFu32;
+    for &b in data {
+        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c ^ 0xFFFF_FFFF
 }
 
 /// The CRC-32 a checkpoint file's trailer records, if the file
@@ -2521,7 +2528,8 @@ mod tests {
             let mut journal = String::new();
             drive(&mut s, &waves(), &mut journal);
             let snap = s.snapshot_text();
-            let (r, report) = ColoringService::restore(&snap, None).unwrap();
+            let (r, report) =
+                ColoringService::restore_chain(&snap, &[], None, Engine::Sequential).unwrap();
             assert_eq!(report.snapshot_entries, 3);
             assert_eq!(report.tail_entries, 0);
             assert_eq!(r.coloring_hash(), s.coloring_hash());
@@ -2542,14 +2550,18 @@ mod tests {
             // Rotated journal: only the tail since the snapshot.
             let mut tail = String::new();
             drive(&mut s, &all[1..], &mut tail);
-            let (r, rep) = ColoringService::restore(&snap, Some(&tail)).unwrap();
+            let (r, rep) =
+                ColoringService::restore_chain(&snap, &[], Some(&tail), Engine::Sequential)
+                    .unwrap();
             assert_eq!(rep.tail_entries, 2);
             assert_eq!(r.coloring_hash(), s.coloring_hash());
             assert_eq!(r.history(), s.history());
             // Unrotated journal: the full log dedupes against the
             // snapshot by history index.
             journal.push_str(&tail);
-            let (r2, rep2) = ColoringService::restore(&snap, Some(&journal)).unwrap();
+            let (r2, rep2) =
+                ColoringService::restore_chain(&snap, &[], Some(&journal), Engine::Sequential)
+                    .unwrap();
             assert_eq!(rep2.tail_entries, 2);
             assert_eq!(r2.coloring_hash(), s.coloring_hash());
         }
@@ -2569,7 +2581,8 @@ mod tests {
         s.stage(ev).unwrap();
         tail.push_str(&ColoringService::journal_event_line(&ev));
         tail.push_str("{\"type\":\"ev");
-        let (r, rep) = ColoringService::restore(&snap, Some(&tail)).unwrap();
+        let (r, rep) =
+            ColoringService::restore_chain(&snap, &[], Some(&tail), Engine::Sequential).unwrap();
         assert_eq!(rep.tail_entries, 1);
         assert_eq!(rep.staged, 1);
         assert!(rep.torn_tail);
@@ -2598,15 +2611,16 @@ mod tests {
         flipped[mid] = flipped[mid].wrapping_add(1);
         let flipped = String::from_utf8_lossy(&flipped).into_owned();
         assert!(matches!(
-            ColoringService::restore(&flipped, None),
+            ColoringService::restore_chain(&flipped, &[], None, Engine::Sequential),
             Err(ServiceError::CrcMismatch { .. })
         ));
         // Truncation drops the trailer.
         let truncated = &snap[..snap.len() * 2 / 3];
-        assert!(ColoringService::restore(truncated, None).is_err());
+        assert!(ColoringService::restore_chain(truncated, &[], None, Engine::Sequential).is_err());
         // Garbage is structurally rejected.
-        assert!(ColoringService::restore("not a snapshot\n", None).is_err());
-        assert!(ColoringService::restore("", None).is_err());
+        assert!(ColoringService::restore_chain("not a snapshot\n", &[], None, Engine::Sequential)
+            .is_err());
+        assert!(ColoringService::restore_chain("", &[], None, Engine::Sequential).is_err());
     }
 
     #[test]
@@ -2655,7 +2669,8 @@ mod tests {
         s.run_to_quiescence(s.tick_budget()).unwrap();
         assert_eq!(s.escalations(), 1);
         assert_proper(&s);
-        let (r, rep) = ColoringService::restore(&snap, Some(&tail)).unwrap();
+        let (r, rep) =
+            ColoringService::restore_chain(&snap, &[], Some(&tail), Engine::Sequential).unwrap();
         assert_eq!(rep.tail_entries, 2);
         assert_eq!(r.escalations(), 1);
         assert_eq!(r.coloring_hash(), s.coloring_hash());
@@ -2993,6 +3008,37 @@ mod tests {
     }
 
     #[test]
+    fn crc32_known_answer() {
+        // The standard CRC-32 check value.
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc_trailer_beyond_u32_is_rejected() {
+        let mut s = svc(ServeProtocol::EdgeColoring, 23);
+        drive(&mut s, &waves(), &mut String::new());
+        s.compact_history().unwrap();
+        let base = s.base_text().unwrap();
+        let crc = checkpoint_crc(&base).unwrap();
+        assert!(ColoringService::restore_chain(&base, &[], None, Engine::Sequential).is_ok());
+        // The same checkpoint with its trailer bumped by 2^32: the low
+        // 32 bits still match, the value does not.
+        let (body, _) = base.trim_end().rsplit_once('\n').unwrap();
+        let bumped =
+            format!("{body}\n{{\"type\":\"crc\",\"value\":{}}}\n", u64::from(crc) + (1 << 32));
+        let err = ColoringService::restore_chain(&bumped, &[], None, Engine::Sequential)
+            .err()
+            .expect("an out-of-range trailer must not verify");
+        let trailer_line = base.lines().count();
+        assert!(
+            matches!(err, ServiceError::Snapshot { line, .. } if line == trailer_line),
+            "{err}"
+        );
+        assert_eq!(checkpoint_crc(&bumped), None);
+    }
+
+    #[test]
     fn compacted_services_guard_snapshot_and_recompute_paths() {
         let mut s = svc(ServeProtocol::EdgeColoring, 19);
         drive(&mut s, &waves(), &mut String::new());
@@ -3001,7 +3047,7 @@ mod tests {
         s.compact_history().unwrap();
         // Full snapshots of a compacted service don't replay.
         let snap = s.snapshot_text();
-        assert!(ColoringService::restore(&snap, None).is_err());
+        assert!(ColoringService::restore_chain(&snap, &[], None, Engine::Sequential).is_err());
         // And the from-scratch cross-check no longer applies.
         assert!(matches!(s.recompute(Engine::Sequential), Err(ServiceError::Config(_))));
         // Compacting while unsettled is refused.

@@ -180,7 +180,8 @@ pub struct StrongColoringNode {
     /// not wake-class — parking early would blind the watch. Decremented
     /// at the park gates, 0 in static runs.
     vigil: u32,
-    /// Automata state after the last round (for state censuses).
+    /// Automata state after the last round; churn reads it to wake a
+    /// parked (`D`) node.
     state: &'static str,
 }
 
@@ -891,12 +892,6 @@ impl Protocol for StrongColoringNode {
             self.state = "D";
             NodeStatus::Done
         }
-    }
-}
-
-impl dima_sim::trace::StateLabel for StrongColoringNode {
-    fn state_label(&self) -> &'static str {
-        self.state
     }
 }
 

@@ -142,22 +142,6 @@ impl<P> RunOutcome<P> {
     }
 }
 
-/// A run as of the last round boundary ([`Stepper::view`]): what a
-/// per-round observer such as a state census reads.
-#[derive(Debug)]
-pub struct RoundView<'a, P> {
-    /// 0-based round just executed.
-    pub round: u64,
-    /// Every node's protocol state (including done nodes).
-    pub nodes: &'a [P],
-    /// Which nodes have finished (as of the end of this round).
-    pub done: &'a [bool],
-    /// Which nodes have crash-stopped (as of the end of this round).
-    pub crashed: &'a [bool],
-    /// This round's counters.
-    pub stats: RoundStats,
-}
-
 /// Run `factory`-created protocols on `topo` over `threads` shards
 /// (clamped to `[1, n]`; 1 runs inline on the caller's thread) until
 /// every node is done and `schedule` is exhausted, feeding telemetry
@@ -651,17 +635,6 @@ where
     /// Aggregate statistics so far.
     pub fn stats(&self) -> &RunStats {
         &self.stats
-    }
-
-    /// The observer view for the round whose stats are `rs`.
-    pub fn view(&self, rs: RoundStats) -> RoundView<'_, P> {
-        RoundView {
-            round: rs.round,
-            nodes: &self.protocols,
-            done: &self.done,
-            crashed: &self.crashed,
-            stats: rs,
-        }
     }
 
     /// Jump the round clock forward to `target` without executing the

@@ -14,9 +14,9 @@
 //!    the message is silently discarded (like a delivery to a done node);
 //! 2. **loss** — uniform per-delivery loss plus an optional
 //!    Gilbert–Elliott two-state burst channel;
-//! 3. **corruption** — the payload arrives bit-flipped; the checksummed
-//!    wire envelope ([`crate::wire`]) detects this, so the model treats it
-//!    as a *detected* drop counted separately;
+//! 3. **corruption** — the payload arrives bit-flipped; a link-layer
+//!    checksum is assumed to detect this, so the model treats it as a
+//!    *detected* drop counted separately;
 //! 4. **duplication** — the delivery arrives twice (two adjacent copies).
 //!
 //! Every decision is a **pure function** of
@@ -78,9 +78,9 @@ pub struct FaultPlan {
     /// Optional Gilbert–Elliott burst-loss channel, applied on top of
     /// (independently of) the uniform loss.
     pub burst: Option<GilbertElliott>,
-    /// Probability that a delivery arrives corrupted. The checksummed wire
-    /// envelope detects corruption, so a corrupted delivery is discarded
-    /// and counted in [`crate::stats::RunStats::corrupted`].
+    /// Probability that a delivery arrives corrupted. A link-layer
+    /// checksum is assumed to detect corruption, so a corrupted delivery
+    /// is discarded and counted in [`crate::stats::RunStats::corrupted`].
     pub corrupt_probability: f64,
     /// Probability that a delivery is duplicated (arrives twice, as two
     /// adjacent inbox entries).

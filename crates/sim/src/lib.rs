@@ -23,9 +23,7 @@
 //! Instrumentation ([`stats`]) counts rounds, sends and deliveries —
 //! the quantities the paper's figures report. [`fault`] can inject
 //! deterministic message loss to demonstrate that the algorithms' safety
-//! depends on the reliable-delivery assumption. [`wire`] provides a
-//! compact binary envelope encoding for protocols that want to measure
-//! bytes-on-the-wire rather than message counts. [`churn`] compiles
+//! depends on the reliable-delivery assumption. [`churn`] compiles
 //! deterministic topology-mutation schedules (`LinkUp` / `LinkDown` /
 //! `NodeJoin` / `NodeLeave`) that the engine applies mid-run — still
 //! bit-identically — so protocols can repair their state incrementally
@@ -36,8 +34,8 @@
 //! [`telemetry::Tracer`] that [`run`] takes; with
 //! [`telemetry::NoopTracer`] every tracing branch folds away at
 //! monomorphization. Event streams are deterministic and
-//! shard-independent; per-round state censuses ([`trace`]) are folded
-//! from a [`telemetry::StateTimeline`] or read off [`Stepper::view`].
+//! shard-independent; per-round automata-state censuses are recorded by
+//! the [`telemetry::StateTimeline`] tracer.
 
 #![deny(missing_docs)]
 // Unsafe is denied crate-wide; the two modules that implement the
@@ -55,8 +53,6 @@ pub mod reliable;
 pub mod rng;
 pub mod stats;
 pub mod topology;
-pub mod trace;
-pub mod wire;
 
 #[cfg(test)]
 mod plane_proptests;
@@ -67,7 +63,7 @@ pub use churn::{
     ChurnBatch, ChurnEvent, ChurnKinds, ChurnPlan, ChurnSchedule, EventFeed, FeedError,
     NeighborhoodChange,
 };
-pub use engine::{run, EngineConfig, RoundView, RunOutcome, Stepper};
+pub use engine::{run, EngineConfig, RunOutcome, Stepper};
 pub use error::SimError;
 pub use protocol::{Envelope, NodeSeed, NodeStatus, Protocol, RoundCtx, Shared};
 pub use reliable::{ArqConfig, ArqMsg, ReliableNode};

@@ -22,8 +22,7 @@ use crate::churn::NeighborhoodChange;
 /// plane moves by the million: any per-envelope tag or indirection shows
 /// up directly in engine throughput. Broadcast fan-out clones the
 /// payload once per recipient; to make that clone a refcount bump
-/// instead of a deep copy, wrap heavy payloads in [`Shared`] (or use
-/// [`bytes::Bytes`] for wire buffers).
+/// instead of a deep copy, wrap heavy payloads in [`Shared`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Envelope<M> {
     /// The node that sent the message.

@@ -24,8 +24,7 @@ pub struct RoundSnapshot {
     /// Engine round.
     pub round: u64,
     /// Nodes per automata state, indexed like [`STATES`]. Counts cover
-    /// *all* nodes (done/parked nodes keep their last label), matching
-    /// the observer-based censuses this type replaces.
+    /// *all* nodes: done/parked nodes keep their last label.
     pub census: [u32; 9],
     /// Cumulative matched pairs (palette commits counted once per edge,
     /// at the smaller-id endpoint).
@@ -48,12 +47,6 @@ impl RoundSnapshot {
     /// canonical order.
     pub fn states(&self) -> impl Iterator<Item = (&'static str, u32)> + '_ {
         STATES.iter().zip(self.census).filter(|&(_, c)| c > 0).map(|(&s, c)| (s, c))
-    }
-
-    /// Every node's label this round, expanded from the counts (for
-    /// feeding census consumers that take per-node label iterators).
-    pub fn labels(&self) -> impl Iterator<Item = &'static str> + '_ {
-        STATES.iter().zip(self.census).flat_map(|(&s, c)| std::iter::repeat_n(s, c as usize))
     }
 }
 
@@ -215,7 +208,10 @@ mod tests {
         assert_eq!(t.rounds()[0].count("C"), 1, "untouched node keeps its initial label");
         assert_eq!(t.rounds()[1].count("D"), 1);
         assert_eq!(t.rounds()[1].count("L"), 1, "labels persist across rounds");
-        assert_eq!(t.rounds()[1].labels().count(), 3);
+        assert_eq!(t.rounds()[1].census.iter().sum::<u32>(), 3);
+        t.emit(state(2, 2, "weird"));
+        t.emit(round(2, 3, 1));
+        assert_eq!(t.rounds()[2].count("?"), 1, "unknown labels land in the catch-all");
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! cargo run --release --example automata_census
 //! ```
 
-use dima::core::{color_edges_with_census, ColoringConfig};
+use dima::core::{color_edges_traced, ColoringConfig};
 use dima::graph::gen::erdos_renyi_avg_degree;
+use dima::sim::telemetry::{StateTimeline, STATES};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -20,12 +21,13 @@ fn main() {
         g.num_edges(),
         g.max_degree()
     );
-    let (result, census) =
-        color_edges_with_census(&g, &ColoringConfig::seeded(7)).expect("run failed");
+    let mut timeline = StateTimeline::new(g.num_vertices());
+    let result =
+        color_edges_traced(&g, &ColoringConfig::seeded(7), &mut timeline).expect("run failed");
     dima::core::verify::verify_edge_coloring(&g, &result.colors).expect("proper coloring");
 
     println!("automata state census (communication rounds; 3 per computation round):");
-    println!("{}", census.render());
+    print_census(&timeline);
     println!(
         "columns: I invitors / L listeners (invite step), W waiting / R responding\n\
          (respond step), E exchanging, D done. Watch D grow by roughly a constant\n\
@@ -35,4 +37,19 @@ fn main() {
         "result: {} colors in {} computation rounds",
         result.colors_used, result.compute_rounds
     );
+}
+
+/// One row per communication round, one column per state that some node
+/// occupied at some point, in the automata's canonical state order.
+fn print_census(timeline: &StateTimeline) {
+    let rounds = timeline.rounds();
+    let columns: Vec<usize> =
+        (0..STATES.len()).filter(|&s| rounds.iter().any(|r| r.census[s] > 0)).collect();
+    let header: String = columns.iter().map(|&s| format!(" {:>6}", STATES[s])).collect();
+    println!("round{header}");
+    for (r, snap) in rounds.iter().enumerate() {
+        let row: String = columns.iter().map(|&s| format!(" {:>6}", snap.census[s])).collect();
+        println!("{r:>5}{row}");
+    }
+    println!();
 }

@@ -127,29 +127,21 @@ fn worst_case_bound_never_reached_experimentally() {
 
 #[test]
 fn state_labels_work_for_all_automata_protocols() {
-    // The matching and strong-coloring protocols also report their Fig-1
-    // states; drive them tick by tick and read each round's view.
+    // The matching protocol also reports its Fig-1 states; record them
+    // into a timeline and read each round's census.
+    use dima::core::{maximal_matching, maximal_matching_traced};
     use dima::graph::gen::structured;
-    use dima::sim::telemetry::NoopTracer;
-    use dima::sim::trace::{StateCensus, StateLabel};
-    use dima::sim::{EngineConfig, NodeSeed, Stepper, Topology};
+    use dima::sim::telemetry::StateTimeline;
 
     let g = structured::cycle(8);
-    let topo = Topology::from_graph(&g);
-    let cfg_core = ColoringConfig::seeded(3);
-    let engine_cfg = EngineConfig::seeded(3);
-
-    // Matching protocol census.
-    let mut census = StateCensus::new();
-    let mut stepper = Stepper::new(&topo, &engine_cfg, 1, |seed: NodeSeed<'_>| {
-        dima::core::matching::new_node_for_census(&seed, &cfg_core)
-    });
-    while !stepper.is_quiescent() {
-        let rs = stepper.tick(None, &mut NoopTracer).unwrap();
-        census.record(stepper.view(rs).nodes.iter().map(|n| n.state_label()));
-    }
-    assert!(stepper.stats().rounds > 0);
-    assert_eq!(census.count(0, "I") + census.count(0, "L"), 8);
-    let last = census.len() - 1;
-    assert!(census.count(last, "D") > 0);
+    let cfg = ColoringConfig::seeded(3);
+    let mut timeline = StateTimeline::new(g.num_vertices());
+    let m = maximal_matching_traced(&g, &cfg, &mut timeline).unwrap();
+    let census = timeline.rounds();
+    assert!(m.stats.rounds > 0);
+    assert_eq!(census.len() as u64, m.comm_rounds, "one snapshot per communication round");
+    assert_eq!(census[0].count("I") + census[0].count("L"), 8);
+    assert!(census.last().unwrap().count("D") > 0);
+    // The census agrees with the plain runner on the result.
+    assert_eq!(maximal_matching(&g, &cfg).unwrap().pairs, m.pairs);
 }

@@ -114,7 +114,8 @@ fn interrupted(
     // Crash: drop `svc`, recover from the persisted artifacts.
     drop(svc);
     let (mut svc, report) =
-        ColoringService::restore(&snapshot, Some(&journal)).expect("restore succeeds");
+        ColoringService::restore_chain(&snapshot, &[], Some(&journal), Engine::Sequential)
+            .expect("restore succeeds");
     assert!(
         report.tail_entries as usize >= journal_batches,
         "journal tail replays fully ({} entries for {journal_batches} batches)",
@@ -473,10 +474,11 @@ fn pooled_restore_is_bit_identical_to_sequential() {
             round,
         ));
         let (seq_svc, _) =
-            ColoringService::restore_with(&snapshot, Some(&journal), Engine::Sequential)
+            ColoringService::restore_chain(&snapshot, &[], Some(&journal), Engine::Sequential)
                 .expect("sequential restore");
-        let (par_svc, _) = ColoringService::restore_with(
+        let (par_svc, _) = ColoringService::restore_chain(
             &snapshot,
+            &[],
             Some(&journal),
             Engine::Parallel { threads: 2 },
         )
