@@ -37,4 +37,4 @@ pub use greedy::{greedy_edge_coloring, EdgeOrder};
 pub use luby_matching::{luby_matching, LubyMatchingResult};
 pub use misra_gries::misra_gries_edge_coloring;
 pub use random_trial::{random_trial_coloring, RandomTrialResult};
-pub use strong_greedy::{strong_greedy_coloring, strong_greedy_undirected};
+pub use strong_greedy::strong_greedy_coloring;

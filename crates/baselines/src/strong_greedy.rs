@@ -3,13 +3,11 @@
 //! [`strong_greedy_coloring`]: first-fit vertex coloring of the
 //! Definition-2 conflict graph built by
 //! [`dima_graph::conflict::digraph_strong_conflicts`] — the centralised
-//! quality yardstick for DiMa2ED. [`strong_greedy_undirected`] is the
-//! analogous yardstick for the undirected extension, first-fitting the
-//! square of the line graph.
+//! quality yardstick for DiMa2ED.
 
 use dima_core::palette::{Color, ColorSet};
-use dima_graph::conflict::{digraph_strong_conflicts, strong_line_graph};
-use dima_graph::{Digraph, Graph, VertexId};
+use dima_graph::conflict::digraph_strong_conflicts;
+use dima_graph::{Digraph, VertexId};
 
 /// First-fit strong coloring of `d`'s arcs in arc-id order. Always
 /// complete and proper with respect to the paper's Definition 2.
@@ -24,24 +22,6 @@ pub fn strong_greedy_coloring(d: &Digraph) -> Vec<Option<Color>> {
             }
         }
         colors[a] = Some(forbidden.first_absent());
-    }
-    colors
-}
-
-/// First-fit strong coloring of an *undirected* graph's edges in edge-id
-/// order: proper vertex coloring of `L(G)²`. The centralised yardstick
-/// for [`dima_core::strong_undirected`].
-pub fn strong_greedy_undirected(g: &Graph) -> Vec<Option<Color>> {
-    let conflicts = strong_line_graph(g);
-    let mut colors: Vec<Option<Color>> = vec![None; g.num_edges()];
-    for e in 0..g.num_edges() {
-        let mut forbidden = ColorSet::new();
-        for &(f, _) in conflicts.neighbors(VertexId(e as u32)) {
-            if let Some(c) = colors[f.index()] {
-                forbidden.insert(c);
-            }
-        }
-        colors[e] = Some(forbidden.first_absent());
     }
     colors
 }
@@ -97,36 +77,6 @@ mod tests {
             let d = Digraph::symmetric_closure(&g);
             check(&d);
         }
-    }
-
-    #[test]
-    fn undirected_strong_greedy_is_proper() {
-        use dima_core::strong_undirected::verify_strong_undirected;
-        for g in [
-            structured::path(6),
-            structured::cycle(8),
-            structured::star(7),
-            structured::grid(4, 4),
-            structured::petersen(),
-        ] {
-            let colors = strong_greedy_undirected(&g);
-            verify_strong_undirected(&g, &colors).unwrap();
-        }
-        let mut rng = SmallRng::seed_from_u64(9);
-        let g = erdos_renyi_avg_degree(60, 5.0, &mut rng).unwrap();
-        verify_strong_undirected(&g, &strong_greedy_undirected(&g)).unwrap();
-    }
-
-    #[test]
-    fn undirected_yardstick_vs_distributed_extension() {
-        use dima_core::strong_undirected::strong_color_graph;
-        use dima_core::ColoringConfig;
-        let g = structured::grid(4, 5);
-        let greedy_used = count_colors(&strong_greedy_undirected(&g));
-        let dist = strong_color_graph(&g, &ColoringConfig::seeded(4)).unwrap();
-        // Conservative distributed coloring stays within a small factor
-        // of centralised first-fit.
-        assert!(dist.colors_used <= 3 * greedy_used.max(1));
     }
 
     #[test]

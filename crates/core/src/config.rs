@@ -24,20 +24,6 @@ pub enum ColorPolicy {
     RandomLegal,
 }
 
-/// How a listener picks among stored invitations (paper line 1.21 picks
-/// uniformly at random).
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
-pub enum ResponsePolicy {
-    /// The paper's rule: a uniformly random kept invitation.
-    #[default]
-    Random,
-    /// Ablation: the invitation from the lowest-id sender
-    /// (deterministic tie-break; slightly biases the matching).
-    FirstSender,
-    /// Ablation: the invitation proposing the lowest color.
-    LowestColor,
-}
-
 /// How many shards the engine splits the nodes into. There is one
 /// engine ([`dima_sim::run`]); results are bit-identical for every
 /// shard count.
@@ -140,8 +126,6 @@ pub struct ColoringConfig {
     pub invite_probability: f64,
     /// Inviter color selection (Algorithm 1 / 2 proposal rule).
     pub color_policy: ColorPolicy,
-    /// Listener invitation selection.
-    pub response_policy: ResponsePolicy,
     /// Execution engine.
     pub engine: Engine,
     /// **DiMa2ED only**: how many candidate channels an invitation
@@ -191,7 +175,6 @@ impl Default for ColoringConfig {
             seed: 0,
             invite_probability: 0.5,
             color_policy: ColorPolicy::default(),
-            response_policy: ResponsePolicy::default(),
             engine: Engine::default(),
             proposal_width: 1,
             max_compute_rounds: None,
@@ -291,7 +274,6 @@ mod tests {
         let cfg = ColoringConfig::default();
         assert_eq!(cfg.invite_probability, 0.5);
         assert_eq!(cfg.color_policy, ColorPolicy::LowestIndex);
-        assert_eq!(cfg.response_policy, ResponsePolicy::Random);
         assert_eq!(cfg.engine, Engine::Sequential);
         assert_eq!(cfg.proposal_width, 1);
         assert!(cfg.validate_sends, "library default keeps the debugging check on");

@@ -54,7 +54,7 @@ use rand::rngs::SmallRng;
 
 use crate::automata::{choose_role, pick_uniform, pick_uniform_iter, Phase, Role};
 use crate::churn::{batch_reports, ChurnColoringResult};
-use crate::config::{ColorPolicy, ColoringConfig, ResponsePolicy};
+use crate::config::{ColorPolicy, ColoringConfig};
 use crate::error::CoreError;
 use crate::kempe::{reduce_palette_metered, KempeReport};
 use crate::palette::{Color, ColorSet};
@@ -126,7 +126,6 @@ pub struct EdgeColoringNode {
     newly_used: Option<Color>,
     invite_probability: f64,
     color_policy: ColorPolicy,
-    response_policy: ResponsePolicy,
     /// `2Δ−1`, the worst-case palette (only the RandomLegal ablation
     /// samples from it; the default rule discovers its own bound).
     palette_bound: u32,
@@ -163,7 +162,6 @@ impl EdgeColoringNode {
             newly_used: None,
             invite_probability: cfg.invite_probability,
             color_policy: cfg.color_policy,
-            response_policy: cfg.response_policy,
             palette_bound,
             pending_hello: Vec::new(),
             pending_released: Vec::new(),
@@ -354,14 +352,7 @@ impl Protocol for EdgeColoringNode {
                             _ => None,
                         })
                         .collect();
-                    let chosen = match self.response_policy {
-                        ResponsePolicy::Random => pick_uniform(ctx.rng(), &kept).copied(),
-                        ResponsePolicy::FirstSender => kept.first().copied(),
-                        ResponsePolicy::LowestColor => {
-                            kept.iter().copied().min_by_key(|&(_, _, c)| c)
-                        }
-                    };
-                    if let Some((partner, port, color)) = chosen {
+                    if let Some(&(partner, port, color)) = pick_uniform(ctx.rng(), &kept) {
                         ctx.broadcast(EcMsg::Accept { to: partner, color });
                         self.commit(port, color);
                         ctx.trace_palette(PaletteAction::Committed, color.0, partner);
@@ -501,7 +492,7 @@ impl Protocol for EdgeColoringNode {
 /// The outcome of an edge-coloring run.
 #[derive(Clone, Debug)]
 pub struct EdgeColoringResult {
-    /// Color per edge (indexed by [`EdgeId`]), as committed by the lower
+    /// Color per edge (indexed by [`dima_graph::EdgeId`]), as committed by the lower
     /// endpoint. `None` only if the run was corrupted by fault injection.
     pub colors: Vec<Option<Color>>,
     /// Number of distinct colors used.
@@ -862,16 +853,6 @@ mod tests {
             ColoringConfig { color_policy: ColorPolicy::RandomLegal, ..ColoringConfig::seeded(41) };
         let r = color_edges(&g, &cfg).unwrap();
         assert_good_coloring(&g, &r);
-    }
-
-    #[test]
-    fn alternative_response_policies_still_correct() {
-        let g = structured::grid(4, 6);
-        for policy in [ResponsePolicy::FirstSender, ResponsePolicy::LowestColor] {
-            let cfg = ColoringConfig { response_policy: policy, ..ColoringConfig::seeded(43) };
-            let r = color_edges(&g, &cfg).unwrap();
-            assert_good_coloring(&g, &r);
-        }
     }
 
     #[test]

@@ -52,16 +52,13 @@ mod runner;
 pub mod schedule;
 pub mod service;
 pub mod strong_coloring;
-pub mod strong_undirected;
 pub mod verify;
 pub mod vertex_cover;
 
 pub use churn::{
     BatchReport, ChurnColoringResult, ChurnKinds, ChurnPlan, ChurnSchedule, ChurnStrongResult,
 };
-pub use config::{
-    ColorPolicy, ColorReduction, ColoringConfig, Engine, KempeConfig, ResponsePolicy, Transport,
-};
+pub use config::{ColorPolicy, ColorReduction, ColoringConfig, Engine, KempeConfig, Transport};
 pub use edge_coloring::{
     color_edges, color_edges_churn, color_edges_churn_traced, color_edges_traced,
     EdgeColoringResult,
@@ -78,8 +75,5 @@ pub use service::{
 pub use strong_coloring::{
     strong_color_churn, strong_color_churn_traced, strong_color_digraph,
     strong_color_digraph_traced, StrongColoringResult,
-};
-pub use strong_undirected::{
-    strong_color_graph, strong_color_graph_traced, StrongUndirectedResult,
 };
 pub use vertex_cover::{vertex_cover, vertex_cover_traced, VertexCoverResult};

@@ -16,7 +16,7 @@ use dima_sim::telemetry::{NoopTracer, PaletteAction, Tracer};
 use dima_sim::{NodeSeed, NodeStatus, Protocol, RoundCtx, RunStats, Topology};
 
 use crate::automata::{choose_role, pick_uniform, Phase, Role};
-use crate::config::{ColoringConfig, ResponsePolicy};
+use crate::config::ColoringConfig;
 use crate::error::CoreError;
 use crate::runner::run_protocol_traced;
 
@@ -56,7 +56,6 @@ pub struct MatchingNode {
     /// Neighbor invited this computation round (invitors only).
     invited: Option<VertexId>,
     invite_probability: f64,
-    response_policy: ResponsePolicy,
 }
 
 impl MatchingNode {
@@ -70,7 +69,6 @@ impl MatchingNode {
             role: Role::Listener,
             invited: None,
             invite_probability: cfg.invite_probability,
-            response_policy: cfg.response_policy,
         }
     }
 
@@ -138,14 +136,7 @@ impl Protocol for MatchingNode {
                             _ => None,
                         })
                         .collect();
-                    let chosen = match self.response_policy {
-                        ResponsePolicy::Random => pick_uniform(ctx.rng(), &kept).copied(),
-                        // Inbox is sorted by sender id.
-                        ResponsePolicy::FirstSender | ResponsePolicy::LowestColor => {
-                            kept.first().copied()
-                        }
-                    };
-                    if let Some(partner) = chosen {
+                    if let Some(&partner) = pick_uniform(ctx.rng(), &kept) {
                         ctx.broadcast(MatchMsg::Accept { to: partner });
                         self.matched_with = Some(partner);
                         self.matched_round = Some(ctx.round() / 3);

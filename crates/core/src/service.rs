@@ -49,9 +49,7 @@ use dima_sim::{
     Stepper, Topology,
 };
 
-use crate::config::{
-    ColorPolicy, ColorReduction, ColoringConfig, Engine, KempeConfig, ResponsePolicy, Transport,
-};
+use crate::config::{ColorPolicy, ColorReduction, ColoringConfig, Engine, KempeConfig, Transport};
 use crate::edge_coloring::EdgeColoringNode;
 use crate::error::CoreError;
 use crate::kempe::KempeReport;
@@ -1266,7 +1264,7 @@ impl ColoringService {
     /// committed graph becomes the new `g0` (departed nodes stay as
     /// parked isolated slots so their ids remain reserved), the settled
     /// coloring is adopted verbatim, and the round clock restarts at 0
-    /// on RNG streams derived from [`epoch_seed`]. Staged events
+    /// on fresh RNG streams derived from `(seed, epoch)`. Staged events
     /// survive; `batches_committed`/`escalations` stay cumulative.
     ///
     /// Requires a settled service. After compacting, persist a
@@ -1366,7 +1364,7 @@ impl ColoringService {
         };
         format!(
             "\"protocol\":\"{}\",\"seed\":{},\"invite_bits\":{},\
-             \"color_policy\":\"{}\",\"response_policy\":\"{}\",\"width\":{},\
+             \"color_policy\":\"{}\",\"response_policy\":\"random\",\"width\":{},\
              \"max_compute\":{},\"validate_sends\":{},\"watchdog\":{},\
              \"reduce\":{rk},\"reduce_target\":{rt},\"reduce_chain\":{rc},\
              \"reduce_attempts\":{ra},\"reduce_rounds\":{rr}",
@@ -1374,7 +1372,6 @@ impl ColoringService {
             c.seed,
             c.invite_probability.to_bits(),
             color_policy_name(c.color_policy),
-            response_policy_name(c.response_policy),
             c.proposal_width,
             c.max_compute_rounds.unwrap_or(0),
             u64::from(c.validate_sends),
@@ -2065,23 +2062,6 @@ fn parse_color_policy(s: &str) -> Option<ColorPolicy> {
     }
 }
 
-fn response_policy_name(p: ResponsePolicy) -> &'static str {
-    match p {
-        ResponsePolicy::Random => "random",
-        ResponsePolicy::FirstSender => "first-sender",
-        ResponsePolicy::LowestColor => "lowest-color",
-    }
-}
-
-fn parse_response_policy(s: &str) -> Option<ResponsePolicy> {
-    match s {
-        "random" => Some(ResponsePolicy::Random),
-        "first-sender" => Some(ResponsePolicy::FirstSender),
-        "lowest-color" => Some(ResponsePolicy::LowestColor),
-        _ => None,
-    }
-}
-
 fn header_num(rec: &Record, key: &str) -> Result<u64, ServiceError> {
     rec.num(key).ok_or_else(|| ServiceError::Snapshot {
         line: 1,
@@ -2162,17 +2142,18 @@ fn config_from_header(header: &Record, engine: Engine) -> Result<ServiceConfig, 
         .unwrap_or("")
         .parse()
         .map_err(|e| ServiceError::Snapshot { line: 1, message: e })?;
+    // Listeners always accept a uniformly random invitation (paper line
+    // 1.21); the header records that rule, and a checkpoint naming any
+    // other cannot be replayed.
+    if header.str("response_policy") != Some("random") {
+        return Err(ServiceError::Snapshot { line: 1, message: "unknown response_policy".into() });
+    }
     let coloring = ColoringConfig {
         seed: header_num(header, "seed")?,
         invite_probability: f64::from_bits(header_num(header, "invite_bits")?),
         color_policy: parse_color_policy(header.str("color_policy").unwrap_or("")).ok_or_else(
             || ServiceError::Snapshot { line: 1, message: "unknown color_policy".into() },
         )?,
-        response_policy: parse_response_policy(header.str("response_policy").unwrap_or(""))
-            .ok_or_else(|| ServiceError::Snapshot {
-                line: 1,
-                message: "unknown response_policy".into(),
-            })?,
         proposal_width: header_num(header, "width")? as usize,
         max_compute_rounds: match header_num(header, "max_compute")? {
             0 => None,
@@ -3036,6 +3017,29 @@ mod tests {
             "{err}"
         );
         assert_eq!(checkpoint_crc(&bumped), None);
+    }
+
+    #[test]
+    fn checkpoint_recorded_under_another_response_policy_is_rejected() {
+        let mut s = svc(ServeProtocol::EdgeColoring, 29);
+        drive(&mut s, &waves(), &mut String::new());
+        let snap = s.snapshot_text();
+        let (r, _) = ColoringService::restore_chain(&snap, &[], None, Engine::Sequential).unwrap();
+        assert_eq!(r.coloring_hash(), s.coloring_hash());
+        // The same checkpoint naming another listener rule, re-sealed so
+        // that it passes the CRC check.
+        let (body, _) = snap.trim_end().rsplit_once('\n').unwrap();
+        let random = "\"response_policy\":\"random\"";
+        assert!(body.lines().next().unwrap().contains(random));
+        let body =
+            format!("{}\n", body.replacen(random, "\"response_policy\":\"first-sender\"", 1));
+        let other = format!("{body}{{\"type\":\"crc\",\"value\":{}}}\n", crc32(body.as_bytes()));
+        assert!(checkpoint_crc(&other).is_some());
+        let err = ColoringService::restore_chain(&other, &[], None, Engine::Sequential)
+            .err()
+            .expect("only the paper's listener rule can be replayed");
+        let ServiceError::Snapshot { line, message } = &err else { panic!("{err}") };
+        assert_eq!((*line, message.as_str()), (1, "unknown response_policy"));
     }
 
     #[test]

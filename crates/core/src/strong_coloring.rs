@@ -30,7 +30,7 @@ use rand::Rng;
 
 use crate::automata::{choose_role, pick_uniform, Phase, Role};
 use crate::churn::{batch_reports, ChurnStrongResult};
-use crate::config::{ColorPolicy, ColoringConfig, ResponsePolicy};
+use crate::config::{ColorPolicy, ColoringConfig};
 use crate::error::CoreError;
 use crate::palette::{Color, ColorSet};
 use crate::runner::{run_protocol_churn_traced, run_protocol_traced};
@@ -156,7 +156,6 @@ pub struct StrongColoringNode {
     newly_used: Option<Color>,
     invite_probability: f64,
     color_policy: ColorPolicy,
-    response_policy: ResponsePolicy,
     proposal_width: usize,
     /// Neighbors that still owe a [`StrongMsg::Hello`] greeting, with the
     /// reply-wanted flag (set when this node woke from the parked state
@@ -219,7 +218,6 @@ impl StrongColoringNode {
             newly_used: None,
             invite_probability: cfg.invite_probability,
             color_policy: cfg.color_policy,
-            response_policy: cfg.response_policy,
             proposal_width: cfg.proposal_width,
             pending_hello: Vec::new(),
             refresh: 0,
@@ -653,14 +651,7 @@ impl Protocol for StrongColoringNode {
                                 .map(|c| (from, port, c))
                         })
                         .collect();
-                    let chosen = match self.response_policy {
-                        ResponsePolicy::Random => pick_uniform(ctx.rng(), &candidates).copied(),
-                        ResponsePolicy::FirstSender => candidates.first().copied(),
-                        ResponsePolicy::LowestColor => {
-                            candidates.iter().copied().min_by_key(|&(_, _, c)| c)
-                        }
-                    };
-                    if let Some((partner, port, color)) = chosen {
+                    if let Some(&(partner, port, color)) = pick_uniform(ctx.rng(), &candidates) {
                         ctx.broadcast(StrongMsg::Accept { to: partner, color });
                         // U_i: color the incoming arc from the round
                         // partner.
@@ -1185,20 +1176,13 @@ mod tests {
     }
 
     #[test]
-    fn ablation_policies_still_correct() {
+    fn random_legal_policy_still_correct() {
         let g = structured::grid(3, 4);
         let d = Digraph::symmetric_closure(&g);
-        {
-            let policy = ColorPolicy::RandomLegal;
-            let cfg = ColoringConfig { color_policy: policy, ..ColoringConfig::seeded(3) };
-            let r = strong_color_digraph(&d, &cfg).unwrap();
-            assert_good(&d, &r);
-        }
-        for policy in [ResponsePolicy::FirstSender, ResponsePolicy::LowestColor] {
-            let cfg = ColoringConfig { response_policy: policy, ..ColoringConfig::seeded(4) };
-            let r = strong_color_digraph(&d, &cfg).unwrap();
-            assert_good(&d, &r);
-        }
+        let cfg =
+            ColoringConfig { color_policy: ColorPolicy::RandomLegal, ..ColoringConfig::seeded(3) };
+        let r = strong_color_digraph(&d, &cfg).unwrap();
+        assert_good(&d, &r);
     }
 
     #[test]

@@ -30,29 +30,6 @@ pub fn average_clustering(g: &Graph) -> f64 {
     g.vertices().map(|v| local_clustering(g, v)).sum::<f64>() / g.num_vertices() as f64
 }
 
-/// Global transitivity: `3 × triangles / connected triples`.
-pub fn global_transitivity(g: &Graph) -> f64 {
-    let mut triangles3 = 0usize; // counts each triangle 3 times
-    let mut triples = 0usize;
-    for v in g.vertices() {
-        let d = g.degree(v);
-        triples += d * d.saturating_sub(1) / 2;
-        let nbrs = g.neighbors(v);
-        for i in 0..nbrs.len() {
-            for j in (i + 1)..nbrs.len() {
-                if g.has_edge(nbrs[i].0, nbrs[j].0) {
-                    triangles3 += 1;
-                }
-            }
-        }
-    }
-    if triples == 0 {
-        0.0
-    } else {
-        triangles3 as f64 / triples as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -65,14 +42,12 @@ mod tests {
             assert_eq!(local_clustering(&g, v), 1.0);
         }
         assert_eq!(average_clustering(&g), 1.0);
-        assert_eq!(global_transitivity(&g), 1.0);
     }
 
     #[test]
     fn star_has_zero_clustering() {
         let g = structured::star(6);
         assert_eq!(average_clustering(&g), 0.0);
-        assert_eq!(global_transitivity(&g), 0.0);
     }
 
     #[test]
@@ -98,15 +73,11 @@ mod tests {
         assert!((local_clustering(&g, VertexId(0)) - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(local_clustering(&g, VertexId(1)), 1.0);
         assert_eq!(local_clustering(&g, VertexId(3)), 0.0);
-        // transitivity = 3 triangles-counted / triples: v0 has C(3,2)=3
-        // triples (1 closed), v1 1 (closed), v2 1 (closed), v3 0.
-        assert!((global_transitivity(&g) - 3.0 / 5.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_graph_is_zero() {
         let g = Graph::empty(0);
         assert_eq!(average_clustering(&g), 0.0);
-        assert_eq!(global_transitivity(&g), 0.0);
     }
 }

@@ -1,4 +1,4 @@
-//! Degree statistics and histograms.
+//! Degree statistics.
 
 use crate::graph::Graph;
 
@@ -31,20 +31,10 @@ impl DegreeStats {
     }
 }
 
-/// `hist[d]` = number of vertices with degree `d`, for `d` in `0..=Δ`.
-pub fn degree_histogram(g: &Graph) -> Vec<usize> {
-    let mut hist = vec![0usize; g.max_degree() + 1];
-    for d in g.degree_sequence() {
-        hist[d] += 1;
-    }
-    hist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gen::structured;
-    use crate::ids::VertexId;
 
     #[test]
     fn regular_graph_stats() {
@@ -67,24 +57,9 @@ mod tests {
     }
 
     #[test]
-    fn histogram_sums_to_n() {
-        let g = Graph::from_edges(
-            5,
-            [(VertexId(0), VertexId(1)), (VertexId(1), VertexId(2)), (VertexId(1), VertexId(3))],
-        )
-        .unwrap();
-        let h = degree_histogram(&g);
-        assert_eq!(h.iter().sum::<usize>(), 5);
-        assert_eq!(h[0], 1); // vertex 4
-        assert_eq!(h[1], 3); // vertices 0, 2, 3
-        assert_eq!(h[3], 1); // vertex 1
-    }
-
-    #[test]
     fn empty_graph_stats() {
         let g = Graph::empty(0);
         let s = DegreeStats::of(&g);
         assert_eq!(s, DegreeStats { min: 0, max: 0, mean: 0.0, stddev: 0.0 });
-        assert_eq!(degree_histogram(&g), vec![0]);
     }
 }

@@ -5,28 +5,12 @@
 pub struct DisjointSets {
     parent: Vec<u32>,
     size: Vec<u32>,
-    sets: usize,
 }
 
 impl DisjointSets {
     /// `n` singleton sets.
     pub fn new(n: usize) -> Self {
-        DisjointSets { parent: (0..n as u32).collect(), size: vec![1; n], sets: n }
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.parent.len()
-    }
-
-    /// `true` if the structure tracks no elements.
-    pub fn is_empty(&self) -> bool {
-        self.parent.is_empty()
-    }
-
-    /// Number of disjoint sets remaining.
-    pub fn num_sets(&self) -> usize {
-        self.sets
+        DisjointSets { parent: (0..n as u32).collect(), size: vec![1; n] }
     }
 
     /// Representative of `x`'s set, with path halving.
@@ -50,19 +34,7 @@ impl DisjointSets {
         }
         self.parent[rb] = ra as u32;
         self.size[ra] += self.size[rb];
-        self.sets -= 1;
         true
-    }
-
-    /// `true` if `a` and `b` are in the same set.
-    pub fn connected(&mut self, a: usize, b: usize) -> bool {
-        self.find(a) == self.find(b)
-    }
-
-    /// Size of the set containing `x`.
-    pub fn set_size(&mut self, x: usize) -> usize {
-        let r = self.find(x);
-        self.size[r] as usize
     }
 
     /// Compact labels: every element mapped to a component id in
@@ -90,12 +62,9 @@ mod tests {
 
     #[test]
     fn singletons() {
-        let mut d = DisjointSets::new(4);
-        assert_eq!(d.num_sets(), 4);
-        assert_eq!(d.len(), 4);
-        assert!(!d.is_empty());
-        assert!(!d.connected(0, 1));
-        assert_eq!(d.set_size(2), 1);
+        let (count, labels) = DisjointSets::new(4).component_labels();
+        assert_eq!(count, 4);
+        assert_eq!(labels, vec![0, 1, 2, 3]);
     }
 
     #[test]
@@ -104,9 +73,10 @@ mod tests {
         assert!(d.union(0, 1));
         assert!(d.union(1, 2));
         assert!(!d.union(0, 2)); // already connected
-        assert_eq!(d.num_sets(), 3);
-        assert!(d.connected(0, 2));
-        assert_eq!(d.set_size(1), 3);
+        assert_eq!(d.find(0), d.find(2));
+        let (count, labels) = d.component_labels();
+        assert_eq!(count, 3);
+        assert_eq!(labels, vec![0, 0, 0, 1, 2]);
     }
 
     #[test]
@@ -127,7 +97,6 @@ mod tests {
     #[test]
     fn empty_structure() {
         let d = DisjointSets::new(0);
-        assert!(d.is_empty());
         let (count, labels) = d.component_labels();
         assert_eq!(count, 0);
         assert!(labels.is_empty());
@@ -140,8 +109,9 @@ mod tests {
         for i in 1..n {
             d.union(i - 1, i);
         }
-        assert_eq!(d.num_sets(), 1);
-        assert!(d.connected(0, n - 1));
-        assert_eq!(d.set_size(0), n);
+        assert_eq!(d.find(0), d.find(n - 1));
+        let (count, labels) = d.component_labels();
+        assert_eq!(count, 1);
+        assert!(labels.iter().all(|&l| l == 0));
     }
 }

@@ -1,20 +1,19 @@
-//! Structural analysis: components, BFS, clustering, degree statistics.
+//! Structural analysis: components, clustering, degree statistics and a
+//! power-law tail estimate.
 //!
-//! Experiments use these to validate generated corpora (e.g. that
-//! Watts–Strogatz graphs really are high-clustering/small-diameter) and to
-//! report the Δ that every figure plots against.
+//! `dima-cli info` reports these for an input graph, and the generators'
+//! tests use them to check that a corpus has the shape it claims (e.g.
+//! that Watts–Strogatz graphs really are high-clustering).
 
-mod bfs;
 mod clustering;
 mod degree;
 mod dsu;
 mod spectrum;
 
-pub use bfs::{bfs_distances, diameter_lower_bound, eccentricity};
-pub use clustering::{average_clustering, global_transitivity, local_clustering};
-pub use degree::{degree_histogram, DegreeStats};
+pub use clustering::{average_clustering, local_clustering};
+pub use degree::DegreeStats;
 pub use dsu::DisjointSets;
-pub use spectrum::{degree_assortativity, power_law_exponent, triangle_count};
+pub use spectrum::power_law_exponent;
 
 use crate::graph::Graph;
 
@@ -26,12 +25,6 @@ pub fn connected_components(g: &Graph) -> (usize, Vec<usize>) {
         dsu.union(u.index(), v.index());
     }
     dsu.component_labels()
-}
-
-/// `true` if the graph is connected (vacuously true for `n ≤ 1`).
-pub fn is_connected(g: &Graph) -> bool {
-    let (count, _) = connected_components(g);
-    count <= 1
 }
 
 #[cfg(test)]
@@ -54,17 +47,17 @@ mod tests {
         assert_eq!(labels[3], labels[4]);
         assert_ne!(labels[0], labels[3]);
         assert_ne!(labels[0], labels[5]);
-        assert!(!is_connected(&g));
     }
 
     #[test]
     fn connectivity_of_structured_families() {
-        assert!(is_connected(&structured::complete(5)));
-        assert!(is_connected(&structured::cycle(9)));
-        assert!(is_connected(&structured::grid(4, 4)));
-        assert!(is_connected(&structured::balanced_binary_tree(4)));
-        assert!(is_connected(&Graph::empty(1)));
-        assert!(is_connected(&Graph::empty(0)));
-        assert!(!is_connected(&Graph::empty(2)));
+        let count = |g: &Graph| connected_components(g).0;
+        assert_eq!(count(&structured::complete(5)), 1);
+        assert_eq!(count(&structured::cycle(9)), 1);
+        assert_eq!(count(&structured::grid(4, 4)), 1);
+        assert_eq!(count(&structured::balanced_binary_tree(4)), 1);
+        assert_eq!(count(&Graph::empty(1)), 1);
+        assert_eq!(count(&Graph::empty(0)), 0);
+        assert_eq!(count(&Graph::empty(2)), 2);
     }
 }

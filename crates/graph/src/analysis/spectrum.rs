@@ -1,43 +1,10 @@
-//! Degree-structure diagnostics: assortativity, power-law tail estimate,
-//! triangle counts.
+//! Degree-structure diagnostic: a power-law tail estimate.
 //!
-//! Used by the experiment harness to *validate corpora*: Barabási–Albert
-//! draws should show heavy tails (small estimated exponent for high
-//! power), Watts–Strogatz draws stay near-regular, Erdős–Rényi sits in
-//! between. Validating inputs keeps figure regressions attributable to
-//! the algorithms, not the generators.
+//! `dima-cli info` prints it for an input graph: Barabási–Albert draws
+//! show heavy tails (small estimated exponent), Watts–Strogatz draws stay
+//! near-regular (large exponent), Erdős–Rényi sits in between.
 
 use crate::graph::Graph;
-
-/// Degree assortativity (Newman's r): the Pearson correlation of the
-/// degrees at the two ends of an edge. In `[-1, 1]`; 0 for uncorrelated,
-/// negative for hub-to-leaf structure (typical of BA graphs).
-pub fn degree_assortativity(g: &Graph) -> f64 {
-    let m = g.num_edges();
-    if m == 0 {
-        return 0.0;
-    }
-    // Sums over edges of the remaining degrees (degree - 1 convention is
-    // common; plain degrees give the same correlation).
-    let mut sum_xy = 0.0;
-    let mut sum_x = 0.0;
-    let mut sum_x2 = 0.0;
-    for (_, (u, v)) in g.edges() {
-        let (du, dv) = (g.degree(u) as f64, g.degree(v) as f64);
-        sum_xy += du * dv;
-        sum_x += du + dv;
-        sum_x2 += du * du + dv * dv;
-    }
-    let m2 = 2.0 * m as f64;
-    let mean = sum_x / m2;
-    let cov = sum_xy / m as f64 - mean * mean;
-    let var = sum_x2 / m2 - mean * mean;
-    if var.abs() < 1e-12 {
-        0.0 // regular graph: degenerate, define as 0
-    } else {
-        cov / var
-    }
-}
 
 /// Maximum-likelihood estimate of a power-law exponent for the degree
 /// tail (Clauset–Shalizi–Newman discrete approximation), over degrees
@@ -54,58 +21,12 @@ pub fn power_law_exponent(g: &Graph, d_min: usize) -> Option<f64> {
     Some(1.0 + tail.len() as f64 / s)
 }
 
-/// Number of triangles in the graph (each counted once).
-pub fn triangle_count(g: &Graph) -> usize {
-    // For each edge (u, v) with u < v, count common neighbors w > v —
-    // each triangle counted exactly once at its smallest-id pair... more
-    // simply: count common neighbors w with w > u and w > v.
-    let mut count = 0usize;
-    for (_, (u, v)) in g.edges() {
-        for &(w, _) in g.neighbors(u) {
-            if w > u && w > v && g.has_edge(w, v) {
-                count += 1;
-            }
-        }
-    }
-    count
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gen::{barabasi_albert, structured, watts_strogatz};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn triangles_on_fixtures() {
-        assert_eq!(triangle_count(&structured::complete(4)), 4);
-        assert_eq!(triangle_count(&structured::complete(5)), 10);
-        assert_eq!(triangle_count(&structured::cycle(5)), 0);
-        assert_eq!(triangle_count(&structured::complete(3)), 1);
-        assert_eq!(triangle_count(&structured::star(6)), 0);
-        assert_eq!(triangle_count(&structured::petersen()), 0);
-    }
-
-    #[test]
-    fn assortativity_of_star_is_negative() {
-        let g = structured::star(10);
-        assert!(degree_assortativity(&g) < -0.5, "{}", degree_assortativity(&g));
-    }
-
-    #[test]
-    fn assortativity_of_regular_graph_is_zero() {
-        let g = structured::cycle(12);
-        assert_eq!(degree_assortativity(&g), 0.0);
-        assert_eq!(degree_assortativity(&Graph::empty(3)), 0.0);
-    }
-
-    #[test]
-    fn ba_graphs_are_disassortative() {
-        let mut rng = SmallRng::seed_from_u64(1);
-        let g = barabasi_albert(300, 2, 1.0, &mut rng).unwrap();
-        assert!(degree_assortativity(&g) < 0.0);
-    }
 
     #[test]
     fn power_law_estimate_separates_families() {

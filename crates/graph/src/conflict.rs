@@ -2,7 +2,7 @@
 //! conflict graphs.
 //!
 //! Edge coloring a graph `G` is exactly vertex coloring its line graph
-//! `L(G)`; strong edge coloring is vertex coloring the square `L(G)²`.
+//! `L(G)`.
 //! The DiMa verifiers check colorings *directly* on `G` for speed, and the
 //! test suite cross-checks against these constructions — two independent
 //! implementations of the same constraint, so a bug in one is caught by
@@ -37,34 +37,6 @@ pub fn line_graph(g: &Graph) -> Graph {
     // In a simple graph two edges share at most one endpoint, so every
     // pair is generated exactly once; no dedup needed.
     Graph::from_edges(g.num_edges(), pairs).expect("line graph of a simple graph is simple")
-}
-
-/// The square of the line graph: one vertex per edge of `g`; two vertices
-/// adjacent iff the edges share an endpoint **or** are joined by an edge.
-/// A proper vertex coloring of this graph is a strong edge coloring of
-/// `g`.
-pub fn strong_line_graph(g: &Graph) -> Graph {
-    let mut pairs: Vec<(VertexId, VertexId)> = Vec::new();
-    for (e, (u, v)) in g.edges() {
-        // Every edge within one hop of e: edges at u, edges at v, and
-        // edges at neighbors of u and v.
-        let mut push = |f: crate::ids::EdgeId| {
-            if f.0 > e.0 {
-                pairs.push((VertexId(e.0), VertexId(f.0)));
-            }
-        };
-        for &(w, f) in g.neighbors(u).iter().chain(g.neighbors(v)) {
-            push(f);
-            for &(_, f2) in g.neighbors(w) {
-                push(f2);
-            }
-        }
-    }
-    pairs.sort_unstable();
-    pairs.dedup();
-    // `push` can emit (e, e)? Only via f2 == e when w's neighbor is u or
-    // v — guarded by the strict `>` comparison.
-    Graph::from_edges(g.num_edges(), pairs).expect("strong line graph is simple")
 }
 
 /// The symmetrised conflict graph of the paper's Definition 2 over the
@@ -139,30 +111,6 @@ mod tests {
     }
 
     #[test]
-    fn strong_line_graph_of_path5() {
-        // P5: edges e0..e3 in a path. Strong conflicts: ei ~ ej iff
-        // |i-j| <= 2 (adjacent or joined by the edge between them).
-        let g = structured::path(5);
-        let s = strong_line_graph(&g);
-        assert_eq!(s.num_vertices(), 4);
-        assert!(s.has_edge(VertexId(0), VertexId(1)));
-        assert!(s.has_edge(VertexId(0), VertexId(2)));
-        assert!(!s.has_edge(VertexId(0), VertexId(3)));
-        assert!(s.has_edge(VertexId(1), VertexId(3)));
-    }
-
-    #[test]
-    fn strong_line_graph_contains_line_graph() {
-        let g = structured::grid(3, 3);
-        let l = line_graph(&g);
-        let s = strong_line_graph(&g);
-        for (_, (a, b)) in l.edges() {
-            assert!(s.has_edge(a, b), "strong graph must contain line-graph edge ({a},{b})");
-        }
-        assert!(s.num_edges() >= l.num_edges());
-    }
-
-    #[test]
     fn digraph_conflicts_of_symmetric_path() {
         // Path u0-u1-u2 symmetric: arcs 0:(0->1) 1:(1->0) 2:(1->2) 3:(2->1).
         let g = structured::path(3);
@@ -206,7 +154,6 @@ mod tests {
     fn edgeless_inputs() {
         let g = Graph::empty(3);
         assert_eq!(line_graph(&g).num_vertices(), 0);
-        assert_eq!(strong_line_graph(&g).num_vertices(), 0);
         let d = Digraph::symmetric_closure(&g);
         assert_eq!(digraph_strong_conflicts(&d).num_vertices(), 0);
     }

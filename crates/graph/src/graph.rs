@@ -54,11 +54,6 @@ impl Graph {
         self.edges.len()
     }
 
-    /// `true` if the graph has no edges.
-    pub fn is_edgeless(&self) -> bool {
-        self.edges.is_empty()
-    }
-
     /// Iterator over all vertex ids.
     pub fn vertices(&self) -> impl Iterator<Item = VertexId> + '_ {
         (0..self.adj.len() as u32).map(VertexId)
@@ -280,7 +275,6 @@ mod tests {
         let g = Graph::empty(5);
         assert_eq!(g.num_vertices(), 5);
         assert_eq!(g.num_edges(), 0);
-        assert!(g.is_edgeless());
         assert_eq!(g.max_degree(), 0);
         assert_eq!(g.min_degree(), 0);
         assert_eq!(g.avg_degree(), 0.0);

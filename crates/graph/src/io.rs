@@ -5,7 +5,6 @@
 //! vertex count (otherwise it is `1 + max id`). This is the lingua franca
 //! of graph tooling (SNAP, NetworkX, iGraph all read it).
 
-use crate::digraph::Digraph;
 use crate::error::GraphError;
 use crate::graph::{Graph, GraphBuilder};
 use crate::ids::VertexId;
@@ -44,8 +43,16 @@ pub fn from_edge_list(text: &str) -> Result<Graph, GraphError> {
             continue;
         }
         let mut tokens = line.split_whitespace();
-        let first = tokens.next().expect("non-empty line has a token");
+        let Some(first) = tokens.next() else { continue };
         if first == "n" {
+            // Endpoints are range-checked against the header as they are
+            // read, so it must come before them.
+            if !pairs.is_empty() {
+                return Err(GraphError::Parse {
+                    line: lineno + 1,
+                    message: "'n' header must precede every edge".into(),
+                });
+            }
             let val = tokens.next().ok_or_else(|| GraphError::Parse {
                 line: lineno + 1,
                 message: "expected vertex count after 'n'".into(),
@@ -142,27 +149,6 @@ pub fn to_dot(
     out
 }
 
-/// Graphviz DOT representation of a digraph with optional arc labels.
-pub fn digraph_to_dot(
-    d: &Digraph,
-    name: &str,
-    arc_label: impl Fn(crate::ids::ArcId) -> Option<String>,
-) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("digraph {name} {{\n"));
-    for v in d.vertices() {
-        out.push_str(&format!("  {v};\n"));
-    }
-    for (a, (u, v)) in d.arcs() {
-        match arc_label(a) {
-            Some(l) => out.push_str(&format!("  {u} -> {v} [label=\"{l}\"];\n")),
-            None => out.push_str(&format!("  {u} -> {v};\n")),
-        }
-    }
-    out.push_str("}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,6 +221,22 @@ mod tests {
     }
 
     #[test]
+    fn header_after_an_edge_is_rejected_at_its_line() {
+        // Would otherwise skip the per-line range check (0 9 vs n 3) or
+        // silently widen the graph (0 1 then n 5).
+        for bad in ["0 9\nn 3\n", "0 1\nn 5\n", "# c\n0 1\n\n1 2\nn 3\n"] {
+            let line = bad.lines().count();
+            let err = from_edge_list(bad).unwrap_err();
+            assert!(
+                matches!(err, GraphError::Parse { line: l, .. } if l == line),
+                "{bad:?}: {err:?}"
+            );
+        }
+        // Comments and blanks before the header are fine.
+        assert_eq!(from_edge_list("# c\n\nn 3\n0 1\n").unwrap().num_vertices(), 3);
+    }
+
+    #[test]
     fn parse_propagates_graph_validation() {
         assert!(matches!(from_edge_list("1 1\n").unwrap_err(), GraphError::SelfLoop(_)));
         assert!(matches!(
@@ -259,17 +261,5 @@ mod tests {
         assert!(dot.contains("1 -- 2;"));
         let dot = to_dot(&g, "p3", |e| Some(format!("c{}", e.0)));
         assert!(dot.contains("[label=\"c0\"]"));
-    }
-
-    #[test]
-    fn digraph_dot_output_shape() {
-        let g = structured::path(3);
-        let d = Digraph::symmetric_closure(&g);
-        let dot = digraph_to_dot(&d, "d", |_| None);
-        assert!(dot.starts_with("digraph d {"));
-        assert!(dot.contains("0 -> 1;"));
-        assert!(dot.contains("1 -> 0;"));
-        let dot = digraph_to_dot(&d, "d", |a| Some(a.0.to_string()));
-        assert!(dot.contains("[label=\"0\"]"));
     }
 }

@@ -6,8 +6,6 @@
 //! * [`Graph`] — a simple undirected graph with stable vertex and edge
 //!   identifiers, adjacency-list storage and an immutable, validated
 //!   construction path through [`GraphBuilder`].
-//! * [`CsrGraph`] — a compressed-sparse-row view for cache-friendly
-//!   traversal in hot loops.
 //! * [`Digraph`] — a directed graph with arc identifiers, used by the
 //!   strong edge-coloring algorithm. Symmetric digraphs (every arc paired
 //!   with its reverse) are first-class: see [`Digraph::symmetric_closure`].
@@ -16,11 +14,12 @@
 //! * [`gen`] — random and structured graph generators covering all of the
 //!   paper's experimental workloads (Erdős–Rényi, Barabási–Albert
 //!   scale-free, Watts–Strogatz small-world) plus fixtures for testing.
-//! * [`analysis`] — degree statistics, connected components, BFS,
-//!   clustering coefficients.
+//! * [`analysis`] — degree statistics, connected components, clustering
+//!   coefficients and a power-law tail estimate.
 //! * [`io`] — plain-text edge-list parsing/serialisation and DOT export.
-//! * [`conflict`] — line graphs and strong (distance-2) conflict graphs,
-//!   used to verify edge colorings through the vertex-coloring lens.
+//! * [`conflict`] — line graphs and the strong (distance-2) conflict graph
+//!   of a digraph, used to verify edge colorings through the
+//!   vertex-coloring lens.
 //!
 //! The crate has no dependencies besides `rand` (generators only) and uses
 //! no `unsafe`.
@@ -45,7 +44,6 @@
 
 pub mod analysis;
 pub mod conflict;
-pub mod csr;
 pub mod digraph;
 pub mod dyn_graph;
 pub mod error;
@@ -54,7 +52,6 @@ pub mod graph;
 pub mod ids;
 pub mod io;
 
-pub use csr::CsrGraph;
 pub use digraph::{Digraph, DigraphBuilder};
 pub use dyn_graph::DynGraph;
 pub use error::GraphError;

@@ -144,11 +144,6 @@ impl FaultPlan {
             && self.crash_fraction <= 0.0
     }
 
-    /// `true` if no node can ever crash under this plan.
-    pub fn is_crash_free(&self) -> bool {
-        self.crash_fraction <= 0.0
-    }
-
     /// Decide one delivery's loss: message `k` of `sender`'s outbox this
     /// round, delivered to `receiver`. Pure — identical across shard counts.
     #[inline]

@@ -28,12 +28,6 @@ pub fn node_rng(master_seed: u64, node_id: u32) -> SmallRng {
     SmallRng::seed_from_u64(s)
 }
 
-/// An auxiliary engine-level RNG (used e.g. by fault injection) that is
-/// independent of every node RNG.
-pub fn engine_rng(master_seed: u64) -> SmallRng {
-    SmallRng::seed_from_u64(splitmix64(master_seed ^ 0xD1A2_C0DE_5EED_F00D))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -65,12 +59,5 @@ mod tests {
         let z: u64 = node_rng(8, 3).random();
         assert_ne!(x, y);
         assert_ne!(x, z);
-    }
-
-    #[test]
-    fn engine_rng_independent_of_node_zero() {
-        let e: u64 = engine_rng(7).random();
-        let n: u64 = node_rng(7, 0).random();
-        assert_ne!(e, n);
     }
 }

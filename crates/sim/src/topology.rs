@@ -64,12 +64,6 @@ impl Topology {
     pub fn are_neighbors(&self, a: VertexId, b: VertexId) -> bool {
         self.neighbors(a).binary_search(&b).is_ok()
     }
-
-    /// Total number of directed (sender, receiver) channels — i.e. the
-    /// number of deliveries one full broadcast round would produce.
-    pub fn num_channels(&self) -> usize {
-        self.neighbors.len()
-    }
 }
 
 #[cfg(test)]
@@ -82,7 +76,6 @@ mod tests {
         let g = structured::cycle(5);
         let t = Topology::from_graph(&g);
         assert_eq!(t.num_nodes(), 5);
-        assert_eq!(t.num_channels(), 10);
         assert_eq!(t.max_degree(), 2);
         for v in g.vertices() {
             let expect: Vec<VertexId> = g.neighbors(v).iter().map(|&(w, _)| w).collect();
@@ -109,7 +102,6 @@ mod tests {
         let t = Topology::from_graph(&Graph::empty(0));
         assert_eq!(t.num_nodes(), 0);
         assert_eq!(t.max_degree(), 0);
-        assert_eq!(t.num_channels(), 0);
     }
 
     #[test]

@@ -95,13 +95,6 @@ pub fn alloc_calls() -> u64 {
     ALLOC_CALLS.load(Relaxed)
 }
 
-/// `true` when a binary installed [`CountingAlloc`] (any allocation
-/// has been observed — always true by the time `main` runs, since
-/// program startup allocates).
-pub fn heap_accounting_on() -> bool {
-    ALLOC_CALLS.load(Relaxed) > 0
-}
-
 /// Reset the peak to the current live count — scopes the high-water
 /// mark to a phase of interest (e.g. "the run itself", excluding
 /// graph loading).

@@ -76,15 +76,6 @@ pub fn hist_bucket(v: u64) -> usize {
     (u64::BITS - v.leading_zeros()) as usize
 }
 
-/// Inclusive lower bound of bucket `i`.
-pub fn hist_bucket_floor(i: usize) -> u64 {
-    if i == 0 {
-        0
-    } else {
-        1u64 << (i - 1)
-    }
-}
-
 impl LogHistogram {
     /// Record one observation.
     pub fn observe(&mut self, v: u64) {
@@ -461,9 +452,6 @@ mod tests {
         assert_eq!(hist_bucket(7), 3);
         assert_eq!(hist_bucket(8), 4);
         assert_eq!(hist_bucket(u64::MAX), 64);
-        assert_eq!(hist_bucket_floor(0), 0);
-        assert_eq!(hist_bucket_floor(1), 1);
-        assert_eq!(hist_bucket_floor(4), 8);
     }
 
     #[test]

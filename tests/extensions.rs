@@ -1,13 +1,10 @@
-//! Integration tests for the beyond-the-paper extensions: vertex cover,
-//! undirected strong coloring, and TDMA schedule semantics — exercised
-//! through the public umbrella API, end to end.
+//! Integration tests for the beyond-the-paper extensions: vertex cover
+//! and TDMA schedule semantics — exercised through the public umbrella
+//! API, end to end.
 
-use dima::baselines::strong_greedy_undirected;
 use dima::core::schedule::{
     verify_half_duplex, verify_interference_free, ArcSchedule, EdgeSchedule,
 };
-use dima::core::strong_undirected::{strong_color_graph, verify_strong_undirected};
-use dima::core::verify::count_colors;
 use dima::core::vertex_cover::{brute_force_min_cover, verify_vertex_cover};
 use dima::core::{color_edges, strong_color_digraph, vertex_cover, ColoringConfig};
 use dima::graph::gen::GraphFamily;
@@ -26,27 +23,6 @@ fn vertex_cover_two_approx_on_random_graphs() {
         verify_vertex_cover(&g, &r.in_cover).unwrap();
         let opt = brute_force_min_cover(&g);
         assert!(r.size <= 2 * opt, "cover {} > 2×OPT {}", r.size, 2 * opt);
-    }
-}
-
-#[test]
-fn undirected_strong_coloring_vs_greedy_yardstick() {
-    let mut rng = SmallRng::seed_from_u64(43);
-    for seed in 0..3 {
-        let g =
-            GraphFamily::ErdosRenyiAvgDegree { n: 50, avg_degree: 4.0 }.sample(&mut rng).unwrap();
-        let dist = strong_color_graph(&g, &ColoringConfig::seeded(seed)).unwrap();
-        assert!(dist.endpoint_agreement);
-        verify_strong_undirected(&g, &dist.colors).unwrap();
-        let greedy = strong_greedy_undirected(&g);
-        verify_strong_undirected(&g, &greedy).unwrap();
-        // One-hop distributed vs full-knowledge greedy: small factor.
-        assert!(
-            dist.colors_used <= 4 * count_colors(&greedy).max(1),
-            "distributed {} vs greedy {}",
-            dist.colors_used,
-            count_colors(&greedy)
-        );
     }
 }
 
