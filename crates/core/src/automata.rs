@@ -95,33 +95,33 @@ pub fn choose_role(rng: &mut SmallRng, invite_probability: f64) -> Role {
     }
 }
 
+/// Pick a uniformly random index below `n`: one `random_range(0..n)`
+/// draw when `n > 0`, no draw otherwise. Every uniform pick in the
+/// automata goes through here, so a count-then-`nth` pick over an
+/// iterator draws exactly as a pick from the collected slice would.
+#[inline]
+pub fn pick_index(rng: &mut SmallRng, n: usize) -> Option<usize> {
+    (n > 0).then(|| rng.random_range(0..n))
+}
+
 /// Pick a uniformly random element of `items` (used for the random
-/// uncolored edge of `I` and the random kept invitation of `R`).
+/// uncolored edge of `I`).
 #[inline]
 pub fn pick_uniform<'a, T>(rng: &mut SmallRng, items: &'a [T]) -> Option<&'a T> {
-    if items.is_empty() {
-        None
-    } else {
-        Some(&items[rng.random_range(0..items.len())])
-    }
+    pick_index(rng, items.len()).map(|i| &items[i])
 }
 
 /// Pick a uniformly random element of `items` without collecting it: one
 /// counting pass, then (if nonempty) one selection pass over a clone.
 /// Draws from `rng` exactly as [`pick_uniform`] does on the collected
-/// slice — one `random_range(0..len)` when nonempty, nothing when empty —
-/// so swapping between the two cannot perturb a seeded run.
+/// slice, so swapping between the two cannot perturb a seeded run.
 #[inline]
 pub fn pick_uniform_iter<T, I>(rng: &mut SmallRng, mut items: I) -> Option<T>
 where
     I: Iterator<Item = T> + Clone,
 {
-    let n = items.clone().count();
-    if n == 0 {
-        None
-    } else {
-        items.nth(rng.random_range(0..n))
-    }
+    let i = pick_index(rng, items.clone().count())?;
+    items.nth(i)
 }
 
 #[cfg(test)]

@@ -49,15 +49,15 @@
 use dima_graph::{Graph, VertexId};
 use dima_sim::churn::{ChurnSchedule, NeighborhoodChange};
 use dima_sim::telemetry::{NoopTracer, PaletteAction, Tracer};
-use dima_sim::{NodeSeed, NodeStatus, Protocol, RoundCtx, RunStats, Topology};
+use dima_sim::{Envelope, NodeSeed, NodeStatus, Protocol, RoundCtx, RunStats, Topology};
 use rand::rngs::SmallRng;
 
-use crate::automata::{choose_role, pick_uniform, pick_uniform_iter, Phase, Role};
+use crate::automata::{choose_role, pick_index, pick_uniform, pick_uniform_iter, Phase, Role};
 use crate::churn::{batch_reports, ChurnColoringResult};
 use crate::config::{ColorPolicy, ColoringConfig};
 use crate::error::CoreError;
 use crate::kempe::{reduce_palette_metered, KempeReport};
-use crate::palette::{Color, ColorSet};
+use crate::palette::{Color, ColorSet, PortColorSets};
 use crate::runner::{run_protocol_churn_traced, run_protocol_traced};
 
 /// Messages of Algorithm 1. All broadcast, per the paper; the `to` field
@@ -112,12 +112,13 @@ pub struct EdgeColoringNode {
     /// Color committed toward each neighbor, if any.
     edge_color: Vec<Option<Color>>,
     /// Ports of still-uncolored edges.
-    uncolored: Vec<usize>,
+    uncolored: Vec<u32>,
     /// Colors this node has used (`used_u`).
     used_self: ColorSet,
     /// Colors each neighbor is known to have used (`used_v` learned via
-    /// the `E` exchange; the paper's `dead` bookkeeping).
-    used_nbr: Vec<ColorSet>,
+    /// the `E` exchange; the paper's `dead` bookkeeping), one row per
+    /// port.
+    used_nbr: PortColorSets,
     /// Role this computation round.
     role: Role,
     proposal: Option<Proposal>,
@@ -150,13 +151,10 @@ impl EdgeColoringNode {
             me: seed.node,
             neighbors: seed.neighbors.to_vec(),
             edge_color: vec![None; degree],
-            uncolored: (0..degree).collect(),
-            // Presized to the 2Δ−1 bound: the hot paths never reallocate
-            // (Vec::clone trims to len, so build each set individually).
+            uncolored: (0..degree as u32).collect(),
+            // Presized to the 2Δ−1 bound: the hot paths never reallocate.
             used_self: ColorSet::with_capacity(palette_bound as usize),
-            used_nbr: (0..degree)
-                .map(|_| ColorSet::with_capacity(palette_bound as usize))
-                .collect(),
+            used_nbr: PortColorSets::new(degree),
             role: Role::Listener,
             proposal: None,
             newly_used: None,
@@ -189,16 +187,16 @@ impl EdgeColoringNode {
     /// (line 1.11: lowest available; or the RandomLegal ablation).
     fn propose_color(&self, port: usize, rng: &mut SmallRng) -> Color {
         match self.color_policy {
-            ColorPolicy::LowestIndex => self.used_self.first_absent_in_union(&self.used_nbr[port]),
+            ColorPolicy::LowestIndex => self.used_nbr.first_absent_in_union(&self.used_self, port),
             ColorPolicy::RandomLegal => {
                 // A legal color within the worst-case palette always
                 // exists: |used_self| + |used_nbr| <= 2Δ−2 < 2Δ−1.
                 let legal = self
                     .used_self
                     .absent_below(self.palette_bound)
-                    .filter(|&c| !self.used_nbr[port].contains(c));
+                    .filter(|&c| !self.used_nbr.contains(port, c));
                 pick_uniform_iter(rng, legal)
-                    .unwrap_or_else(|| self.used_self.first_absent_in_union(&self.used_nbr[port]))
+                    .unwrap_or_else(|| self.used_nbr.first_absent_in_union(&self.used_self, port))
             }
         }
     }
@@ -211,25 +209,53 @@ impl EdgeColoringNode {
     /// port-aligned with the (sorted) neighbor list; `nbr_used` is each
     /// neighbor's full post-compaction palette, replacing the stale
     /// one-hop knowledge so future repair proposals stay exact.
-    pub(crate) fn adopt_compaction(&mut self, own: &[Option<Color>], nbr_used: Vec<ColorSet>) {
+    pub(crate) fn adopt_compaction(&mut self, own: &[Option<Color>], nbr_used: &[ColorSet]) {
         debug_assert_eq!(own.len(), self.neighbors.len());
         debug_assert_eq!(nbr_used.len(), self.neighbors.len());
         self.edge_color.copy_from_slice(own);
-        self.uncolored =
-            (0..self.neighbors.len()).filter(|&p| self.edge_color[p].is_none()).collect();
+        self.uncolored = self.uncolored_ports();
         let mut used = ColorSet::with_capacity(self.palette_bound as usize);
         for c in self.edge_color.iter().flatten() {
             used.insert(*c);
         }
         self.used_self = used;
-        self.used_nbr = nbr_used;
+        self.used_nbr = PortColorSets::from_sets(nbr_used);
+    }
+
+    /// The ports whose edge carries no color yet.
+    fn uncolored_ports(&self) -> Vec<u32> {
+        (0..self.neighbors.len() as u32)
+            .filter(|&p| self.edge_color[p as usize].is_none())
+            .collect()
+    }
+
+    /// The invitations in `inbox` this listener may accept, as
+    /// `(invitor, port, color)`: addressed to it, over a still-uncolored
+    /// edge, with a color it has not used. The port-uncolored guard is
+    /// vacuous under reliable delivery (nobody invites over a colored
+    /// edge) but keeps fault-injected desyncs from double-coloring. The
+    /// used-self guard is likewise vacuous statically (Proposition 2) but
+    /// rejects proposals made over a churn-fresh link before the hello
+    /// landed.
+    fn acceptable_invites<'a>(
+        &'a self,
+        inbox: &'a [Envelope<EcMsg>],
+    ) -> impl Iterator<Item = (VertexId, usize, Color)> + 'a {
+        inbox.iter().filter_map(move |env| match *env.msg() {
+            EcMsg::Invite { to, color } if to == self.me => {
+                let port = self.port_of(env.from)?;
+                (self.edge_color[port].is_none() && !self.used_self.contains(color))
+                    .then_some((env.from, port, color))
+            }
+            _ => None,
+        })
     }
 
     /// Commit `color` on the edge toward `port`.
     fn commit(&mut self, port: usize, color: Color) {
         debug_assert!(self.edge_color[port].is_none(), "edge colored twice");
         self.edge_color[port] = Some(color);
-        self.uncolored.retain(|&p| p != port);
+        self.uncolored.retain(|&p| p as usize != port);
         self.used_self.insert(color);
         self.newly_used = Some(color);
     }
@@ -257,11 +283,11 @@ impl Protocol for EdgeColoringNode {
             let Some(p) = self.port_of(env.from) else { continue };
             match env.msg() {
                 EcMsg::Used { color } => {
-                    self.used_nbr[p].insert(*color);
+                    self.used_nbr.insert(p, *color);
                 }
                 EcMsg::Hello { used } => {
                     for &c in used {
-                        self.used_nbr[p].insert(c);
+                        self.used_nbr.insert(p, c);
                     }
                 }
                 _ => {}
@@ -300,7 +326,8 @@ impl Protocol for EdgeColoringNode {
                     // The uncolored list is non-empty here today, but
                     // degrade to listening rather than panic if a future
                     // edit breaks that invariant.
-                    let Some(&port) = pick_uniform(ctx.rng(), &self.uncolored) else {
+                    let Some(port) = pick_uniform(ctx.rng(), &self.uncolored).map(|&p| p as usize)
+                    else {
                         self.role = Role::Listener;
                         self.state = "L";
                         ctx.trace_state("L", "no-edge");
@@ -332,27 +359,12 @@ impl Protocol for EdgeColoringNode {
                 }
                 let mut accepted: Option<(VertexId, Color)> = None;
                 if self.role == Role::Listener {
-                    let me = self.me;
-                    // Keep invitations addressed to me (L state). The
-                    // port-uncolored guard is vacuous under reliable
-                    // delivery (nobody invites over a colored edge) but
-                    // keeps fault-injected desyncs from double-coloring.
-                    // The used-self guard is likewise vacuous statically
-                    // (Proposition 2) but rejects proposals made over a
-                    // churn-fresh link before the hello landed.
-                    let kept: Vec<(VertexId, usize, Color)> = ctx
-                        .inbox()
-                        .iter()
-                        .filter_map(|env| match *env.msg() {
-                            EcMsg::Invite { to, color } if to == me => {
-                                let port = self.port_of(env.from)?;
-                                (self.edge_color[port].is_none() && !self.used_self.contains(color))
-                                    .then_some((env.from, port, color))
-                            }
-                            _ => None,
-                        })
-                        .collect();
-                    if let Some(&(partner, port, color)) = pick_uniform(ctx.rng(), &kept) {
+                    // Accept one kept invitation uniformly at random (L
+                    // state): count, draw, then walk to the pick.
+                    let kept = self.acceptable_invites(ctx.inbox()).count();
+                    let pick = pick_index(ctx.rng(), kept)
+                        .and_then(|i| self.acceptable_invites(ctx.inbox()).nth(i));
+                    if let Some((partner, port, color)) = pick {
                         ctx.broadcast(EcMsg::Accept { to: partner, color });
                         self.commit(port, color);
                         ctx.trace_palette(PaletteAction::Committed, color.0, partner);
@@ -411,7 +423,7 @@ impl Protocol for EdgeColoringNode {
         // rest of its residual edges and terminate.
         if let Some(p) = self.port_of(neighbor) {
             if self.edge_color[p].is_none() {
-                self.uncolored.retain(|&q| q != p);
+                self.uncolored.retain(|&q| q as usize != p);
             }
         }
     }
@@ -436,16 +448,9 @@ impl Protocol for EdgeColoringNode {
         // Remap per-port state onto the new neighbor list: surviving
         // ports keep their color and accumulated neighbor knowledge, new
         // ports start blank.
-        let mut edge_color = vec![None; new_neighbors.len()];
-        let mut used_nbr: Vec<ColorSet> = (0..new_neighbors.len())
-            .map(|_| ColorSet::with_capacity(self.palette_bound as usize))
-            .collect();
-        for (np, &w) in new_neighbors.iter().enumerate() {
-            if let Some(op) = self.port_of(w) {
-                edge_color[np] = self.edge_color[op];
-                used_nbr[np] = std::mem::take(&mut self.used_nbr[op]);
-            }
-        }
+        let old_port: Vec<Option<usize>> = new_neighbors.iter().map(|&w| self.port_of(w)).collect();
+        let edge_color = old_port.iter().map(|op| op.and_then(|op| self.edge_color[op])).collect();
+        let used_nbr = self.used_nbr.remap(old_port.into_iter());
         // A pending proposal follows its neighbor to the new port index.
         // Dropping a still-valid one would desync a mid-handshake pair —
         // the listener may already have committed — so it dies only with
@@ -457,8 +462,7 @@ impl Protocol for EdgeColoringNode {
         self.neighbors = new_neighbors;
         self.edge_color = edge_color;
         self.used_nbr = used_nbr;
-        self.uncolored =
-            (0..self.neighbors.len()).filter(|&p| self.edge_color[p].is_none()).collect();
+        self.uncolored = self.uncolored_ports();
         // Palette pruning: recompute the used set from the surviving
         // edges only, releasing the colors of removed edges for reuse. A
         // commit pending its exchange sits in `edge_color` already, so it
@@ -653,13 +657,8 @@ fn assemble_result(
     for c in colors.iter().flatten() {
         palette.insert(*c);
     }
-    let palette_bytes: u64 = nodes
-        .iter()
-        .map(|n| {
-            (n.used_self.heap_bytes() + n.used_nbr.iter().map(ColorSet::heap_bytes).sum::<usize>())
-                as u64
-        })
-        .sum();
+    let palette_bytes: u64 =
+        nodes.iter().map(|n| (n.used_self.heap_bytes() + n.used_nbr.heap_bytes()) as u64).sum();
     let comm_rounds = stats.rounds - transport_overhead_rounds;
     EdgeColoringResult {
         colors_used: palette.len(),

@@ -429,12 +429,14 @@ impl KempeNode {
     }
 
     fn on_recolor(&mut self, ctx: &mut RoundCtx<'_, KMsg>, from: VertexId, fc: Color, tc: Color) {
-        let ok = self.free()
-            && self.port_of(from).is_some_and(|p| {
-                !self.pinned[p] && self.edge_color[p] == Some(fc) && !self.used_self.contains(tc)
-            });
-        if ok {
-            let p = self.port_of(from).expect("validated above");
+        let port = self.port_of(from).filter(|&p| {
+            self.free()
+                && !self.pinned[p]
+                && self.edge_color[p] == Some(fc)
+                && !self.used_self.contains(tc)
+        });
+        let ok = port.is_some();
+        if let Some(p) = port {
             self.edge_color[p] = Some(tc);
             self.rebuild_used();
             ctx.trace_palette(PaletteAction::Released, fc.0, from);
@@ -445,13 +447,15 @@ impl KempeNode {
     }
 
     fn on_pair_lock(&mut self, ctx: &mut RoundCtx<'_, KMsg>, from: VertexId, b: Color, cur: Color) {
-        let ok = self.free()
-            && self.port_of(from).is_some_and(|p| {
-                !self.pinned[p] && self.edge_color[p] == Some(cur) && !self.used_self.contains(b)
-            });
+        let port = self.port_of(from).filter(|&p| {
+            self.free()
+                && !self.pinned[p]
+                && self.edge_color[p] == Some(cur)
+                && !self.used_self.contains(b)
+        });
+        let ok = port.is_some();
         let busy = !ok && !self.free();
-        if ok {
-            let p = self.port_of(from).expect("validated above");
+        if let Some(p) = port {
             self.lock = LockState::Partner { port: p };
         }
         ctx.send(from, KMsg::PairResp { ok, busy });
@@ -471,15 +475,13 @@ impl KempeNode {
         enter: Color,
         len: u32,
     ) {
-        let valid = self.free()
-            && self
-                .port_of(from)
-                .is_some_and(|p| !self.pinned[p] && self.edge_color[p] == Some(enter));
-        if !valid {
+        let valid = self
+            .port_of(from)
+            .filter(|&p| self.free() && !self.pinned[p] && self.edge_color[p] == Some(enter));
+        let Some(pred) = valid else {
             ctx.send(from, KMsg::ProbeResult { ok: false, busy: !self.free(), len });
             return;
-        }
-        let pred = self.port_of(from).expect("validated above");
+        };
         let other = if enter == b { a } else { b };
         match self.port_colored(other) {
             None => {
@@ -519,10 +521,11 @@ impl KempeNode {
     ) {
         if let OwnerOp::Probing { port, chain_port, a, b } = self.op {
             if self.neighbors[chain_port] == from {
-                if ok {
+                // An owned edge is colored; were it not, the verdict
+                // takes the refusal path.
+                if let Some(old) = self.edge_color[port].filter(|_| ok) {
                     // Commit: flip the owner's own chain edge (b -> a)
                     // and move the edge below the threshold.
-                    let old = self.edge_color[port].expect("owned edge is colored");
                     self.edge_color[chain_port] = Some(a);
                     self.edge_color[port] = Some(b);
                     self.rebuild_used();
@@ -617,8 +620,9 @@ impl KempeNode {
     ) {
         if let OwnerOp::AwaitRecolor { port, to_color } = self.op {
             if self.neighbors[port] == from {
-                if ok {
-                    let old = self.edge_color[port].expect("owned edge is colored");
+                // As in `on_probe_result`: an uncolored owned edge takes
+                // the refusal path.
+                if let Some(old) = self.edge_color[port].filter(|_| ok) {
                     self.edge_color[port] = Some(to_color);
                     self.rebuild_used();
                     self.trivial_recolors += 1;

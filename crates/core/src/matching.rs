@@ -13,9 +13,9 @@
 
 use dima_graph::{Graph, VertexId};
 use dima_sim::telemetry::{NoopTracer, PaletteAction, Tracer};
-use dima_sim::{NodeSeed, NodeStatus, Protocol, RoundCtx, RunStats, Topology};
+use dima_sim::{Envelope, NodeSeed, NodeStatus, Protocol, RoundCtx, RunStats, Topology};
 
-use crate::automata::{choose_role, pick_uniform, Phase, Role};
+use crate::automata::{choose_role, pick_index, Phase, Role};
 use crate::config::ColoringConfig;
 use crate::error::CoreError;
 use crate::runner::run_protocol_traced;
@@ -77,8 +77,19 @@ impl MatchingNode {
     }
 
     /// Neighbors still believed unmatched.
-    fn available_neighbors(&self) -> Vec<VertexId> {
-        self.neighbors.iter().zip(&self.available).filter(|&(_, &a)| a).map(|(&v, _)| v).collect()
+    fn available_neighbors(&self) -> impl Iterator<Item = VertexId> + '_ {
+        self.neighbors.iter().zip(&self.available).filter(|&(_, &a)| a).map(|(&v, _)| v)
+    }
+
+    /// Senders of the invitations in `inbox` addressed to this node.
+    fn invitors<'a>(
+        &'a self,
+        inbox: &'a [Envelope<MatchMsg>],
+    ) -> impl Iterator<Item = VertexId> + 'a {
+        inbox.iter().filter_map(move |env| match *env.msg() {
+            MatchMsg::Invite { to } if to == self.me => Some(env.from),
+            _ => None,
+        })
     }
 }
 
@@ -106,8 +117,8 @@ impl Protocol for MatchingNode {
                     }
                 }
                 debug_assert!(self.matched_with.is_none(), "matched nodes have left");
-                let candidates = self.available_neighbors();
-                if candidates.is_empty() {
+                let candidates = self.available_neighbors().count();
+                if candidates == 0 {
                     // Every neighbor is matched: this node can never pair
                     // again — it leaves unmatched (maximality preserved).
                     ctx.trace_state("D", "isolated");
@@ -117,8 +128,13 @@ impl Protocol for MatchingNode {
                 self.role = choose_role(ctx.rng(), self.invite_probability);
                 ctx.trace_state(if self.role == Role::Invitor { "I" } else { "L" }, "coin");
                 if self.role == Role::Invitor {
-                    let &target =
-                        pick_uniform(ctx.rng(), &candidates).expect("candidates nonempty");
+                    let pick = pick_index(ctx.rng(), candidates)
+                        .and_then(|i| self.available_neighbors().nth(i));
+                    // Unreachable (`candidates > 0`); listen rather than panic.
+                    let Some(target) = pick else {
+                        self.role = Role::Listener;
+                        return NodeStatus::Active;
+                    };
                     self.invited = Some(target);
                     ctx.trace_palette(PaletteAction::Proposed, 0, target);
                     ctx.broadcast(MatchMsg::Invite { to: target });
@@ -127,16 +143,12 @@ impl Protocol for MatchingNode {
             }
             Phase::RespondStep => {
                 if self.role == Role::Listener {
-                    let me = self.me;
-                    let kept: Vec<VertexId> = ctx
-                        .inbox()
-                        .iter()
-                        .filter_map(|env| match *env.msg() {
-                            MatchMsg::Invite { to } if to == me => Some(env.from),
-                            _ => None,
-                        })
-                        .collect();
-                    if let Some(&partner) = pick_uniform(ctx.rng(), &kept) {
+                    // Accept one invitation uniformly at random: count,
+                    // draw, then walk to the pick.
+                    let kept = self.invitors(ctx.inbox()).count();
+                    let pick =
+                        pick_index(ctx.rng(), kept).and_then(|i| self.invitors(ctx.inbox()).nth(i));
+                    if let Some(partner) = pick {
                         ctx.broadcast(MatchMsg::Accept { to: partner });
                         self.matched_with = Some(partner);
                         self.matched_round = Some(ctx.round() / 3);

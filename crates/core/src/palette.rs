@@ -5,6 +5,8 @@
 //! [`ColorSet`] grows on demand — the algorithms never need to fix a
 //! palette size in advance, and the `2Δ−1` bound emerges from the
 //! lowest-available selection rule rather than from truncation.
+//! [`PortColorSets`] holds one such set per port of a node in a single
+//! flat bitset matrix.
 
 use std::fmt;
 
@@ -116,16 +118,7 @@ impl ColorSet {
     /// both endpoints" rule: `live_u \ used_v` where both sides are
     /// represented by their *used* sets.
     pub fn first_absent_in_union(&self, other: &ColorSet) -> Color {
-        let max_words = self.words.len().max(other.words.len());
-        for i in 0..max_words {
-            let a = self.words.get(i).copied().unwrap_or(0);
-            let b = other.words.get(i).copied().unwrap_or(0);
-            let u = a | b;
-            if u != u64::MAX {
-                return Color((i * 64 + u.trailing_ones() as usize) as u32);
-            }
-        }
-        Color((max_words * 64) as u32)
+        first_absent_in_words(&self.words, &other.words)
     }
 
     /// The greatest color in the set, if any.
@@ -140,17 +133,7 @@ impl ColorSet {
 
     /// Iterate the colors in increasing order.
     pub fn iter(&self) -> impl Iterator<Item = Color> + '_ {
-        self.words.iter().enumerate().flat_map(|(i, &w)| {
-            let mut w = w;
-            std::iter::from_fn(move || {
-                if w == 0 {
-                    return None;
-                }
-                let bit = w.trailing_zeros() as usize;
-                w &= w - 1;
-                Some(Color((i * 64 + bit) as u32))
-            })
-        })
+        iter_words(&self.words)
     }
 
     /// Heap bytes held by this set's backing bitset. Used by the run
@@ -182,6 +165,145 @@ impl ColorSet {
                 Some(Color((i * 64 + bit) as u32))
             })
         })
+    }
+}
+
+/// The colors of a bitset, in increasing order.
+fn iter_words(words: &[u64]) -> impl Iterator<Item = Color> + '_ {
+    words.iter().enumerate().flat_map(|(i, &w)| {
+        let mut w = w;
+        std::iter::from_fn(move || {
+            if w == 0 {
+                return None;
+            }
+            let bit = w.trailing_zeros() as usize;
+            w &= w - 1;
+            Some(Color((i * 64 + bit) as u32))
+        })
+    })
+}
+
+/// The lowest color absent from both bitsets (of any word counts).
+fn first_absent_in_words(a: &[u64], b: &[u64]) -> Color {
+    let max_words = a.len().max(b.len());
+    for i in 0..max_words {
+        let u = a.get(i).copied().unwrap_or(0) | b.get(i).copied().unwrap_or(0);
+        if u != u64::MAX {
+            return Color((i * 64 + u.trailing_ones() as usize) as u32);
+        }
+    }
+    Color((max_words * 64) as u32)
+}
+
+/// One color set per port, flattened into a single bitset matrix:
+/// `stride` 64-bit words per port, in port order, in one allocation.
+///
+/// The stride starts at one word (colors `0..64`) and grows only when a
+/// color past it is inserted; growth re-lays every row at the new stride
+/// and keeps each port's bits. Against a `Vec<ColorSet>`, a node of
+/// degree `d` holds `8·d` bytes in one allocation instead of `d` set
+/// headers plus `d` allocations.
+#[derive(Clone, PartialEq, Eq)]
+pub struct PortColorSets {
+    words: Vec<u64>,
+    /// Words per port; always at least 1.
+    stride: usize,
+}
+
+impl PortColorSets {
+    /// `ports` empty sets.
+    pub fn new(ports: usize) -> Self {
+        PortColorSets { words: vec![0; ports], stride: 1 }
+    }
+
+    /// One port per set in `sets`, each holding the same colors.
+    pub fn from_sets(sets: &[ColorSet]) -> Self {
+        let stride = sets.iter().map(|s| s.words.len()).max().unwrap_or(0).max(1);
+        let mut words = vec![0; sets.len() * stride];
+        for (row, set) in words.chunks_exact_mut(stride).zip(sets) {
+            row[..set.words.len()].copy_from_slice(&set.words);
+        }
+        PortColorSets { words, stride }
+    }
+
+    /// A matrix whose port `i` holds the colors of this matrix's port
+    /// `old_port[i]`, or none when that is `None` (a churn remap onto a
+    /// new neighbor list).
+    pub fn remap(&self, old_port: impl ExactSizeIterator<Item = Option<usize>>) -> Self {
+        let stride = self.stride;
+        let mut words = vec![0; old_port.len() * stride];
+        for (row, op) in words.chunks_exact_mut(stride).zip(old_port) {
+            if let Some(op) = op {
+                row.copy_from_slice(self.row(op));
+            }
+        }
+        PortColorSets { words, stride }
+    }
+
+    /// Number of ports.
+    #[inline]
+    pub fn ports(&self) -> usize {
+        self.words.len() / self.stride
+    }
+
+    #[inline]
+    fn row(&self, port: usize) -> &[u64] {
+        &self.words[port * self.stride..(port + 1) * self.stride]
+    }
+
+    /// Membership of `c` in `port`'s set.
+    #[inline]
+    pub fn contains(&self, port: usize, c: Color) -> bool {
+        let w = c.index() / 64;
+        w < self.stride && (self.row(port)[w] >> (c.index() % 64)) & 1 == 1
+    }
+
+    /// Insert `c` into `port`'s set; returns `true` if it was new.
+    pub fn insert(&mut self, port: usize, c: Color) -> bool {
+        let w = c.index() / 64;
+        if w >= self.stride {
+            self.grow(w + 1);
+        }
+        let word = &mut self.words[port * self.stride + w];
+        let mask = 1u64 << (c.index() % 64);
+        let new = *word & mask == 0;
+        *word |= mask;
+        new
+    }
+
+    /// Re-lay every row at `stride` words, keeping its bits.
+    fn grow(&mut self, stride: usize) {
+        let mut words = vec![0; self.ports() * stride];
+        for (row, old) in words.chunks_exact_mut(stride).zip(self.words.chunks_exact(self.stride)) {
+            row[..self.stride].copy_from_slice(old);
+        }
+        self.words = words;
+        self.stride = stride;
+    }
+
+    /// The lowest color in neither `own` nor `port`'s set — the
+    /// [`ColorSet::first_absent_in_union`] rule against one port.
+    #[inline]
+    pub fn first_absent_in_union(&self, own: &ColorSet, port: usize) -> Color {
+        first_absent_in_words(&own.words, self.row(port))
+    }
+
+    /// The colors of `port`'s set, in increasing order.
+    pub fn iter(&self, port: usize) -> impl Iterator<Item = Color> + '_ {
+        iter_words(self.row(port))
+    }
+
+    /// Heap bytes held by the matrix.
+    pub fn heap_bytes(&self) -> usize {
+        self.words.capacity() * std::mem::size_of::<u64>()
+    }
+}
+
+impl fmt::Debug for PortColorSets {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list()
+            .entries((0..self.ports()).map(|p| ColorSet::from_iter(self.iter(p))))
+            .finish()
     }
 }
 
@@ -286,6 +408,59 @@ mod tests {
         s.insert(Color(255));
         assert!(s.contains(Color(255)));
         assert_eq!(s.len(), 1);
+    }
+
+    #[test]
+    fn port_sets_insert_contains_per_port() {
+        let mut m = PortColorSets::new(3);
+        assert_eq!(m.ports(), 3);
+        assert!(m.insert(1, Color(5)));
+        assert!(!m.insert(1, Color(5)));
+        assert!(m.contains(1, Color(5)));
+        assert!(!m.contains(0, Color(5)));
+        assert!(!m.contains(2, Color(5)));
+        assert!(!m.contains(1, Color(500))); // past the stride
+        assert_eq!(m.heap_bytes(), 3 * 8, "one word per port below 64 colors");
+    }
+
+    #[test]
+    fn port_sets_grow_past_64_colors_keeping_other_ports() {
+        let mut m = PortColorSets::new(3);
+        for (p, c) in [(0, 0), (0, 63), (1, 7), (2, 40)] {
+            m.insert(p, Color(c));
+        }
+        assert!(m.insert(1, Color(130)));
+        assert_eq!(m.heap_bytes(), 3 * 3 * 8, "stride grew to three words");
+        let rows: Vec<Vec<u32>> = (0..3).map(|p| m.iter(p).map(|c| c.0).collect()).collect();
+        assert_eq!(rows, vec![vec![0, 63], vec![7, 130], vec![40]]);
+        assert_eq!(format!("{m:?}"), "[{c0, c63}, {c7, c130}, {c40}]");
+    }
+
+    #[test]
+    fn port_sets_first_absent_in_union_matches_colorset() {
+        let own: ColorSet = [0u32, 2].into_iter().map(Color).collect();
+        let sets: Vec<ColorSet> = vec![
+            [1u32, 3].into_iter().map(Color).collect(),
+            ColorSet::new(),
+            (0..64).chain(65..70).map(Color).collect(),
+        ];
+        let m = PortColorSets::from_sets(&sets);
+        for (p, set) in sets.iter().enumerate() {
+            assert_eq!(m.first_absent_in_union(&own, p), own.first_absent_in_union(set));
+        }
+        assert_eq!(m.first_absent_in_union(&own, 2), Color(64));
+    }
+
+    #[test]
+    fn port_sets_remap_keeps_surviving_rows() {
+        let sets: Vec<ColorSet> =
+            vec![[1u32].into_iter().map(Color).collect(), [70u32].into_iter().map(Color).collect()];
+        let m = PortColorSets::from_sets(&sets);
+        let r = m.remap([Some(1), None, Some(0)].into_iter());
+        assert_eq!(r.ports(), 3);
+        assert_eq!(format!("{r:?}"), "[{c70}, {}, {c1}]");
+        assert_eq!(PortColorSets::new(0).ports(), 0);
+        assert_eq!(PortColorSets::from_sets(&[]).ports(), 0);
     }
 
     #[test]

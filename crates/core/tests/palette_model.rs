@@ -1,11 +1,12 @@
-//! Model-based property test: `ColorSet` against `BTreeSet<u32>` under
-//! random operation sequences. The bitset is the hot data structure of
-//! every protocol, so its correctness is checked exhaustively rather
-//! than assumed.
+//! Model-based property tests: `ColorSet` against `BTreeSet<u32>`, and
+//! the flat per-port `PortColorSets` against one `ColorSet` per port,
+//! under random operation sequences. The bitsets are the hot data
+//! structures of every protocol, so their correctness is checked
+//! exhaustively rather than assumed.
 
 use std::collections::BTreeSet;
 
-use dima_core::palette::{Color, ColorSet};
+use dima_core::palette::{Color, ColorSet, PortColorSets};
 use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
@@ -28,6 +29,25 @@ fn arb_op() -> impl Strategy<Value = Op> {
         Just(Op::Max),
         Just(Op::Len),
         (0u32..80).prop_map(Op::AbsentBelow),
+    ]
+}
+
+#[derive(Clone, Debug)]
+enum PortOp {
+    Insert(usize, u32),
+    Contains(usize, u32),
+    OwnInsert(u32),
+    FirstAbsentInUnion(usize),
+}
+
+/// Ports are drawn from `0..8` and wrapped onto the matrix's port count;
+/// colors reach past two 64-bit words so the stride grows mid-sequence.
+fn arb_port_op() -> impl Strategy<Value = PortOp> {
+    prop_oneof![
+        (0usize..8, 0u32..200).prop_map(|(p, c)| PortOp::Insert(p, c)),
+        (0usize..8, 0u32..200).prop_map(|(p, c)| PortOp::Contains(p, c)),
+        (0u32..200).prop_map(PortOp::OwnInsert),
+        (0usize..8).prop_map(PortOp::FirstAbsentInUnion),
     ]
 }
 
@@ -92,5 +112,46 @@ proptest! {
         );
         // Symmetric.
         prop_assert_eq!(sa.first_absent_in_union(&sb), sb.first_absent_in_union(&sa));
+    }
+
+    /// `PortColorSets` behaves like one `ColorSet` per port, through
+    /// stride growth: no insert on one port disturbs another.
+    #[test]
+    fn port_sets_match_colorset_per_port_model(
+        ports in 1usize..6,
+        ops in proptest::collection::vec(arb_port_op(), 0..200),
+    ) {
+        let mut flat = PortColorSets::new(ports);
+        let mut model: Vec<ColorSet> = vec![ColorSet::new(); ports];
+        let mut own = ColorSet::new();
+        for op in ops {
+            match op {
+                PortOp::Insert(p, c) => {
+                    let p = p % ports;
+                    prop_assert_eq!(flat.insert(p, Color(c)), model[p].insert(Color(c)));
+                }
+                PortOp::Contains(p, c) => {
+                    let p = p % ports;
+                    prop_assert_eq!(flat.contains(p, Color(c)), model[p].contains(Color(c)));
+                }
+                PortOp::OwnInsert(c) => {
+                    own.insert(Color(c));
+                }
+                PortOp::FirstAbsentInUnion(p) => {
+                    let p = p % ports;
+                    prop_assert_eq!(
+                        flat.first_absent_in_union(&own, p),
+                        own.first_absent_in_union(&model[p])
+                    );
+                }
+            }
+        }
+        prop_assert_eq!(flat.ports(), ports);
+        for (p, set) in model.iter().enumerate() {
+            let got: Vec<u32> = flat.iter(p).map(|c| c.0).collect();
+            let expect: Vec<u32> = set.iter().map(|c| c.0).collect();
+            prop_assert_eq!(got, expect, "port {}", p);
+        }
+        prop_assert_eq!(PortColorSets::from_sets(&model), flat.clone());
     }
 }

@@ -16,19 +16,29 @@
 //!    slice of the batch falling in its shard, then a barrier makes the
 //!    new done flags and topology visible before any node steps;
 //! 2. **step & deposit** — every participant steps its live nodes in id
-//!    order, pushing each delivery directly into the `(sender shard,
-//!    receiver shard)` slot of the `MailGrid` — in place, no mutex,
-//!    no post-barrier shuffle. Exactly one participant writes any slot
-//!    in this phase, which is what makes the lock-free deposit sound;
-//! 3. **barrier A**, then **boundary + collect** — each participant
-//!    applies the wake-ups addressed to its shard, publishes its new
-//!    done flags, and drains its grid *column* straight into its flat
+//!    order and deposits their mail in place, no mutex, into the
+//!    `(sender shard, receiver shard)` slots of the `MailGrid`. A
+//!    unicast's fate (dropped, delivered, duplicated) is decided here
+//!    and it takes one entry per copy. A broadcast takes one *post* per
+//!    receiver shard that holds a neighbor of the sender — at most one
+//!    per shard, however high the degree. Exactly one participant writes
+//!    any slot in this phase, which is what makes the lock-free deposit
+//!    sound;
+//! 3. **barrier A**, then **fan-out + boundary + collect** — each
+//!    participant first expands the posts in its grid *column* to its own
+//!    neighbors of each sender and decides those deliveries' fates
+//!    against the done flags the round started with. Only then does it
+//!    apply the wake-ups addressed to its shard and publish its new done
+//!    flags, so a wake-up never changes the fate of a later delivery to
+//!    the same node. It then drains the column straight into its flat
 //!    inbox arena: one counting pass sizes each receiver's run, one
-//!    placement pass moves each envelope to its final slot. Walking sender shards in
-//!    ascending order (each slot already in sender-id order) yields the
-//!    documented sorted-by-sender delivery order *by construction* — no
-//!    sort, no per-node buckets, one move per message. Deliveries to a
-//!    node that parked or crashed this round are dropped here.
+//!    placement pass writes each envelope to its final slot (a post's
+//!    payload is cloned into all its copies but the last, which takes
+//!    the payload itself). Walking sender shards in ascending order
+//!    (each slot already in sender-id order, each post's copies in
+//!    receiver order) yields the documented sorted-by-sender delivery
+//!    order *by construction* — no sort, no per-node buckets. Deliveries
+//!    to a node that parked or crashed this round are dropped here.
 //!
 //! The scope join doubles as barrier B: no participant can deposit for
 //! round `r + 1` before every participant finished collecting round `r`.
@@ -243,27 +253,44 @@ fn shard_bounds(topo: &Topology, threads: usize) -> Vec<(usize, usize)> {
 
 /// The mailbox grid: one slot per `(sender shard, receiver shard)` pair.
 ///
+/// A slot holds the sender shard's mail for the receiver shard's nodes,
+/// in sender-id order: unicast copies already fated at deposit, and one
+/// [`Dest::Fanout`] post per broadcast whose sender has neighbors in the
+/// receiver shard. A broadcast therefore costs one entry per receiver
+/// shard, not one per neighbor; the receiver expands it.
+///
 /// Slots are plain vectors behind `UnsafeCell` — no mutex. Soundness is
 /// phase discipline, enforced by the round barrier:
 ///
 /// * in the **deposit** phase, slot `(s, r)` is written only by
 ///   participant `s` (each participant owns its *row*);
-/// * in the **collect** phase (after barrier A), slot `(s, r)` is
-///   drained only by participant `r` (each participant owns its
-///   *column*);
+/// * in the **fan-out and collect** phases (after barrier A), slot
+///   `(s, r)` is read and drained only by participant `r` (each
+///   participant owns its *column*);
 /// * the phases never overlap: barrier A separates them within a tick,
 ///   and the scope join + next dispatch separate a tick's collect from
 ///   the next tick's deposit.
 ///
 /// Draining in place (`Vec::drain`) keeps each slot's capacity with its
 /// channel pair, so steady-state rounds allocate nothing.
-/// One grid slot: messages addressed from a sender shard to the nodes
-/// of a receiver shard.
-type MailSlot<M> = UnsafeCell<Vec<(VertexId, Envelope<M>)>>;
-
 struct MailGrid<M> {
     slots: Vec<MailSlot<M>>,
     threads: usize,
+}
+
+/// One grid slot: mail from a sender shard to the nodes of a receiver
+/// shard.
+type MailSlot<M> = UnsafeCell<Vec<(Dest, Envelope<M>)>>;
+
+/// Where a grid entry goes.
+enum Dest {
+    /// One copy for this node; a unicast, its fate decided at deposit.
+    Node(VertexId),
+    /// A broadcast, one copy (or two, or none: fates are decided on
+    /// the receiving side) for each of the sender's neighbors in the
+    /// receiver shard. Carries the message's outbox index, an input of
+    /// the fault decisions.
+    Fanout(u32),
 }
 
 // SAFETY: see the struct docs — every slot has exactly one accessor per
@@ -283,11 +310,51 @@ impl<M> MailGrid<M> {
     /// # Safety
     /// The caller must be the slot's unique accessor for the current
     /// phase: participant `s` during deposit, participant `r` during
-    /// collect.
+    /// fan-out and collect.
     #[allow(clippy::mut_from_ref)]
-    unsafe fn slot(&self, s: usize, r: usize) -> &mut Vec<(VertexId, Envelope<M>)> {
+    unsafe fn slot(&self, s: usize, r: usize) -> &mut Vec<(Dest, Envelope<M>)> {
         &mut *self.slots[s * self.threads + r].get()
     }
+}
+
+impl<M: Clone> MailGrid<M> {
+    /// Deposit broadcast `k` of `from` (a node of shard `tid`): one post
+    /// in each slot `(tid, r)` whose shard `r` holds one of `neighbors`.
+    /// Shards are contiguous id ranges and `neighbors` is sorted, so each
+    /// shard's neighbors form one run. The payload is cloned for every
+    /// post but the last, which takes it.
+    ///
+    /// # Safety
+    /// The caller must be participant `tid` in the deposit phase.
+    unsafe fn post_broadcast(
+        &self,
+        tid: usize,
+        bounds: &[(usize, usize)],
+        shard_of: &[u32],
+        neighbors: &[VertexId],
+        k: u32,
+        env: Envelope<M>,
+    ) {
+        let mut rest = neighbors;
+        while let Some(first) = rest.first() {
+            let r = shard_of[first.index()] as usize;
+            rest = &rest[rest.partition_point(|v| v.index() < bounds[r].1)..];
+            let slot = self.slot(tid, r);
+            if rest.is_empty() {
+                slot.push((Dest::Fanout(k), env));
+                return;
+            }
+            slot.push((Dest::Fanout(k), env.clone()));
+        }
+    }
+}
+
+/// The run of `neighbors` (sorted) inside the node range `[lo, hi)`.
+#[inline]
+fn neighbors_in(neighbors: &[VertexId], lo: usize, hi: usize) -> &[VertexId] {
+    let a = neighbors.partition_point(|v| v.index() < lo);
+    let b = a + neighbors[a..].partition_point(|v| v.index() < hi);
+    &neighbors[a..b]
 }
 
 /// Per-shard persistent state plus the per-tick outputs the caller folds
@@ -307,6 +374,11 @@ struct ShardState<M> {
     outbox: Vec<(Target, M)>,
     newly_done: Vec<usize>,
     suppressed_now: Vec<usize>,
+    /// Fan-out scratch: the copies (0, 1 or 2) of each broadcast
+    /// delivery into this shard, in column order, and the parked nodes
+    /// a delivery wakes.
+    fates: Vec<u8>,
+    woken: Vec<usize>,
     /// Telemetry: stamped event buffer (merged at each round boundary)
     /// and partial per-kind counters (summed during the merge).
     buf: ShardBuf,
@@ -340,6 +412,8 @@ impl<M> ShardState<M> {
             outbox: Vec::new(),
             newly_done: Vec::new(),
             suppressed_now: Vec::new(),
+            fates: Vec::new(),
+            woken: Vec::new(),
             buf: ShardBuf::default(),
             kinds: None,
             metrics: None,
@@ -375,7 +449,6 @@ struct NodeArrays<P: Protocol> {
     crashed: *mut bool,
     suppress: *mut bool,
     shards: *mut ShardState<P::Msg>,
-    n: usize,
 }
 
 // SAFETY: the pointers partition by shard / by phase as documented; the
@@ -430,15 +503,6 @@ impl<P: Protocol> NodeArrays<P> {
     /// `i` must be in the caller's shard.
     unsafe fn set_suppress(&self, i: usize, v: bool) {
         *self.suppress.add(i) = v;
-    }
-    /// The full done array as a shared slice, for the delivery-fate
-    /// check.
-    ///
-    /// # Safety
-    /// Only valid during the step phase, where no participant writes
-    /// the array; the slice must be dropped before barrier A.
-    unsafe fn done_view(&self) -> &[bool] {
-        std::slice::from_raw_parts(self.done, self.n)
     }
 }
 
@@ -808,7 +872,6 @@ where
                 crashed: self.crashed.as_mut_ptr(),
                 suppress: self.suppress.as_mut_ptr(),
                 shards: self.shards.as_mut_ptr(),
-                n: self.protocols.len(),
             },
             factory: &self.factory,
             tracer: &*tracer,
@@ -903,6 +966,8 @@ where
         outbox,
         newly_done,
         suppressed_now,
+        fates,
+        woken,
         buf,
         kinds,
         metrics,
@@ -1006,117 +1071,101 @@ where
     // Fault counters land in a scratch RunStats the caller folds in
     // shard order.
     let mut fstats = RunStats::default();
-    {
-        // SAFETY: step phase — no participant writes `done`.
-        let done_view = unsafe { a.done_view() };
-        for i in lo..hi {
-            // SAFETY: own-shard reads/writes; see NodeArrays docs.
-            unsafe {
-                if a.done(i) || a.crashed(i) {
-                    continue;
-                }
-                if ctx.crash_round[i].is_some_and(|cr| round >= cr) {
-                    a.set_crashed(i, true);
-                    crashed_delta += 1;
-                    continue;
-                }
+    for i in lo..hi {
+        // SAFETY: own-shard reads/writes; see NodeArrays docs.
+        unsafe {
+            if a.done(i) || a.crashed(i) {
+                continue;
             }
-            active += 1;
-            let node = VertexId(i as u32);
-            outbox.clear();
-            let li = i - lo;
-            let len = inbox_len[li] as usize;
-            let inbox: &[Envelope<P::Msg>] = if len == 0 || unsafe { a.suppressed(i) } {
-                &[]
+            if ctx.crash_round[i].is_some_and(|cr| round >= cr) {
+                a.set_crashed(i, true);
+                crashed_delta += 1;
+                continue;
+            }
+        }
+        active += 1;
+        let node = VertexId(i as u32);
+        outbox.clear();
+        let li = i - lo;
+        let len = inbox_len[li] as usize;
+        let inbox: &[Envelope<P::Msg>] = if len == 0 || unsafe { a.suppressed(i) } {
+            &[]
+        } else {
+            let start = inbox_start[li] as usize;
+            &inbox_data[start..start + len]
+        };
+        let status = {
+            let trace = if T::ENABLED && ctx.tracer.sample(node.0) {
+                buf.round = round;
+                buf.node = node.0;
+                TraceHandle::to(buf)
             } else {
-                let start = inbox_start[li] as usize;
-                &inbox_data[start..start + len]
+                TraceHandle::none()
             };
-            let status = {
-                let trace = if T::ENABLED && ctx.tracer.sample(node.0) {
-                    buf.round = round;
-                    buf.node = node.0;
-                    TraceHandle::to(buf)
-                } else {
-                    TraceHandle::none()
-                };
-                let mut rctx = RoundCtx {
-                    node,
-                    round,
-                    neighbors: ctx.topo.neighbors(node),
-                    inbox,
-                    outbox,
-                    // SAFETY: own-shard RNG.
-                    rng: unsafe { a.rng(i) },
-                    trace,
-                    metrics: MetricsHandle::from_opt(metrics.as_mut()),
-                };
-                // SAFETY: own-shard protocol.
-                unsafe { a.protocol(i) }.on_round(&mut rctx)
+            let mut rctx = RoundCtx {
+                node,
+                round,
+                neighbors: ctx.topo.neighbors(node),
+                inbox,
+                outbox,
+                // SAFETY: own-shard RNG.
+                rng: unsafe { a.rng(i) },
+                trace,
+                metrics: MetricsHandle::from_opt(metrics.as_mut()),
             };
-            for (k, (target, msg)) in outbox.drain(..).enumerate() {
-                sent += 1;
-                let mut kind_row: Option<&mut KindTotals> =
-                    kinds.as_mut().map(|t| t.row(P::kind_of(&msg)));
-                // A delivery that goes through to a parked node wakes it
-                // at the boundary (see below).
-                let wakes = P::wakes(&msg);
-                match target {
-                    Target::Unicast(to) => {
-                        if ctx.cfg.validate_sends && !ctx.topo.are_neighbors(node, to) {
-                            error.get_or_insert(SimError::NotANeighbor { from: node, to });
-                            continue;
-                        }
+            // SAFETY: own-shard protocol.
+            unsafe { a.protocol(i) }.on_round(&mut rctx)
+        };
+        for (k, (target, msg)) in outbox.drain(..).enumerate() {
+            sent += 1;
+            let k = k as u32;
+            match target {
+                Target::Unicast(to) => {
+                    if ctx.cfg.validate_sends && !ctx.topo.are_neighbors(node, to) {
+                        error.get_or_insert(SimError::NotANeighbor { from: node, to });
+                        continue;
+                    }
+                    // SAFETY (this block): step phase — nobody writes
+                    // `done`; the deposit goes into this participant's
+                    // grid row.
+                    unsafe {
                         let copies = deliver_fate(
                             ctx.cfg,
                             round,
                             node,
                             to,
                             k,
-                            done_view,
-                            wakes,
+                            a.done(to.index()),
+                            P::wakes(&msg),
                             ctx.crash_round,
                             &mut fstats,
-                            kind_row,
+                            kinds.as_mut().map(|t| t.row(P::kind_of(&msg))),
                         );
                         delivered += u64::from(copies);
-                        // SAFETY: deposit into this participant's grid
-                        // row.
-                        let slot = unsafe { ctx.grid.slot(tid, ctx.shard_of[to.index()] as usize) };
+                        let slot = ctx.grid.slot(tid, ctx.shard_of[to.index()] as usize);
                         if copies == 2 {
-                            slot.push((to, Envelope::new(node, msg.clone())));
+                            slot.push((Dest::Node(to), Envelope::new(node, msg.clone())));
                         }
                         if copies > 0 {
-                            slot.push((to, Envelope::new(node, msg)));
-                        }
-                    }
-                    Target::Broadcast => {
-                        for &to in ctx.topo.neighbors(node) {
-                            let copies = deliver_fate(
-                                ctx.cfg,
-                                round,
-                                node,
-                                to,
-                                k,
-                                done_view,
-                                wakes,
-                                ctx.crash_round,
-                                &mut fstats,
-                                kind_row.as_deref_mut(),
-                            );
-                            delivered += u64::from(copies);
-                            for _ in 0..copies {
-                                // SAFETY: own grid row.
-                                unsafe { ctx.grid.slot(tid, ctx.shard_of[to.index()] as usize) }
-                                    .push((to, Envelope::new(node, msg.clone())));
-                            }
+                            slot.push((Dest::Node(to), Envelope::new(node, msg)));
                         }
                     }
                 }
+                // SAFETY: deposit phase, own grid row.
+                Target::Broadcast => unsafe {
+                    ctx.grid.post_broadcast(
+                        tid,
+                        ctx.bounds,
+                        ctx.shard_of,
+                        ctx.topo.neighbors(node),
+                        k,
+                        Envelope::new(node, msg),
+                    );
+                },
             }
-            if status == NodeStatus::Done {
-                newly_done.push(i);
-            }
+        }
+        if status == NodeStatus::Done {
+            newly_done.push(i);
         }
     }
     for &i in suppressed_now.iter() {
@@ -1125,14 +1174,6 @@ where
     }
     suppressed_now.clear();
     step_scope.stop_into(&mut phases.step);
-    // Flush this participant's partial per-kind counters; the boundary
-    // merge sums partial rows with equal (round, kind) across shards
-    // into one row.
-    if let Some(k) = kinds.as_mut() {
-        buf.round = round;
-        buf.node = 0;
-        k.flush(round, |ev| buf.sink(ev));
-    }
 
     // --- Barrier A: all deposits for this round are in the grid. The
     //     wait is timed apart from the phases: per-shard barrier time
@@ -1143,61 +1184,128 @@ where
     }
     wait_scope.stop_into(&mut phases.barrier);
 
-    // --- Boundary: apply wake-ups, then publish this shard's new done
-    //     flags. Done-ness takes effect at round boundaries — no
-    //     participant read the shared flags since the barrier, so they
-    //     still say who was parked when the round began. A delivery in
-    //     this shard's column to such a node can only be wake-class
-    //     (`deliver_fate` drops everything else), and it re-enters the
-    //     node before collect would drop its inbox. A node cannot be
-    //     both woken and newly done: wake-ups only reach nodes that were
-    //     parked, hence not stepped. ---
-    for s in 0..ctx.threads {
-        // SAFETY: boundary phase — this participant owns grid column
-        // `tid`, and the done flags it writes are its own shard's.
-        for (to, _) in unsafe { ctx.grid.slot(s, tid) }.iter() {
-            if unsafe { a.done(to.index()) } {
-                unsafe { a.set_done(to.index(), false) };
+    // --- Fan-out, then boundary. Every broadcast post in this
+    //     participant's column expands to the sender's neighbors in this
+    //     shard, and each delivery's fate is decided against this
+    //     shard's done flags, which still say who was parked when the
+    //     round began: no participant writes another shard's flags, and
+    //     this one writes its own only after the pass. A delivery that
+    //     goes through to a parked node can only be wake-class
+    //     (`deliver_fate` drops everything else); it re-enters the node
+    //     before collect would drop its inbox. Wake-ups apply after
+    //     every fate is decided, so none changes the fate of a later
+    //     delivery to the same node. A node cannot be both woken and
+    //     newly done: wake-ups only reach nodes that were parked, hence
+    //     not stepped. ---
+    let collect_scope = ProfileScope::start(ctx.cfg.profile);
+    fates.clear();
+    woken.clear();
+    // SAFETY (this block): boundary phase — this participant owns grid
+    // column `tid`, and reads and writes only its own shard's done
+    // flags.
+    unsafe {
+        for s in 0..ctx.threads {
+            for (dest, env) in ctx.grid.slot(s, tid).iter() {
+                match *dest {
+                    Dest::Node(to) => {
+                        if a.done(to.index()) {
+                            woken.push(to.index());
+                        }
+                    }
+                    Dest::Fanout(k) => {
+                        let msg = env.msg();
+                        let wakes = P::wakes(msg);
+                        let mut kind_row = kinds.as_mut().map(|t| t.row(P::kind_of(msg)));
+                        for &to in neighbors_in(ctx.topo.neighbors(env.from), lo, hi) {
+                            let parked = a.done(to.index());
+                            let copies = deliver_fate(
+                                ctx.cfg,
+                                round,
+                                env.from,
+                                to,
+                                k,
+                                parked,
+                                wakes,
+                                ctx.crash_round,
+                                &mut fstats,
+                                kind_row.as_deref_mut(),
+                            );
+                            delivered += u64::from(copies);
+                            if copies > 0 && parked {
+                                woken.push(to.index());
+                            }
+                            fates.push(copies as u8);
+                        }
+                    }
+                }
+            }
+        }
+        for &i in woken.iter() {
+            if a.done(i) {
+                a.set_done(i, false);
                 done_delta -= 1;
             }
         }
+        for &i in newly_done.iter() {
+            a.set_done(i, true);
+            done_delta += 1;
+        }
     }
-    for &i in newly_done.iter() {
-        // SAFETY: own-shard writes in the boundary phase.
-        unsafe { a.set_done(i, true) };
-        done_delta += 1;
+    // Flush this participant's partial per-kind counters; the boundary
+    // merge sums partial rows with equal (round, kind) across shards
+    // into one row.
+    if let Some(k) = kinds.as_mut() {
+        buf.round = round;
+        buf.node = 0;
+        k.flush(round, |ev| buf.sink(ev));
     }
 
     // --- Collect: drain this participant's grid column into its arena.
     //     Sender shards ascending × sender ids ascending within a slot
     //     = delivery order sorted by sender, by construction. One
-    //     counting pass sizes each receiver's run, one placement pass
-    //     moves each envelope once. ---
-    let collect_scope = ProfileScope::start(ctx.cfg.profile);
+    //     counting pass sizes each receiver's run (and zeroes the fates
+    //     of deliveries to nodes that parked or crashed this round), one
+    //     placement pass moves or clones each envelope into place. ---
+    // SAFETY: collect phase — own-shard reads, no writer.
+    let parked = |i: usize| unsafe { a.done(i) || a.crashed(i) };
     for &li in receivers.iter() {
         inbox_len[li as usize] = 0;
     }
     receivers.clear();
     let mut total = 0u32;
+    let mut tally = |to: VertexId, copies: u8| {
+        let li = to.index() - lo;
+        if inbox_len[li] == 0 {
+            receivers.push(li as u32);
+        }
+        inbox_len[li] += u32::from(copies);
+        total += u32::from(copies);
+    };
+    let mut f = 0usize;
     for s in 0..ctx.threads {
         // SAFETY: collect phase — this participant owns grid column
         // `tid`.
-        let slot = unsafe { ctx.grid.slot(s, tid) };
-        for (to, _) in slot.iter() {
-            let i = to.index();
-            // Deliveries to nodes that parked or crashed this round are
-            // dropped.
-            // SAFETY: own-shard reads (the boundary writes above were
-            // ours).
-            if unsafe { a.done(i) || a.crashed(i) } {
-                continue;
+        for (dest, env) in unsafe { ctx.grid.slot(s, tid) }.iter() {
+            match *dest {
+                Dest::Node(to) => {
+                    if !parked(to.index()) {
+                        tally(to, 1);
+                    }
+                }
+                Dest::Fanout(_) => {
+                    for &to in neighbors_in(ctx.topo.neighbors(env.from), lo, hi) {
+                        let copies = &mut fates[f];
+                        f += 1;
+                        if *copies > 0 {
+                            if parked(to.index()) {
+                                *copies = 0;
+                            } else {
+                                tally(to, *copies);
+                            }
+                        }
+                    }
+                }
             }
-            let li = i - lo;
-            if inbox_len[li] == 0 {
-                receivers.push(li as u32);
-            }
-            inbox_len[li] += 1;
-            total += 1;
         }
     }
     // Lay the receivers' runs out back to back; `inbox_start` doubles
@@ -1207,30 +1315,57 @@ where
         inbox_start[li as usize] = at;
         at += inbox_len[li as usize];
     }
+    let total = total as usize;
     inbox_data.clear();
-    inbox_data.reserve(total as usize);
+    if inbox_data.capacity() < total {
+        // Exactly this round's size: growing in place would double
+        // past the last peak (and copy the dead buffer).
+        *inbox_data = Vec::new();
+        inbox_data.reserve_exact(total);
+    }
     let base = inbox_data.as_mut_ptr();
+    let mut place = |to: VertexId, env: Envelope<P::Msg>| {
+        let li = to.index() - lo;
+        let at = inbox_start[li] as usize;
+        inbox_start[li] += 1;
+        // SAFETY: `at < total <= capacity`, each slot written once (the
+        // cursor pass replays the counting pass exactly).
+        unsafe { base.add(at).write(env) };
+    };
+    let mut f = 0usize;
     for s in 0..ctx.threads {
         // SAFETY: own column, as above.
-        let slot = unsafe { ctx.grid.slot(s, tid) };
-        for (to, env) in slot.drain(..) {
-            let i = to.index();
-            if unsafe { a.done(i) || a.crashed(i) } {
-                continue; // env dropped
+        for (dest, env) in unsafe { ctx.grid.slot(s, tid) }.drain(..) {
+            match dest {
+                Dest::Node(to) => {
+                    if !parked(to.index()) {
+                        place(to, env);
+                    }
+                }
+                Dest::Fanout(_) => {
+                    let nb = neighbors_in(ctx.topo.neighbors(env.from), lo, hi);
+                    let copies = &fates[f..f + nb.len()];
+                    f += nb.len();
+                    // The payload moves into the last copy.
+                    let Some(last) = copies.iter().rposition(|&c| c > 0) else { continue };
+                    for (&to, &c) in nb[..last].iter().zip(copies) {
+                        for _ in 0..c {
+                            place(to, env.clone());
+                        }
+                    }
+                    if copies[last] == 2 {
+                        place(nb[last], env.clone());
+                    }
+                    place(nb[last], env);
+                }
             }
-            let li = i - lo;
-            let at = inbox_start[li] as usize;
-            inbox_start[li] += 1;
-            // SAFETY: `at < total <= capacity`, each slot written once
-            // (the cursor pass mirrors the counting pass exactly).
-            unsafe { base.add(at).write(env) };
         }
     }
     for &li in receivers.iter() {
         inbox_start[li as usize] -= inbox_len[li as usize];
     }
     // SAFETY: exactly `total` elements were placed above.
-    unsafe { inbox_data.set_len(total as usize) };
+    unsafe { inbox_data.set_len(total) };
     collect_scope.stop_into(&mut phases.collect);
 
     // Publish this tick's outputs for the caller's fold.
@@ -1246,7 +1381,8 @@ where
 }
 
 /// Decide a delivery's fate: the number of copies (0, 1 or 2) that reach
-/// the recipient's next-round inbox, updating fault counters. `wakes`
+/// the recipient's next-round inbox, updating fault counters. `parked`
+/// is the recipient's done flag at the start of the round; `wakes`
 /// carries [`Protocol::wakes`] for the message: a wake-class delivery
 /// goes through to a done node (the caller then re-enters the node).
 #[inline]
@@ -1256,8 +1392,8 @@ fn deliver_fate(
     round: u64,
     from: VertexId,
     to: VertexId,
-    k: usize,
-    done: &[bool],
+    k: u32,
+    parked: bool,
     wakes: bool,
     crash_round: &[Option<u64>],
     stats: &mut RunStats,
@@ -1266,7 +1402,7 @@ fn deliver_fate(
     if let Some(kr) = kind.as_deref_mut() {
         kr.sent += 1;
     }
-    if done[to.index()] && !wakes {
+    if parked && !wakes {
         return 0;
     }
     // A message sent at round `r` is read at round `r + 1`; if the
@@ -1275,21 +1411,21 @@ fn deliver_fate(
     if crash_round[to.index()].is_some_and(|cr| round + 1 >= cr) {
         return 0;
     }
-    if cfg.faults.drops(cfg.seed, round, from.0, to.0, k as u32) {
+    if cfg.faults.drops(cfg.seed, round, from.0, to.0, k) {
         stats.dropped += 1;
         if let Some(kr) = kind.as_deref_mut() {
             kr.dropped += 1;
         }
         return 0;
     }
-    if cfg.faults.corrupts(cfg.seed, round, from.0, to.0, k as u32) {
+    if cfg.faults.corrupts(cfg.seed, round, from.0, to.0, k) {
         stats.corrupted += 1;
         if let Some(kr) = kind.as_deref_mut() {
             kr.corrupted += 1;
         }
         return 0;
     }
-    let copies = if cfg.faults.duplicates(cfg.seed, round, from.0, to.0, k as u32) {
+    let copies = if cfg.faults.duplicates(cfg.seed, round, from.0, to.0, k) {
         stats.duplicated += 1;
         if let Some(kr) = kind.as_deref_mut() {
             kr.duplicated += 1;
@@ -1705,6 +1841,34 @@ mod tests {
                 assert!(hi > lo, "no empty shards while threads <= n");
             }
         }
+    }
+
+    #[test]
+    fn a_broadcast_deposits_one_post_per_receiver_shard() {
+        // The hub of a star has neighbors in all three shards: its
+        // broadcast takes one grid entry per shard, not one per leaf.
+        let topo = Topology::from_graph(&structured::star(30));
+        let stepper = Stepper::new(&topo, &EngineConfig::default(), 3, flood_factory);
+        let posts = |from: u32| -> Vec<usize> {
+            let node = VertexId(from);
+            let tid = stepper.shard_of[node.index()] as usize;
+            // SAFETY: no tick in flight; this test is the grid's only
+            // user.
+            unsafe {
+                stepper.grid.post_broadcast(
+                    tid,
+                    &stepper.bounds,
+                    &stepper.shard_of,
+                    topo.neighbors(node),
+                    0,
+                    Envelope::new(node, from),
+                );
+                (0..3).map(|r| std::mem::take(stepper.grid.slot(tid, r)).len()).collect()
+            }
+        };
+        assert_eq!(posts(0), vec![1, 1, 1]);
+        // A leaf's one neighbor sits in shard 0: one post, there.
+        assert_eq!(posts(29), vec![1, 0, 0]);
     }
 
     #[test]
