@@ -201,17 +201,41 @@ impl EdgeColoringNode {
         }
     }
 
+    /// Committed slots toward `nbrs`, a sorted neighbor list — the
+    /// service watchdog's progress count, read per node without
+    /// allocating. When `nbrs` is this node's own port list (every live
+    /// node between batches) that is its colored ports; otherwise (a
+    /// departed node keeps its ports while the topology lists none) each
+    /// listed neighbor is looked up.
+    pub(crate) fn colored_toward(&self, nbrs: &[VertexId]) -> usize {
+        if self.neighbors == nbrs {
+            self.edge_color.iter().filter(|c| c.is_some()).count()
+        } else {
+            nbrs.iter().filter(|&&v| self.color_toward(v).is_some()).count()
+        }
+    }
+
+    /// [`EdgeColoringNode::color_toward`] for a caller that expects `v`
+    /// at `port`: one read when it is there, a search when it is not.
+    pub(crate) fn color_at(&self, port: usize, v: VertexId) -> Option<Color> {
+        match self.neighbors.get(port) {
+            Some(&w) if w == v => self.edge_color[port],
+            _ => self.color_toward(v),
+        }
+    }
+
     /// Overwrite this node's committed colors and per-neighbor
     /// knowledge with the outcome of an out-of-band palette compaction
     /// (serve mode runs the Kempe pass between repairs — see
     /// [`crate::kempe`]). Only sound while the node is parked: at
     /// quiescence no proposal or exchange is in flight. `own` is
-    /// port-aligned with the (sorted) neighbor list; `nbr_used` is each
-    /// neighbor's full post-compaction palette, replacing the stale
-    /// one-hop knowledge so future repair proposals stay exact.
-    pub(crate) fn adopt_compaction(&mut self, own: &[Option<Color>], nbr_used: &[ColorSet]) {
+    /// port-aligned with the (sorted) neighbor list; `palettes` holds
+    /// every node's full post-compaction palette, indexed by vertex id.
+    /// Each port's knowledge row is copied out of its neighbor's palette,
+    /// replacing the stale one-hop knowledge so future repair proposals
+    /// stay exact.
+    pub(crate) fn adopt_compaction(&mut self, own: &[Option<Color>], palettes: &[ColorSet]) {
         debug_assert_eq!(own.len(), self.neighbors.len());
-        debug_assert_eq!(nbr_used.len(), self.neighbors.len());
         self.edge_color.copy_from_slice(own);
         self.uncolored = self.uncolored_ports();
         let mut used = ColorSet::with_capacity(self.palette_bound as usize);
@@ -219,7 +243,8 @@ impl EdgeColoringNode {
             used.insert(*c);
         }
         self.used_self = used;
-        self.used_nbr = PortColorSets::from_sets(nbr_used);
+        self.used_nbr =
+            PortColorSets::from_sets(self.neighbors.iter().map(|v| &palettes[v.index()]));
     }
 
     /// The ports whose edge carries no color yet.

@@ -60,6 +60,8 @@
 //! traversed by probes, and never initiate. Crashed nodes participate
 //! as stubs that refuse every request.
 
+use std::sync::Arc;
+
 use dima_graph::{Graph, VertexId};
 use dima_sim::fault::FaultPlan;
 use dima_sim::telemetry::{MetricsRegistry, NoopTracer, PaletteAction, Tracer};
@@ -67,7 +69,7 @@ use dima_sim::{NodeSeed, NodeStatus, Protocol, RoundCtx, Topology};
 
 use crate::config::{ColorReduction, ColoringConfig, KempeConfig, Transport};
 use crate::error::CoreError;
-use crate::palette::{Color, ColorSet};
+use crate::palette::{Color, ColorSet, PortColorSets};
 use crate::runner::run_protocol_traced;
 
 /// Rounds a request sender waits for a response before retransmitting.
@@ -97,8 +99,9 @@ fn wind_down_margin(max_chain: usize) -> u64 {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) enum KMsg {
     /// Full used-color set of the sender (round 0, and re-broadcast
-    /// after every local recolor).
-    Hello { used: Vec<Color> },
+    /// after every local recolor). Reference-counted: every recipient's
+    /// copy of the broadcast shares the sender's one list.
+    Hello { used: Arc<[Color]> },
     /// Trivial recolor request for the edge (sender, receiver): change
     /// its color from `from_color` to `to_color`.
     Recolor { from_color: Color, to_color: Color },
@@ -208,7 +211,7 @@ pub(crate) struct KempeNode {
     used_self: ColorSet,
     /// Per-port knowledge of the neighbor's used set, refreshed by
     /// [`KMsg::Hello`] (replaced wholesale — colors can be released).
-    nbr_used: Vec<ColorSet>,
+    nbr_used: PortColorSets,
     /// Candidate-pair attempts consumed per owned port.
     attempts: Vec<u32>,
     /// Color indices `>= threshold` are over-threshold.
@@ -275,7 +278,7 @@ impl KempeNode {
             edge_color,
             pinned,
             used_self,
-            nbr_used: (0..degree).map(|_| ColorSet::new()).collect(),
+            nbr_used: PortColorSets::new(degree),
             attempts: vec![0; degree],
             threshold,
             max_chain: kcfg.max_chain.min(u32::MAX as usize) as u32,
@@ -397,7 +400,7 @@ impl KempeNode {
         let partner = self.neighbors[port];
         // Trivial: a color < T free at both ends (by one-hop knowledge;
         // the partner re-validates, so staleness only costs a retry).
-        let x = self.used_self.first_absent_in_union(&self.nbr_used[port]);
+        let x = self.nbr_used.first_absent_in_union(&self.used_self, port);
         if x.0 < self.threshold {
             self.attempts[port] += 1;
             self.op = OwnerOp::AwaitRecolor { port, to_color: x };
@@ -410,8 +413,9 @@ impl KempeNode {
         // (if it were absent at both, the trivial branch would have
         // fired). Cycle through the `b` candidates across attempts.
         let a = self.used_self.first_absent();
-        let cands: Vec<Color> = self.nbr_used[port]
-            .absent_below(self.threshold)
+        let cands: Vec<Color> = (0..self.threshold)
+            .map(Color)
+            .filter(|&b| !self.nbr_used.contains(port, b))
             .filter(|&b| self.port_colored(b).is_some_and(|pb| !self.pinned[pb]))
             .collect();
         if a.0 >= self.threshold || cands.is_empty() {
@@ -708,9 +712,8 @@ impl Protocol for KempeNode {
     fn on_round(&mut self, ctx: &mut RoundCtx<'_, KMsg>) -> NodeStatus {
         if self.stub {
             // Crashed in the main run: refuse everything, stay parked.
-            let requests: Vec<(VertexId, KMsg)> =
-                ctx.inbox().iter().map(|e| (e.from, e.msg().clone())).collect();
-            for (from, msg) in requests {
+            for i in 0..ctx.inbox().len() {
+                let Some((from, msg)) = operation(ctx, i) else { continue };
                 match msg {
                     KMsg::Recolor { .. } => {
                         ctx.send(from, KMsg::RecolorAck { ok: false, busy: false })
@@ -731,18 +734,19 @@ impl Protocol for KempeNode {
             self.hello(ctx);
             return NodeStatus::Active;
         }
-        let inbox: Vec<(VertexId, KMsg)> =
-            ctx.inbox().iter().map(|e| (e.from, e.msg().clone())).collect();
         // Knowledge refreshes first, then operations in sender order
-        // (lowest id wins contended locks — deterministic).
-        for (from, msg) in &inbox {
-            if let KMsg::Hello { used } = msg {
-                if let Some(p) = self.port_of(*from) {
-                    self.nbr_used[p] = used.iter().copied().collect();
+        // (lowest id wins contended locks — deterministic). Handlers
+        // send, so the inbox is walked by index and only the operation
+        // in hand is copied out; `Hello` payloads are read in place.
+        for env in ctx.inbox() {
+            if let KMsg::Hello { used } = env.msg() {
+                if let Some(p) = self.port_of(env.from) {
+                    self.nbr_used.assign(p, used.iter().copied());
                 }
             }
         }
-        for (from, msg) in inbox {
+        for i in 0..ctx.inbox().len() {
+            let Some((from, msg)) = operation(ctx, i) else { continue };
             match msg {
                 KMsg::Hello { .. } => {}
                 KMsg::Recolor { from_color, to_color } => {
@@ -853,6 +857,14 @@ impl Protocol for KempeNode {
             NodeStatus::Done
         }
     }
+}
+
+/// The sender and a copy of inbox message `i`, unless it is a
+/// [`KMsg::Hello`]: every other message is heap-free, so the copy costs
+/// no allocation, and it frees the context for the handler's sends.
+fn operation(ctx: &RoundCtx<'_, KMsg>, i: usize) -> Option<(VertexId, KMsg)> {
+    let env = &ctx.inbox()[i];
+    (!matches!(env.msg(), KMsg::Hello { .. })).then(|| (env.from, env.msg().clone()))
 }
 
 /// What the reduction pass did to the palette.

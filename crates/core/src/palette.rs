@@ -216,10 +216,18 @@ impl PortColorSets {
         PortColorSets { words: vec![0; ports], stride: 1 }
     }
 
-    /// One port per set in `sets`, each holding the same colors.
-    pub fn from_sets(sets: &[ColorSet]) -> Self {
-        let stride = sets.iter().map(|s| s.words.len()).max().unwrap_or(0).max(1);
-        let mut words = vec![0; sets.len() * stride];
+    /// One port per set in `sets`, each holding the same colors. The
+    /// sets are borrowed: the matrix copies their bits, so callers can
+    /// hand out rows of a shared table without cloning it per port.
+    pub fn from_sets<'a, I>(sets: I) -> Self
+    where
+        I: IntoIterator<Item = &'a ColorSet>,
+        I::IntoIter: Clone,
+    {
+        let sets = sets.into_iter();
+        let (ports, widest) = sets.clone().fold((0, 0), |(n, w), s| (n + 1, w.max(s.words.len())));
+        let stride = widest.max(1);
+        let mut words = vec![0; ports * stride];
         for (row, set) in words.chunks_exact_mut(stride).zip(sets) {
             row[..set.words.len()].copy_from_slice(&set.words);
         }
@@ -269,6 +277,14 @@ impl PortColorSets {
         let new = *word & mask == 0;
         *word |= mask;
         new
+    }
+
+    /// Replace `port`'s set with `colors`, in place.
+    pub fn assign(&mut self, port: usize, colors: impl IntoIterator<Item = Color>) {
+        self.words[port * self.stride..(port + 1) * self.stride].fill(0);
+        for c in colors {
+            self.insert(port, c);
+        }
     }
 
     /// Re-lay every row at `stride` words, keeping its bits.

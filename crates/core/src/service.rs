@@ -34,7 +34,19 @@
 //! Escalations are recorded in the history (RNG streams continue
 //! across a restart, so replaying the recorded escalation round
 //! reproduces the live trajectory exactly; during replay the watchdog
-//! itself is disarmed).
+//! itself is disarmed). The slot count is one allocation-free pass over
+//! the node arrays per tick.
+//!
+//! # Cost per batch
+//!
+//! Nothing on the tick or batch path builds a map. The coloring, its
+//! hash and palette count come from one walk over the topology's sorted
+//! neighbor lists, already in `(u, v)` order; a batch's
+//! churn-amplification count is a merge walk of the coloring before and
+//! after its repair; the Kempe compaction's write-back lays the reduced
+//! colors out port by port and lends every node the shared palettes,
+//! cloning no per-port set. What stays O(m) per batch is those walks and
+//! the compaction's rebuild of the live graph.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -597,49 +609,147 @@ impl Inner {
             Inner::Strong(s) => s.nodes()[v.index()].palette(),
         }
     }
-}
 
-/// One node's edge-coloring write-back: its port colors and its
-/// neighbors' palettes (`None` skips the node).
-type EcSlots = Option<(Vec<Option<Color>>, Vec<ColorSet>)>;
-
-/// Per-node write-back of a settled edge coloring: each node's port
-/// colors plus its neighbors' full palettes, so future repair proposals
-/// stay exact (Proposition 2 relies on one-hop knowledge being current at
-/// quiescence). `color(u, v)` is `u`'s slot toward `v`. Departed nodes
-/// get `None`: a parked leaver keeps its pre-leave ports while the
-/// topology lists none, and a rejoin rebuilds it from the factory anyway.
-fn ec_write_back(
-    topo: &Topology,
-    alive: impl Fn(usize) -> bool,
-    color: impl Fn(VertexId, VertexId) -> Option<Color>,
-) -> Vec<EcSlots> {
-    let n = topo.num_nodes();
-    let palettes: Vec<ColorSet> = (0..n)
-        .map(|i| {
-            let u = VertexId(i as u32);
-            topo.neighbors(u).iter().filter_map(|&v| color(u, v)).collect()
-        })
-        .collect();
-    (0..n)
-        .map(|i| {
-            let u = VertexId(i as u32);
-            alive(i).then(|| {
-                let own = topo.neighbors(u).iter().map(|&v| color(u, v)).collect();
-                let knowledge =
-                    topo.neighbors(u).iter().map(|&v| palettes[v.index()].clone()).collect();
-                (own, knowledge)
-            })
-        })
-        .collect()
-}
-
-/// Apply an [`ec_write_back`] to the parked automata.
-fn adopt_ec(nodes: &mut [EdgeColoringNode], per_node: Vec<EcSlots>) {
-    for (node, slots) in nodes.iter_mut().zip(per_node) {
-        if let Some((own, knowledge)) = slots {
-            node.adopt_compaction(&own, &knowledge);
+    /// The slots of edge `u`-`v` where `v` is `u`'s port `p` and `u` is
+    /// `v`'s port `q` in the topology: direct reads for edge coloring
+    /// (a port that does not match falls back to a search), a search per
+    /// side for strong coloring.
+    fn slots_at(
+        &self,
+        (u, p): (VertexId, usize),
+        (v, q): (VertexId, usize),
+    ) -> (Option<Color>, Option<Color>) {
+        match self {
+            Inner::Ec(s) => {
+                let nodes = s.nodes();
+                (nodes[u.index()].color_at(p, v), nodes[v.index()].color_at(q, u))
+            }
+            Inner::Strong(_) => self.edge_slots(u, v),
         }
+    }
+
+    /// Visit every edge of the live topology with its two slots, sorted
+    /// by `(u, v)`.
+    fn for_each_edge(&self, mut visit: impl FnMut(ColoredEdge)) {
+        for_each_port_pair(self.topology(), |(u, p), (v, q)| {
+            let (forward, reverse) = self.slots_at((u, p), (v, q));
+            visit(ColoredEdge { u, v, forward, reverse });
+        });
+    }
+
+    /// Committed color slots over the live topology's edges: every
+    /// filled slot [`Inner::for_each_edge`] visits. For edge coloring
+    /// (the watchdog's hot path) one allocation-free pass per node
+    /// against its topology neighbors counts the same slots.
+    fn committed_slots(&self) -> usize {
+        match self {
+            Inner::Ec(s) => {
+                let topo = s.topology();
+                s.nodes()
+                    .iter()
+                    .enumerate()
+                    .map(|(i, node)| node.colored_toward(topo.neighbors(VertexId(i as u32))))
+                    .sum()
+            }
+            Inner::Strong(_) => {
+                let mut filled = 0;
+                self.for_each_edge(|e| {
+                    filled += usize::from(e.forward.is_some()) + usize::from(e.reverse.is_some());
+                });
+                filled
+            }
+        }
+    }
+}
+
+/// Visit every edge `u < v` of `topo` in `(u, v)` order with its ports:
+/// `v` is `u`'s port `p` and `u` is `v`'s port `q`. One walk over the
+/// sorted neighbor lists: `u` ascends, so each `v` meets its lower
+/// neighbors in its own port order, and a per-node cursor names `q`
+/// without a search. Relies on the topology being symmetric, as one
+/// built from an undirected graph is.
+fn for_each_port_pair(
+    topo: &Topology,
+    mut visit: impl FnMut((VertexId, usize), (VertexId, usize)),
+) {
+    let mut low = vec![0u32; topo.num_nodes()];
+    for u in (0..topo.num_nodes() as u32).map(VertexId) {
+        for (p, &v) in topo.neighbors(u).iter().enumerate() {
+            if v > u {
+                let q = low[v.index()] as usize;
+                low[v.index()] += 1;
+                debug_assert_eq!(topo.neighbors(v).get(q), Some(&u), "asymmetric topology");
+                visit((u, p), (v, q));
+            }
+        }
+    }
+}
+
+/// Edges of `topo` (each counted from both ends).
+fn num_edges(topo: &Topology) -> usize {
+    (0..topo.num_nodes() as u32).map(|u| topo.degree(VertexId(u))).sum::<usize>() / 2
+}
+
+/// A settled edge coloring laid out port by port in topology order:
+/// node `u`'s slots toward its neighbors, in neighbor order, are
+/// `slots[start[u]..start[u + 1]]`.
+struct PortSlots {
+    start: Vec<usize>,
+    slots: Vec<Option<Color>>,
+}
+
+impl PortSlots {
+    /// An all-`None` table shaped like `topo`.
+    fn new(topo: &Topology) -> Self {
+        let mut start = Vec::with_capacity(topo.num_nodes() + 1);
+        start.push(0);
+        for u in (0..topo.num_nodes() as u32).map(VertexId) {
+            start.push(start[u.index()] + topo.degree(u));
+        }
+        let slots = vec![None; start[topo.num_nodes()]];
+        PortSlots { start, slots }
+    }
+
+    /// Node `i`'s slots, in neighbor order.
+    fn of(&self, i: usize) -> &[Option<Color>] {
+        &self.slots[self.start[i]..self.start[i + 1]]
+    }
+}
+
+/// Write a settled edge coloring back into the parked automata: each
+/// node takes its port colors from `table` and its neighbors' full
+/// palettes, so future repair proposals stay exact (Proposition 2 relies
+/// on one-hop knowledge being current at quiescence). Nodes for which
+/// `alive` is false are skipped: a parked leaver keeps its pre-leave
+/// ports while the topology lists none, and a rejoin rebuilds it from the
+/// factory anyway. The palettes are built once and lent to every node.
+fn ec_write_back(nodes: &mut [EdgeColoringNode], table: &PortSlots, alive: impl Fn(usize) -> bool) {
+    let palettes: Vec<ColorSet> =
+        (0..nodes.len()).map(|i| table.of(i).iter().flatten().copied().collect()).collect();
+    for (i, node) in nodes.iter_mut().enumerate().filter(|&(i, _)| alive(i)) {
+        node.adopt_compaction(table.of(i), &palettes);
+    }
+}
+
+/// Edges of `post` whose slots differ from `pre` or that `pre` lacks —
+/// the churn-amplification count. Both are sorted by `(u, v)`, so one
+/// merge walk compares them.
+fn colors_changed(pre: &[ColoredEdge], post: &[ColoredEdge]) -> u64 {
+    let mut i = 0;
+    let mut changed = 0;
+    for e in post {
+        while pre.get(i).is_some_and(|p| (p.u, p.v) < (e.u, e.v)) {
+            i += 1;
+        }
+        changed += u64::from(pre.get(i) != Some(e));
+    }
+    changed
+}
+
+/// Add the colors on `e`'s slots to `set`.
+fn add_colors(set: &mut ColorSet, e: &ColoredEdge) {
+    for c in [e.forward, e.reverse].into_iter().flatten() {
+        set.insert(c);
     }
 }
 
@@ -647,7 +757,8 @@ struct OpenBatch {
     seq: u64,
     round: u64,
     events: usize,
-    pre: HashMap<(u32, u32), (Option<Color>, Option<Color>)>,
+    /// The coloring before the batch, sorted by `(u, v)`.
+    pre: Vec<ColoredEdge>,
 }
 
 /// A live, crash-recoverable coloring of a mutating graph. See the
@@ -881,11 +992,9 @@ impl ColoringService {
 
     /// Committed color slots plus done nodes — the watchdog's progress
     /// metric. A healthy repair raises it every few ticks; a genuinely
-    /// wedged one cannot.
+    /// wedged one cannot. One pass over the node arrays, no allocation.
     fn progress_metric(&self, done: usize) -> u64 {
-        let slots =
-            self.coloring_map().values().flat_map(|&(a, b)| [a, b]).filter(Option::is_some).count();
-        slots as u64 + done as u64
+        self.inner.committed_slots() as u64 + done as u64
     }
 
     /// Execute one communication round, applying a pending batch first
@@ -902,7 +1011,7 @@ impl ColoringService {
                 seq: self.pending_seq,
                 round: b.round,
                 events: b.events.len(),
-                pre: self.coloring_map(),
+                pre: self.coloring(),
             });
             self.stall_ticks = 0;
             self.progress_hwm = 0;
@@ -917,10 +1026,8 @@ impl ColoringService {
             let open = self.open_batch.take();
             // The churn-amplification numerator measures the *repair*,
             // so diff before compacting.
-            let colors_changed = open.as_ref().map(|open| {
-                let post = self.coloring_map();
-                post.iter().filter(|(k, v)| open.pre.get(k) != Some(*v)).count() as u64
-            });
+            let colors_changed =
+                open.as_ref().map(|open| colors_changed(&open.pre, &self.coloring()));
             let reduction = self.compact();
             if let Some(open) = open {
                 self.reports.push(ServeBatchReport {
@@ -1017,8 +1124,8 @@ impl ColoringService {
 
     /// Distinct colors committed across the current coloring.
     fn distinct_colors(&self) -> u64 {
-        let set: ColorSet =
-            self.coloring_map().values().flat_map(|&(f, r)| [f, r]).flatten().collect();
+        let mut set = ColorSet::new();
+        self.inner.for_each_edge(|e| add_colors(&mut set, &e));
         set.len() as u64
     }
 
@@ -1042,75 +1149,50 @@ impl ColoringService {
         // lift the settled coloring off the automata.
         let topo = self.inner.topology();
         let n = topo.num_nodes();
-        let mut pairs: Vec<(VertexId, VertexId)> = Vec::new();
-        for i in 0..n {
-            let u = VertexId(i as u32);
-            for &v in topo.neighbors(u) {
-                if v > u {
-                    pairs.push((u, v));
-                }
-            }
-        }
-        let mut colors: Vec<Option<Color>> = Vec::with_capacity(pairs.len());
-        let mut b = GraphBuilder::with_capacity(n, pairs.len());
-        for &(u, v) in &pairs {
-            b.add_edge(u, v);
-            let (fwd, rev) = self.inner.edge_slots(u, v);
-            if fwd != rev {
-                return None;
-            }
-            colors.push(fwd);
+        let m = num_edges(topo);
+        let mut b = GraphBuilder::with_capacity(n, m);
+        let mut colors: Vec<Option<Color>> = Vec::with_capacity(m);
+        let mut agree = true;
+        self.inner.for_each_edge(|e| {
+            agree &= e.forward == e.reverse;
+            b.add_edge(e.u, e.v);
+            colors.push(e.forward);
+        });
+        if !agree {
+            return None;
         }
         let g = b.build().ok()?;
-        let alive: Vec<bool> = (0..n).map(|i| self.feed.is_alive(VertexId(i as u32))).collect();
+        // Committed liveness, not the feed's staged view: an event staged
+        // while this repair ran belongs to a later batch, and replay
+        // (which stages each batch only at its commit) never sees it here.
+        let mut alive = vec![true; n];
+        for v in self.feed.committed_dead() {
+            alive[v.index()] = false;
+        }
         let report =
             crate::kempe::reduce_palette(&g, &mut colors, &alive, &kcfg, &self.cfg.coloring)
                 .ok()?;
         if report.trivial_recolors + report.chains_flipped > 0 {
-            let mut by_edge: HashMap<(u32, u32), Option<Color>> = HashMap::new();
-            for (&(u, v), &c) in pairs.iter().zip(colors.iter()) {
-                by_edge.insert((u.0, v.0), c);
-            }
-            let color_of = |u: VertexId, v: VertexId| {
-                let key = if u < v { (u.0, v.0) } else { (v.0, u.0) };
-                by_edge.get(&key).copied().flatten()
-            };
-            let per_node = ec_write_back(topo, |i| alive[i], color_of);
+            // The same walk again visits the edges in `colors`' order.
+            let mut table = PortSlots::new(topo);
+            let mut edge = colors.iter();
+            for_each_port_pair(topo, |(u, p), (v, q)| {
+                let c = edge.next().copied().flatten();
+                table.slots[table.start[u.index()] + p] = c;
+                table.slots[table.start[v.index()] + q] = c;
+            });
             // The protocol was matched as edge-coloring above; if the
             // stepper disagrees, skip the write-back rather than panic —
             // the un-compacted coloring is still proper.
-            adopt_ec(self.inner.ec_nodes_mut()?, per_node);
+            ec_write_back(self.inner.ec_nodes_mut()?, &table, |i| alive[i]);
         }
         Some(report)
     }
 
-    fn coloring_map(&self) -> SlotMap {
-        let topo = self.inner.topology();
-        let mut map = HashMap::new();
-        for i in 0..topo.num_nodes() {
-            let u = VertexId(i as u32);
-            for &v in topo.neighbors(u) {
-                if v.0 > u.0 {
-                    map.insert((u.0, v.0), self.inner.edge_slots(u, v));
-                }
-            }
-        }
-        map
-    }
-
     /// The full current coloring, sorted by `(u, v)`.
     pub fn coloring(&self) -> Vec<ColoredEdge> {
-        let mut out: Vec<ColoredEdge> = self
-            .coloring_map()
-            .into_iter()
-            .map(|((u, v), (forward, reverse))| ColoredEdge {
-                u: VertexId(u),
-                v: VertexId(v),
-                forward,
-                reverse,
-            })
-            .collect();
-        out.sort_by_key(|e| (e.u, e.v));
+        let mut out = Vec::with_capacity(num_edges(self.inner.topology()));
+        self.inner.for_each_edge(|e| out.push(e));
         out
     }
 
@@ -1121,11 +1203,12 @@ impl ColoringService {
 
     /// A liveness/convergence summary.
     pub fn status(&self) -> ServiceStatus {
-        let coloring = self.coloring();
-        let mut colors: Vec<u32> =
-            coloring.iter().flat_map(|e| [e.forward, e.reverse]).flatten().map(|c| c.0).collect();
-        colors.sort_unstable();
-        colors.dedup();
+        let mut coloring = Vec::with_capacity(num_edges(self.inner.topology()));
+        let mut palette = ColorSet::new();
+        self.inner.for_each_edge(|e| {
+            add_colors(&mut palette, &e);
+            coloring.push(e);
+        });
         let n = self.inner.num_nodes();
         let alive = (0..n).filter(|&i| self.feed.is_alive(VertexId(i as u32))).count();
         ServiceStatus {
@@ -1136,7 +1219,7 @@ impl ColoringService {
             staged: self.feed.staged(),
             batches: self.batches_committed,
             escalations: self.escalations,
-            colors_used: colors.len(),
+            colors_used: palette.len(),
             hash: hash_coloring(&coloring),
         }
     }
@@ -1169,9 +1252,15 @@ impl ColoringService {
         if is_ec {
             // Every automaton was just built over `topo`, departed
             // (isolated) nodes included, so all of them take the write-back.
-            let per_node = ec_write_back(topo, |_| true, |u, v| slot(u, v).0);
+            let mut table = PortSlots::new(topo);
+            for u in (0..n as u32).map(VertexId) {
+                let at = table.start[u.index()];
+                for (p, &v) in topo.neighbors(u).iter().enumerate() {
+                    table.slots[at + p] = slot(u, v).0;
+                }
+            }
             if let Some(nodes) = inner.ec_nodes_mut() {
-                adopt_ec(nodes, per_node);
+                ec_write_back(nodes, &table, |_| true);
             }
         } else {
             // A strong-coloring node's forbidden set accumulates every
@@ -1279,7 +1368,10 @@ impl ColoringService {
         let hash_before = self.coloring_hash();
         let g = self.feed.committed_graph();
         let dead = self.feed.committed_dead();
-        let coloring = self.coloring_map();
+        let mut coloring = SlotMap::new();
+        self.inner.for_each_edge(|e| {
+            coloring.insert((e.u.0, e.v.0), (e.forward, e.reverse));
+        });
         let staged: Vec<ChurnEvent> = self.feed.staged_events().to_vec();
         let epoch = self.epoch + 1;
         let mut next = Self::build_rebased(
@@ -2382,6 +2474,8 @@ fn parse_entry_stream<'a>(
 mod tests {
     use super::*;
     use dima_graph::gen::structured;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn svc(protocol: ServeProtocol, seed: u64) -> ColoringService {
         let g = structured::path(8);
@@ -3034,5 +3128,128 @@ mod tests {
         assert!(matches!(s.compact_history(), Err(ServiceError::NotSettled { .. })));
         s.run_to_quiescence(s.tick_budget()).unwrap();
         assert_proper(&s);
+    }
+
+    /// Stage up to `want` random events over `n` nodes — link churn,
+    /// leaves and joins — skipping what the feed rejects.
+    fn stage_random(s: &mut ColoringService, rng: &mut SmallRng, n: u32, want: usize) {
+        let mut staged = 0;
+        for _ in 0..200 {
+            if staged == want {
+                break;
+            }
+            let (a, b) = (VertexId(rng.random_range(0..n)), VertexId(rng.random_range(0..n)));
+            let ev = match rng.random_range(0..4u32) {
+                0 => ChurnEvent::LinkUp(a, b),
+                1 => ChurnEvent::LinkDown(a, b),
+                2 => ChurnEvent::NodeLeave(a),
+                _ => ChurnEvent::NodeJoin(a),
+            };
+            staged += usize::from(s.stage(ev).is_ok());
+        }
+    }
+
+    /// A coloring keyed by `(u, v)`, as the service once kept it.
+    fn slot_map(coloring: &[ColoredEdge]) -> SlotMap {
+        coloring.iter().map(|e| ((e.u.0, e.v.0), (e.forward, e.reverse))).collect()
+    }
+
+    /// The reference churn-amplification count: edges of `post` that
+    /// `pre` lacks or colors differently, by map lookup.
+    fn map_diff(pre: &SlotMap, post: &SlotMap) -> u64 {
+        post.iter().filter(|(k, v)| pre.get(k) != Some(*v)).count() as u64
+    }
+
+    /// The reference palette size: distinct colors over every slot.
+    fn distinct(coloring: &[ColoredEdge]) -> usize {
+        let mut colors: Vec<Color> =
+            coloring.iter().flat_map(|e| [e.forward, e.reverse]).flatten().collect();
+        colors.sort();
+        colors.dedup();
+        colors.len()
+    }
+
+    #[test]
+    fn progress_diff_and_palette_match_references_on_every_tick() {
+        use dima_graph::gen::erdos_renyi_gnm;
+        // The tick-level checks: the watchdog's progress count against
+        // the filled slots of `coloring()`, and the merge-walk diff
+        // against the map diff, both from the batch's starting coloring.
+        let check = |s: &ColoringService, pre: &[ColoredEdge], what: &str| {
+            let now = s.coloring();
+            let filled: u64 = now
+                .iter()
+                .map(|e| u64::from(e.forward.is_some()) + u64::from(e.reverse.is_some()))
+                .sum();
+            assert_eq!(s.progress_metric(0), filled, "{what}: progress count");
+            assert_eq!(
+                colors_changed(pre, &now),
+                map_diff(&slot_map(pre), &slot_map(&now)),
+                "{what}: diff"
+            );
+        };
+        let (mut leaves_seen, mut escalations, mut write_backs) = (0, 0, 0);
+        for protocol in [ServeProtocol::EdgeColoring, ServeProtocol::StrongColoring] {
+            for seed in 0..8u64 {
+                let n = 20u32;
+                let g = erdos_renyi_gnm(n as usize, 40, &mut SmallRng::seed_from_u64(seed))
+                    .expect("valid parameters");
+                let mut cfg = ServiceConfig::new(protocol, seed + 1);
+                if protocol == ServeProtocol::EdgeColoring && seed % 2 == 1 {
+                    cfg.coloring.reduction = ColorReduction::Kempe(KempeConfig::default());
+                }
+                // Low enough that some repairs escalate to a full recolor.
+                cfg.watchdog_ticks = 3;
+                let mut s = ColoringService::new(&g, cfg).unwrap();
+                let mut rng = SmallRng::seed_from_u64(seed ^ 0x5EED);
+                let initial = s.coloring();
+                while !s.is_settled() {
+                    s.tick().unwrap();
+                    check(&s, &initial, &format!("{protocol} seed {seed} initial"));
+                }
+                for batch in 0..8 {
+                    let what = format!("{protocol} seed {seed} batch {batch}");
+                    stage_random(&mut s, &mut rng, n, 4);
+                    leaves_seen += s
+                        .staged_events()
+                        .iter()
+                        .filter(|e| matches!(e, ChurnEvent::NodeLeave(_)))
+                        .count();
+                    if s.commit().unwrap().is_none() {
+                        continue;
+                    }
+                    let pre = s.coloring();
+                    let budget = s.tick_budget();
+                    let mut ticks = 0;
+                    while !s.is_settled() {
+                        assert!(ticks < budget, "{what}: repair did not settle");
+                        s.tick().unwrap();
+                        check(&s, &pre, &what);
+                        ticks += 1;
+                    }
+                    let reports = s.take_reports();
+                    assert_eq!(reports.len(), 1, "{what}: one report per batch");
+                    let r = reports[0];
+                    let post = s.coloring();
+                    write_backs +=
+                        r.reduction.map_or(0, |k| k.trivial_recolors + k.chains_flipped).min(1);
+                    // A compaction that moved colors rewrote the post-repair
+                    // coloring the report's diff was taken against.
+                    if r.reduction.is_none_or(|k| k.trivial_recolors + k.chains_flipped == 0) {
+                        assert_eq!(
+                            r.colors_changed,
+                            map_diff(&slot_map(&pre), &slot_map(&post)),
+                            "{what}: reported diff"
+                        );
+                    }
+                    assert_eq!(r.colors_used, distinct(&post) as u64, "{what}: reported palette");
+                    assert_eq!(s.status().colors_used, distinct(&post), "{what}: status palette");
+                }
+                escalations += s.escalations();
+            }
+        }
+        assert!(leaves_seen > 0, "the event stream never removed a node");
+        assert!(escalations > 0, "the watchdog never escalated");
+        assert!(write_backs > 0, "no compaction ever moved a color");
     }
 }

@@ -220,3 +220,77 @@ fn serve_kempe_write_back_survives_node_leave() {
     }
     assert!(leaves > 0, "the event stream never removed a node");
 }
+
+/// Stage two double-edge swaps avoiding `avoid` (links (a, b), (c, d)
+/// go down, (a, c), (b, d) come up), so the repair lands new edges
+/// between saturated nodes and the Kempe pass has work to do.
+fn stage_swaps(svc: &mut ColoringService, rng: &mut SmallRng, avoid: &[u32]) {
+    let mut staged = 0;
+    while staged < 2 {
+        let edges = svc.coloring();
+        let pick = |rng: &mut SmallRng| {
+            let e = edges[rng.random_range(0..edges.len())];
+            (e.u.0, e.v.0)
+        };
+        let ((a, b), (c, d)) = (pick(rng), pick(rng));
+        let ends = [a, b, c, d];
+        let distinct = a != c && a != d && b != c && b != d;
+        if !distinct || ends.iter().any(|x| avoid.contains(x)) {
+            continue;
+        }
+        let link = |x: u32, y: u32| (VertexId(x.min(y)), VertexId(x.max(y)));
+        let (ac, bd) = (link(a, c), link(b, d));
+        if svc.edge_color(ac.0, ac.1).is_ok() || svc.edge_color(bd.0, bd.1).is_ok() {
+            continue;
+        }
+        for ev in [
+            ChurnEvent::LinkDown(VertexId(a), VertexId(b)),
+            ChurnEvent::LinkDown(VertexId(c), VertexId(d)),
+            ChurnEvent::LinkUp(ac.0, ac.1),
+            ChurnEvent::LinkUp(bd.0, bd.1),
+        ] {
+            svc.stage(ev).expect("swap events are valid");
+        }
+        staged += 1;
+    }
+}
+
+/// Events staged while a repair runs belong to the next batch: the
+/// post-repair Kempe pass must not see them. Before this was pinned, a
+/// node whose leave was staged mid-repair had its edges pinned by the
+/// pass (so the live coloring diverged from what snapshot replay
+/// rebuilds), and a staged rejoin of a departed node made the
+/// write-back panic on the node's stale ports.
+#[test]
+fn kempe_pass_ignores_events_staged_mid_repair() {
+    let g = random_regular(120, 8, &mut SmallRng::seed_from_u64(3)).expect("regular graph");
+    let mut cfg = ServiceConfig::new(ServeProtocol::EdgeColoring, 5);
+    cfg.coloring.reduction = ColorReduction::Kempe(KempeConfig::default());
+    let mut write_backs = 0;
+    for x in 0..12u32 {
+        let (roamer, leaver) = (x, x + 60);
+        let mut svc = ColoringService::new(&g, cfg.clone()).expect("service");
+        svc.run_to_quiescence(svc.tick_budget()).expect("initial coloring");
+        let mut rng = SmallRng::seed_from_u64(u64::from(x));
+        svc.stage(ChurnEvent::NodeLeave(VertexId(roamer))).expect("leave");
+        svc.commit().expect("commit");
+        svc.run_to_quiescence(svc.tick_budget()).expect("leave repair");
+        stage_swaps(&mut svc, &mut rng, &[roamer, leaver]);
+        svc.commit().expect("commit");
+        svc.tick().expect("first repair tick");
+        svc.stage(ChurnEvent::NodeJoin(VertexId(roamer))).expect("rejoin");
+        svc.stage(ChurnEvent::NodeLeave(VertexId(leaver))).expect("leave");
+        svc.run_to_quiescence(svc.tick_budget()).expect("repair converges");
+        write_backs += svc
+            .take_reports()
+            .iter()
+            .filter_map(|r| r.reduction)
+            .filter(|k| k.trivial_recolors + k.chains_flipped > 0)
+            .count();
+        let (restored, _) =
+            ColoringService::restore_chain(&svc.snapshot_text(), &[], None, Engine::Sequential)
+                .unwrap_or_else(|e| panic!("x {x}: snapshot replay: {e}"));
+        assert_eq!(restored.coloring_hash(), svc.coloring_hash(), "x {x}: replay diverges");
+    }
+    assert!(write_backs > 0, "no compaction ever moved a color");
+}

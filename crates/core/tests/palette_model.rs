@@ -154,4 +154,35 @@ proptest! {
         }
         prop_assert_eq!(PortColorSets::from_sets(&model), flat.clone());
     }
+
+    /// `PortColorSets::assign` replaces one port's set, as assigning a
+    /// fresh `ColorSet` would, and leaves every other port alone; the
+    /// rows answer `first_absent_in_union` like their models.
+    #[test]
+    fn port_sets_assign_matches_model(
+        ports in 1usize..6,
+        rows in proptest::collection::vec(
+            (0usize..8, proptest::collection::vec(0u32..200, 0..6)),
+            0..40,
+        ),
+        own in proptest::collection::btree_set(0u32..200, 0..20),
+    ) {
+        let mut flat = PortColorSets::new(ports);
+        let mut model: Vec<ColorSet> = vec![ColorSet::new(); ports];
+        let own: ColorSet = own.iter().map(|&c| Color(c)).collect();
+        for (p, colors) in rows {
+            let p = p % ports;
+            flat.assign(p, colors.iter().map(|&c| Color(c)));
+            model[p] = colors.iter().map(|&c| Color(c)).collect();
+            for (q, set) in model.iter().enumerate() {
+                let got: Vec<u32> = flat.iter(q).map(|c| c.0).collect();
+                let expect: Vec<u32> = set.iter().map(|c| c.0).collect();
+                prop_assert_eq!(got, expect, "port {}", q);
+                prop_assert_eq!(
+                    flat.first_absent_in_union(&own, q),
+                    own.first_absent_in_union(set)
+                );
+            }
+        }
+    }
 }

@@ -9,7 +9,8 @@
 //! with the live automata on both the sequential and parallel engine.
 
 use dima::core::{
-    checkpoint_crc, ColoringService, Engine, HistoryEntry, ServeProtocol, ServiceConfig,
+    checkpoint_crc, ColorReduction, ColoringService, Engine, HistoryEntry, KempeConfig,
+    ServeProtocol, ServiceConfig,
 };
 use dima::graph::gen::erdos_renyi_gnm;
 use dima::graph::{Graph, VertexId};
@@ -21,19 +22,36 @@ fn er(n: usize, m: usize, seed: u64) -> Graph {
     erdos_renyi_gnm(n, m, &mut SmallRng::seed_from_u64(seed)).expect("valid parameters")
 }
 
-/// Stage `want` random-but-valid events (rejections are skipped — the
-/// generator probes until the feed accepts).
+/// Stage `want` random-but-valid events of every kind (rejections are
+/// skipped — the generator probes until the feed accepts).
 fn stage_batch(
     svc: &mut ColoringService,
     rng: &mut SmallRng,
     n: u32,
     want: usize,
 ) -> Vec<ChurnEvent> {
+    stage_kinds(svc, rng, n, want, ALL_KINDS)
+}
+
+/// Event kinds [`stage_kinds`] draws from: link up, link down, leave,
+/// join, in that order; a smaller count drops kinds from the end.
+const ALL_KINDS: u32 = 4;
+/// Link churn and leaves, no joins.
+const LINKS_AND_LEAVES: u32 = 3;
+
+/// [`stage_batch`] over the first `kinds` event kinds.
+fn stage_kinds(
+    svc: &mut ColoringService,
+    rng: &mut SmallRng,
+    n: u32,
+    want: usize,
+    kinds: u32,
+) -> Vec<ChurnEvent> {
     let mut accepted = Vec::new();
     let mut attempts = 0;
     while accepted.len() < want && attempts < 200 {
         attempts += 1;
-        let ev = match rng.random_range(0..4u32) {
+        let ev = match rng.random_range(0..kinds) {
             0 => ChurnEvent::LinkUp(
                 VertexId(rng.random_range(0..n)),
                 VertexId(rng.random_range(0..n)),
@@ -199,7 +217,10 @@ fn strong_snapshot_kill_restore_replay_is_bit_identical_across_fifty_seeds() {
 /// compacted into a materialized base (journal and deltas reset) once
 /// it reaches `COMPACT_AFTER` entries at a settled point. With
 /// `crash_after = Some(b)` the in-memory service is dropped after batch
-/// `b` and recovered from the chain + journal tail.
+/// `b` and recovered from the chain + journal tail. Every checkpoint is
+/// restored as soon as it is written and must hash like the live
+/// service. Events are drawn from the first `kinds` kinds (see
+/// [`stage_kinds`]).
 fn chain_session(
     g0: &Graph,
     cfg: &ServiceConfig,
@@ -207,6 +228,7 @@ fn chain_session(
     rng_seed: u64,
     batches: usize,
     crash_after: Option<usize>,
+    kinds: u32,
 ) -> ColoringService {
     const COMPACT_AFTER: u64 = 3;
     const DELTA_EVERY: usize = 2;
@@ -220,7 +242,7 @@ fn chain_session(
     let mut journal = String::new();
     let mut h_written = svc.history_len() as usize;
     for b in 1..=batches {
-        for ev in stage_batch(&mut svc, &mut rng, n, 2) {
+        for ev in stage_kinds(&mut svc, &mut rng, n, 2, kinds) {
             journal.push_str(&ColoringService::journal_event_line(&ev));
         }
         let (seq, round) = svc.next_commit().expect("committable");
@@ -258,6 +280,17 @@ fn chain_session(
             deltas.push(d);
             journal.clear();
         }
+        if checkpointed_h == svc.history_len() {
+            let refs: Vec<&str> = deltas.iter().map(String::as_str).collect();
+            let (restored, _) =
+                ColoringService::restore_chain(&base, &refs, None, Engine::Sequential)
+                    .expect("a fresh checkpoint restores");
+            assert_eq!(
+                restored.coloring_hash(),
+                svc.coloring_hash(),
+                "batch {b}: the checkpoint just written restores to another coloring"
+            );
+        }
         if crash_after == Some(b) {
             let epoch = svc.epoch();
             drop(svc);
@@ -287,8 +320,8 @@ fn chain_sweep(protocol: ServeProtocol) {
         // Six batches: compaction triggers around batch 3 (epoch 1) and
         // again near the end (epoch 2); the crash at batch 5 recovers
         // through base + delta + journal tail.
-        let recovered = chain_session(&g0, &cfg, n as u32, rng_seed, 6, Some(5));
-        let control = chain_session(&g0, &cfg, n as u32, rng_seed, 6, None);
+        let recovered = chain_session(&g0, &cfg, n as u32, rng_seed, 6, Some(5), ALL_KINDS);
+        let control = chain_session(&g0, &cfg, n as u32, rng_seed, 6, None, ALL_KINDS);
         assert!(control.epoch() > 0, "seed {seed} ({protocol}): compaction never triggered");
         assert_eq!(
             recovered.coloring_hash(),
@@ -314,6 +347,36 @@ fn ec_chain_restore_with_compaction_is_bit_identical_across_fifty_seeds() {
 #[test]
 fn strong_chain_restore_with_compaction_is_bit_identical_across_fifty_seeds() {
     chain_sweep(ServeProtocol::StrongColoring);
+}
+
+/// The chain bar with the Kempe post-pass on: compaction rewrites the
+/// parked automata after every batch, and each checkpoint must restore
+/// to the live coloring under link churn and node leaves.
+#[test]
+fn ec_kempe_chain_restore_matches_live_at_every_checkpoint() {
+    let mut write_backs = 0;
+    for seed in 0..24u64 {
+        let n = 24 + (seed % 3) as usize * 4; // 24, 28, 32
+        let g0 = er(n, 3 * n, seed.wrapping_add(500));
+        let mut cfg = ServiceConfig::new(ServeProtocol::EdgeColoring, seed.wrapping_mul(43) + 1);
+        cfg.coloring.reduction = ColorReduction::Kempe(KempeConfig::default());
+        let rng_seed = seed.wrapping_mul(61).wrapping_add(17);
+        let recovered = chain_session(&g0, &cfg, n as u32, rng_seed, 6, Some(5), LINKS_AND_LEAVES);
+        let mut control = chain_session(&g0, &cfg, n as u32, rng_seed, 6, None, LINKS_AND_LEAVES);
+        assert_eq!(
+            recovered.coloring_hash(),
+            control.coloring_hash(),
+            "seed {seed}: chain-recovered hash diverges from control"
+        );
+        assert_eq!(recovered.history(), control.history(), "seed {seed}: history drift");
+        write_backs += control
+            .take_reports()
+            .iter()
+            .filter_map(|r| r.reduction)
+            .filter(|k| k.trivial_recolors + k.chains_flipped > 0)
+            .count();
+    }
+    assert!(write_backs > 0, "no compaction ever moved a color");
 }
 
 /// The corruption matrix: every artifact of a persisted chain — the
