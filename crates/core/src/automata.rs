@@ -8,12 +8,16 @@
 //! comm round      invitor side              listener side
 //! -----------     ---------------------     ----------------------
 //! 0 (invite)      C → I: coin, propose,     C → L: coin, listen
-//!                 broadcast invitation
+//!                 send invitation
 //! 1 (respond)     W: wait for replies       R: keep own invitations,
-//!                                           accept one, broadcast reply
+//!                                           accept one, reply
 //! 2 (exchange)    U → E: commit edge,       U → E: commit edge,
 //!                 broadcast new color       broadcast new color
 //! ```
+//!
+//! Algorithm 1 and matching address the invitation and the reply to
+//! their one receiver; Algorithm 2 broadcasts both, because its
+//! listeners act on the invitations and replies they overhear.
 //!
 //! After the exchange step every node either returns to `C` or, having
 //! colored (matched) everything it needs, enters `D` and leaves the

@@ -8,11 +8,11 @@
 //!   used-color knowledge, the paper's `dead`/`used_v` lists), then tosses
 //!   the `C`-state coin. An invitor picks a *random uncolored incident
 //!   edge* `(u, v)` and proposes the *lowest* color used by neither `u`
-//!   nor (to `u`'s knowledge) `v` (line 1.11), broadcasting the
-//!   invitation.
+//!   nor (to `u`'s knowledge) `v` (line 1.11), and sends the invitation
+//!   to `v`.
 //! * **respond** — a listener keeps the invitations addressed to it and
-//!   accepts one *uniformly at random* (line 1.21), echoing it back and
-//!   committing the color on its side.
+//!   accepts one *uniformly at random* (line 1.21), echoing it back to
+//!   the invitor and committing the color on its side.
 //! * **exchange** — the invitor commits on receipt of the echo; both
 //!   sides broadcast the newly used color (`E` state). A node whose every
 //!   incident edge is colored broadcasts its final exchange and enters
@@ -60,24 +60,27 @@ use crate::kempe::{reduce_palette_metered, KempeReport};
 use crate::palette::{Color, ColorSet, PortColorSets};
 use crate::runner::{run_protocol_churn_traced, run_protocol_traced};
 
-/// Messages of Algorithm 1. All broadcast, per the paper; the `to` field
-/// addresses the intended recipient.
+/// Messages of Algorithm 1.
+///
+/// `Invite` and `Accept` are *addressed*: each goes to its one receiver
+/// ([`RoundCtx::send`]), which is the paper's semantics — a listener
+/// "keeps invitations addressed to me" and every other neighbor's copy of
+/// a broadcast would be read only to be thrown away. The receiver is the
+/// envelope's addressee, so neither message carries it. `Used` is a true
+/// broadcast: every neighbor's `used_v` knowledge needs it. `Hello`
+/// greets one new neighbor.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum EcMsg {
-    /// `I_u^v, c`: the sender proposes to color edge `(sender, to)` with
-    /// `color`.
+    /// `I_u^v, c`: the sender proposes to color edge `(sender, receiver)`
+    /// with `color`.
     Invite {
-        /// Intended recipient (the other endpoint).
-        to: VertexId,
         /// Proposed color.
         color: Color,
     },
-    /// `R_u^v, c`: the sender accepts `to`'s invitation (ids reversed,
-    /// same color — "a duplicate of the invitation with the ids
+    /// `R_u^v, c`: the sender accepts the receiver's invitation (ids
+    /// reversed, same color — "a duplicate of the invitation with the ids
     /// reversed").
     Accept {
-        /// The invitor being accepted.
-        to: VertexId,
         /// The agreed color.
         color: Color,
     },
@@ -106,7 +109,6 @@ struct Proposal {
 /// Per-vertex automata state for Algorithm 1.
 #[derive(Debug)]
 pub struct EdgeColoringNode {
-    me: VertexId,
     /// Sorted neighbor ids.
     neighbors: Vec<VertexId>,
     /// Color committed toward each neighbor, if any.
@@ -148,7 +150,6 @@ impl EdgeColoringNode {
     pub(crate) fn new(seed: &NodeSeed<'_>, cfg: &ColoringConfig, palette_bound: u32) -> Self {
         let degree = seed.neighbors.len();
         EdgeColoringNode {
-            me: seed.node,
             neighbors: seed.neighbors.to_vec(),
             edge_color: vec![None; degree],
             uncolored: (0..degree as u32).collect(),
@@ -224,17 +225,19 @@ impl EdgeColoringNode {
         }
     }
 
-    /// Overwrite this node's committed colors and per-neighbor
-    /// knowledge with the outcome of an out-of-band palette compaction
-    /// (serve mode runs the Kempe pass between repairs — see
-    /// [`crate::kempe`]). Only sound while the node is parked: at
-    /// quiescence no proposal or exchange is in flight. `own` is
-    /// port-aligned with the (sorted) neighbor list; `palettes` holds
-    /// every node's full post-compaction palette, indexed by vertex id.
-    /// Each port's knowledge row is copied out of its neighbor's palette,
-    /// replacing the stale one-hop knowledge so future repair proposals
-    /// stay exact.
-    pub(crate) fn adopt_compaction(&mut self, own: &[Option<Color>], palettes: &[ColorSet]) {
+    /// Overwrite this node's committed colors with the outcome of an
+    /// out-of-band palette compaction (serve mode runs the Kempe pass
+    /// between repairs — see [`crate::kempe`]). Only sound while the
+    /// node is parked: at quiescence no proposal or exchange is in
+    /// flight. `own` is port-aligned with the (sorted) neighbor list.
+    ///
+    /// The per-port knowledge rows are left as they are. Only an
+    /// uncolored port's row is ever read ([`Self::propose_color`]), a
+    /// parked node has none, and churn keeps a surviving port's color; a
+    /// port that turns up later starts blank and is primed by the new
+    /// neighbor's [`EcMsg::Hello`], which carries its post-compaction
+    /// palette.
+    pub(crate) fn adopt_compaction(&mut self, own: &[Option<Color>]) {
         debug_assert_eq!(own.len(), self.neighbors.len());
         self.edge_color.copy_from_slice(own);
         self.uncolored = self.uncolored_ports();
@@ -243,8 +246,6 @@ impl EdgeColoringNode {
             used.insert(*c);
         }
         self.used_self = used;
-        self.used_nbr =
-            PortColorSets::from_sets(self.neighbors.iter().map(|v| &palettes[v.index()]));
     }
 
     /// The ports whose edge carries no color yet.
@@ -255,8 +256,8 @@ impl EdgeColoringNode {
     }
 
     /// The invitations in `inbox` this listener may accept, as
-    /// `(invitor, port, color)`: addressed to it, over a still-uncolored
-    /// edge, with a color it has not used. The port-uncolored guard is
+    /// `(invitor, port, color)`: over a still-uncolored edge, with a
+    /// color it has not used. The port-uncolored guard is
     /// vacuous under reliable delivery (nobody invites over a colored
     /// edge) but keeps fault-injected desyncs from double-coloring. The
     /// used-self guard is likewise vacuous statically (Proposition 2) but
@@ -267,7 +268,7 @@ impl EdgeColoringNode {
         inbox: &'a [Envelope<EcMsg>],
     ) -> impl Iterator<Item = (VertexId, usize, Color)> + 'a {
         inbox.iter().filter_map(move |env| match *env.msg() {
-            EcMsg::Invite { to, color } if to == self.me => {
+            EcMsg::Invite { color } => {
                 let port = self.port_of(env.from)?;
                 (self.edge_color[port].is_none() && !self.used_self.contains(color))
                     .then_some((env.from, port, color))
@@ -361,27 +362,11 @@ impl Protocol for EdgeColoringNode {
                     let color = self.propose_color(port, ctx.rng());
                     self.proposal = Some(Proposal { port, color });
                     ctx.trace_palette(PaletteAction::Proposed, color.0, self.neighbors[port]);
-                    ctx.broadcast(EcMsg::Invite { to: self.neighbors[port], color });
+                    ctx.send(self.neighbors[port], EcMsg::Invite { color });
                 }
                 NodeStatus::Active
             }
             Phase::RespondStep => {
-                // Telemetry: every invitation addressed to me that does
-                // not end in the commit below is a palette conflict (the
-                // invitor retries next computation round). Collected only
-                // when a live trace handle is attached.
-                let mut offered: Vec<(VertexId, Color)> = Vec::new();
-                if ctx.trace_on() {
-                    let me = self.me;
-                    offered = ctx
-                        .inbox()
-                        .iter()
-                        .filter_map(|env| match *env.msg() {
-                            EcMsg::Invite { to, color } if to == me => Some((env.from, color)),
-                            _ => None,
-                        })
-                        .collect();
-                }
                 let mut accepted: Option<(VertexId, Color)> = None;
                 if self.role == Role::Listener {
                     // Accept one kept invitation uniformly at random (L
@@ -390,15 +375,24 @@ impl Protocol for EdgeColoringNode {
                     let pick = pick_index(ctx.rng(), kept)
                         .and_then(|i| self.acceptable_invites(ctx.inbox()).nth(i));
                     if let Some((partner, port, color)) = pick {
-                        ctx.broadcast(EcMsg::Accept { to: partner, color });
+                        ctx.send(partner, EcMsg::Accept { color });
                         self.commit(port, color);
                         ctx.trace_palette(PaletteAction::Committed, color.0, partner);
                         accepted = Some((partner, color));
                     }
                 }
-                for (from, color) in offered {
-                    if accepted != Some((from, color)) {
-                        ctx.trace_palette(PaletteAction::Conflicted, color.0, from);
+                // Telemetry: every invitation received that did not end
+                // in the commit above is a palette conflict (the invitor
+                // retries next computation round).
+                if ctx.trace_on() {
+                    for i in 0..ctx.inbox().len() {
+                        let env = &ctx.inbox()[i];
+                        if let EcMsg::Invite { color } = *env.msg() {
+                            let from = env.from;
+                            if accepted != Some((from, color)) {
+                                ctx.trace_palette(PaletteAction::Conflicted, color.0, from);
+                            }
+                        }
                     }
                 }
                 self.state = if self.role == Role::Invitor { "W" } else { "R" };
@@ -411,13 +405,9 @@ impl Protocol for EdgeColoringNode {
                 if self.role == Role::Invitor {
                     if let Some(Proposal { port, color }) = self.proposal {
                         let partner = self.neighbors[port];
-                        let me = self.me;
                         let accepted = ctx.inbox().iter().any(|env| {
                             env.from == partner
-                                && matches!(
-                                    *env.msg(),
-                                    EcMsg::Accept { to, color: c } if to == me && c == color
-                                )
+                                && matches!(*env.msg(), EcMsg::Accept { color: c } if c == color)
                         });
                         if accepted {
                             self.commit(port, color);
@@ -984,6 +974,38 @@ mod tests {
         // The census agrees with the plain runner on the result.
         let plain = color_edges(&g, &ColoringConfig::seeded(5)).unwrap();
         assert_eq!(plain.colors, r.colors);
+    }
+
+    #[test]
+    fn addressed_handshakes_pin_algorithm1_traffic() {
+        // Invitations and accepts go to their one receiver. The paper's
+        // cost metric (messages sent) and the coloring do not move;
+        // deliveries fall to the addressed copies. Broadcasting them
+        // delivered 50,725 copies here, 4,072 for matching.
+        let mut rng = SmallRng::seed_from_u64(2012);
+        let g = erdos_renyi_avg_degree(300, 8.0, &mut rng).unwrap();
+        let r = color_edges(&g, &ColoringConfig::seeded(1)).unwrap();
+        assert_good_coloring(&g, &r);
+        assert_eq!((r.compute_rounds, r.colors_used), (38, 17));
+        assert_eq!(r.stats.messages_sent, 6_579);
+        assert_eq!(r.stats.deliveries, 22_950);
+        let m = crate::matching::maximal_matching(&g, &ColoringConfig::seeded(1)).unwrap();
+        assert_eq!(m.pairs.len(), 136);
+        assert_eq!(m.stats.messages_sent, 705);
+        assert_eq!(m.stats.deliveries, 2_033);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn mail_grid_entries_stay_small() {
+        use dima_sim::mail_entry_bytes;
+        // The engine's routing word is one `u32`, so a 4-byte-aligned
+        // envelope pays 4 bytes for it, not 8.
+        assert_eq!(mail_entry_bytes::<crate::matching::MatchMsg>(), 12);
+        // 8-byte-aligned messages round up to the same size either way.
+        assert_eq!(mail_entry_bytes::<EcMsg>(), 40);
+        assert_eq!(mail_entry_bytes::<crate::strong_coloring::StrongMsg>(), 72);
+        assert_eq!(mail_entry_bytes::<crate::kempe::KMsg>(), 40);
     }
 
     #[test]

@@ -20,21 +20,20 @@ use crate::config::ColoringConfig;
 use crate::error::CoreError;
 use crate::runner::run_protocol_traced;
 
-/// Messages of the matching protocol. All are broadcast, as in the paper;
-/// the `to` field addresses the intended recipient and everyone else
-/// ignores the message.
+/// Messages of the matching protocol.
+///
+/// `Invite` and `Accept` are *addressed*: each goes to its one receiver
+/// ([`RoundCtx::send`]), as the paper's listener only keeps invitations
+/// addressed to it — a broadcast copy at any other neighbor would be read
+/// only to be discarded. The receiver is the envelope's addressee, so
+/// neither message names it. `Matched` is a broadcast: every neighbor
+/// drops the sender from its pool.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum MatchMsg {
-    /// `I` state: sender proposes to match with `to`.
-    Invite {
-        /// Intended recipient.
-        to: VertexId,
-    },
-    /// `R` state: sender accepts `to`'s invitation.
-    Accept {
-        /// The invitor being accepted.
-        to: VertexId,
-    },
+    /// `I` state: the sender proposes to match with the receiver.
+    Invite,
+    /// `R` state: the sender accepts the receiver's invitation.
+    Accept,
     /// `E`-like announce: the sender is now matched and leaves the pool.
     Matched,
 }
@@ -80,17 +79,11 @@ impl MatchingNode {
     fn available_neighbors(&self) -> impl Iterator<Item = VertexId> + '_ {
         self.neighbors.iter().zip(&self.available).filter(|&(_, &a)| a).map(|(&v, _)| v)
     }
+}
 
-    /// Senders of the invitations in `inbox` addressed to this node.
-    fn invitors<'a>(
-        &'a self,
-        inbox: &'a [Envelope<MatchMsg>],
-    ) -> impl Iterator<Item = VertexId> + 'a {
-        inbox.iter().filter_map(move |env| match *env.msg() {
-            MatchMsg::Invite { to } if to == self.me => Some(env.from),
-            _ => None,
-        })
-    }
+/// Senders of the invitations in `inbox`.
+fn invitors(inbox: &[Envelope<MatchMsg>]) -> impl Iterator<Item = VertexId> + '_ {
+    inbox.iter().filter(|env| *env.msg() == MatchMsg::Invite).map(|env| env.from)
 }
 
 impl Protocol for MatchingNode {
@@ -98,8 +91,8 @@ impl Protocol for MatchingNode {
 
     fn kind_of(msg: &MatchMsg) -> &'static str {
         match msg {
-            MatchMsg::Invite { .. } => "invite",
-            MatchMsg::Accept { .. } => "accept",
+            MatchMsg::Invite => "invite",
+            MatchMsg::Accept => "accept",
             MatchMsg::Matched => "matched",
         }
     }
@@ -137,7 +130,7 @@ impl Protocol for MatchingNode {
                     };
                     self.invited = Some(target);
                     ctx.trace_palette(PaletteAction::Proposed, 0, target);
-                    ctx.broadcast(MatchMsg::Invite { to: target });
+                    ctx.send(target, MatchMsg::Invite);
                 }
                 NodeStatus::Active
             }
@@ -145,11 +138,11 @@ impl Protocol for MatchingNode {
                 if self.role == Role::Listener {
                     // Accept one invitation uniformly at random: count,
                     // draw, then walk to the pick.
-                    let kept = self.invitors(ctx.inbox()).count();
+                    let kept = invitors(ctx.inbox()).count();
                     let pick =
-                        pick_index(ctx.rng(), kept).and_then(|i| self.invitors(ctx.inbox()).nth(i));
+                        pick_index(ctx.rng(), kept).and_then(|i| invitors(ctx.inbox()).nth(i));
                     if let Some(partner) = pick {
-                        ctx.broadcast(MatchMsg::Accept { to: partner });
+                        ctx.send(partner, MatchMsg::Accept);
                         self.matched_with = Some(partner);
                         self.matched_round = Some(ctx.round() / 3);
                         ctx.trace_palette(PaletteAction::Committed, 0, partner);
@@ -160,10 +153,8 @@ impl Protocol for MatchingNode {
             }
             Phase::ExchangeStep => {
                 if self.role == Role::Invitor && self.matched_with.is_none() {
-                    let me = self.me;
                     let accepted = ctx.inbox().iter().any(|env| {
-                        matches!(*env.msg(), MatchMsg::Accept { to } if to == me)
-                            && Some(env.from) == self.invited
+                        *env.msg() == MatchMsg::Accept && Some(env.from) == self.invited
                     });
                     if accepted {
                         self.matched_with = self.invited;

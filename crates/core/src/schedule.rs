@@ -10,9 +10,44 @@
 //! theory. A bug in the coloring verifiers cannot hide here, and vice
 //! versa.
 
+use std::fmt;
+
 use dima_graph::{ArcId, Digraph, EdgeId, Graph, VertexId};
 
 use crate::palette::Color;
+
+/// A schedule was asked of a partial coloring: the edge (or arc) with
+/// this id has no color. Crash-faulted and lossy runs leave such holes;
+/// run the coloring verifier first.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct Uncolored {
+    /// Id of the first uncolored edge or arc.
+    pub index: usize,
+}
+
+impl fmt::Display for Uncolored {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "schedule needs a complete coloring; entry {} is uncolored", self.index)
+    }
+}
+
+impl std::error::Error for Uncolored {}
+
+/// Slot `s` lists the ids (built by `id`) of the entries colored `s`.
+fn slot_table<T>(
+    colors: &[Option<Color>],
+    id: impl Fn(u32) -> T,
+) -> Result<Vec<Vec<T>>, Uncolored> {
+    let mut slots: Vec<Vec<T>> = Vec::new();
+    for (i, c) in colors.iter().enumerate() {
+        let c = c.ok_or(Uncolored { index: i })?;
+        if slots.len() <= c.index() {
+            slots.resize_with(c.index() + 1, Vec::new);
+        }
+        slots[c.index()].push(id(i as u32));
+    }
+    Ok(slots)
+}
 
 /// A TDMA frame for an undirected graph: slot `s` carries the edges
 /// colored `s`. Built from a complete proper edge coloring.
@@ -23,21 +58,10 @@ pub struct EdgeSchedule {
 }
 
 impl EdgeSchedule {
-    /// Build the frame from a complete coloring.
-    ///
-    /// # Panics
-    /// Panics if any edge is uncolored (run the coloring verifier first).
-    pub fn from_coloring(colors: &[Option<Color>]) -> EdgeSchedule {
-        let frame_len = colors
-            .iter()
-            .map(|c| c.expect("schedule needs a complete coloring").0 + 1)
-            .max()
-            .unwrap_or(0) as usize;
-        let mut slots = vec![Vec::new(); frame_len];
-        for (i, c) in colors.iter().enumerate() {
-            slots[c.expect("checked above").index()].push(EdgeId(i as u32));
-        }
-        EdgeSchedule { slots }
+    /// Build the frame from a complete coloring; [`Uncolored`] names
+    /// the first uncolored edge of a partial one.
+    pub fn from_coloring(colors: &[Option<Color>]) -> Result<EdgeSchedule, Uncolored> {
+        Ok(EdgeSchedule { slots: slot_table(colors, EdgeId)? })
     }
 
     /// Frame length (number of slots).
@@ -90,21 +114,10 @@ pub struct ArcSchedule {
 }
 
 impl ArcSchedule {
-    /// Build the frame from a complete strong coloring.
-    ///
-    /// # Panics
-    /// Panics if any arc is uncolored.
-    pub fn from_coloring(colors: &[Option<Color>]) -> ArcSchedule {
-        let frame_len = colors
-            .iter()
-            .map(|c| c.expect("schedule needs a complete coloring").0 + 1)
-            .max()
-            .unwrap_or(0) as usize;
-        let mut slots = vec![Vec::new(); frame_len];
-        for (i, c) in colors.iter().enumerate() {
-            slots[c.expect("checked above").index()].push(ArcId(i as u32));
-        }
-        ArcSchedule { slots }
+    /// Build the frame from a complete strong coloring; [`Uncolored`]
+    /// names the first uncolored arc of a partial one.
+    pub fn from_coloring(colors: &[Option<Color>]) -> Result<ArcSchedule, Uncolored> {
+        Ok(ArcSchedule { slots: slot_table(colors, ArcId)? })
     }
 
     /// Frame length (number of slots/channels).
@@ -162,7 +175,7 @@ mod tests {
     fn edge_schedule_from_dimaec_is_half_duplex() {
         let g = structured::grid(5, 5);
         let r = color_edges(&g, &ColoringConfig::seeded(3)).unwrap();
-        let sched = EdgeSchedule::from_coloring(&r.colors);
+        let sched = EdgeSchedule::from_coloring(&r.colors).unwrap();
         assert_eq!(sched.num_transmissions(), g.num_edges());
         assert_eq!(sched.frame_len(), r.max_color.unwrap().index() + 1);
         verify_half_duplex(&g, &sched).unwrap();
@@ -185,7 +198,7 @@ mod tests {
         let g = structured::grid(4, 4);
         let d = Digraph::symmetric_closure(&g);
         let r = strong_color_digraph(&d, &ColoringConfig::seeded(4)).unwrap();
-        let sched = ArcSchedule::from_coloring(&r.colors);
+        let sched = ArcSchedule::from_coloring(&r.colors).unwrap();
         assert_eq!(sched.frame_len(), r.max_color.unwrap().index() + 1);
         verify_interference_free(&d, &sched).unwrap();
     }
@@ -236,22 +249,25 @@ mod tests {
         colors[a10.index()] = Some(Color(1));
         colors[a21.index()] = Some(Color(2));
         crate::verify::verify_strong_coloring(&d, &colors).unwrap(); // Def 2 OK
-        let sched = ArcSchedule::from_coloring(&colors);
+        let sched = ArcSchedule::from_coloring(&colors).unwrap();
         assert!(verify_interference_free(&d, &sched).is_err()); // radio not OK
     }
 
     #[test]
     fn empty_schedules() {
-        let sched = EdgeSchedule::from_coloring(&[]);
+        let sched = EdgeSchedule::from_coloring(&[]).unwrap();
         assert_eq!(sched.frame_len(), 0);
         assert_eq!(sched.avg_slot_size(), 0.0);
-        let sched = ArcSchedule::from_coloring(&[]);
+        let sched = ArcSchedule::from_coloring(&[]).unwrap();
         assert_eq!(sched.frame_len(), 0);
     }
 
     #[test]
-    #[should_panic(expected = "complete coloring")]
-    fn incomplete_coloring_panics() {
-        let _ = EdgeSchedule::from_coloring(&[Some(Color(0)), None]);
+    fn incomplete_coloring_is_an_error() {
+        let err = EdgeSchedule::from_coloring(&[Some(Color(0)), None]).unwrap_err();
+        assert_eq!(err, Uncolored { index: 1 });
+        assert!(err.to_string().contains("complete coloring"));
+        let err = ArcSchedule::from_coloring(&[None, Some(Color(2))]).unwrap_err();
+        assert_eq!(err, Uncolored { index: 0 });
     }
 }

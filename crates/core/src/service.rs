@@ -44,8 +44,7 @@
 //! neighbor lists, already in `(u, v)` order; a batch's
 //! churn-amplification count is a merge walk of the coloring before and
 //! after its repair; the Kempe compaction's write-back lays the reduced
-//! colors out port by port and lends every node the shared palettes,
-//! cloning no per-port set. What stays O(m) per batch is those walks and
+//! colors out port by port. What stays O(m) per batch is those walks and
 //! the compaction's rebuild of the live graph.
 
 use std::collections::HashMap;
@@ -717,17 +716,15 @@ impl PortSlots {
 }
 
 /// Write a settled edge coloring back into the parked automata: each
-/// node takes its port colors from `table` and its neighbors' full
-/// palettes, so future repair proposals stay exact (Proposition 2 relies
-/// on one-hop knowledge being current at quiescence). Nodes for which
-/// `alive` is false are skipped: a parked leaver keeps its pre-leave
-/// ports while the topology lists none, and a rejoin rebuilds it from the
-/// factory anyway. The palettes are built once and lent to every node.
+/// node takes its port colors from `table`. Neighbor knowledge needs no
+/// rewrite: at quiescence every port is colored, and only an uncolored
+/// port's knowledge row is ever read (see
+/// [`EdgeColoringNode::adopt_compaction`]). Nodes for which `alive` is
+/// false are skipped: a parked leaver keeps its pre-leave ports while the
+/// topology lists none, and a rejoin rebuilds it from the factory anyway.
 fn ec_write_back(nodes: &mut [EdgeColoringNode], table: &PortSlots, alive: impl Fn(usize) -> bool) {
-    let palettes: Vec<ColorSet> =
-        (0..nodes.len()).map(|i| table.of(i).iter().flatten().copied().collect()).collect();
     for (i, node) in nodes.iter_mut().enumerate().filter(|&(i, _)| alive(i)) {
-        node.adopt_compaction(table.of(i), &palettes);
+        node.adopt_compaction(table.of(i));
     }
 }
 
@@ -812,7 +809,7 @@ impl ColoringService {
         g: &Graph,
         cfg: &ServiceConfig,
         engine_seed: u64,
-    ) -> (Inner, Option<Digraph>, u32) {
+    ) -> Result<(Inner, Option<Digraph>, u32), SimError> {
         let delta = g.max_degree();
         let palette_bound = ((2 * delta).saturating_sub(1)).max(1) as u32;
         let engine_cfg = EngineConfig {
@@ -833,7 +830,7 @@ impl ColoringService {
                 let factory: EcFactory = Box::new(move |seed: NodeSeed<'_>| {
                     EdgeColoringNode::new(&seed, &ccfg, palette_bound)
                 });
-                Inner::Ec(Stepper::new(&topo, &engine_cfg, threads, factory))
+                Inner::Ec(Stepper::new(&topo, &engine_cfg, threads, factory)?)
             }
             ServeProtocol::StrongColoring => {
                 let d = Digraph::symmetric_closure(g);
@@ -841,10 +838,10 @@ impl ColoringService {
                 let ccfg = cfg.coloring.clone();
                 let factory: StrongFactory =
                     Box::new(move |seed: NodeSeed<'_>| StrongColoringNode::new(&seed, &d, &ccfg));
-                Inner::Strong(Stepper::new(&topo, &engine_cfg, threads, factory))
+                Inner::Strong(Stepper::new(&topo, &engine_cfg, threads, factory)?)
             }
         };
-        (inner, d0, palette_bound)
+        Ok((inner, d0, palette_bound))
     }
 
     /// Start a fresh service over `g0`. The initial coloring has not
@@ -852,7 +849,7 @@ impl ColoringService {
     /// to converge it.
     pub fn new(g0: &Graph, cfg: ServiceConfig) -> Result<Self, ServiceError> {
         cfg.validate()?;
-        let (inner, d0, palette_bound0) = Self::build_inner(g0, &cfg, cfg.coloring.seed);
+        let (inner, d0, palette_bound0) = Self::build_inner(g0, &cfg, cfg.coloring.seed)?;
         Ok(ColoringService {
             cfg,
             g0: g0.clone(),
@@ -1229,8 +1226,8 @@ impl ColoringService {
     // ------------------------------------------------------------------
 
     /// Adopt `coloring` (the committed slot map, keyed `(u, v)` with
-    /// `u < v`) into freshly built automata. The adopted knowledge —
-    /// edge coloring: neighbor palettes; strong coloring: one-hop
+    /// `u < v`) into freshly built automata. The adopted state — edge
+    /// coloring: the port colors; strong coloring: also the one-hop
     /// committed channels as the forbidden set — is a pure function of
     /// the coloring, which is what makes a rebase deterministic: a live
     /// compaction and a restore from the resulting materialized base
@@ -1323,7 +1320,7 @@ impl ColoringService {
     ) -> Result<Self, ServiceError> {
         cfg.validate()?;
         let (mut inner, d0, palette_bound0) =
-            Self::build_inner(g, &cfg, epoch_seed(cfg.coloring.seed, epoch));
+            Self::build_inner(g, &cfg, epoch_seed(cfg.coloring.seed, epoch))?;
         Self::adopt_coloring(&mut inner, coloring);
         inner.park_all();
         Ok(ColoringService {
@@ -3231,6 +3228,13 @@ mod tests {
                     assert_eq!(reports.len(), 1, "{what}: one report per batch");
                     let r = reports[0];
                     let post = s.coloring();
+                    // A compaction writes back at quiescence, so it never
+                    // meets an uncolored port: the one kind of port whose
+                    // knowledge row a later proposal reads.
+                    assert!(
+                        post.iter().all(|e| e.forward.is_some() && e.reverse.is_some()),
+                        "{what}: settled with an uncolored slot"
+                    );
                     write_backs +=
                         r.reduction.map_or(0, |k| k.trivial_recolors + k.chains_flipped).min(1);
                     // A compaction that moved colors rewrote the post-repair

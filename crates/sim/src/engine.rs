@@ -182,7 +182,7 @@ where
     F: Fn(NodeSeed<'_>) -> P + Sync,
     T: Tracer + Sync,
 {
-    let mut stepper = Stepper::new(topo, cfg, threads, factory);
+    let mut stepper = Stepper::new(topo, cfg, threads, factory)?;
     if stepper.num_nodes() == 0 {
         return Ok(stepper.into_outcome(0, 0));
     }
@@ -255,7 +255,7 @@ fn shard_bounds(topo: &Topology, threads: usize) -> Vec<(usize, usize)> {
 ///
 /// A slot holds the sender shard's mail for the receiver shard's nodes,
 /// in sender-id order: unicast copies already fated at deposit, and one
-/// [`Dest::Fanout`] post per broadcast whose sender has neighbors in the
+/// [`Route::Fanout`] post per broadcast whose sender has neighbors in the
 /// receiver shard. A broadcast therefore costs one entry per receiver
 /// shard, not one per neighbor; the receiver expands it.
 ///
@@ -282,8 +282,16 @@ struct MailGrid<M> {
 /// shard.
 type MailSlot<M> = UnsafeCell<Vec<(Dest, Envelope<M>)>>;
 
-/// Where a grid entry goes.
-enum Dest {
+/// Where a grid entry goes, packed into one word: the top bit tags a
+/// [`Route::Fanout`], the low 31 bits carry the node id or outbox index.
+/// A two-word enum would pad every entry of a 4-byte-aligned message by
+/// 4 bytes. The packing caps topologies below [`Dest::MAX_NODES`] nodes
+/// ([`Stepper::new`] rejects the rest).
+#[derive(Copy, Clone)]
+struct Dest(u32);
+
+/// A [`Dest`], unpacked.
+enum Route {
     /// One copy for this node; a unicast, its fate decided at deposit.
     Node(VertexId),
     /// A broadcast, one copy (or two, or none: fates are decided on
@@ -291,6 +299,34 @@ enum Dest {
     /// receiver shard. Carries the message's outbox index, an input of
     /// the fault decisions.
     Fanout(u32),
+}
+
+impl Dest {
+    const FANOUT: u32 = 1 << 31;
+    /// Node ids and outbox indices stay below the tag bit.
+    const MAX_NODES: usize = Self::FANOUT as usize;
+
+    #[inline]
+    fn node(to: VertexId) -> Self {
+        debug_assert!(to.index() < Self::MAX_NODES);
+        Dest(to.0)
+    }
+
+    #[inline]
+    fn fanout(k: u32) -> Self {
+        // An outbox of 2^31 messages would hold at least 16 GiB.
+        debug_assert!(k < Self::FANOUT);
+        Dest(Self::FANOUT | k)
+    }
+
+    #[inline]
+    fn route(self) -> Route {
+        if self.0 & Self::FANOUT == 0 {
+            Route::Node(VertexId(self.0))
+        } else {
+            Route::Fanout(self.0 & !Self::FANOUT)
+        }
+    }
 }
 
 // SAFETY: see the struct docs — every slot has exactly one accessor per
@@ -341,12 +377,27 @@ impl<M: Clone> MailGrid<M> {
             rest = &rest[rest.partition_point(|v| v.index() < bounds[r].1)..];
             let slot = self.slot(tid, r);
             if rest.is_empty() {
-                slot.push((Dest::Fanout(k), env));
+                slot.push((Dest::fanout(k), env));
                 return;
             }
-            slot.push((Dest::Fanout(k), env.clone()));
+            slot.push((Dest::fanout(k), env.clone()));
         }
     }
+}
+
+/// Bytes one message of type `M` occupies in the engine's mail grid:
+/// its envelope plus the routing word. Every delivery of a unicast and
+/// every per-shard post of a broadcast is one such entry.
+pub fn mail_entry_bytes<M>() -> usize {
+    std::mem::size_of::<(Dest, Envelope<M>)>()
+}
+
+/// Reject a node count the packed [`Dest`] cannot address.
+fn check_node_count(nodes: usize) -> Result<(), SimError> {
+    if nodes >= Dest::MAX_NODES {
+        return Err(SimError::TooManyNodes { nodes, limit: Dest::MAX_NODES });
+    }
+    Ok(())
 }
 
 /// The run of `neighbors` (sorted) inside the node range `[lo, hi)`.
@@ -581,8 +632,17 @@ where
     /// at round 0, sharded for `threads` participants (clamped to
     /// `[1, n]`). The factory is called once per node in node order, and
     /// kept for churn joins and [`Stepper::restart`].
-    pub fn new(topo: &Topology, cfg: &EngineConfig, threads: usize, factory: F) -> Self {
+    ///
+    /// Fails with [`SimError::TooManyNodes`] on a topology of 2³¹ nodes
+    /// or more, which the message plane cannot address.
+    pub fn new(
+        topo: &Topology,
+        cfg: &EngineConfig,
+        threads: usize,
+        factory: F,
+    ) -> Result<Self, SimError> {
         let n = topo.num_nodes();
+        check_node_count(n)?;
         let threads = threads.max(1).min(n.max(1));
         let bounds = shard_bounds(topo, threads);
         let shard_of: Vec<u32> = {
@@ -603,7 +663,7 @@ where
             (0..n).map(|i| cfg.faults.crashed_at(cfg.seed, i as u32)).collect();
         let stats =
             RunStats { per_round: cfg.collect_round_stats.then(Vec::new), ..Default::default() };
-        Stepper {
+        Ok(Stepper {
             cfg: cfg.clone(),
             factory,
             topo: topo.clone(),
@@ -634,7 +694,7 @@ where
             kinds_on: false,
             round: 0,
             executed: 0,
-        }
+        })
     }
 
     /// Number of nodes.
@@ -886,7 +946,7 @@ where
                 ctx.barrier.poison();
                 ctx.panic.lock().get_or_insert(p);
             }
-        });
+        })?;
         if self.barrier.is_poisoned() {
             let payload =
                 self.panic.lock().take().unwrap_or_else(|| Box::new("engine participant panicked"));
@@ -1144,10 +1204,10 @@ where
                         delivered += u64::from(copies);
                         let slot = ctx.grid.slot(tid, ctx.shard_of[to.index()] as usize);
                         if copies == 2 {
-                            slot.push((Dest::Node(to), Envelope::new(node, msg.clone())));
+                            slot.push((Dest::node(to), Envelope::new(node, msg.clone())));
                         }
                         if copies > 0 {
-                            slot.push((Dest::Node(to), Envelope::new(node, msg)));
+                            slot.push((Dest::node(to), Envelope::new(node, msg)));
                         }
                     }
                 }
@@ -1206,13 +1266,13 @@ where
     unsafe {
         for s in 0..ctx.threads {
             for (dest, env) in ctx.grid.slot(s, tid).iter() {
-                match *dest {
-                    Dest::Node(to) => {
+                match dest.route() {
+                    Route::Node(to) => {
                         if a.done(to.index()) {
                             woken.push(to.index());
                         }
                     }
-                    Dest::Fanout(k) => {
+                    Route::Fanout(k) => {
                         let msg = env.msg();
                         let wakes = P::wakes(msg);
                         let mut kind_row = kinds.as_mut().map(|t| t.row(P::kind_of(msg)));
@@ -1286,13 +1346,13 @@ where
         // SAFETY: collect phase — this participant owns grid column
         // `tid`.
         for (dest, env) in unsafe { ctx.grid.slot(s, tid) }.iter() {
-            match *dest {
-                Dest::Node(to) => {
+            match dest.route() {
+                Route::Node(to) => {
                     if !parked(to.index()) {
                         tally(to, 1);
                     }
                 }
-                Dest::Fanout(_) => {
+                Route::Fanout(_) => {
                     for &to in neighbors_in(ctx.topo.neighbors(env.from), lo, hi) {
                         let copies = &mut fates[f];
                         f += 1;
@@ -1336,13 +1396,13 @@ where
     for s in 0..ctx.threads {
         // SAFETY: own column, as above.
         for (dest, env) in unsafe { ctx.grid.slot(s, tid) }.drain(..) {
-            match dest {
-                Dest::Node(to) => {
+            match dest.route() {
+                Route::Node(to) => {
                     if !parked(to.index()) {
                         place(to, env);
                     }
                 }
-                Dest::Fanout(_) => {
+                Route::Fanout(_) => {
                     let nb = neighbors_in(ctx.topo.neighbors(env.from), lo, hi);
                     let copies = &fates[f..f + nb.len()];
                     f += nb.len();
@@ -1825,6 +1885,19 @@ mod tests {
     }
 
     #[test]
+    fn routing_word_round_trips_and_caps_the_node_count() {
+        let top = (1u32 << 31) - 1;
+        assert!(matches!(Dest::node(VertexId(top)).route(), Route::Node(v) if v.0 == top));
+        assert!(matches!(Dest::fanout(top).route(), Route::Fanout(k) if k == top));
+        assert!(matches!(Dest::fanout(0).route(), Route::Fanout(0)));
+        assert_eq!(check_node_count((1 << 31) - 1), Ok(()));
+        assert_eq!(
+            check_node_count(1 << 31),
+            Err(SimError::TooManyNodes { nodes: 1 << 31, limit: 1 << 31 })
+        );
+    }
+
+    #[test]
     fn shard_bounds_cover_and_balance() {
         // A star graph: node 0 carries all the edges. Weighted bounds
         // must still cover [0, n) contiguously with non-empty shards.
@@ -1848,7 +1921,7 @@ mod tests {
         // The hub of a star has neighbors in all three shards: its
         // broadcast takes one grid entry per shard, not one per leaf.
         let topo = Topology::from_graph(&structured::star(30));
-        let stepper = Stepper::new(&topo, &EngineConfig::default(), 3, flood_factory);
+        let stepper = Stepper::new(&topo, &EngineConfig::default(), 3, flood_factory).unwrap();
         let posts = |from: u32| -> Vec<usize> {
             let node = VertexId(from);
             let tid = stepper.shard_of[node.index()] as usize;
@@ -1879,7 +1952,7 @@ mod tests {
         let cfg = EngineConfig { collect_round_stats: true, ..EngineConfig::seeded(5) };
         for threads in SHARDS {
             let batch = run_static(&topo, &cfg, threads, flood_factory).unwrap();
-            let mut stepper = Stepper::new(&topo, &cfg, threads, flood_factory);
+            let mut stepper = Stepper::new(&topo, &cfg, threads, flood_factory).unwrap();
             while !stepper.is_quiescent() {
                 stepper.tick(None, &mut NoopTracer).unwrap();
             }

@@ -25,6 +25,20 @@ pub enum SimError {
         /// The invalid recipient.
         to: VertexId,
     },
+    /// The topology has more nodes than the message plane can address
+    /// (node ids share a word with a routing tag).
+    TooManyNodes {
+        /// The topology's node count.
+        nodes: usize,
+        /// The exclusive upper bound on the node count.
+        limit: usize,
+    },
+    /// The operating system refused to start a worker thread for the
+    /// engine's pool.
+    WorkerSpawn {
+        /// The operating system's error, as text.
+        error: String,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -38,6 +52,10 @@ impl fmt::Display for SimError {
             SimError::NotANeighbor { from, to } => {
                 write!(f, "node {from} tried to send to non-neighbor {to}")
             }
+            SimError::TooManyNodes { nodes, limit } => {
+                write!(f, "topology has {nodes} nodes; the engine runs fewer than {limit}")
+            }
+            SimError::WorkerSpawn { error } => write!(f, "could not start a pool worker: {error}"),
         }
     }
 }
@@ -55,5 +73,9 @@ mod tests {
         assert!(e.to_string().contains("3 nodes"));
         let e = SimError::NotANeighbor { from: VertexId(1), to: VertexId(2) };
         assert!(e.to_string().contains("non-neighbor"));
+        let e = SimError::TooManyNodes { nodes: 1 << 31, limit: 1 << 31 };
+        assert!(e.to_string().contains("2147483648 nodes"));
+        let e = SimError::WorkerSpawn { error: "out of threads".into() };
+        assert!(e.to_string().contains("out of threads"));
     }
 }

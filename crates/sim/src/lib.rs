@@ -63,7 +63,7 @@ pub use churn::{
     ChurnBatch, ChurnEvent, ChurnKinds, ChurnPlan, ChurnSchedule, EventFeed, FeedError,
     NeighborhoodChange,
 };
-pub use engine::{run, EngineConfig, RunOutcome, Stepper};
+pub use engine::{mail_entry_bytes, run, EngineConfig, RunOutcome, Stepper};
 pub use error::SimError;
 pub use protocol::{Envelope, NodeSeed, NodeStatus, Protocol, RoundCtx, Shared};
 pub use reliable::{ArqConfig, ArqMsg, ReliableNode};

@@ -339,6 +339,99 @@ fn fault_strategy() -> impl Strategy<Value = FaultPlan> {
     )
 }
 
+/// Addressee of a [`Note`] meant for every neighbor.
+const EVERYONE: u32 = u32::MAX;
+
+/// Rounds the [`Addressee`] protocol runs; every node finishes at the
+/// same round and sends nothing in it, so no delivery is lost to a node
+/// that parks mid-round and the delivery count can be checked exactly.
+const ADDRESS_HORIZON: u64 = 12;
+
+/// A message with an addressee, as Algorithm 1's invitations and
+/// accepts carry one in the paper.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+struct Note {
+    to: u32,
+    payload: u64,
+}
+
+/// A protocol whose addressed notes go out by broadcast, receivers
+/// filtering on `to` (`UNICAST = false`), or by unicast to the addressee
+/// alone (`UNICAST = true`). What a node keeps feeds its state, and its
+/// state picks its next sends, so a divergence in any kept inbox
+/// spreads. Wake-class messages are left out: waking is decided per
+/// copy, before any filter, so a broadcast could wake a node that is not
+/// the addressee.
+#[derive(Debug)]
+struct Addressee<const UNICAST: bool> {
+    me: VertexId,
+    state: u64,
+    /// Kept notes per round read, in delivery order.
+    kept: InboxLog,
+    /// Copies read and discarded as addressed to another node.
+    strays: u64,
+}
+
+impl<const UNICAST: bool> Protocol for Addressee<UNICAST> {
+    type Msg = Note;
+
+    fn on_round(&mut self, ctx: &mut RoundCtx<'_, Note>) -> NodeStatus {
+        let round = ctx.round();
+        let me = self.me.0;
+        let mut kept = Vec::new();
+        for env in ctx.inbox() {
+            let note = *env.msg();
+            if note.to == me || note.to == EVERYONE {
+                kept.push((env.from.0, note.payload));
+                self.state = splitmix64(self.state ^ note.payload ^ u64::from(env.from.0));
+            } else {
+                self.strays += 1;
+            }
+        }
+        self.kept.push((round, kept));
+        if round >= ADDRESS_HORIZON {
+            return NodeStatus::Done;
+        }
+        let h = splitmix64(self.state ^ splitmix64(u64::from(me)).wrapping_add(round));
+        for k in 0..h % 4 {
+            let hk = splitmix64(h ^ (k + 1));
+            if hk & 1 == 0 || ctx.degree() == 0 {
+                ctx.broadcast(Note { to: EVERYONE, payload: hk });
+                continue;
+            }
+            let to = ctx.neighbors()[(hk >> 1) as usize % ctx.degree()];
+            let note = Note { to: to.0, payload: hk };
+            if UNICAST {
+                ctx.send(to, note);
+            } else {
+                ctx.broadcast(note);
+            }
+        }
+        NodeStatus::Active
+    }
+}
+
+/// Per-node `(kept inbox log, final state)`, strays seen, deliveries.
+type AddressedRun = (Vec<(InboxLog, u64)>, u64, u64);
+
+fn addressed_run<const UNICAST: bool>(
+    topo: &Topology,
+    cfg: &EngineConfig,
+    threads: usize,
+) -> AddressedRun {
+    let factory = |seed: NodeSeed<'_>| Addressee::<UNICAST> {
+        me: seed.node,
+        state: u64::from(seed.node.0),
+        kept: Vec::new(),
+        strays: 0,
+    };
+    let out = run(topo, cfg, threads, &ChurnSchedule::empty(), factory, &mut NoopTracer)
+        .expect("run terminates");
+    let strays = out.nodes.iter().map(|n| n.strays).sum();
+    let nodes = out.nodes.into_iter().map(|n| (n.kept, n.state)).collect();
+    (nodes, strays, out.stats.deliveries)
+}
+
 fn engine_config(seed: u64, faults: FaultPlan) -> EngineConfig {
     EngineConfig { seed, max_rounds: MAX_ROUNDS, faults, ..EngineConfig::seeded(seed) }
 }
@@ -356,6 +449,37 @@ proptest! {
     ) {
         let cfg = engine_config(seed, faults);
         assert_matches_model(&topo, &cfg, &ChurnSchedule::empty())?;
+    }
+
+    /// Addressing a message by unicast instead of broadcasting it for
+    /// receivers to filter is invisible to the addressee under every
+    /// fault plan: unicasts and broadcast copies are fated by the same
+    /// `(seed, round, from, to, outbox index)` hash and enter inboxes in
+    /// the same order. Kept inboxes and final states match at 1 and 3
+    /// shards, and deliveries fall by exactly the discarded copies.
+    #[test]
+    fn addressed_unicast_matches_filtered_broadcast(
+        topo in graph_strategy(),
+        faults in fault_strategy(),
+        seed in 0u64..1_000,
+    ) {
+        let cfg = EngineConfig {
+            max_rounds: ADDRESS_HORIZON + 1,
+            ..engine_config(seed, faults)
+        };
+        let (filtered, strays, broadcast_deliveries) = addressed_run::<false>(&topo, &cfg, 1);
+        for threads in [1, 3] {
+            let (addressed, no_strays, deliveries) = addressed_run::<true>(&topo, &cfg, threads);
+            for (i, (a, f)) in addressed.iter().zip(&filtered).enumerate() {
+                prop_assert_eq!(a, f, "node {} diverged ({} threads)", i, threads);
+            }
+            prop_assert_eq!(no_strays, 0);
+            prop_assert_eq!(deliveries, broadcast_deliveries - strays);
+            let kept: usize =
+                addressed.iter().flat_map(|(log, _)| log).map(|(_, inbox)| inbox.len()).sum();
+            prop_assert_eq!(deliveries, kept as u64);
+            prop_assert_eq!(&addressed_run::<false>(&topo, &cfg, threads).0, &filtered);
+        }
     }
 
     /// Under a random churn schedule (joins recreate nodes, so the

@@ -47,6 +47,8 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, TryLockError};
 
+use crate::error::SimError;
+
 /// Lock, recovering from poisoning (a panicking scope must not wedge
 /// the process-wide pool — parking_lot semantics on std mutexes).
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -248,15 +250,17 @@ impl WorkerPool {
     /// nested call from inside a job), this scope runs on plain scoped
     /// threads instead — same result, higher cost.
     ///
-    /// Panics in any participant are re-raised on the caller after every
-    /// participant has finished. `f`'s own internal synchronization must
-    /// tolerate a panicking participant (the engine's [`EpochBarrier`]
-    /// does, via poisoning) — the pool only guarantees that the scope
-    /// itself never leaks a blocked worker.
-    pub fn scope(&self, parties: usize, f: &(dyn Fn(usize) + Sync)) {
+    /// Fails with [`SimError::WorkerSpawn`], before any participant
+    /// runs, when the pool must grow and the operating system refuses a
+    /// thread. Panics in any participant are re-raised on the caller
+    /// after every participant has finished. `f`'s own internal
+    /// synchronization must tolerate a panicking participant (the
+    /// engine's [`EpochBarrier`] does, via poisoning) — the pool only
+    /// guarantees that the scope itself never leaks a blocked worker.
+    pub fn scope(&self, parties: usize, f: &(dyn Fn(usize) + Sync)) -> Result<(), SimError> {
         if parties <= 1 {
             f(0);
-            return;
+            return Ok(());
         }
         let Some(_dispatch) = try_lock(&self.dispatch) else {
             self.fallback_scopes.fetch_add(1, Ordering::Relaxed);
@@ -266,9 +270,9 @@ impl WorkerPool {
                 }
                 f(0);
             });
-            return;
+            return Ok(());
         };
-        self.ensure_workers(parties - 1);
+        self.ensure_workers(parties - 1)?;
         let ctl = ScopeCtl { pending: AtomicUsize::new(parties - 1), panic: Mutex::new(None) };
         // SAFETY: lifetime erasure — the unconditional completion wait
         // below guarantees no worker touches `f` (or `ctl`) after this
@@ -295,11 +299,12 @@ impl WorkerPool {
         if let Some(p) = worker_panic {
             resume_unwind(p);
         }
+        Ok(())
     }
 
-    fn ensure_workers(&self, want: usize) {
+    fn ensure_workers(&self, want: usize) -> Result<(), SimError> {
         if self.spawned.load(Ordering::Relaxed) >= want {
-            return;
+            return Ok(());
         }
         let _g = lock(&self.grow);
         let have = self.spawned.load(Ordering::Relaxed);
@@ -307,9 +312,10 @@ impl WorkerPool {
             std::thread::Builder::new()
                 .name(format!("dima-pool-{idx}"))
                 .spawn(move || global().worker_loop(idx))
-                .expect("spawning pool worker");
+                .map_err(|e| SimError::WorkerSpawn { error: e.to_string() })?;
             self.spawned.fetch_add(1, Ordering::Relaxed);
         }
+        Ok(())
     }
 
     fn worker_loop(&self, idx: usize) {
@@ -365,9 +371,11 @@ mod tests {
     #[test]
     fn scope_runs_every_index_exactly_once() {
         let hits: Vec<AtomicU32> = (0..6).map(|_| AtomicU32::new(0)).collect();
-        global().scope(6, &|tid| {
-            hits[tid].fetch_add(1, Ordering::Relaxed);
-        });
+        global()
+            .scope(6, &|tid| {
+                hits[tid].fetch_add(1, Ordering::Relaxed);
+            })
+            .unwrap();
         for (tid, h) in hits.iter().enumerate() {
             assert_eq!(h.load(Ordering::Relaxed), 1, "tid {tid}");
         }
@@ -377,20 +385,22 @@ mod tests {
     fn single_party_runs_inline_without_spawning() {
         let before = global().threads_spawned();
         let ran = AtomicU32::new(0);
-        global().scope(1, &|tid| {
-            assert_eq!(tid, 0);
-            ran.fetch_add(1, Ordering::Relaxed);
-        });
+        global()
+            .scope(1, &|tid| {
+                assert_eq!(tid, 0);
+                ran.fetch_add(1, Ordering::Relaxed);
+            })
+            .unwrap();
         assert_eq!(ran.load(Ordering::Relaxed), 1);
         assert_eq!(global().threads_spawned(), before);
     }
 
     #[test]
     fn consecutive_scopes_reuse_workers() {
-        global().scope(3, &|_| {});
+        global().scope(3, &|_| {}).unwrap();
         let after_first = global().threads_spawned();
         for _ in 0..10 {
-            global().scope(3, &|_| {});
+            global().scope(3, &|_| {}).unwrap();
         }
         assert_eq!(
             global().threads_spawned(),
@@ -405,12 +415,14 @@ mod tests {
         let barrier = EpochBarrier::new(parties);
         let laps = 50u32;
         let count = AtomicU32::new(0);
-        global().scope(parties, &|_tid| {
-            for _ in 0..laps {
-                count.fetch_add(1, Ordering::Relaxed);
-                assert!(barrier.wait());
-            }
-        });
+        global()
+            .scope(parties, &|_tid| {
+                for _ in 0..laps {
+                    count.fetch_add(1, Ordering::Relaxed);
+                    assert!(barrier.wait());
+                }
+            })
+            .unwrap();
         assert_eq!(count.load(Ordering::Relaxed), laps * parties as u32);
     }
 
@@ -422,16 +434,18 @@ mod tests {
         let cells: Vec<AtomicU32> = (0..parties).map(|_| AtomicU32::new(0)).collect();
         let barrier = EpochBarrier::new(parties);
         let tail = EpochBarrier::new(parties);
-        global().scope(parties, &|tid| {
-            for lap in 1..=100u32 {
-                cells[tid].store(lap, Ordering::Relaxed);
-                assert!(barrier.wait());
-                for c in &cells {
-                    assert_eq!(c.load(Ordering::Relaxed), lap);
+        global()
+            .scope(parties, &|tid| {
+                for lap in 1..=100u32 {
+                    cells[tid].store(lap, Ordering::Relaxed);
+                    assert!(barrier.wait());
+                    for c in &cells {
+                        assert_eq!(c.load(Ordering::Relaxed), lap);
+                    }
+                    assert!(tail.wait());
                 }
-                assert!(tail.wait());
-            }
-        });
+            })
+            .unwrap();
     }
 
     #[test]
@@ -439,48 +453,58 @@ mod tests {
         let parties = 3;
         let barrier = EpochBarrier::new(parties);
         let released = AtomicU32::new(0);
-        global().scope(parties, &|tid| {
-            if tid == 0 {
-                barrier.poison();
-            } else {
-                // Never enough arrivals to release normally; only the
-                // poison lets these two out.
-                if !barrier.wait() {
-                    released.fetch_add(1, Ordering::Relaxed);
+        global()
+            .scope(parties, &|tid| {
+                if tid == 0 {
+                    barrier.poison();
+                } else {
+                    // Never enough arrivals to release normally; only the
+                    // poison lets these two out.
+                    if !barrier.wait() {
+                        released.fetch_add(1, Ordering::Relaxed);
+                    }
                 }
-            }
-        });
+            })
+            .unwrap();
         assert_eq!(released.load(Ordering::Relaxed), 2);
     }
 
     #[test]
     fn worker_panic_reaches_the_caller() {
         let err = catch_unwind(AssertUnwindSafe(|| {
-            global().scope(2, &|tid| {
-                if tid == 1 {
-                    panic!("boom from worker");
-                }
-            });
+            global()
+                .scope(2, &|tid| {
+                    if tid == 1 {
+                        panic!("boom from worker");
+                    }
+                })
+                .unwrap();
         }));
         assert!(err.is_err());
         // The pool is still usable afterwards.
         let ran = AtomicU32::new(0);
-        global().scope(2, &|_| {
-            ran.fetch_add(1, Ordering::Relaxed);
-        });
+        global()
+            .scope(2, &|_| {
+                ran.fetch_add(1, Ordering::Relaxed);
+            })
+            .unwrap();
         assert_eq!(ran.load(Ordering::Relaxed), 2);
     }
 
     #[test]
     fn nested_scope_falls_back_instead_of_deadlocking() {
         let inner_ran = AtomicU32::new(0);
-        global().scope(2, &|tid| {
-            if tid == 0 {
-                global().scope(2, &|_| {
-                    inner_ran.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-        });
+        global()
+            .scope(2, &|tid| {
+                if tid == 0 {
+                    global()
+                        .scope(2, &|_| {
+                            inner_ran.fetch_add(1, Ordering::Relaxed);
+                        })
+                        .unwrap();
+                }
+            })
+            .unwrap();
         assert_eq!(inner_ran.load(Ordering::Relaxed), 2);
     }
 }

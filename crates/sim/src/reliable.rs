@@ -47,7 +47,7 @@
 //! - **Receive window.** Each link buffers arrived, not yet consumed
 //!   bundles in a `RecvWindow` ring indexed by round.
 //! - **Outgoing bundles.** An inner round whose outbox is all
-//!   broadcasts — every round of static DiMaEC — builds *one*
+//!   broadcasts — static DiMaEC's exchange rounds — builds *one*
 //!   [`Shared`] payload that every link's bundle holds a handle to; an
 //!   empty outbox reuses the node's one empty payload. Only outboxes
 //!   with unicasts are split per link.

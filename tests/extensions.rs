@@ -32,7 +32,7 @@ fn dimaec_schedules_are_half_duplex() {
     for seed in 0..3 {
         let g = GraphFamily::Geometric { n: 50, radius: 0.2 }.sample(&mut rng).unwrap();
         let r = color_edges(&g, &ColoringConfig::seeded(seed)).unwrap();
-        let sched = EdgeSchedule::from_coloring(&r.colors);
+        let sched = EdgeSchedule::from_coloring(&r.colors).unwrap();
         verify_half_duplex(&g, &sched).unwrap();
         assert_eq!(sched.num_transmissions(), g.num_edges());
         assert_eq!(sched.frame_len(), r.max_color.map_or(0, |c| c.index() + 1));
@@ -50,7 +50,7 @@ fn dima2ed_schedules_are_interference_free() {
             GraphFamily::ErdosRenyiAvgDegree { n: 40, avg_degree: 4.0 }.sample(&mut rng).unwrap();
         let d = Digraph::symmetric_closure(&g);
         let r = strong_color_digraph(&d, &ColoringConfig::seeded(seed)).unwrap();
-        let sched = ArcSchedule::from_coloring(&r.colors);
+        let sched = ArcSchedule::from_coloring(&r.colors).unwrap();
         verify_interference_free(&d, &sched).unwrap();
     }
 }
