@@ -1,33 +1,34 @@
 //! Command parsing and execution for the `dima` CLI.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::io::Write;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use dima_core::verify::{
-    verify_edge_coloring, verify_residual_edge_coloring, verify_residual_matching,
+    verify_edge_coloring, verify_matching, verify_residual_edge_coloring, verify_residual_matching,
     verify_residual_strong_coloring, verify_strong_coloring,
 };
 use dima_core::{
-    color_edges, color_edges_churn, color_edges_churn_traced, color_edges_traced, maximal_matching,
-    maximal_matching_traced, strong_color_churn, strong_color_churn_traced, strong_color_digraph,
-    strong_color_digraph_traced, ChurnKinds, ChurnPlan, ChurnSchedule, Color, ColorReduction,
-    ColoringConfig, EdgeColoringResult, Engine, KempeConfig, Transport,
+    color_edges_churn_traced, color_edges_traced, maximal_matching_traced,
+    strong_color_churn_traced, strong_color_digraph_traced, BatchReport, ChurnKinds, ChurnPlan,
+    ChurnSchedule, Color, ColorReduction, ColoringConfig, CoreError, EdgeColoringResult, Engine,
+    KempeConfig, StrongColoringResult, Transport,
 };
 use dima_graph::gen;
-use dima_graph::{io, Digraph, Graph};
+use dima_graph::{io, Digraph, Graph, VertexId};
 use dima_sim::fault::{FaultPlan, GilbertElliott};
 use dima_sim::telemetry::{
-    read, Event, KindTotals, MemReport, MetricsRegistry, PaletteAction, RunTotals, StateTimeline,
-    TraceMeta, TraceWriter, Tracer, TransportTally, STATES,
+    read, Event, KindTotals, MemReport, MetricsRegistry, NoopTracer, PaletteAction, RunTotals,
+    StateTimeline, TraceMeta, TraceWriter, Tracer, TransportTally, STATES,
 };
 use dima_sim::RunStats;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-/// Top-level usage text.
-pub const USAGE: &str = "\
+/// Top-level usage text (`dima-cli help`).
+const USAGE: &str = "\
 usage: dima-cli <command> [args]
 
 commands:
@@ -340,7 +341,7 @@ fn churn_plan(flags: &HashMap<String, String>) -> Result<Option<ChurnPlan>, Stri
 }
 
 /// One stderr line summarising the schedule and the per-batch repairs.
-fn report_churn(schedule: &ChurnSchedule, batches: &[dima_core::BatchReport]) {
+fn report_churn(schedule: &ChurnSchedule, batches: &[BatchReport]) {
     let repaired: Vec<u64> = batches.iter().filter_map(|b| b.repair_rounds).collect();
     let mean = if repaired.is_empty() {
         "-".to_string()
@@ -624,9 +625,9 @@ pub fn dispatch(args: &[String]) -> Result<(), String> {
     match command.as_str() {
         "gen" => cmd_gen(&args[1..]),
         "info" => cmd_info(&args[1..]),
-        "color" => cmd_color(&args[1..]),
-        "strong-color" => cmd_strong_color(&args[1..]),
-        "matching" => cmd_matching(&args[1..]),
+        "color" => cmd_run(Workload::Color, &args[1..]),
+        "strong-color" => cmd_run(Workload::StrongColor, &args[1..]),
+        "matching" => cmd_run(Workload::Matching, &args[1..]),
         "verify" => cmd_verify(&args[1..]),
         "dot" => cmd_dot(&args[1..]),
         "trace" => cmd_trace(&args[1..]),
@@ -707,11 +708,124 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Stderr lines for the Kempe post-pass outcome and palette memory.
-/// `n` is the vertex count of the graph the figures describe.
-fn report_quality(r: &EdgeColoringResult, n: usize) {
+/// The workloads the run commands (`color`, `strong-color`, `matching`,
+/// `trace record`, `metrics dump`) dispatch to.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Workload {
+    Color,
+    StrongColor,
+    Matching,
+}
+
+impl Workload {
+    fn parse(name: &str) -> Result<Self, String> {
+        match name {
+            "color" => Ok(Workload::Color),
+            "strong-color" => Ok(Workload::StrongColor),
+            "matching" => Ok(Workload::Matching),
+            other => Err(format!(
+                "unknown workload '{other}' (expected color, strong-color, or matching)"
+            )),
+        }
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            Workload::Color => "color",
+            Workload::StrongColor => "strong-color",
+            Workload::Matching => "matching",
+        }
+    }
+}
+
+/// What a workload produced, on the topology it must be verified
+/// against (the final graph of a churn run).
+enum Product<'g> {
+    Edges(Cow<'g, Graph>, Vec<Option<Color>>),
+    Arcs(Digraph, Vec<Option<Color>>),
+    Pairs(&'g Graph, Vec<(VertexId, VertexId)>),
+}
+
+/// One finished workload run, whatever the workload: what the run
+/// commands verify, report and write.
+struct WorkloadRun<'g> {
+    stats: RunStats,
+    transport_overhead_rounds: u64,
+    alive: Vec<bool>,
+    agreement: bool,
+    /// The one-line stderr summary.
+    summary: String,
+    /// Kempe post-pass and palette-memory lines (color only).
+    quality: Vec<String>,
+    /// Vertex and edge (arc) counts the memory figures divide by.
+    size: (usize, usize),
+    /// Per-batch repair reports; `Some` iff the run churned.
+    batches: Option<Vec<BatchReport>>,
+    product: Product<'g>,
+}
+
+/// Run `w` on `g`, under `schedule` when churned. Matching has no churn
+/// mode; its callers never pass a schedule.
+fn run_workload<'g, T: Tracer + Sync>(
+    w: Workload,
+    g: &'g Graph,
+    cfg: &ColoringConfig,
+    schedule: Option<&ChurnSchedule>,
+    tracer: &mut T,
+) -> Result<WorkloadRun<'g>, String> {
+    let err = |e: CoreError| e.to_string();
+    Ok(match (w, schedule) {
+        (Workload::Color, None) => {
+            edge_run(Cow::Borrowed(g), color_edges_traced(g, cfg, tracer).map_err(err)?, None)
+        }
+        (Workload::Color, Some(s)) => {
+            let r = color_edges_churn_traced(g, s, cfg, tracer).map_err(err)?;
+            edge_run(Cow::Owned(r.final_graph), r.coloring, Some(r.batches))
+        }
+        (Workload::StrongColor, None) => {
+            let d = Digraph::symmetric_closure(g);
+            let r = strong_color_digraph_traced(&d, cfg, tracer).map_err(err)?;
+            strong_run(d, r, None)
+        }
+        (Workload::StrongColor, Some(s)) => {
+            let r = strong_color_churn_traced(g, s, cfg, tracer).map_err(err)?;
+            strong_run(r.final_digraph, r.coloring, Some(r.batches))
+        }
+        (Workload::Matching, _) => {
+            let m = maximal_matching_traced(g, cfg, tracer).map_err(err)?;
+            WorkloadRun {
+                summary: format!(
+                    "maximal matching: {} pairs in {} computation rounds, {} messages{}",
+                    m.pairs.len(),
+                    m.compute_rounds,
+                    m.stats.messages_sent,
+                    idle_note(&m.stats),
+                ),
+                quality: Vec::new(),
+                size: (g.num_vertices(), g.num_edges()),
+                batches: None,
+                stats: m.stats,
+                transport_overhead_rounds: m.transport_overhead_rounds,
+                alive: m.alive,
+                agreement: m.agreement,
+                product: Product::Pairs(g, m.pairs),
+            }
+        }
+    })
+}
+
+fn edge_run(
+    g: Cow<'_, Graph>,
+    r: EdgeColoringResult,
+    batches: Option<Vec<BatchReport>>,
+) -> WorkloadRun<'_> {
+    let on = match batches {
+        Some(_) => format!("final graph (n = {}, m = {}) ", g.num_vertices(), g.num_edges()),
+        None => String::new(),
+    };
+    let mut quality = Vec::new();
     if let Some(k) = &r.reduction {
-        eprintln!(
+        quality.push(format!(
             "kempe: {} -> {} colors (target {}, saved {}), {} trivial recolors, {} chains \
              (longest {}), {} aborts, {} communication rounds",
             k.colors_before,
@@ -723,256 +837,150 @@ fn report_quality(r: &EdgeColoringResult, n: usize) {
             k.max_chain_len,
             k.aborts,
             k.comm_rounds,
-        );
+        ));
     }
+    let n = g.num_vertices();
     if n > 0 {
-        eprintln!(
+        quality.push(format!(
             "palette memory: {} bytes across {} nodes ({:.1} bytes/node)",
             r.palette_bytes,
             n,
             r.palette_bytes as f64 / n as f64,
-        );
+        ));
+    }
+    WorkloadRun {
+        summary: format!(
+            "colored {on}with {} colors (Δ = {}) in {} computation rounds, {} messages{}",
+            r.colors_used,
+            r.max_degree,
+            r.compute_rounds,
+            r.stats.messages_sent,
+            idle_note(&r.stats),
+        ),
+        quality,
+        size: (n, g.num_edges()),
+        batches,
+        stats: r.stats,
+        transport_overhead_rounds: r.transport_overhead_rounds,
+        alive: r.alive,
+        agreement: r.endpoint_agreement,
+        product: Product::Edges(g, r.colors),
     }
 }
 
-fn cmd_color(args: &[String]) -> Result<(), String> {
+fn strong_run<'g>(
+    d: Digraph,
+    r: StrongColoringResult,
+    batches: Option<Vec<BatchReport>>,
+) -> WorkloadRun<'g> {
+    WorkloadRun {
+        summary: format!(
+            "assigned {} channels to {} arcs{} (Δ = {}) in {} rounds, {} messages{}",
+            r.colors_used,
+            d.num_arcs(),
+            if batches.is_some() { " of the final graph" } else { "" },
+            r.max_degree,
+            r.compute_rounds,
+            r.stats.messages_sent,
+            idle_note(&r.stats),
+        ),
+        quality: Vec::new(),
+        size: (d.num_vertices(), d.num_arcs()),
+        batches,
+        stats: r.stats,
+        transport_overhead_rounds: r.transport_overhead_rounds,
+        alive: r.alive,
+        agreement: r.endpoint_agreement,
+        product: Product::Arcs(d, r.colors),
+    }
+}
+
+impl WorkloadRun<'_> {
+    /// Check the product. A clean static run must be exact; a faulty or
+    /// churned one must agree at both endpoints and be proper among the
+    /// survivors.
+    fn verify(&self, faulty: bool) -> Result<(), String> {
+        let churned = self.batches.is_some();
+        if !faulty && !churned {
+            return match &self.product {
+                Product::Edges(g, colors) => verify_edge_coloring(g, colors),
+                Product::Arcs(d, colors) => verify_strong_coloring(d, colors),
+                Product::Pairs(g, pairs) => verify_matching(g, pairs),
+            }
+            .map_err(|e| format!("internal: {e}"));
+        }
+        if !self.agreement {
+            let what = match self.product {
+                Product::Edges(..) => "colors",
+                Product::Arcs(..) => "channels",
+                Product::Pairs(..) => "the matching",
+            };
+            let hint = if churned { "" } else { " (try --transport reliable)" };
+            return Err(format!(
+                "run corrupted by injected faults: endpoints disagree on {what}{hint}"
+            ));
+        }
+        let alive = &self.alive;
+        match &self.product {
+            Product::Edges(g, colors) => verify_residual_edge_coloring(g, colors, alive),
+            Product::Arcs(d, colors) => verify_residual_strong_coloring(d, colors, alive),
+            Product::Pairs(g, pairs) => verify_residual_matching(g, pairs, alive),
+        }
+        .map_err(|e| match churned {
+            true => format!("repair failed on the final graph: {e}"),
+            false => format!("run corrupted by injected faults: {e}"),
+        })
+    }
+
+    /// The `--out` text: `edge_id color` lines, or `u v` matched pairs.
+    fn output(&self) -> String {
+        match &self.product {
+            Product::Edges(_, colors) | Product::Arcs(_, colors) => coloring_to_text(colors),
+            Product::Pairs(_, pairs) => pairs.iter().map(|(u, v)| format!("{u} {v}\n")).collect(),
+        }
+    }
+}
+
+/// `color`, `strong-color`, `matching`: run the workload (churned when
+/// `--churn-rate` is set, color and strong-color only), verify its
+/// output, report, and write the output.
+fn cmd_run(w: Workload, args: &[String]) -> Result<(), String> {
     let Some(path) = args.first() else {
-        return Err("color needs a graph file".into());
+        return Err(format!("{} needs a graph file", w.name()));
     };
     let flags = parse_flags(&args[1..])?;
     let g = load_graph(path)?;
     let cfg = run_config(&flags)?;
     report_run_options(&cfg);
     let tf = trace_flags(&flags)?;
-    if let Some(plan) = churn_plan(&flags)? {
-        let schedule = ChurnSchedule::generate(&g, &plan);
-        let mut trace = CliTrace::create(&tf, &cfg, "color", path, g.num_vertices())?;
-        let r = match trace.as_mut() {
-            None => color_edges_churn(&g, &schedule, &cfg),
-            Some(t) => color_edges_churn_traced(&g, &schedule, &cfg, t),
-        }
-        .map_err(|e| e.to_string())?;
-        let tally = match trace {
-            Some(t) => t.finish(&r.coloring.stats)?,
-            None => None,
-        };
-        if !r.coloring.endpoint_agreement {
-            return Err("run corrupted by injected faults: endpoints disagree on colors".into());
-        }
-        // Verification targets the final (post-churn) graph; under crash
-        // faults only the residual among survivors is promised.
-        verify_residual_edge_coloring(&r.final_graph, &r.coloring.colors, &r.coloring.alive)
-            .map_err(|e| format!("repair failed on the final graph: {e}"))?;
-        report_churn(&schedule, &r.batches);
-        eprintln!(
-            "colored final graph (n = {}, m = {}) with {} colors (Δ = {}) in {} \
-             computation rounds, {} messages{}",
-            r.final_graph.num_vertices(),
-            r.final_graph.num_edges(),
-            r.coloring.colors_used,
-            r.coloring.max_degree,
-            r.coloring.compute_rounds,
-            r.coloring.stats.messages_sent,
-            idle_note(&r.coloring.stats),
-        );
-        report_quality(&r.coloring, r.final_graph.num_vertices());
-        report_profile(&r.coloring.stats);
-        report_metrics(
-            &flags,
-            "color",
-            &r.coloring.stats,
-            r.final_graph.num_vertices(),
-            r.final_graph.num_edges(),
-        )?;
-        if let Some(tally) = &tally {
-            report_transport(
-                &r.coloring.stats,
-                r.coloring.transport_overhead_rounds,
-                &r.coloring.alive,
-                tally,
-            );
-        }
-        return write_or_print(flags.get("out"), &coloring_to_text(&r.coloring.colors));
-    }
-    let mut trace = CliTrace::create(&tf, &cfg, "color", path, g.num_vertices())?;
+    let plan = match w {
+        Workload::Matching => None,
+        _ => churn_plan(&flags)?,
+    };
+    let schedule = plan.map(|plan| ChurnSchedule::generate(&g, &plan));
+    let mut trace = CliTrace::create(&tf, &cfg, w.name(), path, g.num_vertices())?;
     let r = match trace.as_mut() {
-        None => color_edges(&g, &cfg),
-        Some(t) => color_edges_traced(&g, &cfg, t),
-    }
-    .map_err(|e| e.to_string())?;
+        None => run_workload(w, &g, &cfg, schedule.as_ref(), &mut NoopTracer),
+        Some(t) => run_workload(w, &g, &cfg, schedule.as_ref(), t),
+    }?;
     let tally = match trace {
         Some(t) => t.finish(&r.stats)?,
         None => None,
     };
-    if faulty(&cfg) {
-        if !r.endpoint_agreement {
-            return Err("run corrupted by injected faults: endpoints disagree on colors \
-                        (try --transport reliable)"
-                .into());
-        }
-        verify_residual_edge_coloring(&g, &r.colors, &r.alive)
-            .map_err(|e| format!("run corrupted by injected faults: {e}"))?;
-    } else {
-        verify_edge_coloring(&g, &r.colors).map_err(|e| format!("internal: {e}"))?;
+    r.verify(faulty(&cfg))?;
+    if let (Some(schedule), Some(batches)) = (&schedule, &r.batches) {
+        report_churn(schedule, batches);
     }
-    eprintln!(
-        "colored with {} colors (Δ = {}) in {} computation rounds, {} messages{}",
-        r.colors_used,
-        r.max_degree,
-        r.compute_rounds,
-        r.stats.messages_sent,
-        idle_note(&r.stats),
-    );
-    report_quality(&r, g.num_vertices());
+    eprintln!("{}", r.summary);
+    for line in &r.quality {
+        eprintln!("{line}");
+    }
     report_profile(&r.stats);
-    report_metrics(&flags, "color", &r.stats, g.num_vertices(), g.num_edges())?;
+    report_metrics(&flags, w.name(), &r.stats, r.size.0, r.size.1)?;
     if let Some(tally) = &tally {
         report_transport(&r.stats, r.transport_overhead_rounds, &r.alive, tally);
     }
-    write_or_print(flags.get("out"), &coloring_to_text(&r.colors))
-}
-
-fn cmd_strong_color(args: &[String]) -> Result<(), String> {
-    let Some(path) = args.first() else {
-        return Err("strong-color needs a graph file".into());
-    };
-    let flags = parse_flags(&args[1..])?;
-    let g = load_graph(path)?;
-    let d = Digraph::symmetric_closure(&g);
-    let cfg = run_config(&flags)?;
-    report_run_options(&cfg);
-    let tf = trace_flags(&flags)?;
-    if let Some(plan) = churn_plan(&flags)? {
-        let schedule = ChurnSchedule::generate(&g, &plan);
-        let mut trace = CliTrace::create(&tf, &cfg, "strong-color", path, g.num_vertices())?;
-        let r = match trace.as_mut() {
-            None => strong_color_churn(&g, &schedule, &cfg),
-            Some(t) => strong_color_churn_traced(&g, &schedule, &cfg, t),
-        }
-        .map_err(|e| e.to_string())?;
-        let tally = match trace {
-            Some(t) => t.finish(&r.coloring.stats)?,
-            None => None,
-        };
-        if !r.coloring.endpoint_agreement {
-            return Err("run corrupted by injected faults: endpoints disagree on channels".into());
-        }
-        verify_residual_strong_coloring(&r.final_digraph, &r.coloring.colors, &r.coloring.alive)
-            .map_err(|e| format!("repair failed on the final graph: {e}"))?;
-        report_churn(&schedule, &r.batches);
-        eprintln!(
-            "assigned {} channels to {} arcs of the final graph (Δ = {}) in {} rounds, \
-             {} messages{}",
-            r.coloring.colors_used,
-            r.final_digraph.num_arcs(),
-            r.coloring.max_degree,
-            r.coloring.compute_rounds,
-            r.coloring.stats.messages_sent,
-            idle_note(&r.coloring.stats),
-        );
-        report_profile(&r.coloring.stats);
-        report_metrics(
-            &flags,
-            "strong-color",
-            &r.coloring.stats,
-            r.final_digraph.num_vertices(),
-            r.final_digraph.num_arcs(),
-        )?;
-        if let Some(tally) = &tally {
-            report_transport(
-                &r.coloring.stats,
-                r.coloring.transport_overhead_rounds,
-                &r.coloring.alive,
-                tally,
-            );
-        }
-        return write_or_print(flags.get("out"), &coloring_to_text(&r.coloring.colors));
-    }
-    let mut trace = CliTrace::create(&tf, &cfg, "strong-color", path, g.num_vertices())?;
-    let r = match trace.as_mut() {
-        None => strong_color_digraph(&d, &cfg),
-        Some(t) => strong_color_digraph_traced(&d, &cfg, t),
-    }
-    .map_err(|e| e.to_string())?;
-    let tally = match trace {
-        Some(t) => t.finish(&r.stats)?,
-        None => None,
-    };
-    if faulty(&cfg) {
-        if !r.endpoint_agreement {
-            return Err("run corrupted by injected faults: endpoints disagree on channels \
-                        (try --transport reliable)"
-                .into());
-        }
-        verify_residual_strong_coloring(&d, &r.colors, &r.alive)
-            .map_err(|e| format!("run corrupted by injected faults: {e}"))?;
-    } else {
-        verify_strong_coloring(&d, &r.colors).map_err(|e| format!("internal: {e}"))?;
-    }
-    eprintln!(
-        "assigned {} channels to {} arcs (Δ = {}) in {} rounds, {} messages{}",
-        r.colors_used,
-        d.num_arcs(),
-        r.max_degree,
-        r.compute_rounds,
-        r.stats.messages_sent,
-        idle_note(&r.stats),
-    );
-    report_profile(&r.stats);
-    report_metrics(&flags, "strong-color", &r.stats, g.num_vertices(), d.num_arcs())?;
-    if let Some(tally) = &tally {
-        report_transport(&r.stats, r.transport_overhead_rounds, &r.alive, tally);
-    }
-    write_or_print(flags.get("out"), &coloring_to_text(&r.colors))
-}
-
-fn cmd_matching(args: &[String]) -> Result<(), String> {
-    let Some(path) = args.first() else {
-        return Err("matching needs a graph file".into());
-    };
-    let flags = parse_flags(&args[1..])?;
-    let g = load_graph(path)?;
-    let cfg = run_config(&flags)?;
-    report_run_options(&cfg);
-    let tf = trace_flags(&flags)?;
-    let mut trace = CliTrace::create(&tf, &cfg, "matching", path, g.num_vertices())?;
-    let m = match trace.as_mut() {
-        None => maximal_matching(&g, &cfg),
-        Some(t) => maximal_matching_traced(&g, &cfg, t),
-    }
-    .map_err(|e| e.to_string())?;
-    let tally = match trace {
-        Some(t) => t.finish(&m.stats)?,
-        None => None,
-    };
-    if faulty(&cfg) {
-        if !m.agreement {
-            return Err("run corrupted by injected faults: endpoints disagree on the \
-                        matching (try --transport reliable)"
-                .into());
-        }
-        verify_residual_matching(&g, &m.pairs, &m.alive)
-            .map_err(|e| format!("run corrupted by injected faults: {e}"))?;
-    } else {
-        dima_core::verify::verify_matching(&g, &m.pairs).map_err(|e| format!("internal: {e}"))?;
-    }
-    eprintln!(
-        "maximal matching: {} pairs in {} computation rounds, {} messages{}",
-        m.pairs.len(),
-        m.compute_rounds,
-        m.stats.messages_sent,
-        idle_note(&m.stats),
-    );
-    report_profile(&m.stats);
-    report_metrics(&flags, "matching", &m.stats, g.num_vertices(), g.num_edges())?;
-    if let Some(tally) = &tally {
-        report_transport(&m.stats, m.transport_overhead_rounds, &m.alive, tally);
-    }
-    let mut out = String::new();
-    for (u, v) in &m.pairs {
-        out.push_str(&format!("{u} {v}\n"));
-    }
-    write_or_print(flags.get("out"), &out)
+    write_or_print(flags.get("out"), &r.output())
 }
 
 fn cmd_verify(args: &[String]) -> Result<(), String> {
@@ -1047,56 +1055,13 @@ fn cmd_trace_record(args: &[String]) -> Result<(), String> {
     let g = load_graph(gpath)?;
     let cfg = run_config(&flags)?;
     report_run_options(&cfg);
-    let workload = flags.get("workload").map(String::as_str).unwrap_or("color");
-    let mut trace = CliTrace::create(&tf, &cfg, workload, gpath, g.num_vertices())?
+    let name = flags.get("workload").map(String::as_str).unwrap_or("color");
+    let mut trace = CliTrace::create(&tf, &cfg, name, gpath, g.num_vertices())?
         .expect("--trace always yields a live tracer");
-    let (stats, overhead, alive) = match workload {
-        "color" => {
-            let r = color_edges_traced(&g, &cfg, &mut trace).map_err(|e| e.to_string())?;
-            eprintln!(
-                "colored with {} colors (Δ = {}) in {} computation rounds, {} messages{}",
-                r.colors_used,
-                r.max_degree,
-                r.compute_rounds,
-                r.stats.messages_sent,
-                idle_note(&r.stats),
-            );
-            (r.stats, r.transport_overhead_rounds, r.alive)
-        }
-        "strong-color" => {
-            let d = Digraph::symmetric_closure(&g);
-            let r = strong_color_digraph_traced(&d, &cfg, &mut trace).map_err(|e| e.to_string())?;
-            eprintln!(
-                "assigned {} channels to {} arcs (Δ = {}) in {} rounds, {} messages{}",
-                r.colors_used,
-                d.num_arcs(),
-                r.max_degree,
-                r.compute_rounds,
-                r.stats.messages_sent,
-                idle_note(&r.stats),
-            );
-            (r.stats, r.transport_overhead_rounds, r.alive)
-        }
-        "matching" => {
-            let m = maximal_matching_traced(&g, &cfg, &mut trace).map_err(|e| e.to_string())?;
-            eprintln!(
-                "maximal matching: {} pairs in {} computation rounds, {} messages{}",
-                m.pairs.len(),
-                m.compute_rounds,
-                m.stats.messages_sent,
-                idle_note(&m.stats),
-            );
-            (m.stats, m.transport_overhead_rounds, m.alive)
-        }
-        other => {
-            return Err(format!(
-                "unknown workload '{other}' (expected color, strong-color, or matching)"
-            ))
-        }
-    };
-    let tally = trace.finish(&stats)?;
-    if let Some(tally) = &tally {
-        report_transport(&stats, overhead, &alive, tally);
+    let r = run_workload(Workload::parse(name)?, &g, &cfg, None, &mut trace)?;
+    eprintln!("{}", r.summary);
+    if let Some(tally) = &trace.finish(&r.stats)? {
+        report_transport(&r.stats, r.transport_overhead_rounds, &r.alive, tally);
     }
     Ok(())
 }
@@ -1502,30 +1467,12 @@ fn cmd_metrics_dump(args: &[String]) -> Result<(), String> {
     let mut cfg = run_config(&flags)?;
     cfg.collect_metrics = true;
     report_run_options(&cfg);
-    let workload = flags.get("workload").map(String::as_str).unwrap_or("color");
-    let (stats, nodes, edges) = match workload {
-        "color" => {
-            let r = color_edges(&g, &cfg).map_err(|e| e.to_string())?;
-            (r.stats, g.num_vertices(), g.num_edges())
-        }
-        "strong-color" => {
-            let d = Digraph::symmetric_closure(&g);
-            let r = strong_color_digraph(&d, &cfg).map_err(|e| e.to_string())?;
-            (r.stats, g.num_vertices(), d.num_arcs())
-        }
-        "matching" => {
-            let m = maximal_matching(&g, &cfg).map_err(|e| e.to_string())?;
-            (m.stats, g.num_vertices(), g.num_edges())
-        }
-        other => {
-            return Err(format!(
-                "unknown workload '{other}' (expected color, strong-color, or matching)"
-            ))
-        }
-    };
+    let w = Workload::parse(flags.get("workload").map(String::as_str).unwrap_or("color"))?;
+    let WorkloadRun { stats, size: (nodes, edges), .. } =
+        run_workload(w, &g, &cfg, None, &mut NoopTracer)?;
     let mut reg = *stats.metrics.expect("collect_metrics was forced on");
     MemReport::capture(nodes as u64, edges as u64).record(&mut reg);
-    write_or_print(flags.get("out"), &reg.to_jsonl(workload))
+    write_or_print(flags.get("out"), &reg.to_jsonl(w.name()))
 }
 
 /// `metrics diff` — compare two metrics dumps entry by entry. The

@@ -33,7 +33,7 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("error: {msg}");
-            eprintln!("{}", cmd::USAGE);
+            eprintln!("run 'dima-cli help' for usage");
             ExitCode::from(2)
         }
     }

@@ -1,0 +1,26 @@
+//! Process-level check of how `dima-cli` reports a failed command: the
+//! `error:` line, then a one-line pointer to `dima-cli help`, exit code
+//! 2, and no usage text burying the error.
+
+use std::process::Command;
+
+#[test]
+fn failures_end_in_their_error_line_and_a_help_pointer() {
+    let missing = std::env::temp_dir().join(format!("dima-missing-{}.edges", std::process::id()));
+    let missing = missing.to_str().expect("utf-8 temp path");
+    for (args, error) in [
+        // A runtime failure: the graph file does not exist.
+        (&["color", missing, "--seed", "1"][..], format!("error: reading {missing}: ")),
+        (&["frobnicate"], "error: unknown command 'frobnicate'".into()),
+        (&["color"], "error: color needs a graph file".into()),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_dima-cli")).args(args).output().expect("spawn");
+        let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(!stderr.contains("usage:"), "{args:?}: usage text printed:\n{stderr}");
+        let tail: Vec<&str> = stderr.lines().rev().take(2).collect();
+        assert_eq!(tail.len(), 2, "{args:?}: {stderr}");
+        assert_eq!(tail[0], "run 'dima-cli help' for usage", "{args:?}: {stderr}");
+        assert!(tail[1].starts_with(&error), "{args:?}: {stderr}");
+    }
+}

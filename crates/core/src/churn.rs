@@ -9,6 +9,15 @@
 //! [`BatchReport`]s that quantify each repair: how many edges the batch
 //! dirtied and how many communication rounds the automata needed to
 //! converge back to quiescence.
+//!
+//! There is no separate static path: a static run is a churn run with
+//! [`ChurnSchedule::empty`]. Each algorithm has one body, which the
+//! static entry points ([`crate::color_edges`],
+//! [`crate::strong_color_digraph`]) and the churn entry points share,
+//! and every run reaches the engine through the crate's one runner. So
+//! a churn call with an empty schedule is exactly the static call: it
+//! accepts the reliable transport (only a non-empty schedule needs the
+//! bare one) and yields no batch reports.
 
 pub use dima_sim::churn::{
     ChurnBatch, ChurnEvent, ChurnKinds, ChurnPlan, ChurnSchedule, NeighborhoodChange,
@@ -46,8 +55,8 @@ pub struct BatchReport {
 ///
 /// Quiescence is detected as the first round in the batch's window (from
 /// its firing round up to the next batch, or the end of the run) where no
-/// node executed. The churn-aware engines always collect per-round stats,
-/// so the window scan cannot miss.
+/// node executed. A run under a non-empty schedule always collects
+/// per-round stats, so the window scan cannot miss.
 pub(crate) fn batch_reports(schedule: &ChurnSchedule, stats: &RunStats) -> Vec<BatchReport> {
     let per_round = stats.per_round.as_deref().unwrap_or(&[]);
     let batches = schedule.batches();

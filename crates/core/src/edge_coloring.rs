@@ -49,7 +49,9 @@
 use dima_graph::{Graph, VertexId};
 use dima_sim::churn::{ChurnSchedule, NeighborhoodChange};
 use dima_sim::telemetry::{NoopTracer, PaletteAction, Tracer};
-use dima_sim::{Envelope, NodeSeed, NodeStatus, Protocol, RoundCtx, RunStats, Topology};
+use dima_sim::{
+    Envelope, NodeSeed, NodeStatus, Protocol, RoundCtx, RunOutcome, RunStats, Topology,
+};
 use rand::rngs::SmallRng;
 
 use crate::automata::{choose_role, pick_index, pick_uniform, pick_uniform_iter, Phase, Role};
@@ -58,7 +60,7 @@ use crate::config::{ColorPolicy, ColoringConfig};
 use crate::error::CoreError;
 use crate::kempe::{reduce_palette_metered, KempeReport};
 use crate::palette::{Color, ColorSet, PortColorSets};
-use crate::runner::{run_protocol_churn_traced, run_protocol_traced};
+use crate::runner::{run_protocol, EngineRun};
 
 /// Messages of Algorithm 1.
 ///
@@ -570,23 +572,7 @@ pub fn color_edges_traced<T: Tracer + Sync>(
     cfg: &ColoringConfig,
     tracer: &mut T,
 ) -> Result<EdgeColoringResult, CoreError> {
-    cfg.validate()?;
-    let delta = g.max_degree();
-    let topo = Topology::from_graph(g);
-    let max_rounds = 3 * cfg.compute_round_budget(delta);
-    let palette_bound = (2 * delta).saturating_sub(1).max(1) as u32;
-    let factory = |seed: NodeSeed<'_>| EdgeColoringNode::new(&seed, cfg, palette_bound);
-    let run = run_protocol_traced(&topo, cfg, max_rounds, factory, tracer)?;
-    let mut r = assemble_result(
-        g,
-        delta,
-        &run.nodes,
-        run.stats,
-        run.crashed,
-        run.transport_overhead_rounds,
-    );
-    apply_reduction(g, cfg, &mut r, tracer)?;
-    Ok(r)
+    run_algorithm1(g, &ChurnSchedule::empty(), cfg, tracer)
 }
 
 /// Run Algorithm 1 on `g0` under a churn schedule: the coloring is
@@ -594,9 +580,10 @@ pub fn color_edges_traced<T: Tracer + Sync>(
 /// (see the module docs). The result's coloring is assembled against the
 /// schedule's **final** graph; verify it there.
 ///
-/// Churn runs use the bare transport only — the ARQ layer binds sequence
-/// numbers to a static neighbor set. Message-loss and crash faults
-/// compose freely.
+/// A non-empty schedule needs the bare transport — the ARQ layer binds
+/// sequence numbers to a static neighbor set. Message-loss and crash
+/// faults compose freely. With [`ChurnSchedule::empty`] this is
+/// [`color_edges`] plus a copy of `g0` as the final graph.
 pub fn color_edges_churn(
     g0: &Graph,
     schedule: &ChurnSchedule,
@@ -617,8 +604,23 @@ pub fn color_edges_churn_traced<T: Tracer + Sync>(
     cfg: &ColoringConfig,
     tracer: &mut T,
 ) -> Result<ChurnColoringResult, CoreError> {
+    let coloring = run_algorithm1(g0, schedule, cfg, tracer)?;
+    let batches = batch_reports(schedule, &coloring.stats);
+    let final_graph = schedule.final_graph().unwrap_or(g0).clone();
+    Ok(ChurnColoringResult { coloring, final_graph, batches })
+}
+
+/// The one Algorithm 1 run: `g0` under `schedule` (empty for a static
+/// run), assembled and reduced against the schedule's final graph —
+/// `g0` itself when nothing churned.
+fn run_algorithm1<T: Tracer + Sync>(
+    g0: &Graph,
+    schedule: &ChurnSchedule,
+    cfg: &ColoringConfig,
+    tracer: &mut T,
+) -> Result<EdgeColoringResult, CoreError> {
     cfg.validate()?;
-    let final_graph = schedule.final_graph().cloned().unwrap_or_else(|| g0.clone());
+    let g = schedule.final_graph().unwrap_or(g0);
     // Δ may grow mid-run: budget rounds and the ablation palette against
     // the largest degree the schedule ever produces.
     let delta = g0.max_degree().max(schedule.max_degree());
@@ -629,22 +631,20 @@ pub fn color_edges_churn_traced<T: Tracer + Sync>(
     let max_rounds = schedule.last_round().map_or(budget, |lr| lr + budget);
     let palette_bound = (2 * delta).saturating_sub(1).max(1) as u32;
     let factory = |seed: NodeSeed<'_>| EdgeColoringNode::new(&seed, cfg, palette_bound);
-    let run = run_protocol_churn_traced(&topo, cfg, max_rounds, schedule, factory, tracer)?;
-    let batches = batch_reports(schedule, &run.stats);
-    let mut coloring = assemble_result(&final_graph, delta, &run.nodes, run.stats, run.crashed, 0);
-    apply_reduction(&final_graph, cfg, &mut coloring, tracer)?;
-    Ok(ChurnColoringResult { coloring, final_graph, batches })
+    let run = run_protocol(&topo, cfg, max_rounds, schedule, factory, tracer)?;
+    let mut r = assemble_result(g, delta, run);
+    apply_reduction(g, cfg, &mut r, tracer)?;
+    Ok(r)
 }
 
 /// Build the global result from per-node protocol states.
 fn assemble_result(
     g: &Graph,
     delta: usize,
-    nodes: &[EdgeColoringNode],
-    stats: RunStats,
-    crashed: Vec<bool>,
-    transport_overhead_rounds: u64,
+    run: EngineRun<EdgeColoringNode>,
 ) -> EdgeColoringResult {
+    let RunOutcome { nodes, stats, crashed } = run.outcome;
+    let transport_overhead_rounds = run.transport_overhead_rounds;
     // Assemble the global coloring from the endpoints' views. The
     // residual coloring of a crashed run reflects what the *survivors*
     // committed: a crashed endpoint's view is ignored (its partner may

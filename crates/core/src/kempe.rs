@@ -63,6 +63,7 @@
 use std::sync::Arc;
 
 use dima_graph::{Graph, VertexId};
+use dima_sim::churn::ChurnSchedule;
 use dima_sim::fault::FaultPlan;
 use dima_sim::telemetry::{MetricsRegistry, NoopTracer, PaletteAction, Tracer};
 use dima_sim::{NodeSeed, NodeStatus, Protocol, RoundCtx, Topology};
@@ -70,7 +71,7 @@ use dima_sim::{NodeSeed, NodeStatus, Protocol, RoundCtx, Topology};
 use crate::config::{ColorReduction, ColoringConfig, KempeConfig, Transport};
 use crate::error::CoreError;
 use crate::palette::{Color, ColorSet, PortColorSets};
-use crate::runner::run_protocol_traced;
+use crate::runner::run_protocol;
 
 /// Rounds a request sender waits for a response before retransmitting.
 /// Under the bare reliable transport a received request is answered in
@@ -902,7 +903,8 @@ impl KempeReport {
     }
 }
 
-/// [`reduce_palette_traced`] without telemetry.
+/// [`reduce_palette_metered`] without telemetry, dropping the metrics
+/// registry.
 pub fn reduce_palette(
     g: &Graph,
     colors: &mut [Option<Color>],
@@ -910,19 +912,7 @@ pub fn reduce_palette(
     kcfg: &KempeConfig,
     base: &ColoringConfig,
 ) -> Result<KempeReport, CoreError> {
-    reduce_palette_traced(g, colors, alive, kcfg, base, &mut NoopTracer)
-}
-
-/// [`reduce_palette_metered`] dropping the metrics registry.
-pub fn reduce_palette_traced<T: Tracer + Sync>(
-    g: &Graph,
-    colors: &mut [Option<Color>],
-    alive: &[bool],
-    kcfg: &KempeConfig,
-    base: &ColoringConfig,
-    tracer: &mut T,
-) -> Result<KempeReport, CoreError> {
-    reduce_palette_metered(g, colors, alive, kcfg, base, tracer).map(|(report, _)| report)
+    reduce_palette_metered(g, colors, alive, kcfg, base, &mut NoopTracer).map(|(report, _)| report)
 }
 
 /// Run the Kempe-chain reduction pass over a proper (partial) edge
@@ -1028,7 +1018,8 @@ pub fn reduce_palette_metered<T: Tracer + Sync>(
     let factory = |seed: NodeSeed<'_>| {
         KempeNode::new(&seed, &init[seed.node.index()], threshold, &kcfg, deadline)
     };
-    let mut run = run_protocol_traced(&topo, &run_cfg, max_rounds, factory, tracer)?;
+    let schedule = ChurnSchedule::empty();
+    let mut run = run_protocol(&topo, &run_cfg, max_rounds, &schedule, factory, tracer)?.outcome;
     // Write the negotiated colors back into the global table. Both
     // endpoints of every live edge agree (the commit protocol updates
     // them within one operation); pinned edges kept their input color.

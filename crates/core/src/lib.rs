@@ -64,7 +64,7 @@ pub use edge_coloring::{
     EdgeColoringResult,
 };
 pub use error::CoreError;
-pub use kempe::{reduce_palette, reduce_palette_traced, KempeReport};
+pub use kempe::{reduce_palette, KempeReport};
 pub use matching::{maximal_matching, maximal_matching_traced, MatchingResult};
 pub use palette::{Color, ColorSet};
 pub use service::{

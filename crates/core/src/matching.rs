@@ -12,13 +12,14 @@
 //! empirically from [`MatchingResult::pair_round`].
 
 use dima_graph::{Graph, VertexId};
+use dima_sim::churn::ChurnSchedule;
 use dima_sim::telemetry::{NoopTracer, PaletteAction, Tracer};
 use dima_sim::{Envelope, NodeSeed, NodeStatus, Protocol, RoundCtx, RunStats, Topology};
 
 use crate::automata::{choose_role, pick_index, Phase, Role};
 use crate::config::ColoringConfig;
 use crate::error::CoreError;
-use crate::runner::run_protocol_traced;
+use crate::runner::run_protocol;
 
 /// Messages of the matching protocol.
 ///
@@ -242,19 +243,20 @@ pub fn maximal_matching_traced<T: Tracer + Sync>(
     let topo = Topology::from_graph(g);
     let max_rounds = 3 * cfg.compute_round_budget(g.max_degree());
     let factory = |seed: NodeSeed<'_>| MatchingNode::new(&seed, cfg);
-    let run = run_protocol_traced(&topo, cfg, max_rounds, factory, tracer)?;
-    let alive = run.alive();
+    let run = run_protocol(&topo, cfg, max_rounds, &ChurnSchedule::empty(), factory, tracer)?;
+    let alive = run.outcome.alive();
+    let nodes = &run.outcome.nodes;
 
     let mut pairs: Vec<(VertexId, VertexId)> = Vec::new();
     let mut pair_round = Vec::new();
     let mut seen = std::collections::BTreeSet::new();
     let mut agreement = true;
-    for (node, &a) in run.nodes.iter().zip(&alive) {
+    for (node, &a) in nodes.iter().zip(&alive) {
         if let Some(partner) = node.matched_with {
             // Endpoint agreement is only meaningful between survivors: a
             // crashed partner may have stopped before echoing back.
             if a && alive[partner.index()] {
-                agreement &= run.nodes[partner.index()].matched_with == Some(node.me);
+                agreement &= nodes[partner.index()].matched_with == Some(node.me);
             }
             // Record the pair from either endpoint's view (a crashed
             // invitor may never have learned its invitation was accepted,
@@ -266,13 +268,13 @@ pub fn maximal_matching_traced<T: Tracer + Sync>(
             }
         }
     }
-    let comm_rounds = run.stats.rounds - run.transport_overhead_rounds;
+    let comm_rounds = run.outcome.stats.rounds - run.transport_overhead_rounds;
     Ok(MatchingResult {
         pairs,
         pair_round,
         compute_rounds: Phase::compute_rounds(comm_rounds),
         comm_rounds,
-        stats: run.stats,
+        stats: run.outcome.stats,
         agreement,
         alive,
         transport_overhead_rounds: run.transport_overhead_rounds,

@@ -50,7 +50,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use dima_graph::{Digraph, Graph, GraphBuilder, VertexId};
+use dima_graph::{Graph, GraphBuilder, VertexId};
 use dima_sim::fault::FaultPlan;
 use dima_sim::rng::splitmix64;
 use dima_sim::telemetry::read::{parse_line, Record};
@@ -65,7 +65,7 @@ use crate::edge_coloring::EdgeColoringNode;
 use crate::error::CoreError;
 use crate::kempe::KempeReport;
 use crate::palette::{Color, ColorSet};
-use crate::runner::run_protocol_churn_traced;
+use crate::runner::run_protocol;
 use crate::strong_coloring::StrongColoringNode;
 
 /// Snapshot format version accepted by [`ColoringService::restore_chain`].
@@ -763,7 +763,6 @@ struct OpenBatch {
 pub struct ColoringService {
     cfg: ServiceConfig,
     g0: Graph,
-    d0: Option<Digraph>,
     palette_bound0: u32,
     feed: EventFeed,
     inner: Inner,
@@ -809,7 +808,7 @@ impl ColoringService {
         g: &Graph,
         cfg: &ServiceConfig,
         engine_seed: u64,
-    ) -> Result<(Inner, Option<Digraph>, u32), SimError> {
+    ) -> Result<(Inner, u32), SimError> {
         let delta = g.max_degree();
         let palette_bound = ((2 * delta).saturating_sub(1)).max(1) as u32;
         let engine_cfg = EngineConfig {
@@ -823,7 +822,6 @@ impl ColoringService {
         };
         let topo = Topology::from_graph(g);
         let threads = cfg.coloring.engine.threads();
-        let mut d0 = None;
         let inner = match cfg.protocol {
             ServeProtocol::EdgeColoring => {
                 let ccfg = cfg.coloring.clone();
@@ -833,15 +831,13 @@ impl ColoringService {
                 Inner::Ec(Stepper::new(&topo, &engine_cfg, threads, factory)?)
             }
             ServeProtocol::StrongColoring => {
-                let d = Digraph::symmetric_closure(g);
-                d0 = Some(d.clone());
                 let ccfg = cfg.coloring.clone();
                 let factory: StrongFactory =
-                    Box::new(move |seed: NodeSeed<'_>| StrongColoringNode::new(&seed, &d, &ccfg));
+                    Box::new(move |seed: NodeSeed<'_>| StrongColoringNode::new(&seed, &ccfg));
                 Inner::Strong(Stepper::new(&topo, &engine_cfg, threads, factory)?)
             }
         };
-        Ok((inner, d0, palette_bound))
+        Ok((inner, palette_bound))
     }
 
     /// Start a fresh service over `g0`. The initial coloring has not
@@ -849,11 +845,10 @@ impl ColoringService {
     /// to converge it.
     pub fn new(g0: &Graph, cfg: ServiceConfig) -> Result<Self, ServiceError> {
         cfg.validate()?;
-        let (inner, d0, palette_bound0) = Self::build_inner(g0, &cfg, cfg.coloring.seed)?;
+        let (inner, palette_bound0) = Self::build_inner(g0, &cfg, cfg.coloring.seed)?;
         Ok(ColoringService {
             cfg,
             g0: g0.clone(),
-            d0,
             palette_bound0,
             feed: EventFeed::new(g0),
             inner,
@@ -1319,14 +1314,13 @@ impl ColoringService {
         escalations: u64,
     ) -> Result<Self, ServiceError> {
         cfg.validate()?;
-        let (mut inner, d0, palette_bound0) =
+        let (mut inner, palette_bound0) =
             Self::build_inner(g, &cfg, epoch_seed(cfg.coloring.seed, epoch))?;
         Self::adopt_coloring(&mut inner, coloring);
         inner.park_all();
         Ok(ColoringService {
             cfg,
             g0: g.clone(),
-            d0,
             palette_bound0,
             feed: EventFeed::with_dead(g, dead),
             inner,
@@ -2067,52 +2061,30 @@ impl ColoringService {
         let max_rounds =
             schedule.last_round().unwrap_or(0) + 3 * 3 * cfg.compute_round_budget(delta) + 64;
         let topo = Topology::from_graph(&self.g0);
-        let final_graph = schedule.final_graph().unwrap_or(&self.g0).clone();
+        let final_graph = schedule.final_graph().unwrap_or(&self.g0);
+        let core_err = |e| match e {
+            CoreError::Sim(s) => ServiceError::Sim(s),
+            other => ServiceError::Config(other.to_string()),
+        };
+        let mut tracer = NoopTracer;
         let slots: Vec<ColoredEdge> = match self.cfg.protocol {
             ServeProtocol::EdgeColoring => {
                 let bound = self.palette_bound0;
-                let run = run_protocol_churn_traced(
-                    &topo,
-                    &cfg,
-                    max_rounds,
-                    &schedule,
-                    |seed: NodeSeed<'_>| EdgeColoringNode::new(&seed, &cfg, bound),
-                    &mut NoopTracer,
-                )
-                .map_err(|e| match e {
-                    CoreError::Sim(s) => ServiceError::Sim(s),
-                    other => ServiceError::Config(other.to_string()),
-                })?;
-                collect_coloring(&final_graph, |u, v| {
-                    (
-                        run.nodes[u.0 as usize].color_toward(v),
-                        run.nodes[v.0 as usize].color_toward(u),
-                    )
+                let factory = |seed: NodeSeed<'_>| EdgeColoringNode::new(&seed, &cfg, bound);
+                let run = run_protocol(&topo, &cfg, max_rounds, &schedule, factory, &mut tracer)
+                    .map_err(core_err)?;
+                let nodes = &run.outcome.nodes;
+                collect_coloring(final_graph, |u, v| {
+                    (nodes[u.index()].color_toward(v), nodes[v.index()].color_toward(u))
                 })
             }
             ServeProtocol::StrongColoring => {
-                let Some(d0) = self.d0.as_ref() else {
-                    return Err(ServiceError::Internal(
-                        "strong-coloring service lost its digraph".into(),
-                    ));
-                };
-                let run = run_protocol_churn_traced(
-                    &topo,
-                    &cfg,
-                    max_rounds,
-                    &schedule,
-                    |seed: NodeSeed<'_>| StrongColoringNode::new(&seed, d0, &cfg),
-                    &mut NoopTracer,
-                )
-                .map_err(|e| match e {
-                    CoreError::Sim(s) => ServiceError::Sim(s),
-                    other => ServiceError::Config(other.to_string()),
-                })?;
-                collect_coloring(&final_graph, |u, v| {
-                    (
-                        run.nodes[u.0 as usize].out_color_toward(v),
-                        run.nodes[v.0 as usize].out_color_toward(u),
-                    )
+                let factory = |seed: NodeSeed<'_>| StrongColoringNode::new(&seed, &cfg);
+                let run = run_protocol(&topo, &cfg, max_rounds, &schedule, factory, &mut tracer)
+                    .map_err(core_err)?;
+                let nodes = &run.outcome.nodes;
+                collect_coloring(final_graph, |u, v| {
+                    (nodes[u.index()].out_color_toward(v), nodes[v.index()].out_color_toward(u))
                 })
             }
         };

@@ -21,7 +21,7 @@
 //! the corresponding in-arc at the responder); a node is done when all
 //! its out- **and** in-arcs are colored (paper line 2.28).
 
-use dima_graph::{ArcId, Digraph, Graph, VertexId};
+use dima_graph::{Digraph, Graph, VertexId};
 use dima_sim::churn::{ChurnSchedule, NeighborhoodChange};
 use dima_sim::telemetry::{NoopTracer, PaletteAction, Tracer};
 use dima_sim::{NodeSeed, NodeStatus, Protocol, RoundCtx, RunStats, Topology};
@@ -33,7 +33,7 @@ use crate::churn::{batch_reports, ChurnStrongResult};
 use crate::config::{ColorPolicy, ColoringConfig};
 use crate::error::CoreError;
 use crate::palette::{Color, ColorSet};
-use crate::runner::{run_protocol_churn_traced, run_protocol_traced};
+use crate::runner::run_protocol;
 
 /// Messages of Algorithm 2. All broadcast — overhearing is what makes the
 /// same-round conflict detection of Procedure 2-b work.
@@ -121,10 +121,6 @@ pub struct StrongColoringNode {
     me: VertexId,
     /// Sorted (underlying) neighbor ids.
     neighbors: Vec<VertexId>,
-    /// Out-arc `me → neighbors[p]`.
-    out_arcs: Vec<ArcId>,
-    /// In-arc `neighbors[p] → me`.
-    in_arcs: Vec<ArcId>,
     out_color: Vec<Option<Color>>,
     in_color: Vec<Option<Color>>,
     /// Ports with uncolored out-arcs (what this node can still invite
@@ -184,27 +180,12 @@ pub struct StrongColoringNode {
     state: &'static str,
 }
 
-/// Placeholder arc id for ports created by churn: the stored arc ids
-/// index the *initial* digraph and only serve the static assembly path
-/// ([`strong_color_digraph`]); churn runs assemble via ports against the
-/// final digraph and never read them.
-const NO_ARC: ArcId = ArcId(u32::MAX);
-
 impl StrongColoringNode {
-    pub(crate) fn new(seed: &NodeSeed<'_>, d: &Digraph, cfg: &ColoringConfig) -> Self {
-        let me = seed.node;
-        // Ports without an arc in `d` can only come from churn (a join
-        // node attached to post-batch links): map them to the sentinel.
-        let out_arcs: Vec<ArcId> =
-            seed.neighbors.iter().map(|&w| d.arc_between(me, w).unwrap_or(NO_ARC)).collect();
-        let in_arcs: Vec<ArcId> =
-            seed.neighbors.iter().map(|&w| d.arc_between(w, me).unwrap_or(NO_ARC)).collect();
+    pub(crate) fn new(seed: &NodeSeed<'_>, cfg: &ColoringConfig) -> Self {
         let degree = seed.neighbors.len();
         StrongColoringNode {
-            me,
+            me: seed.node,
             neighbors: seed.neighbors.to_vec(),
-            out_arcs,
-            in_arcs,
             out_color: vec![None; degree],
             in_color: vec![None; degree],
             uncolored_out: (0..degree).collect(),
@@ -792,18 +773,13 @@ impl Protocol for StrongColoringNode {
         let was_parked = self.state == "D";
         let new_neighbors = seed.neighbors.to_vec();
         let n_new = new_neighbors.len();
-        // Remap per-port state; churn-created ports get sentinel arc ids
-        // (never read — churn assembly goes via ports).
-        let mut out_arcs = vec![NO_ARC; n_new];
-        let mut in_arcs = vec![NO_ARC; n_new];
+        // Remap per-port state to the new neighbor list.
         let mut out_color = vec![None; n_new];
         let mut in_color = vec![None; n_new];
         let mut link_down = vec![false; n_new];
         let mut tried = vec![ColorSet::new(); n_new];
         for (np, &w) in new_neighbors.iter().enumerate() {
             if let Some(op) = self.port_of(w) {
-                out_arcs[np] = self.out_arcs[op];
-                in_arcs[np] = self.in_arcs[op];
                 out_color[np] = self.out_color[op];
                 in_color[np] = self.in_color[op];
                 link_down[np] = self.link_down[op];
@@ -817,8 +793,6 @@ impl Protocol for StrongColoringNode {
             new_neighbors.binary_search(&w).ok().map(|np| Proposal { port: np, colors: p.colors })
         });
         self.neighbors = new_neighbors;
-        self.out_arcs = out_arcs;
-        self.in_arcs = in_arcs;
         self.out_color = out_color;
         self.in_color = in_color;
         self.link_down = link_down;
@@ -889,7 +863,7 @@ impl Protocol for StrongColoringNode {
 /// The outcome of a strong-coloring run.
 #[derive(Clone, Debug)]
 pub struct StrongColoringResult {
-    /// Channel per arc (indexed by [`ArcId`]), as committed by the tail.
+    /// Channel per arc (indexed by [`ArcId`](dima_graph::ArcId)), as committed by the tail.
     pub colors: Vec<Option<Color>>,
     /// Number of distinct channels used.
     pub colors_used: usize,
@@ -939,63 +913,8 @@ pub fn strong_color_digraph_traced<T: Tracer + Sync>(
 ) -> Result<StrongColoringResult, CoreError> {
     cfg.validate()?;
     d.require_symmetric()?;
-    let delta = d.max_underlying_degree();
     let topo = Topology::from_digraph(d);
-    let max_rounds = 3 * cfg.compute_round_budget(delta);
-    let factory = |seed: NodeSeed<'_>| StrongColoringNode::new(&seed, d, cfg);
-    let run = run_protocol_traced(&topo, cfg, max_rounds, factory, tracer)?;
-    let alive = run.alive();
-
-    // Residual assembly: each arc takes its *tail's* committed channel
-    // when the tail survived, the head's view when only the head did.
-    // Tail/head agreement is meaningful between survivors only.
-    let mut tail_view: Vec<Option<Color>> = vec![None; d.num_arcs()];
-    let mut head_view: Vec<Option<Color>> = vec![None; d.num_arcs()];
-    for node in &run.nodes {
-        for (port, &c) in node.out_color.iter().enumerate() {
-            tail_view[node.out_arcs[port].index()] = c;
-        }
-        for (port, &c) in node.in_color.iter().enumerate() {
-            head_view[node.in_arcs[port].index()] = c;
-        }
-    }
-    let mut colors: Vec<Option<Color>> = vec![None; d.num_arcs()];
-    let mut endpoint_agreement = true;
-    for (a, (u, v)) in d.arcs() {
-        let (tail, head) = (tail_view[a.index()], head_view[a.index()]);
-        // Arcs touching a crashed node are *withdrawn*, even if a
-        // surviving endpoint had committed a channel: distance-2
-        // conflicts are policed by the crashed node's `UpdateColors`
-        // broadcasts, which died with it — a node two hops away may
-        // legitimately reuse the channel later. (Plain edge coloring
-        // keeps such colors: its constraints are all one-hop, enforced
-        // by a then-alive endpoint at commit time.)
-        colors[a.index()] = match (alive[u.index()], alive[v.index()]) {
-            (true, true) => {
-                endpoint_agreement &= tail == head;
-                tail.or(head)
-            }
-            _ => None,
-        };
-    }
-
-    let mut palette = ColorSet::new();
-    for c in colors.iter().flatten() {
-        palette.insert(*c);
-    }
-    let comm_rounds = run.stats.rounds - run.transport_overhead_rounds;
-    Ok(StrongColoringResult {
-        colors_used: palette.len(),
-        max_color: palette.max(),
-        colors,
-        compute_rounds: Phase::compute_rounds(comm_rounds),
-        comm_rounds,
-        max_degree: delta,
-        endpoint_agreement,
-        stats: run.stats,
-        alive,
-        transport_overhead_rounds: run.transport_overhead_rounds,
-    })
+    run_algorithm2(&topo, d, d.max_underlying_degree(), &ChurnSchedule::empty(), cfg, tracer)
 }
 
 /// Run Algorithm 2 on the symmetric closure of `g0` under a churn
@@ -1005,7 +924,9 @@ pub fn strong_color_digraph_traced<T: Tracer + Sync>(
 /// channels over churn-fresh links via [`StrongMsg::Hello`]).
 ///
 /// The result is indexed by the arcs of the **final** graph's symmetric
-/// closure; verify it there. Bare transport only.
+/// closure; verify it there. A non-empty schedule needs the bare
+/// transport; with [`ChurnSchedule::empty`] this is
+/// [`strong_color_digraph`] on the closure of `g0`.
 pub fn strong_color_churn(
     g0: &Graph,
     schedule: &ChurnSchedule,
@@ -1024,26 +945,51 @@ pub fn strong_color_churn_traced<T: Tracer + Sync>(
     tracer: &mut T,
 ) -> Result<ChurnStrongResult, CoreError> {
     cfg.validate()?;
-    let d0 = Digraph::symmetric_closure(g0);
-    let final_graph = schedule.final_graph().cloned().unwrap_or_else(|| g0.clone());
+    let final_graph = schedule.final_graph().unwrap_or(g0).clone();
     let final_digraph = Digraph::symmetric_closure(&final_graph);
     let delta = g0.max_degree().max(schedule.max_degree());
     let topo = Topology::from_graph(g0);
+    let coloring = run_algorithm2(&topo, &final_digraph, delta, schedule, cfg, tracer)?;
+    let batches = batch_reports(schedule, &coloring.stats);
+    Ok(ChurnStrongResult { coloring, final_graph, final_digraph, batches })
+}
+
+/// The one Algorithm 2 run: the protocol on `topo` under `schedule`
+/// (empty for a static run), assembled against `d`, the symmetric
+/// digraph of the schedule's final topology. `delta` is the largest
+/// underlying degree the run ever sees.
+fn run_algorithm2<T: Tracer + Sync>(
+    topo: &Topology,
+    d: &Digraph,
+    delta: usize,
+    schedule: &ChurnSchedule,
+    cfg: &ColoringConfig,
+    tracer: &mut T,
+) -> Result<StrongColoringResult, CoreError> {
+    // The last batch gets a full static budget after it fires; earlier
+    // repairs run inside the inter-batch gaps.
     let budget = 3 * cfg.compute_round_budget(delta);
     let max_rounds = schedule.last_round().map_or(budget, |lr| lr + budget);
-    let factory = |seed: NodeSeed<'_>| StrongColoringNode::new(&seed, &d0, cfg);
-    let run = run_protocol_churn_traced(&topo, cfg, max_rounds, schedule, factory, tracer)?;
-    let batches = batch_reports(schedule, &run.stats);
-    let alive = run.alive();
+    let factory = |seed: NodeSeed<'_>| StrongColoringNode::new(&seed, cfg);
+    let run = run_protocol(topo, cfg, max_rounds, schedule, factory, tracer)?;
+    let alive = run.outcome.alive();
+    let nodes = &run.outcome.nodes;
 
-    // Assemble via ports against the final digraph: the arc ids stored in
-    // the nodes index the *initial* digraph and go stale under churn.
-    // Crash withdrawal matches the static path (see above).
-    let mut colors: Vec<Option<Color>> = vec![None; final_digraph.num_arcs()];
+    // Residual assembly via ports against the final digraph: each arc
+    // takes its *tail's* committed channel, the head's view when the
+    // tail has none. Arcs touching a crashed node are *withdrawn*, even
+    // if a surviving endpoint had committed a channel: distance-2
+    // conflicts are policed by the crashed node's `UpdateColors`
+    // broadcasts, which died with it — a node two hops away may
+    // legitimately reuse the channel later. (Plain edge coloring keeps
+    // such colors: its constraints are all one-hop, enforced by a
+    // then-alive endpoint at commit time.) Tail/head agreement is
+    // meaningful between survivors only.
+    let mut colors: Vec<Option<Color>> = vec![None; d.num_arcs()];
     let mut endpoint_agreement = true;
-    for (a, (u, v)) in final_digraph.arcs() {
-        let nu = &run.nodes[u.index()];
-        let nv = &run.nodes[v.index()];
+    for (a, (u, v)) in d.arcs() {
+        let nu = &nodes[u.index()];
+        let nv = &nodes[v.index()];
         let tail = nu.port_of(v).and_then(|p| nu.out_color[p]);
         let head = nv.port_of(u).and_then(|p| nv.in_color[p]);
         colors[a.index()] = match (alive[u.index()], alive[v.index()]) {
@@ -1059,8 +1005,8 @@ pub fn strong_color_churn_traced<T: Tracer + Sync>(
     for c in colors.iter().flatten() {
         palette.insert(*c);
     }
-    let comm_rounds = run.stats.rounds;
-    let coloring = StrongColoringResult {
+    let comm_rounds = run.outcome.stats.rounds - run.transport_overhead_rounds;
+    Ok(StrongColoringResult {
         colors_used: palette.len(),
         max_color: palette.max(),
         colors,
@@ -1068,11 +1014,10 @@ pub fn strong_color_churn_traced<T: Tracer + Sync>(
         comm_rounds,
         max_degree: delta,
         endpoint_agreement,
-        stats: run.stats,
+        stats: run.outcome.stats,
         alive,
-        transport_overhead_rounds: 0,
-    };
-    Ok(ChurnStrongResult { coloring, final_graph, final_digraph, batches })
+        transport_overhead_rounds: run.transport_overhead_rounds,
+    })
 }
 
 #[cfg(test)]

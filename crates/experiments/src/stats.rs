@@ -32,26 +32,6 @@ impl Aggregate {
         let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         Aggregate { count, mean, stddev, min, max }
     }
-
-    /// Aggregate after mapping items through `f`.
-    pub fn of_map<T>(items: &[T], f: impl Fn(&T) -> f64) -> Aggregate {
-        let values: Vec<f64> = items.iter().map(f).collect();
-        Aggregate::of(&values)
-    }
-}
-
-/// Group `items` by a key and aggregate a metric within each group;
-/// groups come back sorted by key.
-pub fn group_aggregate<T, K: Ord + Clone>(
-    items: &[T],
-    key: impl Fn(&T) -> K,
-    metric: impl Fn(&T) -> f64,
-) -> Vec<(K, Aggregate)> {
-    let mut buckets: std::collections::BTreeMap<K, Vec<f64>> = std::collections::BTreeMap::new();
-    for item in items {
-        buckets.entry(key(item)).or_default().push(metric(item));
-    }
-    buckets.into_iter().map(|(k, v)| (k, Aggregate::of(&v))).collect()
 }
 
 #[cfg(test)]
@@ -84,23 +64,5 @@ mod tests {
         assert!((a.stddev - (32.0f64 / 7.0).sqrt()).abs() < 1e-12);
         assert_eq!(a.min, 2.0);
         assert_eq!(a.max, 9.0);
-    }
-
-    #[test]
-    fn of_map_projects() {
-        let items = [(1, 10.0), (2, 20.0)];
-        let a = Aggregate::of_map(&items, |&(_, v)| v);
-        assert_eq!(a.mean, 15.0);
-    }
-
-    #[test]
-    fn group_aggregate_sorts_and_buckets() {
-        let items = [(2, 1.0), (1, 5.0), (2, 3.0), (1, 7.0)];
-        let groups = group_aggregate(&items, |&(k, _)| k, |&(_, v)| v);
-        assert_eq!(groups.len(), 2);
-        assert_eq!(groups[0].0, 1);
-        assert_eq!(groups[0].1.mean, 6.0);
-        assert_eq!(groups[1].0, 2);
-        assert_eq!(groups[1].1.mean, 2.0);
     }
 }

@@ -141,11 +141,6 @@ impl Graph {
         list.binary_search_by_key(&to, |&(w, _)| w).ok().map(|i| list[i].1)
     }
 
-    /// Ids of the edges incident to `v`.
-    pub fn incident_edges(&self, v: VertexId) -> impl Iterator<Item = EdgeId> + '_ {
-        self.adj[v.index()].iter().map(|&(_, e)| e)
-    }
-
     /// The induced subgraph on `keep`, with vertices renumbered in the
     /// order given. Returns the subgraph and the mapping from new vertex
     /// ids to original ids.
@@ -383,13 +378,6 @@ mod tests {
             Graph::from_edges(4, [(VertexId(2), VertexId(3)), (VertexId(0), VertexId(1))]).unwrap();
         assert_eq!(g.endpoints(EdgeId(0)), (VertexId(2), VertexId(3)));
         assert_eq!(g.endpoints(EdgeId(1)), (VertexId(0), VertexId(1)));
-    }
-
-    #[test]
-    fn incident_edges_cover_all_neighbors() {
-        let g = triangle();
-        let edges: Vec<EdgeId> = g.incident_edges(VertexId(1)).collect();
-        assert_eq!(edges.len(), 2);
     }
 
     #[test]

@@ -42,12 +42,6 @@ impl<M> Envelope<M> {
     pub fn msg(&self) -> &M {
         &self.payload
     }
-
-    /// Take the payload out of the envelope.
-    #[inline]
-    pub fn into_msg(self) -> M {
-        self.payload
-    }
 }
 
 /// A cheaply-clonable handle for heavy message payloads.
@@ -84,16 +78,6 @@ impl<T> Shared<T> {
     #[inline]
     pub fn new(value: T) -> Self {
         Shared(Arc::new(value))
-    }
-
-    /// Recover the owned value: a cheap move when this is the last
-    /// handle, a clone otherwise.
-    #[inline]
-    pub fn unwrap_or_clone(self) -> T
-    where
-        T: Clone,
-    {
-        Arc::try_unwrap(self.0).unwrap_or_else(|arc| (*arc).clone())
     }
 }
 
@@ -268,28 +252,14 @@ impl<'a, M> RoundCtx<'a, M> {
         }
     }
 
-    /// Whether aggregate-metric updates from this node currently go
-    /// anywhere. The update helpers below already no-op when `false`.
-    ///
-    /// Updates must be deterministic — a pure function of `(topology,
-    /// seed, config)` — because the metrics registry participates in
-    /// the engine's bit-identity contract. Count things in rounds and
-    /// messages, never in wall-clock time.
-    #[inline]
-    pub fn metrics_on(&self) -> bool {
-        self.metrics.on()
-    }
-
-    /// Add `by` to run counter `name`.
+    /// Add `by` to run counter `name`. Like every metric update, it must
+    /// be deterministic — a pure function of `(topology, seed, config)` —
+    /// because the metrics registry participates in the engine's
+    /// bit-identity contract. Count things in rounds and messages, never
+    /// in wall-clock time; the update no-ops while metrics are off.
     #[inline]
     pub fn metric_inc(&mut self, name: &'static str, by: u64) {
         self.metrics.inc(name, by);
-    }
-
-    /// Raise run gauge `name` to `v` if it is a new maximum.
-    #[inline]
-    pub fn metric_gauge_max(&mut self, name: &'static str, v: u64) {
-        self.metrics.gauge_max(name, v);
     }
 
     /// Record observation `v` into run histogram `name`.

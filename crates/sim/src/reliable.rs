@@ -452,29 +452,30 @@ impl<P: Protocol> ReliableNode<P> {
                 link.outq.push_back(Bundle::new(round, msgs.clone(), fin));
             }
         } else {
-            let mut bundles: Vec<Vec<P::Msg>> = vec![Vec::new(); self.links.len()];
-            for (target, msg) in self.outbox.drain(..) {
-                match target {
-                    Target::Unicast(to) => match self.links.binary_search_by_key(&to, |l| l.peer) {
-                        Ok(port) => bundles[port].push(msg),
-                        Err(_) => ctx.outbox.push((
-                            Target::Unicast(to),
-                            ArqMsg::Data { round, ack: 0, msgs: Shared::new(vec![msg]), fin },
-                        )),
-                    },
-                    Target::Broadcast => {
-                        for b in &mut bundles {
-                            b.push(msg.clone());
-                        }
+            // A unicast to a non-neighbor goes straight to the engine.
+            for (target, msg) in &self.outbox {
+                if let Target::Unicast(to) = *target {
+                    if self.links.binary_search_by_key(&to, |l| l.peer).is_err() {
+                        let msgs = Shared::new(vec![msg.clone()]);
+                        ctx.outbox
+                            .push((Target::Unicast(to), ArqMsg::Data { round, ack: 0, msgs, fin }));
                     }
                 }
             }
-            for (link, msgs) in self.links.iter_mut().zip(bundles) {
-                if link.open() {
-                    let msgs = if msgs.is_empty() { self.empty.clone() } else { Shared::new(msgs) };
-                    link.outq.push_back(Bundle::new(round, msgs, fin));
-                }
+            // Each open link's bundle is the outbox filtered in order:
+            // the broadcasts plus the unicasts to its peer.
+            for link in self.links.iter_mut().filter(|l| l.open()) {
+                let peer = link.peer;
+                let msgs: Vec<P::Msg> = self
+                    .outbox
+                    .iter()
+                    .filter(|(t, _)| *t == Target::Broadcast || *t == Target::Unicast(peer))
+                    .map(|(_, m)| m.clone())
+                    .collect();
+                let msgs = if msgs.is_empty() { self.empty.clone() } else { Shared::new(msgs) };
+                link.outq.push_back(Bundle::new(round, msgs, fin));
             }
+            self.outbox.clear();
         }
         if self.inner_done {
             // The scratch outbox is never needed again.

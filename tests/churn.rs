@@ -13,11 +13,11 @@ use dima::core::verify::{
     verify_edge_coloring, verify_residual_edge_coloring, verify_strong_coloring,
 };
 use dima::core::{
-    color_edges, color_edges_churn, strong_color_churn, ChurnKinds, ChurnPlan, ChurnSchedule,
-    ColoringConfig, CoreError, Engine, Transport,
+    color_edges, color_edges_churn, strong_color_churn, strong_color_digraph, ChurnKinds,
+    ChurnPlan, ChurnSchedule, ColoringConfig, CoreError, Engine, Transport,
 };
 use dima::graph::gen::erdos_renyi_gnm;
-use dima::graph::Graph;
+use dima::graph::{Digraph, Graph};
 use dima::sim::fault::FaultPlan;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -87,14 +87,56 @@ fn ec_quiesces_to_proper_coloring_after_every_batch() {
 #[test]
 fn empty_schedule_is_exactly_a_static_run() {
     let g0 = er(30, 70, 5);
+    let empty = ChurnSchedule::empty();
     let cfg = ColoringConfig::seeded(9);
-    let churn = color_edges_churn(&g0, &ChurnSchedule::empty(), &cfg).unwrap();
+    let churn = color_edges_churn(&g0, &empty, &cfg).unwrap();
     let baseline = color_edges(&g0, &cfg).unwrap();
     assert_eq!(churn.coloring.colors, baseline.colors);
     assert_eq!(churn.coloring.comm_rounds, baseline.comm_rounds);
+    // The whole statistics block, per-round breakdown included: an empty
+    // schedule collects it only when the config asks.
+    assert_eq!(churn.coloring.stats, baseline.stats);
+    assert_eq!(churn.coloring.stats.per_round, None);
+    assert_eq!(churn.final_graph, g0);
     assert!(churn.batches.is_empty());
     assert_eq!(churn.coloring.stats.churn_batches, 0);
     assert_eq!(churn.recolored_fraction(&baseline.colors), 0.0);
+
+    let asked = ColoringConfig { collect_round_stats: true, ..cfg.clone() };
+    let churn = color_edges_churn(&g0, &empty, &asked).unwrap();
+    let baseline = color_edges(&g0, &asked).unwrap();
+    assert!(churn.coloring.stats.per_round.is_some());
+    assert_eq!(churn.coloring.stats, baseline.stats);
+
+    // Algorithm 2: the churn entry point on `g0` is the static run on its
+    // symmetric closure.
+    let strong = strong_color_churn(&g0, &empty, &cfg).unwrap();
+    let d0 = Digraph::symmetric_closure(&g0);
+    let baseline = strong_color_digraph(&d0, &cfg).unwrap();
+    assert_eq!(strong.final_digraph, d0);
+    assert_eq!(strong.coloring.colors, baseline.colors);
+    assert_eq!(strong.coloring.stats, baseline.stats);
+    assert_eq!(strong.coloring.comm_rounds, baseline.comm_rounds);
+    assert!(strong.coloring.endpoint_agreement && baseline.endpoint_agreement);
+    assert!(strong.batches.is_empty());
+
+    // With nothing churning, the reliable transport is accepted and runs
+    // exactly as the static call does (overhead rounds included).
+    let reliable = ColoringConfig {
+        transport: Transport::reliable(),
+        faults: FaultPlan::uniform(0.05),
+        ..cfg.clone()
+    };
+    let churn = color_edges_churn(&g0, &empty, &reliable).unwrap();
+    let baseline = color_edges(&g0, &reliable).unwrap();
+    assert_eq!(churn.coloring.colors, baseline.colors);
+    assert_eq!(churn.coloring.stats, baseline.stats);
+    assert!(churn.coloring.transport_overhead_rounds > 0);
+    assert_eq!(churn.coloring.transport_overhead_rounds, baseline.transport_overhead_rounds);
+    let strong = strong_color_churn(&g0, &empty, &reliable).unwrap();
+    let baseline = strong_color_digraph(&d0, &reliable).unwrap();
+    assert_eq!(strong.coloring.colors, baseline.colors);
+    assert_eq!(strong.coloring.stats, baseline.stats);
 }
 
 #[test]
