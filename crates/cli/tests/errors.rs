@@ -24,3 +24,21 @@ fn failures_end_in_their_error_line_and_a_help_pointer() {
         assert!(tail[1].starts_with(&error), "{args:?}: {stderr}");
     }
 }
+
+#[test]
+fn proposal_width_past_the_inline_capacity_is_refused() {
+    let dir = std::env::temp_dir().join(format!("dima-width-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let graph = dir.join("path.edges");
+    std::fs::write(&graph, "0 1\n1 2\n").expect("write graph");
+    let out = Command::new(env!("CARGO_BIN_EXE_dima-cli"))
+        .args(["strong-color", graph.to_str().expect("utf-8 temp path"), "--width", "9"])
+        .output()
+        .expect("spawn");
+    std::fs::remove_dir_all(&dir).ok();
+    let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error:")).collect();
+    assert_eq!(errors.len(), 1, "{stderr}");
+    assert!(errors[0].contains("proposal_width = 9"), "{stderr}");
+}

@@ -58,7 +58,9 @@ pub mod vertex_cover;
 pub use churn::{
     BatchReport, ChurnColoringResult, ChurnKinds, ChurnPlan, ChurnSchedule, ChurnStrongResult,
 };
-pub use config::{ColorPolicy, ColorReduction, ColoringConfig, Engine, KempeConfig, Transport};
+pub use config::{
+    ColorPolicy, ColorReduction, ColoringConfig, Engine, KempeConfig, Rejection, Transport,
+};
 pub use edge_coloring::{
     color_edges, color_edges_churn, color_edges_churn_traced, color_edges_traced,
     EdgeColoringResult,

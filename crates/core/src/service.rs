@@ -60,7 +60,9 @@ use dima_sim::{
     Stepper, Topology,
 };
 
-use crate::config::{ColorPolicy, ColorReduction, ColoringConfig, Engine, KempeConfig, Transport};
+use crate::config::{
+    ColorPolicy, ColorReduction, ColoringConfig, Engine, KempeConfig, Rejection, Transport,
+};
 use crate::edge_coloring::EdgeColoringNode;
 use crate::error::CoreError;
 use crate::kempe::KempeReport;
@@ -1433,6 +1435,8 @@ impl ColoringService {
     /// bit-identical on either). Reduction settings ride along so a
     /// restored service keeps compacting exactly as the live one did;
     /// all-zero (and absent, for pre-reduction snapshots) means off.
+    /// DiMa2ED's silent-rejection ablation is recorded only when set, so
+    /// every default header stays as it was.
     fn config_header_fragment(&self) -> String {
         let c = &self.cfg.coloring;
         let (rk, rt, rc, ra, rr) = match c.reduction {
@@ -1450,7 +1454,7 @@ impl ColoringService {
              \"color_policy\":\"{}\",\"response_policy\":\"random\",\"width\":{},\
              \"max_compute\":{},\"validate_sends\":{},\"watchdog\":{},\
              \"reduce\":{rk},\"reduce_target\":{rt},\"reduce_chain\":{rc},\
-             \"reduce_attempts\":{ra},\"reduce_rounds\":{rr}",
+             \"reduce_attempts\":{ra},\"reduce_rounds\":{rr}{}",
             self.cfg.protocol.name(),
             c.seed,
             c.invite_probability.to_bits(),
@@ -1459,6 +1463,10 @@ impl ColoringService {
             c.max_compute_rounds.unwrap_or(0),
             u64::from(c.validate_sends),
             self.cfg.watchdog_ticks,
+            match c.rejection {
+                Rejection::Hint => "",
+                Rejection::Silent => ",\"rejection\":\"silent\"",
+            },
         )
     }
 
@@ -2216,6 +2224,13 @@ fn config_from_header(header: &Record, engine: Engine) -> Result<ServiceConfig, 
             || ServiceError::Snapshot { line: 1, message: "unknown color_policy".into() },
         )?,
         proposal_width: header_num(header, "width")? as usize,
+        rejection: match header.str("rejection") {
+            None => Rejection::Hint,
+            Some("silent") => Rejection::Silent,
+            Some(_) => {
+                return Err(ServiceError::Snapshot { line: 1, message: "unknown rejection".into() })
+            }
+        },
         max_compute_rounds: match header_num(header, "max_compute")? {
             0 => None,
             m => Some(m),
@@ -2563,6 +2578,24 @@ mod tests {
             s.edge_color(VertexId(4), VertexId(5)),
             Err(ServiceError::NoSuchEdge { .. })
         ));
+    }
+
+    #[test]
+    fn silent_rejection_survives_a_snapshot_roundtrip() {
+        let g = structured::path(8);
+        let mut cfg = ServiceConfig::new(ServeProtocol::StrongColoring, 11);
+        cfg.coloring.rejection = Rejection::Silent;
+        let mut s = ColoringService::new(&g, cfg).unwrap();
+        s.run_to_quiescence(s.tick_budget()).unwrap();
+        drive(&mut s, &waves(), &mut String::new());
+        let snap = s.snapshot_text();
+        assert!(snap.lines().next().unwrap().contains("\"rejection\":\"silent\""));
+        let (r, _) = ColoringService::restore_chain(&snap, &[], None, Engine::Sequential).unwrap();
+        assert_eq!(r.config().coloring.rejection, Rejection::Silent);
+        assert_eq!(r.coloring_hash(), s.coloring_hash());
+        // The default writes no rejection key, so its headers are as
+        // they were before the key existed.
+        assert!(!svc(ServeProtocol::StrongColoring, 11).snapshot_text().contains("rejection"));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! **ABL3** — invitation width in DiMa2ED.
+//! **ABL3** — invitation width in DiMa2ED, under both rejection modes.
 //!
 //! The paper's Procedure 2-a proposes a single channel per invitation; a
 //! responder can only say yes or stay silent, so a proposal doomed by a
@@ -11,8 +11,13 @@
 //! collapsing toward the paper's as `k` grows — strong evidence the
 //! original implementation negotiated more than one channel per attempt
 //! (or equivalent retry machinery the pseudocode omits).
+//!
+//! Every width runs twice on the same graphs and seeds: with the
+//! pseudocode's silent rejection (`Rejection::Silent`) and with the
+//! default `Reject` hints, where a responder names every channel it
+//! holds forbidden.
 
-use dima_core::{strong_color_digraph, ColoringConfig};
+use dima_core::{strong_color_digraph, ColoringConfig, Rejection};
 use dima_experiments::corpus::trial_seed;
 use dima_experiments::table::{f2, Table};
 use dima_experiments::{csv, Aggregate, CommonArgs};
@@ -32,11 +37,21 @@ fn main() {
     let widths = [1usize, 2, 4, 8];
 
     println!("== ABL3: DiMa2ED invitation width (rounds/Δ; paper reports ≈ 4) ==\n");
-    let mut table =
-        Table::new(["family", "width", "avg rounds", "rounds/Δ", "avg channels", "avg msgs"]);
+    let mut table = Table::new([
+        "family",
+        "rejection",
+        "width",
+        "avg rounds",
+        "rounds/Δ",
+        "avg channels",
+        "avg msgs",
+    ]);
     let mut rows: Vec<Vec<String>> = Vec::new();
+    let modes = [(Rejection::Silent, "silent"), (Rejection::Hint, "reject")];
     for (ci, fam) in families.iter().enumerate() {
-        for &width in &widths {
+        for (&width, &(rejection, mode)) in
+            widths.iter().flat_map(|w| modes.iter().map(move |m| (w, m)))
+        {
             let mut rounds = Vec::new();
             let mut ratio = Vec::new();
             let mut channels = Vec::new();
@@ -48,6 +63,7 @@ fn main() {
                 let d = Digraph::symmetric_closure(&g);
                 let cfg = ColoringConfig {
                     proposal_width: width,
+                    rejection,
                     engine: args.engine(),
                     ..ColoringConfig::for_measurement(seed)
                 };
@@ -65,6 +81,7 @@ fn main() {
             let ms = Aggregate::of(&msgs);
             let row = vec![
                 fam.label(),
+                mode.to_string(),
                 width.to_string(),
                 f2(ra.mean),
                 f2(rt.mean),
@@ -78,12 +95,21 @@ fn main() {
     println!("{}", table.render());
     println!(
         "expectation: rounds/Δ falls steeply from width 1 toward the paper's ≈ 4 as\n\
-         responders gain channel choices; channel counts stay comparable.\n"
+         responders gain channel choices, and Reject hints cut it further at every\n\
+         width; channel counts stay comparable.\n"
     );
     match csv::write_csv(
         &args.out,
         "ablation_proposal_width.csv",
-        &["family", "width", "avg_rounds", "rounds_per_delta", "avg_channels", "avg_msgs"],
+        &[
+            "family",
+            "rejection",
+            "width",
+            "avg_rounds",
+            "rounds_per_delta",
+            "avg_channels",
+            "avg_msgs",
+        ],
         &rows,
     ) {
         Ok(p) => eprintln!("wrote {}", p.display()),

@@ -7,7 +7,11 @@
 //! * solve time is near-identical across n for the same average degree
 //!   (variance attributable to slightly higher Δ draws);
 //! * rounds track Δ, tending to ≈ 4Δ (§V).
+//!
+//! Each corpus runs twice: with the default `Reject` hints and with the
+//! pseudocode's silent rejection (`Rejection::Silent`).
 
+use dima_core::Rejection;
 use dima_experiments::report::{rounds_vs_delta_plot, strong_summary_table};
 use dima_experiments::run::{run_strong_corpus, STRONG_HEADERS};
 use dima_experiments::{corpus, csv, CommonArgs};
@@ -15,22 +19,32 @@ use dima_experiments::{corpus, csv, CommonArgs};
 fn main() {
     let args = CommonArgs::from_env();
     let configs = corpus::fig6(args.trials_or(50));
-    eprintln!(
-        "fig6: running Algorithm 2 on {} directed Erdős–Rényi configurations (seed {})...",
-        configs.len(),
-        args.seed
-    );
-    let trials = run_strong_corpus(&configs, args.seed, args.engine());
+    // The default `Reject` hints first, then the pseudocode's silent
+    // rejection on the same graphs and seeds (EXPERIMENTS.md's Fig. 6
+    // analysis compares the two).
+    for (rejection, mode, csv_name) in [
+        (Rejection::Hint, "Reject hints", "fig6_strong_er.csv"),
+        (Rejection::Silent, "silent rejection", "fig6_strong_er_silent.csv"),
+    ] {
+        eprintln!(
+            "fig6: running Algorithm 2 ({mode}) on {} directed Erdős–Rényi configurations \
+             (seed {})...",
+            configs.len(),
+            args.seed
+        );
+        let trials = run_strong_corpus(&configs, args.seed, args.engine(), rejection);
 
-    println!("== Figure 6: strong edge coloring of directed Erdős–Rényi graphs ==\n");
-    println!("{}", strong_summary_table(&trials).render());
-    let points: Vec<(usize, usize, u64)> =
-        trials.iter().map(|t| (t.n, t.delta, t.compute_rounds)).collect();
-    println!("{}", rounds_vs_delta_plot("Fig. 6 — computation rounds vs Δ (every trial)", &points));
+        println!("== Figure 6: strong edge coloring of directed Erdős–Rényi graphs ({mode}) ==\n");
+        println!("{}", strong_summary_table(&trials).render());
+        let points: Vec<(usize, usize, u64)> =
+            trials.iter().map(|t| (t.n, t.delta, t.compute_rounds)).collect();
+        let title = format!("Fig. 6 — computation rounds vs Δ, {mode} (every trial)");
+        println!("{}", rounds_vs_delta_plot(&title, &points));
 
-    let rows: Vec<Vec<String>> = trials.iter().map(|t| t.csv_row()).collect();
-    match csv::write_csv(&args.out, "fig6_strong_er.csv", &STRONG_HEADERS, &rows) {
-        Ok(p) => eprintln!("wrote {}", p.display()),
-        Err(e) => eprintln!("csv not written: {e}"),
+        let rows: Vec<Vec<String>> = trials.iter().map(|t| t.csv_row()).collect();
+        match csv::write_csv(&args.out, csv_name, &STRONG_HEADERS, &rows) {
+            Ok(p) => eprintln!("wrote {}", p.display()),
+            Err(e) => eprintln!("csv not written: {e}"),
+        }
     }
 }

@@ -3,7 +3,7 @@
 use dima_core::verify::{count_colors, verify_edge_coloring, verify_strong_coloring};
 use dima_core::{
     color_edges, color_edges_churn, strong_color_digraph, ChurnPlan, ChurnSchedule, ColoringConfig,
-    CoreError, Engine, Transport,
+    CoreError, Engine, Rejection, Transport,
 };
 use dima_graph::gen::GraphFamily;
 use dima_graph::Digraph;
@@ -166,8 +166,14 @@ pub const STRONG_HEADERS: [&str; 9] = [
 ];
 
 /// Run Algorithm 2 over a corpus of underlying graphs (symmetric closures
-/// are taken per draw). Every coloring is verified against Definition 2.
-pub fn run_strong_corpus(configs: &[Config], base_seed: u64, engine: Engine) -> Vec<StrongTrial> {
+/// are taken per draw), with responders rejecting as `rejection` says.
+/// Every coloring is verified against Definition 2.
+pub fn run_strong_corpus(
+    configs: &[Config],
+    base_seed: u64,
+    engine: Engine,
+    rejection: Rejection,
+) -> Vec<StrongTrial> {
     eprintln!("{}", send_validation_note());
     let mut out = Vec::new();
     for (ci, cfg) in configs.iter().enumerate() {
@@ -176,7 +182,8 @@ pub fn run_strong_corpus(configs: &[Config], base_seed: u64, engine: Engine) -> 
             let mut rng = SmallRng::seed_from_u64(seed);
             let g = cfg.family.sample(&mut rng).expect("corpus parameters are valid");
             let d = Digraph::symmetric_closure(&g);
-            let run_cfg = ColoringConfig { engine, ..ColoringConfig::for_measurement(seed) };
+            let run_cfg =
+                ColoringConfig { engine, rejection, ..ColoringConfig::for_measurement(seed) };
             let r = strong_color_digraph(&d, &run_cfg).expect("run failed");
             assert!(r.endpoint_agreement, "endpoints disagree under reliable delivery");
             verify_strong_coloring(&d, &r.colors)
@@ -508,7 +515,7 @@ mod tests {
             family: GraphFamily::ErdosRenyiAvgDegree { n: 30, avg_degree: 4.0 },
             trials: 2,
         }];
-        let trials = run_strong_corpus(&configs, 7, Engine::Sequential);
+        let trials = run_strong_corpus(&configs, 7, Engine::Sequential, Rejection::Hint);
         assert_eq!(trials.len(), 2);
         for t in &trials {
             assert_eq!(t.arcs % 2, 0);

@@ -6,7 +6,7 @@ use dima::core::schedule::{
     verify_half_duplex, verify_interference_free, ArcSchedule, EdgeSchedule,
 };
 use dima::core::vertex_cover::{brute_force_min_cover, verify_vertex_cover};
-use dima::core::{color_edges, strong_color_digraph, vertex_cover, ColoringConfig};
+use dima::core::{color_edges, strong_color_digraph, vertex_cover, ColoringConfig, Rejection};
 use dima::graph::gen::GraphFamily;
 use dima::graph::Digraph;
 use rand::rngs::SmallRng;
@@ -55,22 +55,29 @@ fn dima2ed_schedules_are_interference_free() {
     }
 }
 
+/// ABL3's graph: the symmetric closure of an ER graph, n = 80, d̄ = 6.
+fn abl3_digraph() -> Digraph {
+    let mut rng = SmallRng::seed_from_u64(49);
+    let g = GraphFamily::ErdosRenyiAvgDegree { n: 80, avg_degree: 6.0 }.sample(&mut rng).unwrap();
+    Digraph::symmetric_closure(&g)
+}
+
 #[test]
 fn proposal_width_speeds_up_strong_coloring() {
     // ABL3's headline, as a regression test: width 4 must beat width 1
-    // on rounds while staying correct.
-    let mut rng = SmallRng::seed_from_u64(49);
-    let g = GraphFamily::ErdosRenyiAvgDegree { n: 80, avg_degree: 6.0 }.sample(&mut rng).unwrap();
-    let d = Digraph::symmetric_closure(&g);
+    // on rounds while staying correct. The claim is about the
+    // pseudocode's silent rejection, so both sides run it.
+    let d = abl3_digraph();
+    let silent = |seed, proposal_width| ColoringConfig {
+        proposal_width,
+        rejection: Rejection::Silent,
+        ..ColoringConfig::seeded(seed)
+    };
     let mut narrow_total = 0u64;
     let mut wide_total = 0u64;
     for seed in 0..4 {
-        let narrow = strong_color_digraph(&d, &ColoringConfig::seeded(seed)).unwrap();
-        let wide = strong_color_digraph(
-            &d,
-            &ColoringConfig { proposal_width: 4, ..ColoringConfig::seeded(seed) },
-        )
-        .unwrap();
+        let narrow = strong_color_digraph(&d, &silent(seed, 1)).unwrap();
+        let wide = strong_color_digraph(&d, &silent(seed, 4)).unwrap();
         dima::core::verify::verify_strong_coloring(&d, &narrow.colors).unwrap();
         dima::core::verify::verify_strong_coloring(&d, &wide.colors).unwrap();
         narrow_total += narrow.compute_rounds;
@@ -79,6 +86,34 @@ fn proposal_width_speeds_up_strong_coloring() {
     assert!(
         wide_total * 3 < narrow_total * 2,
         "width 4 ({wide_total}) should cut rounds well below width 1 ({narrow_total})"
+    );
+}
+
+#[test]
+fn reject_hints_beat_silent_rejection_at_width_one() {
+    // The paper's single-channel invitation on ABL3's graph and seeds:
+    // a Reject retires every channel the responder holds forbidden, so
+    // the invitor stops walking doomed channels one round at a time.
+    let d = abl3_digraph();
+    let mut hint_total = 0u64;
+    let mut silent_total = 0u64;
+    for seed in 0..4 {
+        let hint = strong_color_digraph(&d, &ColoringConfig::seeded(seed)).unwrap();
+        let silent = strong_color_digraph(
+            &d,
+            &ColoringConfig { rejection: Rejection::Silent, ..ColoringConfig::seeded(seed) },
+        )
+        .unwrap();
+        for r in [&hint, &silent] {
+            assert!(r.endpoint_agreement, "seed {seed}");
+            dima::core::verify::verify_strong_coloring(&d, &r.colors).unwrap();
+        }
+        hint_total += hint.compute_rounds;
+        silent_total += silent.compute_rounds;
+    }
+    assert!(
+        hint_total < silent_total,
+        "Reject hints ({hint_total} rounds) should beat silent rejection ({silent_total})"
     );
 }
 

@@ -3,9 +3,9 @@
 
 use dima::baselines::strong_greedy_coloring;
 use dima::core::verify::{count_colors, verify_strong_coloring};
-use dima::core::{strong_color_digraph, ColoringConfig, Engine};
+use dima::core::{strong_color_digraph, ColoringConfig, CoreError, Engine, Rejection};
 use dima::graph::conflict::digraph_strong_conflicts;
-use dima::graph::gen::{structured, GraphFamily};
+use dima::graph::gen::{random_geometric, structured, GraphFamily};
 use dima::graph::Digraph;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -62,6 +62,29 @@ fn random_families_end_to_end() {
         let d = Digraph::symmetric_closure(&g);
         full_check(&d, 50 + i as u64);
     }
+}
+
+#[test]
+fn smallest_budget_overrun_found_on_geometric_graphs_now_terminates() {
+    // `dima-cli gen geometric --n 30 --radius 0.5 --seed 1` (Δ = 23), the
+    // smallest geometric graph found on which Algorithm 2 at seed 1
+    // overran the default budget of 64Δ+256 computation rounds under the
+    // pseudocode's silent rejection. With Reject hints it terminates and
+    // verifies.
+    let g = random_geometric(30, 0.5, &mut SmallRng::seed_from_u64(1)).unwrap();
+    let d = Digraph::symmetric_closure(&g);
+    let r = full_check(&d, 1);
+    assert!(r.colors.iter().all(Option::is_some));
+    let budget = ColoringConfig::seeded(1).compute_round_budget(r.max_degree);
+    assert!(r.compute_rounds <= budget, "{} rounds over the budget {budget}", r.compute_rounds);
+    let silent = strong_color_digraph(
+        &d,
+        &ColoringConfig { rejection: Rejection::Silent, ..ColoringConfig::seeded(1) },
+    );
+    assert!(
+        matches!(silent, Err(CoreError::Sim(dima::sim::SimError::MaxRoundsExceeded { .. }))),
+        "silent rejection was expected to overrun the budget: {silent:?}"
+    );
 }
 
 #[test]
