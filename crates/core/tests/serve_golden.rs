@@ -184,22 +184,22 @@ fn serve_trajectory_matches_golden() {
 
 /// Captured from the service at the time this test was written.
 const GOLDEN: &[&str] = &[
-    "seq 1 round 90 events 8 repair 108 changed 1436 used 9 | kempe 11->9 max 10->8 target 9 rounds 1000 msgs 5621 trivial 3 chains 64 longest 46 aborts 232 | hash 0xb647c5710d7ca9cf recolors [106]",
+    "seq 1 round 90 events 8 repair 108 changed 1436 used 9 | kempe 11->9 max 10->8 target 9 rounds 1000 msgs 5221 trivial 3 chains 64 longest 46 aborts 232 | hash 0xb647c5710d7ca9cf recolors [106]",
     "seq 2 round 198 events 8 repair 6 changed 4 used 9 | kempe 9->9 max 8->8 target 9 rounds 0 msgs 0 trivial 0 chains 0 longest 0 aborts 0 | hash 0xc99a81184779dab3 recolors []",
-    "seq 3 round 204 events 8 repair 102 changed 1441 used 9 | kempe 11->9 max 10->8 target 9 rounds 2175 msgs 6315 trivial 2 chains 56 longest 56 aborts 226 | hash 0x184a922223b86863 recolors [214]",
-    "seq 4 round 306 events 8 repair 102 changed 1421 used 9 | kempe 11->9 max 10->8 target 9 rounds 1839 msgs 6494 trivial 3 chains 63 longest 46 aborts 252 | hash 0xe88a0e018a58008f recolors [319]",
-    "seq 5 round 408 events 8 repair 9 changed 4 used 9 | kempe 10->9 max 9->8 target 9 rounds 34 msgs 450 trivial 0 chains 1 longest 9 aborts 0 | hash 0x4fb2e68c3a49e741 recolors []",
-    "seq 6 round 417 events 8 repair 108 changed 1436 used 9 | kempe 11->9 max 10->8 target 9 rounds 1722 msgs 7273 trivial 3 chains 59 longest 58 aborts 270 | hash 0xc2e45268496fb6b3 recolors [433]",
-    "seq 7 round 525 events 8 repair 96 changed 1447 used 9 | kempe 11->9 max 10->8 target 9 rounds 1844 msgs 5954 trivial 3 chains 54 longest 54 aborts 219 | hash 0x355632c91626fdad recolors [538]",
-    "seq 8 round 621 events 8 repair 12 changed 4 used 9 | kempe 10->9 max 9->8 target 9 rounds 94 msgs 630 trivial 0 chains 4 longest 29 aborts 0 | hash 0x8d8c526ddc6e96ef recolors []",
-    "seq 9 round 633 events 9 repair 9 changed 4 used 9 | kempe 10->9 max 9->8 target 9 rounds 61 msgs 534 trivial 0 chains 2 longest 18 aborts 0 | hash 0x56bbff50f32a7f68 recolors []",
-    "seq 10 round 642 events 8 repair 105 changed 1447 used 9 | kempe 11->9 max 10->8 target 9 rounds 2378 msgs 7036 trivial 3 chains 63 longest 72 aborts 260 | hash 0x5c47ee67a5442088 recolors [655]",
-    "seq 11 round 747 events 8 repair 12 changed 4 used 9 | kempe 10->9 max 9->8 target 9 rounds 73 msgs 638 trivial 0 chains 3 longest 14 aborts 1 | hash 0x5d643e007279610a recolors []",
-    "seq 12 round 759 events 8 repair 6 changed 4 used 9 | kempe 10->9 max 9->8 target 9 rounds 22 msgs 435 trivial 0 chains 2 longest 4 aborts 0 | hash 0xa283f51c3447ba9a recolors []",
-    "seq 13 round 765 events 8 repair 9 changed 4 used 9 | kempe 10->9 max 9->8 target 9 rounds 237 msgs 887 trivial 0 chains 3 longest 34 aborts 4 | hash 0x4594f648388dde8c recolors []",
-    "seq 14 round 774 events 8 repair 6 changed 4 used 9 | kempe 10->9 max 9->8 target 9 rounds 70 msgs 534 trivial 0 chains 2 longest 21 aborts 0 | hash 0x0311011bf3ee998c recolors []",
-    "seq 15 round 780 events 8 repair 9 changed 4 used 9 | kempe 10->9 max 9->8 target 9 rounds 31 msgs 444 trivial 0 chains 1 longest 8 aborts 0 | hash 0xbb31b3b03e5d7fd6 recolors []",
-    "seq 16 round 789 events 8 repair 12 changed 4 used 9 | kempe 10->9 max 9->8 target 9 rounds 25 msgs 444 trivial 0 chains 2 longest 6 aborts 0 | hash 0x0a71d549da50209e recolors []",
-    "seq 17 round 801 events 8 repair 9 changed 4 used 9 | kempe 10->9 max 9->8 target 9 rounds 143 msgs 793 trivial 0 chains 3 longest 16 aborts 4 | hash 0x843de424c835a68e recolors []",
+    "seq 3 round 204 events 8 repair 102 changed 1441 used 9 | kempe 11->9 max 10->8 target 9 rounds 2175 msgs 5915 trivial 2 chains 56 longest 56 aborts 226 | hash 0x184a922223b86863 recolors [214]",
+    "seq 4 round 306 events 8 repair 102 changed 1421 used 9 | kempe 11->9 max 10->8 target 9 rounds 1839 msgs 6094 trivial 3 chains 63 longest 46 aborts 252 | hash 0xe88a0e018a58008f recolors [319]",
+    "seq 5 round 408 events 8 repair 9 changed 4 used 9 | kempe 10->9 max 9->8 target 9 rounds 34 msgs 50 trivial 0 chains 1 longest 9 aborts 0 | hash 0x4fb2e68c3a49e741 recolors []",
+    "seq 6 round 417 events 8 repair 108 changed 1436 used 9 | kempe 11->9 max 10->8 target 9 rounds 1722 msgs 6873 trivial 3 chains 59 longest 58 aborts 270 | hash 0xc2e45268496fb6b3 recolors [433]",
+    "seq 7 round 525 events 8 repair 96 changed 1447 used 9 | kempe 11->9 max 10->8 target 9 rounds 1844 msgs 5554 trivial 3 chains 54 longest 54 aborts 219 | hash 0x355632c91626fdad recolors [538]",
+    "seq 8 round 621 events 8 repair 12 changed 4 used 9 | kempe 10->9 max 9->8 target 9 rounds 94 msgs 230 trivial 0 chains 4 longest 29 aborts 0 | hash 0x8d8c526ddc6e96ef recolors []",
+    "seq 9 round 633 events 9 repair 9 changed 4 used 9 | kempe 10->9 max 9->8 target 9 rounds 61 msgs 135 trivial 0 chains 2 longest 18 aborts 0 | hash 0x56bbff50f32a7f68 recolors []",
+    "seq 10 round 642 events 8 repair 105 changed 1447 used 9 | kempe 11->9 max 10->8 target 9 rounds 2378 msgs 6637 trivial 3 chains 63 longest 72 aborts 260 | hash 0x5c47ee67a5442088 recolors [655]",
+    "seq 11 round 747 events 8 repair 12 changed 4 used 9 | kempe 10->9 max 9->8 target 9 rounds 73 msgs 239 trivial 0 chains 3 longest 14 aborts 1 | hash 0x5d643e007279610a recolors []",
+    "seq 12 round 759 events 8 repair 6 changed 4 used 9 | kempe 10->9 max 9->8 target 9 rounds 22 msgs 36 trivial 0 chains 2 longest 4 aborts 0 | hash 0xa283f51c3447ba9a recolors []",
+    "seq 13 round 765 events 8 repair 9 changed 4 used 9 | kempe 10->9 max 9->8 target 9 rounds 237 msgs 488 trivial 0 chains 3 longest 34 aborts 4 | hash 0x4594f648388dde8c recolors []",
+    "seq 14 round 774 events 8 repair 6 changed 4 used 9 | kempe 10->9 max 9->8 target 9 rounds 70 msgs 135 trivial 0 chains 2 longest 21 aborts 0 | hash 0x0311011bf3ee998c recolors []",
+    "seq 15 round 780 events 8 repair 9 changed 4 used 9 | kempe 10->9 max 9->8 target 9 rounds 31 msgs 45 trivial 0 chains 1 longest 8 aborts 0 | hash 0xbb31b3b03e5d7fd6 recolors []",
+    "seq 16 round 789 events 8 repair 12 changed 4 used 9 | kempe 10->9 max 9->8 target 9 rounds 25 msgs 45 trivial 0 chains 2 longest 6 aborts 0 | hash 0x0a71d549da50209e recolors []",
+    "seq 17 round 801 events 8 repair 9 changed 4 used 9 | kempe 10->9 max 9->8 target 9 rounds 143 msgs 394 trivial 0 chains 3 longest 16 aborts 4 | hash 0x843de424c835a68e recolors []",
     "seq 18 round 810 events 6 repair 12 changed 4 used 10 | kempe 10->10 max 9->9 target 10 rounds 0 msgs 0 trivial 0 chains 0 longest 0 aborts 0 | hash 0x2072643c775d4958 recolors []",
 ];
