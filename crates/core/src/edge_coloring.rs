@@ -218,6 +218,20 @@ impl EdgeColoringNode {
         }
     }
 
+    /// Add the colors committed toward `nbrs`, a sorted neighbor list,
+    /// to `set`: this node's whole used set when `nbrs` is its own port
+    /// list, otherwise (a departed node keeps its ports while the
+    /// topology lists none) each listed neighbor's color.
+    pub(crate) fn add_colors_toward(&self, nbrs: &[VertexId], set: &mut ColorSet) {
+        if self.neighbors == nbrs {
+            set.union_with(&self.used_self);
+        } else {
+            for c in nbrs.iter().filter_map(|&v| self.color_toward(v)) {
+                set.insert(c);
+            }
+        }
+    }
+
     /// [`EdgeColoringNode::color_toward`] for a caller that expects `v`
     /// at `port`: one read when it is there, a search when it is not.
     pub(crate) fn color_at(&self, port: usize, v: VertexId) -> Option<Color> {
