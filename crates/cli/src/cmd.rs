@@ -45,9 +45,10 @@ commands:
       --reduce-target)
   strong-color <graph.edges> [--seed S] [--threads T] [--width K] [--out FILE]
   matching <graph.edges> [--seed S] [--threads T]
-      churn flags (color | strong-color): inject topology churn mid-run
-      and repair incrementally; output and verification use the final
-      (post-churn) graph
+      churn flags (color | strong-color, also under trace record and
+      metrics dump): inject topology churn mid-run and repair
+      incrementally; output and verification use the final (post-churn)
+      graph
         --churn-rate P      expected events per batch as a fraction of n
         --churn-kinds K     all | links | comma list of
                             link-up,link-down,node-join,node-leave
@@ -941,6 +942,20 @@ impl WorkloadRun<'_> {
     }
 }
 
+/// The churn schedule the `--churn-*` flags ask of `w` on `g`: `None`
+/// for a static run, and always for matching, which has no churn mode.
+fn churn_schedule(
+    w: Workload,
+    flags: &HashMap<String, String>,
+    g: &Graph,
+) -> Result<Option<ChurnSchedule>, String> {
+    let plan = match w {
+        Workload::Matching => None,
+        _ => churn_plan(flags)?,
+    };
+    Ok(plan.map(|plan| ChurnSchedule::generate(g, &plan)))
+}
+
 /// `color`, `strong-color`, `matching`: run the workload (churned when
 /// `--churn-rate` is set, color and strong-color only), verify its
 /// output, report, and write the output.
@@ -953,11 +968,7 @@ fn cmd_run(w: Workload, args: &[String]) -> Result<(), String> {
     let cfg = run_config(&flags)?;
     report_run_options(&cfg);
     let tf = trace_flags(&flags)?;
-    let plan = match w {
-        Workload::Matching => None,
-        _ => churn_plan(&flags)?,
-    };
-    let schedule = plan.map(|plan| ChurnSchedule::generate(&g, &plan));
+    let schedule = churn_schedule(w, &flags, &g)?;
     let mut trace = CliTrace::create(&tf, &cfg, w.name(), path, g.num_vertices())?;
     let r = match trace.as_mut() {
         None => run_workload(w, &g, &cfg, schedule.as_ref(), &mut NoopTracer),
@@ -1046,19 +1057,16 @@ fn cmd_trace_record(args: &[String]) -> Result<(), String> {
     if !flags.contains_key("trace") {
         return Err("trace record needs --trace FILE (the JSONL output)".into());
     }
-    if flags.contains_key("churn-rate") {
-        return Err("trace record covers static runs; for churn runs pass --trace to 'color' or \
-             'strong-color' directly"
-            .into());
-    }
     let tf = trace_flags(&flags)?;
     let g = load_graph(gpath)?;
     let cfg = run_config(&flags)?;
     report_run_options(&cfg);
     let name = flags.get("workload").map(String::as_str).unwrap_or("color");
+    let w = Workload::parse(name)?;
+    let schedule = churn_schedule(w, &flags, &g)?;
     let mut trace = CliTrace::create(&tf, &cfg, name, gpath, g.num_vertices())?
         .expect("--trace always yields a live tracer");
-    let r = run_workload(Workload::parse(name)?, &g, &cfg, None, &mut trace)?;
+    let r = run_workload(w, &g, &cfg, schedule.as_ref(), &mut trace)?;
     eprintln!("{}", r.summary);
     if let Some(tally) = &trace.finish(&r.stats)? {
         report_transport(&r.stats, r.transport_overhead_rounds, &r.alive, tally);
@@ -1458,18 +1466,14 @@ fn cmd_metrics_dump(args: &[String]) -> Result<(), String> {
         return Err("metrics dump needs a graph file".into());
     };
     let flags = parse_flags(&args[1..])?;
-    if flags.contains_key("churn-rate") {
-        return Err("metrics dump covers static runs; for churn runs pass --metrics-out to \
-             'color' or 'strong-color' directly"
-            .into());
-    }
     let g = load_graph(gpath)?;
     let mut cfg = run_config(&flags)?;
     cfg.collect_metrics = true;
     report_run_options(&cfg);
     let w = Workload::parse(flags.get("workload").map(String::as_str).unwrap_or("color"))?;
+    let schedule = churn_schedule(w, &flags, &g)?;
     let WorkloadRun { stats, size: (nodes, edges), .. } =
-        run_workload(w, &g, &cfg, None, &mut NoopTracer)?;
+        run_workload(w, &g, &cfg, schedule.as_ref(), &mut NoopTracer)?;
     let mut reg = *stats.metrics.expect("collect_metrics was forced on");
     MemReport::capture(nodes as u64, edges as u64).record(&mut reg);
     write_or_print(flags.get("out"), &reg.to_jsonl(w.name()))
@@ -1941,10 +1945,6 @@ mod tests {
         // Bad invocations.
         assert!(rec(&[]).is_err(), "record without --trace");
         assert!(
-            rec(&["--trace", m.to_str().unwrap(), "--churn-rate", "0.1"]).is_err(),
-            "record rejects churn"
-        );
-        assert!(
             rec(&["--trace", m.to_str().unwrap(), "--workload", "bogus"]).is_err(),
             "unknown workload"
         );
@@ -2003,12 +2003,66 @@ mod tests {
             .unwrap();
 
         // Bad invocations.
-        assert!(dump(&["--churn-rate", "0.1"]).is_err(), "dump rejects churn");
         assert!(dump(&["--workload", "bogus"]).is_err(), "unknown workload");
         assert!(dispatch(&s(&["metrics", "bogus"])).is_err());
         assert!(
             dispatch(&s(&["metrics", "diff", g, g])).is_err(),
             "a graph file is not a metrics dump"
+        );
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    /// A churned graph file and the `--churn-*` flags of the run
+    /// commands, for the record and dump tests below.
+    fn churn_fixture(dir: &std::path::Path) -> (String, [&'static str; 6]) {
+        let g = dir.join("churn.edges").to_str().unwrap().to_string();
+        dispatch(&s(&["gen", "er", "--n", "60", "--avg-degree", "5", "--seed", "4", "--out", &g]))
+            .unwrap();
+        (g, ["--seed", "3", "--churn-rate", "0.1", "--churn-kinds", "all"])
+    }
+
+    #[test]
+    fn trace_record_takes_churn_flags() {
+        let dir = tmpdir();
+        let (g, churn) = churn_fixture(&dir);
+        let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        let (seq, par, run) = (path("rc_seq.jsonl"), path("rc_par.jsonl"), path("rc_run.jsonl"));
+        let with = |head: &[&str], tail: &[&str]| {
+            let full: Vec<&str> = head.iter().chain(&churn).chain(tail).copied().collect();
+            dispatch(&s(&full))
+        };
+        with(&["trace", "record", &g], &["--trace", &seq]).unwrap();
+        with(&["trace", "record", &g], &["--threads", "3", "--trace", &par]).unwrap();
+        with(&["color", &g], &["--trace", &run]).unwrap();
+        // The recorded run is churned, at every shard count, and it is
+        // the very run `color --trace` records under the same flags.
+        let summary = summarize_trace(&load_trace(&seq).unwrap()).unwrap();
+        assert_eq!(summary.churn_batches, 4, "the default plan fires four batches");
+        dispatch(&s(&["trace", "diff", &seq, &par])).unwrap();
+        dispatch(&s(&["trace", "diff", &seq, &run])).unwrap();
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn metrics_dump_takes_churn_flags() {
+        let dir = tmpdir();
+        let (g, churn) = churn_fixture(&dir);
+        let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        let (seq, par, run, still) =
+            (path("mc_seq.jsonl"), path("mc_par.jsonl"), path("mc_run.jsonl"), path("mc_st.jsonl"));
+        let with = |head: &[&str], tail: &[&str]| {
+            let full: Vec<&str> = head.iter().chain(&churn).chain(tail).copied().collect();
+            dispatch(&s(&full))
+        };
+        with(&["metrics", "dump", &g], &["--out", &seq]).unwrap();
+        with(&["metrics", "dump", &g], &["--threads", "3", "--out", &par]).unwrap();
+        with(&["color", &g], &["--metrics-out", &run, "--out", &path("mc.colors")]).unwrap();
+        dispatch(&s(&["metrics", "dump", &g, "--seed", "3", "--out", &still])).unwrap();
+        dispatch(&s(&["metrics", "diff", &seq, &par])).unwrap();
+        dispatch(&s(&["metrics", "diff", &seq, &run])).unwrap();
+        assert!(
+            dispatch(&s(&["metrics", "diff", &seq, &still])).is_err(),
+            "the churned dump must differ from the static one"
         );
         std::fs::remove_dir_all(dir).ok();
     }

@@ -2023,11 +2023,12 @@ impl ColoringService {
     // Batch recompute
     // ------------------------------------------------------------------
 
-    /// Recompute the coloring from scratch by compiling the committed
-    /// history into a [`ChurnSchedule`] and running it through the
-    /// batch entry point under `engine` — the independent cross-check
-    /// the acceptance suite diffs against the live state. Only available
-    /// for escalation-free histories (a batch run has no restart path).
+    /// Recompute the coloring from scratch by replaying the committed
+    /// history through a fresh [`EventFeed`] into a [`ChurnSchedule`] and
+    /// running it through the batch entry point under `engine` — the
+    /// independent cross-check the acceptance suite diffs against the
+    /// live state. Only available for escalation-free histories (a batch
+    /// run has no restart path).
     pub fn recompute(&self, engine: Engine) -> Result<Vec<ColoredEdge>, ServiceError> {
         if self.epoch > 0 {
             // A compacted service adopted its coloring across a rebase;
@@ -2057,7 +2058,7 @@ impl ColoringService {
                 );
             }
         }
-        let schedule = ChurnSchedule::from_batches(batches);
+        let schedule = ChurnSchedule::from_feed(batches, &feed);
         let cfg = ColoringConfig { engine, ..self.cfg.coloring.clone() };
         cfg.validate().map_err(|e| ServiceError::Config(e.to_string()))?;
         let delta = self.g0.max_degree().max(schedule.max_degree()).max(1);

@@ -751,7 +751,7 @@ where
         &self.done
     }
 
-    /// The topology currently in force (swapped by churn batches).
+    /// The topology currently in force (patched by churn batches).
     pub fn topology(&self) -> &Topology {
         &self.topo
     }
@@ -911,10 +911,10 @@ where
         let round = self.round;
         if let Some(b) = batch {
             debug_assert_eq!(b.round, round, "batch applied at the wrong round");
-            // Participants step against the post-batch topology; their
-            // own shard's membership changes are applied inside the
-            // scope, behind the churn barrier.
-            self.topo = b.topo.clone();
+            // Participants step against the post-batch topology, patched
+            // here from the diff; their own shard's membership changes
+            // are applied inside the scope, behind the churn barrier.
+            self.topo.apply(b);
         }
         let ctx = TickCtx {
             cfg: &self.cfg,
@@ -1077,7 +1077,7 @@ where
                     continue;
                 }
                 *a.protocol(i) =
-                    (ctx.factory)(NodeSeed { node: v, neighbors: batch.topo.neighbors(v) });
+                    (ctx.factory)(NodeSeed { node: v, neighbors: ctx.topo.neighbors(v) });
                 if a.done(i) {
                     a.set_done(i, false);
                     done_delta -= 1;
@@ -1093,7 +1093,7 @@ where
                     continue;
                 }
                 let status = a.protocol(i).on_topology_change(
-                    NodeSeed { node: *v, neighbors: batch.topo.neighbors(*v) },
+                    NodeSeed { node: *v, neighbors: ctx.topo.neighbors(*v) },
                     change,
                 );
                 match status {

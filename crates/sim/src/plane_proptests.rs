@@ -11,20 +11,21 @@
 //! second engine to compare against.
 //!
 //! The model shares only the *pure* fault-decision functions
-//! ([`FaultPlan::drops`] & co.), the topology and the compiled churn
+//! ([`FaultPlan::drops`] & co.), the initial topology and the churn
 //! batches with the engine; the mailbox and churn mechanics — the thing
-//! under test — are independent.
+//! under test — are independent: the model rebuilds its topology after
+//! each batch by replaying the batch's events on its own graph.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use dima_graph::gen;
-use dima_graph::VertexId;
+use dima_graph::{DynGraph, VertexId};
 
 use dima_telemetry::NoopTracer;
 
-use crate::churn::{ChurnPlan, ChurnSchedule};
+use crate::churn::{replay, ChurnPlan, ChurnSchedule};
 use crate::engine::{run, EngineConfig};
 use crate::fault::{FaultPlan, GilbertElliott};
 use crate::protocol::{NodeSeed, NodeStatus, Protocol, RoundCtx};
@@ -134,7 +135,8 @@ struct ModelRun {
 /// inbox suppressed; joiners restart as fresh spies (empty log), undone,
 /// with their inbox suppressed; every node with a neighborhood change
 /// takes its `on_topology_change` status (the spy keeps the default,
-/// `Active`); crashed nodes ignore the batch; then the topology swaps.
+/// `Active`); crashed nodes ignore the batch; then the topology becomes
+/// that of a graph the batch's events were replayed on.
 /// Once every node is parked the run ends if the schedule is exhausted,
 /// and a fully idle round fast-forwards to the next batch.
 fn reference_run(
@@ -144,6 +146,12 @@ fn reference_run(
     horizon: u64,
 ) -> ModelRun {
     let n = topo.num_nodes();
+    let mut graph = DynGraph::empty(n);
+    for v in (0..n as u32).map(VertexId) {
+        for &w in topo.neighbors(v).iter().filter(|&&w| v < w) {
+            graph.insert_edge(v, w);
+        }
+    }
     let mut topo = topo.clone();
     let crash_round: Vec<Option<u64>> =
         (0..n).map(|i| cfg.faults.crashed_at(cfg.seed, i as u32)).collect();
@@ -178,7 +186,8 @@ fn reference_run(
                     done[v.index()] = false;
                 }
             }
-            topo = batch.topo.clone();
+            replay(&mut graph, &batch.events);
+            topo = Topology::from_graph(&graph.snapshot());
         }
         let mut newly_done = Vec::new();
         let mut active = 0;

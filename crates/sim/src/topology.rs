@@ -4,12 +4,16 @@
 //! graphs it mirrors the graph's adjacency. For the strong-coloring
 //! algorithm on a *symmetric digraph*, radio neighborhood = the underlying
 //! undirected adjacency (a bidirectional link is one radio neighbor), so
-//! [`Topology::from_digraph`] uses the underlying graph.
+//! [`Topology::from_digraph`] uses the underlying graph. Under churn the
+//! engine patches its table from each batch's diff
+//! ([`Topology::apply`]).
 
 use dima_graph::{Digraph, Graph, VertexId};
 
-/// An immutable neighbor table for the simulator.
-#[derive(Clone, Debug)]
+use crate::churn::ChurnBatch;
+
+/// A neighbor table for the simulator.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Topology {
     offsets: Vec<u32>,
     neighbors: Vec<VertexId>,
@@ -63,6 +67,40 @@ impl Topology {
     /// `true` if `a` and `b` are neighbors. `O(log degree)`.
     pub fn are_neighbors(&self, a: VertexId, b: VertexId) -> bool {
         self.neighbors(a).binary_search(&b).is_ok()
+    }
+
+    /// Patch the table with `batch`'s net diff: a leaver's row empties,
+    /// and every changed node's row drops its `removed` neighbors and
+    /// merges in its `added` ones (a joiner's row is empty before, so it
+    /// becomes its `added` list). Rows stay sorted; untouched rows are
+    /// copied as they are.
+    pub fn apply(&mut self, batch: &ChurnBatch) {
+        let (old_offsets, old) =
+            (std::mem::take(&mut self.offsets), std::mem::take(&mut self.neighbors));
+        let grown: usize = batch.changes.iter().map(|(_, c)| c.added.len()).sum();
+        self.offsets.reserve(old_offsets.len());
+        self.neighbors.reserve(old.len() + grown);
+        self.offsets.push(0);
+        let mut leaves = batch.leaves.iter().peekable();
+        let mut changes = batch.changes.iter().peekable();
+        for (v, span) in old_offsets.windows(2).enumerate() {
+            let row = &old[span[0] as usize..span[1] as usize];
+            if leaves.next_if(|u| u.index() == v).is_some() {
+                // A leaver keeps no links.
+            } else if let Some((_, change)) = changes.next_if(|(u, _)| u.index() == v) {
+                let mut added = change.added.iter().copied().peekable();
+                for &w in row.iter().filter(|w| change.removed.binary_search(w).is_err()) {
+                    while let Some(a) = added.next_if(|&a| a < w) {
+                        self.neighbors.push(a);
+                    }
+                    self.neighbors.push(w);
+                }
+                self.neighbors.extend(added);
+            } else {
+                self.neighbors.extend_from_slice(row);
+            }
+            self.offsets.push(self.neighbors.len() as u32);
+        }
     }
 }
 

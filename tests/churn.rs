@@ -5,9 +5,10 @@
 //! automata converge back to a proper (resp. strong) coloring without a
 //! restart, across a wide seed sweep, on both engines, composing with the
 //! fault layer. Per-batch quiescence is checked through prefix schedules:
-//! [`ChurnSchedule::truncated`] prefixes agree batch-for-batch with the
-//! full schedule, so running each prefix to completion observes exactly
-//! the state the full run passes through at that batch's quiescence.
+//! generation is sequential in batch order, so the schedule generated
+//! with `batches: k` is the first `k` batches of the full one, and
+//! running each prefix to completion observes exactly the state the full
+//! run passes through at that batch's quiescence.
 
 use dima::core::verify::{
     verify_edge_coloring, verify_residual_edge_coloring, verify_strong_coloring,
@@ -57,14 +58,13 @@ fn ec_repairs_to_proper_coloring_across_fifty_seeds() {
 #[test]
 fn ec_quiesces_to_proper_coloring_after_every_batch() {
     // Prefix schedules observe the coloring at quiescence after each
-    // individual batch (truncation is a generation prefix).
+    // individual batch (a shorter plan generates a prefix).
     for seed in [3u64, 11, 19, 27] {
         let g0 = er(36, 90, seed);
         let plan = ChurnPlan { batches: 5, ..ChurnPlan::new(seed + 100, 0.2) };
-        let full = ChurnSchedule::generate(&g0, &plan);
-        assert_eq!(full.len(), 5);
-        for k in 0..=full.len() {
-            let prefix = full.truncated(k);
+        for k in 0..=plan.batches {
+            let prefix = ChurnSchedule::generate(&g0, &ChurnPlan { batches: k, ..plan.clone() });
+            assert_eq!(prefix.len(), k);
             let r = color_edges_churn(&g0, &prefix, &ColoringConfig::seeded(seed)).unwrap();
             assert!(
                 r.coloring.colors.iter().all(Option::is_some),
