@@ -133,12 +133,17 @@ fn color_code(c: Option<dima_core::Color>) -> u64 {
     c.map_or(0, |c| u64::from(c.0) + 1)
 }
 
+/// The flags `serve` takes, space-separated.
+const SERVE_FLAGS: &str = "seed protocol threads width trace trace-sample watchdog state-dir \
+    snapshot-every compact-after queue queue-policy listen max-clients client-queue reduce \
+    reduce-target slo-out metrics-out label chaos-kill-at chaos-storage";
+
 /// Entry point for `dima-cli serve`.
 pub fn cmd_serve(args: &[String]) -> Result<(), String> {
     let Some(graph_path) = args.first() else {
         return Err("serve needs a graph".into());
     };
-    let flags = crate::cmd::parse_flags(&args[1..])?;
+    let flags = crate::cmd::parse_known_flags(&args[1..], &[SERVE_FLAGS])?;
     let seed: u64 = crate::cmd::flag(&flags, "seed", 0)?;
     let width: usize = crate::cmd::flag(&flags, "width", 1)?;
     let threads: usize = crate::cmd::flag(&flags, "threads", 0)?;

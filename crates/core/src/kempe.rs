@@ -261,7 +261,7 @@ struct Pass<'a> {
     slots: &'a PortSlots,
     /// `false` for a node that crashed in the main run: it never
     /// initiates and refuses every request.
-    alive: &'a [bool],
+    alive: Alive<'a>,
     /// Color indices `>= threshold` are over-threshold.
     threshold: u32,
     max_chain: u32,
@@ -288,9 +288,9 @@ impl<'p> KempeNode<'p> {
     /// otherwise.
     fn new(pass: &'p Pass<'p>, seed: NodeSeed<'_>) -> Self {
         let me = seed.node;
-        let owner = pass.alive[me.index()]
+        let owner = (pass.alive)(me)
             && seed.neighbors.iter().zip(pass.slots.of(me.index())).any(|(&w, &c)| {
-                w > me && pass.alive[w.index()] && c.is_some_and(|c| c.0 >= pass.threshold)
+                w > me && c.is_some_and(|c| c.0 >= pass.threshold) && (pass.alive)(w)
             });
         let live = owner.then(|| Box::new(LiveNode::new(pass, me, seed.neighbors)));
         KempeNode { me, pass, live }
@@ -301,8 +301,7 @@ impl<'p> KempeNode<'p> {
     #[cfg(test)]
     fn eager(pass: &'p Pass<'p>, seed: NodeSeed<'_>) -> Self {
         let me = seed.node;
-        let live =
-            pass.alive[me.index()].then(|| Box::new(LiveNode::new(pass, me, seed.neighbors)));
+        let live = (pass.alive)(me).then(|| Box::new(LiveNode::new(pass, me, seed.neighbors)));
         KempeNode { me, pass, live }
     }
 }
@@ -369,7 +368,7 @@ impl LiveNode {
         let mut used_self = ColorSet::with_capacity(pass.threshold as usize + degree);
         let mut nbr_used = PortColorSets::new(degree);
         for (p, (&w, &c)) in neighbors.iter().zip(own).enumerate() {
-            let nbr_alive = pass.alive[w.index()];
+            let nbr_alive = (pass.alive)(w);
             edge_color.push(c);
             pinned.push(c.is_none() || !nbr_alive);
             if let Some(c) = c {
@@ -811,7 +810,7 @@ impl Protocol for KempeNode<'_> {
     }
 
     fn on_round(&mut self, ctx: &mut RoundCtx<'_, KMsg>) -> NodeStatus {
-        if !self.pass.alive[self.me.index()] {
+        if !(self.pass.alive)(self.me) {
             // Crashed in the main run: refuse everything, stay parked.
             for i in 0..ctx.inbox().len() {
                 let Some((from, msg)) = operation(ctx, i) else { continue };
@@ -1100,9 +1099,16 @@ pub fn reduce_palette_metered<T: Tracer + Sync>(
             g.num_edges()
         )));
     }
+    if alive.len() != g.num_vertices() {
+        return Err(CoreError::Config(format!(
+            "reduce_palette: {} alive flags for {} vertices",
+            alive.len(),
+            g.num_vertices()
+        )));
+    }
     let topo = Topology::from_graph(g);
     let mut slots = PortSlots::from_edges(&topo, g, colors);
-    let pass = reduce_ports(&topo, &mut slots, alive, kcfg, base, tracer)?;
+    let pass = reduce_ports(&topo, &mut slots, &|v| alive[v.index()], kcfg, base, tracer)?;
     // Only a built node can have recolored, and both endpoints of a
     // recolored edge were built: the commit protocol updates them
     // within one operation.
@@ -1132,13 +1138,17 @@ pub(crate) struct KempePass {
     pub(crate) built: Vec<VertexId>,
 }
 
+/// Node liveness for a pass: `false` pins every edge at the node (see
+/// [`reduce_palette_metered`]).
+pub(crate) type Alive<'a> = &'a (dyn Fn(VertexId) -> bool + Sync);
+
 /// The pass itself, on `topo` with the coloring laid out in `slots`
-/// (see [`reduce_palette_metered`] for `alive`, `kcfg` and `base`).
-/// Rewrites the rows of the nodes it built and reports which those are.
+/// (see [`reduce_palette_metered`] for `kcfg` and `base`). Rewrites the
+/// rows of the nodes it built and reports which those are.
 pub(crate) fn reduce_ports<T: Tracer + Sync>(
     topo: &Topology,
     slots: &mut PortSlots,
-    alive: &[bool],
+    alive: Alive<'_>,
     kcfg: &KempeConfig,
     base: &ColoringConfig,
     tracer: &mut T,
@@ -1155,20 +1165,13 @@ type Build = for<'p> fn(&'p Pass<'p>, NodeSeed<'_>) -> KempeNode<'p>;
 fn reduce_ports_with<T: Tracer + Sync>(
     topo: &Topology,
     slots: &mut PortSlots,
-    alive: &[bool],
+    alive: Alive<'_>,
     kcfg: &KempeConfig,
     base: &ColoringConfig,
     tracer: &mut T,
     build: Build,
 ) -> Result<KempePass, CoreError> {
     let n = topo.num_nodes();
-    if alive.len() != n {
-        return Err(CoreError::Config(format!(
-            "reduce_palette: {} alive flags for {} vertices",
-            alive.len(),
-            n
-        )));
-    }
     let delta = topo.max_degree();
     let threshold = threshold(kcfg, delta);
     let mut report = KempeReport::skipped(&slots.palette(), threshold);
@@ -1179,12 +1182,12 @@ fn reduce_ports_with<T: Tracer + Sync>(
     }
     let mut seen = ColorSet::with_capacity(threshold as usize + delta);
     for u in (0..n as u32).map(VertexId) {
-        if !alive[u.index()] {
+        if !alive(u) {
             continue;
         }
         seen.clear();
         for (&w, &c) in topo.neighbors(u).iter().zip(slots.of(u.index())) {
-            if let (Some(c), true) = (c, alive[w.index()]) {
+            if let (Some(c), true) = (c, alive(w)) {
                 if !seen.insert(c) {
                     return Err(CoreError::Config(format!(
                         "reduce_palette needs a proper input coloring \
@@ -1453,7 +1456,8 @@ mod tests {
     ) -> (Vec<Option<Color>>, KempeReport, Option<Box<MetricsRegistry>>) {
         let topo = Topology::from_graph(g);
         let mut slots = PortSlots::from_edges(&topo, g, colors);
-        let pass = reduce_ports_with(&topo, &mut slots, alive, kcfg, cfg, &mut NoopTracer, build)
+        let alive = |v: VertexId| alive[v.index()];
+        let pass = reduce_ports_with(&topo, &mut slots, &alive, kcfg, cfg, &mut NoopTracer, build)
             .expect("the pass runs");
         (slots.slots, pass.report, pass.metrics)
     }

@@ -1145,10 +1145,8 @@ impl ColoringService {
         // Committed liveness, not the feed's staged view: an event staged
         // while this repair ran belongs to a later batch, and replay
         // (which stages each batch only at its commit) never sees it here.
-        let mut alive = vec![true; topo.num_nodes()];
-        for v in self.feed.committed_dead() {
-            alive[v.index()] = false;
-        }
+        let feed = &self.feed;
+        let alive = |v: VertexId| feed.committed_alive(v);
         let mut slots = PortSlots::new(topo);
         for (i, node) in nodes.iter().enumerate() {
             let row = topo.neighbors(VertexId(i as u32));

@@ -553,6 +553,12 @@ impl EventFeed {
             .collect()
     }
 
+    /// Liveness of `v` in the *committed* state: O(1), unlike
+    /// [`EventFeed::committed_dead`].
+    pub fn committed_alive(&self, v: VertexId) -> bool {
+        self.committed(v).0
+    }
+
     /// Current (staged-inclusive) liveness of `v`.
     pub fn is_alive(&self, v: VertexId) -> bool {
         v.index() < self.graph.num_vertices() && self.graph.is_alive(v)

@@ -50,8 +50,8 @@ use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, TryLockError};
 use crate::error::SimError;
 
 /// Lock, recovering from poisoning (a panicking scope must not wedge
-/// the process-wide pool — parking_lot semantics on std mutexes).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// the process-wide pool or the engine that shares it).
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
