@@ -134,7 +134,7 @@ fn color_code(c: Option<dima_core::Color>) -> u64 {
 }
 
 /// The flags `serve` takes, space-separated.
-const SERVE_FLAGS: &str = "seed protocol threads width trace trace-sample watchdog state-dir \
+const SERVE_FLAGS: &str = "seed protocol threads width watchdog state-dir \
     snapshot-every compact-after queue queue-policy listen max-clients client-queue reduce \
     reduce-target slo-out metrics-out label chaos-kill-at chaos-storage";
 
@@ -149,26 +149,6 @@ pub fn cmd_serve(args: &[String]) -> Result<(), String> {
     let threads: usize = crate::cmd::flag(&flags, "threads", 0)?;
     if threads == 0 && flags.contains_key("threads") {
         return Err("--threads must be >= 1 (omit the flag for 1 shard)".into());
-    }
-    // The stepper is bit-identical at every shard count, so the service
-    // runs on any. The one combination we refuse is a full-rate trace
-    // request over several shards: at sample 1 the
-    // deterministic merge buffers every node event per round, which is
-    // exactly the workload serve's latency budget cannot absorb.
-    if threads > 1 && flags.contains_key("trace") {
-        let sample: u32 = crate::cmd::flag(&flags, "trace-sample", 1)?;
-        if sample <= 1 {
-            return Err(
-                "--trace at full rate (--trace-sample 1) is not supported with --threads > 1: \
-                 to keep the trace deterministic the pool must buffer every node's events in \
-                 every round and merge them in node order at the barrier, and serve's per-tick \
-                 latency budget cannot absorb that. Two workarounds: sample the trace \
-                 (e.g. --trace-sample 64 records one node in 64, merge still deterministic \
-                 and cheap), or drop --threads so the single shard emits the \
-                 full-rate trace without a cross-shard merge. See DESIGN.md §13."
-                    .into(),
-            );
-        }
     }
     let watchdog: u64 = crate::cmd::flag(&flags, "watchdog", 512)?;
     let snapshot_every: u64 = crate::cmd::flag(&flags, "snapshot-every", 8)?;

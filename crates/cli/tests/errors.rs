@@ -66,6 +66,8 @@ fn unknown_flags_are_refused_by_every_command() {
         (&["gen", "er", "--nodes", "10"], "nodes"),
         (&["verify", g, g, "--strict"], "strict"),
         (&["serve", g, "--snapshot-evry", "2"], "snapshot-evry"),
+        // serve records no trace, so it takes no trace flags.
+        (&["serve", g, "--trace", "t.jsonl"], "trace"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_dima-cli"))
             .args(args)

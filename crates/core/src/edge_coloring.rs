@@ -58,7 +58,7 @@ use crate::automata::{choose_role, pick_index, pick_uniform, pick_uniform_iter, 
 use crate::churn::{batch_reports, ChurnColoringResult};
 use crate::config::{ColorPolicy, ColoringConfig};
 use crate::error::CoreError;
-use crate::kempe::{reduce_palette_metered, KempeReport};
+use crate::kempe::{reduce_automata, KempeReport};
 use crate::palette::{Color, ColorSet, PortColorSets};
 use crate::runner::{run_protocol, EngineRun};
 
@@ -645,10 +645,16 @@ fn run_algorithm1<T: Tracer + Sync>(
     let max_rounds = schedule.last_round().map_or(budget, |lr| lr + budget);
     let palette_bound = (2 * delta).saturating_sub(1).max(1) as u32;
     let factory = |seed: NodeSeed<'_>| EdgeColoringNode::new(&seed, cfg, palette_bound);
-    let run = run_protocol(&topo, cfg, max_rounds, schedule, factory, tracer)?;
-    let mut r = assemble_result(g, delta, run);
-    apply_reduction(g, cfg, &mut r, tracer)?;
-    Ok(r)
+    let mut run = run_protocol(&topo, cfg, max_rounds, schedule, factory, tracer)?;
+    // Read before the reduction pass rebuilds any node's used set.
+    let palette_bytes = run
+        .outcome
+        .nodes
+        .iter()
+        .map(|n| (n.used_self.heap_bytes() + n.used_nbr.heap_bytes()) as u64)
+        .sum();
+    let reduction = apply_reduction(&topo, schedule.final_graph(), cfg, &mut run.outcome, tracer)?;
+    Ok(assemble_result(g, delta, run, reduction, palette_bytes))
 }
 
 /// Build the global result from per-node protocol states.
@@ -656,6 +662,8 @@ fn assemble_result(
     g: &Graph,
     delta: usize,
     run: EngineRun<EdgeColoringNode>,
+    reduction: Option<KempeReport>,
+    palette_bytes: u64,
 ) -> EdgeColoringResult {
     let RunOutcome { nodes, stats, crashed } = run.outcome;
     let transport_overhead_rounds = run.transport_overhead_rounds;
@@ -686,8 +694,6 @@ fn assemble_result(
     for c in colors.iter().flatten() {
         palette.insert(*c);
     }
-    let palette_bytes: u64 =
-        nodes.iter().map(|n| (n.used_self.heap_bytes() + n.used_nbr.heap_bytes()) as u64).sum();
     let comm_rounds = stats.rounds - transport_overhead_rounds;
     EdgeColoringResult {
         colors_used: palette.len(),
@@ -700,41 +706,46 @@ fn assemble_result(
         stats,
         alive: crashed.iter().map(|&c| !c).collect(),
         transport_overhead_rounds,
-        reduction: None,
+        reduction,
         palette_bytes,
     }
 }
 
-/// Run the configured palette-reduction pass over an assembled result,
-/// in place. Skipped without endpoint agreement — Kempe chains assume
-/// both ends of every edge see the same color, and a corrupted run has
-/// no well-defined palette to compress.
+/// Run the configured palette-reduction pass over a finished run's
+/// automata, adopting the reduced colors into the nodes it built. `topo`
+/// is the topology the run started on; a churn run ends on its
+/// schedule's `final_graph` instead. Skipped (`None`) without endpoint
+/// agreement, see [`crate::kempe::reduce_automata`].
 fn apply_reduction<T: Tracer + Sync>(
-    g: &Graph,
+    topo: &Topology,
+    final_graph: Option<&Graph>,
     cfg: &ColoringConfig,
-    r: &mut EdgeColoringResult,
+    outcome: &mut RunOutcome<EdgeColoringNode>,
     tracer: &mut T,
-) -> Result<(), CoreError> {
+) -> Result<Option<KempeReport>, CoreError> {
     let crate::config::ColorReduction::Kempe(kcfg) = cfg.reduction else {
-        return Ok(());
+        return Ok(None);
     };
-    if !r.endpoint_agreement {
-        return Ok(());
+    let churned = final_graph.map(Topology::from_graph);
+    let topo = churned.as_ref().unwrap_or(topo);
+    let crashed = &outcome.crashed;
+    let alive = |v: VertexId| !crashed[v.index()];
+    let Some(pass) = reduce_automata(topo, &outcome.nodes, &alive, &kcfg, cfg, tracer)? else {
+        return Ok(None);
+    };
+    for (v, row) in pass.built_rows() {
+        outcome.nodes[v.index()].adopt_compaction(row);
     }
-    let (report, metrics) = reduce_palette_metered(g, &mut r.colors, &r.alive, &kcfg, cfg, tracer)?;
-    r.colors_used = report.colors_after;
-    r.max_color = report.max_color_after;
-    r.reduction = Some(report);
     // Fold the pass's registry (kempe/ counters plus its own engine
     // rounds) into the run's: the reduction is part of the run's work,
     // and counter merge keeps the total deterministic.
-    if let Some(m) = metrics {
-        match &mut r.stats.metrics {
+    if let Some(m) = pass.metrics {
+        match &mut outcome.stats.metrics {
             Some(reg) => reg.merge(&m),
-            None => r.stats.metrics = Some(m),
+            None => outcome.stats.metrics = Some(m),
         }
     }
-    Ok(())
+    Ok(Some(pass.report))
 }
 
 #[cfg(test)]

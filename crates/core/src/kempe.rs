@@ -75,13 +75,14 @@
 
 use std::sync::Arc;
 
-use dima_graph::{Graph, VertexId};
+use dima_graph::VertexId;
 use dima_sim::churn::ChurnSchedule;
 use dima_sim::fault::FaultPlan;
-use dima_sim::telemetry::{MetricsRegistry, NoopTracer, PaletteAction, Tracer};
+use dima_sim::telemetry::{MetricsRegistry, PaletteAction, Tracer};
 use dima_sim::{NodeSeed, NodeStatus, Protocol, RoundCtx, RunOutcome, Topology};
 
 use crate::config::{ColorReduction, ColoringConfig, KempeConfig, Transport};
+use crate::edge_coloring::EdgeColoringNode;
 use crate::error::CoreError;
 use crate::palette::{Color, ColorSet, PortColorSets};
 use crate::runner::run_protocol;
@@ -210,6 +211,7 @@ enum LockState {
 /// order: node `u`'s slots toward its neighbors, in neighbor order, are
 /// the `u`-th row. Both ends of an edge hold its color; a node the
 /// topology lists with no neighbors (a departed node) has an empty row.
+#[derive(Default)]
 pub(crate) struct PortSlots {
     start: Vec<usize>,
     slots: Vec<Option<Color>>,
@@ -225,18 +227,6 @@ impl PortSlots {
         }
         let slots = vec![None; start[topo.num_nodes()]];
         PortSlots { start, slots }
-    }
-
-    /// `g`'s edge-indexed `colors` laid out on `topo`, the topology of
-    /// `g`.
-    fn from_edges(topo: &Topology, g: &Graph, colors: &[Option<Color>]) -> Self {
-        let mut slots = PortSlots::new(topo);
-        for v in g.vertices() {
-            for (slot, &(_, e)) in slots.of_mut(v.index()).iter_mut().zip(g.neighbors(v)) {
-                *slot = colors[e.index()];
-            }
-        }
-        slots
     }
 
     /// Node `i`'s slots, in neighbor order.
@@ -1052,102 +1042,109 @@ impl KempeReport {
 
 /// The color threshold a pass over a topology of maximum degree `delta`
 /// compresses toward: the configured target, `Δ+1` by default.
-pub(crate) fn threshold(kcfg: &KempeConfig, delta: usize) -> u32 {
+fn threshold(kcfg: &KempeConfig, delta: usize) -> u32 {
     kcfg.target_colors.unwrap_or(delta as u32 + 1).max(1)
 }
 
-/// [`reduce_palette_metered`] without telemetry, dropping the metrics
-/// registry.
-pub fn reduce_palette(
-    g: &Graph,
-    colors: &mut [Option<Color>],
-    alive: &[bool],
-    kcfg: &KempeConfig,
-    base: &ColoringConfig,
-) -> Result<KempeReport, CoreError> {
-    reduce_palette_metered(g, colors, alive, kcfg, base, &mut NoopTracer).map(|(report, _)| report)
-}
-
-/// Run the Kempe-chain reduction pass over a proper (partial) edge
-/// coloring of `g`, rewriting `colors` in place and reporting what
-/// changed. `alive[v] == false` pins every edge at `v` (residual
-/// colorings of crashed runs stay untouched there). `base` supplies the
-/// engine, seed and send-validation settings; the pass itself always
-/// runs on the bare reliable transport (it is a post-processing phase,
-/// not part of the paper's fault model).
-///
-/// The second return is the pass's own metrics registry (the `kempe/`
-/// family) when `base.collect_metrics` is on — [`KempeReport`] is
-/// `Copy` and stays that way, so the registry travels beside it for
-/// callers that fold it into a run-level registry.
-///
-/// This is the edge-indexed adapter of the static runs; the pass itself
-/// works port by port on a [`Topology`], which is how `dima serve` runs
-/// it on its live topology.
-pub fn reduce_palette_metered<T: Tracer + Sync>(
-    g: &Graph,
-    colors: &mut [Option<Color>],
-    alive: &[bool],
-    kcfg: &KempeConfig,
-    base: &ColoringConfig,
-    tracer: &mut T,
-) -> Result<(KempeReport, Option<Box<MetricsRegistry>>), CoreError> {
-    if colors.len() != g.num_edges() {
-        return Err(CoreError::Config(format!(
-            "reduce_palette: {} colors for {} edges",
-            colors.len(),
-            g.num_edges()
-        )));
-    }
-    if alive.len() != g.num_vertices() {
-        return Err(CoreError::Config(format!(
-            "reduce_palette: {} alive flags for {} vertices",
-            alive.len(),
-            g.num_vertices()
-        )));
-    }
-    let topo = Topology::from_graph(g);
-    let mut slots = PortSlots::from_edges(&topo, g, colors);
-    let pass = reduce_ports(&topo, &mut slots, &|v| alive[v.index()], kcfg, base, tracer)?;
-    // Only a built node can have recolored, and both endpoints of a
-    // recolored edge were built: the commit protocol updates them
-    // within one operation.
-    for &v in &pass.built {
-        for (&c, &(w, e)) in slots.of(v.index()).iter().zip(g.neighbors(v)) {
-            debug_assert!(
-                !alive[w.index()]
-                    || topo
-                        .neighbors(w)
-                        .binary_search(&v)
-                        .is_ok_and(|q| slots.of(w.index())[q] == c),
-                "edge ({v:?}, {w:?}) endpoints disagree after reduction"
-            );
-            colors[e.index()] = c;
-        }
-    }
-    Ok((pass.report, pass.metrics))
-}
-
-/// What [`reduce_ports`] hands back besides the recolored slots.
+/// What a pass hands back besides its report: the coloring after it,
+/// of which only the built nodes' rows can have changed.
 pub(crate) struct KempePass {
     pub(crate) report: KempeReport,
-    /// The pass's metrics registry, when the config collects metrics.
+    /// The pass's metrics registry (the `kempe/` family), when the config
+    /// collects metrics.
     pub(crate) metrics: Option<Box<MetricsRegistry>>,
-    /// The nodes the pass built, ascending. Only their slots can have
-    /// changed.
-    pub(crate) built: Vec<VertexId>,
+    /// The nodes the pass built, ascending.
+    built: Vec<VertexId>,
+    /// The coloring after the pass, port by port.
+    slots: PortSlots,
+}
+
+impl KempePass {
+    /// Each node the pass built with its row after the pass, ascending:
+    /// the rows a caller adopts into its automata. A recolored edge has
+    /// both endpoints here, since the commit protocol updates them
+    /// within one operation.
+    pub(crate) fn built_rows(&self) -> impl Iterator<Item = (VertexId, &[Option<Color>])> {
+        self.built.iter().map(|&v| (v, self.slots.of(v.index())))
+    }
 }
 
 /// Node liveness for a pass: `false` pins every edge at the node (see
-/// [`reduce_palette_metered`]).
+/// [`reduce_automata`]).
 pub(crate) type Alive<'a> = &'a (dyn Fn(VertexId) -> bool + Sync);
 
-/// The pass itself, on `topo` with the coloring laid out in `slots`
-/// (see [`reduce_palette_metered`] for `kcfg` and `base`). Rewrites the
-/// rows of the nodes it built and reports which those are.
-pub(crate) fn reduce_ports<T: Tracer + Sync>(
+/// Run the Kempe-chain reduction pass over the coloring that the
+/// Algorithm 1 automata `nodes` hold on `topo`, the topology they
+/// settled on. Static runs, churn runs and `dima serve` all reduce
+/// through here and adopt [`KempePass::built_rows`] into their automata.
+///
+/// `alive(v) == false` pins every edge at `v` (residual colorings of
+/// crashed runs stay untouched there). A crashed node's row is its own
+/// stale view, so the pass never reads it: the survivor's port toward it
+/// holds the edge's color. `base` supplies the engine, seed and
+/// send-validation settings; the pass itself always runs on the bare
+/// reliable transport (it is a post-processing phase, not part of the
+/// paper's fault model).
+///
+/// `Ok(None)` when two live endpoints of an edge disagree on its color:
+/// Kempe chains assume both ends of every edge see the same color, and a
+/// corrupted run has no well-defined palette to compress. When no port
+/// is over the threshold the skipped report comes back before anything
+/// that grows with the graph is allocated.
+pub(crate) fn reduce_automata<T: Tracer + Sync>(
     topo: &Topology,
-    slots: &mut PortSlots,
+    nodes: &[EdgeColoringNode],
+    alive: Alive<'_>,
+    kcfg: &KempeConfig,
+    base: &ColoringConfig,
+    tracer: &mut T,
+) -> Result<Option<KempePass>, CoreError> {
+    let threshold = threshold(kcfg, topo.max_degree());
+    let live = || (0..nodes.len() as u32).map(VertexId).filter(|&u| alive(u));
+    // One allocation-free walk: endpoint agreement, and whether any port
+    // is over the threshold at all.
+    let (mut agree, mut over) = (true, false);
+    for u in live() {
+        let node = &nodes[u.index()];
+        for (p, &v) in topo.neighbors(u).iter().enumerate() {
+            let c = node.color_at(p, v);
+            over |= c.is_some_and(|c| c.0 >= threshold);
+            agree &= v < u || c == nodes[v.index()].color_toward(u) || !alive(v);
+        }
+    }
+    if !agree {
+        return Ok(None);
+    }
+    if !over {
+        // The pass would start and immediately quiesce: skip the engine
+        // run, reporting the palette of the live rows.
+        let mut palette = ColorSet::new();
+        for u in live() {
+            nodes[u.index()].add_colors_toward(topo.neighbors(u), &mut palette);
+        }
+        let report = KempeReport::skipped(&palette, threshold);
+        return Ok(Some(KempePass {
+            report,
+            metrics: None,
+            built: Vec::new(),
+            slots: PortSlots::default(),
+        }));
+    }
+    let mut slots = PortSlots::new(topo);
+    for u in live() {
+        let (node, row) = (&nodes[u.index()], topo.neighbors(u));
+        for (p, (slot, &v)) in slots.of_mut(u.index()).iter_mut().zip(row).enumerate() {
+            *slot = node.color_at(p, v);
+        }
+    }
+    reduce_ports(topo, slots, alive, kcfg, base, tracer).map(Some)
+}
+
+/// The pass itself, on `topo` with the coloring laid out in `slots`
+/// (see [`reduce_automata`] for `alive`, `kcfg` and `base`).
+fn reduce_ports<T: Tracer + Sync>(
+    topo: &Topology,
+    slots: PortSlots,
     alive: Alive<'_>,
     kcfg: &KempeConfig,
     base: &ColoringConfig,
@@ -1164,7 +1161,7 @@ type Build = for<'p> fn(&'p Pass<'p>, NodeSeed<'_>) -> KempeNode<'p>;
 /// [`reduce_ports`] with the node factory `build`.
 fn reduce_ports_with<T: Tracer + Sync>(
     topo: &Topology,
-    slots: &mut PortSlots,
+    mut slots: PortSlots,
     alive: Alive<'_>,
     kcfg: &KempeConfig,
     base: &ColoringConfig,
@@ -1175,11 +1172,6 @@ fn reduce_ports_with<T: Tracer + Sync>(
     let delta = topo.max_degree();
     let threshold = threshold(kcfg, delta);
     let mut report = KempeReport::skipped(&slots.palette(), threshold);
-    // Nothing over the threshold: the pass would start and immediately
-    // quiesce — skip the engine run entirely.
-    if report.max_color_before.is_none_or(|m| m.0 < threshold) {
-        return Ok(KempePass { report, metrics: None, built: Vec::new() });
-    }
     let mut seen = ColorSet::with_capacity(threshold as usize + delta);
     for u in (0..n as u32).map(VertexId) {
         if !alive(u) {
@@ -1190,7 +1182,7 @@ fn reduce_ports_with<T: Tracer + Sync>(
             if let (Some(c), true) = (c, alive(w)) {
                 if !seen.insert(c) {
                     return Err(CoreError::Config(format!(
-                        "reduce_palette needs a proper input coloring \
+                        "the Kempe pass needs a proper input coloring \
                          (color {c} appears twice at node {})",
                         u.index()
                     )));
@@ -1216,7 +1208,7 @@ fn reduce_ports_with<T: Tracer + Sync>(
     let max_rounds =
         kcfg.max_rounds.unwrap_or(64 * delta as u64 + 16 * n as u64 + margin + 1024).max(8);
     let pass = Pass {
-        slots,
+        slots: &slots,
         alive,
         threshold,
         max_chain: max_chain.min(u32::MAX as usize) as u32,
@@ -1248,6 +1240,7 @@ fn reduce_ports_with<T: Tracer + Sync>(
         report,
         metrics: stats.metrics.take(),
         built: built.into_iter().map(|(v, _)| v).collect(),
+        slots,
     })
 }
 
@@ -1256,29 +1249,73 @@ mod tests {
     use super::*;
     use crate::config::Engine;
     use crate::edge_coloring::color_edges;
-    use crate::verify::{count_colors, verify_edge_coloring};
+    use crate::verify::{count_colors, verify_edge_coloring, verify_residual_edge_coloring};
     use dima_graph::gen::{erdos_renyi_avg_degree, structured};
-    use dima_graph::GraphBuilder;
+    use dima_graph::{Graph, GraphBuilder};
+    use dima_sim::telemetry::NoopTracer;
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
-    fn reduce(g: &Graph, colors: &mut [Option<Color>], seed: u64) -> KempeReport {
+    /// The pass on `g`'s edge-indexed `colors`, laid out port by port,
+    /// with node factory `build`.
+    fn ports_with(
+        g: &Graph,
+        colors: &[Option<Color>],
+        alive: &[bool],
+        kcfg: &KempeConfig,
+        cfg: &ColoringConfig,
+        build: Build,
+    ) -> Result<KempePass, CoreError> {
+        let topo = Topology::from_graph(g);
+        let mut slots = PortSlots::new(&topo);
+        for v in g.vertices() {
+            for (slot, &(_, e)) in slots.of_mut(v.index()).iter_mut().zip(g.neighbors(v)) {
+                *slot = colors[e.index()];
+            }
+        }
+        let alive = |v: VertexId| alive[v.index()];
+        reduce_ports_with(&topo, slots, &alive, kcfg, cfg, &mut NoopTracer, build)
+    }
+
+    /// The pass with the production node factory over `colors`, every
+    /// node alive, written back in place.
+    fn reduce_at(
+        g: &Graph,
+        colors: &mut [Option<Color>],
+        cfg: &ColoringConfig,
+    ) -> Result<KempeReport, CoreError> {
         let alive = vec![true; g.num_vertices()];
-        reduce_palette(g, colors, &alive, &KempeConfig::default(), &ColoringConfig::seeded(seed))
-            .unwrap()
+        let pass = ports_with(g, colors, &alive, &KempeConfig::default(), cfg, |pass, seed| {
+            KempeNode::new(pass, seed)
+        })?;
+        for (v, row) in pass.built_rows() {
+            for (&c, &(_, e)) in row.iter().zip(g.neighbors(v)) {
+                colors[e.index()] = c;
+            }
+        }
+        Ok(pass.report)
+    }
+
+    fn reduce(g: &Graph, colors: &mut [Option<Color>], seed: u64) -> KempeReport {
+        reduce_at(g, colors, &ColoringConfig::seeded(seed)).unwrap()
     }
 
     #[test]
     fn already_tight_coloring_skips_the_run() {
         let g = structured::star(6);
-        let mut r = color_edges(&g, &ColoringConfig::seeded(1)).unwrap();
+        let r = color_edges(&g, &ColoringConfig::seeded(1)).unwrap();
         // A star colors with exactly Δ colors — nothing over Δ+1.
-        let before = r.colors.clone();
-        let report = reduce(&g, &mut r.colors, 1);
-        assert_eq!(r.colors, before);
+        let cfg = ColoringConfig {
+            reduction: ColorReduction::Kempe(KempeConfig::default()),
+            ..ColoringConfig::seeded(1)
+        };
+        let reduced = color_edges(&g, &cfg).unwrap();
+        assert_eq!(reduced.colors, r.colors);
+        let report = reduced.reduction.expect("a skipped pass still reports");
         assert_eq!(report.comm_rounds, 0);
         assert_eq!(report.colors_saved(), 0);
+        assert_eq!(report.colors_before, r.colors_used);
     }
 
     #[test]
@@ -1352,55 +1389,93 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(41);
         let g = erdos_renyi_avg_degree(60, 6.0, &mut rng).unwrap();
         let r = color_edges(&g, &ColoringConfig::seeded(5)).unwrap();
-        let alive = vec![true; g.num_vertices()];
         let mut seq = r.colors.clone();
-        let seq_report = reduce_palette(
-            &g,
-            &mut seq,
-            &alive,
-            &KempeConfig::default(),
-            &ColoringConfig::seeded(5),
-        )
-        .unwrap();
+        let seq_report = reduce(&g, &mut seq, 5);
         for threads in [2, 4] {
             let mut par = r.colors.clone();
             let cfg = ColoringConfig {
                 engine: Engine::Parallel { threads },
                 ..ColoringConfig::seeded(5)
             };
-            let par_report =
-                reduce_palette(&g, &mut par, &alive, &KempeConfig::default(), &cfg).unwrap();
+            let par_report = reduce_at(&g, &mut par, &cfg).unwrap();
             assert_eq!(seq, par, "threads = {threads}");
             assert_eq!(seq_report, par_report);
         }
     }
 
     #[test]
-    fn pinned_edges_survive_untouched() {
-        // Crash one endpoint: every edge at it keeps its input color.
-        let g = structured::complete(5);
-        let r = color_edges(&g, &ColoringConfig::seeded(2)).unwrap();
-        let mut colors = r.colors.clone();
-        // Bump a non-pinned edge over the threshold so the pass runs.
-        let mut alive = vec![true; g.num_vertices()];
-        alive[0] = false;
-        let pinned: Vec<(usize, Option<Color>)> = g
+    fn crashed_nodes_keep_their_edges() {
+        // A reliable crash-stop run reduced below its palette: every edge
+        // at a crashed node keeps the color the unreduced run gives it.
+        let mut rng = SmallRng::seed_from_u64(7);
+        let g = erdos_renyi_avg_degree(120, 8.0, &mut rng).unwrap();
+        let base = ColoringConfig {
+            transport: Transport::reliable(),
+            faults: FaultPlan::crashing(0.05, 4),
+            ..ColoringConfig::seeded(3)
+        };
+        let plain = color_edges(&g, &base).unwrap();
+        let at_crash: Vec<usize> = g
             .edges()
-            .filter(|&(_, (u, v))| u.index() == 0 || v.index() == 0)
-            .map(|(e, _)| (e.index(), colors[e.index()]))
+            .filter(|&(_, (u, v))| !plain.alive[u.index()] || !plain.alive[v.index()])
+            .map(|(e, _)| e.index())
             .collect();
-        let report = reduce_palette(
-            &g,
-            &mut colors,
-            &alive,
-            &KempeConfig::default(),
-            &ColoringConfig::seeded(2),
-        )
-        .unwrap();
-        for (e, c) in pinned {
-            assert_eq!(colors[e], c, "pinned edge {e} was recolored");
+        assert!(at_crash.iter().any(|&e| plain.colors[e].is_some()), "no colored edge crashed");
+        let kcfg = KempeConfig {
+            target_colors: Some(plain.colors_used as u32 - 1),
+            ..KempeConfig::default()
+        };
+        let reduced =
+            color_edges(&g, &ColoringConfig { reduction: ColorReduction::Kempe(kcfg), ..base })
+                .unwrap();
+        assert!(reduced.reduction.is_some_and(|r| r.comm_rounds > 0), "{:?}", reduced.reduction);
+        assert_eq!(reduced.alive, plain.alive);
+        verify_residual_edge_coloring(&g, &reduced.colors, &reduced.alive).unwrap();
+        for e in at_crash {
+            assert_eq!(reduced.colors[e], plain.colors[e], "edge {e} at a crashed node recolored");
         }
-        assert!(report.colors_after <= report.colors_before);
+    }
+
+    #[test]
+    fn a_crashed_row_is_never_read() {
+        // Path 0-1-2-3, Δ = 2, threshold 3. Node 3 crashed holding 7 on
+        // (2, 3), a commit node 2 never learned; the live rows hold 0 on
+        // (0, 1) and `c` on (1, 2). The pass sees only the live rows.
+        let topo = Topology::from_graph(&structured::path(4));
+        let cfg = ColoringConfig::seeded(0);
+        let alive = |v: VertexId| v != VertexId(3);
+        let pass_with = |c: Color| {
+            let rows: [&[Option<Color>]; 4] = [
+                &[Some(Color(0))],
+                &[Some(Color(0)), Some(c)],
+                &[Some(c), None],
+                &[Some(Color(7))],
+            ];
+            let nodes: Vec<EdgeColoringNode> = (0..4u32)
+                .map(VertexId)
+                .zip(rows)
+                .map(|(node, row)| {
+                    let seed = NodeSeed { node, neighbors: topo.neighbors(node) };
+                    let mut n = EdgeColoringNode::new(&seed, &cfg, 3);
+                    n.adopt_compaction(row);
+                    n
+                })
+                .collect();
+            reduce_automata(&topo, &nodes, &alive, &KempeConfig::default(), &cfg, &mut NoopTracer)
+                .unwrap()
+                .expect("live endpoints agree")
+        };
+        let pass = pass_with(Color(5));
+        assert_eq!(pass.report.colors_before, 2, "{:?}", pass.report);
+        assert_eq!(pass.report.trivial_recolors, 1, "{:?}", pass.report);
+        assert_eq!(pass.report.colors_after, 2, "{:?}", pass.report);
+        assert_eq!(pass.report.max_color_after, Some(Color(1)));
+        assert!(pass.built_rows().all(|(v, _)| v != VertexId(3)));
+        // Only the crashed row is over the threshold: nothing to do.
+        let skipped = pass_with(Color(1)).report;
+        assert_eq!(skipped.comm_rounds, 0, "{skipped:?}");
+        assert_eq!(skipped.colors_before, 2, "{skipped:?}");
+        assert_eq!(skipped.max_color_before, Some(Color(1)));
     }
 
     #[test]
@@ -1408,58 +1483,8 @@ mod tests {
         let g = structured::path(3);
         // Both edges share vertex 1 but carry the same color.
         let mut colors = vec![Some(Color(9)), Some(Color(9))];
-        let alive = vec![true; 3];
-        let err = reduce_palette(
-            &g,
-            &mut colors,
-            &alive,
-            &KempeConfig::default(),
-            &ColoringConfig::seeded(0),
-        );
+        let err = reduce_at(&g, &mut colors, &ColoringConfig::seeded(0));
         assert!(matches!(err, Err(CoreError::Config(_))), "{err:?}");
-    }
-
-    #[test]
-    fn length_mismatches_rejected() {
-        let g = structured::path(3);
-        let mut colors = vec![Some(Color(0))]; // 2 edges expected
-        let alive = vec![true; 3];
-        assert!(reduce_palette(
-            &g,
-            &mut colors,
-            &alive,
-            &KempeConfig::default(),
-            &ColoringConfig::seeded(0)
-        )
-        .is_err());
-        let mut colors = vec![Some(Color(0)), Some(Color(1))];
-        let alive = vec![true; 2]; // 3 vertices expected
-        assert!(reduce_palette(
-            &g,
-            &mut colors,
-            &alive,
-            &KempeConfig::default(),
-            &ColoringConfig::seeded(0)
-        )
-        .is_err());
-    }
-
-    /// The pass on `g`'s ports with node factory `build`: the slots
-    /// after it, its report and its metrics registry.
-    fn ports_with(
-        g: &Graph,
-        colors: &[Option<Color>],
-        alive: &[bool],
-        kcfg: &KempeConfig,
-        cfg: &ColoringConfig,
-        build: Build,
-    ) -> (Vec<Option<Color>>, KempeReport, Option<Box<MetricsRegistry>>) {
-        let topo = Topology::from_graph(g);
-        let mut slots = PortSlots::from_edges(&topo, g, colors);
-        let alive = |v: VertexId| alive[v.index()];
-        let pass = reduce_ports_with(&topo, &mut slots, &alive, kcfg, cfg, &mut NoopTracer, build)
-            .expect("the pass runs");
-        (slots.slots, pass.report, pass.metrics)
     }
 
     proptest! {
@@ -1499,11 +1524,17 @@ mod tests {
                 collect_metrics: true,
                 ..ColoringConfig::seeded(seed)
             };
-            let (lazy_slots, lazy, lazy_metrics) =
-                ports_with(&g, &colors, &alive, &kcfg, &cfg, |pass, seed| KempeNode::new(pass, seed));
-            let (eager_slots, eager, eager_metrics) =
-                ports_with(&g, &colors, &alive, &kcfg, &cfg, |pass, seed| KempeNode::eager(pass, seed));
-            prop_assert_eq!(lazy_slots, eager_slots);
+            let lazy = ports_with(&g, &colors, &alive, &kcfg, &cfg, |pass, seed| {
+                KempeNode::new(pass, seed)
+            })
+            .unwrap();
+            let eager = ports_with(&g, &colors, &alive, &kcfg, &cfg, |pass, seed| {
+                KempeNode::eager(pass, seed)
+            })
+            .unwrap();
+            prop_assert_eq!(&lazy.slots.slots, &eager.slots.slots);
+            let (lazy, lazy_metrics, eager, eager_metrics) =
+                (lazy.report, lazy.metrics, eager.report, eager.metrics);
             prop_assert!(lazy.nodes_built <= eager.nodes_built);
             if eager.comm_rounds > 0 {
                 let survivors = alive.iter().filter(|&&a| a).count() as u64;

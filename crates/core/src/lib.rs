@@ -66,7 +66,7 @@ pub use edge_coloring::{
     EdgeColoringResult,
 };
 pub use error::CoreError;
-pub use kempe::{reduce_palette, KempeReport};
+pub use kempe::KempeReport;
 pub use matching::{maximal_matching, maximal_matching_traced, MatchingResult};
 pub use palette::{Color, ColorSet};
 pub use service::{

@@ -1123,53 +1123,27 @@ impl ColoringService {
         let Inner::Ec(stepper) = &self.inner else {
             return None;
         };
-        let (topo, nodes) = (stepper.topology(), stepper.nodes());
-        // One allocation-free walk: endpoint agreement, and whether any
-        // port is over the threshold at all.
-        let threshold = kempe::threshold(&kcfg, topo.max_degree());
-        let (mut agree, mut over) = (true, false);
-        for (i, node) in nodes.iter().enumerate() {
-            let u = VertexId(i as u32);
-            for (p, &v) in topo.neighbors(u).iter().enumerate() {
-                let c = node.color_at(p, v);
-                over |= c.is_some_and(|c| c.0 >= threshold);
-                agree &= v < u || c == nodes[v.index()].color_toward(u);
-            }
-        }
-        if !agree {
-            return None;
-        }
-        if !over {
-            return Some(KempeReport::skipped(&self.inner.palette_set(), threshold));
-        }
         // Committed liveness, not the feed's staged view: an event staged
         // while this repair ran belongs to a later batch, and replay
         // (which stages each batch only at its commit) never sees it here.
         let feed = &self.feed;
         let alive = |v: VertexId| feed.committed_alive(v);
-        let mut slots = PortSlots::new(topo);
-        for (i, node) in nodes.iter().enumerate() {
-            let row = topo.neighbors(VertexId(i as u32));
-            for (p, (slot, &v)) in slots.of_mut(i).iter_mut().zip(row).enumerate() {
-                *slot = node.color_at(p, v);
-            }
-        }
-        let pass = kempe::reduce_ports(
-            topo,
-            &mut slots,
+        let pass = kempe::reduce_automata(
+            stepper.topology(),
+            stepper.nodes(),
             &alive,
             &kcfg,
             &self.cfg.coloring,
             &mut NoopTracer,
         )
-        .ok()?;
+        .ok()??;
         if pass.report.trivial_recolors + pass.report.chains_flipped > 0 {
             // The protocol was matched as edge-coloring above; if the
             // stepper disagrees, skip the write-back rather than panic —
             // the un-compacted coloring is still proper.
             let nodes = self.inner.ec_nodes_mut()?;
-            for v in &pass.built {
-                nodes[v.index()].adopt_compaction(slots.of(v.index()));
+            for (v, row) in pass.built_rows() {
+                nodes[v.index()].adopt_compaction(row);
             }
         }
         Some(pass.report)

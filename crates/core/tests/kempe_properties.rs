@@ -9,8 +9,8 @@
 
 use dima_core::verify::{count_colors, verify_edge_coloring, verify_residual_edge_coloring};
 use dima_core::{
-    color_edges, color_edges_churn, reduce_palette, ChurnPlan, ChurnSchedule, ColorReduction,
-    ColoringConfig, ColoringService, Engine, KempeConfig, ServeProtocol, ServiceConfig,
+    color_edges, color_edges_churn, ChurnPlan, ChurnSchedule, ColorReduction, ColoringConfig,
+    ColoringService, Engine, KempeConfig, ServeProtocol, ServiceConfig,
 };
 use dima_graph::gen::{erdos_renyi_avg_degree, random_regular};
 use dima_graph::{GraphBuilder, VertexId};
@@ -19,7 +19,7 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// A graph plus a proper coloring of it, produced by the main protocol.
+/// A random graph and its Algorithm 1 coloring at `seed`, reduction off.
 fn colored_instance(
     seed: u64,
     n: usize,
@@ -30,6 +30,21 @@ fn colored_instance(
     let r = color_edges(&g, &ColoringConfig::seeded(seed)).expect("base coloring");
     verify_edge_coloring(&g, &r.colors).expect("base coloring proper");
     (g, r.colors)
+}
+
+/// `color_edges` at `seed` on `engine` with the Kempe pass at `kcfg`.
+fn reduced(
+    g: &dima_graph::Graph,
+    seed: u64,
+    engine: Engine,
+    kcfg: KempeConfig,
+) -> dima_core::EdgeColoringResult {
+    let cfg = ColoringConfig {
+        engine,
+        reduction: ColorReduction::Kempe(kcfg),
+        ..ColoringConfig::seeded(seed)
+    };
+    color_edges(g, &cfg).expect("reduced coloring")
 }
 
 proptest! {
@@ -50,19 +65,16 @@ proptest! {
         let delta = g.max_degree() as i64;
         let target = u32::try_from((delta + 1 + target_slack).max(1)).unwrap();
         let kcfg = KempeConfig { target_colors: Some(target), ..KempeConfig::default() };
-        let alive = vec![true; g.num_vertices()];
-        let mut colors = base.clone();
-        let report =
-            reduce_palette(&g, &mut colors, &alive, &kcfg, &ColoringConfig::seeded(seed))
-                .expect("reduction runs");
-        verify_edge_coloring(&g, &colors).expect("reduction preserved propriety");
+        let r = reduced(&g, seed, Engine::Sequential, kcfg);
+        let report = r.reduction.expect("reduction runs");
+        verify_edge_coloring(&g, &r.colors).expect("reduction preserved propriety");
         prop_assert_eq!(report.colors_before, before);
-        prop_assert_eq!(report.colors_after, count_colors(&colors));
+        prop_assert_eq!(report.colors_after, count_colors(&r.colors));
+        prop_assert_eq!(r.colors_used, report.colors_after);
         prop_assert!(report.colors_after <= report.colors_before);
-        // Uncolored slots (there are none here) must stay untouched,
-        // and every edge keeps *some* color: the pass recolors, it
-        // never discards.
-        prop_assert!(colors.iter().all(|c| c.is_some()));
+        // Every edge keeps *some* color: the pass recolors, it never
+        // discards.
+        prop_assert!(r.colors.iter().all(|c| c.is_some()));
     }
 
     /// The sequential and parallel engines produce bit-identical
@@ -81,30 +93,13 @@ proptest! {
         // chains actually move (bounded below by Δ-feasibility).
         let target = count_colors(&base).saturating_sub(1).max(delta as usize) as u32;
         let kcfg = KempeConfig { target_colors: Some(target.max(1)), ..KempeConfig::default() };
-        let alive = vec![true; g.num_vertices()];
 
-        let mut seq = base.clone();
-        let seq_report = reduce_palette(
-            &g,
-            &mut seq,
-            &alive,
-            &kcfg,
-            &ColoringConfig { engine: Engine::Sequential, ..ColoringConfig::seeded(seed) },
-        )
-        .expect("sequential reduction");
+        let seq = reduced(&g, seed, Engine::Sequential, kcfg);
+        let par = reduced(&g, seed, Engine::Parallel { threads }, kcfg);
 
-        let mut par = base.clone();
-        let par_report = reduce_palette(
-            &g,
-            &mut par,
-            &alive,
-            &kcfg,
-            &ColoringConfig { engine: Engine::Parallel { threads }, ..ColoringConfig::seeded(seed) },
-        )
-        .expect("parallel reduction");
-
-        prop_assert_eq!(seq, par);
-        prop_assert_eq!(seq_report, par_report);
+        prop_assert_eq!(seq.colors, par.colors);
+        prop_assert!(seq.reduction.is_some());
+        prop_assert_eq!(seq.reduction, par.reduction);
     }
 }
 

@@ -12,8 +12,8 @@
 //!   monomorphizes away. Production sinks are the bounded-memory
 //!   [`StateTimeline`] aggregator and the streaming JSONL
 //!   [`TraceWriter`]; [`BufferTracer`] captures raw events for tests,
-//!   [`TransportTally`] aggregates the transport counters behind CLI
-//!   reports, and [`Tee`] composes two sinks.
+//!   and [`TransportTally`] aggregates the transport counters behind
+//!   CLI reports.
 //! * **Determinism** — every shard count emits the same event sequence
 //!   for the same seed. The engine buffers per-worker
 //!   ([`ShardBuf`]) and normalizes with [`merge_shards`]; the canonical
@@ -53,7 +53,7 @@ pub use profile::{PhaseNanos, ProfileScope};
 pub use slo::{percentile_f64, percentile_u64, BatchSample, SloRecorder, SloReport};
 pub use timeline::{RoundSnapshot, StateTimeline, STATES};
 pub use tracer::{
-    BufferTracer, EventSink, LinkClass, LinkClassTotals, NoopTracer, ShardBuf, Tee, TraceHandle,
-    Tracer, TransportTally,
+    BufferTracer, EventSink, LinkClass, LinkClassTotals, NoopTracer, ShardBuf, TraceHandle, Tracer,
+    TransportTally,
 };
 pub use writer::{json_escape, RunTotals, TraceMeta, TraceWriter, SCHEMA_VERSION};

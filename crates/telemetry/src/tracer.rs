@@ -30,9 +30,7 @@ pub trait Tracer {
     /// Per-node sampling predicate: when `false`, engines do not hand
     /// node `node` a live [`TraceHandle`], so its state/palette/ARQ
     /// events are never produced. Engine-level events (round footers,
-    /// churn, message-kind counters) are unaffected. Sinks that sample
-    /// must *also* re-check in [`Tracer::emit`] so that composed sinks
-    /// ([`Tee`]) with different sampling filter independently.
+    /// churn, message-kind counters) are unaffected.
     fn sample(&self, node: u32) -> bool {
         let _ = node;
         true
@@ -40,7 +38,7 @@ pub trait Tracer {
 }
 
 /// Forwarding impl so call sites can pass `&mut tracer` without giving
-/// up ownership (e.g. to compose a [`Tee`] of two locals).
+/// up ownership.
 impl<T: Tracer + ?Sized> Tracer for &mut T {
     const ENABLED: bool = true;
 
@@ -152,23 +150,6 @@ pub struct BufferTracer {
 impl Tracer for BufferTracer {
     fn emit(&mut self, ev: Event) {
         self.events.push(ev);
-    }
-}
-
-/// Fan one event stream out to two tracers. Sampling is the union of
-/// the parts' predicates; each part must therefore re-filter in its own
-/// `emit` if it samples (see [`Tracer::sample`]).
-#[derive(Debug, Default)]
-pub struct Tee<A, B>(pub A, pub B);
-
-impl<A: Tracer, B: Tracer> Tracer for Tee<A, B> {
-    fn emit(&mut self, ev: Event) {
-        self.0.emit(ev);
-        self.1.emit(ev);
-    }
-
-    fn sample(&self, node: u32) -> bool {
-        self.0.sample(node) || self.1.sample(node)
     }
 }
 
@@ -296,22 +277,6 @@ mod tests {
         assert!(!dead.on());
         dead.emit(ev);
         assert_eq!(buf.events, vec![ev]);
-    }
-
-    #[test]
-    fn tee_samples_union() {
-        struct Even;
-        impl Tracer for Even {
-            fn emit(&mut self, _ev: Event) {}
-            fn sample(&self, node: u32) -> bool {
-                node.is_multiple_of(2)
-            }
-        }
-        let tee = Tee(Even, BufferTracer::default());
-        assert!(tee.sample(1), "BufferTracer side accepts everything");
-        let tee2 = Tee(Even, NoopTracer);
-        assert!(tee2.sample(2));
-        assert!(!tee2.sample(3));
     }
 
     #[test]
