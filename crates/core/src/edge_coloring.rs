@@ -58,7 +58,7 @@ use crate::automata::{choose_role, pick_index, pick_uniform, pick_uniform_iter, 
 use crate::churn::{batch_reports, ChurnColoringResult};
 use crate::config::{ColorPolicy, ColoringConfig};
 use crate::error::CoreError;
-use crate::kempe::{reduce_automata, KempeReport};
+use crate::kempe::{reduce_automata, KempeReport, PortCensus};
 use crate::palette::{Color, ColorSet, PortColorSets};
 use crate::runner::{run_protocol, EngineRun};
 
@@ -215,20 +215,6 @@ impl EdgeColoringNode {
             self.edge_color.iter().filter(|c| c.is_some()).count()
         } else {
             nbrs.iter().filter(|&&v| self.color_toward(v).is_some()).count()
-        }
-    }
-
-    /// Add the colors committed toward `nbrs`, a sorted neighbor list,
-    /// to `set`: this node's whole used set when `nbrs` is its own port
-    /// list, otherwise (a departed node keeps its ports while the
-    /// topology lists none) each listed neighbor's color.
-    pub(crate) fn add_colors_toward(&self, nbrs: &[VertexId], set: &mut ColorSet) {
-        if self.neighbors == nbrs {
-            set.union_with(&self.used_self);
-        } else {
-            for c in nbrs.iter().filter_map(|&v| self.color_toward(v)) {
-                set.insert(c);
-            }
         }
     }
 
@@ -728,9 +714,10 @@ fn apply_reduction<T: Tracer + Sync>(
     };
     let churned = final_graph.map(Topology::from_graph);
     let topo = churned.as_ref().unwrap_or(topo);
-    let crashed = &outcome.crashed;
+    let (crashed, nodes) = (&outcome.crashed, &outcome.nodes);
     let alive = |v: VertexId| !crashed[v.index()];
-    let Some(pass) = reduce_automata(topo, &outcome.nodes, &alive, &kcfg, cfg, tracer)? else {
+    let census = PortCensus::walk(topo, &alive, |u, v| nodes[u.index()].color_toward(v));
+    let Some(pass) = reduce_automata(topo, nodes, &alive, &census, &kcfg, cfg, tracer)? else {
         return Ok(None);
     };
     for (v, row) in pass.built_rows() {

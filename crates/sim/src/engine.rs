@@ -15,8 +15,8 @@
 //! 1. **churn** (only on batch rounds) — each participant applies the
 //!    slice of the batch falling in its shard, then a barrier makes the
 //!    new done flags and topology visible before any node steps;
-//! 2. **step & deposit** — every participant steps its live nodes in id
-//!    order and deposits their mail into its *row* of the `MailGrid`,
+//! 2. **step & deposit** — every participant steps its active nodes in
+//!    id order and deposits their mail into its *row* of the `MailGrid`,
 //!    one `(sender shard, receiver shard)` buffer per receiver shard. A
 //!    unicast's fate (dropped, delivered, duplicated) is decided here
 //!    and it takes one entry per copy. A broadcast takes one *post* per
@@ -40,6 +40,15 @@
 //!
 //! The scope join doubles as barrier B: no participant can deposit for
 //! round `r + 1` before every participant finished collecting round `r`.
+//!
+//! A round costs O(active + deliveries), not O(n): each shard keeps an
+//! *active set*, a bitset of its nodes that are neither done nor crashed,
+//! and the step phase walks its set bits in ascending id order — the
+//! order the old full scan stepped them in, so every RNG draw, outbox,
+//! crash and merge happens exactly as before. Every write of a node's
+//! done or crashed flag (churn, wake-ups, newly done nodes, crash arming,
+//! [`Stepper::restart`], [`Stepper::park_all`]) updates the bit in the
+//! same place, on the owning shard only.
 //!
 //! ## Ownership
 //!
@@ -403,6 +412,53 @@ fn neighbors_in(neighbors: &[VertexId], lo: usize, hi: usize) -> &[VertexId] {
     &neighbors[a..b]
 }
 
+/// The nodes of a shard that are neither done nor crashed, as a bitset
+/// over the shard's local ids.
+struct ActiveSet {
+    words: Vec<u64>,
+}
+
+impl ActiveSet {
+    /// Every one of `len` nodes active.
+    fn full(len: usize) -> Self {
+        let mut words = vec![u64::MAX; len / 64];
+        let rest = len % 64;
+        if rest > 0 {
+            words.push((1 << rest) - 1);
+        }
+        ActiveSet { words }
+    }
+
+    #[inline]
+    fn insert(&mut self, li: usize) {
+        self.words[li / 64] |= 1 << (li % 64);
+    }
+
+    #[inline]
+    fn remove(&mut self, li: usize) {
+        self.words[li / 64] &= !(1 << (li % 64));
+    }
+
+    /// The set bits of word `w`, ascending, as local ids: a copy of the
+    /// word, so the caller may update the set while walking it.
+    #[inline]
+    fn bits_of(&self, w: usize) -> impl Iterator<Item = usize> {
+        let mut word = self.words[w];
+        std::iter::from_fn(move || {
+            (word != 0).then(|| {
+                let bit = word.trailing_zeros() as usize;
+                word &= word - 1;
+                w * 64 + bit
+            })
+        })
+    }
+
+    /// Every set bit, ascending.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.words.len()).flat_map(|w| self.bits_of(w))
+    }
+}
+
 /// A shard's rows — the per-node state no other shard reads — plus its
 /// scratch and the per-tick outputs the caller folds after the join.
 /// Node `lo + li` of shard `[lo, hi)` is row `li`. Only the owning
@@ -413,6 +469,9 @@ struct ShardState<M> {
     rngs: Vec<SmallRng>,
     crashed: Vec<bool>,
     suppress: Vec<bool>,
+    /// The nodes the next step phase steps: bit `li` is set exactly
+    /// when node `lo + li` is neither done nor crashed.
+    awake: ActiveSet,
     /// This shard's inboxes as a flat arena: node `lo + li` reads
     /// `inbox_len[li]` envelopes from `inbox_data[inbox_start[li]..]`.
     /// Only the nodes listed in `receivers` have a nonzero length, so
@@ -464,6 +523,7 @@ impl<M> ShardState<M> {
             rngs: (lo..hi).map(|i| node_rng(cfg.seed, i as u32)).collect(),
             crashed: vec![false; len],
             suppress: vec![false; len],
+            awake: ActiveSet::full(len),
             inbox_data: Vec::new(),
             inbox_start: vec![0; len],
             inbox_len: vec![0; len],
@@ -647,6 +707,16 @@ where
         self.num_nodes() - self.done_count - self.crashed_count
     }
 
+    /// The active nodes — the ones the next [`Stepper::tick`] steps,
+    /// unless a batch applied first changes the set — in ascending id
+    /// order. Costs O(n / 64 + active), a walk of the shards' bitsets.
+    pub fn active_nodes(&self) -> impl Iterator<Item = VertexId> + '_ {
+        self.shards
+            .iter()
+            .zip(&self.bounds)
+            .flat_map(|(st, &(lo, _))| st.awake.iter().map(move |li| VertexId((lo + li) as u32)))
+    }
+
     /// Final protocol state per node, by node id.
     pub fn nodes(&self) -> &[P] {
         &self.protocols
@@ -734,7 +804,7 @@ where
     /// escalation path of `dima serve`'s convergence watchdog relies on
     /// that.
     pub fn restart(&mut self) {
-        for (st, &(lo, hi)) in self.shards.iter().zip(&self.bounds) {
+        for (st, &(lo, hi)) in self.shards.iter_mut().zip(&self.bounds) {
             for i in lo..hi {
                 if st.crashed[i - lo] {
                     continue;
@@ -745,6 +815,7 @@ where
                 if std::mem::take(self.done[i].get_mut()) {
                     self.done_count -= 1;
                 }
+                st.awake.insert(i - lo);
             }
         }
         self.clear_mail();
@@ -759,12 +830,13 @@ where
     /// round clock is untouched. Wake-class traffic (a later churn batch)
     /// un-parks nodes exactly as it would after natural convergence.
     pub fn park_all(&mut self) {
-        for (st, &(lo, hi)) in self.shards.iter().zip(&self.bounds) {
+        for (st, &(lo, hi)) in self.shards.iter_mut().zip(&self.bounds) {
             for (done, &crashed) in self.done[lo..hi].iter_mut().zip(&st.crashed) {
                 if !crashed && !std::mem::replace(done.get_mut(), true) {
                     self.done_count += 1;
                 }
             }
+            st.awake.words.fill(0);
         }
         self.clear_mail();
     }
@@ -947,6 +1019,7 @@ fn tick_shard<P, F, T>(
         rngs,
         crashed,
         suppress,
+        awake,
         inbox_data,
         inbox_start,
         inbox_len,
@@ -988,6 +1061,7 @@ fn tick_shard<P, F, T>(
             let Some(li) = row(v).filter(|&li| !crashed[li]) else { continue };
             if !done(v.index()) {
                 set_done(v.index(), true);
+                awake.remove(li);
                 done_delta += 1;
             }
             if !suppress[li] {
@@ -1000,6 +1074,7 @@ fn tick_shard<P, F, T>(
             protocols[li] = (ctx.factory)(NodeSeed { node: v, neighbors: ctx.topo.neighbors(v) });
             if done(v.index()) {
                 set_done(v.index(), false);
+                awake.insert(li);
                 done_delta -= 1;
             }
             if !suppress[li] {
@@ -1014,10 +1089,12 @@ fn tick_shard<P, F, T>(
             match status {
                 NodeStatus::Active if done(v.index()) => {
                     set_done(v.index(), false);
+                    awake.insert(li);
                     done_delta -= 1;
                 }
                 NodeStatus::Done if !done(v.index()) => {
                     set_done(v.index(), true);
+                    awake.remove(li);
                     done_delta += 1;
                 }
                 _ => {}
@@ -1046,88 +1123,93 @@ fn tick_shard<P, F, T>(
     // shard order.
     let mut fstats = RunStats::default();
     swap_lanes(ctx.grid.row(tid), lanes);
-    for i in lo..hi {
-        let li = i - lo;
-        if done(i) || crashed[li] {
-            continue;
-        }
-        if ctx.crash_round[i].is_some_and(|cr| round >= cr) {
-            crashed[li] = true;
-            crashed_delta += 1;
-            continue;
-        }
-        active += 1;
-        let node = VertexId(i as u32);
-        outbox.clear();
-        let len = inbox_len[li] as usize;
-        let inbox: &[Envelope<P::Msg>] = if len == 0 || suppress[li] {
-            &[]
-        } else {
-            let start = inbox_start[li] as usize;
-            &inbox_data[start..start + len]
-        };
-        let status = {
-            let trace = if T::ENABLED && ctx.tracer.sample(node.0) {
-                buf.round = round;
-                buf.node = node.0;
-                TraceHandle::to(buf)
-            } else {
-                TraceHandle::none()
-            };
-            let mut rctx = RoundCtx {
-                node,
-                round,
-                neighbors: ctx.topo.neighbors(node),
-                inbox,
-                outbox,
-                rng: &mut rngs[li],
-                trace,
-                metrics: MetricsHandle::from_opt(metrics.as_mut()),
-            };
-            protocols[li].on_round(&mut rctx)
-        };
-        for (k, (target, msg)) in outbox.drain(..).enumerate() {
-            sent += 1;
-            let k = k as u32;
-            match target {
-                Target::Unicast(to) => {
-                    if ctx.cfg.validate_sends && !ctx.topo.are_neighbors(node, to) {
-                        error.get_or_insert(SimError::NotANeighbor { from: node, to });
-                        continue;
-                    }
-                    let copies = deliver_fate(
-                        ctx.cfg,
-                        round,
-                        node,
-                        to,
-                        k,
-                        done(to.index()),
-                        P::wakes(&msg),
-                        ctx.crash_round,
-                        &mut fstats,
-                        kinds.as_mut().map(|t| t.row(P::kind_of(&msg))),
-                    );
-                    delivered += u64::from(copies);
-                    let lane = &mut lanes[ctx.shard_of[to.index()] as usize];
-                    if copies == 2 {
-                        lane.push((Dest::node(to), Envelope::new(node, msg.clone())));
-                    }
-                    if copies > 0 {
-                        lane.push((Dest::node(to), Envelope::new(node, msg)));
-                    }
-                }
-                Target::Broadcast => post_broadcast(
-                    lanes,
-                    ctx.bounds,
-                    ctx.shard_of,
-                    ctx.topo.neighbors(node),
-                    k,
-                    Envelope::new(node, msg),
-                ),
+    // The active set in ascending id order: the nodes a scan of the
+    // whole shard would not skip, in the order it would step them. Each
+    // word is copied before its bits are walked, so a crash may clear
+    // its bit on the way.
+    for w in 0..awake.words.len() {
+        for li in awake.bits_of(w) {
+            let i = lo + li;
+            debug_assert!(!done(i) && !crashed[li], "node {i} parked but in the active set");
+            if ctx.crash_round[i].is_some_and(|cr| round >= cr) {
+                crashed[li] = true;
+                awake.remove(li);
+                crashed_delta += 1;
+                continue;
             }
-        }
-        if status == NodeStatus::Done {
-            newly_done.push(i);
+            active += 1;
+            let node = VertexId(i as u32);
+            outbox.clear();
+            let len = inbox_len[li] as usize;
+            let inbox: &[Envelope<P::Msg>] = if len == 0 || suppress[li] {
+                &[]
+            } else {
+                let start = inbox_start[li] as usize;
+                &inbox_data[start..start + len]
+            };
+            let status = {
+                let trace = if T::ENABLED && ctx.tracer.sample(node.0) {
+                    buf.round = round;
+                    buf.node = node.0;
+                    TraceHandle::to(buf)
+                } else {
+                    TraceHandle::none()
+                };
+                let mut rctx = RoundCtx {
+                    node,
+                    round,
+                    neighbors: ctx.topo.neighbors(node),
+                    inbox,
+                    outbox,
+                    rng: &mut rngs[li],
+                    trace,
+                    metrics: MetricsHandle::from_opt(metrics.as_mut()),
+                };
+                protocols[li].on_round(&mut rctx)
+            };
+            for (k, (target, msg)) in outbox.drain(..).enumerate() {
+                sent += 1;
+                let k = k as u32;
+                match target {
+                    Target::Unicast(to) => {
+                        if ctx.cfg.validate_sends && !ctx.topo.are_neighbors(node, to) {
+                            error.get_or_insert(SimError::NotANeighbor { from: node, to });
+                            continue;
+                        }
+                        let copies = deliver_fate(
+                            ctx.cfg,
+                            round,
+                            node,
+                            to,
+                            k,
+                            done(to.index()),
+                            P::wakes(&msg),
+                            ctx.crash_round,
+                            &mut fstats,
+                            kinds.as_mut().map(|t| t.row(P::kind_of(&msg))),
+                        );
+                        delivered += u64::from(copies);
+                        let lane = &mut lanes[ctx.shard_of[to.index()] as usize];
+                        if copies == 2 {
+                            lane.push((Dest::node(to), Envelope::new(node, msg.clone())));
+                        }
+                        if copies > 0 {
+                            lane.push((Dest::node(to), Envelope::new(node, msg)));
+                        }
+                    }
+                    Target::Broadcast => post_broadcast(
+                        lanes,
+                        ctx.bounds,
+                        ctx.shard_of,
+                        ctx.topo.neighbors(node),
+                        k,
+                        Envelope::new(node, msg),
+                    ),
+                }
+            }
+            if status == NodeStatus::Done {
+                newly_done.push(i);
+            }
         }
     }
     swap_lanes(ctx.grid.row(tid), lanes);
@@ -1202,11 +1284,13 @@ fn tick_shard<P, F, T>(
     for &i in woken.iter() {
         if done(i) {
             set_done(i, false);
+            awake.insert(i - lo);
             done_delta -= 1;
         }
     }
     for &i in newly_done.iter() {
         set_done(i, true);
+        awake.remove(i - lo);
         done_delta += 1;
     }
     // Flush this participant's partial per-kind counters; the boundary
@@ -1854,6 +1938,43 @@ mod tests {
             for (a, b) in stepped.nodes.iter().zip(&batch.nodes) {
                 assert_eq!(a.heard, b.heard);
             }
+        }
+    }
+
+    #[test]
+    fn active_set_is_exactly_the_unparked_nodes() {
+        for len in [0, 1, 63, 64, 65, 130] {
+            assert!(ActiveSet::full(len).iter().eq(0..len), "len = {len}");
+        }
+        // Crashes, finishes at different rounds, a restart and a park:
+        // after every step the set names the nodes neither done nor
+        // crashed, in id order.
+        let topo = Topology::from_graph(&structured::grid(9, 9));
+        let cfg = EngineConfig { faults: FaultPlan::crashing(0.2, 2), ..EngineConfig::seeded(4) };
+        for threads in SHARDS {
+            let mut stepper = Stepper::new(&topo, &cfg, threads, flood_factory).unwrap();
+            let check = |s: &Stepper<Flood, _>| {
+                let crashed: Vec<bool> =
+                    s.shards.iter().flat_map(|st| st.crashed.iter().copied()).collect();
+                let expect = (0..s.num_nodes())
+                    .filter(|&i| !s.done[i].load(Relaxed) && !crashed[i])
+                    .map(|i| VertexId(i as u32));
+                assert!(s.active_nodes().eq(expect), "threads = {threads}");
+                assert_eq!(s.active_nodes().count(), s.still_active());
+            };
+            check(&stepper);
+            stepper.tick(None, &mut NoopTracer).unwrap();
+            check(&stepper);
+            stepper.restart();
+            check(&stepper);
+            while !stepper.is_quiescent() {
+                stepper.tick(None, &mut NoopTracer).unwrap();
+                check(&stepper);
+            }
+            stepper.restart();
+            stepper.park_all();
+            check(&stepper);
+            assert_eq!(stepper.active_nodes().count(), 0);
         }
     }
 

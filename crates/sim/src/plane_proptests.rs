@@ -269,22 +269,28 @@ fn reference_run(
 }
 
 /// Run the engine over `threads` shards and report it in the model's
-/// terms.
+/// terms, plus its node steps and the sum of its per-round active
+/// counts (the run collects per-round stats, which steps nothing
+/// differently).
 fn engine_run(
     topo: &Topology,
     cfg: &EngineConfig,
     schedule: &ChurnSchedule,
     threads: usize,
-) -> ModelRun {
-    let out = run(topo, cfg, threads, schedule, spy_factory(HORIZON), &mut NoopTracer)
+) -> (ModelRun, u64, u64) {
+    let cfg = EngineConfig { collect_round_stats: true, ..cfg.clone() };
+    let out = run(topo, &cfg, threads, schedule, spy_factory(HORIZON), &mut NoopTracer)
         .expect("run terminates");
-    ModelRun {
+    let per_round = out.stats.per_round.as_deref().unwrap_or_default();
+    let active: u64 = per_round.iter().map(|rs| rs.active as u64).sum();
+    let model = ModelRun {
         logs: out.nodes.into_iter().map(|n| n.log).collect(),
         rounds: out.stats.rounds,
         deliveries: out.stats.deliveries,
         idle_rounds_skipped: out.stats.idle_rounds_skipped,
         crashed: out.crashed,
-    }
+    };
+    (model, out.stats.node_steps, active)
 }
 
 /// Compare the engine against the model at every shard count in
@@ -296,7 +302,8 @@ fn assert_matches_model(
 ) -> Result<(), TestCaseError> {
     let expected = reference_run(topo, cfg, schedule, HORIZON);
     for threads in THREADS {
-        let got = engine_run(topo, cfg, schedule, threads);
+        let (got, node_steps, active) = engine_run(topo, cfg, schedule, threads);
+        prop_assert_eq!(node_steps, active, "node steps miscounted ({} threads)", threads);
         for (i, (g, e)) in got.logs.iter().zip(&expected.logs).enumerate() {
             prop_assert_eq!(g, e, "node {} inbox stream diverged ({} threads)", i, threads);
         }

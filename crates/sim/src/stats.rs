@@ -27,6 +27,9 @@ pub struct RunStats {
     pub messages_sent: u64,
     /// Total individual deliveries.
     pub deliveries: u64,
+    /// Node steps: the sum of every executed round's
+    /// [`RoundStats::active`], the work a round costs in the step phase.
+    pub node_steps: u64,
     /// Deliveries suppressed by fault injection (silent loss).
     pub dropped: u64,
     /// Deliveries discarded because they arrived corrupted (detected by
@@ -76,6 +79,7 @@ pub(crate) fn note_round_metrics(reg: &mut MetricsRegistry, rs: &RoundStats) {
     reg.inc("engine/rounds", 1);
     reg.inc("engine/messages_sent", rs.sent);
     reg.inc("engine/deliveries", rs.delivered);
+    reg.inc("engine/node_steps", rs.active as u64);
     reg.observe("engine/msgs_per_round", rs.sent);
     reg.observe("engine/active_per_round", rs.active as u64);
     reg.gauge_max("engine/peak_active", rs.active as u64);
@@ -87,6 +91,7 @@ impl RunStats {
         self.rounds = rs.round + 1;
         self.messages_sent += rs.sent;
         self.deliveries += rs.delivered;
+        self.node_steps += rs.active as u64;
         if let Some(v) = self.per_round.as_mut() {
             v.push(rs);
         }
@@ -105,6 +110,7 @@ mod tests {
         assert_eq!(s.rounds, 2);
         assert_eq!(s.messages_sent, 5);
         assert_eq!(s.deliveries, 10);
+        assert_eq!(s.node_steps, 10);
         assert_eq!(s.per_round.as_ref().unwrap().len(), 2);
     }
 

@@ -17,6 +17,9 @@ use crate::churn::ChurnBatch;
 pub struct Topology {
     offsets: Vec<u32>,
     neighbors: Vec<VertexId>,
+    /// The largest row length, kept by every constructor and
+    /// [`Topology::apply`] so reading it costs nothing.
+    max_degree: usize,
 }
 
 impl Topology {
@@ -24,12 +27,14 @@ impl Topology {
     pub fn from_graph(g: &Graph) -> Self {
         let mut offsets = Vec::with_capacity(g.num_vertices() + 1);
         let mut neighbors = Vec::with_capacity(2 * g.num_edges());
+        let mut max_degree = 0;
         offsets.push(0);
         for v in g.vertices() {
             neighbors.extend(g.neighbors(v).iter().map(|&(w, _)| w));
             offsets.push(neighbors.len() as u32);
+            max_degree = max_degree.max(g.degree(v));
         }
-        Topology { offsets, neighbors }
+        Topology { offsets, neighbors, max_degree }
     }
 
     /// Topology of a digraph: radio neighbors are the union of in- and
@@ -59,9 +64,16 @@ impl Topology {
         self.neighbors(v).len()
     }
 
-    /// Maximum degree over all nodes.
+    /// Maximum degree over all nodes. `O(1)`.
+    #[inline]
     pub fn max_degree(&self) -> usize {
-        (0..self.num_nodes()).map(|v| self.degree(VertexId(v as u32))).max().unwrap_or(0)
+        self.max_degree
+    }
+
+    /// Number of links (each listed once from either end). `O(1)`.
+    #[inline]
+    pub fn num_links(&self) -> usize {
+        self.neighbors.len() / 2
     }
 
     /// `true` if `a` and `b` are neighbors. `O(log degree)`.
@@ -73,10 +85,11 @@ impl Topology {
     /// and every changed node's row drops its `removed` neighbors and
     /// merges in its `added` ones (a joiner's row is empty before, so it
     /// becomes its `added` list). Rows stay sorted; untouched rows are
-    /// copied as they are.
+    /// copied as they are. The maximum degree is taken on the way.
     pub fn apply(&mut self, batch: &ChurnBatch) {
         let (old_offsets, old) =
             (std::mem::take(&mut self.offsets), std::mem::take(&mut self.neighbors));
+        self.max_degree = 0;
         let grown: usize = batch.changes.iter().map(|(_, c)| c.added.len()).sum();
         self.offsets.reserve(old_offsets.len());
         self.neighbors.reserve(old.len() + grown);
@@ -99,7 +112,9 @@ impl Topology {
             } else {
                 self.neighbors.extend_from_slice(row);
             }
-            self.offsets.push(self.neighbors.len() as u32);
+            let end = self.neighbors.len() as u32;
+            self.max_degree = self.max_degree.max((end - self.offsets[v]) as usize);
+            self.offsets.push(end);
         }
     }
 }
