@@ -541,9 +541,9 @@ fn idle_note(stats: &RunStats) -> String {
 
 /// Stderr lines summarising what the faults did and what the ARQ layer
 /// spent repairing them. Message fates come from the telemetry plane's
-/// per-kind counters (so the report can break them out by kind); only
-/// the crash count still comes from [`RunStats`], since crashing is a
-/// node fate, not a message fate.
+/// per-kind counters (so the report can break them out by kind); the
+/// crash count and the control words (which are not messages) come from
+/// [`RunStats`].
 fn report_transport(
     stats: &RunStats,
     overhead_rounds: u64,
@@ -560,6 +560,11 @@ fn report_transport(
         total.corrupted += t.corrupted;
         total.duplicated += t.duplicated;
         kinds.push(format!("{kind} {}/{}", t.delivered, t.sent));
+    }
+    if stats.control_words > 0 {
+        // Control words are not frames: they come from the run stats.
+        let words = stats.control_words;
+        kinds.push(format!("control words {}/{words}", words - stats.control_lost));
     }
     eprintln!(
         "transport: {overhead_rounds} overhead rounds, {} dropped, {} corrupted, \
@@ -2211,8 +2216,9 @@ mod tests {
         assert_eq!(total.sent, r.stats.messages_sent);
         assert_eq!(total.delivered, r.stats.deliveries);
         assert_eq!(total.dropped, r.stats.dropped);
-        assert!(tally.kinds.contains_key("arq-data"), "ARQ data frames observed");
-        assert!(tally.kinds.contains_key("arq-ack"), "ARQ acks observed");
+        // Data bundles are the only frames; acks ride the control plane.
+        assert_eq!(tally.kinds.keys().copied().collect::<Vec<_>>(), ["arq-data"]);
+        assert!(r.stats.control_lost > 0, "a 10% lossy run must lose control words");
         assert!(tally.retransmits > 0, "a 10% lossy run must retransmit");
     }
 }

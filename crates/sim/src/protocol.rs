@@ -6,7 +6,16 @@
 //! it in the previous round (sorted by sender id), a deterministic
 //! per-node RNG, and an outbox. The node returns [`NodeStatus::Done`]
 //! when it has finished for good; the engine then stops scheduling it.
+//!
+//! A protocol that sets [`Protocol::CONTROL`] also gets the *control
+//! plane*: beside the mail, each node may write one [`ControlWord`] per
+//! port per round ([`RoundCtx::write_control`]), which the neighbor on
+//! that port reads the next round ([`RoundCtx::control_word`]). A word
+//! is a fixed-size value in a per-link slot, not an envelope: it costs a
+//! store, a load and one fault decision, and it is never queued.
 
+use std::num::NonZeroU64;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 use dima_graph::VertexId;
@@ -71,7 +80,7 @@ impl<M> Envelope<M> {
 /// messages are values, and the same allocation may be visible to many
 /// recipients across worker threads.
 #[derive(Debug, Default)]
-pub struct Shared<T>(Arc<T>);
+pub struct Shared<T: ?Sized>(Arc<T>);
 
 impl<T> Shared<T> {
     /// Wrap `value` in one refcounted allocation.
@@ -81,18 +90,26 @@ impl<T> Shared<T> {
     }
 }
 
-impl<T> Clone for Shared<T> {
+impl<T: ?Sized> Clone for Shared<T> {
     #[inline]
     fn clone(&self) -> Self {
         Shared(Arc::clone(&self.0))
     }
 }
 
-impl<T> std::ops::Deref for Shared<T> {
+impl<T: ?Sized> std::ops::Deref for Shared<T> {
     type Target = T;
     #[inline]
     fn deref(&self) -> &T {
         &self.0
+    }
+}
+
+/// A shared slice from an iterator: one allocation when the iterator
+/// knows its exact length (a `Vec` drain, a mapped slice).
+impl<T> FromIterator<T> for Shared<[T]> {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
+        Shared(iter.into_iter().collect())
     }
 }
 
@@ -103,15 +120,15 @@ impl<T> From<T> for Shared<T> {
     }
 }
 
-impl<T: PartialEq> PartialEq for Shared<T> {
+impl<T: ?Sized + PartialEq> PartialEq for Shared<T> {
     fn eq(&self, other: &Self) -> bool {
         Arc::ptr_eq(&self.0, &other.0) || *self.0 == *other.0
     }
 }
 
-impl<T: Eq> Eq for Shared<T> {}
+impl<T: ?Sized + Eq> Eq for Shared<T> {}
 
-impl<T: std::hash::Hash> std::hash::Hash for Shared<T> {
+impl<T: ?Sized + std::hash::Hash> std::hash::Hash for Shared<T> {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         self.0.hash(state);
     }
@@ -135,6 +152,10 @@ pub(crate) enum Target {
     /// Every neighbor (the paper's `Broadcast`).
     Broadcast,
 }
+
+/// One control-plane word (see the module docs). Nonzero, so an empty
+/// slot needs no separate flag.
+pub type ControlWord = NonZeroU64;
 
 /// Initialization data handed to the protocol factory for each node.
 #[derive(Clone, Debug)]
@@ -160,6 +181,12 @@ pub struct RoundCtx<'a, M> {
     /// registry — per-shard in the engine). Dead (one branch
     /// per update) when metrics are off.
     pub(crate) metrics: MetricsHandle<'a>,
+    /// The control words this node's neighbors wrote toward it last
+    /// round, by port; empty unless the protocol sets
+    /// [`Protocol::CONTROL`].
+    pub(crate) control_in: &'a [AtomicU64],
+    /// The control words this node writes this round, by port.
+    pub(crate) control_out: &'a mut Vec<(u32, ControlWord)>,
 }
 
 impl<'a, M> RoundCtx<'a, M> {
@@ -267,6 +294,26 @@ impl<'a, M> RoundCtx<'a, M> {
     pub fn metric_observe(&mut self, name: &'static str, v: u64) {
         self.metrics.observe(name, v);
     }
+
+    /// The control word the neighbor at `port` wrote toward this node in
+    /// the previous round, if it wrote one and the fault plan let it
+    /// through. Always `None` unless the protocol sets
+    /// [`Protocol::CONTROL`].
+    #[inline]
+    pub fn control_word(&self, port: usize) -> Option<ControlWord> {
+        self.control_in.get(port).and_then(|w| NonZeroU64::new(w.load(Relaxed)))
+    }
+
+    /// Write `word` toward the neighbor at `port` (an index into
+    /// [`RoundCtx::neighbors`]); that neighbor reads it next round. At
+    /// most one word per port per round, and only from a protocol that
+    /// sets [`Protocol::CONTROL`]. Like a frame, a word is subject to
+    /// the fault plan's loss and corruption, and a word toward a node
+    /// that is parked when the round starts is discarded.
+    #[inline]
+    pub fn write_control(&mut self, port: usize, word: ControlWord) {
+        self.control_out.push((port as u32, word));
+    }
 }
 
 /// A distributed algorithm, from one node's point of view.
@@ -279,6 +326,11 @@ pub trait Protocol: Send {
     /// broadcast payload is shared (not copied) across all recipient
     /// envelopes, which shard workers read from several threads.
     type Msg: Clone + Send + Sync + 'static;
+
+    /// Whether the protocol uses the control plane (see the module
+    /// docs). Off by default: the engine then allocates no control
+    /// storage and steps the protocol exactly as without the plane.
+    const CONTROL: bool = false;
 
     /// Execute one communication round. Messages placed in the outbox are
     /// delivered to their recipients at the *next* round (synchronous
@@ -359,6 +411,8 @@ mod tests {
             rng: &mut rng,
             trace: TraceHandle::none(),
             metrics: MetricsHandle::none(),
+            control_in: &[],
+            control_out: &mut Vec::new(),
         };
         assert_eq!(ctx.node(), VertexId(0));
         assert_eq!(ctx.round(), 3);

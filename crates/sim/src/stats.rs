@@ -37,6 +37,12 @@ pub struct RunStats {
     pub corrupted: u64,
     /// Extra deliveries injected by duplication faults.
     pub duplicated: u64,
+    /// Control-plane words written (0 unless the protocol sets
+    /// [`crate::Protocol::CONTROL`]). Words are not messages: they count
+    /// in neither `messages_sent` nor `deliveries`.
+    pub control_words: u64,
+    /// Control words the fault plan lost (dropped or corrupted).
+    pub control_lost: u64,
     /// Nodes that crash-stopped during the run.
     pub crashed: usize,
     /// Quiescent rounds the engine fast-forwarded over instead of

@@ -58,6 +58,28 @@ impl Topology {
         &self.neighbors[lo..hi]
     }
 
+    /// The directed links out of `v` as positions in the flat table:
+    /// link `(v, port)` is `arcs(v).start + port`.
+    #[inline]
+    pub(crate) fn arcs(&self, v: VertexId) -> std::ops::Range<usize> {
+        self.offsets[v.index()] as usize..self.offsets[v.index() + 1] as usize
+    }
+
+    /// For every directed link `(u, v)`, the position of its reverse
+    /// `(v, u)`, indexed like [`Topology::arcs`]. Needs a symmetric
+    /// table, which every constructor and [`Topology::apply`] keep.
+    pub(crate) fn reverse_arcs(&self) -> Vec<u32> {
+        let mut reverse = vec![0u32; self.neighbors.len()];
+        for u in 0..self.num_nodes() {
+            let u = VertexId(u as u32);
+            for (a, &v) in self.arcs(u).zip(self.neighbors(u)) {
+                let back = self.neighbors(v).binary_search(&u).expect("links are symmetric");
+                reverse[a] = (self.arcs(v).start + back) as u32;
+            }
+        }
+        reverse
+    }
+
     /// Degree of `v`.
     #[inline]
     pub fn degree(&self, v: VertexId) -> usize {
