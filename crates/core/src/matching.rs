@@ -260,7 +260,14 @@ pub fn maximal_matching_traced<T: Tracer + Sync>(
             }
             // Record the pair from either endpoint's view (a crashed
             // invitor may never have learned its invitation was accepted,
-            // but the accepting survivor has still left the pool).
+            // but the accepting survivor has still left the pool) — but
+            // not from a crashed node's view alone when its partner
+            // survived without it: an accept lost on a lossy link with no
+            // sender left to retransmit it left the survivor in the pool.
+            let partner_view = nodes[partner.index()].matched_with;
+            if !a && alive[partner.index()] && partner_view != Some(node.me) {
+                continue;
+            }
             let key = if node.me < partner { (node.me, partner) } else { (partner, node.me) };
             if seen.insert(key) {
                 pairs.push(key);
