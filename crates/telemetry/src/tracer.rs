@@ -158,8 +158,6 @@ impl Tracer for BufferTracer {
 pub enum LinkClass {
     /// Link never declared dead.
     Healthy,
-    /// Link declared dead after exhausting the retry budget.
-    DiedExhausted,
     /// Link declared dead after prolonged peer silence.
     DiedSilent,
 }
@@ -169,7 +167,6 @@ impl LinkClass {
     pub fn name(self) -> &'static str {
         match self {
             LinkClass::Healthy => "healthy",
-            LinkClass::DiedExhausted => "died-exhausted",
             LinkClass::DiedSilent => "died-silent",
         }
     }
@@ -201,11 +198,10 @@ pub struct TransportTally {
 
 impl TransportTally {
     /// Retransmission totals grouped by final link class, in
-    /// `[healthy, died-exhausted, died-silent]` order.
-    pub fn by_link_class(&self) -> [(LinkClass, LinkClassTotals); 3] {
+    /// `[healthy, died-silent]` order.
+    pub fn by_link_class(&self) -> [(LinkClass, LinkClassTotals); 2] {
         let mut out = [
             (LinkClass::Healthy, LinkClassTotals::default()),
-            (LinkClass::DiedExhausted, LinkClassTotals::default()),
             (LinkClass::DiedSilent, LinkClassTotals::default()),
         ];
         for &(retransmits, class) in self.links.values() {
@@ -239,9 +235,6 @@ impl Tracer for TransportTally {
                     crate::event::ArqEventKind::Retransmit => {
                         link.0 += 1;
                         self.retransmits += 1;
-                    }
-                    crate::event::ArqEventKind::LinkDownExhausted => {
-                        link.1 = LinkClass::DiedExhausted;
                     }
                     crate::event::ArqEventKind::LinkDownSilent => {
                         link.1 = LinkClass::DiedSilent;
@@ -285,14 +278,13 @@ mod tests {
         let arq = |node, kind, peer| Event::Arq { round: 0, node, kind, peer };
         t.emit(arq(0, ArqEventKind::Retransmit, 1));
         t.emit(arq(0, ArqEventKind::Retransmit, 1));
-        t.emit(arq(0, ArqEventKind::LinkDownExhausted, 1));
+        t.emit(arq(0, ArqEventKind::LinkDownSilent, 1));
         t.emit(arq(2, ArqEventKind::Retransmit, 3));
         t.emit(arq(4, ArqEventKind::LinkDownSilent, 5));
         assert_eq!(t.retransmits, 3);
         assert_eq!(t.links_down(), 2);
-        let [h, e, s] = t.by_link_class();
+        let [h, s] = t.by_link_class();
         assert_eq!(h.1, LinkClassTotals { links: 1, retransmits: 1 });
-        assert_eq!(e.1, LinkClassTotals { links: 1, retransmits: 2 });
-        assert_eq!(s.1, LinkClassTotals { links: 1, retransmits: 0 });
+        assert_eq!(s.1, LinkClassTotals { links: 2, retransmits: 2 });
     }
 }
