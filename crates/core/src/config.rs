@@ -363,7 +363,7 @@ mod tests {
         assert_eq!(ColoringConfig::default().transport, Transport::Bare);
         let cfg = ColoringConfig { transport: Transport::reliable(), ..Default::default() };
         assert!(cfg.validate().is_ok());
-        let bad = ArqConfig { round_budget_factor: 0, ..ArqConfig::default() };
+        let bad = ArqConfig { round_budget_factor: 0 };
         let cfg = ColoringConfig { transport: Transport::Reliable(bad), ..Default::default() };
         assert!(cfg.validate().is_err());
     }

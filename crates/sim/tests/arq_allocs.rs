@@ -15,7 +15,7 @@ use dima_sim::churn::ChurnSchedule;
 use dima_sim::fault::FaultPlan;
 use dima_sim::telemetry::{mem, CountingAlloc, NoopTracer};
 use dima_sim::{
-    run, ArqConfig, EngineConfig, NodeSeed, NodeStatus, Protocol, ReliableNode, RoundCtx, Topology,
+    run, EngineConfig, NodeSeed, NodeStatus, Protocol, ReliableNode, RoundCtx, Topology,
 };
 
 #[global_allocator]
@@ -51,10 +51,8 @@ fn arq_allocates_well_under_half_a_call_per_frame() {
         validate_sends: false,
         ..EngineConfig::seeded(3)
     };
-    let factory = ReliableNode::factory(ArqConfig::default(), |_: NodeSeed<'_>| Chatter {
-        rounds_left: ROUNDS,
-        heard: 0,
-    });
+    let factory =
+        ReliableNode::factory(|_: NodeSeed<'_>| Chatter { rounds_left: ROUNDS, heard: 0 });
     let before = mem::alloc_calls();
     let out = run(&topo, &cfg, 1, &ChurnSchedule::empty(), factory, &mut NoopTracer).unwrap();
     let allocs = mem::alloc_calls() - before;
