@@ -20,8 +20,8 @@ use dima_graph::gen;
 use dima_graph::{io, Digraph, Graph, VertexId};
 use dima_sim::fault::{FaultPlan, GilbertElliott};
 use dima_sim::telemetry::{
-    read, Event, KindTotals, MemReport, MetricsRegistry, NoopTracer, PaletteAction, RunTotals,
-    StateTimeline, TraceMeta, TraceWriter, Tracer, TransportTally, STATES,
+    kind_totals, read, Event, KindTotals, MemReport, MetricsRegistry, NoopTracer, PaletteAction,
+    RunTotals, StateTimeline, TraceMeta, TraceWriter, Tracer, STATES,
 };
 use dima_sim::RunStats;
 use rand::rngs::SmallRng;
@@ -70,9 +70,9 @@ commands:
       run a workload with the metrics plane on and emit the merged
       counter/gauge/histogram registry as flat JSONL
   metrics diff <a.jsonl> <b.jsonl>
-      compare two metrics dumps entry by entry (env-dependent mem/ and
-      pool/ families excluded, so identical-seed dumps at any --threads
-      must diff empty); nonzero exit on divergence
+      compare two metrics dumps entry by entry (the env-dependent mem/
+      family excluded, so identical-seed dumps at any --threads must
+      diff empty); nonzero exit on divergence
   serve <graph.edges> [--seed S] [--protocol ec|strong] [--threads T]
         [--width K] [--watchdog T] [--state-dir DIR] [--snapshot-every N]
         [--compact-after N] [--queue CAP] [--queue-policy block|shed]
@@ -227,10 +227,9 @@ pub(crate) fn parse_reduce(flags: &HashMap<String, String>) -> Result<ColorReduc
             }
             Ok(ColorReduction::Off)
         }
-        Some("kempe") => Ok(ColorReduction::Kempe(KempeConfig {
-            target_colors: (target > 0).then_some(target),
-            ..KempeConfig::default()
-        })),
+        Some("kempe") => {
+            Ok(ColorReduction::Kempe(KempeConfig { target_colors: (target > 0).then_some(target) }))
+        }
         Some(other) => Err(format!("--reduce must be kempe or off, got '{other}'")),
     }
 }
@@ -247,18 +246,26 @@ fn run_config(flags: &HashMap<String, String>) -> Result<ColoringConfig, String>
         Some("reliable") => Transport::reliable(),
         Some(other) => return Err(format!("--transport must be bare or reliable, got '{other}'")),
     };
-    Ok(ColoringConfig {
+    let mut cfg = ColoringConfig {
         engine: if threads == 0 { Engine::Sequential } else { Engine::Parallel { threads } },
         proposal_width: width,
         faults: fault_plan(flags)?,
         transport,
         reduction: parse_reduce(flags)?,
         profile: flags.contains_key("profile"),
-        collect_metrics: flags.contains_key("metrics") || flags.contains_key("metrics-out"),
+        collect_metrics: metrics_asked(flags),
         // CLI runs are measurements: skip the engine's per-delivery
         // debugging check (the test suites keep it on).
         ..ColoringConfig::for_measurement(seed)
-    })
+    };
+    // A faulty run's transport report reads the registry.
+    cfg.collect_metrics |= faulty(&cfg);
+    Ok(cfg)
+}
+
+/// `--metrics` or `--metrics-out`: the run report prints the registry.
+fn metrics_asked(flags: &HashMap<String, String>) -> bool {
+    flags.contains_key("metrics") || flags.contains_key("metrics-out")
 }
 
 /// `--profile` breakdown: engine phase wall-clock totals, plus the
@@ -303,7 +310,7 @@ fn report_metrics(
     nodes: usize,
     edges: usize,
 ) -> Result<(), String> {
-    let Some(reg) = stats.metrics.as_deref() else {
+    let Some(reg) = stats.metrics.as_deref().filter(|_| metrics_asked(flags)) else {
         return Ok(());
     };
     let mem = MemReport::capture(nodes as u64, edges as u64);
@@ -422,37 +429,16 @@ fn trace_flags(flags: &HashMap<String, String>) -> Result<TraceFlags, String> {
 /// shards has a real deterministic-merge cost.
 static MERGE_COST_WARNED: AtomicBool = AtomicBool::new(false);
 
-/// The CLI's composite tracer: an optional [`TransportTally`] feeding
-/// the transport report (attached whenever faults or a non-bare
-/// transport are in play) plus an optional JSONL [`TraceWriter`]
-/// (attached by `--trace`). Plain runs get no tracer at all — they go
-/// through the no-op path, where the telemetry plane monomorphizes
-/// away.
+/// The JSONL trace a run streams (`--trace`). The run is traced through
+/// the [`TraceWriter`] itself, so `--trace-sample` reaches the engine's
+/// sampling predicate.
 struct CliTrace {
-    tally: Option<TransportTally>,
-    writer: Option<TraceWriter<Box<dyn Write + Send + Sync>>>,
+    writer: TraceWriter<Box<dyn Write + Send + Sync>>,
     path: String,
 }
 
-impl Tracer for CliTrace {
-    fn emit(&mut self, ev: Event) {
-        if let Some(t) = self.tally.as_mut() {
-            t.emit(ev);
-        }
-        if let Some(w) = self.writer.as_mut() {
-            w.emit(ev);
-        }
-    }
-
-    fn sample(&self, node: u32) -> bool {
-        // The tally needs every node's ARQ events; the writer re-filters
-        // sampled-out nodes in its own `emit`.
-        self.tally.is_some() || self.writer.as_ref().is_some_and(|w| w.sample(node))
-    }
-}
-
 impl CliTrace {
-    /// Assemble the run's tracer; `None` when nothing observes.
+    /// Open the run's trace; `None` without `--trace`.
     fn create(
         tf: &TraceFlags,
         cfg: &ColoringConfig,
@@ -460,56 +446,44 @@ impl CliTrace {
         graph: &str,
         nodes: usize,
     ) -> Result<Option<CliTrace>, String> {
-        let tally = faulty(cfg).then(TransportTally::default);
-        let writer = match &tf.path {
-            None => None,
-            Some(path) => {
-                let (engine, threads) = match cfg.engine {
-                    Engine::Sequential => ("seq", 1),
-                    Engine::Parallel { threads } => ("par", threads as u32),
-                };
-                if threads > 1 && tf.sample <= 1 && !MERGE_COST_WARNED.swap(true, Ordering::Relaxed)
-                {
-                    eprintln!(
-                        "warning: --trace over several shards (--threads > 1) buffers every \
-                         event per worker and merges the buffers into the canonical deterministic \
-                         order; on large runs that merge dominates the run. Bound it with \
-                         --trace-sample N (keeps node events for node ids divisible by N). \
-                         This warning prints once."
-                    );
-                }
-                let file =
-                    std::fs::File::create(path).map_err(|e| format!("creating {path}: {e}"))?;
-                let sink: Box<dyn Write + Send + Sync> = Box::new(std::io::BufWriter::new(file));
-                let meta = TraceMeta {
-                    workload: workload.into(),
-                    graph: graph.into(),
-                    seed: cfg.seed,
-                    nodes: nodes as u64,
-                    engine: engine.into(),
-                    threads,
-                    sample: tf.sample,
-                };
-                Some(TraceWriter::new(sink, &meta))
-            }
+        let Some(path) = &tf.path else {
+            return Ok(None);
         };
-        Ok((tally.is_some() || writer.is_some()).then_some(CliTrace {
-            tally,
-            writer,
-            path: tf.path.clone().unwrap_or_default(),
-        }))
+        let (engine, threads) = match cfg.engine {
+            Engine::Sequential => ("seq", 1),
+            Engine::Parallel { threads } => ("par", threads as u32),
+        };
+        if threads > 1 && tf.sample <= 1 && !MERGE_COST_WARNED.swap(true, Ordering::Relaxed) {
+            eprintln!(
+                "warning: --trace over several shards (--threads > 1) buffers every \
+                 event per worker and merges the buffers into the canonical deterministic \
+                 order; on large runs that merge dominates the run. Bound it with \
+                 --trace-sample N (keeps node events for node ids divisible by N). \
+                 This warning prints once."
+            );
+        }
+        let file = std::fs::File::create(path).map_err(|e| format!("creating {path}: {e}"))?;
+        let sink: Box<dyn Write + Send + Sync> = Box::new(std::io::BufWriter::new(file));
+        let meta = TraceMeta {
+            workload: workload.into(),
+            graph: graph.into(),
+            seed: cfg.seed,
+            nodes: nodes as u64,
+            engine: engine.into(),
+            threads,
+            sample: tf.sample,
+        };
+        Ok(Some(CliTrace { writer: TraceWriter::new(sink, &meta), path: path.clone() }))
     }
 
-    /// Close the JSONL stream (footer + flush) and hand back the tally
-    /// for the transport report.
-    fn finish(self, stats: &RunStats) -> Result<Option<TransportTally>, String> {
-        if let Some(w) = self.writer {
-            let events = w.events_written();
-            w.finish(&run_totals(stats))
-                .map_err(|e| format!("writing trace {}: {e}", self.path))?;
-            eprintln!("trace: {events} events -> {}", self.path);
-        }
-        Ok(self.tally)
+    /// Close the JSONL stream (footer + flush).
+    fn finish(self, stats: &RunStats) -> Result<(), String> {
+        let events = self.writer.events_written();
+        self.writer
+            .finish(&run_totals(stats))
+            .map_err(|e| format!("writing trace {}: {e}", self.path))?;
+        eprintln!("trace: {events} events -> {}", self.path);
+        Ok(())
     }
 }
 
@@ -539,32 +513,26 @@ fn idle_note(stats: &RunStats) -> String {
     }
 }
 
-/// Stderr lines summarising what the faults did and what the ARQ layer
-/// spent repairing them. Message fates come from the telemetry plane's
-/// per-kind counters (so the report can break them out by kind); the
-/// crash count and the control words (which are not messages) come from
-/// [`RunStats`].
-fn report_transport(
-    stats: &RunStats,
-    overhead_rounds: u64,
-    alive: &[bool],
-    tally: &TransportTally,
-) {
+/// Stderr lines summarising what the faults of a [`faulty`] run did and
+/// what the ARQ layer spent repairing them, read from the run's metrics
+/// registry: message fates by kind (`kind/`), control words (which are
+/// not messages, `engine/control_*`) and the ARQ link outcomes (`arq/`).
+/// The crash count comes from [`RunStats`].
+fn report_transport(cfg: &ColoringConfig, r: &WorkloadRun<'_>) {
+    let (Some(reg), true) = (r.stats.metrics.as_deref(), faulty(cfg)) else {
+        return;
+    };
+    let (overhead_rounds, alive) = (r.transport_overhead_rounds, &r.alive);
     let survivors = alive.iter().filter(|&&a| a).count();
     let mut total = KindTotals::default();
     let mut kinds = Vec::new();
-    for (kind, t) in &tally.kinds {
-        total.sent += t.sent;
-        total.delivered += t.delivered;
-        total.dropped += t.dropped;
-        total.corrupted += t.corrupted;
-        total.duplicated += t.duplicated;
+    for (kind, t) in kind_totals(reg) {
+        total.add(&t);
         kinds.push(format!("{kind} {}/{}", t.delivered, t.sent));
     }
-    if stats.control_words > 0 {
-        // Control words are not frames: they come from the run stats.
-        let words = stats.control_words;
-        kinds.push(format!("control words {}/{words}", words - stats.control_lost));
+    let words = reg.counter("engine/control_words");
+    if words > 0 {
+        kinds.push(format!("control words {}/{words}", words - reg.counter("engine/control_lost")));
     }
     eprintln!(
         "transport: {overhead_rounds} overhead rounds, {} dropped, {} corrupted, \
@@ -573,24 +541,16 @@ fn report_transport(
         total.dropped,
         total.corrupted,
         total.duplicated,
-        stats.crashed,
+        r.stats.crashed,
         alive.len(),
         if kinds.is_empty() { "none".to_string() } else { kinds.join(", ") },
     );
-    if tally.retransmits > 0 || tally.links_down() > 0 {
-        let parts: Vec<String> = tally
-            .by_link_class()
-            .iter()
-            .filter(|(_, t)| t.links > 0)
-            .map(|(c, t)| {
-                format!("{}: {} retransmits on {} links", c.name(), t.retransmits, t.links)
-            })
-            .collect();
+    let retransmits = reg.counter("arq/retransmits");
+    let died = reg.counter("arq/link_down_silent");
+    if retransmits > 0 || died > 0 {
         eprintln!(
-            "arq: {} retransmits, {} directed links died ({})",
-            tally.retransmits,
-            tally.links_down(),
-            parts.join(", "),
+            "arq: {retransmits} retransmits, {died} directed links died ({} toward live peers)",
+            reg.counter("arq/false_deaths"),
         );
     }
 }
@@ -1030,12 +990,11 @@ fn cmd_run(w: Workload, args: &[String]) -> Result<(), String> {
     let mut trace = CliTrace::create(&tf, &cfg, w.name(), path, g.num_vertices())?;
     let r = match trace.as_mut() {
         None => run_workload(w, &g, &cfg, schedule.as_ref(), &mut NoopTracer),
-        Some(t) => run_workload(w, &g, &cfg, schedule.as_ref(), t),
+        Some(t) => run_workload(w, &g, &cfg, schedule.as_ref(), &mut t.writer),
     }?;
-    let tally = match trace {
-        Some(t) => t.finish(&r.stats)?,
-        None => None,
-    };
+    if let Some(t) = trace {
+        t.finish(&r.stats)?;
+    }
     r.verify(&cfg)?;
     if let (Some(schedule), Some(batches)) = (&schedule, &r.batches) {
         report_churn(schedule, batches);
@@ -1046,9 +1005,7 @@ fn cmd_run(w: Workload, args: &[String]) -> Result<(), String> {
     }
     report_profile(&r.stats);
     report_metrics(&flags, w.name(), &r.stats, r.size.0, r.size.1)?;
-    if let Some(tally) = &tally {
-        report_transport(&r.stats, r.transport_overhead_rounds, &r.alive, tally);
-    }
+    report_transport(&cfg, &r);
     write_or_print(flags.get("out"), &r.output())
 }
 
@@ -1126,11 +1083,10 @@ fn cmd_trace_record(args: &[String]) -> Result<(), String> {
     let schedule = churn_schedule(w, &flags, &g)?;
     let mut trace = CliTrace::create(&tf, &cfg, w.name(), gpath, g.num_vertices())?
         .expect("--trace always yields a live tracer");
-    let r = run_workload(w, &g, &cfg, schedule.as_ref(), &mut trace)?;
+    let r = run_workload(w, &g, &cfg, schedule.as_ref(), &mut trace.writer)?;
     eprintln!("{}", r.summary);
-    if let Some(tally) = &trace.finish(&r.stats)? {
-        report_transport(&r.stats, r.transport_overhead_rounds, &r.alive, tally);
-    }
+    trace.finish(&r.stats)?;
+    report_transport(&cfg, &r);
     Ok(())
 }
 
@@ -1541,10 +1497,10 @@ fn cmd_metrics_dump(args: &[String]) -> Result<(), String> {
 }
 
 /// `metrics diff` — compare two metrics dumps entry by entry. The
-/// env-dependent families (`mem/` allocator accounting, wall-clock
-/// `pool/` shard timings) are stripped first, so identical-seed
-/// sequential vs parallel dumps must diff empty — this is the CLI face
-/// of the determinism contract the metrics-plane proptests pin.
+/// env-dependent `mem/` allocator family is stripped first, so
+/// identical-seed sequential vs parallel dumps must diff empty — this is
+/// the CLI face of the determinism contract the metrics-plane proptests
+/// pin.
 fn cmd_metrics_diff(args: &[String]) -> Result<(), String> {
     let (Some(apath), Some(bpath)) = (args.first(), args.get(1)) else {
         return Err("metrics diff needs two dump files".into());
@@ -1555,14 +1511,13 @@ fn cmd_metrics_diff(args: &[String]) -> Result<(), String> {
         let (mut reg, label) = MetricsRegistry::from_jsonl(&text)
             .ok_or_else(|| format!("{path}: not a dima metrics dump"))?;
         reg.remove_prefix("mem/");
-        reg.remove_prefix("pool/");
         Ok((reg, label))
     };
     let (a, alabel) = load(apath)?;
     let (b, blabel) = load(bpath)?;
     let diffs = a.diff(&b);
     if diffs.is_empty() {
-        println!("metrics identical ({alabel} vs {blabel}; mem/ and pool/ families excluded)");
+        println!("metrics identical ({alabel} vs {blabel}; mem/ family excluded)");
         return Ok(());
     }
     for d in diffs.iter().take(20) {
@@ -2002,7 +1957,7 @@ mod tests {
         rec(&["--workload", "matching", "--seed", "1", "--trace", m.to_str().unwrap()]).unwrap();
         rec(&["--workload", "strong-color", "--seed", "1", "--trace", m.to_str().unwrap()])
             .unwrap();
-        // And a faulty run attaches the tally alongside the writer.
+        // And a faulty run, whose transport report reads the registry.
         rec(&[
             "--seed",
             "2",
@@ -2069,7 +2024,7 @@ mod tests {
         assert!(text.contains("mem/"), "missing allocator family:\n{text}");
 
         // Identical file and seq-vs-par of the same seed diff empty
-        // (mem/ and pool/ are excluded); a different seed diverges.
+        // (mem/ is excluded); a different seed diverges.
         dispatch(&s(&["metrics", "diff", seq.to_str().unwrap(), seq.to_str().unwrap()])).unwrap();
         dispatch(&s(&["metrics", "diff", seq.to_str().unwrap(), par.to_str().unwrap()])).unwrap();
         assert!(dispatch(&s(&["metrics", "diff", seq.to_str().unwrap(), other.to_str().unwrap()]))
@@ -2193,32 +2148,57 @@ mod tests {
     }
 
     #[test]
-    fn transport_tally_matches_stats() {
+    fn transport_registry_matches_stats() {
         use rand::rngs::SmallRng;
         use rand::SeedableRng;
         let mut rng = SmallRng::seed_from_u64(4);
-        let g = gen::erdos_renyi_avg_degree(36, 4.0, &mut rng).unwrap();
-        let cfg = run_config(
-            &parse_flags(&s(&["--seed", "3", "--fault-loss", "0.1", "--transport", "reliable"]))
-                .unwrap(),
-        )
-        .unwrap();
-        let mut tally = TransportTally::default();
-        let r = color_edges_traced(&g, &cfg, &mut tally).unwrap();
-        let mut total = KindTotals::default();
-        for t in tally.kinds.values() {
-            total.sent += t.sent;
-            total.delivered += t.delivered;
-            total.dropped += t.dropped;
-            total.corrupted += t.corrupted;
-            total.duplicated += t.duplicated;
+        let g = gen::erdos_renyi_avg_degree(12, 3.0, &mut rng).unwrap();
+        let arq = ["--fault-loss", "0.1", "--transport", "reliable"];
+        let bare = ["--fault-loss", "0.05"];
+        for w in [Workload::Color, Workload::StrongColor] {
+            for faults in [&arq[..], &bare[..]] {
+                let reliable = faults.len() == arq.len();
+                let mut completed = 0;
+                for seed in 0..if reliable { 4 } else { 24 } {
+                    let run = |threads: &str| {
+                        let mut args = s(&["--seed", &seed.to_string(), "--threads", threads]);
+                        args.extend(s(faults));
+                        let cfg = ColoringConfig {
+                            // A bare lossy run that stalls fails fast.
+                            max_compute_rounds: Some(120),
+                            ..run_config(&parse_flags(&args).unwrap()).unwrap()
+                        };
+                        run_workload(w, &g, &cfg, None, &mut NoopTracer).ok().map(|r| r.stats)
+                    };
+                    let (one, three) = (run("1"), run("3"));
+                    let (Some(one), Some(three)) = (one, three) else {
+                        // A bare lossy run may exhaust its round budget;
+                        // both shard counts must agree that it did.
+                        assert!(!reliable, "{} seed {seed}: an ARQ run failed", w.name());
+                        continue;
+                    };
+                    completed += 1;
+                    let at = format!("{} {faults:?} seed {seed}", w.name());
+                    let reg = one.metrics.as_deref().expect("a faulty run collects metrics");
+                    assert_eq!(three.metrics.as_deref(), Some(reg), "{at}: 1 vs 3 shards");
+                    let kinds = kind_totals(reg);
+                    let mut total = KindTotals::default();
+                    kinds.values().for_each(|t| total.add(t));
+                    assert_eq!(total.delivered, one.deliveries, "{at}");
+                    assert_eq!(total.dropped, one.dropped, "{at}");
+                    if reliable {
+                        // Every frame is a unicast data bundle; acks ride
+                        // the control plane.
+                        assert_eq!(total.sent, one.messages_sent, "{at}");
+                        assert_eq!(kinds.keys().copied().collect::<Vec<_>>(), ["arq-data"]);
+                        assert!(reg.counter("engine/control_lost") > 0, "{at}: no word lost");
+                        assert!(reg.counter("arq/retransmits") > 0, "{at}: no retransmit");
+                    } else {
+                        assert!(total.dropped > 0, "{at}: nothing dropped");
+                    }
+                }
+                assert!(completed > 0, "{} {faults:?}: no run completed", w.name());
+            }
         }
-        assert_eq!(total.sent, r.stats.messages_sent);
-        assert_eq!(total.delivered, r.stats.deliveries);
-        assert_eq!(total.dropped, r.stats.dropped);
-        // Data bundles are the only frames; acks ride the control plane.
-        assert_eq!(tally.kinds.keys().copied().collect::<Vec<_>>(), ["arq-data"]);
-        assert!(r.stats.control_lost > 0, "a 10% lossy run must lose control words");
-        assert!(tally.retransmits > 0, "a 10% lossy run must retransmit");
     }
 }

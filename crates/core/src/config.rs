@@ -8,7 +8,6 @@
 //! configuration, never silent behaviour.
 
 use dima_sim::fault::FaultPlan;
-use dima_sim::reliable::ArqConfig;
 use dima_sim::EngineConfig;
 
 use crate::error::CoreError;
@@ -82,13 +81,13 @@ pub enum Transport {
     /// at the cost of extra engine rounds (reported separately as
     /// transport overhead), and crash-stopped peers are detected so the
     /// protocol can terminate on the residual graph.
-    Reliable(ArqConfig),
+    Reliable,
 }
 
 impl Transport {
-    /// The [`Transport::Reliable`] variant with default ARQ tuning.
+    /// The [`Transport::Reliable`] variant.
     pub fn reliable() -> Self {
-        Transport::Reliable(ArqConfig::default())
+        Transport::Reliable
     }
 }
 
@@ -110,28 +109,15 @@ impl ColorReduction {
     }
 }
 
-/// Tuning for the Kempe-chain palette-reduction pass.
-#[derive(Copy, Clone, Debug, PartialEq)]
+/// Tuning for the Kempe-chain palette-reduction pass. Its chain length
+/// cap, attempt budget and round budget are constants of
+/// [`crate::kempe`].
+#[derive(Copy, Clone, Debug, PartialEq, Default)]
 pub struct KempeConfig {
     /// Palette size to compress toward: edges colored at or above this
     /// many colors are recolored below it when a Kempe flip permits.
     /// `None` targets `Δ+1` (computed from the graph at entry).
     pub target_colors: Option<u32>,
-    /// Longest alternating chain a probe may walk before the operation
-    /// aborts; bounds per-operation latency on path-heavy graphs.
-    pub max_chain: usize,
-    /// Candidate `(a, b)` pair attempts per over-threshold edge per
-    /// sweep before the edge concedes the round.
-    pub max_attempts: u32,
-    /// Engine round budget for the pass; `None` derives `16·Δ + 64`
-    /// rounds per sweep from the graph.
-    pub max_rounds: Option<u64>,
-}
-
-impl Default for KempeConfig {
-    fn default() -> Self {
-        KempeConfig { target_colors: None, max_chain: 256, max_attempts: 16, max_rounds: None }
-    }
 }
 
 /// The widest [`ColoringConfig::proposal_width`] a run accepts: an
@@ -273,18 +259,7 @@ impl ColoringConfig {
                 self.proposal_width
             )));
         }
-        if let Transport::Reliable(arq) = self.transport {
-            if arq.round_budget_factor == 0 {
-                return Err(CoreError::Config("ARQ round_budget_factor must be >= 1".into()));
-            }
-        }
         if let ColorReduction::Kempe(k) = self.reduction {
-            if k.max_chain == 0 {
-                return Err(CoreError::Config("kempe max_chain must be >= 1".into()));
-            }
-            if k.max_attempts == 0 {
-                return Err(CoreError::Config("kempe max_attempts must be >= 1".into()));
-            }
             if k.target_colors == Some(0) {
                 return Err(CoreError::Config("kempe target_colors must be >= 1".into()));
             }
@@ -363,9 +338,6 @@ mod tests {
         assert_eq!(ColoringConfig::default().transport, Transport::Bare);
         let cfg = ColoringConfig { transport: Transport::reliable(), ..Default::default() };
         assert!(cfg.validate().is_ok());
-        let bad = ArqConfig { round_budget_factor: 0 };
-        let cfg = ColoringConfig { transport: Transport::Reliable(bad), ..Default::default() };
-        assert!(cfg.validate().is_err());
     }
 
     #[test]
@@ -379,15 +351,9 @@ mod tests {
         };
         assert!(cfg.reduction.is_on());
         assert!(cfg.validate().is_ok());
-        for bad in [
-            KempeConfig { max_chain: 0, ..Default::default() },
-            KempeConfig { max_attempts: 0, ..Default::default() },
-            KempeConfig { target_colors: Some(0), ..Default::default() },
-        ] {
-            let cfg =
-                ColoringConfig { reduction: ColorReduction::Kempe(bad), ..Default::default() };
-            assert!(cfg.validate().is_err());
-        }
+        let bad = KempeConfig { target_colors: Some(0) };
+        let cfg = ColoringConfig { reduction: ColorReduction::Kempe(bad), ..Default::default() };
+        assert!(cfg.validate().is_err());
     }
 
     #[test]

@@ -101,12 +101,18 @@ const RETRY_INTERVAL: u64 = 3;
 /// release whatever the operation holds).
 const MAX_RETRIES: u32 = 8;
 
+/// Longest alternating chain a probe may walk before the operation
+/// aborts; bounds per-operation latency on path-heavy graphs.
+pub(crate) const MAX_CHAIN: u32 = 256;
+
+/// Candidate `(a, b)` pair attempts per over-threshold edge per sweep
+/// before the edge concedes the round.
+pub(crate) const MAX_ATTEMPTS: u32 = 16;
+
 /// Rounds an in-flight operation can still need after initiations stop:
-/// every hop of a `max_chain`-long probe may burn its full retry budget
-/// before resolving, plus slack for the flip/commit tail.
-fn wind_down_margin(max_chain: usize) -> u64 {
-    RETRY_INTERVAL * u64::from(MAX_RETRIES + 2) * max_chain as u64 + 64
-}
+/// every hop of a [`MAX_CHAIN`]-long probe may burn its full retry
+/// budget before resolving, plus slack for the flip/commit tail.
+const WIND_DOWN_MARGIN: u64 = RETRY_INTERVAL * (MAX_RETRIES as u64 + 2) * MAX_CHAIN as u64 + 64;
 
 /// Messages of the reduction pass. All unicast except the
 /// [`KMsg::Hello`] used-set refresh, which is also the one message that
@@ -254,8 +260,6 @@ struct Pass<'a> {
     alive: Alive<'a>,
     /// Color indices `>= threshold` are over-threshold.
     threshold: u32,
-    max_chain: u32,
-    max_attempts: u32,
     /// No new operations start after this round — the wind-down margin
     /// keeps in-flight chains inside the engine budget.
     deadline: u64,
@@ -313,8 +317,6 @@ struct LiveNode {
     attempts: Vec<u32>,
     /// Color indices `>= threshold` are over-threshold.
     threshold: u32,
-    max_chain: u32,
-    max_attempts: u32,
     /// No new operations start after this round — the wind-down margin
     /// keeps in-flight chains inside the engine budget.
     deadline: u64,
@@ -377,8 +379,6 @@ impl LiveNode {
             nbr_used,
             attempts: vec![0; degree],
             threshold: pass.threshold,
-            max_chain: pass.max_chain,
-            max_attempts: pass.max_attempts,
             deadline: pass.deadline,
             op: OwnerOp::Idle,
             lock: LockState::Free,
@@ -474,7 +474,7 @@ impl LiveNode {
             if c.0 < self.threshold
                 || self.pinned[p]
                 || self.neighbors[p] < self.me
-                || self.attempts[p] >= self.max_attempts
+                || self.attempts[p] >= MAX_ATTEMPTS
             {
                 continue;
             }
@@ -511,7 +511,7 @@ impl LiveNode {
         if a.0 >= self.threshold || cands.is_empty() {
             // No legal pair from here (e.g. every b-edge pinned): give
             // this edge up for good.
-            self.attempts[port] = self.max_attempts;
+            self.attempts[port] = MAX_ATTEMPTS;
             return;
         }
         let b = cands[self.attempts[port] as usize % cands.len()];
@@ -585,7 +585,7 @@ impl LiveNode {
                 ctx.send(from, KMsg::ProbeResult { ok: true, busy: false, len });
             }
             Some(pc) => {
-                if self.neighbors[pc] == partner || self.pinned[pc] || len >= self.max_chain {
+                if self.neighbors[pc] == partner || self.pinned[pc] || len >= MAX_CHAIN {
                     // Vizing hard case (the chain would end at the
                     // partner), an unflippable pinned edge, or an
                     // over-long chain: refuse without locking. These are
@@ -1260,24 +1260,14 @@ fn reduce_ports_with<T: Tracer + Sync>(
         collect_round_stats: false,
         ..base.clone()
     };
-    let max_chain = kcfg.max_chain.max(1);
-    let margin = wind_down_margin(max_chain);
-    // Default round budget: the serial chain work scales with Δ (chain
+    // The round budget: the serial chain work scales with Δ (chain
     // lengths, candidate cycling) but the *contention* drain scales with
     // graph size — dense over-threshold regions serialize through locks
     // a handful of operations at a time, and busy refusals are refunded
     // rather than charged to the attempt budget, so the initiation
     // window is what actually bounds them.
-    let max_rounds =
-        kcfg.max_rounds.unwrap_or(64 * delta as u64 + 16 * n as u64 + margin + 1024).max(8);
-    let pass = Pass {
-        slots: &slots,
-        alive,
-        threshold,
-        max_chain: max_chain.min(u32::MAX as usize) as u32,
-        max_attempts: kcfg.max_attempts.max(1),
-        deadline: max_rounds.saturating_sub(margin),
-    };
+    let max_rounds = 64 * delta as u64 + 16 * n as u64 + WIND_DOWN_MARGIN + 1024;
+    let pass = Pass { slots: &slots, alive, threshold, deadline: max_rounds - WIND_DOWN_MARGIN };
     let factory = |seed: NodeSeed<'_>| build(&pass, seed);
     let schedule = ChurnSchedule::empty();
     let RunOutcome { nodes, mut stats, .. } =
@@ -1485,10 +1475,7 @@ mod tests {
             .map(|(e, _)| e.index())
             .collect();
         assert!(at_crash.iter().any(|&e| plain.colors[e].is_some()), "no colored edge crashed");
-        let kcfg = KempeConfig {
-            target_colors: Some(plain.colors_used as u32 - 1),
-            ..KempeConfig::default()
-        };
+        let kcfg = KempeConfig { target_colors: Some(plain.colors_used as u32 - 1) };
         let reduced =
             color_edges(&g, &ColoringConfig { reduction: ColorReduction::Kempe(kcfg), ..base })
                 .unwrap();
@@ -1584,7 +1571,7 @@ mod tests {
             }
             let alive: Vec<bool> = (0..n).map(|_| rng.random_range(0..16u32) != 0).collect();
             let target = u32::try_from((g.max_degree() as i64 + 1 + target_slack).max(1)).unwrap();
-            let kcfg = KempeConfig { target_colors: Some(target), ..KempeConfig::default() };
+            let kcfg = KempeConfig { target_colors: Some(target) };
             let cfg = ColoringConfig {
                 engine: Engine::Parallel { threads },
                 collect_metrics: true,

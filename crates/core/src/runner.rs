@@ -19,7 +19,7 @@
 
 use dima_sim::churn::ChurnSchedule;
 use dima_sim::telemetry::Tracer;
-use dima_sim::{run, NodeSeed, Protocol, ReliableNode, RunOutcome, Topology};
+use dima_sim::{reliable, run, NodeSeed, Protocol, ReliableNode, RunOutcome, Topology};
 
 use crate::config::{ColoringConfig, Transport};
 use crate::error::CoreError;
@@ -28,7 +28,7 @@ use crate::error::CoreError;
 /// ARQ wrapper (if any) peeled off its nodes. Under the reliable
 /// transport `outcome.stats` counts the *engine's* rounds and messages —
 /// i.e. it includes the ARQ layer's retransmissions and synchronization
-/// stalls — and its control words apart.
+/// stalls; its control words are counted in the metrics registry only.
 pub(crate) struct EngineRun<P> {
     /// Final inner protocol states, statistics and crash flags.
     pub outcome: RunOutcome<P>,
@@ -44,14 +44,12 @@ pub(crate) struct EngineRun<P> {
 /// untraced call costs nothing; the equivalence proptests in
 /// `tests/telemetry_equivalence.rs` pin that down). `bare_max_rounds` is
 /// the round budget a bare run gets; the reliable transport scales it by
-/// [`ArqConfig::round_budget`] to cover retransmission stalls and
+/// [`reliable::round_budget`] to cover retransmission stalls and
 /// link-death detection.
 ///
 /// A non-empty schedule requires the bare transport (message-loss and
 /// crash faults compose fine) and always collects per-round stats —
 /// [`crate::churn::BatchReport`]s need them to locate quiescence.
-///
-/// [`ArqConfig::round_budget`]: dima_sim::ArqConfig::round_budget
 pub(crate) fn run_protocol<P, F, T>(
     topo: &Topology,
     cfg: &ColoringConfig,
@@ -74,13 +72,13 @@ where
             let outcome = run(topo, &engine_cfg, threads, schedule, factory, tracer)?;
             Ok(EngineRun { outcome, transport_overhead_rounds: 0 })
         }
-        Transport::Reliable(_) if churned => Err(CoreError::Config(
+        Transport::Reliable if churned => Err(CoreError::Config(
             "churn runs require the bare transport: the ARQ layer assumes a static \
              neighbor set (compose churn with message-loss faults directly instead)"
                 .into(),
         )),
-        Transport::Reliable(arq) => {
-            let engine_cfg = cfg.engine_config(arq.round_budget(bare_max_rounds));
+        Transport::Reliable => {
+            let engine_cfg = cfg.engine_config(reliable::round_budget(bare_max_rounds));
             let wrapped = ReliableNode::factory(factory);
             let mut outcome = run(topo, &engine_cfg, threads, schedule, wrapped, tracer)?;
             if let Some(reg) = outcome.stats.metrics.as_deref_mut() {

@@ -1619,22 +1619,15 @@ impl ColoringService {
     /// every default header stays as it was.
     fn config_header_fragment(&self) -> String {
         let c = &self.cfg.coloring;
-        let (rk, rt, rc, ra, rr) = match c.reduction {
-            ColorReduction::Off => (0, 0, 0, 0, 0),
-            ColorReduction::Kempe(k) => (
-                1u64,
-                u64::from(k.target_colors.unwrap_or(0)),
-                k.max_chain as u64,
-                u64::from(k.max_attempts),
-                k.max_rounds.unwrap_or(0),
-            ),
+        let (rk, rt) = match c.reduction {
+            ColorReduction::Off => (0, 0),
+            ColorReduction::Kempe(k) => (1u64, u64::from(k.target_colors.unwrap_or(0))),
         };
         format!(
             "\"protocol\":\"{}\",\"seed\":{},\"invite_bits\":{},\
              \"color_policy\":\"{}\",\"response_policy\":\"random\",\"width\":{},\
              \"max_compute\":{},\"validate_sends\":{},\"watchdog\":{},\
-             \"reduce\":{rk},\"reduce_target\":{rt},\"reduce_chain\":{rc},\
-             \"reduce_attempts\":{ra},\"reduce_rounds\":{rr}{}",
+             \"reduce\":{rk},\"reduce_target\":{rt}{}",
             self.cfg.protocol.name(),
             c.seed,
             c.invite_probability.to_bits(),
@@ -2398,6 +2391,23 @@ fn config_from_header(header: &Record, engine: Engine) -> Result<ServiceConfig, 
     if header.str("response_policy") != Some("random") {
         return Err(ServiceError::Snapshot { line: 1, message: "unknown response_policy".into() });
     }
+    // Older headers record the Kempe pass's chain cap, attempt budget and
+    // round budget, which are constants now; 0 meant the default. A
+    // header recording any other value asks for a pass this build cannot
+    // run.
+    let fixed = [
+        ("reduce_chain", kempe::MAX_CHAIN),
+        ("reduce_attempts", kempe::MAX_ATTEMPTS),
+        ("reduce_rounds", 0),
+    ];
+    for (key, constant) in fixed {
+        if let Some(v) = header.num(key).filter(|&v| v != 0 && v != u64::from(constant)) {
+            return Err(ServiceError::Snapshot {
+                line: 1,
+                message: format!("unsupported {key} {v}: the Kempe pass fixes it"),
+            });
+        }
+    }
     let coloring = ColoringConfig {
         seed: header_num(header, "seed")?,
         invite_probability: f64::from_bits(header_num(header, "invite_bits")?),
@@ -2429,20 +2439,6 @@ fn config_from_header(header: &Record, engine: Engine) -> Result<ServiceConfig, 
                 target_colors: match header.num("reduce_target").unwrap_or(0) {
                     0 => None,
                     t => Some(t as u32),
-                },
-                max_chain: header
-                    .num("reduce_chain")
-                    .filter(|&c| c > 0)
-                    .unwrap_or(KempeConfig::default().max_chain as u64)
-                    as usize,
-                max_attempts: header
-                    .num("reduce_attempts")
-                    .filter(|&a| a > 0)
-                    .unwrap_or(u64::from(KempeConfig::default().max_attempts))
-                    as u32,
-                max_rounds: match header.num("reduce_rounds").unwrap_or(0) {
-                    0 => None,
-                    r => Some(r),
                 },
             })
         } else {
@@ -3291,6 +3287,48 @@ mod tests {
             .expect("only the paper's listener rule can be replayed");
         let ServiceError::Snapshot { line, message } = &err else { panic!("{err}") };
         assert_eq!((*line, message.as_str()), (1, "unknown response_policy"));
+    }
+
+    #[test]
+    fn checkpoints_recording_the_old_kempe_settings_restore_only_at_the_constants() {
+        for kempe in [false, true] {
+            let mut cfg = ServiceConfig::new(ServeProtocol::EdgeColoring, 31);
+            if kempe {
+                cfg.coloring.reduction = ColorReduction::Kempe(KempeConfig::default());
+            }
+            let mut s = ColoringService::new(&structured::path(8), cfg).unwrap();
+            s.run_to_quiescence(s.tick_budget()).unwrap();
+            drive(&mut s, &waves(), &mut String::new());
+            let snap = s.snapshot_text();
+            // The snapshot with the fields older builds wrote after
+            // `reduce_target`, re-sealed so that it passes the CRC check.
+            let (body, _) = snap.trim_end().rsplit_once('\n').unwrap();
+            let at = "\"reduce_target\":0";
+            assert!(body.lines().next().unwrap().contains(at));
+            let with = |fields: &str| {
+                let body = format!("{}\n", body.replacen(at, &format!("{at}{fields}"), 1));
+                format!("{body}{{\"type\":\"crc\",\"value\":{}}}\n", crc32(body.as_bytes()))
+            };
+            let restore = |text: &str| {
+                ColoringService::restore_chain(text, &[], None, Engine::Sequential).map(|(r, _)| r)
+            };
+            // What older builds wrote: zeros with the pass off, the
+            // constants with it on.
+            let old = match kempe {
+                false => ",\"reduce_chain\":0,\"reduce_attempts\":0,\"reduce_rounds\":0",
+                true => ",\"reduce_chain\":256,\"reduce_attempts\":16,\"reduce_rounds\":0",
+            };
+            let r = restore(&with(old)).unwrap();
+            assert_eq!(r.coloring_hash(), s.coloring_hash(), "kempe {kempe}");
+            assert_eq!(r.config().coloring.reduction, s.config().coloring.reduction);
+            for bad in [",\"reduce_chain\":64", ",\"reduce_attempts\":4", ",\"reduce_rounds\":900"]
+            {
+                let err = restore(&with(bad)).err().expect("a setting the build cannot run");
+                let ServiceError::Snapshot { line, message } = &err else { panic!("{err}") };
+                assert_eq!(*line, 1, "{message}");
+                assert!(message.starts_with("unsupported reduce_"), "{message}");
+            }
+        }
     }
 
     #[test]

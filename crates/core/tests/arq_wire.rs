@@ -20,8 +20,9 @@ use dima_sim::fault::FaultPlan;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-/// What one run pins: the `RunStats` counts, the `arq/*` counters
-/// (sorted by name) and the coloring hash.
+/// What one run pins: the `RunStats` counts, the control words of the
+/// registry's `engine/control_*` counters, the `arq/*` counters (sorted
+/// by name) and the coloring hash.
 #[derive(Debug, PartialEq, Eq)]
 struct Wire {
     messages_sent: u64,
@@ -67,8 +68,8 @@ fn wire(plan: FaultPlan, threads: usize) -> Wire {
         dropped: r.stats.dropped,
         duplicated: r.stats.duplicated,
         rounds: r.stats.rounds,
-        control_words: r.stats.control_words,
-        control_lost: r.stats.control_lost,
+        control_words: metrics.counter("engine/control_words"),
+        control_lost: metrics.counter("engine/control_lost"),
         arq: metrics
             .counters()
             .filter(|(name, _)| name.starts_with("arq/"))

@@ -64,7 +64,7 @@ proptest! {
         let before = count_colors(&base);
         let delta = g.max_degree() as i64;
         let target = u32::try_from((delta + 1 + target_slack).max(1)).unwrap();
-        let kcfg = KempeConfig { target_colors: Some(target), ..KempeConfig::default() };
+        let kcfg = KempeConfig { target_colors: Some(target) };
         let r = reduced(&g, seed, Engine::Sequential, kcfg);
         let report = r.reduction.expect("reduction runs");
         verify_edge_coloring(&g, &r.colors).expect("reduction preserved propriety");
@@ -92,7 +92,7 @@ proptest! {
         // Force work: target one color below what the base run used, so
         // chains actually move (bounded below by Δ-feasibility).
         let target = count_colors(&base).saturating_sub(1).max(delta as usize) as u32;
-        let kcfg = KempeConfig { target_colors: Some(target.max(1)), ..KempeConfig::default() };
+        let kcfg = KempeConfig { target_colors: Some(target.max(1)) };
 
         let seq = reduced(&g, seed, Engine::Sequential, kcfg);
         let par = reduced(&g, seed, Engine::Parallel { threads }, kcfg);

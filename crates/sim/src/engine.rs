@@ -136,11 +136,10 @@ pub struct EngineConfig {
     /// bit-comparable across shard counts and runs.
     pub profile: bool,
     /// Collect aggregate metrics (counters/gauges/histograms) into
-    /// [`RunStats::metrics`]. All recorded quantities are deterministic
-    /// — counts and round-denominated latencies — so metric registries
-    /// are bit-identical across shard counts, except the `pool/`
-    /// per-shard entries which only appear when `profile` is also on
-    /// (they are wall-clock and shard-specific by nature).
+    /// [`RunStats::metrics`], the per-kind message fates (`kind/`)
+    /// included. All recorded quantities are deterministic — counts and
+    /// round-denominated latencies — so metric registries are
+    /// bit-identical across shard counts.
     pub metrics: bool,
 }
 
@@ -547,7 +546,8 @@ struct ShardState<M> {
     fates: Vec<u8>,
     woken: Vec<usize>,
     /// Telemetry: stamped event buffer (merged at each round boundary)
-    /// and partial per-kind counters (summed during the merge).
+    /// and this shard's share of the per-kind message fates, kept when
+    /// the run is traced or collects metrics.
     buf: ShardBuf,
     kinds: Option<KindTable>,
     /// Protocol-level metric updates from this shard's nodes. All
@@ -591,7 +591,7 @@ impl<M> ShardState<M> {
             fates: Vec::new(),
             woken: Vec::new(),
             buf: ShardBuf::default(),
-            kinds: None,
+            kinds: cfg.metrics.then(KindTable::new),
             metrics: cfg.metrics.then(MetricsRegistry::new),
             phases: PhaseNanos::default(),
             sent: 0,
@@ -669,7 +669,6 @@ pub struct Stepper<P: Protocol, F> {
     // per-shard protocol registries merge
     // into it at `into_outcome`.
     metrics: Option<Box<MetricsRegistry>>,
-    kinds_on: bool,
     round: u64,
     executed: u64,
 }
@@ -732,7 +731,6 @@ where
             panic: Mutex::new(None),
             stats,
             metrics: cfg.metrics.then(|| Box::new(MetricsRegistry::new())),
-            kinds_on: false,
             round: 0,
             executed: 0,
         })
@@ -814,10 +812,10 @@ where
         }
     }
 
-    /// Consume the stepper into a [`RunOutcome`]. On profiled runs this
-    /// also folds the per-shard phase timers into
-    /// [`RunStats::phase_nanos`] and publishes the per-shard breakdown
-    /// as [`RunStats::shard_phases`].
+    /// Consume the stepper into a [`RunOutcome`]. This folds the
+    /// per-shard registries and kind tables into [`RunStats::metrics`],
+    /// and on profiled runs the per-shard phase timers into
+    /// [`RunStats::phase_nanos`] and [`RunStats::shard_phases`].
     pub fn into_outcome(mut self, churn_batches: u64, churn_events: u64) -> RunOutcome<P> {
         self.stats.crashed = self.crashed_count;
         self.stats.churn_batches = churn_batches;
@@ -829,26 +827,16 @@ where
             self.stats.shard_phases = self.shards.iter().map(|st| st.phases).collect();
         }
         if let Some(reg) = self.metrics.as_deref_mut() {
-            // Fold the per-shard protocol registries in. Every update
-            // is commutative, so any merge order gives the same content
-            // bit for bit.
+            // Fold the per-shard protocol registries and message fates
+            // in. Every update is commutative, so any merge order gives
+            // the same content bit for bit.
             for st in &self.shards {
                 if let Some(sm) = st.metrics.as_ref() {
                     reg.merge(sm);
                 }
-            }
-            // Wall-clock per-shard work and barrier-wait imbalance are
-            // engine-specific by nature, so they only exist on profiled
-            // runs — which are never `==`-compared across engines.
-            if self.cfg.profile {
-                reg.gauge_max("pool/threads", self.threads as u64);
-                for (i, st) in self.shards.iter().enumerate() {
-                    reg.gauge_max(format!("pool/shard{}/work_nanos", i), st.phases.step);
-                    reg.gauge_max(format!("pool/shard{}/barrier_wait_nanos", i), st.phases.barrier);
+                if let Some(k) = st.kinds.as_ref() {
+                    k.record(reg);
                 }
-                let max_wait = self.shards.iter().map(|st| st.phases.barrier).max().unwrap_or(0);
-                let min_wait = self.shards.iter().map(|st| st.phases.barrier).min().unwrap_or(0);
-                reg.gauge_max("pool/barrier_wait_spread_nanos", max_wait - min_wait);
             }
         }
         self.stats.metrics = self.metrics.take();
@@ -935,9 +923,9 @@ where
     /// [`Protocol::on_topology_change`], whose return value replaces its
     /// done flag. Crashed nodes ignore batches.
     ///
-    /// The tracer type must stay consistent across the stepper's life —
-    /// per-kind message counters are only maintained when a real tracer
-    /// is attached on the first tick.
+    /// The tracer type must stay consistent across the stepper's life: a
+    /// stepper that collects no metrics keeps per-kind message counters
+    /// only when a real tracer is attached on its first tick.
     ///
     /// If a protocol panics on any shard, the round barrier is poisoned
     /// so every participant drains out, and the panic is re-raised here;
@@ -947,10 +935,9 @@ where
         batch: Option<&ChurnBatch>,
         tracer: &mut T,
     ) -> Result<RoundStats, SimError> {
-        if T::ENABLED && !self.kinds_on && self.executed == 0 {
-            self.kinds_on = true;
+        if T::ENABLED && self.executed == 0 {
             for st in &mut self.shards {
-                st.kinds = Some(KindTable::new());
+                st.kinds.get_or_insert_with(KindTable::new);
             }
         }
         self.executed += 1;
@@ -1066,8 +1053,6 @@ where
                 reg.inc("engine/control_lost", words_lost);
             }
         }
-        self.stats.control_words += words;
-        self.stats.control_lost += words_lost;
         self.stats.push_round(rs);
         self.round += 1;
         Ok(rs)
@@ -1407,13 +1392,18 @@ fn tick_shard<P, F, T>(
             }
         }
     }
-    // Flush this participant's partial per-kind counters; the boundary
-    // merge sums partial rows with equal (round, kind) across shards
-    // into one row.
+    // Close this participant's partial per-kind counters for the round:
+    // they join its run totals, and on a traced run its buffer, where the
+    // boundary merge sums partial rows with equal (round, kind) across
+    // shards into one row.
     if let Some(k) = kinds.as_mut() {
         buf.round = round;
         buf.node = 0;
-        k.flush(round, |ev| buf.sink(ev));
+        k.flush(round, |ev| {
+            if T::ENABLED {
+                buf.sink(ev);
+            }
+        });
     }
 
     // --- Collect: drain the column into this shard's arena. Sender
@@ -2121,10 +2111,15 @@ mod tests {
         }
         let topo = Topology::from_graph(&structured::path(3));
         let talker = |_: NodeSeed<'_>| Talker { heard: Vec::new() };
+        let words = |out: &RunOutcome<Talker>| {
+            let reg = out.stats.metrics.as_deref().expect("metrics were requested");
+            (reg.counter("engine/control_words"), reg.counter("engine/control_lost"))
+        };
+        let metered = EngineConfig { metrics: true, ..Default::default() };
         for threads in SHARDS {
-            let out = run_static(&topo, &EngineConfig::default(), threads, talker).unwrap();
+            let out = run_static(&topo, &metered, threads, talker).unwrap();
             // Four rounds of one word per directed link (4 of them).
-            assert_eq!((out.stats.control_words, out.stats.control_lost), (16, 0));
+            assert_eq!(words(&out), (16, 0));
             assert_eq!((out.stats.messages_sent, out.stats.deliveries), (0, 0));
             for (i, node) in out.nodes.iter().enumerate() {
                 let ports = topo.degree(VertexId(i as u32));
@@ -2132,9 +2127,9 @@ mod tests {
                     (1..4).flat_map(|r| (0..ports).map(move |p| (r, p, r))).collect();
                 assert_eq!(node.heard, want, "threads = {threads}, node {i}");
             }
-            let cfg = EngineConfig { faults: FaultPlan::uniform(1.0), ..Default::default() };
+            let cfg = EngineConfig { faults: FaultPlan::uniform(1.0), ..metered };
             let lost = run_static(&topo, &cfg, threads, talker).unwrap();
-            assert_eq!((lost.stats.control_words, lost.stats.control_lost), (16, 16));
+            assert_eq!(words(&lost), (16, 16));
             assert!(lost.nodes.iter().all(|n| n.heard.is_empty()));
         }
     }

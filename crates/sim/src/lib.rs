@@ -66,6 +66,6 @@ pub use churn::{
 pub use engine::{mail_entry_bytes, run, EngineConfig, RunOutcome, Stepper};
 pub use error::SimError;
 pub use protocol::{ControlWord, Envelope, NodeSeed, NodeStatus, Protocol, RoundCtx, Shared};
-pub use reliable::{ArqConfig, ArqMsg, ReliableNode};
+pub use reliable::{ArqMsg, ReliableNode};
 pub use stats::{RoundStats, RunStats};
 pub use topology::Topology;

@@ -107,26 +107,13 @@ const ROUND_TRIP: u64 = 2;
 /// kills a link: a peer whose words arrive is alive.
 pub const DEATH_TIMEOUT: u64 = 34;
 
-/// Tuning for the ARQ layer.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct ArqConfig {
-    /// Engine round budgets are scaled by this factor when a protocol
-    /// runs under the ARQ layer (see [`ArqConfig::round_budget`]).
-    pub round_budget_factor: u64,
-}
+/// The factor [`round_budget`] scales a bare-engine round budget by.
+const ROUND_BUDGET_FACTOR: u64 = 12;
 
-impl Default for ArqConfig {
-    fn default() -> Self {
-        ArqConfig { round_budget_factor: 12 }
-    }
-}
-
-impl ArqConfig {
-    /// Scale a bare-engine round budget to cover retransmission stalls
-    /// and link-death detection.
-    pub fn round_budget(&self, bare: u64) -> u64 {
-        self.round_budget_factor * bare + 2 * DEATH_TIMEOUT + 16
-    }
+/// Scale a bare-engine round budget to cover retransmission stalls and
+/// link-death detection under the ARQ layer.
+pub fn round_budget(bare: u64) -> u64 {
+    ROUND_BUDGET_FACTOR * bare + 2 * DEATH_TIMEOUT + 16
 }
 
 /// The ARQ layer's one wire message: one inner round's messages on one
@@ -982,8 +969,8 @@ mod tests {
 
     #[test]
     fn shard_counts_agree_under_arq_and_loss() {
-        // Stats (control words and losses included) and the metrics
-        // registry must not depend on the shard count.
+        // Stats and the metrics registry (control words and losses
+        // included) must not depend on the shard count.
         let topo = Topology::from_graph(&structured::grid(5, 4));
         let cfg = EngineConfig {
             faults: FaultPlan::uniform(0.2),
@@ -993,7 +980,8 @@ mod tests {
             ..EngineConfig::seeded(31)
         };
         let seq = run_on(&topo, &cfg, 1, wrapped_factory()).unwrap();
-        assert!(seq.stats.control_lost > 0, "the plan should lose control words");
+        let reg = seq.stats.metrics.as_deref().expect("metrics were requested");
+        assert!(reg.counter("engine/control_lost") > 0, "the plan should lose control words");
         for threads in [2, 3, 8] {
             let par = run_on(&topo, &cfg, threads, wrapped_factory()).unwrap();
             assert_eq!(par.stats, seq.stats, "threads {threads}");

@@ -37,12 +37,6 @@ pub struct RunStats {
     pub corrupted: u64,
     /// Extra deliveries injected by duplication faults.
     pub duplicated: u64,
-    /// Control-plane words written (0 unless the protocol sets
-    /// [`crate::Protocol::CONTROL`]). Words are not messages: they count
-    /// in neither `messages_sent` nor `deliveries`.
-    pub control_words: u64,
-    /// Control words the fault plan lost (dropped or corrupted).
-    pub control_lost: u64,
     /// Nodes that crash-stopped during the run.
     pub crashed: usize,
     /// Quiescent rounds the engine fast-forwarded over instead of
@@ -67,10 +61,12 @@ pub struct RunStats {
     /// Aggregate metrics registry (present iff
     /// [`crate::EngineConfig::metrics`] was on). Deterministic content
     /// — the engine merges its per-shard registries commutatively, so
-    /// this compares bit-identically across shard counts with `==`; only
-    /// profiled runs add shard-specific `pool/`
-    /// entries (and profiled runs are never `==`-compared anyway,
-    /// their `phase_nanos` already differ).
+    /// this compares bit-identically across shard counts with `==`. It
+    /// is where the per-kind message fates (`kind/`) and the
+    /// control-plane words (`engine/control_words`, of which
+    /// `engine/control_lost` were lost) are counted; words are not
+    /// messages, so they count in neither `messages_sent` nor
+    /// `deliveries`.
     pub metrics: Option<Box<MetricsRegistry>>,
     /// Per-round breakdown (present iff the engine was configured to
     /// collect it).

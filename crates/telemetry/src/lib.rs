@@ -11,9 +11,7 @@
 //!   engines test as a compile-time constant: with it, the whole plane
 //!   monomorphizes away. Production sinks are the bounded-memory
 //!   [`StateTimeline`] aggregator and the streaming JSONL
-//!   [`TraceWriter`]; [`BufferTracer`] captures raw events for tests,
-//!   and [`TransportTally`] aggregates the transport counters behind
-//!   CLI reports.
+//!   [`TraceWriter`]; [`BufferTracer`] captures raw events for tests.
 //! * **Determinism** — every shard count emits the same event sequence
 //!   for the same seed. The engine buffers per-worker
 //!   ([`ShardBuf`]) and normalizes with [`merge_shards`]; the canonical
@@ -46,14 +44,11 @@ pub mod tracer;
 pub mod writer;
 
 pub use event::{merge_shards, ArqEventKind, Event, PaletteAction, Stamped};
-pub use kinds::{KindTable, KindTotals};
+pub use kinds::{kind_totals, KindTable, KindTotals};
 pub use mem::{CountingAlloc, MemReport};
 pub use metrics::{LogHistogram, MetricsHandle, MetricsRegistry};
 pub use profile::{PhaseNanos, ProfileScope};
 pub use slo::{percentile_f64, percentile_u64, BatchSample, SloRecorder, SloReport};
 pub use timeline::{RoundSnapshot, StateTimeline, STATES};
-pub use tracer::{
-    BufferTracer, EventSink, LinkClass, LinkClassTotals, NoopTracer, ShardBuf, TraceHandle, Tracer,
-    TransportTally,
-};
+pub use tracer::{BufferTracer, EventSink, NoopTracer, ShardBuf, TraceHandle, Tracer};
 pub use writer::{json_escape, RunTotals, TraceMeta, TraceWriter, SCHEMA_VERSION};

@@ -19,10 +19,9 @@
 //!   cross-engine equality contract must only record quantities that
 //!   are pure functions of `(topology, seed, config)` — counts and
 //!   round-denominated latencies, never wall-clock time. Wall-clock
-//!   metrics (per-shard work, barrier waits, serve commit latency)
-//!   live in registries or name prefixes that are only populated when
-//!   profiling is on, exactly like
-//!   [`PhaseNanos`](crate::profile::PhaseNanos).
+//!   time (per-shard work, barrier waits, serve commit latency) lives
+//!   outside them, in [`PhaseNanos`](crate::profile::PhaseNanos) and
+//!   registries that are only populated when profiling is on.
 //!
 //! Histograms use log₂ buckets: value `v` lands in bucket
 //! `bit_length(v)` (0 for 0, 1 for 1, 2 for 2–3, 3 for 4–7, …), plus
@@ -300,8 +299,8 @@ impl MetricsRegistry {
     }
 
     /// Drop every entry whose name starts with `prefix`. `metrics diff`
-    /// uses this to exclude environment-dependent families (`mem/`,
-    /// `pool/`) before a determinism comparison.
+    /// uses this to exclude the environment-dependent `mem/` family
+    /// before a determinism comparison.
     pub fn remove_prefix(&mut self, prefix: &str) {
         self.counters.retain(|k, _| !k.starts_with(prefix));
         self.gauges.retain(|k, _| !k.starts_with(prefix));

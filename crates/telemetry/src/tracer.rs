@@ -10,17 +10,17 @@
 //! emission attempt when tracing is off at the engine level.
 
 use crate::event::{Event, Stamped};
-use crate::kinds::KindTotals;
-use std::collections::BTreeMap;
 
 /// A consumer of telemetry [`Event`]s.
 ///
 /// The associated `ENABLED` constant is the zero-cost switch: engines
 /// test it (a compile-time constant) before doing *any* tracing work —
-/// building kind tables, consulting sampling, buffering shard events.
+/// consulting sampling, buffering shard events, emitting the kind
+/// table's rows. (The kind table itself also runs for a run that
+/// collects metrics: its totals are the registry's `kind/` counters.)
 pub trait Tracer {
     /// Whether this tracer observes anything at all. Engines skip all
-    /// telemetry bookkeeping when this is `false`.
+    /// tracing work when this is `false`.
     const ENABLED: bool = true;
 
     /// Consume one event. Events arrive in the canonical deterministic
@@ -153,103 +153,9 @@ impl Tracer for BufferTracer {
     }
 }
 
-/// Which terminal class a reliable-transport link ended the run in.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum LinkClass {
-    /// Link never declared dead.
-    Healthy,
-    /// Link declared dead after prolonged peer silence.
-    DiedSilent,
-}
-
-impl LinkClass {
-    /// Human-readable class name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            LinkClass::Healthy => "healthy",
-            LinkClass::DiedSilent => "died-silent",
-        }
-    }
-}
-
-/// Retransmission totals for one link class.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LinkClassTotals {
-    /// Directed links (node → peer) that ended the run in this class
-    /// and saw at least one ARQ event.
-    pub links: u64,
-    /// Data-bundle retransmissions on those links.
-    pub retransmits: u64,
-}
-
-/// Cheap aggregating tracer behind the CLI transport report: tallies
-/// per-message-kind counters and ARQ link outcomes without buffering
-/// events. Never samples — its inputs are engine-level counters plus
-/// the (rare) ARQ events.
-#[derive(Clone, Debug, Default)]
-pub struct TransportTally {
-    /// Totals per protocol-declared message kind, keyed by kind name.
-    pub kinds: BTreeMap<&'static str, KindTotals>,
-    /// Per directed link (node, peer): retransmit count and final class.
-    links: BTreeMap<(u32, u32), (u64, LinkClass)>,
-    /// Total retransmissions across all links.
-    pub retransmits: u64,
-}
-
-impl TransportTally {
-    /// Retransmission totals grouped by final link class, in
-    /// `[healthy, died-silent]` order.
-    pub fn by_link_class(&self) -> [(LinkClass, LinkClassTotals); 2] {
-        let mut out = [
-            (LinkClass::Healthy, LinkClassTotals::default()),
-            (LinkClass::DiedSilent, LinkClassTotals::default()),
-        ];
-        for &(retransmits, class) in self.links.values() {
-            let slot = &mut out.iter_mut().find(|(c, _)| *c == class).unwrap().1;
-            slot.links += 1;
-            slot.retransmits += retransmits;
-        }
-        out
-    }
-
-    /// Directed links that were declared dead.
-    pub fn links_down(&self) -> u64 {
-        self.links.values().filter(|&&(_, c)| c != LinkClass::Healthy).count() as u64
-    }
-}
-
-impl Tracer for TransportTally {
-    fn emit(&mut self, ev: Event) {
-        match ev {
-            Event::MsgKind { kind, sent, delivered, dropped, corrupted, duplicated, .. } => {
-                let t = self.kinds.entry(kind).or_default();
-                t.sent += sent;
-                t.delivered += delivered;
-                t.dropped += dropped;
-                t.corrupted += corrupted;
-                t.duplicated += duplicated;
-            }
-            Event::Arq { node, kind, peer, .. } => {
-                let link = self.links.entry((node, peer)).or_insert((0, LinkClass::Healthy));
-                match kind {
-                    crate::event::ArqEventKind::Retransmit => {
-                        link.0 += 1;
-                        self.retransmits += 1;
-                    }
-                    crate::event::ArqEventKind::LinkDownSilent => {
-                        link.1 = LinkClass::DiedSilent;
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::ArqEventKind;
 
     #[test]
     fn noop_is_disabled_and_samples_nothing() {
@@ -270,21 +176,5 @@ mod tests {
         assert!(!dead.on());
         dead.emit(ev);
         assert_eq!(buf.events, vec![ev]);
-    }
-
-    #[test]
-    fn transport_tally_classifies_links() {
-        let mut t = TransportTally::default();
-        let arq = |node, kind, peer| Event::Arq { round: 0, node, kind, peer };
-        t.emit(arq(0, ArqEventKind::Retransmit, 1));
-        t.emit(arq(0, ArqEventKind::Retransmit, 1));
-        t.emit(arq(0, ArqEventKind::LinkDownSilent, 1));
-        t.emit(arq(2, ArqEventKind::Retransmit, 3));
-        t.emit(arq(4, ArqEventKind::LinkDownSilent, 5));
-        assert_eq!(t.retransmits, 3);
-        assert_eq!(t.links_down(), 2);
-        let [h, s] = t.by_link_class();
-        assert_eq!(h.1, LinkClassTotals { links: 1, retransmits: 1 });
-        assert_eq!(s.1, LinkClassTotals { links: 2, retransmits: 2 });
     }
 }
