@@ -14,9 +14,20 @@
 //!   accepts one *uniformly at random* (line 1.21), echoing it back to
 //!   the invitor and committing the color on its side.
 //! * **exchange** — the invitor commits on receipt of the echo; both
-//!   sides broadcast the newly used color (`E` state). A node whose every
-//!   incident edge is colored broadcasts its final exchange and enters
-//!   `D`.
+//!   sides announce the newly used color (`E` state). A node whose every
+//!   incident edge is colored makes its final exchange and enters `D`.
+//!
+//! ## Who hears the exchange
+//!
+//! The paper's `E` state broadcasts the color, and the run counts it as
+//! one message. A neighbor reads its knowledge of the sender, though,
+//! only to propose over their shared edge (`propose_color`, line 1.11),
+//! so only while that edge is uncolored. The exchange is therefore a
+//! multicast to the sender's uncolored ports: the neighbors across a
+//! colored edge, done nodes among them, would receive it only to store a
+//! row nobody reads again. Both ends of an edge agree on its color under
+//! reliable delivery (Proposition 2), so every neighbor that still reads
+//! the row gets the update.
 //!
 //! ## Why no re-validation is needed at accept time (Prop. 2)
 //!
@@ -50,7 +61,7 @@ use dima_graph::{Graph, VertexId};
 use dima_sim::churn::{ChurnSchedule, NeighborhoodChange};
 use dima_sim::telemetry::{NoopTracer, PaletteAction, Tracer};
 use dima_sim::{
-    Envelope, NodeSeed, NodeStatus, Protocol, RoundCtx, RunOutcome, RunStats, Topology,
+    Envelope, NodeSeed, NodeStatus, Protocol, RoundCtx, RunOutcome, RunStats, Shared, Topology,
 };
 use rand::rngs::SmallRng;
 
@@ -68,9 +79,10 @@ use crate::runner::{run_protocol, EngineRun};
 /// ([`RoundCtx::send`]), which is the paper's semantics — a listener
 /// "keeps invitations addressed to me" and every other neighbor's copy of
 /// a broadcast would be read only to be thrown away. The receiver is the
-/// envelope's addressee, so neither message carries it. `Used` is a true
-/// broadcast: every neighbor's `used_v` knowledge needs it. `Hello`
-/// greets one new neighbor.
+/// envelope's addressee, so neither message carries it. `Used` is the
+/// paper's broadcast, multicast to the sender's uncolored ports: only
+/// those neighbors read their `used_v` knowledge of the sender again
+/// (see the module docs). `Hello` greets one new neighbor.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum EcMsg {
     /// `I_u^v, c`: the sender proposes to color edge `(sender, receiver)`
@@ -95,8 +107,9 @@ pub enum EcMsg {
     /// used-color set, priming the `used_v` knowledge that static runs
     /// accumulate through the `Used` exchange. Never sent without churn.
     Hello {
-        /// Every color the sender has committed so far, ascending.
-        used: Vec<Color>,
+        /// Every color the sender has committed so far, ascending. Behind
+        /// one pointer, so this rare message does not widen every other.
+        used: Shared<Vec<Color>>,
     },
 }
 
@@ -302,9 +315,9 @@ impl Protocol for EdgeColoringNode {
     }
 
     fn on_round(&mut self, ctx: &mut RoundCtx<'_, EcMsg>) -> NodeStatus {
-        // Repair prelude. Under churn, `Used` exchanges (flushed by
-        // parking nodes) and `Hello` greetings can land at *any* phase,
-        // not just the invite step — ingest them before the phase logic.
+        // Repair prelude. Under churn, `Hello` greetings can land at
+        // *any* phase, not just the invite step — ingest them and the
+        // `Used` exchanges before the phase logic.
         // Static runs only ever see `Used` here and only at the invite
         // step, so the paper's schedule is unchanged.
         for env in ctx.inbox() {
@@ -314,7 +327,7 @@ impl Protocol for EdgeColoringNode {
                     self.used_nbr.insert(p, *color);
                 }
                 EcMsg::Hello { used } => {
-                    for &c in used {
+                    for &c in used.iter() {
                         self.used_nbr.insert(p, c);
                     }
                 }
@@ -325,7 +338,7 @@ impl Protocol for EdgeColoringNode {
         // were not lost again by a later batch before this node ran).
         for w in std::mem::take(&mut self.pending_hello) {
             if self.port_of(w).is_some() {
-                ctx.send(w, EcMsg::Hello { used: self.used_self.iter().collect() });
+                ctx.send(w, EcMsg::Hello { used: Shared::new(self.used_self.iter().collect()) });
             }
         }
         for (color, peer) in std::mem::take(&mut self.pending_released) {
@@ -333,20 +346,16 @@ impl Protocol for EdgeColoringNode {
         }
         match Phase::of_round(ctx.round()) {
             Phase::InviteStep => {
+                self.proposal = None;
+                self.newly_used = None;
                 if self.uncolored.is_empty() {
                     // Reached by isolated vertices in round 0 and by nodes
-                    // whose last uncolored ports were removed by churn: in
-                    // the latter case a final commit may still await its
-                    // exchange — flush it so neighbors learn the color.
-                    if let Some(color) = self.newly_used.take() {
-                        ctx.broadcast(EcMsg::Used { color });
-                    }
+                    // whose last uncolored ports were removed by churn. No
+                    // neighbor reads this node's colors any more.
                     self.state = "D";
                     ctx.trace_state("D", "all-colored");
                     return NodeStatus::Done;
                 }
-                self.proposal = None;
-                self.newly_used = None;
                 self.role = choose_role(ctx.rng(), self.invite_probability);
                 self.state = if self.role == Role::Invitor { "I" } else { "L" };
                 ctx.trace_state(self.state, "coin");
@@ -417,9 +426,10 @@ impl Protocol for EdgeColoringNode {
                         }
                     }
                 }
-                // E state: broadcast the newly used color, if any.
+                // E state: announce the newly used color, if any, to the
+                // neighbors that will read it.
                 if let Some(color) = self.newly_used.take() {
-                    ctx.broadcast(EcMsg::Used { color });
+                    ctx.multicast(&self.uncolored, EcMsg::Used { color });
                 }
                 if self.uncolored.is_empty() {
                     self.state = "D";
@@ -499,9 +509,9 @@ impl Protocol for EdgeColoringNode {
             self.state = "C";
             NodeStatus::Active
         } else if self.newly_used.is_some() || !self.pending_hello.is_empty() {
-            // Nothing left to color, but a final commit still owes its
-            // exchange (or a greeting is queued): stay up one more round
-            // to flush it, then park via the invite-step early return.
+            // Nothing left to color, but a commit is mid-exchange (or a
+            // greeting is queued): stay up to finish the computation
+            // round, then park.
             NodeStatus::Active
         } else {
             self.state = "D";
@@ -723,14 +733,12 @@ fn apply_reduction<T: Tracer + Sync>(
     for (v, row) in pass.built_rows() {
         outcome.nodes[v.index()].adopt_compaction(row);
     }
-    // Fold the pass's registry (kempe/ counters plus its own engine
-    // rounds) into the run's: the reduction is part of the run's work,
-    // and counter merge keeps the total deterministic.
+    // Fold the pass's registry into the run's under `kempe/`: the
+    // reduction is part of the run's work, but its own engine's
+    // `engine/` and `kind/` counters stay apart from Algorithm 1's, which
+    // `RunStats` counts.
     if let Some(m) = pass.metrics {
-        match &mut outcome.stats.metrics {
-            Some(reg) => reg.merge(&m),
-            None => outcome.stats.metrics = Some(m),
-        }
+        outcome.stats.metrics.get_or_insert_with(Default::default).merge_under(&m, "kempe/");
     }
     Ok(Some(pass.report))
 }
@@ -990,17 +998,19 @@ mod tests {
 
     #[test]
     fn addressed_handshakes_pin_algorithm1_traffic() {
-        // Invitations and accepts go to their one receiver. The paper's
-        // cost metric (messages sent) and the coloring do not move;
-        // deliveries fall to the addressed copies. Broadcasting them
-        // delivered 50,725 copies here, 4,072 for matching.
+        // Invitations and accepts go to their one receiver, and the `Used`
+        // exchange to the sender's uncolored ports. The paper's cost
+        // metric (messages sent) and the coloring do not move; deliveries
+        // fall to the copies that are read. Broadcasting all three
+        // delivered 50,725 copies here, broadcasting `Used` alone 22,950;
+        // matching's broadcasts delivered 4,072.
         let mut rng = SmallRng::seed_from_u64(2012);
         let g = erdos_renyi_avg_degree(300, 8.0, &mut rng).unwrap();
         let r = color_edges(&g, &ColoringConfig::seeded(1)).unwrap();
         assert_good_coloring(&g, &r);
         assert_eq!((r.compute_rounds, r.colors_used), (38, 17));
         assert_eq!(r.stats.messages_sent, 6_579);
-        assert_eq!(r.stats.deliveries, 22_950);
+        assert_eq!(r.stats.deliveries, 13_854);
         let m = crate::matching::maximal_matching(&g, &ColoringConfig::seeded(1)).unwrap();
         assert_eq!(m.pairs.len(), 136);
         assert_eq!(m.stats.messages_sent, 705);
@@ -1015,9 +1025,15 @@ mod tests {
         // envelope pays 4 bytes for it, not 8.
         assert_eq!(mail_entry_bytes::<crate::matching::MatchMsg>(), 12);
         // 8-byte-aligned messages round up to the same size either way.
-        assert_eq!(mail_entry_bytes::<EcMsg>(), 40);
+        // `EcMsg` is 16 bytes: `Hello`'s color list sits behind a thin
+        // pointer (a `Vec` inline made it 32, and each entry 40).
+        assert_eq!(std::mem::size_of::<EcMsg>(), 16);
+        assert_eq!(mail_entry_bytes::<EcMsg>(), 32);
         assert_eq!(mail_entry_bytes::<crate::strong_coloring::StrongMsg>(), 72);
         assert_eq!(mail_entry_bytes::<crate::kempe::KMsg>(), 40);
+        // An outbox entry's target is one word too: a multicast carries
+        // an index into the sender's port arena, not its port list.
+        assert_eq!(dima_sim::outbox_entry_bytes::<EcMsg>(), 24);
     }
 
     #[test]

@@ -85,7 +85,12 @@ fn arq(counters: &[(&str, u64)]) -> Vec<(String, u64)> {
 
 fn check(plan: FaultPlan, want: Wire) {
     for threads in [1, 3] {
-        assert_eq!(wire(plan.clone(), threads), want, "threads {threads}");
+        let got = wire(plan.clone(), threads);
+        // The coloring is checked on its own first: a wire change may
+        // move frames and rounds, but a coloring change is a behaviour
+        // change of another order.
+        assert_eq!(got.coloring, want.coloring, "coloring moved, threads {threads}");
+        assert_eq!(got, want, "threads {threads}");
     }
 }
 
@@ -94,14 +99,14 @@ fn uniform_loss_wire_is_pinned() {
     check(
         FaultPlan::uniform(0.02),
         Wire {
-            messages_sent: 2129,
-            deliveries: 2090,
-            dropped: 39,
+            messages_sent: 1340,
+            deliveries: 1306,
+            dropped: 34,
             duplicated: 0,
-            rounds: 110,
-            control_words: 21155,
-            control_lost: 449,
-            arq: arq(&[("arq/dup_bundles", 4), ("arq/false_deaths", 0), ("arq/retransmits", 42)]),
+            rounds: 109,
+            control_words: 21023,
+            control_lost: 446,
+            arq: arq(&[("arq/dup_bundles", 2), ("arq/false_deaths", 0), ("arq/retransmits", 36)]),
             coloring: 502170302334765220,
         },
     );
@@ -112,17 +117,17 @@ fn bursty_duplicating_wire_is_pinned() {
     check(
         FaultPlan { duplicate_probability: 0.2, ..FaultPlan::bursty(0.05, 0.9) },
         Wire {
-            messages_sent: 2702,
-            deliveries: 2493,
-            dropped: 643,
-            duplicated: 434,
-            rounds: 321,
-            control_words: 62546,
-            control_lost: 13585,
+            messages_sent: 1692,
+            deliveries: 1547,
+            dropped: 384,
+            duplicated: 239,
+            rounds: 314,
+            control_words: 62282,
+            control_lost: 13484,
             arq: arq(&[
-                ("arq/dup_bundles", 440),
+                ("arq/dup_bundles", 243),
                 ("arq/false_deaths", 0),
-                ("arq/retransmits", 641),
+                ("arq/retransmits", 388),
             ]),
             coloring: 502170302334765220,
         },
@@ -134,18 +139,18 @@ fn crashing_wire_is_pinned() {
     check(
         FaultPlan { drop_probability: 0.02, ..FaultPlan::crashing(0.15, 5) },
         Wire {
-            messages_sent: 911,
-            deliveries: 884,
-            dropped: 16,
+            messages_sent: 610,
+            deliveries: 587,
+            dropped: 15,
             duplicated: 0,
             rounds: 108,
-            control_words: 15112,
-            control_lost: 326,
+            control_words: 15097,
+            control_lost: 327,
             arq: arq(&[
                 ("arq/dup_bundles", 2),
                 ("arq/false_deaths", 0),
                 ("arq/link_down_silent", 69),
-                ("arq/retransmits", 16),
+                ("arq/retransmits", 17),
             ]),
             coloring: 10818928983984880840,
         },

@@ -167,3 +167,71 @@ proptest! {
         }
     }
 }
+
+/// ER n = 200, average degree 6: Δ = 12, and a Kempe target of 10 leaves
+/// the reduction pass work to do.
+fn reduced_graph() -> Graph {
+    let mut rng = SmallRng::seed_from_u64(1);
+    erdos_renyi_avg_degree(200, 6.0, &mut rng).unwrap()
+}
+
+/// The run's `engine/` counters count Algorithm 1's engine alone, as
+/// `RunStats` does, on plain, churn and reduced runs: a Kempe pass keeps
+/// its engine's counters under `kempe/engine/` and its message fates
+/// under `kempe/kind/`. `engine/rounds` counts executed rounds, so it
+/// leaves out the idle rounds a churn run fast-forwards over.
+#[test]
+fn engine_counters_equal_run_stats() {
+    let g = reduced_graph();
+    let schedule = ChurnSchedule::generate(&g, &ChurnPlan::new(11, 0.2));
+    let kempe = ColorReduction::Kempe(KempeConfig { target_colors: Some(10) });
+    for (churn, reduction) in
+        [(false, ColorReduction::Off), (true, ColorReduction::Off), (false, kempe), (true, kempe)]
+    {
+        let cfg = ColoringConfig { collect_metrics: true, reduction, ..ColoringConfig::seeded(5) };
+        let r = if churn {
+            color_edges_churn(&g, &schedule, &cfg).unwrap().coloring
+        } else {
+            color_edges(&g, &cfg).unwrap()
+        };
+        let reduced = cfg.reduction != ColorReduction::Off;
+        assert_eq!(r.reduction.is_some(), reduced, "the pass ran when asked");
+        let what = format!("churn {churn}, reduced {reduced}");
+        let reg = r.stats.metrics.as_ref().expect("metrics were requested");
+        assert_eq!(reg.counter("engine/messages_sent"), r.stats.messages_sent, "{what}");
+        assert_eq!(reg.counter("engine/deliveries"), r.stats.deliveries, "{what}");
+        assert_eq!(
+            reg.counter("engine/rounds"),
+            r.stats.rounds - r.stats.idle_rounds_skipped,
+            "{what}"
+        );
+        if let Some(pass) = &r.reduction {
+            assert!(pass.messages_sent > 0, "{what}: the pass should have work");
+            assert_eq!(reg.counter("kempe/engine/messages_sent"), pass.messages_sent, "{what}");
+        }
+    }
+}
+
+/// Algorithm 1's `Used` exchange goes only to neighbors across an
+/// uncolored edge, which are never done: on fault-free static and churn
+/// runs every copy sent is delivered.
+#[test]
+fn used_exchange_reaches_only_running_neighbors() {
+    let g = reduced_graph();
+    let schedule = ChurnSchedule::generate(&g, &ChurnPlan::new(11, 0.2));
+    for threads in [1, 3] {
+        let cfg = ColoringConfig {
+            collect_metrics: true,
+            engine: Engine::Parallel { threads },
+            ..ColoringConfig::seeded(5)
+        };
+        let static_run = color_edges(&g, &cfg).unwrap();
+        let churn_run = color_edges_churn(&g, &schedule, &cfg).unwrap().coloring;
+        for (what, r) in [("static", static_run), ("churn", churn_run)] {
+            let reg = r.stats.metrics.as_ref().expect("metrics were requested");
+            let sent = reg.counter("kind/used/sent");
+            assert!(sent > 0, "{what}, {threads} threads: no exchange");
+            assert_eq!(reg.counter("kind/used/delivered"), sent, "{what}, {threads} threads");
+        }
+    }
+}

@@ -21,11 +21,15 @@
 //!    unicast's fate (dropped, delivered, duplicated) is decided here
 //!    and it takes one entry per copy. A broadcast takes one *post* per
 //!    receiver shard that holds a neighbor of the sender — at most one
-//!    per shard, however high the degree;
+//!    per shard, however high the degree. A multicast takes one post per
+//!    receiver shard that holds a *listed* neighbor, and the ids of its
+//!    receivers there ride in the buffer's side lane;
 //! 3. **barrier A**, then **fan-out + boundary + collect** — each
 //!    participant takes its grid *column* and first expands the posts in
-//!    it to its own neighbors of each sender, deciding those deliveries'
-//!    fates against the done flags the round started with. Only then
+//!    it to their receivers — a broadcast's are the sender's neighbors
+//!    in this shard, a multicast's are listed in the side lane — deciding
+//!    those deliveries' fates against the done flags the round started
+//!    with. Only then
 //!    does it apply the wake-ups addressed to its shard and publish its
 //!    new done flags, so a wake-up never changes the fate of a later
 //!    delivery to the same node. It then drains the column straight into
@@ -289,8 +293,9 @@ fn shard_bounds(topo: &Topology, threads: usize) -> Vec<(usize, usize)> {
 /// A slot holds the sender shard's mail for the receiver shard's nodes,
 /// in sender-id order: unicast copies already fated at deposit, and one
 /// [`Route::Fanout`] post per broadcast whose sender has neighbors in the
-/// receiver shard. A broadcast therefore costs one entry per receiver
-/// shard, not one per neighbor; the receiver expands it.
+/// receiver shard (per multicast, with a listed neighbor there). A
+/// broadcast or multicast therefore costs one entry per receiver shard,
+/// not one per neighbor; the receiver expands it.
 ///
 /// Each slot has one user per phase: participant `s` fills slot
 /// `(s, r)` in the deposit phase (its *row*), participant `r` drains it
@@ -299,15 +304,32 @@ fn shard_bounds(topo: &Topology, threads: usize) -> Vec<(usize, usize)> {
 /// twice per phase and never contended, and the buffer's capacity stays
 /// with its channel pair: steady-state rounds allocate nothing.
 struct MailGrid<M> {
-    slots: Vec<Mutex<Vec<Entry<M>>>>,
+    slots: Vec<Mutex<Lane<M>>>,
     threads: usize,
 }
 
 /// One grid entry: where it goes, and the envelope.
 type Entry<M> = (Dest, Envelope<M>);
 
+/// One grid buffer: its entries, and beside them the receivers of its
+/// multicast posts in entry order. Each multicast post owns one record
+/// of `records`: the number of its receivers in the receiver shard, then
+/// their ids, ascending. A receiving pass reads them straight from the
+/// record, without a look at the sender's adjacency.
+struct Lane<M> {
+    entries: Vec<Entry<M>>,
+    records: Vec<VertexId>,
+}
+
+impl<M> Default for Lane<M> {
+    fn default() -> Self {
+        Lane { entries: Vec::new(), records: Vec::new() }
+    }
+}
+
 /// Where a grid entry goes, packed into one word: the top bit tags a
-/// [`Route::Fanout`], the low 31 bits carry the node id or outbox index.
+/// [`Route::Fanout`], the low 31 bits carry the node id or, for a
+/// fan-out, whether it lists its receivers (bit 30) and the outbox index.
 /// A two-word enum would pad every entry of a 4-byte-aligned message by
 /// 4 bytes. The packing caps topologies below [`Dest::MAX_NODES`] nodes
 /// ([`Stepper::new`] rejects the rest).
@@ -318,16 +340,18 @@ struct Dest(u32);
 enum Route {
     /// One copy for this node; a unicast, its fate decided at deposit.
     Node(VertexId),
-    /// A broadcast, one copy (or two, or none: fates are decided on
-    /// the receiving side) for each of the sender's neighbors in the
-    /// receiver shard. Carries the message's outbox index, an input of
-    /// the fault decisions.
-    Fanout(u32),
+    /// A broadcast or multicast, one copy (or two, or none: fates are
+    /// decided on the receiving side) for each of its receivers in the
+    /// receiver shard: the sender's neighbors there, or (`listed`) those
+    /// its record in the side lane lists. Carries the message's outbox
+    /// index, an input of the fault decisions.
+    Fanout { k: u32, listed: bool },
 }
 
 impl Dest {
     const FANOUT: u32 = 1 << 31;
-    /// Node ids and outbox indices stay below the tag bit.
+    const LISTED: u32 = 1 << 30;
+    /// Node ids stay below the tag bit.
     const MAX_NODES: usize = Self::FANOUT as usize;
 
     #[inline]
@@ -337,10 +361,10 @@ impl Dest {
     }
 
     #[inline]
-    fn fanout(k: u32) -> Self {
-        // An outbox of 2^31 messages would hold at least 16 GiB.
-        debug_assert!(k < Self::FANOUT);
-        Dest(Self::FANOUT | k)
+    fn fanout(k: u32, listed: bool) -> Self {
+        // An outbox of 2^30 messages would hold at least 8 GiB.
+        debug_assert!(k < Self::LISTED);
+        Dest(Self::FANOUT | if listed { Self::LISTED } else { 0 } | k)
     }
 
     #[inline]
@@ -348,7 +372,8 @@ impl Dest {
         if self.0 & Self::FANOUT == 0 {
             Route::Node(VertexId(self.0))
         } else {
-            Route::Fanout(self.0 & !Self::FANOUT)
+            let k = self.0 & !(Self::FANOUT | Self::LISTED);
+            Route::Fanout { k, listed: self.0 & Self::LISTED != 0 }
         }
     }
 }
@@ -359,12 +384,12 @@ impl<M> MailGrid<M> {
     }
 
     /// Slots `(s, 0..threads)`: participant `s`'s row.
-    fn row(&self, s: usize) -> impl Iterator<Item = &Mutex<Vec<Entry<M>>>> {
+    fn row(&self, s: usize) -> impl Iterator<Item = &Mutex<Lane<M>>> {
         self.slots[s * self.threads..][..self.threads].iter()
     }
 
     /// Slots `(0..threads, r)`: participant `r`'s column.
-    fn column(&self, r: usize) -> impl Iterator<Item = &Mutex<Vec<Entry<M>>>> {
+    fn column(&self, r: usize) -> impl Iterator<Item = &Mutex<Lane<M>>> {
         self.slots[r..].iter().step_by(self.threads)
     }
 }
@@ -372,38 +397,80 @@ impl<M> MailGrid<M> {
 /// Swap `lanes` with the buffers in `slots`, one each: once to take a
 /// row or column out of the grid for a phase (the lanes are empty
 /// then), once to put it back.
-fn swap_lanes<'a, M: 'a>(
-    slots: impl Iterator<Item = &'a Mutex<Vec<Entry<M>>>>,
-    lanes: &mut [Vec<Entry<M>>],
-) {
+fn swap_lanes<'a, M: 'a>(slots: impl Iterator<Item = &'a Mutex<Lane<M>>>, lanes: &mut [Lane<M>]) {
     for (slot, lane) in slots.zip(lanes) {
         std::mem::swap(&mut *lock(slot), lane);
     }
 }
 
-/// Deposit broadcast `k` of `from` into `row`, the depositing shard's
-/// grid row: one post in each lane `r` whose shard holds one of
-/// `neighbors`. Shards are contiguous id ranges and `neighbors` is
-/// sorted, so each shard's neighbors form one run. The payload is
-/// cloned for every post but the last, which takes it.
-fn post_broadcast<M: Clone>(
-    row: &mut [Vec<Entry<M>>],
+/// Deposit broadcast or multicast `k` of `from` into `row`, the
+/// depositing shard's grid row: one post in each lane `r` whose shard
+/// holds one of `neighbors` — for a multicast, one of those at `ports`
+/// (strictly ascending), whose ids go into the lane's side lane.
+/// Shards are contiguous id ranges and `neighbors` is sorted, so each
+/// shard's neighbors form one run. The payload is cloned for every post
+/// but the last, which takes it.
+fn post<M: Clone>(
+    row: &mut [Lane<M>],
     bounds: &[(usize, usize)],
     shard_of: &[u32],
-    neighbors: &[VertexId],
+    mut neighbors: &[VertexId],
+    mut ports: Option<&[u32]>,
     k: u32,
     env: Envelope<M>,
 ) {
-    let mut rest = neighbors;
-    while let Some(first) = rest.first() {
+    let all = neighbors;
+    // The lane of the post last found, written once the next is found.
+    let mut pending: Option<(usize, Dest)> = None;
+    loop {
+        // The next receiver shard: that of the next neighbor, or of the
+        // next listed one.
+        let next = match ports {
+            None => neighbors.first(),
+            Some(ps) => ps.first().map(|&p| &all[p as usize]),
+        };
+        let Some(first) = next else { break };
         let r = shard_of[first.index()] as usize;
-        rest = &rest[rest.partition_point(|v| v.index() < bounds[r].1)..];
-        if rest.is_empty() {
-            row[r].push((Dest::fanout(k), env));
-            return;
+        let hi = bounds[r].1;
+        match ports.as_mut() {
+            None => neighbors = &neighbors[neighbors.partition_point(|v| v.index() < hi)..],
+            Some(ps) => {
+                let here = ps.partition_point(|&p| all[p as usize].index() < hi);
+                let records = &mut row[r].records;
+                records.push(VertexId(here as u32));
+                records.extend(ps[..here].iter().map(|&p| all[p as usize]));
+                *ps = &ps[here..];
+            }
         }
-        row[r].push((Dest::fanout(k), env.clone()));
+        if let Some((pr, dest)) = pending.replace((r, Dest::fanout(k, ports.is_some()))) {
+            row[pr].entries.push((dest, env.clone()));
+        }
     }
+    if let Some((r, dest)) = pending {
+        row[r].entries.push((dest, env));
+    }
+}
+
+/// The receivers in shard `[lo, hi)` of a fan-out post from `from`: the
+/// sender's neighbors there, or with `listed` the ones in the post's
+/// record, taken off the front of `records`. Every pass over a column
+/// expands its posts through this one function, so they agree on the
+/// receivers and their order.
+#[inline]
+fn post_receivers<'a>(
+    topo: &'a Topology,
+    from: VertexId,
+    listed: bool,
+    (lo, hi): (usize, usize),
+    records: &mut &'a [VertexId],
+) -> &'a [VertexId] {
+    if !listed {
+        return neighbors_in(topo.neighbors(from), lo, hi);
+    }
+    let (len, rest) = records.split_first().expect("a multicast post has its record");
+    let (ids, rest) = rest.split_at(len.index());
+    *records = rest;
+    ids
 }
 
 /// Bytes one message of type `M` occupies in the engine's mail grid:
@@ -535,14 +602,16 @@ struct ShardState<M> {
     receivers: Vec<u32>,
     /// The grid buffers this participant holds during a phase, one per
     /// shard: its row while depositing, its column while collecting.
-    lanes: Vec<Vec<Entry<M>>>,
+    lanes: Vec<Lane<M>>,
     outbox: Vec<(Target, M)>,
+    /// The port lists of the stepped node's multicasts.
+    ports: Vec<u32>,
     control_out: Vec<(u32, ControlWord)>,
     newly_done: Vec<usize>,
     suppressed_now: Vec<usize>,
-    /// Fan-out scratch: the copies (0, 1 or 2) of each broadcast
-    /// delivery into this shard, in column order, and the parked nodes
-    /// a delivery wakes.
+    /// Fan-out scratch: the copies (0, 1 or 2) of each broadcast or
+    /// multicast delivery into this shard, in column order, and the
+    /// parked nodes a delivery wakes.
     fates: Vec<u8>,
     woken: Vec<usize>,
     /// Telemetry: stamped event buffer (merged at each round boundary)
@@ -583,8 +652,9 @@ impl<M> ShardState<M> {
             inbox_start: vec![0; len],
             inbox_len: vec![0; len],
             receivers: Vec::new(),
-            lanes: (0..threads).map(|_| Vec::new()).collect(),
+            lanes: (0..threads).map(|_| Lane::default()).collect(),
             outbox: Vec::new(),
+            ports: Vec::new(),
             control_out: Vec::new(),
             newly_done: Vec::new(),
             suppressed_now: Vec::new(),
@@ -903,7 +973,9 @@ where
             st.newly_done.clear();
         }
         for slot in &mut self.grid.slots {
-            slot.get_mut().unwrap_or_else(|e| e.into_inner()).clear();
+            let lane = slot.get_mut().unwrap_or_else(|e| e.into_inner());
+            lane.entries.clear();
+            lane.records.clear();
         }
     }
 
@@ -1087,6 +1159,7 @@ fn tick_shard<P, F, T>(
         receivers,
         lanes,
         outbox,
+        ports,
         control_out,
         newly_done,
         suppressed_now,
@@ -1203,6 +1276,7 @@ fn tick_shard<P, F, T>(
             active += 1;
             let node = VertexId(i as u32);
             outbox.clear();
+            ports.clear();
             let len = inbox_len[li] as usize;
             let inbox: &[Envelope<P::Msg>] = if len == 0 || suppress[li] {
                 &[]
@@ -1227,6 +1301,7 @@ fn tick_shard<P, F, T>(
                     neighbors: ctx.topo.neighbors(node),
                     inbox,
                     outbox,
+                    ports,
                     rng: &mut rngs[li],
                     trace,
                     metrics: MetricsHandle::from_opt(metrics.as_mut()),
@@ -1281,7 +1356,7 @@ fn tick_shard<P, F, T>(
                             kinds.as_mut().map(|t| t.row(P::kind_of(&msg))),
                         );
                         delivered += u64::from(copies);
-                        let lane = &mut lanes[ctx.shard_of[to.index()] as usize];
+                        let lane = &mut lanes[ctx.shard_of[to.index()] as usize].entries;
                         if copies == 2 {
                             lane.push((Dest::node(to), Envelope::new(node, msg.clone())));
                         }
@@ -1289,14 +1364,21 @@ fn tick_shard<P, F, T>(
                             lane.push((Dest::node(to), Envelope::new(node, msg)));
                         }
                     }
-                    Target::Broadcast => post_broadcast(
-                        lanes,
-                        ctx.bounds,
-                        ctx.shard_of,
-                        ctx.topo.neighbors(node),
-                        k,
-                        Envelope::new(node, msg),
-                    ),
+                    Target::Broadcast | Target::Multicast(_) => {
+                        let listed = match target {
+                            Target::Multicast(at) => Some(crate::protocol::listed(ports, at)),
+                            _ => None,
+                        };
+                        post(
+                            lanes,
+                            ctx.bounds,
+                            ctx.shard_of,
+                            ctx.topo.neighbors(node),
+                            listed,
+                            k,
+                            Envelope::new(node, msg),
+                        )
+                    }
                 }
             }
             if status == NodeStatus::Done {
@@ -1338,18 +1420,19 @@ fn tick_shard<P, F, T>(
     fates.clear();
     woken.clear();
     for lane in lanes.iter() {
-        for (dest, env) in lane {
+        let mut records = &lane.records[..];
+        for (dest, env) in &lane.entries {
             match dest.route() {
                 Route::Node(to) => {
                     if done(to.index()) {
                         woken.push(to.index());
                     }
                 }
-                Route::Fanout(k) => {
+                Route::Fanout { k, listed } => {
                     let msg = env.msg();
                     let wakes = P::wakes(msg);
                     let mut kind_row = kinds.as_mut().map(|t| t.row(P::kind_of(msg)));
-                    for &to in neighbors_in(ctx.topo.neighbors(env.from), lo, hi) {
+                    for &to in post_receivers(ctx.topo, env.from, listed, (lo, hi), &mut records) {
                         let parked = done(to.index());
                         let copies = deliver_fate(
                             ctx.cfg,
@@ -1428,15 +1511,16 @@ fn tick_shard<P, F, T>(
     };
     let mut f = 0usize;
     for lane in lanes.iter() {
-        for (dest, env) in lane {
+        let mut records = &lane.records[..];
+        for (dest, env) in &lane.entries {
             match dest.route() {
                 Route::Node(to) => {
                     if !parked(to.index()) {
                         tally(to, 1);
                     }
                 }
-                Route::Fanout(_) => {
-                    for &to in neighbors_in(ctx.topo.neighbors(env.from), lo, hi) {
+                Route::Fanout { listed, .. } => {
+                    for &to in post_receivers(ctx.topo, env.from, listed, (lo, hi), &mut records) {
                         let copies = &mut fates[f];
                         f += 1;
                         if *copies > 0 {
@@ -1464,7 +1548,8 @@ fn tick_shard<P, F, T>(
     // round longer than any before first pads the new slots with copies
     // of one of its envelopes. Slots past `total` are never read.
     let total = total as usize;
-    if let Some((_, pad)) = lanes.iter().flatten().next().filter(|_| inbox_data.len() < total) {
+    let first = lanes.iter().flat_map(|lane| &lane.entries).next();
+    if let Some((_, pad)) = first.filter(|_| inbox_data.len() < total) {
         if inbox_data.capacity() < total {
             // Exactly this round's size: growing in place would double
             // past the last peak (and copy envelopes about to be
@@ -1481,15 +1566,17 @@ fn tick_shard<P, F, T>(
     };
     let mut f = 0usize;
     for lane in lanes.iter_mut() {
-        for (dest, env) in lane.drain(..) {
+        let Lane { entries, records: lane_records } = lane;
+        let mut records = &lane_records[..];
+        for (dest, env) in entries.drain(..) {
             match dest.route() {
                 Route::Node(to) => {
                     if !parked(to.index()) {
                         place(to, env);
                     }
                 }
-                Route::Fanout(_) => {
-                    let nb = neighbors_in(ctx.topo.neighbors(env.from), lo, hi);
+                Route::Fanout { listed, .. } => {
+                    let nb = post_receivers(ctx.topo, env.from, listed, (lo, hi), &mut records);
                     let copies = &fates[f..f + nb.len()];
                     f += nb.len();
                     // The payload moves into the last copy.
@@ -1506,6 +1593,7 @@ fn tick_shard<P, F, T>(
                 }
             }
         }
+        lane_records.clear();
     }
     for &li in receivers.iter() {
         inbox_start[li as usize] -= inbox_len[li as usize];
@@ -1975,8 +2063,15 @@ mod tests {
     fn routing_word_round_trips_and_caps_the_node_count() {
         let top = (1u32 << 31) - 1;
         assert!(matches!(Dest::node(VertexId(top)).route(), Route::Node(v) if v.0 == top));
-        assert!(matches!(Dest::fanout(top).route(), Route::Fanout(k) if k == top));
-        assert!(matches!(Dest::fanout(0).route(), Route::Fanout(0)));
+        let k = (1u32 << 30) - 1;
+        for listed in [false, true] {
+            let route = Dest::fanout(k, listed).route();
+            assert!(
+                matches!(route, Route::Fanout { k: got, listed: l } if got == k && l == listed)
+            );
+            let route = Dest::fanout(0, listed).route();
+            assert!(matches!(route, Route::Fanout { k: 0, listed: l } if l == listed));
+        }
         assert_eq!(check_node_count((1 << 31) - 1), Ok(()));
         assert_eq!(
             check_node_count(1 << 31),
@@ -2009,22 +2104,40 @@ mod tests {
         // broadcast takes one grid entry per shard, not one per leaf.
         let topo = Topology::from_graph(&structured::star(30));
         let stepper = Stepper::new(&topo, &EngineConfig::default(), 3, flood_factory).unwrap();
-        let posts = |from: u32| -> Vec<usize> {
+        let deposit = |from: u32, ports: Option<&[u32]>| -> Vec<Lane<u32>> {
             let node = VertexId(from);
-            let mut row: Vec<Vec<Entry<u32>>> = (0..3).map(|_| Vec::new()).collect();
-            post_broadcast(
+            let mut row: Vec<Lane<u32>> = (0..3).map(|_| Lane::default()).collect();
+            post(
                 &mut row,
                 &stepper.bounds,
                 &stepper.shard_of,
                 topo.neighbors(node),
+                ports,
                 0,
                 Envelope::new(node, from),
             );
-            row.iter().map(Vec::len).collect()
+            row
         };
-        assert_eq!(posts(0), vec![1, 1, 1]);
+        let posts = |row: &[Lane<u32>]| -> Vec<usize> {
+            row.iter().map(|lane| lane.entries.len()).collect()
+        };
+        assert_eq!(posts(&deposit(0, None)), vec![1, 1, 1]);
         // A leaf's one neighbor sits in shard 0: one post, there.
-        assert_eq!(posts(29), vec![1, 0, 0]);
+        assert_eq!(posts(&deposit(29, None)), vec![1, 0, 0]);
+        assert!(deposit(0, None).iter().all(|lane| lane.records.is_empty()));
+
+        // A multicast posts only where a listed neighbor lives, and each
+        // post's record lists the hub's listed neighbors there.
+        let (first, last) = (0u32, 28u32);
+        let row = deposit(0, Some(&[first, last]));
+        assert_eq!(posts(&row), vec![1, 0, 1]);
+        for (r, port) in [(0, first), (2, last)] {
+            let mut records = &row[r].records[..];
+            let got = post_receivers(&topo, VertexId(0), true, stepper.bounds[r], &mut records);
+            assert_eq!(got, [topo.neighbors(VertexId(0))[port as usize]]);
+            assert!(records.is_empty(), "the post owns its record exactly");
+        }
+        assert_eq!(posts(&deposit(0, Some(&[]))), vec![0, 0, 0]);
     }
 
     #[test]

@@ -65,7 +65,9 @@ pub use churn::{
 };
 pub use engine::{mail_entry_bytes, run, EngineConfig, RunOutcome, Stepper};
 pub use error::SimError;
-pub use protocol::{ControlWord, Envelope, NodeSeed, NodeStatus, Protocol, RoundCtx, Shared};
+pub use protocol::{
+    outbox_entry_bytes, ControlWord, Envelope, NodeSeed, NodeStatus, Protocol, RoundCtx, Shared,
+};
 pub use reliable::{ArqMsg, ReliableNode};
 pub use stats::{RoundStats, RunStats};
 pub use topology::Topology;

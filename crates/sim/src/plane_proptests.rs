@@ -6,7 +6,8 @@
 //! shard count. These tests pin that down against a *reference model* —
 //! the straightforward per-node `Vec` mailbox semantics, replayed
 //! directly in ~100 lines — across random topologies, fault plans (loss,
-//! burst, corruption, duplication, crash), wake-class messages and churn
+//! burst, corruption, duplication, crash), wake-class messages, unicasts,
+//! broadcasts and multicasts to random port subsets, and churn
 //! schedules, at 1, 2, 3 and 8 shards. The model is the determinism oracle: there is no
 //! second engine to compare against.
 //!
@@ -43,19 +44,37 @@ const WAKE_BIT: u64 = 1 << 63;
 /// spies (which finish again at once) cannot keep each other awake.
 const WAKE_UNTIL: u64 = 12;
 
-/// What the spy sends in one round: `(target port or broadcast, payload)`.
-/// A pure function of `(node, round)` so the reference model can replay
-/// it without running the protocol. About one message in eight early on
-/// is wake-class ([`WAKE_BIT`]).
-fn spy_outbox(me: u32, round: u64, degree: usize) -> Vec<(Option<usize>, u64)> {
+/// Where a spy message goes.
+#[derive(Debug)]
+enum SpyTarget {
+    /// The neighbor at this port.
+    Port(usize),
+    /// Every neighbor.
+    All,
+    /// A multicast to these ports, in drawing order, repeats included
+    /// (possibly none).
+    Ports(Vec<u32>),
+}
+
+/// What the spy sends in one round: `(target, payload)`. A pure function
+/// of `(node, round)` so the reference model can replay it without
+/// running the protocol. About one message in eight early on is
+/// wake-class ([`WAKE_BIT`]).
+fn spy_outbox(me: u32, round: u64, degree: usize) -> Vec<(SpyTarget, u64)> {
     let h = splitmix64(splitmix64(me as u64 ^ 0x0005_e9d0_f5b7).wrapping_add(round));
     let mut out = Vec::new();
     for k in 0..(h % 3) {
         let hk = splitmix64(h ^ (k + 1)) & !WAKE_BIT;
-        let target = if degree > 0 && hk & 1 == 1 {
-            Some((hk >> 1) as usize % degree)
-        } else {
-            None // broadcast (also the degree-0 no-op case)
+        let target = match hk % 3 {
+            // The degree-0 case broadcasts: a no-op.
+            _ if degree == 0 => SpyTarget::All,
+            0 => SpyTarget::Port((hk >> 2) as usize % degree),
+            1 => SpyTarget::All,
+            _ => {
+                let picks = (hk >> 12) % (degree as u64 + 1);
+                let port = |i| (splitmix64(hk ^ i) % degree as u64) as u32;
+                SpyTarget::Ports((0..picks).map(port).collect())
+            }
         };
         let wake = round < WAKE_UNTIL && (hk >> 8).is_multiple_of(8);
         out.push((target, if wake { hk | WAKE_BIT } else { hk }));
@@ -89,11 +108,12 @@ impl Protocol for SpyNode {
         self.log.push((round, ctx.inbox().iter().map(|e| (e.from.0, *e.msg())).collect()));
         for (target, payload) in spy_outbox(self.me.0, round, ctx.degree()) {
             match target {
-                None => ctx.broadcast(payload),
-                Some(p) => {
+                SpyTarget::All => ctx.broadcast(payload),
+                SpyTarget::Port(p) => {
                     let to = ctx.neighbors()[p];
                     ctx.send(to, payload);
                 }
+                SpyTarget::Ports(ports) => ctx.multicast(&ports, payload),
             }
         }
         if round >= spy_finish(self.me.0, self.horizon) {
@@ -122,7 +142,8 @@ struct ModelRun {
 
 /// The documented mailbox and churn semantics, replayed directly:
 /// per-node `Vec<(sender, payload)>` inboxes, senders stepped in id
-/// order, a message sent at round `r` read at `r + 1`, deliveries to
+/// order, a message sent at round `r` read at `r + 1`, a multicast
+/// routed to each distinct listed port in ascending order, deliveries to
 /// done nodes (unless wake-class) and crashed-by-receive-round nodes
 /// discarded, fault decisions taken per `(round, sender, receiver,
 /// outbox index)` in the documented drop → corrupt → duplicate order. At
@@ -231,8 +252,12 @@ fn reference_run(
                     }
                 };
                 match target {
-                    Some(p) => route(neighbors[*p]),
-                    None => neighbors.iter().for_each(|&to| route(to)),
+                    SpyTarget::Port(p) => route(neighbors[*p]),
+                    SpyTarget::All => neighbors.iter().for_each(|&to| route(to)),
+                    SpyTarget::Ports(ports) => {
+                        let listed: std::collections::BTreeSet<_> = ports.iter().collect();
+                        listed.into_iter().for_each(|&p| route(neighbors[p as usize]));
+                    }
                 }
             }
             if round >= spy_finish(me, horizon) {

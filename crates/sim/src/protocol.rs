@@ -7,6 +7,11 @@
 //! per-node RNG, and an outbox. The node returns [`NodeStatus::Done`]
 //! when it has finished for good; the engine then stops scheduling it.
 //!
+//! Mail goes to one neighbor ([`RoundCtx::send`]), to every neighbor
+//! ([`RoundCtx::broadcast`]) or to a listed subset of them
+//! ([`RoundCtx::multicast`]). A broadcast or multicast is one message of
+//! the paper's cost model however many neighbors it reaches.
+//!
 //! A protocol that sets [`Protocol::CONTROL`] also gets the *control
 //! plane*: beside the mail, each node may write one [`ControlWord`] per
 //! port per round ([`RoundCtx::write_control`]), which the neighbor on
@@ -144,13 +149,45 @@ pub enum NodeStatus {
     Done,
 }
 
-/// Where an outgoing message goes.
+/// Where an outgoing message goes. One word: a multicast's port list
+/// lives in the sender's port arena (see [`listed`]), so outbox entries
+/// stay as small as a unicast's.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) enum Target {
     /// One specific neighbor.
     Unicast(VertexId),
     /// Every neighbor (the paper's `Broadcast`).
     Broadcast,
+    /// The neighbors at the ports [`listed`] at this arena position.
+    Multicast(u32),
+}
+
+impl Target {
+    /// Whether a message to `self` reaches the neighbor `peer` at `port`;
+    /// `ports` is the sender's port arena.
+    #[inline]
+    pub(crate) fn reaches(&self, port: usize, peer: VertexId, ports: &[u32]) -> bool {
+        match *self {
+            Target::Unicast(to) => to == peer,
+            Target::Broadcast => true,
+            Target::Multicast(at) => listed(ports, at).binary_search(&(port as u32)).is_ok(),
+        }
+    }
+}
+
+/// The ports of the multicast at arena position `at`: strictly
+/// ascending indices into the sender's neighbor list. The arena holds
+/// each list as its length followed by its ports.
+#[inline]
+pub(crate) fn listed(ports: &[u32], at: u32) -> &[u32] {
+    let at = at as usize;
+    &ports[at + 1..][..ports[at] as usize]
+}
+
+/// Bytes one outbox entry of message type `M` occupies: the target word
+/// plus the payload. Every message a node sends is one such entry.
+pub fn outbox_entry_bytes<M>() -> usize {
+    std::mem::size_of::<(Target, M)>()
 }
 
 /// One control-plane word (see the module docs). Nonzero, so an empty
@@ -173,6 +210,9 @@ pub struct RoundCtx<'a, M> {
     pub(crate) neighbors: &'a [VertexId],
     pub(crate) inbox: &'a [Envelope<M>],
     pub(crate) outbox: &'a mut Vec<(Target, M)>,
+    /// The port lists of this node's multicasts this round, which its
+    /// [`Target::Multicast`] entries index.
+    pub(crate) ports: &'a mut Vec<u32>,
     pub(crate) rng: &'a mut SmallRng,
     /// Telemetry sink for this node this round. Dead (one branch per
     /// emission) when tracing is off or the node is sampled out.
@@ -237,6 +277,34 @@ impl<'a, M> RoundCtx<'a, M> {
     /// Send `msg` to every neighbor (the paper's `Broadcast`).
     pub fn broadcast(&mut self, msg: M) {
         self.outbox.push((Target::Broadcast, msg));
+    }
+
+    /// Send `msg` to the neighbors at `ports` (indices into
+    /// [`RoundCtx::neighbors`]; order and repeats do not matter). Like a
+    /// broadcast it counts as one message sent, and its copies go only to
+    /// the listed neighbors: to none for an empty list.
+    ///
+    /// # Panics
+    ///
+    /// If a port is not below [`RoundCtx::degree`].
+    pub fn multicast(&mut self, ports: &[u32], msg: M) {
+        let at = self.ports.len();
+        self.ports.push(0);
+        self.ports.extend_from_slice(ports);
+        if !ports.is_sorted_by(|a, b| a < b) {
+            let mut list = self.ports.split_off(at + 1);
+            list.sort_unstable();
+            list.dedup();
+            self.ports.append(&mut list);
+        }
+        let degree = self.neighbors.len();
+        let last = self.ports[at + 1..].last();
+        assert!(
+            last.is_none_or(|&p| (p as usize) < degree),
+            "multicast to a port past degree {degree}"
+        );
+        self.ports[at] = (self.ports.len() - at - 1) as u32;
+        self.outbox.push((Target::Multicast(at as u32), msg));
     }
 
     /// Whether telemetry emissions from this node currently go anywhere.
@@ -401,6 +469,7 @@ mod tests {
         let neighbors = [VertexId(1), VertexId(2)];
         let inbox = [Envelope::new(VertexId(1), 7u32)];
         let mut outbox = Vec::new();
+        let mut ports = Vec::new();
         let mut rng = SmallRng::seed_from_u64(0);
         let mut ctx = RoundCtx {
             node: VertexId(0),
@@ -408,6 +477,7 @@ mod tests {
             neighbors: &neighbors,
             inbox: &inbox,
             outbox: &mut outbox,
+            ports: &mut ports,
             rng: &mut rng,
             trace: TraceHandle::none(),
             metrics: MetricsHandle::none(),
@@ -421,9 +491,43 @@ mod tests {
         assert_eq!(*ctx.inbox()[0].msg(), 7);
         ctx.send(VertexId(1), 10);
         ctx.broadcast(20);
+        ctx.multicast(&[1], 30);
+        ctx.multicast(&[], 40);
+        ctx.multicast(&[1, 0, 1], 50);
         let _ = ctx.rng();
-        assert_eq!(outbox.len(), 2);
+        assert_eq!(outbox.len(), 5);
         assert_eq!(outbox[0], (Target::Unicast(VertexId(1)), 10));
         assert_eq!(outbox[1], (Target::Broadcast, 20));
+        assert_eq!(outbox[2], (Target::Multicast(0), 30));
+        assert_eq!(outbox[3], (Target::Multicast(2), 40));
+        assert_eq!(outbox[4], (Target::Multicast(3), 50));
+        assert_eq!(listed(&ports, 0), [1]);
+        assert!(listed(&ports, 2).is_empty());
+        assert_eq!(listed(&ports, 3), [0, 1]);
+        let reach = |t: &Target, port| t.reaches(port, neighbors[port], &ports);
+        assert!(reach(&outbox[2].0, 1) && !reach(&outbox[2].0, 0));
+        assert!(!reach(&outbox[3].0, 0) && !reach(&outbox[3].0, 1));
+        assert!(reach(&outbox[4].0, 0) && reach(&outbox[0].0, 0) && !reach(&outbox[0].0, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "past degree 2")]
+    fn multicast_rejects_a_port_past_the_degree() {
+        let neighbors = [VertexId(1), VertexId(2)];
+        let mut rng = SmallRng::seed_from_u64(0);
+        let mut ctx = RoundCtx {
+            node: VertexId(0),
+            round: 0,
+            neighbors: &neighbors,
+            inbox: &[],
+            outbox: &mut Vec::new(),
+            ports: &mut Vec::new(),
+            rng: &mut rng,
+            trace: TraceHandle::none(),
+            metrics: MetricsHandle::none(),
+            control_in: &[],
+            control_out: &mut Vec::new(),
+        };
+        ctx.multicast(&[2], 1u32);
     }
 }

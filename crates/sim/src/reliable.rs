@@ -76,8 +76,9 @@
 //!   bundle or two.
 //! - **Outgoing bundles.** An inner round whose outbox is all broadcasts
 //!   builds *one* [`Shared`] payload that every link's bundle holds a
-//!   handle to. Only outboxes with unicasts are split per link, and a
-//!   link whose share is empty gets no bundle.
+//!   handle to. Other outboxes are split per link — a link's share is the
+//!   broadcasts, its peer's unicasts and the multicasts that list its
+//!   port — and a link whose share is empty gets no bundle.
 //! - **Inner inbox and outbox** are scratch buffers reused across inner
 //!   rounds; the inbox's messages are cloned out of the shared bundles
 //!   by reference.
@@ -89,7 +90,7 @@ use dima_graph::VertexId;
 use dima_telemetry::{ArqEventKind, MetricsHandle};
 
 use crate::protocol::{
-    ControlWord, Envelope, NodeSeed, NodeStatus, Protocol, RoundCtx, Shared, Target,
+    listed, ControlWord, Envelope, NodeSeed, NodeStatus, Protocol, RoundCtx, Shared, Target,
 };
 
 /// Engine rounds from a bundle's transmission to the first word that
@@ -564,6 +565,9 @@ impl<P: Protocol> ReliableNode<P> {
                 neighbors: ctx.neighbors,
                 inbox,
                 outbox: &mut self.outbox,
+                // The inner multicasts' port lists borrow the engine's
+                // scratch: the wrapper itself never multicasts.
+                ports: &mut *ctx.ports,
                 // The wrapper draws nothing from the RNG itself, so the
                 // inner protocol sees the exact stream a bare run would.
                 rng: &mut *ctx.rng,
@@ -594,24 +598,42 @@ impl<P: Protocol> ReliableNode<P> {
             }
         } else if !self.outbox.is_empty() {
             // Each link's bundle is the outbox filtered in order: the
-            // broadcasts plus the unicasts to its peer. With no broadcast
-            // only the unicast targets get one.
+            // broadcasts, the unicasts to its peer and the multicasts
+            // listing its port. With no broadcast only the links a
+            // unicast or multicast reaches get one, in outbox order.
             let any_broadcast = self.outbox.iter().any(|(t, _)| *t == Target::Broadcast);
             for k in 0..self.outbox.len() {
-                let (Target::Unicast(to), msg) = &self.outbox[k] else { continue };
-                match self.links.binary_search_by_key(to, |l| l.peer) {
-                    Ok(port) if !any_broadcast => self.bundle(port, round, engine_round, ctx),
-                    Ok(_) => {}
-                    Err(_) => {
-                        // A non-neighbor: straight to the engine.
-                        let msgs = std::iter::once(msg.clone()).collect();
-                        ctx.outbox.push((Target::Unicast(*to), ArqMsg { seq: 0, round, msgs }));
+                match self.outbox[k] {
+                    (Target::Unicast(to), ref msg) => {
+                        match self.links.binary_search_by_key(&to, |l| l.peer) {
+                            Ok(port) if !any_broadcast => {
+                                self.bundle(port, (round, engine_round), ctx.ports, ctx.outbox)
+                            }
+                            Ok(_) => {}
+                            Err(_) => {
+                                // A non-neighbor: straight to the engine.
+                                let msgs = std::iter::once(msg.clone()).collect();
+                                let bundle = ArqMsg { seq: 0, round, msgs };
+                                ctx.outbox.push((Target::Unicast(to), bundle));
+                            }
+                        }
                     }
+                    (Target::Multicast(at), _) if !any_broadcast => {
+                        for &port in listed(ctx.ports, at) {
+                            self.bundle(
+                                port as usize,
+                                (round, engine_round),
+                                ctx.ports,
+                                ctx.outbox,
+                            );
+                        }
+                    }
+                    _ => {}
                 }
             }
             if any_broadcast {
                 for port in 0..self.links.len() {
-                    self.bundle(port, round, engine_round, ctx);
+                    self.bundle(port, (round, engine_round), ctx.ports, ctx.outbox);
                 }
             }
             self.outbox.clear();
@@ -628,26 +650,26 @@ impl<P: Protocol> ReliableNode<P> {
     /// round `round`, unless it has one already or its peer is out of
     /// reach (dead, or finished: the bare model drops deliveries to done
     /// nodes).
+    /// `ports` is the inner round's port arena; the bundle goes to `out`.
     fn bundle(
         &mut self,
         port: usize,
-        round: u32,
-        engine_round: u64,
-        ctx: &mut RoundCtx<'_, ArqMsg<P::Msg>>,
+        (round, engine_round): (u32, u64),
+        ports: &[u32],
+        out: &mut Vec<(Target, ArqMsg<P::Msg>)>,
     ) {
         let link = &mut self.links[port];
         if link.state != LinkState::Open || link.heard.fin || link.last_bundle == Some(round) {
             return;
         }
-        let peer = Target::Unicast(link.peer);
         self.share.extend(
             self.outbox
                 .iter()
-                .filter(|(t, _)| *t == Target::Broadcast || *t == peer)
+                .filter(|(t, _)| t.reaches(port, link.peer, ports))
                 .map(|(_, m)| m.clone()),
         );
         if !self.share.is_empty() {
-            link.push(round, self.share.drain(..).collect(), engine_round, ctx.outbox);
+            link.push(round, self.share.drain(..).collect(), engine_round, out);
         }
     }
 
@@ -1270,6 +1292,7 @@ mod tests {
                     neighbors: &ids[1 - i..2 - i],
                     inbox: &inboxes[i],
                     outbox,
+                    ports: &mut Vec::new(),
                     rng: &mut rngs[i],
                     trace: TraceHandle::none(),
                     metrics: MetricsHandle::none(),

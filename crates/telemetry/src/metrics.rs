@@ -201,6 +201,24 @@ impl MetricsRegistry {
         }
     }
 
+    /// [`MetricsRegistry::merge`] `other` in under `prefix`: each of its
+    /// names that does not start with `prefix` gets it prepended, so a
+    /// sub-run's `engine/` counters land apart from the host run's.
+    pub fn merge_under(&mut self, other: &MetricsRegistry, prefix: &str) {
+        let name = |k: &MetricName| -> MetricName {
+            if k.starts_with(prefix) {
+                k.clone()
+            } else {
+                Cow::Owned(format!("{prefix}{k}"))
+            }
+        };
+        let mut renamed = MetricsRegistry::new();
+        renamed.counters = other.counters.iter().map(|(k, v)| (name(k), *v)).collect();
+        renamed.gauges = other.gauges.iter().map(|(k, v)| (name(k), *v)).collect();
+        renamed.histograms = other.histograms.iter().map(|(k, h)| (name(k), h.clone())).collect();
+        self.merge(&renamed);
+    }
+
     /// Render as flat JSONL: a `metrics-meta` header, then one line
     /// per metric in canonical (kind, name) order. Round-trips
     /// through [`MetricsRegistry::from_jsonl`].
@@ -468,6 +486,23 @@ mod tests {
         assert_eq!(h.buckets[hist_bucket(3)], 1);
         assert_eq!(h.buckets[hist_bucket(5)], 1);
         assert_eq!(h.buckets[hist_bucket(12)], 1);
+    }
+
+    #[test]
+    fn merge_under_prefixes_foreign_names_only() {
+        let mut pass = MetricsRegistry::new();
+        pass.inc("engine/rounds", 7);
+        pass.inc("kempe/chains_flipped", 2);
+        pass.gauge_max("engine/peak_active", 4);
+        pass.observe("kind/probe/sent", 3);
+        let mut run = MetricsRegistry::new();
+        run.inc("engine/rounds", 10);
+        run.merge_under(&pass, "kempe/");
+        assert_eq!(run.counter("engine/rounds"), 10);
+        assert_eq!(run.counter("kempe/engine/rounds"), 7);
+        assert_eq!(run.counter("kempe/chains_flipped"), 2);
+        assert_eq!(run.gauge("kempe/engine/peak_active"), 4);
+        assert_eq!(run.histogram("kempe/kind/probe/sent").map(|h| h.count), Some(1));
     }
 
     #[test]
