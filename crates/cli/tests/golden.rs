@@ -1,13 +1,16 @@
 //! Same behaviour as a committed check: every line of
 //! `tests/golden/cli.tsv` (at the repository root) is a `dima-cli color`
-//! case whose exit code, `--out` file and trace are pinned by hash.
+//! case whose exit code, `--out` file, trace and metrics dump are pinned
+//! by hash.
 //!
 //! Each case runs at `--threads 1` and `--threads 3`, and both runs must
 //! match the pinned line. The trace hash leaves out what a change to the
 //! message plane's delivery accounting may move without moving the
 //! algorithm: the header (it names the file and the engine), the per-kind
 //! `msgkind` rows, the run footer and each round line's `delivered`
-//! count. Every state, palette, ARQ and churn event stays in.
+//! count. Every state, palette, ARQ and churn event stays in. The
+//! metrics hash covers the `--metrics-out` dump without its `mem/` and
+//! `time/` rows, which measure the host rather than the run.
 //!
 //! Lines of tier `debug` run in every `cargo test`; the rest run only
 //! when `DIMA_GOLDEN=all` is set (a release CI step). Two more variables
@@ -33,7 +36,8 @@ struct Case {
     graph: String,
     /// `dima-cli color` arguments after the graph file.
     args: String,
-    /// Exit code, `--out` hash and trace hash ("-" for a missing file).
+    /// Exit code, `--out` hash, trace hash and metrics hash ("-" for a
+    /// missing file).
     pinned: Outcome,
 }
 
@@ -42,6 +46,7 @@ struct Outcome {
     exit: i32,
     out: String,
     trace: String,
+    metrics: String,
 }
 
 fn parse(text: &str) -> Vec<Case> {
@@ -49,7 +54,7 @@ fn parse(text: &str) -> Vec<Case> {
         .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
         .map(|l| {
             let f: Vec<&str> = l.split('\t').collect();
-            assert_eq!(f.len(), 7, "a line has 7 tab-separated fields: {l}");
+            assert_eq!(f.len(), 8, "a line has 8 tab-separated fields: {l}");
             Case {
                 name: f[0].into(),
                 tier: f[1].into(),
@@ -59,6 +64,7 @@ fn parse(text: &str) -> Vec<Case> {
                     exit: f[4].parse().expect("exit code"),
                     out: f[5].into(),
                     trace: f[6].into(),
+                    metrics: f[7].into(),
                 },
             }
         })
@@ -73,8 +79,8 @@ fn render(text: &str, cases: &[Case]) -> String {
         .map(|c| {
             let p = &c.pinned;
             format!(
-                "{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
-                c.name, c.tier, c.graph, c.args, p.exit, p.out, p.trace
+                "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
+                c.name, c.tier, c.graph, c.args, p.exit, p.out, p.trace, p.metrics
             )
         })
         .collect();
@@ -113,6 +119,15 @@ fn trace_core(text: &str) -> String {
     out
 }
 
+/// The metrics dump without its host-dependent `mem/` and `time/` rows.
+fn metrics_core(text: &str) -> String {
+    let host = ["mem/", "time/"].map(|f| format!("\"name\":\"{f}"));
+    text.lines()
+        .filter(|l| !host.iter().any(|h| l.contains(h.as_str())))
+        .map(|l| l.to_owned() + "\n")
+        .collect()
+}
+
 fn cli() -> PathBuf {
     std::env::var_os("DIMA_GOLDEN_CLI")
         .map_or_else(|| PathBuf::from(env!("CARGO_BIN_EXE_dima-cli")), PathBuf::from)
@@ -129,17 +144,21 @@ fn read_hash(path: &Path, map: impl Fn(&str) -> String) -> String {
 
 /// Run `case` at `threads` in `dir`, on the graph file `graph`.
 fn outcome(case: &Case, graph: &Path, threads: usize, dir: &Path) -> Outcome {
-    let (out, trace) = (dir.join("out.colors"), dir.join("trace.jsonl"));
-    std::fs::remove_file(&out).ok();
-    std::fs::remove_file(&trace).ok();
+    let (out, trace, metrics) =
+        (dir.join("out.colors"), dir.join("trace.jsonl"), dir.join("metrics.jsonl"));
+    for file in [&out, &trace, &metrics] {
+        std::fs::remove_file(file).ok();
+    }
     let threads = threads.to_string();
     let mut args = vec!["color", graph.to_str().expect("utf-8 path")];
     args.extend(case.args.split_whitespace());
     args.extend(["--threads", &threads, "--out", "out.colors", "--trace", "trace.jsonl"]);
+    args.extend(["--metrics-out", "metrics.jsonl"]);
     Outcome {
         exit: run_cli(&args, dir),
         out: read_hash(&out, str::to_owned),
         trace: read_hash(&trace, trace_core),
+        metrics: read_hash(&metrics, metrics_core),
     }
 }
 
@@ -183,6 +202,23 @@ fn cli_outputs_match_the_golden_manifest() {
         std::fs::write(MANIFEST, render(&text, &cases)).expect("rewrite tests/golden/cli.tsv");
     }
     assert!(failures.is_empty(), "{} golden mismatches:\n{}", failures.len(), failures.join("\n"));
+}
+
+#[test]
+fn metrics_core_drops_only_host_rows() {
+    let dump = concat!(
+        "{\"type\":\"metrics-meta\",\"schema\":1,\"label\":\"color\"}\n",
+        "{\"type\":\"counter\",\"name\":\"engine/rounds\",\"value\":9}\n",
+        "{\"type\":\"gauge\",\"name\":\"mem/heap_peak_bytes\",\"value\":4096}\n",
+        "{\"type\":\"gauge\",\"name\":\"time/color_s\",\"value\":1}\n",
+    );
+    assert_eq!(
+        metrics_core(dump),
+        concat!(
+            "{\"type\":\"metrics-meta\",\"schema\":1,\"label\":\"color\"}\n",
+            "{\"type\":\"counter\",\"name\":\"engine/rounds\",\"value\":9}\n",
+        )
+    );
 }
 
 #[test]
