@@ -69,7 +69,7 @@ use crate::automata::{choose_role, pick_index, pick_uniform, pick_uniform_iter, 
 use crate::churn::{batch_reports, ChurnColoringResult};
 use crate::config::{ColorPolicy, ColoringConfig};
 use crate::error::CoreError;
-use crate::kempe::{reduce_automata, KempeReport, PortCensus};
+use crate::kempe::{self, reduce_automata, KempeReport, PortCensus};
 use crate::palette::{Color, ColorSet, PortColorSets};
 use crate::runner::{run_protocol, EngineRun};
 
@@ -726,8 +726,9 @@ fn apply_reduction<T: Tracer + Sync>(
     let topo = churned.as_ref().unwrap_or(topo);
     let (crashed, nodes) = (&outcome.crashed, &outcome.nodes);
     let alive = |v: VertexId| !crashed[v.index()];
-    let census = PortCensus::walk(topo, &alive, |u, v| nodes[u.index()].color_toward(v));
-    let Some(pass) = reduce_automata(topo, nodes, &alive, &census, &kcfg, cfg, tracer)? else {
+    let threshold = Some(kempe::threshold(&kcfg, topo.max_degree()));
+    let census = PortCensus::walk(topo, &alive, threshold, |u, v| nodes[u.index()].color_toward(v));
+    let Some(pass) = reduce_automata(topo, nodes, &alive, &census, cfg, tracer)? else {
         return Ok(None);
     };
     for (v, row) in pass.built_rows() {

@@ -50,9 +50,11 @@
 //! and the step phase walks its set bits in ascending id order — the
 //! order the old full scan stepped them in, so every RNG draw, outbox,
 //! crash and merge happens exactly as before. Every write of a node's
-//! done or crashed flag (churn, wake-ups, newly done nodes, crash arming,
-//! [`Stepper::restart`], [`Stepper::park_all`]) updates the bit in the
-//! same place, on the owning shard only.
+//! done or crashed flag (construction, churn, wake-ups, newly done nodes,
+//! crash arming, [`Stepper::restart`], [`Stepper::park_all`]) updates the
+//! bit in the same place, on the owning shard only. A protocol whose
+//! instances [start parked](crate::Protocol::starts_parked) is stepped
+//! only where wake-class mail lands, from round 0 on.
 //!
 //! ## The control plane
 //!
@@ -751,7 +753,8 @@ where
     /// Create the per-node protocol instances on `topo` and stand ready
     /// at round 0, sharded for `threads` participants (clamped to
     /// `[1, n]`). The factory is called once per node in node order, and
-    /// kept for churn joins and [`Stepper::restart`].
+    /// kept for churn joins and [`Stepper::restart`]. An instance that
+    /// [starts parked](Protocol::starts_parked) is done from the start.
     ///
     /// Fails with [`SimError::TooManyNodes`] on a topology of 2³¹ nodes
     /// or more, which the message plane cannot address.
@@ -782,20 +785,31 @@ where
             (0..n).map(|i| cfg.faults.crashed_at(cfg.seed, i as u32)).collect();
         let stats =
             RunStats { per_round: cfg.collect_round_stats.then(Vec::new), ..Default::default() };
+        let done: Vec<AtomicBool> =
+            protocols.iter().map(|p| AtomicBool::new(p.starts_parked())).collect();
+        let mut shards: Vec<ShardState<P::Msg>> =
+            bounds.iter().map(|&b| ShardState::new(b, cfg, threads)).collect();
+        let mut done_count = 0;
+        for (st, &(lo, hi)) in shards.iter_mut().zip(&bounds) {
+            for i in (lo..hi).filter(|&i| done[i].load(Relaxed)) {
+                st.awake.remove(i - lo);
+                done_count += 1;
+            }
+        }
         Ok(Stepper {
             cfg: cfg.clone(),
             factory,
             topo: topo.clone(),
             threads,
-            shards: bounds.iter().map(|&b| ShardState::new(b, cfg, threads)).collect(),
+            shards,
             bounds,
             shard_of,
             barrier: EpochBarrier::new(threads),
             grid: MailGrid::new(threads),
             control: ControlPlane::new(topo, P::CONTROL),
             protocols,
-            done: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            done_count: 0,
+            done,
+            done_count,
             crash_round,
             crashed_count: 0,
             panic: Mutex::new(None),
@@ -916,8 +930,8 @@ where
 
     /// Throw away every surviving node's protocol state and start the
     /// algorithm over on the current topology: fresh factory instances
-    /// (built on the caller's thread), cleared mailboxes, all done flags
-    /// reset. RNG streams continue from where they are (node randomness
+    /// (built on the caller's thread), cleared mailboxes, every done flag
+    /// reset to whether the fresh instance starts parked. RNG streams continue from where they are (node randomness
     /// stays a function of the executed step sequence), so a restart is
     /// exactly as deterministic as the rounds that led to it — the
     /// escalation path of `dima serve`'s convergence watchdog relies on
@@ -931,10 +945,17 @@ where
                 let node = VertexId(i as u32);
                 self.protocols[i] =
                     (self.factory)(NodeSeed { node, neighbors: self.topo.neighbors(node) });
-                if std::mem::take(self.done[i].get_mut()) {
-                    self.done_count -= 1;
+                let parked = self.protocols[i].starts_parked();
+                match (std::mem::replace(self.done[i].get_mut(), parked), parked) {
+                    (true, false) => self.done_count -= 1,
+                    (false, true) => self.done_count += 1,
+                    _ => {}
                 }
-                st.awake.insert(i - lo);
+                if parked {
+                    st.awake.remove(i - lo);
+                } else {
+                    st.awake.insert(i - lo);
+                }
             }
         }
         self.clear_mail();
@@ -2057,6 +2078,71 @@ mod tests {
             // per round.
             assert_eq!(out.stats.deliveries, 6 + 3 * 2);
         }
+    }
+
+    #[test]
+    fn a_node_that_starts_parked_waits_for_wake_class_mail() {
+        // Triangle 0-1-2. Node 0 runs rounds 0..=3: it sends node 1 plain
+        // mail in round 1 and a wake-up in round 3, and node 2 plain mail
+        // every round. Nodes 1 and 2 start parked; only node 1 is ever
+        // woken, and it reads the wake-up alone in round 4.
+        #[derive(Debug)]
+        struct Sleeper {
+            parked: bool,
+            stepped: Vec<(u64, Vec<bool>)>,
+        }
+        impl Protocol for Sleeper {
+            type Msg = bool;
+            fn wakes(msg: &bool) -> bool {
+                *msg
+            }
+            fn starts_parked(&self) -> bool {
+                self.parked
+            }
+            fn on_round(&mut self, ctx: &mut RoundCtx<'_, bool>) -> NodeStatus {
+                let round = ctx.round();
+                self.stepped.push((round, ctx.inbox().iter().map(|e| *e.msg()).collect()));
+                if self.parked {
+                    return NodeStatus::Done;
+                }
+                match round {
+                    1 => ctx.send(VertexId(1), false),
+                    3 => ctx.send(VertexId(1), true),
+                    _ => {}
+                }
+                ctx.send(VertexId(2), false);
+                if round < 3 {
+                    NodeStatus::Active
+                } else {
+                    NodeStatus::Done
+                }
+            }
+        }
+        let topo = Topology::from_graph(&structured::complete(3));
+        for threads in SHARDS {
+            let out = run_static(&topo, &EngineConfig::default(), threads, |seed| Sleeper {
+                parked: seed.node != VertexId(0),
+                stepped: Vec::new(),
+            })
+            .unwrap();
+            let stepped: Vec<_> = out.nodes.iter().map(|n| n.stepped.clone()).collect();
+            assert_eq!(stepped[0].iter().map(|&(r, _)| r).collect::<Vec<_>>(), [0, 1, 2, 3]);
+            assert_eq!(stepped[1], [(4, vec![true])], "threads = {threads}");
+            assert!(stepped[2].is_empty(), "threads = {threads}");
+            assert_eq!(out.stats.rounds, 5);
+            assert_eq!(out.stats.node_steps, 5);
+        }
+        // A restart builds fresh instances, and those start parked too.
+        let factory =
+            |seed: NodeSeed<'_>| Sleeper { parked: seed.node != VertexId(0), stepped: Vec::new() };
+        let mut stepper = Stepper::new(&topo, &EngineConfig::default(), 1, factory).unwrap();
+        assert!(stepper.active_nodes().eq([VertexId(0)]));
+        while !stepper.is_quiescent() {
+            stepper.tick(None, &mut NoopTracer).unwrap();
+        }
+        stepper.restart();
+        assert!(stepper.active_nodes().eq([VertexId(0)]));
+        assert_eq!(stepper.still_active(), 1);
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! shard count. These tests pin that down against a *reference model* —
 //! the straightforward per-node `Vec` mailbox semantics, replayed
 //! directly in ~100 lines — across random topologies, fault plans (loss,
-//! burst, corruption, duplication, crash), wake-class messages, unicasts,
-//! broadcasts and multicasts to random port subsets, and churn
+//! burst, corruption, duplication, crash), wake-class messages, nodes
+//! that start parked, unicasts, broadcasts and multicasts to random port
+//! subsets, and churn
 //! schedules, at 1, 2, 3 and 8 shards. The model is the determinism oracle: there is no
 //! second engine to compare against.
 //!
@@ -87,8 +88,14 @@ fn spy_finish(me: u32, horizon: u64) -> u64 {
     splitmix64(me as u64 ^ 0x0001_f1a1_54ed) % horizon.max(1)
 }
 
+/// Whether a freshly built spy starts parked (pure; about one in four).
+fn spy_starts_parked(me: u32) -> bool {
+    splitmix64(me as u64 ^ 0x0009_a4ed_57a2).is_multiple_of(4)
+}
+
 /// Records every inbox it is handed, sends per [`spy_outbox`], finishes
-/// per [`spy_finish`]. The log is the unit of comparison.
+/// per [`spy_finish`], starts parked per [`spy_starts_parked`]. The log
+/// is the unit of comparison.
 #[derive(Debug)]
 struct SpyNode {
     me: VertexId,
@@ -101,6 +108,10 @@ impl Protocol for SpyNode {
 
     fn wakes(msg: &u64) -> bool {
         msg & WAKE_BIT != 0
+    }
+
+    fn starts_parked(&self) -> bool {
+        spy_starts_parked(self.me.0)
     }
 
     fn on_round(&mut self, ctx: &mut RoundCtx<'_, u64>) -> NodeStatus {
@@ -149,7 +160,8 @@ struct ModelRun {
 /// outbox index)` in the documented drop → corrupt → duplicate order. At
 /// the boundary, new done flags land first, then every done node that a
 /// wake-class delivery reached is re-activated, then deliveries to a
-/// node still parked or crashed are dropped.
+/// node still parked or crashed are dropped. A spy that starts parked is
+/// done from round 0, so only a wake-class delivery ever steps it.
 ///
 /// A churn batch applies at the top of its round, before any node steps
 /// (see [`crate::Stepper::tick`]): leavers park as done with their
@@ -176,7 +188,7 @@ fn reference_run(
     let mut topo = topo.clone();
     let crash_round: Vec<Option<u64>> =
         (0..n).map(|i| cfg.faults.crashed_at(cfg.seed, i as u32)).collect();
-    let mut done = vec![false; n];
+    let mut done: Vec<bool> = (0..n as u32).map(spy_starts_parked).collect();
     let mut crashed = vec![false; n];
     let mut suppress = vec![false; n];
     let mut woken = vec![false; n];

@@ -430,6 +430,18 @@ pub trait Protocol: Send {
         false
     }
 
+    /// Whether this freshly built instance starts *parked*: done from
+    /// the start, stepped only once wake-class mail reaches it (see
+    /// [`Protocol::wakes`]), exactly like a node that parked itself. The
+    /// engine asks every instance it builds at construction and on a
+    /// restart, so a protocol whose nodes mostly sleep pays nothing per
+    /// round for the sleepers until one is woken. (A churn joiner's
+    /// status comes from [`Protocol::on_topology_change`], which every
+    /// joiner gets.) The default steps every node from round 0.
+    fn starts_parked(&self) -> bool {
+        false
+    }
+
     /// A churn batch changed this node's neighborhood (see
     /// [`crate::churn`]). `seed` carries the node's *new* neighbor list;
     /// `change` the net diff against the old one. Called by the engine at
