@@ -1,7 +1,7 @@
 //! Same behaviour as a committed check: every line of
-//! `tests/golden/cli.tsv` (at the repository root) is a `dima-cli color`
-//! case whose exit code, `--out` file, trace and metrics dump are pinned
-//! by hash.
+//! `tests/golden/cli.tsv` (at the repository root) is a `dima-cli`
+//! workload case (`color`, `strong-color` or `matching`) whose exit code,
+//! `--out` file, trace and metrics dump are pinned by hash.
 //!
 //! Each case runs at `--threads 1` and `--threads 3`, and both runs must
 //! match the pinned line. The trace hash leaves out what a change to the
@@ -32,9 +32,11 @@ const MANIFEST: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/
 struct Case {
     name: String,
     tier: String,
+    /// The workload command: `color`, `strong-color` or `matching`.
+    command: String,
     /// `dima-cli gen` arguments for the input graph.
     graph: String,
-    /// `dima-cli color` arguments after the graph file.
+    /// The command's arguments after the graph file.
     args: String,
     /// Exit code, `--out` hash, trace hash and metrics hash ("-" for a
     /// missing file).
@@ -54,17 +56,18 @@ fn parse(text: &str) -> Vec<Case> {
         .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
         .map(|l| {
             let f: Vec<&str> = l.split('\t').collect();
-            assert_eq!(f.len(), 8, "a line has 8 tab-separated fields: {l}");
+            assert_eq!(f.len(), 9, "a line has 9 tab-separated fields: {l}");
             Case {
                 name: f[0].into(),
                 tier: f[1].into(),
-                graph: f[2].into(),
-                args: f[3].into(),
+                command: f[2].into(),
+                graph: f[3].into(),
+                args: f[4].into(),
                 pinned: Outcome {
-                    exit: f[4].parse().expect("exit code"),
-                    out: f[5].into(),
-                    trace: f[6].into(),
-                    metrics: f[7].into(),
+                    exit: f[5].parse().expect("exit code"),
+                    out: f[6].into(),
+                    trace: f[7].into(),
+                    metrics: f[8].into(),
                 },
             }
         })
@@ -79,8 +82,8 @@ fn render(text: &str, cases: &[Case]) -> String {
         .map(|c| {
             let p = &c.pinned;
             format!(
-                "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
-                c.name, c.tier, c.graph, c.args, p.exit, p.out, p.trace, p.metrics
+                "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
+                c.name, c.tier, c.command, c.graph, c.args, p.exit, p.out, p.trace, p.metrics
             )
         })
         .collect();
@@ -150,7 +153,7 @@ fn outcome(case: &Case, graph: &Path, threads: usize, dir: &Path) -> Outcome {
         std::fs::remove_file(file).ok();
     }
     let threads = threads.to_string();
-    let mut args = vec!["color", graph.to_str().expect("utf-8 path")];
+    let mut args = vec![case.command.as_str(), graph.to_str().expect("utf-8 path")];
     args.extend(case.args.split_whitespace());
     args.extend(["--threads", &threads, "--out", "out.colors", "--trace", "trace.jsonl"]);
     args.extend(["--metrics-out", "metrics.jsonl"]);
