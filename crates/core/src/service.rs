@@ -847,6 +847,9 @@ pub struct ColoringService {
     backoff: u32,
     open_batch: Option<OpenBatch>,
     reports: Vec<ServeBatchReport>,
+    /// What the compaction at the last settle point did (see
+    /// [`ColoringService::last_compaction`]).
+    last_compaction: Option<KempeReport>,
     /// Ports per color and disagreeing edges of the coloring as of the
     /// last settle point, kept from the touched nodes' rows (see
     /// [`ColoringService::settle`]).
@@ -957,6 +960,7 @@ impl ColoringService {
             backoff: 0,
             open_batch: None,
             reports: Vec::new(),
+            last_compaction: None,
             census: PortCensus::default(),
             census_stale: false,
             filled: vec![0; n],
@@ -1256,6 +1260,7 @@ impl ColoringService {
             // so diff before compacting.
             let colors_changed = self.settle(true);
             let reduction = self.compact();
+            self.last_compaction = reduction;
             if let Some(open) = open {
                 self.reports.push(ServeBatchReport {
                     seq: open.seq,
@@ -1313,6 +1318,13 @@ impl ColoringService {
         let topo = self.inner.topology();
         let delta = topo.max_degree().max(1);
         3 * 3 * self.cfg.coloring.compute_round_budget(delta) + 64
+    }
+
+    /// What the Kempe compaction at the last settle point did, if one
+    /// ran there: after the initial coloring, the set-up compaction,
+    /// which no batch report carries; after a batch, the batch's.
+    pub fn last_compaction(&self) -> Option<KempeReport> {
+        self.last_compaction
     }
 
     /// Drain the per-batch repair reports accumulated since the last

@@ -9,7 +9,7 @@ use dima_core::{
     ServiceConfig,
 };
 use dima_graph::gen::random_regular;
-use dima_graph::VertexId;
+use dima_graph::{Graph, VertexId};
 use dima_sim::ChurnEvent;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -64,15 +64,23 @@ impl Links {
     }
 }
 
-/// The reports of `batches` swap batches on an 8-regular graph of `n`
-/// nodes, one per batch, after the initial coloring.
-pub fn swap_batch_reports(n: usize, batches: usize) -> Vec<ServeBatchReport> {
+/// The service on the 8-regular graph of `n` nodes, settled after its
+/// initial coloring and the set-up compaction.
+pub fn settled_service(n: usize) -> (Graph, ColoringService) {
     let g = random_regular(n, 8, &mut SmallRng::seed_from_u64(7)).expect("regular graph");
     let mut cfg = ServiceConfig::new(ServeProtocol::EdgeColoring, 3);
     cfg.coloring.reduction = ColorReduction::Kempe(KempeConfig::default());
     cfg.coloring.engine = Engine::Sequential;
     let mut svc = ColoringService::new(&g, cfg).expect("service");
     svc.run_to_quiescence(svc.tick_budget()).expect("initial coloring");
+    (g, svc)
+}
+
+/// The reports of `batches` swap batches on the settled service of
+/// `n` nodes, one per batch.
+#[allow(dead_code)] // each gate that includes this module uses a part of it
+pub fn swap_batch_reports(n: usize, batches: usize) -> Vec<ServeBatchReport> {
+    let (g, mut svc) = settled_service(n);
     let list: Vec<(u32, u32)> = g.edges().map(|(_, (u, v))| Links::key(u.0, v.0)).collect();
     let mut links = Links { set: list.iter().copied().collect(), list };
     let mut rng = SmallRng::seed_from_u64(13);
