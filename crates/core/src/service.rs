@@ -62,16 +62,13 @@ use std::fmt;
 use dima_graph::{Graph, VertexId};
 use dima_sim::fault::FaultPlan;
 use dima_sim::rng::splitmix64;
-use dima_sim::telemetry::read::{parse_line, Record};
 use dima_sim::telemetry::NoopTracer;
 use dima_sim::{
     ChurnBatch, ChurnEvent, ChurnSchedule, EngineConfig, EventFeed, FeedError, NodeSeed, SimError,
     Stepper, Topology,
 };
 
-use crate::config::{
-    ColorPolicy, ColorReduction, ColoringConfig, Engine, KempeConfig, Rejection, Transport,
-};
+use crate::config::{ColorReduction, ColoringConfig, Engine, Transport};
 use crate::edge_coloring::EdgeColoringNode;
 use crate::error::CoreError;
 use crate::kempe::{self, KempeReport, PortCensus};
@@ -79,21 +76,9 @@ use crate::palette::{Color, ColorSet};
 use crate::runner::run_protocol;
 use crate::strong_coloring::StrongColoringNode;
 
-/// Snapshot format version accepted by [`ColoringService::restore_chain`].
-pub const SNAPSHOT_VERSION: u64 = 1;
+mod checkpoint;
 
-/// Materialized-base snapshot format version accepted by
-/// [`ColoringService::restore_chain`]. A base records the *folded*
-/// topology and coloring produced by [`ColoringService::compact_history`]
-/// instead of a replay history, so restore cost is `O(graph)` no matter
-/// how much history was folded into it.
-pub const BASE_VERSION: u64 = 2;
-
-/// Delta-checkpoint format version accepted by
-/// [`ColoringService::restore_chain`]. A delta carries the history
-/// entries recorded since the previous checkpoint in the chain, bound to
-/// its parent by index and CRC.
-pub const DELTA_VERSION: u64 = 1;
+pub use checkpoint::{checkpoint_crc, BASE_VERSION, DELTA_VERSION, SNAPSHOT_VERSION};
 
 /// Which repair protocol a service runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -1621,566 +1606,6 @@ impl ColoringService {
         })
     }
 
-    // ------------------------------------------------------------------
-    // Snapshot + journal wire format
-    // ------------------------------------------------------------------
-
-    /// Journal line for an accepted event. Append (and flush) this
-    /// *before* acknowledging the event.
-    pub fn journal_event_line(ev: &ChurnEvent) -> String {
-        event_line(ev)
-    }
-
-    /// Journal line for a batch commit. `epoch` is the service epoch the
-    /// entry belongs to ([`ColoringService::epoch`]), `h` is the history
-    /// index the entry will occupy ([`ColoringService::history_len`]` +
-    /// 1` when written before the [`ColoringService::commit`] call),
-    /// `(seq, round)` is what [`ColoringService::next_commit`] returned.
-    /// Append and flush *before* committing — recovery replays the
-    /// marker, and a marker without its commit is harmless because the
-    /// commit round is deterministic. The `(epoch, h)` pair is what lets
-    /// a stale (unrotated) journal deduplicate against any checkpoint:
-    /// markers at an older epoch, or at this epoch but an already-
-    /// captured index, are dropped on restore.
-    pub fn journal_commit_line(epoch: u64, h: u64, seq: u64, round: u64) -> String {
-        format!("{{\"type\":\"commit\",\"e\":{epoch},\"h\":{h},\"seq\":{seq},\"round\":{round}}}\n")
-    }
-
-    /// Journal line for a recolor escalation recorded at `round` as
-    /// history entry `h` (equal to [`ColoringService::history_len`]
-    /// right after the tick that escalated) in `epoch`.
-    pub fn journal_recolor_line(epoch: u64, h: u64, round: u64) -> String {
-        format!("{{\"type\":\"recolor\",\"e\":{epoch},\"h\":{h},\"round\":{round}}}\n")
-    }
-
-    /// The configuration fragment shared by every checkpoint header —
-    /// enough to reconstruct the [`ServiceConfig`], minus the engine
-    /// (which is the restoring host's choice — the coloring is
-    /// bit-identical on either). Reduction settings ride along so a
-    /// restored service keeps compacting exactly as the live one did;
-    /// all-zero (and absent, for pre-reduction snapshots) means off.
-    /// DiMa2ED's silent-rejection ablation is recorded only when set, so
-    /// every default header stays as it was.
-    fn config_header_fragment(&self) -> String {
-        let c = &self.cfg.coloring;
-        let (rk, rt) = match c.reduction {
-            ColorReduction::Off => (0, 0),
-            ColorReduction::Kempe(k) => (1u64, u64::from(k.target_colors.unwrap_or(0))),
-        };
-        format!(
-            "\"protocol\":\"{}\",\"seed\":{},\"invite_bits\":{},\
-             \"color_policy\":\"{}\",\"response_policy\":\"random\",\"width\":{},\
-             \"max_compute\":{},\"validate_sends\":{},\"watchdog\":{},\
-             \"reduce\":{rk},\"reduce_target\":{rt}{}",
-            self.cfg.protocol.name(),
-            c.seed,
-            c.invite_probability.to_bits(),
-            color_policy_name(c.color_policy),
-            c.proposal_width,
-            c.max_compute_rounds.unwrap_or(0),
-            u64::from(c.validate_sends),
-            self.cfg.watchdog_ticks,
-            match c.rejection {
-                Rejection::Hint => "",
-                Rejection::Silent => ",\"rejection\":\"silent\"",
-            },
-        )
-    }
-
-    /// Serialize the service to its flat-JSONL full snapshot: header,
-    /// the initial graph, the replayable history, a CRC-32 trailer.
-    /// Valid at any point of execution — restore replays the history
-    /// and fast-forwards the in-flight repair (if any) to quiescence.
-    ///
-    /// Only meaningful at epoch 0: a full snapshot replays from the
-    /// initial graph with the master seed, which a compacted service no
-    /// longer does. Restore rejects nonzero-epoch snapshots — a
-    /// compacted service persists [`ColoringService::base_text`] plus
-    /// deltas instead.
-    pub fn snapshot_text(&self) -> String {
-        let settled = self.is_settled();
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{{\"type\":\"serve-snapshot\",\"version\":{SNAPSHOT_VERSION},{},\
-             \"epoch\":{},\"n\":{},\"edges\":{},\"history\":{},\"batches\":{},\
-             \"quiescent\":{},\"round\":{},\"hash\":{}}}\n",
-            self.config_header_fragment(),
-            self.epoch,
-            self.g0.num_vertices(),
-            self.g0.num_edges(),
-            self.history.len(),
-            self.batches_committed,
-            u64::from(settled),
-            self.inner.round(),
-            self.coloring_hash(),
-        ));
-        for (_, (u, v)) in self.g0.edges() {
-            out.push_str(&format!("{{\"type\":\"edge\",\"u\":{},\"v\":{}}}\n", u.0, v.0));
-        }
-        push_history_lines(&mut out, self.epoch, 0, &self.history);
-        let crc = crc32(out.as_bytes());
-        out.push_str(&format!("{{\"type\":\"crc\",\"value\":{crc}}}\n"));
-        out
-    }
-
-    /// Serialize a materialized-base checkpoint: the folded topology,
-    /// dead set, and settled coloring of a just-rebased service, CRC
-    /// trailer included. Only valid immediately after
-    /// [`ColoringService::compact_history`] (history empty, round clock
-    /// at 0, settled): a base claims "rebuild me by rebasing at this
-    /// epoch", which is bit-exact only against a service that has not
-    /// consumed any randomness in its epoch yet.
-    pub fn base_text(&self) -> Result<String, ServiceError> {
-        if !self.history.is_empty() || self.inner.round() != 0 || !self.is_settled() {
-            return Err(ServiceError::NotSettled { what: "materialized-base write" });
-        }
-        let dead = self.feed.committed_dead();
-        let coloring = self.coloring();
-        let staged = self.feed.staged_events();
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{{\"type\":\"serve-base\",\"version\":{BASE_VERSION},{},\
-             \"epoch\":{},\"n\":{},\"edges\":{},\"dead\":{},\"staged\":{},\"batches\":{},\
-             \"escalations\":{},\"quiescent\":1,\"round\":0,\"hash\":{}}}\n",
-            self.config_header_fragment(),
-            self.epoch,
-            self.g0.num_vertices(),
-            coloring.len(),
-            dead.len(),
-            staged.len(),
-            self.batches_committed,
-            self.escalations,
-            self.coloring_hash(),
-        ));
-        for v in &dead {
-            out.push_str(&format!("{{\"type\":\"dead\",\"node\":{}}}\n", v.0));
-        }
-        // Color slots are written shifted by one so 0 reads "uncolored"
-        // without an extra null-handling arm in the record parser.
-        for e in &coloring {
-            out.push_str(&format!(
-                "{{\"type\":\"cedge\",\"u\":{},\"v\":{},\"f\":{},\"r\":{}}}\n",
-                e.u.0,
-                e.v.0,
-                e.forward.map_or(0, |c| u64::from(c.0) + 1),
-                e.reverse.map_or(0, |c| u64::from(c.0) + 1),
-            ));
-        }
-        // Staged (acked but uncommitted) events ride in the base so a
-        // crash between base rename and journal rotation cannot lose
-        // them: a discarded journal falls back to the base's copy.
-        for ev in staged {
-            out.push_str(&event_line(ev));
-        }
-        let crc = crc32(out.as_bytes());
-        out.push_str(&format!("{{\"type\":\"crc\",\"value\":{crc}}}\n"));
-        Ok(out)
-    }
-
-    /// Serialize history entries `from_h..` as delta checkpoint `chain`
-    /// (1-based position after the base) whose parent file — the base
-    /// for chain 1, the previous delta otherwise — has CRC
-    /// `parent_crc`. The parent CRC is what links the chain: a delta
-    /// left over from before a compaction (or an aborted checkpoint)
-    /// fails the linkage check on restore and is discarded rather than
-    /// misapplied.
-    pub fn delta_text(
-        &self,
-        from_h: u64,
-        chain: u64,
-        parent_crc: u32,
-    ) -> Result<String, ServiceError> {
-        let from = from_h as usize;
-        if from > self.history.len() {
-            return Err(ServiceError::Internal(format!(
-                "delta start h={from_h} is beyond the history ({} entries)",
-                self.history.len()
-            )));
-        }
-        let entries = &self.history[from..];
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{{\"type\":\"serve-delta\",\"version\":{DELTA_VERSION},\"chain\":{chain},\
-             \"epoch\":{},\"h_base\":{from_h},\"entries\":{},\"parent_crc\":{parent_crc},\
-             \"quiescent\":{},\"round\":{},\"hash\":{}}}\n",
-            self.epoch,
-            entries.len(),
-            u64::from(self.is_settled()),
-            self.inner.round(),
-            self.coloring_hash(),
-        ));
-        push_history_lines(&mut out, self.epoch, from_h, entries);
-        let crc = crc32(out.as_bytes());
-        out.push_str(&format!("{{\"type\":\"crc\",\"value\":{crc}}}\n"));
-        Ok(out)
-    }
-
-    /// Rebuild a service from a checkpoint chain: a base (either a full
-    /// `serve-snapshot` or a materialized `serve-base`), zero or more
-    /// `serve-delta` files in chain order, and an optional journal
-    /// tail.
-    ///
-    /// The base must verify — a corrupt base is a hard error. Deltas
-    /// are verified link by link (CRC, chain position, epoch, history
-    /// offset, parent CRC); the first delta that fails ends the chain
-    /// there, discarding it, every later delta, *and the journal*
-    /// (which was rotated against the newest delta and cannot bridge
-    /// the gap) — recovery proceeds from the newest verifiable
-    /// checkpoint and the [`RestoreReport::fallback`] field says why.
-    /// Journal markers already captured by the chain (older epoch, or
-    /// this epoch at an already-covered history index) deduplicate
-    /// away. The journal is read tolerantly: a torn final line ends
-    /// recovery at the tear. The restored service has finished any
-    /// in-flight repair (it is settled unless journal events were
-    /// re-staged), and its coloring is bit-identical for every `engine`.
-    pub fn restore_chain(
-        base: &str,
-        deltas: &[&str],
-        journal: Option<&str>,
-        engine: Engine,
-    ) -> Result<(Self, RestoreReport), ServiceError> {
-        let (mut svc, mut entries, info) = Self::parse_base(base, engine)?;
-        let snapshot_entries = entries.len() as u64;
-        let mut h = snapshot_entries;
-        let mut parent_crc = info.crc;
-        let mut quiescent = info.quiescent;
-        let mut recorded_hash = info.hash;
-        let mut deltas_applied = 0u64;
-        let mut delta_entries = 0u64;
-        let mut fallback = None;
-        for text in deltas {
-            match Self::parse_delta(text, deltas_applied + 1, info.epoch, h, parent_crc) {
-                Ok(d) => {
-                    h += d.entries.len() as u64;
-                    delta_entries += d.entries.len() as u64;
-                    entries.extend(d.entries);
-                    parent_crc = d.crc;
-                    quiescent = d.quiescent;
-                    recorded_hash = d.hash;
-                    deltas_applied += 1;
-                }
-                Err(kind) => {
-                    fallback = Some(kind);
-                    break;
-                }
-            }
-        }
-        let deltas_discarded = deltas.len() as u64 - deltas_applied;
-        // The journal is kept only when it attaches to the verified
-        // prefix: its first fresh marker must be the very next history
-        // entry. A journal rotated against a delta that was then lost
-        // or corrupted starts past the gap and cannot bridge it — but a
-        // journal that predates a torn newest delta still carries the
-        // acked events and replays seamlessly over the fallback point.
-        let mut journal_discarded = false;
-        let tail = match journal {
-            Some(text) => {
-                let parsed = parse_entry_stream(text.lines().enumerate(), info.epoch, h, false)?;
-                let attaches = match parsed.first_marker {
-                    Some((e, first_h)) => e == info.epoch && first_h == h + 1,
-                    None => true,
-                };
-                if attaches {
-                    parsed
-                } else {
-                    journal_discarded = true;
-                    ParsedEntries::default()
-                }
-            }
-            None => ParsedEntries::default(),
-        };
-        let tail_count = tail.entries.len() as u64;
-        entries.extend(tail.entries);
-        svc.replay(&entries)?;
-        // The journal's staged view supersedes the base's (rotation
-        // rewrites the full staged set, and a journaled commit consumed
-        // the base's staged events) — but an empty journal against a
-        // base that recorded staged events means rotation was torn, so
-        // the base's copy is the surviving record.
-        let staged_events = if journal.is_some()
-            && !journal_discarded
-            && (tail_count > 0 || !tail.staged.is_empty())
-        {
-            tail.staged
-        } else {
-            info.staged
-        };
-        for ev in &staged_events {
-            svc.stage(*ev)?;
-        }
-        // Self-check against the newest applied artifact's recorded
-        // hash, when that artifact captured a quiescent service and
-        // nothing was replayed past it.
-        if quiescent
-            && tail_count == 0
-            && fallback.is_none()
-            && svc.coloring_hash() != recorded_hash
-        {
-            return Err(ServiceError::Replay(format!(
-                "replayed coloring hash {:#018x} != recorded {recorded_hash:#018x}",
-                svc.coloring_hash()
-            )));
-        }
-        Ok((
-            svc,
-            RestoreReport {
-                snapshot_entries,
-                tail_entries: tail_count,
-                staged: staged_events.len() as u64,
-                torn_tail: tail.torn,
-                deltas_applied,
-                delta_entries,
-                deltas_discarded,
-                journal_discarded,
-                fallback,
-            },
-        ))
-    }
-
-    /// Parse and verify the chain's base file, dispatching on its
-    /// header tag. Returns the not-yet-replayed service, the history
-    /// entries the base itself carries (empty for a materialized base),
-    /// and the linkage info the delta walk continues from.
-    fn parse_base(
-        base: &str,
-        engine: Engine,
-    ) -> Result<(Self, Vec<HistoryEntry>, BaseInfo), ServiceError> {
-        let (body, crc) = verify_crc(base)?;
-        let crc_lineno = body.lines().count() + 1;
-        let mut lines = body.lines().enumerate();
-        let (_, header_text) = lines
-            .next()
-            .ok_or(ServiceError::Snapshot { line: 1, message: "empty snapshot".into() })?;
-        let header = parse_line(header_text)
-            .filter(|r| matches!(r.tag(), Some("serve-snapshot" | "serve-base")))
-            .ok_or(ServiceError::Snapshot {
-                line: 1,
-                message: "first line is not a serve-snapshot or serve-base header".into(),
-            })?;
-        let materialized = header.tag() == Some("serve-base");
-        let version = header_num(&header, "version")?;
-        let expected_version = if materialized { BASE_VERSION } else { SNAPSHOT_VERSION };
-        if version != expected_version {
-            return Err(ServiceError::Snapshot {
-                line: 1,
-                message: format!("unsupported snapshot version {version}"),
-            });
-        }
-        let cfg = config_from_header(&header, engine)?;
-        let n = header_num(&header, "n")? as usize;
-        let num_edges = header_num(&header, "edges")? as usize;
-        let recorded_hash = header_num(&header, "hash")?;
-        let epoch = header.num("epoch").unwrap_or(0);
-
-        if materialized {
-            let num_dead = header_num(&header, "dead")? as usize;
-            let batches = header_num(&header, "batches")?;
-            let escalations = header_num(&header, "escalations")?;
-            let mut dead = Vec::with_capacity(num_dead.min(1 << 20));
-            for _ in 0..num_dead {
-                let (idx, text) = lines.next().ok_or(ServiceError::Snapshot {
-                    line: crc_lineno,
-                    message: "base ends inside the dead list".into(),
-                })?;
-                let rec =
-                    parse_line(text).filter(|r| r.tag() == Some("dead")).ok_or_else(|| {
-                        ServiceError::Snapshot {
-                            line: idx + 1,
-                            message: "expected a dead line".into(),
-                        }
-                    })?;
-                let v =
-                    rec.num("node").filter(|&v| v < n as u64).ok_or(ServiceError::Snapshot {
-                        line: idx + 1,
-                        message: "dead line missing node (or out of range)".into(),
-                    })?;
-                dead.push(VertexId(v as u32));
-            }
-            let mut edges = Vec::with_capacity(num_edges.min(1 << 20));
-            let mut coloring = HashMap::with_capacity(num_edges.min(1 << 20));
-            for _ in 0..num_edges {
-                let (idx, text) = lines.next().ok_or(ServiceError::Snapshot {
-                    line: crc_lineno,
-                    message: "base ends inside the coloring".into(),
-                })?;
-                let rec =
-                    parse_line(text).filter(|r| r.tag() == Some("cedge")).ok_or_else(|| {
-                        ServiceError::Snapshot {
-                            line: idx + 1,
-                            message: "expected a cedge line".into(),
-                        }
-                    })?;
-                let (Some(u), Some(v), Some(f), Some(r)) =
-                    (rec.num("u"), rec.num("v"), rec.num("f"), rec.num("r"))
-                else {
-                    return Err(ServiceError::Snapshot {
-                        line: idx + 1,
-                        message: "cedge line missing u/v/f/r".into(),
-                    });
-                };
-                if u >= v || v >= n as u64 {
-                    return Err(ServiceError::Snapshot {
-                        line: idx + 1,
-                        message: "cedge endpoints out of order or range".into(),
-                    });
-                }
-                let decode = |x: u64| (x > 0).then(|| Color((x - 1) as u32));
-                edges.push((VertexId(u as u32), VertexId(v as u32)));
-                coloring.insert((u as u32, v as u32), (decode(f), decode(r)));
-            }
-            let num_staged = header_num(&header, "staged")? as usize;
-            let mut staged = Vec::with_capacity(num_staged.min(1 << 20));
-            for _ in 0..num_staged {
-                let (idx, text) = lines.next().ok_or(ServiceError::Snapshot {
-                    line: crc_lineno,
-                    message: "base ends inside the staged events".into(),
-                })?;
-                let ev = parse_line(text)
-                    .filter(|r| r.tag() == Some("event"))
-                    .as_ref()
-                    .and_then(event_from_record)
-                    .ok_or_else(|| ServiceError::Snapshot {
-                        line: idx + 1,
-                        message: "expected a staged event line".into(),
-                    })?;
-                staged.push(ev);
-            }
-            if let Some((idx, _)) = lines.next() {
-                return Err(ServiceError::Snapshot {
-                    line: idx + 1,
-                    message: "unexpected line after the base coloring".into(),
-                });
-            }
-            let g = Graph::from_edges(n, edges).map_err(|e| ServiceError::Snapshot {
-                line: 1,
-                message: format!("invalid base graph: {e}"),
-            })?;
-            let svc = Self::build_rebased(&g, &dead, &coloring, cfg, epoch, batches, escalations)?;
-            if svc.coloring_hash() != recorded_hash {
-                return Err(ServiceError::Replay(format!(
-                    "rebased coloring hash {:#018x} != recorded {recorded_hash:#018x}",
-                    svc.coloring_hash()
-                )));
-            }
-            Ok((
-                svc,
-                Vec::new(),
-                BaseInfo { crc, epoch, quiescent: true, hash: recorded_hash, staged },
-            ))
-        } else {
-            if epoch != 0 {
-                return Err(ServiceError::Snapshot {
-                    line: 1,
-                    message: format!(
-                        "full snapshot of a compacted service (epoch {epoch}) is not replayable; \
-                         restore from its materialized base"
-                    ),
-                });
-            }
-            let num_history = header_num(&header, "history")? as usize;
-            let quiescent = header_num(&header, "quiescent")? != 0;
-            let mut edges = Vec::with_capacity(num_edges.min(1 << 20));
-            for _ in 0..num_edges {
-                let (idx, text) = lines.next().ok_or(ServiceError::Snapshot {
-                    line: crc_lineno,
-                    message: "snapshot ends inside the edge list".into(),
-                })?;
-                let rec =
-                    parse_line(text).filter(|r| r.tag() == Some("edge")).ok_or_else(|| {
-                        ServiceError::Snapshot {
-                            line: idx + 1,
-                            message: "expected an edge line".into(),
-                        }
-                    })?;
-                let u = rec.num("u").ok_or(ServiceError::Snapshot {
-                    line: idx + 1,
-                    message: "edge line missing u".into(),
-                })?;
-                let v = rec.num("v").ok_or(ServiceError::Snapshot {
-                    line: idx + 1,
-                    message: "edge line missing v".into(),
-                })?;
-                if u > u32::MAX as u64 || v > u32::MAX as u64 {
-                    return Err(ServiceError::Snapshot {
-                        line: idx + 1,
-                        message: "edge endpoint out of range".into(),
-                    });
-                }
-                edges.push((VertexId(u as u32), VertexId(v as u32)));
-            }
-            let g0 = Graph::from_edges(n, edges).map_err(|e| ServiceError::Snapshot {
-                line: 1,
-                message: format!("invalid initial graph: {e}"),
-            })?;
-            let snap_entries = parse_entry_stream(lines, 0, 0, true)?;
-            if snap_entries.torn || !snap_entries.staged.is_empty() {
-                return Err(ServiceError::Snapshot {
-                    line: crc_lineno,
-                    message: "snapshot history ends with dangling events".into(),
-                });
-            }
-            if snap_entries.entries.len() != num_history {
-                return Err(ServiceError::Snapshot {
-                    line: crc_lineno,
-                    message: format!(
-                        "header declares {num_history} history entries, found {}",
-                        snap_entries.entries.len()
-                    ),
-                });
-            }
-            let svc = Self::new(&g0, cfg)?;
-            Ok((
-                svc,
-                snap_entries.entries,
-                BaseInfo { crc, epoch: 0, quiescent, hash: recorded_hash, staged: Vec::new() },
-            ))
-        }
-    }
-
-    /// Verify one delta against its expected chain position. Any CRC or
-    /// structural failure is [`ChainFallback::Corrupt`]; a clean file
-    /// that belongs to a different chain state (stale after compaction,
-    /// replaced checkpoint) is [`ChainFallback::BrokenLink`].
-    fn parse_delta(
-        text: &str,
-        chain: u64,
-        epoch: u64,
-        h_base: u64,
-        parent_crc: u32,
-    ) -> Result<ParsedDelta, ChainFallback> {
-        let (body, crc) = verify_crc(text).map_err(|_| ChainFallback::Corrupt)?;
-        let mut lines = body.lines().enumerate();
-        let Some((_, header_text)) = lines.next() else {
-            return Err(ChainFallback::Corrupt);
-        };
-        let Some(header) = parse_line(header_text).filter(|r| r.tag() == Some("serve-delta"))
-        else {
-            return Err(ChainFallback::Corrupt);
-        };
-        if header.num("version") != Some(DELTA_VERSION) {
-            return Err(ChainFallback::Corrupt);
-        }
-        if header.num("chain") != Some(chain)
-            || header.num("epoch") != Some(epoch)
-            || header.num("h_base") != Some(h_base)
-            || header.num("parent_crc") != Some(u64::from(parent_crc))
-        {
-            return Err(ChainFallback::BrokenLink);
-        }
-        let (Some(count), Some(quiescent), Some(hash)) =
-            (header.num("entries"), header.num("quiescent"), header.num("hash"))
-        else {
-            return Err(ChainFallback::Corrupt);
-        };
-        let Ok(parsed) = parse_entry_stream(lines, 0, 0, true) else {
-            return Err(ChainFallback::Corrupt);
-        };
-        if parsed.torn || !parsed.staged.is_empty() || parsed.entries.len() as u64 != count {
-            return Err(ChainFallback::Corrupt);
-        }
-        Ok(ParsedDelta { entries: parsed.entries, crc, quiescent: quiescent != 0, hash })
-    }
-
     /// Re-execute `entries` (batches pinned to their recorded rounds,
     /// escalations restarted at theirs) through the normal tick loop,
     /// with the watchdog disarmed — recorded escalations stand in for
@@ -2334,184 +1759,6 @@ fn collect_coloring(
     out
 }
 
-fn color_policy_name(p: ColorPolicy) -> &'static str {
-    match p {
-        ColorPolicy::LowestIndex => "lowest-index",
-        ColorPolicy::RandomLegal => "random-legal",
-    }
-}
-
-fn parse_color_policy(s: &str) -> Option<ColorPolicy> {
-    match s {
-        "lowest-index" => Some(ColorPolicy::LowestIndex),
-        "random-legal" => Some(ColorPolicy::RandomLegal),
-        _ => None,
-    }
-}
-
-fn header_num(rec: &Record, key: &str) -> Result<u64, ServiceError> {
-    rec.num(key).ok_or_else(|| ServiceError::Snapshot {
-        line: 1,
-        message: format!("header missing numeric field '{key}'"),
-    })
-}
-
-/// Split a checkpoint file into its CRC-verified body and trailer CRC.
-fn verify_crc(text: &str) -> Result<(&str, u32), ServiceError> {
-    let trimmed = text.trim_end();
-    let (body, crc_text) = trimmed.rsplit_once('\n').ok_or(ServiceError::Snapshot {
-        line: 1,
-        message: "truncated checkpoint: missing CRC trailer".into(),
-    })?;
-    let crc_lineno = body.lines().count() + 1;
-    let crc_rec =
-        parse_line(crc_text).filter(|r| r.tag() == Some("crc")).ok_or(ServiceError::Snapshot {
-            line: crc_lineno,
-            message: "truncated checkpoint: last line is not a CRC trailer".into(),
-        })?;
-    let value = crc_rec.num("value").ok_or(ServiceError::Snapshot {
-        line: crc_lineno,
-        message: "CRC trailer has no value".into(),
-    })?;
-    let expected = u32::try_from(value).map_err(|_| ServiceError::Snapshot {
-        line: crc_lineno,
-        message: format!("CRC trailer value {value} does not fit in 32 bits"),
-    })?;
-    // The CRC covers the body and its newline, which the input holds
-    // verbatim as a prefix.
-    let actual = crc32(&text.as_bytes()[..body.len() + 1]);
-    if expected != actual {
-        return Err(ServiceError::CrcMismatch { expected, actual });
-    }
-    Ok((body, expected))
-}
-
-static CRC32_TABLE: [u32; 256] = crc32_table();
-
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-/// IEEE CRC-32 of `data` (the Ethernet/zip polynomial), the checksum
-/// every checkpoint file's trailer records.
-fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
-
-/// The CRC-32 a checkpoint file's trailer records, if the file
-/// verifies. Hosts chain the next delta's `parent_crc` to it.
-pub fn checkpoint_crc(text: &str) -> Option<u32> {
-    verify_crc(text).ok().map(|(_, crc)| crc)
-}
-
-/// Rebuild the [`ServiceConfig`] a checkpoint header recorded, with the
-/// restoring host's engine choice substituted in (checkpoints do not
-/// record the engine — the coloring is bit-identical on either).
-fn config_from_header(header: &Record, engine: Engine) -> Result<ServiceConfig, ServiceError> {
-    let protocol: ServeProtocol = header
-        .str("protocol")
-        .unwrap_or("")
-        .parse()
-        .map_err(|e| ServiceError::Snapshot { line: 1, message: e })?;
-    // Listeners always accept a uniformly random invitation (paper line
-    // 1.21); the header records that rule, and a checkpoint naming any
-    // other cannot be replayed.
-    if header.str("response_policy") != Some("random") {
-        return Err(ServiceError::Snapshot { line: 1, message: "unknown response_policy".into() });
-    }
-    // Older headers record the Kempe pass's chain cap, attempt budget and
-    // round budget, which are constants now; 0 meant the default. A
-    // header recording any other value asks for a pass this build cannot
-    // run.
-    let fixed = [
-        ("reduce_chain", kempe::MAX_CHAIN),
-        ("reduce_attempts", kempe::MAX_ATTEMPTS),
-        ("reduce_rounds", 0),
-    ];
-    for (key, constant) in fixed {
-        if let Some(v) = header.num(key).filter(|&v| v != 0 && v != u64::from(constant)) {
-            return Err(ServiceError::Snapshot {
-                line: 1,
-                message: format!("unsupported {key} {v}: the Kempe pass fixes it"),
-            });
-        }
-    }
-    let coloring = ColoringConfig {
-        seed: header_num(header, "seed")?,
-        invite_probability: f64::from_bits(header_num(header, "invite_bits")?),
-        color_policy: parse_color_policy(header.str("color_policy").unwrap_or("")).ok_or_else(
-            || ServiceError::Snapshot { line: 1, message: "unknown color_policy".into() },
-        )?,
-        proposal_width: header_num(header, "width")? as usize,
-        rejection: match header.str("rejection") {
-            None => Rejection::Hint,
-            Some("silent") => Rejection::Silent,
-            Some(_) => {
-                return Err(ServiceError::Snapshot { line: 1, message: "unknown rejection".into() })
-            }
-        },
-        max_compute_rounds: match header_num(header, "max_compute")? {
-            0 => None,
-            m => Some(m),
-        },
-        validate_sends: header_num(header, "validate_sends")? != 0,
-        collect_round_stats: false,
-        collect_metrics: false,
-        engine,
-        faults: FaultPlan::reliable(),
-        transport: Transport::Bare,
-        profile: false,
-        // Absent in pre-reduction snapshots: off.
-        reduction: if header.num("reduce").unwrap_or(0) == 1 {
-            ColorReduction::Kempe(KempeConfig {
-                target_colors: match header.num("reduce_target").unwrap_or(0) {
-                    0 => None,
-                    t => Some(t as u32),
-                },
-            })
-        } else {
-            ColorReduction::Off
-        },
-    };
-    Ok(ServiceConfig { protocol, coloring, watchdog_ticks: header_num(header, "watchdog")? })
-}
-
-/// Write `entries` (occupying history indices `from_h + 1 ..`) in the
-/// journal wire format — shared by the full snapshot body and delta
-/// checkpoints.
-fn push_history_lines(out: &mut String, epoch: u64, from_h: u64, entries: &[HistoryEntry]) {
-    for (i, entry) in entries.iter().enumerate() {
-        let h = from_h + i as u64 + 1;
-        match entry {
-            HistoryEntry::Batch { seq, round, events } => {
-                for ev in events {
-                    out.push_str(&event_line(ev));
-                }
-                out.push_str(&ColoringService::journal_commit_line(epoch, h, *seq, *round));
-            }
-            HistoryEntry::Recolor { round } => {
-                out.push_str(&ColoringService::journal_recolor_line(epoch, h, *round));
-            }
-        }
-    }
-}
-
 /// The committed slot map, keyed `(u, v)` with `u < v`, holding (u's
 /// slot toward v, v's slot toward u).
 type SlotMap = HashMap<(u32, u32), (Option<Color>, Option<Color>)>;
@@ -2520,164 +1767,11 @@ type SlotMap = HashMap<(u32, u32), (Option<Color>, Option<Color>)>;
 /// slots, incoming slots, and the accumulated forbidden set.
 type StrongRebaseSlots = (Vec<Option<Color>>, Vec<Option<Color>>, ColorSet);
 
-/// Verified linkage facts about a chain's base file.
-struct BaseInfo {
-    crc: u32,
-    epoch: u64,
-    quiescent: bool,
-    hash: u64,
-    /// Staged events the base carried (materialized bases only) —
-    /// restaged when no journal supersedes them.
-    staged: Vec<ChurnEvent>,
-}
-
-/// One verified delta checkpoint.
-struct ParsedDelta {
-    entries: Vec<HistoryEntry>,
-    crc: u32,
-    quiescent: bool,
-    hash: u64,
-}
-
-fn event_line(ev: &ChurnEvent) -> String {
-    // Link endpoints are written normalized (min, max) — the feed
-    // stores them that way, so journal replay reconstructs the exact
-    // history the live service recorded.
-    match ev {
-        ChurnEvent::LinkUp(u, v) => {
-            let (a, b) = (u.min(v), u.max(v));
-            format!("{{\"type\":\"event\",\"kind\":\"link-up\",\"u\":{},\"v\":{}}}\n", a.0, b.0)
-        }
-        ChurnEvent::LinkDown(u, v) => {
-            let (a, b) = (u.min(v), u.max(v));
-            format!("{{\"type\":\"event\",\"kind\":\"link-down\",\"u\":{},\"v\":{}}}\n", a.0, b.0)
-        }
-        ChurnEvent::NodeJoin(v) => {
-            format!("{{\"type\":\"event\",\"kind\":\"join\",\"node\":{}}}\n", v.0)
-        }
-        ChurnEvent::NodeLeave(v) => {
-            format!("{{\"type\":\"event\",\"kind\":\"leave\",\"node\":{}}}\n", v.0)
-        }
-    }
-}
-
-fn event_from_record(rec: &Record) -> Option<ChurnEvent> {
-    let vertex = |key: &str| -> Option<VertexId> {
-        let n = rec.num(key)?;
-        (n <= u32::MAX as u64).then_some(VertexId(n as u32))
-    };
-    match rec.str("kind")? {
-        "link-up" => Some(ChurnEvent::LinkUp(vertex("u")?, vertex("v")?)),
-        "link-down" => Some(ChurnEvent::LinkDown(vertex("u")?, vertex("v")?)),
-        "join" => Some(ChurnEvent::NodeJoin(vertex("node")?)),
-        "leave" => Some(ChurnEvent::NodeLeave(vertex("node")?)),
-        _ => None,
-    }
-}
-
-#[derive(Default)]
-struct ParsedEntries {
-    entries: Vec<HistoryEntry>,
-    staged: Vec<ChurnEvent>,
-    torn: bool,
-    /// `(epoch, h)` of the first marker that survived staleness
-    /// filtering — the point this stream attaches to. `None` when every
-    /// marker was stale (or there were none).
-    first_marker: Option<(u64, u64)>,
-}
-
-/// Parse a history-entry stream (shared between snapshot bodies, delta
-/// checkpoints, and the journal). Markers already captured by the
-/// checkpoint being restored — an earlier epoch, or `skip_epoch` with
-/// `h <= skip_h` (markers without an epoch field predate compaction and
-/// read as epoch 0) — are dropped, commits along with their buffered
-/// events. In `strict` mode any unparseable line is an error; otherwise
-/// it is a torn tail and parsing stops there.
-fn parse_entry_stream<'a>(
-    lines: impl Iterator<Item = (usize, &'a str)>,
-    skip_epoch: u64,
-    skip_h: u64,
-    strict: bool,
-) -> Result<ParsedEntries, ServiceError> {
-    let stale = |e: u64, h: u64| e < skip_epoch || (e == skip_epoch && h <= skip_h);
-    let mut out = ParsedEntries::default();
-    let mut buffer: Vec<ChurnEvent> = Vec::new();
-    for (idx, raw) in lines {
-        let line = raw.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let bad = |message: &str| -> Result<(), ServiceError> {
-            if strict {
-                Err(ServiceError::Snapshot { line: idx + 1, message: message.into() })
-            } else {
-                Ok(())
-            }
-        };
-        let Some(rec) = parse_line(line) else {
-            bad("unparseable history line")?;
-            out.torn = true;
-            break;
-        };
-        match rec.tag() {
-            Some("event") => match event_from_record(&rec) {
-                Some(ev) => buffer.push(ev),
-                None => {
-                    bad("malformed event line")?;
-                    out.torn = true;
-                    break;
-                }
-            },
-            Some("commit") => {
-                let (Some(h), Some(seq), Some(round)) =
-                    (rec.num("h"), rec.num("seq"), rec.num("round"))
-                else {
-                    bad("commit marker missing h/seq/round")?;
-                    out.torn = true;
-                    break;
-                };
-                let e = rec.num("e").unwrap_or(0);
-                if stale(e, h) {
-                    buffer.clear();
-                } else {
-                    if out.first_marker.is_none() {
-                        out.first_marker = Some((e, h));
-                    }
-                    out.entries.push(HistoryEntry::Batch {
-                        seq,
-                        round,
-                        events: std::mem::take(&mut buffer),
-                    });
-                }
-            }
-            Some("recolor") => {
-                let (Some(h), Some(round)) = (rec.num("h"), rec.num("round")) else {
-                    bad("recolor marker missing h/round")?;
-                    out.torn = true;
-                    break;
-                };
-                let e = rec.num("e").unwrap_or(0);
-                if !stale(e, h) {
-                    if out.first_marker.is_none() {
-                        out.first_marker = Some((e, h));
-                    }
-                    out.entries.push(HistoryEntry::Recolor { round });
-                }
-            }
-            _ => {
-                bad("unknown history line type")?;
-                out.torn = true;
-                break;
-            }
-        }
-    }
-    out.staged = buffer;
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
+    use super::checkpoint::crc32;
     use super::*;
+    use crate::config::{KempeConfig, Rejection};
     use dima_graph::gen::structured;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
