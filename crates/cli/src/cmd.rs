@@ -88,10 +88,12 @@ commands:
       stdin for a TCP or Unix socket front end serving many concurrent
       clients (admission-capped, overload replies carry retry hints);
       with --state-dir it checkpoints a CRC-chained base + delta
-      snapshot sequence with a write-ahead journal, folds replay
-      history into a fresh base every N committed entries
-      (--compact-after), and restores bit-identically after a crash
-      from the newest verifiable checkpoint; --chaos-storage injects
+      sequence with a write-ahead journal (the base records the settled
+      service's state; restore replays only what came after it), folds
+      the history into the graph and writes a fresh base every N
+      committed entries (--compact-after; a fold moves no color), and
+      restores bit-identically after a crash from the newest
+      verifiable checkpoint; --chaos-storage injects
       torn/short writes (torn) or disk-full failures (full) into the
       Nth write of snapshot|delta|journal
 

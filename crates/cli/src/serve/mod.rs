@@ -9,9 +9,9 @@
 //! atomically and a write-ahead journal covers the tail ([`store`]);
 //! on start the chain is restored to a bit-identical coloring, falling
 //! back to the newest verifiable checkpoint if the tail is damaged.
-//! `--compact-after N` folds the replay history into a materialized
-//! base once it outgrows N entries, so restore cost tracks the delta
-//! since the last checkpoint instead of the total history.
+//! `--compact-after N` folds the history into the graph once it
+//! outgrows N entries and writes a fresh base, so a checkpoint's size
+//! tracks the history since the last fold. A fold moves no color.
 //!
 //! `--chaos-kill-at` and `--chaos-storage` arm the deterministic chaos
 //! harness: hard exits at labeled persistence stages, torn writes, and
@@ -233,34 +233,13 @@ pub fn cmd_serve(args: &[String]) -> Result<(), String> {
     // Replayed repairs are not live SLO samples.
     svc.take_reports();
 
-    // Deferred base write from a compaction whose persist failed: the
-    // in-memory service is already rebased, but the on-disk chain still
-    // describes the previous epoch. While pending, events and commits
-    // are refused (the journal must never reference the unpersisted
-    // epoch) and the persist is retried every spin.
-    let mut pending_compaction = false;
-    // Compaction check before re-anchoring: a service restored at or
-    // past the threshold folds immediately — the same logical point a
-    // live run would have compacted at, which is what keeps a crashed
-    // run and an uninterrupted one on the same trajectory.
-    maybe_compact(
-        &mut svc,
-        store.as_mut(),
-        compact_after,
-        &mut pending_compaction,
-        &mut chaos,
-        &mut slo,
-        &mut metrics,
-    )?;
-    // Re-anchor the on-disk state: drop stale deltas, fold the journal
-    // tail into a catch-up delta, rotate the journal.
+    // Re-anchor the on-disk state: drop stale deltas, checkpoint the
+    // journal tail, rotate the journal.
     if let Some(s) = store.as_mut() {
-        if !pending_compaction {
-            if s.has_base() {
-                s.reanchor(&svc, &mut chaos).map_err(|e| e.to_string())?;
-            } else {
-                s.write_full(&svc, &mut chaos).map_err(|e| e.to_string())?;
-            }
+        if s.has_base() {
+            s.reanchor(&svc, &mut chaos).map_err(|e| e.to_string())?;
+        } else {
+            s.write_base(&svc, &mut chaos).map_err(|e| e.to_string())?;
         }
     }
     let engine_desc = match svc.config().coloring.engine.threads() {
@@ -355,7 +334,6 @@ pub fn cmd_serve(args: &[String]) -> Result<(), String> {
                         msg,
                         &mut svc,
                         store.as_mut(),
-                        pending_compaction,
                         &mut chaos,
                         &mut slo,
                         &mut metrics,
@@ -372,19 +350,9 @@ pub fn cmd_serve(args: &[String]) -> Result<(), String> {
                 }
             }
         }
-        maybe_compact(
-            &mut svc,
-            store.as_mut(),
-            compact_after,
-            &mut pending_compaction,
-            &mut chaos,
-            &mut slo,
-            &mut metrics,
-        )?;
+        maybe_compact(&mut svc, store.as_mut(), compact_after, &mut chaos, &mut slo, &mut metrics)?;
         // Commit staged events the moment the service is settled.
-        if !pending_compaction {
-            maybe_commit(&mut svc, store.as_mut(), &mut chaos)?;
-        }
+        maybe_commit(&mut svc, store.as_mut(), &mut chaos)?;
         if !svc.is_settled() {
             for _ in 0..TICKS_PER_SPIN {
                 match svc.tick().map_err(|e| e.to_string())? {
@@ -422,13 +390,14 @@ pub fn cmd_serve(args: &[String]) -> Result<(), String> {
             // Periodic incremental checkpoint at quiescent batch
             // boundaries.
             if svc.is_settled()
-                && !pending_compaction
                 && snapshot_every > 0
                 && svc.batches_committed() >= last_snapshot_batch + snapshot_every
             {
                 if let Some(s) = store.as_mut() {
-                    match s.write_delta(&svc, &mut chaos) {
-                        Ok(bytes) => checkpoint_metrics(&mut metrics, &mut slo, "delta", bytes),
+                    match s.checkpoint(&svc, &mut chaos) {
+                        Ok((kind, bytes)) => {
+                            checkpoint_metrics(&mut metrics, &mut slo, kind, bytes)
+                        }
                         Err(e) => eprintln!("serve: checkpoint failed (will retry): {e}"),
                     }
                 }
@@ -445,7 +414,6 @@ pub fn cmd_serve(args: &[String]) -> Result<(), String> {
                         msg,
                         &mut svc,
                         store.as_mut(),
-                        pending_compaction,
                         &mut chaos,
                         &mut slo,
                         &mut metrics,
@@ -469,7 +437,7 @@ pub fn cmd_serve(args: &[String]) -> Result<(), String> {
     // any staged remainder, then flush a final checkpoint and the SLO
     // report.
     svc.run_to_quiescence(svc.tick_budget()).map_err(|e| e.to_string())?;
-    if svc.staged() > 0 && !pending_compaction {
+    if svc.staged() > 0 {
         maybe_commit(&mut svc, store.as_mut(), &mut chaos)?;
         let t0 = Instant::now();
         svc.run_to_quiescence(svc.tick_budget()).map_err(|e| e.to_string())?;
@@ -482,29 +450,12 @@ pub fn cmd_serve(args: &[String]) -> Result<(), String> {
         drain_reports(&mut svc, &mut repair_started, &mut slo, &mut metrics);
     }
     // A history past the compaction threshold folds before the final
-    // checkpoint — the restart then recovers from the materialized
-    // base instead of re-replaying the whole session.
-    maybe_compact(
-        &mut svc,
-        store.as_mut(),
-        compact_after,
-        &mut pending_compaction,
-        &mut chaos,
-        &mut slo,
-        &mut metrics,
-    )?;
+    // checkpoint, which then is the fold's base.
+    maybe_compact(&mut svc, store.as_mut(), compact_after, &mut chaos, &mut slo, &mut metrics)?;
     if let Some(s) = store.as_mut() {
-        if pending_compaction {
-            // Last chance for the deferred base; if it still cannot
-            // land, the old chain remains authoritative and the next
-            // start re-compacts deterministically to the same epoch.
-            match s.persist_compaction(&svc, &mut chaos) {
-                Ok(bytes) => checkpoint_metrics(&mut metrics, &mut slo, "base", bytes),
-                Err(e) => eprintln!("serve: compaction base still unpersisted at shutdown: {e}"),
-            }
-        } else if svc.history_len() > s.checkpointed_h() {
-            match s.write_delta(&svc, &mut chaos) {
-                Ok(bytes) => checkpoint_metrics(&mut metrics, &mut slo, "delta", bytes),
+        if s.is_behind(&svc) {
+            match s.checkpoint(&svc, &mut chaos) {
+                Ok((kind, bytes)) => checkpoint_metrics(&mut metrics, &mut slo, kind, bytes),
                 Err(e) => eprintln!("serve: final checkpoint failed: {e}"),
             }
         }
@@ -546,8 +497,7 @@ fn checkpoint_metrics(
     metrics.inc("serve/snapshots", 1);
     let per_kind = match kind {
         "delta" => "serve/snapshot_delta_bytes",
-        "base" => "serve/snapshot_base_bytes",
-        _ => "serve/snapshot_full_bytes",
+        _ => "serve/snapshot_base_bytes",
     };
     metrics.inc(per_kind, bytes);
     metrics.inc("serve/snapshot_bytes", bytes);
@@ -555,29 +505,18 @@ fn checkpoint_metrics(
     slo.snapshot();
 }
 
-/// Fold the replay history into a materialized base once it outgrows
-/// `--compact-after`. The in-memory rebase always succeeds (or the
-/// error propagates — it never half-applies); the persist can fail and
-/// leave the service in pending mode, retried here every spin.
-#[allow(clippy::too_many_arguments)]
+/// Fold the history into the graph once it outgrows `--compact-after`
+/// and write the fold's base. A base that fails to land is written at
+/// the next checkpoint instead: until then the journal carries the new
+/// epoch's markers, which restore replays over the old chain.
 fn maybe_compact(
     svc: &mut ColoringService,
     store: Option<&mut CheckpointStore>,
     compact_after: u64,
-    pending: &mut bool,
     chaos: &mut Chaos,
     slo: &mut SloRecorder,
     metrics: &mut MetricsRegistry,
 ) -> Result<(), String> {
-    if *pending {
-        let Some(store) = store else { return Ok(()) };
-        if let Ok(bytes) = store.persist_compaction(svc, chaos) {
-            *pending = false;
-            eprintln!("serve: deferred compaction base persisted (epoch {})", svc.epoch());
-            checkpoint_metrics(metrics, slo, "base", bytes);
-        }
-        return Ok(());
-    }
     if compact_after == 0 || !svc.is_settled() || svc.history_len() < compact_after {
         return Ok(());
     }
@@ -589,12 +528,9 @@ fn maybe_compact(
         report.folded_entries, report.epoch, report.graph_edges, report.dead_nodes
     );
     if let Some(store) = store {
-        match store.persist_compaction(svc, chaos) {
+        match store.write_base(svc, chaos) {
             Ok(bytes) => checkpoint_metrics(metrics, slo, "base", bytes),
-            Err(e) => {
-                eprintln!("serve: compaction base deferred ({e}); events refused until it lands");
-                *pending = true;
-            }
+            Err(e) => eprintln!("serve: fold base deferred to the next checkpoint: {e}"),
         }
     }
     Ok(())
@@ -610,7 +546,6 @@ fn handle_msg(
     msg: Msg,
     svc: &mut ColoringService,
     store: Option<&mut CheckpointStore>,
-    pending_compaction: bool,
     chaos: &mut Chaos,
     slo: &mut SloRecorder,
     metrics: &mut MetricsRegistry,
@@ -624,18 +559,6 @@ fn handle_msg(
             Ok(Handled::Continue)
         }
         Msg::Event(ev, src) => {
-            if pending_compaction {
-                // The journal cannot reference the unpersisted epoch;
-                // the client retries once the base lands.
-                slo.rejected();
-                src.retryable(
-                    "storage",
-                    "compaction checkpoint pending; event refused",
-                    STORAGE_RETRY_MS,
-                );
-                src.done();
-                return Ok(Handled::Continue);
-            }
             match svc.stage(ev) {
                 Ok(()) => {
                     if let Some(s) = store {
@@ -659,7 +582,7 @@ fn handle_msg(
             Ok(Handled::Continue)
         }
         Msg::Cmd(rec, src) => {
-            let r = handle_cmd(&rec, &src, svc, store, pending_compaction, chaos, slo, metrics);
+            let r = handle_cmd(&rec, &src, svc, store, chaos, slo, metrics);
             src.done();
             r
         }
@@ -672,7 +595,6 @@ fn handle_cmd(
     src: &Source,
     svc: &mut ColoringService,
     store: Option<&mut CheckpointStore>,
-    pending_compaction: bool,
     chaos: &mut Chaos,
     slo: &mut SloRecorder,
     metrics: &mut MetricsRegistry,
@@ -739,32 +661,19 @@ fn handle_cmd(
             src.reply(format!("{{\"type\":\"hash\",\"value\":{}}}", svc.coloring_hash()));
         }
         Some("snapshot") => match store {
-            Some(s) if pending_compaction => {
-                let _ = s;
-                src.retryable("storage", "compaction checkpoint pending", STORAGE_RETRY_MS);
-            }
-            Some(s) => {
-                // A compacted service cannot write a replayable full
-                // snapshot — extend the chain instead.
-                let result = if svc.epoch() == 0 {
-                    s.write_full(svc, chaos).map(|b| ("full", b))
-                } else {
-                    s.write_delta(svc, chaos).map(|b| ("delta", b))
-                };
-                match result {
-                    Ok((kind, bytes)) => {
-                        checkpoint_metrics(metrics, slo, kind, bytes);
-                        src.reply(format!(
-                            "{{\"type\":\"snapshot\",\"kind\":\"{kind}\",\"chain\":{},\
+            Some(s) => match s.checkpoint(svc, chaos) {
+                Ok((kind, bytes)) => {
+                    checkpoint_metrics(metrics, slo, kind, bytes);
+                    src.reply(format!(
+                        "{{\"type\":\"snapshot\",\"kind\":\"{kind}\",\"chain\":{},\
                              \"path\":\"{}\",\"batches\":{}}}",
-                            s.chain_len(),
-                            json_escape(&s.base_path().display().to_string()),
-                            svc.batches_committed()
-                        ));
-                    }
-                    Err(e) => src.retryable(e.what, &e.message, STORAGE_RETRY_MS),
+                        s.chain_len(),
+                        json_escape(&s.base_path().display().to_string()),
+                        svc.batches_committed()
+                    ));
                 }
-            }
+                Err(e) => src.retryable(e.what, &e.message, STORAGE_RETRY_MS),
+            },
             None => src.error("cmd", "snapshots need --state-dir"),
         },
         Some("recolor") => {

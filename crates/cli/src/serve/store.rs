@@ -4,11 +4,12 @@
 //!
 //! On-disk layout under `--state-dir`:
 //!
-//! - `snapshot.dima` — the chain base: a full replayable `serve-snapshot`
-//!   (epoch 0) or a materialized `serve-base` written by compaction.
+//! - `snapshot.dima` — the chain base: the state of the settled service
+//!   ([`ColoringService::snapshot_text`]), written at startup and after
+//!   every history fold.
 //! - `delta-0001.dima`, `delta-0002.dima`, … — incremental checkpoints,
 //!   each CRC-linked to its parent so stale leftovers from before a
-//!   compaction can never be misapplied.
+//!   new base can never be misapplied.
 //! - `journal.jsonl` — the write-ahead tail past the newest checkpoint.
 //!
 //! Every checkpoint is written temp-file-then-rename; the journal is
@@ -34,9 +35,6 @@ pub const KILL_POINTS: &[&str] = &[
     "delta-pre-write",
     "delta-pre-rename",
     "delta-post-rename",
-    "compact-pre-write",
-    "compact-pre-rename",
-    "compact-post-rename",
 ];
 
 /// `--chaos-kill-at LABEL[:N]`: hard-exit (code 137, like a kill) at
@@ -98,8 +96,7 @@ enum FaultKind {
 
 /// `--chaos-storage KIND:TARGET:N` — one armed fault per target write
 /// stream, firing on the Nth write to that target. Targets: `snapshot`
-/// (base and compaction writes), `delta`, `journal` (appends and
-/// rotations).
+/// (base writes), `delta`, `journal` (appends and rotations).
 pub struct StorageFaults {
     faults: Vec<(FaultKind, String, u64, u64)>,
 }
@@ -188,7 +185,8 @@ pub struct CheckpointStore {
     /// Trailer CRC of the newest chain artifact — the linkage the next
     /// delta records as `parent_crc`.
     parent_crc: u32,
-    /// Epoch of the on-disk chain.
+    /// Epoch of the on-disk chain. Behind the service's after a fold
+    /// whose base has not landed yet: the next checkpoint is a base.
     epoch: u64,
     faults: StorageFaults,
 }
@@ -223,10 +221,6 @@ impl CheckpointStore {
         self.chain_len
     }
 
-    pub fn checkpointed_h(&self) -> u64 {
-        self.checkpointed_h
-    }
-
     fn delta_path(&self, chain: u64) -> PathBuf {
         self.dir.join(format!("delta-{chain:04}.dima"))
     }
@@ -259,7 +253,7 @@ impl CheckpointStore {
                 .map_err(|e| format!("restoring {}: {e}", self.base.display()))?;
         self.chain_len = report.deltas_applied;
         self.checkpointed_h = report.snapshot_entries + report.delta_entries;
-        self.epoch = svc.epoch();
+        self.epoch = report.chain_epoch;
         self.parent_crc = if report.deltas_applied > 0 {
             checkpoint_crc(&deltas[report.deltas_applied as usize - 1])
         } else {
@@ -271,8 +265,8 @@ impl CheckpointStore {
 
     /// Re-anchor the on-disk state to the restored service: drop delta
     /// files the restore discarded (or that never belonged to this
-    /// chain), fold any journal tail into a catch-up delta, and rotate
-    /// the journal down to the staged events.
+    /// chain), checkpoint any journal tail, and rotate the journal down
+    /// to the staged events.
     pub fn reanchor(&mut self, svc: &ColoringService, chaos: &mut Chaos) -> Result<(), StoreError> {
         for chain in self.chain_len + 1.. {
             let path = self.delta_path(chain);
@@ -282,12 +276,18 @@ impl CheckpointStore {
             fs::remove_file(&path)
                 .map_err(|e| StoreError::new("checkpoint", format!("dropping stale delta: {e}")))?;
         }
-        if svc.history_len() > self.checkpointed_h {
-            self.write_delta(svc, chaos)?;
+        if self.is_behind(svc) {
+            self.checkpoint(svc, chaos)?;
         } else {
             self.rotate_journal(svc.staged_events())?;
         }
         Ok(())
+    }
+
+    /// The service holds history the chain does not: entries past the
+    /// newest checkpoint, or a fold whose base has not landed.
+    pub fn is_behind(&self, svc: &ColoringService) -> bool {
+        svc.epoch() != self.epoch || svc.history_len() > self.checkpointed_h
     }
 
     /// Append one line to the write-ahead journal. A `journal` storage
@@ -399,13 +399,17 @@ impl CheckpointStore {
         Ok(())
     }
 
-    /// Write a full snapshot as the new chain base, discarding the old
-    /// chain. Returns the bytes written.
-    pub fn write_full(
+    /// Write the service's base as the new chain base, discarding the
+    /// old chain. Returns the bytes written. A base records a settled
+    /// service only; while a repair runs this is a retryable refusal.
+    pub fn write_base(
         &mut self,
         svc: &ColoringService,
         chaos: &mut Chaos,
     ) -> Result<u64, StoreError> {
+        if !svc.is_settled() {
+            return Err(StoreError::new("snapshot", "a base waits for a settled service".into()));
+        }
         let text = svc.snapshot_text();
         self.publish(
             "snapshot",
@@ -427,13 +431,18 @@ impl CheckpointStore {
         Ok(text.len() as u64)
     }
 
-    /// Write an incremental delta covering history past the newest
-    /// checkpoint. Returns the bytes written.
-    pub fn write_delta(
+    /// Checkpoint the history past the newest checkpoint: a delta that
+    /// extends the chain, or a base when the service folded since the
+    /// chain's base was written (a delta cannot span a fold). Returns
+    /// the kind written (`delta` or `base`) and its bytes.
+    pub fn checkpoint(
         &mut self,
         svc: &ColoringService,
         chaos: &mut Chaos,
-    ) -> Result<u64, StoreError> {
+    ) -> Result<(&'static str, u64), StoreError> {
+        if svc.epoch() != self.epoch {
+            return self.write_base(svc, chaos).map(|bytes| ("base", bytes));
+        }
         let text = svc
             .delta_text(self.checkpointed_h, self.chain_len + 1, self.parent_crc)
             .map_err(|e| StoreError::new("delta", e.to_string()))?;
@@ -449,35 +458,6 @@ impl CheckpointStore {
         self.parent_crc = checkpoint_crc(&text)
             .ok_or_else(|| StoreError::new("delta", "delta lost its CRC trailer".into()))?;
         self.rotate_journal(svc.staged_events())?;
-        Ok(text.len() as u64)
-    }
-
-    /// Persist a compaction: the materialized base replaces the chain
-    /// wholesale. The base itself carries the staged events, so a crash
-    /// in any window here (after the rename but before the rotation or
-    /// delta cleanup) recovers without losing an acked event — stale
-    /// deltas and the stale journal fail their linkage checks and fall
-    /// back to the fresh base.
-    pub fn persist_compaction(
-        &mut self,
-        svc: &ColoringService,
-        chaos: &mut Chaos,
-    ) -> Result<u64, StoreError> {
-        let text = svc.base_text().map_err(|e| StoreError::new("snapshot", e.to_string()))?;
-        self.publish(
-            "snapshot",
-            self.base.clone(),
-            &text,
-            ["compact-pre-write", "compact-pre-rename", "compact-post-rename"],
-            chaos,
-        )?;
-        self.drop_deltas()?;
-        self.chain_len = 0;
-        self.checkpointed_h = 0;
-        self.epoch = svc.epoch();
-        self.parent_crc = checkpoint_crc(&text)
-            .ok_or_else(|| StoreError::new("snapshot", "base lost its CRC trailer".into()))?;
-        self.rotate_journal(svc.staged_events())?;
-        Ok(text.len() as u64)
+        Ok(("delta", text.len() as u64))
     }
 }

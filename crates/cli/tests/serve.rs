@@ -157,11 +157,11 @@ fn every_kill_point_restarts_deterministically() {
         "clean-shutdown snapshot does not restart bit-identically"
     );
 
-    // The full-snapshot stages fire once (the startup re-anchor); the
-    // periodic and final checkpoints are incremental deltas; the
-    // compact-* stages need `--compact-after` armed so the history
-    // folds mid-session. The commit stages fire once — the whole event
-    // stream can drain into a single batch.
+    // The base stages fire once without a fold (the startup anchor);
+    // the periodic and final checkpoints are incremental deltas. With
+    // `--compact-after` armed the history folds mid-session, and the
+    // fold's base is the second occurrence. The commit stages fire once
+    // — the whole event stream can drain into a single batch.
     let kill_points: [(&str, &[u32], &[&str]); 11] = [
         ("journal-pre-commit", &[1], &[]),
         ("journal-post-commit", &[1], &[]),
@@ -171,13 +171,13 @@ fn every_kill_point_restarts_deterministically() {
         ("delta-pre-write", &[1], &[]),
         ("delta-pre-rename", &[1], &[]),
         ("delta-post-rename", &[1], &[]),
-        ("compact-pre-write", &[1], &["--compact-after", "1"]),
-        ("compact-pre-rename", &[1], &["--compact-after", "1"]),
-        ("compact-post-rename", &[1], &["--compact-after", "1"]),
+        ("snapshot-pre-write", &[2], &["--compact-after", "1"]),
+        ("snapshot-pre-rename", &[2], &["--compact-after", "1"]),
+        ("snapshot-post-rename", &[2], &["--compact-after", "1"]),
     ];
     for (point, occurrences, extra) in kill_points {
         for &occurrence in occurrences {
-            let state = tmp.path(&format!("kill-{point}-{occurrence}"));
+            let state = tmp.path(&format!("kill-{point}-{occurrence}-{}", extra.len()));
             let spec = format!("{point}:{occurrence}");
             let mut flags = vec!["--chaos-kill-at", spec.as_str()];
             flags.extend_from_slice(extra);
@@ -191,7 +191,7 @@ fn every_kill_point_restarts_deterministically() {
             );
             // Preserve the surviving bytes, then restart twice from
             // them: both recoveries must succeed and agree exactly.
-            let replica = tmp.path(&format!("kill-{point}-{occurrence}-replica"));
+            let replica = tmp.path(&format!("kill-{point}-{occurrence}-{}-replica", extra.len()));
             copy_dir(&state, &replica);
             let a = serve(&graph, &state, &[], &[], true);
             assert!(a.status.success(), "{spec}: recovery failed:\n{}", a.stderr);
@@ -268,8 +268,9 @@ fn torn_storage_faults_recover_or_fail_typed() {
 
 /// Injected disk-full errors: clean refusals on a live service — a
 /// failed journal append un-stages the event and answers a retryable
-/// refusal, a failed checkpoint degrades to a warning and retries, and
-/// a failed snapshot command reports retryable instead of dying.
+/// refusal, a failed checkpoint (a fold's base included) degrades to a
+/// warning and retries, and a failed snapshot command reports retryable
+/// instead of dying.
 #[test]
 fn injected_disk_full_is_refused_retryably_and_never_poisons() {
     let tmp = TmpDir::new("diskfull");
@@ -309,12 +310,14 @@ fn injected_disk_full_is_refused_retryably_and_never_poisons() {
     assert_eq!(final_hash(&restarted), final_hash(&run), "failed checkpoint lost state");
 
     // Snapshot command hits disk-full: the client gets a retryable
-    // reply and the service keeps serving.
+    // reply and the service keeps serving. The command writes a delta;
+    // with periodic checkpoints off it is the first.
     let state = tmp.path("snapshot");
     let mut lines = session_events();
     lines.push(r#"{"cmd":"snapshot"}"#.into());
     lines.push(r#"{"cmd":"status"}"#.into());
-    let run = serve(&graph, &state, &["--chaos-storage", "full:snapshot:2"], &lines, true);
+    let flags = ["--snapshot-every", "0", "--chaos-storage", "full:delta:1"];
+    let run = serve(&graph, &state, &flags, &lines, true);
     assert!(run.status.success(), "serve failed:\n{}", run.stderr);
     assert!(run.stdout.contains("\"retryable\":1"), "expected a retryable reply:\n{}", run.stdout);
     assert!(
@@ -323,6 +326,20 @@ fn injected_disk_full_is_refused_retryably_and_never_poisons() {
         run.stdout
     );
     assert!(!run.stderr.contains("panicked"), "must not panic:\n{}", run.stderr);
+
+    // A fold's base and the shutdown's retry of it both hit disk-full:
+    // the service keeps serving on the old chain, and the restart (which
+    // replays any journal past the fold) reaches the same coloring.
+    let state = tmp.path("fold");
+    let flags = ["--compact-after", "1", "--chaos-storage", "full:snapshot:2,full:snapshot:2"];
+    let run = serve(&graph, &state, &flags, &session_events(), true);
+    assert!(run.status.success(), "serve failed:\n{}", run.stderr);
+    assert!(run.stderr.contains("fold base deferred"), "expected a deferral:\n{}", run.stderr);
+    assert!(run.stderr.contains("final checkpoint failed"), "expected a warning:\n{}", run.stderr);
+    let restarted = serve(&graph, &state, &["--compact-after", "1"], &[], true);
+    assert!(restarted.status.success(), "restart failed:\n{}", restarted.stderr);
+    assert!(restarted.stderr.contains("restored epoch 0"), "old chain:\n{}", restarted.stderr);
+    assert_eq!(final_hash(&restarted), final_hash(&run), "a deferred fold base lost state");
 
     // Disk-full on the very first base write: startup fails with a
     // structured error, not a panic.
@@ -355,6 +372,50 @@ fn compaction_round_trips_through_the_real_binary() {
         .unwrap_or_else(|| panic!("no restore line:\n{}", restarted.stderr));
     assert!(!epoch_line.contains("epoch 0 base"), "must restore a folded epoch: {epoch_line}");
     assert_eq!(final_hash(&restarted), h, "compacted state does not restart bit-identically");
+}
+
+/// Algorithm 2 through the real binary: its parked automata remember
+/// more than their rows (the `forbidden` set, the retry memory), all of
+/// which a base must carry. A folding session restarts bit-identically,
+/// and a kill inside the fold's base write recovers deterministically
+/// and goes on serving.
+#[test]
+fn strong_protocol_checkpoints_round_trip_and_survive_a_kill() {
+    let tmp = TmpDir::new("strong");
+    let graph = tmp.path("g.edges");
+    write_graph(&graph);
+    let strong = ["--protocol", "strong", "--compact-after", "1"];
+    let events = session_events();
+    let (first, rest) = (events[..3].to_vec(), events[3..].to_vec());
+
+    let control_state = tmp.path("control");
+    let control = serve(&graph, &control_state, &strong, &first, true);
+    assert!(control.status.success(), "control failed:\n{}", control.stderr);
+    let control = serve(&graph, &control_state, &strong, &rest, true);
+    assert!(control.status.success(), "control restart failed:\n{}", control.stderr);
+    assert!(control.stderr.contains("restored epoch"), "must restore:\n{}", control.stderr);
+    let want = final_hash(&control);
+    let round_trip = serve(&graph, &control_state, &strong, &[], true);
+    assert!(round_trip.status.success(), "round trip failed:\n{}", round_trip.stderr);
+    assert_eq!(final_hash(&round_trip), want, "strong state does not restart bit-identically");
+
+    // Die inside the first fold's base write, restart from two copies of
+    // the surviving bytes, then finish the session on one of them.
+    let state = tmp.path("killed");
+    let mut flags = strong.to_vec();
+    flags.extend_from_slice(&["--chaos-kill-at", "snapshot-pre-rename:2"]);
+    let killed = serve(&graph, &state, &flags, &first, true);
+    assert_eq!(killed.status.code(), Some(137), "expected the chaos kill:\n{}", killed.stderr);
+    let replica = tmp.path("killed-replica");
+    copy_dir(&state, &replica);
+    let a = serve(&graph, &state, &strong, &[], true);
+    assert!(a.status.success(), "recovery failed:\n{}", a.stderr);
+    let b = serve(&graph, &replica, &strong, &[], true);
+    assert!(b.status.success(), "replica recovery failed:\n{}", b.stderr);
+    assert_eq!(final_hash(&a), final_hash(&b), "strong recovery is not deterministic");
+    let finished = serve(&graph, &state, &strong, &rest, true);
+    assert!(finished.status.success(), "post-recovery session failed:\n{}", finished.stderr);
+    assert!(!finished.stderr.contains("panicked"), "must not panic:\n{}", finished.stderr);
 }
 
 #[test]

@@ -240,6 +240,25 @@ impl EdgeColoringNode {
         }
     }
 
+    /// This node's palette bound: the `2Δ−1` it was built with, raised
+    /// by every degree churn gave it. Not a function of its row, so a
+    /// checkpoint records it.
+    pub(crate) fn palette_bound(&self) -> u32 {
+        self.palette_bound
+    }
+
+    /// Rebuild a settled node from a checkpoint: this factory-fresh
+    /// automaton takes `row` (its committed colors, port-aligned with its
+    /// neighbor list), `palette_bound`, and the parked `D` state. Its
+    /// knowledge rows stay blank, as after a compaction (see
+    /// [`Self::adopt_compaction`]): at a settled point every port is
+    /// colored, so no row of them is read again.
+    pub(crate) fn resume_parked(&mut self, row: &[Option<Color>], palette_bound: u32) {
+        self.palette_bound = palette_bound;
+        self.adopt_compaction(row);
+        self.state = "D";
+    }
+
     /// Overwrite this node's committed colors with the outcome of an
     /// out-of-band palette compaction (serve mode runs the Kempe pass
     /// between repairs — see [`crate::kempe`]). Only sound while the

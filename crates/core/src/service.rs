@@ -10,16 +10,22 @@
 //!
 //! The service commits a staged batch only at quiescence, so the round
 //! at which each batch lands is a pure function of the event sequence —
-//! not of wall-clock arrival times. That makes the whole trajectory
-//! replayable: a snapshot records nothing but the initial graph and the
-//! *history* (committed batches and recolor escalations, each pinned to
-//! its round), and [`ColoringService::restore_chain`] re-executes that
-//! history through the very same tick loop to a bit-identical coloring.
-//! A crash-recovery journal of the same line format covers the tail since
-//! the last snapshot; its markers carry a history index so a stale
-//! (unrotated) journal deduplicates cleanly against the snapshot.
+//! not of wall-clock arrival times. Each automaton's next move depends
+//! only on its state, its inbox and its coin flips, so a *settled*
+//! service (every node parked, no mail in flight) is fully described by
+//! its graph, each node's row and engine stream, the round clock and its
+//! counters. A base checkpoint ([`ColoringService::snapshot_text`])
+//! records exactly that, plus the *history* since the last fold
+//! (committed batches and recolor escalations, each pinned to its
+//! round) as data. [`ColoringService::restore_chain`] parses the base,
+//! parks the rebuilt automata, and re-executes through the very same
+//! tick loop only what came after it: the deltas' entries and the
+//! journal tail, to a bit-identical coloring. Journal markers carry the
+//! epoch and history index so a stale (unrotated) journal deduplicates
+//! cleanly against the chain. A fold ([`ColoringService::compact_history`])
+//! drops the history into the graph and moves nothing else.
 //!
-//! Snapshots are flat JSONL guarded by a CRC-32 trailer: truncation and
+//! Checkpoints are flat JSONL guarded by a CRC-32 trailer: truncation and
 //! corruption are detected and reported as structured
 //! [`ServiceError`]s, never a panic.
 //!
@@ -56,12 +62,10 @@
 //! come from one walk over the topology's sorted neighbor lists, already
 //! in `(u, v)` order.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use dima_graph::{Graph, VertexId};
 use dima_sim::fault::FaultPlan;
-use dima_sim::rng::splitmix64;
 use dima_sim::telemetry::NoopTracer;
 use dima_sim::{
     ChurnBatch, ChurnEvent, ChurnSchedule, EngineConfig, EventFeed, FeedError, NodeSeed, SimError,
@@ -75,10 +79,11 @@ use crate::kempe::{self, KempeReport, PortCensus};
 use crate::palette::{Color, ColorSet};
 use crate::runner::run_protocol;
 use crate::strong_coloring::StrongColoringNode;
+use rand::rngs::SmallRng;
 
 mod checkpoint;
 
-pub use checkpoint::{checkpoint_crc, BASE_VERSION, DELTA_VERSION, SNAPSHOT_VERSION};
+pub use checkpoint::{checkpoint_crc, BASE_VERSION, DELTA_VERSION};
 
 /// Which repair protocol a service runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -219,7 +224,7 @@ pub enum ServiceError {
         actual: u32,
     },
     /// Replaying a recorded history diverged from the recorded rounds —
-    /// the snapshot does not describe this build's trajectory.
+    /// the checkpoint does not describe this build's trajectory.
     Replay(String),
     /// A repair failed to quiesce within the tick budget.
     Budget {
@@ -405,12 +410,16 @@ pub struct ServiceStatus {
     pub hash: u64,
 }
 
-/// What [`ColoringService::restore_chain`] replayed.
+/// What [`ColoringService::restore_chain`] read and replayed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RestoreReport {
-    /// History entries replayed from the snapshot/base itself (zero for
-    /// a materialized base — its history is already folded in).
+    /// History entries the base carries: restored as data, not
+    /// replayed.
     pub snapshot_entries: u64,
+    /// The epoch of the verified chain (the base and its deltas). The
+    /// restored service is at a later one when the journal carried
+    /// entries past a fold whose base never landed.
+    pub chain_epoch: u64,
     /// History entries recovered from the journal tail.
     pub tail_entries: u64,
     /// Journal events re-staged (accepted but uncommitted at the
@@ -459,10 +468,10 @@ impl std::fmt::Display for ChainFallback {
 /// What one [`ColoringService::compact_history`] call folded away.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CompactReport {
-    /// The epoch the service rebased into (monotonic, starts at 0 for a
-    /// fresh service).
+    /// The epoch the fold opened (monotonic, starts at 0 for a fresh
+    /// service).
     pub epoch: u64,
-    /// History entries folded into the materialized graph.
+    /// History entries folded into the graph.
     pub folded_entries: u64,
     /// Edges of the folded (committed) topology.
     pub graph_edges: usize,
@@ -568,19 +577,20 @@ impl Inner {
         }
     }
 
-    fn park_all(&mut self) {
+    /// `v`'s RNG stream, if seeded (see [`Stepper::stream`]).
+    fn stream(&self, v: VertexId) -> Option<&SmallRng> {
         match self {
-            Inner::Ec(s) => s.park_all(),
-            Inner::Strong(s) => s.park_all(),
+            Inner::Ec(s) => s.stream(v),
+            Inner::Strong(s) => s.stream(v),
         }
     }
 
-    /// The strong-coloring automata, when this service runs that
-    /// protocol.
-    fn strong_nodes_mut(&mut self) -> Option<&mut [StrongColoringNode]> {
+    /// Park every node at `round` with `streams` (see
+    /// [`Stepper::resume`]).
+    fn resume(&mut self, round: u64, streams: Vec<Option<SmallRng>>) {
         match self {
-            Inner::Strong(s) => Some(s.nodes_mut()),
-            Inner::Ec(_) => None,
+            Inner::Ec(s) => s.resume(round, streams),
+            Inner::Strong(s) => s.resume(round, streams),
         }
     }
 
@@ -811,15 +821,19 @@ struct OpenBatch {
 /// [module docs](self) for the execution and recovery model.
 pub struct ColoringService {
     cfg: ServiceConfig,
+    /// The graph at the last fold (the initial graph until one), in
+    /// which the nodes of `dead0` have already departed: what the
+    /// history since the fold starts from.
     g0: Graph,
+    dead0: Vec<VertexId>,
+    /// Algorithm 1's `2Δ−1` on the initial graph: the bound every
+    /// automaton the factory builds starts from.
     palette_bound0: u32,
     feed: EventFeed,
     inner: Inner,
-    /// Number of history compactions applied so far. Each compaction
-    /// rebases the service onto fresh per-node RNG streams derived from
-    /// `epoch_seed(master, epoch)` and resets the round clock and
-    /// history, so the epoch (recorded in materialized bases) is part of
-    /// the service's deterministic identity.
+    /// Folds so far (see [`ColoringService::compact_history`]). Journal
+    /// markers carry it beside their history index, which restarts at
+    /// each fold.
     epoch: u64,
     pending: Option<ChurnBatch>,
     pending_seq: u64,
@@ -850,34 +864,17 @@ pub struct ColoringService {
     log: TouchLog,
 }
 
-/// Per-node RNG master seed for `epoch`. Epoch 0 is the configured seed
-/// itself (a fresh, never-compacted service is bit-compatible with every
-/// pre-compaction snapshot); later epochs mix the epoch index in through
-/// splitmix64 so each rebase starts statistically fresh streams while
-/// staying a pure function of `(master, epoch)`.
-fn epoch_seed(master: u64, epoch: u64) -> u64 {
-    if epoch == 0 {
-        master
-    } else {
-        splitmix64(splitmix64(master) ^ splitmix64(0x5EED_BA5E ^ epoch))
-    }
-}
-
 impl ColoringService {
-    /// Build the engine and per-protocol artifacts for `cfg` over `g`,
-    /// with per-node RNG streams seeded from `engine_seed` (the
-    /// [`epoch_seed`] of the current epoch — the configured master seed
-    /// for epoch 0). Shared by the fresh-service constructor and the
-    /// compaction rebase.
+    /// The engine over `topo` for `cfg`, its Algorithm 1 factory
+    /// building automata with palette bound `palette_bound0`. Shared by
+    /// the fresh-service constructor and the checkpoint restore.
     fn build_inner(
-        g: &Graph,
+        topo: &Topology,
         cfg: &ServiceConfig,
-        engine_seed: u64,
-    ) -> Result<(Inner, u32), SimError> {
-        let delta = g.max_degree();
-        let palette_bound = ((2 * delta).saturating_sub(1)).max(1) as u32;
+        palette_bound0: u32,
+    ) -> Result<Inner, SimError> {
         let engine_cfg = EngineConfig {
-            seed: engine_seed,
+            seed: cfg.coloring.seed,
             max_rounds: u64::MAX,
             collect_round_stats: false,
             validate_sends: cfg.coloring.validate_sends,
@@ -885,24 +882,22 @@ impl ColoringService {
             profile: false,
             metrics: false,
         };
-        let topo = Topology::from_graph(g);
         let threads = cfg.coloring.engine.threads();
-        let inner = match cfg.protocol {
+        Ok(match cfg.protocol {
             ServeProtocol::EdgeColoring => {
                 let ccfg = cfg.coloring.clone();
                 let factory: EcFactory = Box::new(move |seed: NodeSeed<'_>| {
-                    EdgeColoringNode::new(&seed, &ccfg, palette_bound)
+                    EdgeColoringNode::new(&seed, &ccfg, palette_bound0)
                 });
-                Inner::Ec(Stepper::new(&topo, &engine_cfg, threads, factory)?)
+                Inner::Ec(Stepper::new(topo, &engine_cfg, threads, factory)?)
             }
             ServeProtocol::StrongColoring => {
                 let ccfg = cfg.coloring.clone();
                 let factory: StrongFactory =
                     Box::new(move |seed: NodeSeed<'_>| StrongColoringNode::new(&seed, &ccfg));
-                Inner::Strong(Stepper::new(&topo, &engine_cfg, threads, factory)?)
+                Inner::Strong(Stepper::new(topo, &engine_cfg, threads, factory)?)
             }
-        };
-        Ok((inner, palette_bound))
+        })
     }
 
     /// Start a fresh service over `g0`. The initial coloring has not
@@ -910,8 +905,10 @@ impl ColoringService {
     /// to converge it.
     pub fn new(g0: &Graph, cfg: ServiceConfig) -> Result<Self, ServiceError> {
         cfg.validate()?;
-        let (inner, palette_bound0) = Self::build_inner(g0, &cfg, cfg.coloring.seed)?;
-        let mut svc = Self::assemble(cfg, g0.clone(), palette_bound0, EventFeed::new(g0), inner);
+        let palette_bound0 = (2 * g0.max_degree()).saturating_sub(1).max(1) as u32;
+        let inner = Self::build_inner(&Topology::from_graph(g0), &cfg, palette_bound0)?;
+        let feed = EventFeed::new(g0);
+        let mut svc = Self::assemble(cfg, g0.clone(), Vec::new(), palette_bound0, feed, inner);
         // The initial coloring changes every row without a log.
         svc.census_stale = true;
         Ok(svc)
@@ -922,6 +919,7 @@ impl ColoringService {
     fn assemble(
         cfg: ServiceConfig,
         g0: Graph,
+        dead0: Vec<VertexId>,
         palette_bound0: u32,
         feed: EventFeed,
         inner: Inner,
@@ -930,6 +928,7 @@ impl ColoringService {
         let mut svc = ColoringService {
             cfg,
             g0,
+            dead0,
             palette_bound0,
             feed,
             inner,
@@ -984,12 +983,12 @@ impl ColoringService {
         self.feed.staged_events()
     }
 
-    /// Committed batches so far (cumulative across compactions).
+    /// Committed batches so far (cumulative across folds).
     pub fn batches_committed(&self) -> u64 {
         self.batches_committed
     }
 
-    /// Number of history compactions applied so far (see
+    /// Number of history folds applied so far (see
     /// [`ColoringService::compact_history`]).
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -1342,9 +1341,14 @@ impl ColoringService {
         Ok(self.inner.edge_slots(u, v))
     }
 
-    /// Every color committed on `v`'s surviving edges, ascending.
+    /// Every color committed on `v`'s surviving edges, ascending: none
+    /// once `v` has departed (its automaton keeps its last row until it
+    /// rejoins).
     pub fn node_palette(&self, v: VertexId) -> Result<Vec<Color>, ServiceError> {
         self.check_node(v)?;
+        if !self.feed.committed_alive(v) {
+            return Ok(Vec::new());
+        }
         Ok(self.inner.palette(v))
     }
 
@@ -1353,8 +1357,9 @@ impl ColoringService {
     /// automata it recolored — the serve-mode "compaction after repair
     /// commit". Out-of-band: the pass runs on an ephemeral engine and
     /// does not advance the service round clock, so recorded history
-    /// rounds stay valid and snapshot replay (which re-enters this path
-    /// at the same quiescence transitions) reproduces it bit-for-bit.
+    /// rounds stay valid and the replay of a checkpoint's deltas and
+    /// journal (which re-enters this path at the same quiescence
+    /// transitions) reproduces it bit-for-bit.
     /// Only the pass's built nodes (the owners of over-threshold edges
     /// and the nodes their operations woke) are read back, and the
     /// counts are settled from their rows. Returns `None` when reduction
@@ -1442,178 +1447,48 @@ impl ColoringService {
     }
 
     // ------------------------------------------------------------------
-    // History compaction (epoch rebase)
+    // History folding
     // ------------------------------------------------------------------
 
-    /// Adopt `coloring` (the committed slot map, keyed `(u, v)` with
-    /// `u < v`) into freshly built automata. The adopted state — edge
-    /// coloring: the port colors; strong coloring: also the one-hop
-    /// committed channels as the forbidden set — is a pure function of
-    /// the coloring, which is what makes a rebase deterministic: a live
-    /// compaction and a restore from the resulting materialized base
-    /// reconstruct byte-identical automata.
-    fn adopt_coloring(inner: &mut Inner, coloring: &SlotMap) {
-        // Directed slots of the `u`-`v` edge from `u`'s side: (u's slot
-        // toward v, v's slot toward u).
-        let slot = |u: VertexId, v: VertexId| -> (Option<Color>, Option<Color>) {
-            if u.0 < v.0 {
-                coloring.get(&(u.0, v.0)).copied().unwrap_or((None, None))
-            } else {
-                let (f, r) = coloring.get(&(v.0, u.0)).copied().unwrap_or((None, None));
-                (r, f)
-            }
-        };
-        if matches!(inner, Inner::Ec(_)) {
-            // Every automaton was just built over the topology, departed
-            // (isolated) nodes included, so all of them take the
-            // write-back, each its row in neighbor order.
-            let topo = inner.topology().clone();
-            if let Some(nodes) = inner.ec_nodes_mut() {
-                let mut row = Vec::new();
-                for (u, node) in (0..topo.num_nodes() as u32).map(VertexId).zip(nodes) {
-                    row.clear();
-                    row.extend(topo.neighbors(u).iter().map(|&v| slot(u, v).0));
-                    node.adopt_compaction(&row);
-                }
-            }
-        } else {
-            let topo = inner.topology();
-            let n = topo.num_nodes();
-            // A strong-coloring node's forbidden set accumulates every
-            // channel it has seen claimed: its own plus whatever Used and
-            // Hello traffic from direct neighbors reported — exactly the
-            // one-hop committed channels at quiescence.
-            let incident: Vec<Vec<Color>> = (0..n)
-                .map(|i| {
-                    let u = VertexId(i as u32);
-                    topo.neighbors(u)
-                        .iter()
-                        .flat_map(|&v| {
-                            let (out, inc) = slot(u, v);
-                            [out, inc]
-                        })
-                        .flatten()
-                        .collect()
-                })
-                .collect();
-            let per_node: Vec<StrongRebaseSlots> = (0..n)
-                .map(|i| {
-                    let u = VertexId(i as u32);
-                    let out = topo.neighbors(u).iter().map(|&v| slot(u, v).0).collect::<Vec<_>>();
-                    let inc = topo.neighbors(u).iter().map(|&v| slot(u, v).1).collect::<Vec<_>>();
-                    let forbidden: ColorSet = incident[i]
-                        .iter()
-                        .copied()
-                        .chain(
-                            topo.neighbors(u)
-                                .iter()
-                                .flat_map(|&v| incident[v.index()].iter().copied()),
-                        )
-                        .collect();
-                    (out, inc, forbidden)
-                })
-                .collect();
-            let Some(nodes) = inner.strong_nodes_mut() else { return };
-            for (i, (out, inc, forbidden)) in per_node.into_iter().enumerate() {
-                nodes[i].adopt_rebase(&out, &inc, forbidden);
-            }
-        }
-    }
-
-    /// Build a service directly in a settled, rebased state: fresh
-    /// automata over `g` (with the departed nodes in `dead` present as
-    /// parked isolated slots), per-node RNG streams at `epoch`, and
-    /// `coloring` adopted into the parked nodes. The caller supplies the
-    /// cumulative counters a rebase carries across epochs. Shared by
-    /// [`ColoringService::compact_history`] (live) and the
-    /// materialized-base restore (recovery) — both must produce the same
-    /// service for checkpoints to stay bit-compatible.
-    fn build_rebased(
-        g: &Graph,
-        dead: &[VertexId],
-        coloring: &SlotMap,
-        cfg: ServiceConfig,
-        epoch: u64,
-        batches_committed: u64,
-        escalations: u64,
-    ) -> Result<Self, ServiceError> {
-        cfg.validate()?;
-        let (mut inner, palette_bound0) =
-            Self::build_inner(g, &cfg, epoch_seed(cfg.coloring.seed, epoch))?;
-        Self::adopt_coloring(&mut inner, coloring);
-        inner.park_all();
-        let feed = EventFeed::with_dead(g, dead);
-        let mut svc = Self::assemble(cfg, g.clone(), palette_bound0, feed, inner);
-        svc.epoch = epoch;
-        svc.batches_committed = batches_committed;
-        svc.escalations = escalations;
-        Ok(svc)
-    }
-
-    /// Fold the committed history into the topology and rebase the
-    /// service into the next epoch: the replay prefix disappears, the
-    /// committed graph becomes the new `g0` (departed nodes stay as
-    /// parked isolated slots so their ids remain reserved), the settled
-    /// coloring is adopted verbatim, and the round clock restarts at 0
-    /// on fresh RNG streams derived from `(seed, epoch)`. Staged events
+    /// Fold the history since the last fold into the graph: the
+    /// committed graph becomes the new starting graph (departed nodes
+    /// keep their ids as dead slots), the history empties and the epoch
+    /// moves on, so journal markers restart their history index. Nothing
+    /// else changes: no automaton, stream or round moves, so a session
+    /// that folds colors exactly as one that does not. Staged events
     /// survive; `batches_committed`/`escalations` stay cumulative.
     ///
-    /// Requires a settled service. After compacting, persist a
-    /// [`ColoringService::base_text`] checkpoint — every earlier
-    /// snapshot, delta, and journal entry is now unreplayable against
-    /// this service (their epoch no longer matches).
+    /// Requires a settled service. Persist a fresh
+    /// [`ColoringService::snapshot_text`] base after folding: the deltas
+    /// and journal markers of the earlier epoch no longer extend it.
     pub fn compact_history(&mut self) -> Result<CompactReport, ServiceError> {
         if !self.is_settled() {
-            return Err(ServiceError::NotSettled { what: "history compaction" });
+            return Err(ServiceError::NotSettled { what: "history fold" });
         }
         let folded_entries = self.history.len() as u64;
-        let hash_before = self.coloring_hash();
-        let g = self.feed.committed_graph();
-        let dead = self.feed.committed_dead();
-        let mut coloring = SlotMap::new();
-        self.inner.for_each_edge(|e| {
-            coloring.insert((e.u.0, e.v.0), (e.forward, e.reverse));
-        });
-        let staged: Vec<ChurnEvent> = self.feed.staged_events().to_vec();
-        let epoch = self.epoch + 1;
-        let mut next = Self::build_rebased(
-            &g,
-            &dead,
-            &coloring,
-            self.cfg.clone(),
-            epoch,
-            self.batches_committed,
-            self.escalations,
-        )?;
-        for ev in staged {
-            next.stage(ev).map_err(|e| {
-                ServiceError::Internal(format!("staged event no longer applies after rebase: {e}"))
-            })?;
-        }
-        if next.coloring_hash() != hash_before {
-            return Err(ServiceError::Internal(format!(
-                "rebase changed the coloring: {:#018x} != {hash_before:#018x}",
-                next.coloring_hash()
-            )));
-        }
-        next.reports = std::mem::take(&mut self.reports);
-        *self = next;
+        self.g0 = self.feed.committed_graph();
+        self.dead0 = self.feed.committed_dead();
+        self.history.clear();
+        self.epoch += 1;
         Ok(CompactReport {
-            epoch,
+            epoch: self.epoch,
             folded_entries,
             graph_edges: self.g0.num_edges(),
-            dead_nodes: dead.len(),
+            dead_nodes: self.dead0.len(),
         })
     }
 
     /// Re-execute `entries` (batches pinned to their recorded rounds,
     /// escalations restarted at theirs) through the normal tick loop,
     /// with the watchdog disarmed — recorded escalations stand in for
-    /// it. Finishes by repairing to quiescence with the watchdog back
-    /// on.
-    fn replay(&mut self, entries: &[HistoryEntry]) -> Result<(), ServiceError> {
+    /// it. Each entry comes with the epoch it was recorded in: one past
+    /// the service's was recorded after a fold, which is made first (a
+    /// fold moves no color, so where in the settled stretch before the
+    /// entry it lands does not matter). Finishes by repairing to
+    /// quiescence with the watchdog back on.
+    fn replay(&mut self, entries: &[(u64, HistoryEntry)]) -> Result<(), ServiceError> {
         self.watchdog_armed = false;
-        for entry in entries {
+        for (epoch, entry) in entries {
             let target = entry.round();
             while self.inner.round() < target && !self.is_settled() {
                 self.tick()?;
@@ -1623,6 +1498,10 @@ impl ColoringService {
                     "settled at round {} but the next history entry is recorded at round {target}",
                     self.inner.round()
                 )));
+            }
+            if *epoch > self.epoch {
+                self.compact_history()?;
+                self.epoch = *epoch;
             }
             match entry {
                 HistoryEntry::Batch { seq, round, events } => {
@@ -1674,16 +1553,14 @@ impl ColoringService {
     /// history through a fresh [`EventFeed`] into a [`ChurnSchedule`] and
     /// running it through the batch entry point under `engine` — the
     /// independent cross-check the acceptance suite diffs against the
-    /// live state. Only available for escalation-free histories (a batch
-    /// run has no restart path).
+    /// live state. Only available for unfolded, escalation-free
+    /// histories (a batch run has no restart path).
     pub fn recompute(&self, engine: Engine) -> Result<Vec<ColoredEdge>, ServiceError> {
-        if self.epoch > 0 {
-            // A compacted service adopted its coloring across a rebase;
-            // a from-scratch run over the folded graph is a different
-            // (equally proper, but not comparable) coloring.
-            return Err(ServiceError::Config(
-                "recompute requires an uncompacted (epoch 0) service".into(),
-            ));
+        if self.batches_committed + self.escalations > self.history_len() {
+            // A fold dropped entries: a run over the folded graph from
+            // scratch is a different (equally proper, but not
+            // comparable) coloring.
+            return Err(ServiceError::Config("recompute requires an unfolded history".into()));
         }
         if self.history.iter().any(|e| matches!(e, HistoryEntry::Recolor { .. })) {
             return Err(ServiceError::Config(
@@ -1759,14 +1636,6 @@ fn collect_coloring(
     out
 }
 
-/// The committed slot map, keyed `(u, v)` with `u < v`, holding (u's
-/// slot toward v, v's slot toward u).
-type SlotMap = HashMap<(u32, u32), (Option<Color>, Option<Color>)>;
-
-/// Per-node adoption payload for a strong-coloring rebase: outgoing
-/// slots, incoming slots, and the accumulated forbidden set.
-type StrongRebaseSlots = (Vec<Option<Color>>, Vec<Option<Color>>, ColorSet);
-
 #[cfg(test)]
 mod tests {
     use super::checkpoint::crc32;
@@ -1775,6 +1644,7 @@ mod tests {
     use dima_graph::gen::structured;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+    use std::collections::HashMap;
 
     fn svc(protocol: ServeProtocol, seed: u64) -> ColoringService {
         let g = structured::path(8);
@@ -2142,52 +2012,112 @@ mod tests {
     }
 
     #[test]
-    fn compaction_rebases_live_and_restored_identically() {
+    fn a_fold_moves_no_color_and_restores_identically() {
         for protocol in [ServeProtocol::EdgeColoring, ServeProtocol::StrongColoring] {
             let mut live = svc(protocol, 17);
             let mut journal = String::new();
             drive(&mut live, &waves(), &mut journal);
-            let hash = live.coloring_hash();
+            let (hash, round) = (live.coloring_hash(), live.round());
             let report = live.compact_history().unwrap();
             assert_eq!(report.epoch, 1);
             assert_eq!(report.folded_entries, 3);
             assert_eq!(live.epoch(), 1);
             assert_eq!(live.history_len(), 0);
-            assert_eq!(live.round(), 0);
+            assert_eq!(live.round(), round, "{protocol}: a fold moved the round clock");
             assert!(live.is_settled());
-            assert_eq!(live.coloring_hash(), hash, "{protocol}: rebase changed the coloring");
+            assert_eq!(live.coloring_hash(), hash, "{protocol}: a fold changed the coloring");
             assert_eq!(live.batches_committed(), 3);
-            assert_proper(&live);
 
-            let base = live.base_text().unwrap();
+            let base = live.snapshot_text();
             let (mut restored, rep) =
                 ColoringService::restore_chain(&base, &[], None, Engine::Sequential).unwrap();
-            assert_eq!(rep.deltas_applied, 0);
+            assert_eq!((rep.snapshot_entries, rep.deltas_applied), (0, 0));
             assert_eq!(restored.coloring_hash(), hash);
             assert_eq!(restored.epoch(), 1);
 
-            // Post-compaction churn lands on the same trajectory whether
-            // the rebase happened live or through a base restore.
+            // Post-fold churn lands on the same trajectory live, after a
+            // restore of the folded base, and in a twin that never
+            // folded.
+            let mut twin = svc(protocol, 17);
+            drive(&mut twin, &waves(), &mut String::new());
             let mut jl = String::new();
             let mut jr = String::new();
             drive(&mut live, &extra_waves(), &mut jl);
             drive(&mut restored, &extra_waves(), &mut jr);
+            drive(&mut twin, &extra_waves(), &mut String::new());
             assert_eq!(jl, jr, "{protocol}");
             assert_eq!(restored.coloring_hash(), live.coloring_hash(), "{protocol}");
+            assert_eq!(twin.coloring(), live.coloring(), "{protocol}: a fold moved a color");
             assert_eq!(restored.history(), live.history());
+            assert_eq!(&twin.history()[3..], live.history());
             assert_proper(&live);
-
-            // The pooled engine rebases bit-identically too.
-            let g = structured::path(8);
-            let mut cfg = ServiceConfig::new(protocol, 17);
-            cfg.coloring.engine = Engine::Parallel { threads: 2 };
-            let mut par = ColoringService::new(&g, cfg).unwrap();
-            par.run_to_quiescence(par.tick_budget()).unwrap();
-            drive(&mut par, &waves(), &mut String::new());
-            par.compact_history().unwrap();
-            drive(&mut par, &extra_waves(), &mut String::new());
-            assert_eq!(par.coloring_hash(), live.coloring_hash(), "{protocol}: parallel rebase");
         }
+    }
+
+    #[test]
+    fn a_journal_across_an_unpersisted_fold_restores_the_fold() {
+        // The base of a fold never landed: the old chain, and a journal
+        // whose markers cross into the next epoch.
+        for protocol in [ServeProtocol::EdgeColoring, ServeProtocol::StrongColoring] {
+            let all = waves();
+            let mut s = svc(protocol, 37);
+            drive(&mut s, &all[..1], &mut String::new());
+            let base = s.snapshot_text();
+            let mut journal = String::new();
+            drive(&mut s, &all[1..2], &mut journal);
+            s.compact_history().unwrap();
+            drive(&mut s, &all[2..], &mut journal);
+            let (r, rep) =
+                ColoringService::restore_chain(&base, &[], Some(&journal), Engine::Sequential)
+                    .unwrap();
+            assert_eq!(rep.tail_entries, 2);
+            assert_eq!(r.epoch(), 1, "{protocol}");
+            assert_eq!(r.history(), s.history(), "{protocol}");
+            assert_eq!(r.coloring_hash(), s.coloring_hash(), "{protocol}");
+
+            // The same when the chain ends exactly at the fold.
+            let mut s = svc(protocol, 37);
+            drive(&mut s, &all[..2], &mut String::new());
+            let base = s.snapshot_text();
+            s.compact_history().unwrap();
+            let mut journal = String::new();
+            drive(&mut s, &all[2..], &mut journal);
+            let (r, rep) =
+                ColoringService::restore_chain(&base, &[], Some(&journal), Engine::Sequential)
+                    .unwrap();
+            assert!(!rep.journal_discarded);
+            assert_eq!((r.epoch(), r.history()), (1, s.history()), "{protocol}");
+            assert_eq!(r.coloring_hash(), s.coloring_hash(), "{protocol}");
+        }
+    }
+
+    #[test]
+    fn restoring_a_base_executes_no_round() {
+        for protocol in [ServeProtocol::EdgeColoring, ServeProtocol::StrongColoring] {
+            let mut s = svc(protocol, 5);
+            drive(&mut s, &waves(), &mut String::new());
+            let (r, rep) =
+                ColoringService::restore_chain(&s.snapshot_text(), &[], None, Engine::Sequential)
+                    .unwrap();
+            assert_eq!(rep.snapshot_entries, 3);
+            assert_eq!(r.inner.node_steps(), 0, "{protocol}: the restore stepped a node");
+            assert_eq!(r.round(), s.round());
+            assert_eq!(r.coloring(), s.coloring());
+            assert_eq!(r.history(), s.history());
+        }
+    }
+
+    #[test]
+    fn a_base_taken_mid_repair_is_refused() {
+        let mut s = svc(ServeProtocol::EdgeColoring, 3);
+        s.stage(ChurnEvent::LinkUp(VertexId(0), VertexId(2))).unwrap();
+        s.commit().unwrap();
+        s.tick().unwrap();
+        assert!(!s.is_settled());
+        let err = ColoringService::restore_chain(&s.snapshot_text(), &[], None, Engine::Sequential)
+            .err()
+            .expect("an unsettled base must not restore");
+        assert!(matches!(err, ServiceError::Snapshot { line: 1, .. }), "{err}");
     }
 
     #[test]
@@ -2199,7 +2129,7 @@ mod tests {
         let mut journal = String::new();
         drive(&mut s, &waves(), &mut journal);
         s.compact_history().unwrap();
-        let base = s.base_text().unwrap();
+        let base = s.snapshot_text();
         let base_crc = checkpoint_crc(&base).unwrap();
         drive(&mut s, &extra[..1], &mut journal);
         let delta1 = s.delta_text(0, 1, base_crc).unwrap();
@@ -2248,7 +2178,7 @@ mod tests {
         let ev = ChurnEvent::LinkUp(VertexId(1), VertexId(5));
         s.compact_history().unwrap();
         s.stage(ev).unwrap();
-        let base = s.base_text().unwrap();
+        let base = s.snapshot_text();
 
         // No journal at all (crash between base rename and rotation):
         // the acked event survives via the base.
@@ -2301,7 +2231,7 @@ mod tests {
         let mut s = svc(ServeProtocol::EdgeColoring, 43);
         drive(&mut s, &waves(), &mut String::new());
         s.compact_history().unwrap();
-        let base = s.base_text().unwrap();
+        let base = s.snapshot_text();
         let base_crc = checkpoint_crc(&base).unwrap();
         drive(&mut s, &extra[..1], &mut String::new());
         let hash_at_d1 = s.coloring_hash();
@@ -2385,7 +2315,7 @@ mod tests {
         let mut s = svc(ServeProtocol::EdgeColoring, 23);
         drive(&mut s, &waves(), &mut String::new());
         s.compact_history().unwrap();
-        let base = s.base_text().unwrap();
+        let base = s.snapshot_text();
         let crc = checkpoint_crc(&base).unwrap();
         assert!(ColoringService::restore_chain(&base, &[], None, Engine::Sequential).is_ok());
         // The same checkpoint with its trailer bumped by 2^32: the low
@@ -2472,15 +2402,20 @@ mod tests {
     #[test]
     fn compacted_services_guard_snapshot_and_recompute_paths() {
         let mut s = svc(ServeProtocol::EdgeColoring, 19);
-        drive(&mut s, &waves(), &mut String::new());
-        // base_text before compaction: replay prefix still present.
-        assert!(matches!(s.base_text(), Err(ServiceError::NotSettled { .. })));
+        // A fold with nothing to fold leaves the cross-check standing.
         s.compact_history().unwrap();
-        // Full snapshots of a compacted service don't replay.
+        assert_eq!(s.recompute(Engine::Sequential).unwrap(), s.coloring());
+        drive(&mut s, &waves(), &mut String::new());
+        s.compact_history().unwrap();
+        // A folded service's base restores like any other.
         let snap = s.snapshot_text();
-        assert!(ColoringService::restore_chain(&snap, &[], None, Engine::Sequential).is_err());
-        // And the from-scratch cross-check no longer applies.
-        assert!(matches!(s.recompute(Engine::Sequential), Err(ServiceError::Config(_))));
+        let (r, _) = ColoringService::restore_chain(&snap, &[], None, Engine::Sequential).unwrap();
+        assert_eq!(r.coloring_hash(), s.coloring_hash());
+        // But once history was folded, the from-scratch cross-check no
+        // longer applies, restored or not.
+        for folded in [&s, &r] {
+            assert!(matches!(folded.recompute(Engine::Sequential), Err(ServiceError::Config(_))));
+        }
         // Compacting while unsettled is refused.
         s.stage(ChurnEvent::LinkUp(VertexId(1), VertexId(4))).unwrap();
         s.commit().unwrap();
@@ -2507,6 +2442,10 @@ mod tests {
             staged += usize::from(s.stage(ev).is_ok());
         }
     }
+
+    /// The committed slot map, keyed `(u, v)` with `u < v`, holding
+    /// (u's slot toward v, v's slot toward u).
+    type SlotMap = HashMap<(u32, u32), (Option<Color>, Option<Color>)>;
 
     /// A coloring keyed by `(u, v)`, as the service once kept it.
     fn slot_map(coloring: &[ColoredEdge]) -> SlotMap {

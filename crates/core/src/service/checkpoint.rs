@@ -1,32 +1,39 @@
 //! The checkpoint codec: base, delta and journal lines, their CRC-32
 //! trailers, and the parsers that verify them.
+//!
+//! A base is the state of a settled service, which is all it needs to
+//! go on: every automaton is parked in `D` and no mail is in flight, so
+//! each node's row, its engine stream and the little automaton memory a
+//! row does not determine, with the graph, the round clock and the
+//! counters, describe it. Restoring a base parses it and parks the
+//! rebuilt automata; only the deltas and journal entries written after
+//! it are replayed. The history a base carries is data for
+//! [`ColoringService::history`] and [`ColoringService::recompute`],
+//! never re-executed.
 
-use std::collections::HashMap;
+use std::fmt::Write;
 
 use dima_graph::{Graph, VertexId};
 use dima_sim::fault::FaultPlan;
 use dima_sim::telemetry::read::{parse_line, Record};
-use dima_sim::ChurnEvent;
+use dima_sim::{ChurnEvent, EventFeed, Topology};
+use rand::rngs::SmallRng;
 
 use super::{
-    ChainFallback, ColoringService, HistoryEntry, RestoreReport, ServeProtocol, ServiceConfig,
-    ServiceError,
+    ChainFallback, ColoringService, HistoryEntry, Inner, RestoreReport, ServeProtocol,
+    ServiceConfig, ServiceError,
 };
 use crate::config::{
     ColorPolicy, ColorReduction, ColoringConfig, Engine, KempeConfig, Rejection, Transport,
 };
 use crate::kempe;
-use crate::palette::Color;
+use crate::palette::{Color, ColorSet};
 
-/// Snapshot format version accepted by [`ColoringService::restore_chain`].
-pub const SNAPSHOT_VERSION: u64 = 1;
-
-/// Materialized-base snapshot format version accepted by
-/// [`ColoringService::restore_chain`]. A base records the *folded*
-/// topology and coloring produced by [`ColoringService::compact_history`]
-/// instead of a replay history, so restore cost is `O(graph)` no matter
-/// how much history was folded into it.
-pub const BASE_VERSION: u64 = 2;
+/// Base-checkpoint format version accepted by
+/// [`ColoringService::restore_chain`]: the state of a settled service
+/// (see [`ColoringService::snapshot_text`]). Bases of earlier versions, which were
+/// restored by replaying their history, are refused.
+pub const BASE_VERSION: u64 = 3;
 
 /// Delta-checkpoint format version accepted by
 /// [`ColoringService::restore_chain`]. A delta carries the history
@@ -101,94 +108,122 @@ impl ColoringService {
         )
     }
 
-    /// Serialize the service to its flat-JSONL full snapshot: header,
-    /// the initial graph, the replayable history, a CRC-32 trailer.
-    /// Valid at any point of execution — restore replays the history
-    /// and fast-forwards the in-flight repair (if any) to quiescence.
+    /// Serialize the service to its base checkpoint: a header (config,
+    /// counters, round clock, coloring hash), the dead set at the last
+    /// fold, one line per node, the history since the fold, the staged
+    /// events, and a CRC-32 trailer. A node line holds the node's
+    /// neighbors above it in the graph at the last fold (`g0`), its
+    /// engine stream (`rng`, 64 hex digits, or `-` while unseeded), its
+    /// row (`row`: its slot toward each neighbor of the live topology,
+    /// in port order, `-` for an empty slot) and what the parked
+    /// automaton remembers beyond the rows: Algorithm 1's palette bound
+    /// where it differs from the header's (`bound`), Algorithm 2's
+    /// `forbidden` set (`forbid`) and retry memory (`tried`, `port:c.c`
+    /// per port that has one). A departed node's line stops after its
+    /// row.
     ///
-    /// Only meaningful at epoch 0: a full snapshot replays from the
-    /// initial graph with the master seed, which a compacted service no
-    /// longer does. Restore rejects nonzero-epoch snapshots — a
-    /// compacted service persists [`ColoringService::base_text`] plus
-    /// deltas instead.
+    /// A base describes a settled service. Taken while a repair runs, it
+    /// holds only a header marked unsettled, which
+    /// [`ColoringService::restore_chain`] refuses: checkpoint such a
+    /// point with [`ColoringService::delta_text`].
     pub fn snapshot_text(&self) -> String {
         let settled = self.is_settled();
+        let staged = self.feed.staged_events();
         let mut out = String::new();
-        out.push_str(&format!(
-            "{{\"type\":\"serve-snapshot\",\"version\":{SNAPSHOT_VERSION},{},\
-             \"epoch\":{},\"n\":{},\"edges\":{},\"history\":{},\"batches\":{},\
-             \"quiescent\":{},\"round\":{},\"hash\":{}}}\n",
+        let _ = writeln!(
+            out,
+            "{{\"type\":\"serve-base\",\"version\":{BASE_VERSION},{},\"epoch\":{},\"n\":{},\
+             \"edges\":{},\"dead\":{},\"history\":{},\"staged\":{},\"settled\":{},\
+             \"round\":{},\"batches\":{},\"escalations\":{},\"bound\":{},\"hash\":{}}}",
             self.config_header_fragment(),
             self.epoch,
             self.g0.num_vertices(),
             self.g0.num_edges(),
+            self.dead0.len(),
             self.history.len(),
-            self.batches_committed,
+            staged.len(),
             u64::from(settled),
             self.inner.round(),
+            self.batches_committed,
+            self.escalations,
+            self.palette_bound0,
             self.coloring_hash(),
-        ));
-        for (_, (u, v)) in self.g0.edges() {
-            out.push_str(&format!("{{\"type\":\"edge\",\"u\":{},\"v\":{}}}\n", u.0, v.0));
+        );
+        if settled {
+            for v in &self.dead0 {
+                let _ = writeln!(out, "{{\"type\":\"dead\",\"node\":{}}}", v.0);
+            }
+            for u in (0..self.g0.num_vertices() as u32).map(VertexId) {
+                self.push_node_line(&mut out, u);
+            }
+            push_history_lines(&mut out, self.epoch, 0, &self.history);
+            for ev in staged {
+                out.push_str(&event_line(ev));
+            }
         }
-        push_history_lines(&mut out, self.epoch, 0, &self.history);
         let crc = crc32(out.as_bytes());
-        out.push_str(&format!("{{\"type\":\"crc\",\"value\":{crc}}}\n"));
+        let _ = writeln!(out, "{{\"type\":\"crc\",\"value\":{crc}}}");
+        // A host may hold its base for a long time: give back the
+        // doubling slack.
+        out.shrink_to_fit();
         out
     }
 
-    /// Serialize a materialized-base checkpoint: the folded topology,
-    /// dead set, and settled coloring of a just-rebased service, CRC
-    /// trailer included. Only valid immediately after
-    /// [`ColoringService::compact_history`] (history empty, round clock
-    /// at 0, settled): a base claims "rebuild me by rebasing at this
-    /// epoch", which is bit-exact only against a service that has not
-    /// consumed any randomness in its epoch yet.
-    pub fn base_text(&self) -> Result<String, ServiceError> {
-        if !self.history.is_empty() || self.inner.round() != 0 || !self.is_settled() {
-            return Err(ServiceError::NotSettled { what: "materialized-base write" });
+    /// Append `u`'s node line (see [`ColoringService::snapshot_text`]).
+    fn push_node_line(&self, out: &mut String, u: VertexId) {
+        let up = self.g0.neighbors(u).iter().map(|&(w, _)| w).filter(|&w| w > u);
+        out.push_str("{\"type\":\"node\",\"g0\":\"");
+        push_list(out, ',', up.map(|w| w.0));
+        out.push_str("\",\"rng\":\"");
+        match self.inner.stream(u) {
+            Some(rng) => {
+                for word in rng.state() {
+                    let _ = write!(out, "{word:016x}");
+                }
+            }
+            None => out.push('-'),
         }
-        let dead = self.feed.committed_dead();
-        let coloring = self.coloring();
-        let staged = self.feed.staged_events();
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{{\"type\":\"serve-base\",\"version\":{BASE_VERSION},{},\
-             \"epoch\":{},\"n\":{},\"edges\":{},\"dead\":{},\"staged\":{},\"batches\":{},\
-             \"escalations\":{},\"quiescent\":1,\"round\":0,\"hash\":{}}}\n",
-            self.config_header_fragment(),
-            self.epoch,
-            self.g0.num_vertices(),
-            coloring.len(),
-            dead.len(),
-            staged.len(),
-            self.batches_committed,
-            self.escalations,
-            self.coloring_hash(),
-        ));
-        for v in &dead {
-            out.push_str(&format!("{{\"type\":\"dead\",\"node\":{}}}\n", v.0));
+        out.push_str("\",\"row\":\"");
+        let row = self.inner.topology().neighbors(u);
+        for (p, &w) in row.iter().enumerate() {
+            if p > 0 {
+                out.push(',');
+            }
+            match self.inner.slot(u, w) {
+                Some(c) => {
+                    let _ = write!(out, "{}", c.0);
+                }
+                None => out.push('-'),
+            }
         }
-        // Color slots are written shifted by one so 0 reads "uncolored"
-        // without an extra null-handling arm in the record parser.
-        for e in &coloring {
-            out.push_str(&format!(
-                "{{\"type\":\"cedge\",\"u\":{},\"v\":{},\"f\":{},\"r\":{}}}\n",
-                e.u.0,
-                e.v.0,
-                e.forward.map_or(0, |c| u64::from(c.0) + 1),
-                e.reverse.map_or(0, |c| u64::from(c.0) + 1),
-            ));
+        out.push('"');
+        // A departed node's automaton is never read again: a join or a
+        // restart rebuilds it from the factory.
+        if !self.feed.committed_alive(u) {
+            out.push_str("}\n");
+            return;
         }
-        // Staged (acked but uncommitted) events ride in the base so a
-        // crash between base rename and journal rotation cannot lose
-        // them: a discarded journal falls back to the base's copy.
-        for ev in staged {
-            out.push_str(&event_line(ev));
+        match &self.inner {
+            Inner::Ec(s) => {
+                let bound = s.nodes()[u.index()].palette_bound();
+                if bound != self.palette_bound0 {
+                    let _ = write!(out, ",\"bound\":{bound}");
+                }
+            }
+            Inner::Strong(s) => {
+                let (forbidden, tried) = s.nodes()[u.index()].parked_memory();
+                out.push_str(",\"forbid\":\"");
+                push_list(out, ',', forbidden.iter().map(|c| c.0));
+                out.push_str("\",\"tried\":\"");
+                let ports = tried.iter().enumerate().filter(|(_, t)| !t.is_empty());
+                for (k, (p, t)) in ports.enumerate() {
+                    let _ = write!(out, "{}{p}:", if k > 0 { "," } else { "" });
+                    push_list(out, '.', t.iter().map(|c| c.0));
+                }
+                out.push('"');
+            }
         }
-        let crc = crc32(out.as_bytes());
-        out.push_str(&format!("{{\"type\":\"crc\",\"value\":{crc}}}\n"));
-        Ok(out)
+        out.push_str("}\n");
     }
 
     /// Serialize history entries `from_h..` as delta checkpoint `chain`
@@ -229,21 +264,24 @@ impl ColoringService {
         Ok(out)
     }
 
-    /// Rebuild a service from a checkpoint chain: a base (either a full
-    /// `serve-snapshot` or a materialized `serve-base`), zero or more
-    /// `serve-delta` files in chain order, and an optional journal
-    /// tail.
+    /// Rebuild a service from a checkpoint chain: a base
+    /// ([`ColoringService::snapshot_text`]), zero or more `serve-delta`
+    /// files in chain order, and an optional journal tail.
     ///
-    /// The base must verify — a corrupt base is a hard error. Deltas
-    /// are verified link by link (CRC, chain position, epoch, history
-    /// offset, parent CRC); the first delta that fails ends the chain
-    /// there, discarding it, every later delta, *and the journal*
+    /// The base must verify — a corrupt base, one of another format
+    /// version, or one taken while a repair ran is a hard error. It is
+    /// parsed, not replayed: the automata are rebuilt from it and
+    /// parked, and only the deltas and the journal are re-executed.
+    /// Deltas are verified link by link (CRC, chain position, epoch,
+    /// history offset, parent CRC); the first delta that fails ends the
+    /// chain there, discarding it, every later delta, *and the journal*
     /// (which was rotated against the newest delta and cannot bridge
     /// the gap) — recovery proceeds from the newest verifiable
     /// checkpoint and the [`RestoreReport::fallback`] field says why.
     /// Journal markers already captured by the chain (older epoch, or
     /// this epoch at an already-covered history index) deduplicate
-    /// away. The journal is read tolerantly: a torn final line ends
+    /// away; markers of a later epoch replay after the fold that began
+    /// it. The journal is read tolerantly: a torn final line ends
     /// recovery at the tear. The restored service has finished any
     /// in-flight repair (it is settled unless journal events were
     /// re-staged), and its coloring is bit-identical for every `engine`.
@@ -253,17 +291,19 @@ impl ColoringService {
         journal: Option<&str>,
         engine: Engine,
     ) -> Result<(Self, RestoreReport), ServiceError> {
-        let (mut svc, mut entries, info) = Self::parse_base(base, engine)?;
-        let snapshot_entries = entries.len() as u64;
+        let (mut svc, info) = Self::parse_base(base, engine)?;
+        let snapshot_entries = svc.history_len();
+        let chain_epoch = svc.epoch;
         let mut h = snapshot_entries;
+        let mut entries = Vec::new();
         let mut parent_crc = info.crc;
-        let mut quiescent = info.quiescent;
+        let mut quiescent = true;
         let mut recorded_hash = info.hash;
         let mut deltas_applied = 0u64;
         let mut delta_entries = 0u64;
         let mut fallback = None;
         for text in deltas {
-            match Self::parse_delta(text, deltas_applied + 1, info.epoch, h, parent_crc) {
+            match Self::parse_delta(text, deltas_applied + 1, svc.epoch, h, parent_crc) {
                 Ok(d) => {
                     h += d.entries.len() as u64;
                     delta_entries += d.entries.len() as u64;
@@ -282,16 +322,21 @@ impl ColoringService {
         let deltas_discarded = deltas.len() as u64 - deltas_applied;
         // The journal is kept only when it attaches to the verified
         // prefix: its first fresh marker must be the very next history
-        // entry. A journal rotated against a delta that was then lost
-        // or corrupted starts past the gap and cannot bridge it — but a
-        // journal that predates a torn newest delta still carries the
-        // acked events and replays seamlessly over the fallback point.
+        // entry, or the first of the next epoch when the chain holds all
+        // of this one (a fold whose base never landed). A journal
+        // rotated against a delta that was then lost or corrupted starts
+        // past the gap and cannot bridge it — but a journal that
+        // predates a torn newest delta still carries the acked events
+        // and replays seamlessly over the fallback point.
         let mut journal_discarded = false;
         let tail = match journal {
             Some(text) => {
-                let parsed = parse_entry_stream(text.lines().enumerate(), info.epoch, h, false)?;
+                let parsed = parse_entry_stream(text.lines().enumerate(), svc.epoch, h, false)?;
                 let attaches = match parsed.first_marker {
-                    Some((e, first_h)) => e == info.epoch && first_h == h + 1,
+                    Some((e, first_h)) => {
+                        (e == svc.epoch && first_h == h + 1)
+                            || (fallback.is_none() && e == svc.epoch + 1 && first_h == 1)
+                    }
                     None => true,
                 };
                 if attaches {
@@ -310,14 +355,17 @@ impl ColoringService {
         // rewrites the full staged set, and a journaled commit consumed
         // the base's staged events) — but an empty journal against a
         // base that recorded staged events means rotation was torn, so
-        // the base's copy is the surviving record.
+        // the base's copy is the surviving record, unless a delta
+        // landed after the base: its rotation superseded them too.
         let staged_events = if journal.is_some()
             && !journal_discarded
             && (tail_count > 0 || !tail.staged.is_empty())
         {
             tail.staged
-        } else {
+        } else if deltas_applied == 0 {
             info.staged
+        } else {
+            Vec::new()
         };
         for ev in &staged_events {
             svc.stage(*ev)?;
@@ -339,6 +387,7 @@ impl ColoringService {
             svc,
             RestoreReport {
                 snapshot_entries,
+                chain_epoch,
                 tail_entries: tail_count,
                 staged: staged_events.len() as u64,
                 torn_tail: tail.torn,
@@ -351,204 +400,165 @@ impl ColoringService {
         ))
     }
 
-    /// Parse and verify the chain's base file, dispatching on its
-    /// header tag. Returns the not-yet-replayed service, the history
-    /// entries the base itself carries (empty for a materialized base),
-    /// and the linkage info the delta walk continues from.
-    fn parse_base(
-        base: &str,
-        engine: Engine,
-    ) -> Result<(Self, Vec<HistoryEntry>, BaseInfo), ServiceError> {
+    /// Parse and verify the chain's base file and rebuild the settled
+    /// service it records, with the linkage info the delta walk
+    /// continues from. No round is executed.
+    fn parse_base(base: &str, engine: Engine) -> Result<(Self, BaseInfo), ServiceError> {
         let (body, crc) = verify_crc(base)?;
         let crc_lineno = body.lines().count() + 1;
         let mut lines = body.lines().enumerate();
         let (_, header_text) = lines
             .next()
             .ok_or(ServiceError::Snapshot { line: 1, message: "empty snapshot".into() })?;
+        // Any checkpoint header but a delta's names a base format: this
+        // one, or an earlier one that is refused by its version.
         let header = parse_line(header_text)
-            .filter(|r| matches!(r.tag(), Some("serve-snapshot" | "serve-base")))
+            .filter(|r| r.tag().is_some_and(|t| t.starts_with("serve-") && t != "serve-delta"))
             .ok_or(ServiceError::Snapshot {
                 line: 1,
-                message: "first line is not a serve-snapshot or serve-base header".into(),
+                message: "first line is not a serve-base header".into(),
             })?;
-        let materialized = header.tag() == Some("serve-base");
         let version = header_num(&header, "version")?;
-        let expected_version = if materialized { BASE_VERSION } else { SNAPSHOT_VERSION };
-        if version != expected_version {
+        if header.tag() != Some("serve-base") || version != BASE_VERSION {
             return Err(ServiceError::Snapshot {
                 line: 1,
                 message: format!("unsupported snapshot version {version}"),
             });
         }
+        if header_num(&header, "settled")? != 1 {
+            return Err(ServiceError::Snapshot {
+                line: 1,
+                message: "the base was taken while a repair ran; only a settled base restores"
+                    .into(),
+            });
+        }
         let cfg = config_from_header(&header, engine)?;
+        cfg.validate()?;
         let n = header_num(&header, "n")? as usize;
         let num_edges = header_num(&header, "edges")? as usize;
+        let num_dead = header_num(&header, "dead")? as usize;
+        let num_history = header_num(&header, "history")? as usize;
+        let num_staged = header_num(&header, "staged")? as usize;
+        let bound0 = u32::try_from(header_num(&header, "bound")?).map_err(|_| {
+            ServiceError::Snapshot { line: 1, message: "palette bound out of range".into() }
+        })?;
         let recorded_hash = header_num(&header, "hash")?;
-        let epoch = header.num("epoch").unwrap_or(0);
-
-        if materialized {
-            let num_dead = header_num(&header, "dead")? as usize;
-            let batches = header_num(&header, "batches")?;
-            let escalations = header_num(&header, "escalations")?;
-            let mut dead = Vec::with_capacity(num_dead.min(1 << 20));
-            for _ in 0..num_dead {
-                let (idx, text) = lines.next().ok_or(ServiceError::Snapshot {
-                    line: crc_lineno,
-                    message: "base ends inside the dead list".into(),
-                })?;
-                let rec =
-                    parse_line(text).filter(|r| r.tag() == Some("dead")).ok_or_else(|| {
-                        ServiceError::Snapshot {
-                            line: idx + 1,
-                            message: "expected a dead line".into(),
-                        }
-                    })?;
-                let v =
-                    rec.num("node").filter(|&v| v < n as u64).ok_or(ServiceError::Snapshot {
-                        line: idx + 1,
-                        message: "dead line missing node (or out of range)".into(),
-                    })?;
-                dead.push(VertexId(v as u32));
-            }
-            let mut edges = Vec::with_capacity(num_edges.min(1 << 20));
-            let mut coloring = HashMap::with_capacity(num_edges.min(1 << 20));
-            for _ in 0..num_edges {
-                let (idx, text) = lines.next().ok_or(ServiceError::Snapshot {
-                    line: crc_lineno,
-                    message: "base ends inside the coloring".into(),
-                })?;
-                let rec =
-                    parse_line(text).filter(|r| r.tag() == Some("cedge")).ok_or_else(|| {
-                        ServiceError::Snapshot {
-                            line: idx + 1,
-                            message: "expected a cedge line".into(),
-                        }
-                    })?;
-                let (Some(u), Some(v), Some(f), Some(r)) =
-                    (rec.num("u"), rec.num("v"), rec.num("f"), rec.num("r"))
-                else {
-                    return Err(ServiceError::Snapshot {
-                        line: idx + 1,
-                        message: "cedge line missing u/v/f/r".into(),
-                    });
-                };
-                if u >= v || v >= n as u64 {
-                    return Err(ServiceError::Snapshot {
-                        line: idx + 1,
-                        message: "cedge endpoints out of order or range".into(),
-                    });
-                }
-                let decode = |x: u64| (x > 0).then(|| Color((x - 1) as u32));
-                edges.push((VertexId(u as u32), VertexId(v as u32)));
-                coloring.insert((u as u32, v as u32), (decode(f), decode(r)));
-            }
-            let num_staged = header_num(&header, "staged")? as usize;
-            let mut staged = Vec::with_capacity(num_staged.min(1 << 20));
-            for _ in 0..num_staged {
-                let (idx, text) = lines.next().ok_or(ServiceError::Snapshot {
-                    line: crc_lineno,
-                    message: "base ends inside the staged events".into(),
-                })?;
-                let ev = parse_line(text)
-                    .filter(|r| r.tag() == Some("event"))
-                    .as_ref()
-                    .and_then(event_from_record)
-                    .ok_or_else(|| ServiceError::Snapshot {
-                        line: idx + 1,
-                        message: "expected a staged event line".into(),
-                    })?;
-                staged.push(ev);
-            }
-            if let Some((idx, _)) = lines.next() {
-                return Err(ServiceError::Snapshot {
-                    line: idx + 1,
-                    message: "unexpected line after the base coloring".into(),
-                });
-            }
-            let g = Graph::from_edges(n, edges).map_err(|e| ServiceError::Snapshot {
-                line: 1,
-                message: format!("invalid base graph: {e}"),
+        let mut next = |what: &str, tag: &str| -> Result<(usize, Record), ServiceError> {
+            let (idx, text) = lines.next().ok_or_else(|| ServiceError::Snapshot {
+                line: crc_lineno,
+                message: format!("base ends before {what}"),
             })?;
-            let svc = Self::build_rebased(&g, &dead, &coloring, cfg, epoch, batches, escalations)?;
-            if svc.coloring_hash() != recorded_hash {
-                return Err(ServiceError::Replay(format!(
-                    "rebased coloring hash {:#018x} != recorded {recorded_hash:#018x}",
-                    svc.coloring_hash()
-                )));
-            }
-            Ok((
-                svc,
-                Vec::new(),
-                BaseInfo { crc, epoch, quiescent: true, hash: recorded_hash, staged },
-            ))
-        } else {
-            if epoch != 0 {
-                return Err(ServiceError::Snapshot {
-                    line: 1,
-                    message: format!(
-                        "full snapshot of a compacted service (epoch {epoch}) is not replayable; \
-                         restore from its materialized base"
-                    ),
-                });
-            }
-            let num_history = header_num(&header, "history")? as usize;
-            let quiescent = header_num(&header, "quiescent")? != 0;
-            let mut edges = Vec::with_capacity(num_edges.min(1 << 20));
-            for _ in 0..num_edges {
-                let (idx, text) = lines.next().ok_or(ServiceError::Snapshot {
-                    line: crc_lineno,
-                    message: "snapshot ends inside the edge list".into(),
-                })?;
-                let rec =
-                    parse_line(text).filter(|r| r.tag() == Some("edge")).ok_or_else(|| {
-                        ServiceError::Snapshot {
-                            line: idx + 1,
-                            message: "expected an edge line".into(),
-                        }
-                    })?;
-                let u = rec.num("u").ok_or(ServiceError::Snapshot {
-                    line: idx + 1,
-                    message: "edge line missing u".into(),
-                })?;
-                let v = rec.num("v").ok_or(ServiceError::Snapshot {
-                    line: idx + 1,
-                    message: "edge line missing v".into(),
-                })?;
-                if u > u32::MAX as u64 || v > u32::MAX as u64 {
-                    return Err(ServiceError::Snapshot {
-                        line: idx + 1,
-                        message: "edge endpoint out of range".into(),
-                    });
-                }
-                edges.push((VertexId(u as u32), VertexId(v as u32)));
-            }
-            let g0 = Graph::from_edges(n, edges).map_err(|e| ServiceError::Snapshot {
-                line: 1,
-                message: format!("invalid initial graph: {e}"),
+            parse_line(text).filter(|r| r.tag() == Some(tag)).map(|r| (idx + 1, r)).ok_or_else(
+                || ServiceError::Snapshot { line: idx + 1, message: format!("expected {what}") },
+            )
+        };
+        let mut dead = Vec::with_capacity(num_dead.min(1 << 20));
+        for _ in 0..num_dead {
+            let (line, rec) = next("a dead line", "dead")?;
+            let v = rec.num("node").filter(|&v| v < n as u64).ok_or(ServiceError::Snapshot {
+                line,
+                message: "dead line missing node (or out of range)".into(),
             })?;
-            let snap_entries = parse_entry_stream(lines, 0, 0, true)?;
-            if snap_entries.torn || !snap_entries.staged.is_empty() {
-                return Err(ServiceError::Snapshot {
-                    line: crc_lineno,
-                    message: "snapshot history ends with dangling events".into(),
-                });
-            }
-            if snap_entries.entries.len() != num_history {
-                return Err(ServiceError::Snapshot {
-                    line: crc_lineno,
-                    message: format!(
-                        "header declares {num_history} history entries, found {}",
-                        snap_entries.entries.len()
-                    ),
-                });
-            }
-            let svc = Self::new(&g0, cfg)?;
-            Ok((
-                svc,
-                snap_entries.entries,
-                BaseInfo { crc, epoch: 0, quiescent, hash: recorded_hash, staged: Vec::new() },
-            ))
+            dead.push(VertexId(v as u32));
         }
+        let mut edges = Vec::with_capacity(num_edges.min(1 << 20));
+        let mut nodes = Vec::with_capacity(n.min(1 << 20));
+        for u in 0..n {
+            let (line, rec) = next("a node line", "node")?;
+            let node = NodeLine::parse(&rec, u, n, &mut edges).map_err(|message| {
+                ServiceError::Snapshot { line, message: format!("node {u}: {message}") }
+            })?;
+            nodes.push((line, node));
+        }
+        if edges.len() != num_edges {
+            return Err(ServiceError::Snapshot {
+                line: 1,
+                message: format!("header declares {num_edges} edges, found {}", edges.len()),
+            });
+        }
+        let g0 = Graph::from_edges(n, edges).map_err(|e| ServiceError::Snapshot {
+            line: 1,
+            message: format!("invalid base graph: {e}"),
+        })?;
+        // The history and the staged events after it share the journal's
+        // line format: the events after the last marker are the staged
+        // ones.
+        let rest = parse_entry_stream(lines, 0, 0, true)?;
+        if rest.entries.len() != num_history || rest.staged.len() != num_staged {
+            return Err(ServiceError::Snapshot {
+                line: crc_lineno,
+                message: format!(
+                    "header declares {num_history} history entries and {num_staged} staged \
+                     events, found {} and {}",
+                    rest.entries.len(),
+                    rest.staged.len()
+                ),
+            });
+        }
+        let history: Vec<HistoryEntry> = rest.entries.into_iter().map(|(_, e)| e).collect();
+        // The live topology is the graph at the fold with the history's
+        // batches applied.
+        let mut feed = EventFeed::with_dead(&g0, &dead);
+        for entry in &history {
+            if let HistoryEntry::Batch { seq, round, events } = entry {
+                let applies = events.iter().all(|&ev| feed.stage(ev).is_ok());
+                if !applies || feed.commit(*round).is_none() {
+                    return Err(ServiceError::Snapshot {
+                        line: crc_lineno,
+                        message: format!("history batch {seq} does not apply to the base graph"),
+                    });
+                }
+            }
+        }
+        let topo = Topology::from_graph(&feed.committed_graph());
+        let mut inner = Self::build_inner(&topo, &cfg, bound0)?;
+        let rows: Vec<&[Option<Color>]> = nodes.iter().map(|(_, node)| &node.row[..]).collect();
+        for (u, (line, node)) in nodes.iter().enumerate() {
+            let u = VertexId(u as u32);
+            let wrong = |message: &str| ServiceError::Snapshot {
+                line: *line,
+                message: format!("node {u}: {message}"),
+            };
+            let nbrs = topo.neighbors(u);
+            if node.row.len() != nbrs.len() {
+                return Err(wrong("row length differs from the node's degree"));
+            }
+            match &mut inner {
+                Inner::Ec(s) => {
+                    s.nodes_mut()[u.index()].resume_parked(&node.row, node.bound.unwrap_or(bound0))
+                }
+                Inner::Strong(s) => {
+                    let forbidden = node.forbid.clone();
+                    let tried = node.tried(nbrs.len()).ok_or_else(|| wrong("bad tried"))?;
+                    // Each in-arc's channel is its tail's out-slot.
+                    let inc: Vec<Option<Color>> = nbrs
+                        .iter()
+                        .map(|&w| {
+                            let q = topo.neighbors(w).binary_search(&u).ok()?;
+                            rows[w.index()].get(q).copied().flatten()
+                        })
+                        .collect();
+                    s.nodes_mut()[u.index()].resume_parked(&node.row, &inc, forbidden, tried);
+                }
+            }
+        }
+        let streams = nodes.into_iter().map(|(_, node)| node.rng).collect();
+        inner.resume(header_num(&header, "round")?, streams);
+        let mut svc = Self::assemble(cfg, g0, dead, bound0, feed, inner);
+        svc.epoch = header_num(&header, "epoch")?;
+        svc.history = history;
+        svc.batches_committed = header_num(&header, "batches")?;
+        svc.escalations = header_num(&header, "escalations")?;
+        if svc.coloring_hash() != recorded_hash {
+            return Err(ServiceError::Snapshot {
+                line: 1,
+                message: format!(
+                    "restored coloring hash {:#018x} != recorded {recorded_hash:#018x}",
+                    svc.coloring_hash()
+                ),
+            });
+        }
+        Ok((svc, BaseInfo { crc, hash: recorded_hash, staged: rest.staged }))
     }
 
     /// Verify one delta against its expected chain position. Any CRC or
@@ -777,17 +787,111 @@ fn push_history_lines(out: &mut String, epoch: u64, from_h: u64, entries: &[Hist
 /// Verified linkage facts about a chain's base file.
 struct BaseInfo {
     crc: u32,
-    epoch: u64,
-    quiescent: bool,
     hash: u64,
-    /// Staged events the base carried (materialized bases only) —
-    /// restaged when no journal supersedes them.
+    /// Staged events the base carried — restaged when no journal or
+    /// delta supersedes them.
     staged: Vec<ChurnEvent>,
+}
+
+/// One node line of a base (see [`ColoringService::snapshot_text`]),
+/// parsed, but for its edges in the graph at the last fold.
+struct NodeLine {
+    rng: Option<SmallRng>,
+    row: Vec<Option<Color>>,
+    bound: Option<u32>,
+    forbid: ColorSet,
+    /// `(port, colors)` for each port with a retry memory.
+    tried: Vec<(usize, ColorSet)>,
+}
+
+impl NodeLine {
+    /// Node `u`'s line of a base over `n` nodes, or what is wrong with
+    /// it. Its edges to the neighbors above it in the graph at the last
+    /// fold go to `edges`.
+    fn parse(
+        rec: &Record,
+        u: usize,
+        n: usize,
+        edges: &mut Vec<(VertexId, VertexId)>,
+    ) -> Result<NodeLine, String> {
+        let field = |key: &str| rec.str(key).ok_or_else(|| format!("missing {key}"));
+        let num = |x: &str| x.parse::<u32>().map_err(|_| format!("bad number '{x}'"));
+        let colors = |s: &str, sep| {
+            items(s, sep).map(|x| num(x).map(Color)).collect::<Result<ColorSet, String>>()
+        };
+        let mut last = u as u32;
+        for x in items(field("g0")?, ',') {
+            let w = num(x)?;
+            if w <= last || w as usize >= n {
+                return Err(format!("g0 neighbor {w} out of order or range"));
+            }
+            edges.push((VertexId(u as u32), VertexId(w)));
+            last = w;
+        }
+        let rng = match field("rng")? {
+            "-" => None,
+            hex => Some(parse_stream(hex).ok_or("bad rng stream")?),
+        };
+        let row = items(field("row")?, ',')
+            .map(|x| if x == "-" { Ok(None) } else { num(x).map(|c| Some(Color(c))) })
+            .collect::<Result<_, _>>()?;
+        let bound = match rec.get("bound") {
+            Some(_) => {
+                Some(rec.num("bound").and_then(|b| u32::try_from(b).ok()).ok_or("bad bound")?)
+            }
+            None => None,
+        };
+        let forbid = colors(rec.str("forbid").unwrap_or(""), ',')?;
+        let mut tried = Vec::new();
+        for x in items(rec.str("tried").unwrap_or(""), ',') {
+            let (port, set) = x.split_once(':').ok_or("bad tried entry")?;
+            tried.push((num(port)? as usize, colors(set, '.')?));
+        }
+        Ok(NodeLine { rng, row, bound, forbid, tried })
+    }
+
+    /// The retry memory as one set per port of `ports`, or `None` when
+    /// an entry names a port the node does not have.
+    fn tried(&self, ports: usize) -> Option<Vec<ColorSet>> {
+        let mut out = vec![ColorSet::new(); ports];
+        for (p, set) in &self.tried {
+            *out.get_mut(*p)? = set.clone();
+        }
+        Some(out)
+    }
+}
+
+/// The `sep`-separated items of `s`: none when `s` is empty.
+fn items(s: &str, sep: char) -> impl Iterator<Item = &str> {
+    s.split(sep).filter(move |_| !s.is_empty())
+}
+
+/// Append `xs` to `out`, `sep`-separated.
+fn push_list(out: &mut String, sep: char, xs: impl Iterator<Item = u32>) {
+    for (k, x) in xs.enumerate() {
+        if k > 0 {
+            out.push(sep);
+        }
+        let _ = write!(out, "{x}");
+    }
+}
+
+/// A stream written as 64 hex digits, if that is what `hex` is (and
+/// not the all-zero state no stream reaches).
+fn parse_stream(hex: &str) -> Option<SmallRng> {
+    if hex.len() != 64 || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+        return None;
+    }
+    let mut state = [0u64; 4];
+    for (k, word) in state.iter_mut().enumerate() {
+        *word = u64::from_str_radix(&hex[16 * k..16 * (k + 1)], 16).ok()?;
+    }
+    SmallRng::from_state(state)
 }
 
 /// One verified delta checkpoint.
 struct ParsedDelta {
-    entries: Vec<HistoryEntry>,
+    entries: Vec<(u64, HistoryEntry)>,
     crc: u32,
     quiescent: bool,
     hash: u64,
@@ -831,7 +935,8 @@ fn event_from_record(rec: &Record) -> Option<ChurnEvent> {
 
 #[derive(Default)]
 struct ParsedEntries {
-    entries: Vec<HistoryEntry>,
+    /// Each entry with the epoch its marker names.
+    entries: Vec<(u64, HistoryEntry)>,
     staged: Vec<ChurnEvent>,
     torn: bool,
     /// `(epoch, h)` of the first marker that survived staleness
@@ -840,7 +945,7 @@ struct ParsedEntries {
     first_marker: Option<(u64, u64)>,
 }
 
-/// Parse a history-entry stream (shared between snapshot bodies, delta
+/// Parse a history-entry stream (shared between base bodies, delta
 /// checkpoints, and the journal). Markers already captured by the
 /// checkpoint being restored — an earlier epoch, or `skip_epoch` with
 /// `h <= skip_h` (markers without an epoch field predate compaction and
@@ -897,11 +1002,8 @@ fn parse_entry_stream<'a>(
                     if out.first_marker.is_none() {
                         out.first_marker = Some((e, h));
                     }
-                    out.entries.push(HistoryEntry::Batch {
-                        seq,
-                        round,
-                        events: std::mem::take(&mut buffer),
-                    });
+                    let events = std::mem::take(&mut buffer);
+                    out.entries.push((e, HistoryEntry::Batch { seq, round, events }));
                 }
             }
             Some("recolor") => {
@@ -915,7 +1017,7 @@ fn parse_entry_stream<'a>(
                     if out.first_marker.is_none() {
                         out.first_marker = Some((e, h));
                     }
-                    out.entries.push(HistoryEntry::Recolor { round });
+                    out.entries.push((e, HistoryEntry::Recolor { round }));
                 }
             }
             _ => {

@@ -301,30 +301,46 @@ impl StrongColoringNode {
         self.neighbors.binary_search(&v).ok()
     }
 
-    /// Overwrite this node's committed channels after a history-
-    /// compaction rebase (`ColoringService` folds the replay prefix into
-    /// a materialized topology and rebuilds every node fresh, handing
-    /// each one back the channels it had already converged to). Only
-    /// sound while the node is parked: at quiescence no proposal or
-    /// exchange is in flight. `out`/`inc` are port-aligned with the
-    /// (sorted) neighbor list; `forbidden` must hold this node's own
-    /// channels plus every channel committed in its one-hop
-    /// neighborhood — exactly the exclusion set the automata would have
-    /// accumulated through `Used`/`Hello` traffic on the way to this
-    /// coloring, so future repairs propose from the same knowledge.
-    pub(crate) fn adopt_rebase(
+    /// What a checkpoint records of this parked node beyond the rows:
+    /// its `forbidden` set and its per-port retry memory, neither a
+    /// function of the coloring. The rest of a parked node is its row,
+    /// its neighbors' rows (its in-arcs), or at rest: no greeting,
+    /// refresh, watch, vigil or unannounced commit pending.
+    pub(crate) fn parked_memory(&self) -> (&ColorSet, &[ColorSet]) {
+        debug_assert!(
+            self.pending_hello.is_empty()
+                && self.refresh == 0
+                && self.vigil == 0
+                && self.release_watch.is_empty()
+                && self.newly_used.is_none(),
+            "node {} is not at rest",
+            self.me
+        );
+        (&self.forbidden, &self.tried)
+    }
+
+    /// Rebuild a settled node from a checkpoint: this factory-fresh
+    /// automaton takes its committed channels (`out` toward each
+    /// neighbor, `inc` from each, port-aligned with the sorted neighbor
+    /// list), its `forbidden` set and retry memory `tried` (one set per
+    /// port), and the parked `D` state.
+    pub(crate) fn resume_parked(
         &mut self,
         out: &[Option<Color>],
         inc: &[Option<Color>],
         forbidden: ColorSet,
+        tried: Vec<ColorSet>,
     ) {
         debug_assert_eq!(out.len(), self.neighbors.len());
         debug_assert_eq!(inc.len(), self.neighbors.len());
+        debug_assert_eq!(tried.len(), self.neighbors.len());
         self.out_color.copy_from_slice(out);
         self.in_color.copy_from_slice(inc);
         self.uncolored_out = (0..out.len()).filter(|&p| out[p].is_none()).collect();
         self.uncolored_in = inc.iter().filter(|c| c.is_none()).count();
         self.forbidden = forbidden;
+        self.tried = tried;
+        self.state = "D";
     }
 
     /// Channel committed on the out-arc `me → v`, if any — the query
@@ -1310,12 +1326,15 @@ mod tests {
         let set = |xs: &[u32]| xs.iter().map(|&x| Color(x)).collect::<ColorSet>();
         // Arcs: 0→1 4, 1→0 5, 2→1 6, 2→3 2, 3→2 3, 3→4 0, 4→3 1. Each
         // `forbidden` is the node's own channels plus its neighbors'.
+        // The engine steps every node from round 0 whatever its state
+        // label, and no batch reads the label here.
         let nodes = stepper.nodes_mut();
-        nodes[0].adopt_rebase(&[c(4)], &[c(5)], set(&[4, 5, 6]));
-        nodes[1].adopt_rebase(&[c(5), None], &[c(4), c(6)], set(&[2, 3, 4, 5, 6]));
-        nodes[2].adopt_rebase(&[c(6), c(2)], &[None, c(3)], set(&[0, 1, 2, 3, 4, 5, 6]));
-        nodes[3].adopt_rebase(&[c(3), c(0)], &[c(2), c(1)], set(&[0, 1, 2, 3, 6]));
-        nodes[4].adopt_rebase(&[c(1)], &[c(0)], set(&[0, 1, 2, 3]));
+        let blank = |ports: usize| vec![ColorSet::new(); ports];
+        nodes[0].resume_parked(&[c(4)], &[c(5)], set(&[4, 5, 6]), blank(1));
+        nodes[1].resume_parked(&[c(5), None], &[c(4), c(6)], set(&[2, 3, 4, 5, 6]), blank(2));
+        nodes[2].resume_parked(&[c(6), c(2)], &[None, c(3)], set(&[0, 1, 2, 3, 4, 5, 6]), blank(2));
+        nodes[3].resume_parked(&[c(3), c(0)], &[c(2), c(1)], set(&[0, 1, 2, 3, 6]), blank(2));
+        nodes[4].resume_parked(&[c(1)], &[c(0)], set(&[0, 1, 2, 3]), blank(1));
         let mut proposals = Vec::new();
         let mut after_first: Option<(ColorSet, ColorSet)> = None;
         while stepper.nodes()[1].out_color[1].is_none() {

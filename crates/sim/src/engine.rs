@@ -51,7 +51,7 @@
 //! the order a full scan would step them in, so every RNG draw, outbox,
 //! crash and merge happens exactly as in one. Every write of a node's
 //! done or crashed flag (construction, churn, wake-ups, newly done nodes,
-//! crash arming, [`Stepper::restart`], [`Stepper::park_all`]) updates the
+//! crash arming, [`Stepper::restart`], [`Stepper::resume`]) updates the
 //! bit in the same place, on the owning shard only. A protocol whose
 //! instances [start parked](crate::Protocol::starts_parked) is stepped
 //! only where wake-class mail lands, from round 0 on.
@@ -1190,15 +1190,27 @@ where
         self.clear_mail();
     }
 
-    /// Park every surviving node as done without stepping it, leaving
-    /// protocol state exactly as constructed. This is the bootstrap for a
-    /// *rebased* service: after history compaction the nodes are built
-    /// directly in a settled configuration (adopting a previously
-    /// converged coloring), so the stepper must start quiescent instead
-    /// of running the algorithm from scratch. Mailboxes are cleared; the
-    /// round clock is untouched. Wake-class traffic (a later churn batch)
-    /// un-parks nodes exactly as it would after natural convergence.
-    pub fn park_all(&mut self) {
+    /// Node `v`'s RNG stream, or `None` while the node was never roused
+    /// (its stream is not seeded yet). Read at quiescence, the streams
+    /// and [`Stepper::round`] are all the engine state a settled run
+    /// carries forward (see [`Stepper::resume`]).
+    pub fn stream(&self, v: VertexId) -> Option<&SmallRng> {
+        let shard = self.shard_of[v.index()] as usize;
+        let (st, li) = (&self.shards[shard], v.index() - self.bounds[shard].0);
+        (!st.streams.unseeded.contains(li)).then(|| &st.streams.rngs[li])
+    }
+
+    /// Stand the run at a settled point without executing it: every
+    /// surviving node parked as done, protocol state as the caller left
+    /// it, the round clock at `round`, and each node's stream as
+    /// `streams` gives it, in id order (`None`: not seeded yet, seeded
+    /// from `(seed, id)` when first roused). Mailboxes and timers are
+    /// cleared. With the streams and round of a quiescent run and its
+    /// parked protocol states, the next tick is the one that run would
+    /// have executed; wake-class mail or a churn batch un-parks nodes as
+    /// it would there.
+    pub fn resume(&mut self, round: u64, streams: impl IntoIterator<Item = Option<SmallRng>>) {
+        let mut streams = streams.into_iter();
         for (st, &(lo, hi)) in self.shards.iter_mut().zip(&self.bounds) {
             for (done, &crashed) in self.done[lo..hi].iter_mut().zip(&st.crashed) {
                 if !crashed && !std::mem::replace(done.get_mut(), true) {
@@ -1207,7 +1219,21 @@ where
             }
             st.awake.clear();
             st.timers.clear();
+            let blank = node_rng(st.streams.seed, 0);
+            for li in 0..hi - lo {
+                match streams.next().flatten() {
+                    Some(rng) => {
+                        st.streams.rngs[li] = rng;
+                        st.streams.unseeded.remove(li);
+                    }
+                    None => {
+                        st.streams.rngs[li] = blank.clone();
+                        st.streams.unseeded.insert(li);
+                    }
+                }
+            }
         }
+        self.round = round;
         self.clear_mail();
     }
 
@@ -2474,6 +2500,48 @@ mod tests {
     const SLEEP: NodeStatus = NodeStatus::Sleep { wake_at: None };
 
     #[test]
+    fn a_resumed_stepper_continues_the_settled_run() {
+        // Every node but node 0, which starts parked and never steps,
+        // steps three times, drawing a word each time. A fresh stepper
+        // resumed with the settled run's streams and round reads the same
+        // streams (node 0's still unseeded), and after a restart both
+        // draw the same words.
+        let script: Script = |_, _, stepped| {
+            (vec![], if stepped.len() < 3 { NodeStatus::Active } else { NodeStatus::Done })
+        };
+        let topo = Topology::from_graph(&structured::cycle(7));
+        let cfg = EngineConfig::seeded(5);
+        for threads in SHARDS {
+            let factory = || scripted(script, |v| v == 0);
+            let mut live = Stepper::new(&topo, &cfg, threads, factory()).unwrap();
+            while !live.is_quiescent() {
+                live.tick(None, &mut NoopTracer).unwrap();
+            }
+            let ids = || (0..7).map(VertexId);
+            let streams: Vec<Option<SmallRng>> = ids().map(|v| live.stream(v).cloned()).collect();
+            assert!(streams[0].is_none() && streams[1..].iter().all(Option::is_some));
+            let mut resumed = Stepper::new(&topo, &cfg, threads, factory()).unwrap();
+            resumed.resume(live.round(), streams);
+            assert!(resumed.is_quiescent() && resumed.active_nodes().next().is_none());
+            assert_eq!(resumed.round(), live.round());
+            for v in ids() {
+                let state = |s: &Stepper<Scripted, _>| s.stream(v).map(SmallRng::state);
+                assert_eq!(state(&resumed), state(&live), "threads = {threads}, node {v}");
+            }
+            for s in [&mut live, &mut resumed] {
+                s.restart();
+                while !s.is_quiescent() {
+                    s.tick(None, &mut NoopTracer).unwrap();
+                }
+            }
+            for v in ids() {
+                let drawn = |s: &Stepper<Scripted, _>| s.nodes()[v.index()].drawn.clone();
+                assert_eq!(drawn(&resumed), drawn(&live), "threads = {threads}, node {v}");
+            }
+        }
+    }
+
+    #[test]
     fn mail_of_any_class_wakes_a_sleeper() {
         // Triangle 0-1-2. Node 0 sends node 1 a plain unicast, a
         // broadcast, a multicast to its port and a wake-class unicast in
@@ -2792,7 +2860,10 @@ mod tests {
                 check(&stepper);
             }
             stepper.restart();
-            stepper.park_all();
+            let streams: Vec<_> = (0..stepper.num_nodes() as u32)
+                .map(|v| stepper.stream(VertexId(v)).cloned())
+                .collect();
+            stepper.resume(stepper.round(), streams);
             check(&stepper);
             assert_eq!(stepper.active_nodes().count(), 0);
         }

@@ -151,7 +151,7 @@ pub enum NodeStatus {
     /// again in the first round its inbox is non-empty, or at round
     /// `wake_at`, whichever comes first; with `None`, only mail wakes it.
     /// If its crash round comes first, it is retired then. A churn batch,
-    /// [`crate::Stepper::restart`] and [`crate::Stepper::park_all`]
+    /// [`crate::Stepper::restart`] and [`crate::Stepper::resume`]
     /// override the sleep.
     ///
     /// The node promises that a step with an empty inbox before

@@ -10,7 +10,7 @@
 
 use dima::core::{
     checkpoint_crc, ColorReduction, ColoringService, Engine, HistoryEntry, KempeConfig,
-    ServeProtocol, ServiceConfig,
+    ServeProtocol, ServiceConfig, ServiceError,
 };
 use dima::graph::gen::erdos_renyi_gnm;
 use dima::graph::{Graph, VertexId};
@@ -265,7 +265,7 @@ fn chain_session(
         h_written = svc.history_len() as usize;
         if svc.history_len() >= COMPACT_AFTER {
             svc.compact_history().expect("settled service compacts");
-            base = svc.base_text().expect("compacted base serializes");
+            base = svc.snapshot_text();
             deltas.clear();
             checkpointed_h = 0;
             parent_crc = checkpoint_crc(&base).expect("base CRC");
@@ -379,22 +379,328 @@ fn ec_kempe_chain_restore_matches_live_at_every_checkpoint() {
     assert!(write_backs > 0, "no compaction ever moved a color");
 }
 
+/// One step of a scripted session.
+#[derive(Clone, Copy, Debug)]
+enum Step {
+    /// A batch of one event of each listed kind, in [`stage_kinds`]'
+    /// order: 0 link up, 1 link down, 2 leave, 3 join.
+    Batch(&'static [u32]),
+    /// An operator's [`ColoringService::force_recolor`].
+    Recolor,
+    /// A history fold ([`ColoringService::compact_history`]).
+    Fold,
+}
+
+/// Every event kind, a forced recolor and a fold, with settle points
+/// on either side of each. Each join takes back a node an earlier batch
+/// saw leave; the last one, a node that left before the fold.
+const SCRIPT: [Step; 8] = [
+    Step::Batch(&[0, 1]),
+    Step::Batch(&[2, 2, 0]),
+    Step::Batch(&[3, 1]),
+    Step::Recolor,
+    Step::Batch(&[0, 3, 2]),
+    Step::Fold,
+    Step::Batch(&[1, 0]),
+    Step::Batch(&[3, 2, 0]),
+];
+
+/// Stage one event of `kind` (see [`Step::Batch`]) that the feed
+/// accepts.
+fn stage_one(svc: &mut ColoringService, rng: &mut SmallRng, n: u32, kind: u32) -> ChurnEvent {
+    for _ in 0..500 {
+        let (a, b) = (VertexId(rng.random_range(0..n)), VertexId(rng.random_range(0..n)));
+        let ev = match kind {
+            0 => ChurnEvent::LinkUp(a, b),
+            1 => ChurnEvent::LinkDown(a, b),
+            2 => ChurnEvent::NodeLeave(a),
+            _ => ChurnEvent::NodeJoin(a),
+        };
+        if svc.stage(ev).is_ok() {
+            return ev;
+        }
+    }
+    panic!("no event of kind {kind} is valid");
+}
+
+/// A persisted chain as the CLI keeps it: a base, the deltas past it
+/// and the journal past those.
+struct Chain {
+    base: String,
+    deltas: Vec<String>,
+    journal: String,
+    checkpointed_h: u64,
+    parent_crc: u32,
+    /// History entries already in the journal or the chain.
+    h_written: usize,
+}
+
+impl Chain {
+    fn anchor(svc: &ColoringService) -> Chain {
+        let base = svc.snapshot_text();
+        let parent_crc = checkpoint_crc(&base).expect("base CRC");
+        let h = svc.history_len();
+        Chain {
+            base,
+            deltas: Vec::new(),
+            journal: String::new(),
+            checkpointed_h: h,
+            parent_crc,
+            h_written: h as usize,
+        }
+    }
+
+    fn restore(&self) -> ColoringService {
+        let refs: Vec<&str> = self.deltas.iter().map(String::as_str).collect();
+        let (svc, report) = ColoringService::restore_chain(
+            &self.base,
+            &refs,
+            Some(&self.journal),
+            Engine::Sequential,
+        )
+        .expect("the chain restores");
+        assert_eq!((report.fallback, report.journal_discarded), (None, false));
+        svc
+    }
+
+    /// Journal the recolor entries `svc` recorded since the last call,
+    /// as the CLI does when a tick or a command reports one.
+    fn journal_recolors(&mut self, svc: &ColoringService) {
+        for (i, entry) in svc.history().iter().enumerate().skip(self.h_written) {
+            if let HistoryEntry::Recolor { round } = entry {
+                self.journal.push_str(&ColoringService::journal_recolor_line(
+                    svc.epoch(),
+                    i as u64 + 1,
+                    *round,
+                ));
+            }
+        }
+        self.h_written = svc.history_len() as usize;
+    }
+
+    fn write_delta(&mut self, svc: &ColoringService) {
+        let d = svc
+            .delta_text(self.checkpointed_h, self.deltas.len() as u64 + 1, self.parent_crc)
+            .expect("delta serializes");
+        self.parent_crc = checkpoint_crc(&d).expect("delta CRC");
+        self.checkpointed_h = svc.history_len();
+        self.deltas.push(d);
+        self.journal.clear();
+    }
+}
+
+/// Restore-and-continue at every settle point of [`SCRIPT`]: each
+/// settle point's own base, and the chain persisted so far (base,
+/// deltas, journal), restore to copies that then run through the rest
+/// of the session beside the live service. After every step each copy
+/// must match the live service in coloring, hash, round, epoch and
+/// history. A base restore replays nothing: it reports no repair.
+fn restore_and_continue(cfg: &ServiceConfig, seed: u64) {
+    let n = 16 + (seed % 3) as u32 * 4; // 16, 20, 24
+    let g0 = er(n as usize, 3 * n as usize, seed);
+    let mut rng = SmallRng::seed_from_u64(seed.wrapping_mul(71).wrapping_add(9));
+    let mut live = ColoringService::new(&g0, cfg.clone()).expect("service construction");
+    live.run_to_quiescence(live.tick_budget()).expect("initial coloring");
+    live.take_reports();
+    let mut chain = Chain::anchor(&live);
+    let mut copies: Vec<(String, ColoringService)> = Vec::new();
+    for (k, step) in SCRIPT.iter().enumerate() {
+        let (mut at_base, report) =
+            ColoringService::restore_chain(&live.snapshot_text(), &[], None, Engine::Sequential)
+                .expect("a settled base restores");
+        assert_eq!(report.snapshot_entries, live.history_len());
+        assert!(at_base.take_reports().is_empty(), "step {k}: a base restore ran a repair");
+        copies.push((format!("base before step {k}"), at_base));
+        copies.push((format!("chain before step {k}"), chain.restore()));
+        match *step {
+            Step::Batch(kinds) => {
+                let events: Vec<ChurnEvent> =
+                    kinds.iter().map(|&kind| stage_one(&mut live, &mut rng, n, kind)).collect();
+                for ev in &events {
+                    chain.journal.push_str(&ColoringService::journal_event_line(ev));
+                }
+                let (seq, round) = live.next_commit().expect("committable");
+                chain.journal.push_str(&ColoringService::journal_commit_line(
+                    live.epoch(),
+                    live.history_len() + 1,
+                    seq,
+                    round,
+                ));
+                commit_and_settle(&mut live);
+                for (_, copy) in &mut copies {
+                    for &ev in &events {
+                        copy.stage(ev).expect("the copy's feed accepts the live event");
+                    }
+                    commit_and_settle(copy);
+                }
+            }
+            Step::Recolor => {
+                let round = live.force_recolor();
+                live.run_to_quiescence(live.tick_budget()).expect("recolor converges");
+                for (_, copy) in &mut copies {
+                    assert_eq!(copy.force_recolor(), round);
+                    copy.run_to_quiescence(copy.tick_budget()).expect("recolor converges");
+                }
+            }
+            Step::Fold => {
+                live.compact_history().expect("a settled service folds");
+                for (_, copy) in &mut copies {
+                    copy.compact_history().expect("a settled copy folds");
+                }
+                chain = Chain::anchor(&live);
+            }
+        }
+        chain.journal_recolors(&live);
+        if k % 2 == 1 && live.history_len() > chain.checkpointed_h {
+            chain.write_delta(&live);
+        }
+        for (label, copy) in &copies {
+            let what = format!("seed {seed}, {label}, after step {k} ({step:?})");
+            assert_eq!(copy.coloring(), live.coloring(), "{what}: coloring");
+            assert_eq!(copy.coloring_hash(), live.coloring_hash(), "{what}: hash");
+            assert_eq!(copy.round(), live.round(), "{what}: round");
+            assert_eq!(copy.epoch(), live.epoch(), "{what}: epoch");
+            assert_eq!(copy.history(), live.history(), "{what}: history");
+        }
+    }
+    assert!(live.escalations() > 0, "the script's recolor is an escalation");
+}
+
+#[test]
+fn restored_copies_continue_like_the_live_service_from_every_settle_point() {
+    let mut kempe = ServiceConfig::new(ServeProtocol::EdgeColoring, 0);
+    kempe.coloring.reduction = ColorReduction::Kempe(KempeConfig::default());
+    let configs = [
+        ServiceConfig::new(ServeProtocol::EdgeColoring, 0),
+        kempe,
+        ServiceConfig::new(ServeProtocol::StrongColoring, 0),
+    ];
+    for cfg in configs {
+        for seed in 0..3u64 {
+            let mut cfg = cfg.clone();
+            cfg.coloring.seed = seed.wrapping_mul(53).wrapping_add(3);
+            restore_and_continue(&cfg, seed);
+        }
+    }
+}
+
+/// A base and a delta as the earlier formats wrote them, for a
+/// settled three-node path at seed 1: version 1 was restored by
+/// replaying its history from the initial graph, version 2 by
+/// rebuilding the automata on fresh streams.
+const EARLIER_BASES: [(&str, u64); 2] = [
+    (
+        "{\"type\":\"serve-snapshot\",\"version\":1,\"protocol\":\"ec\",\"seed\":1,\
+         \"invite_bits\":4602678819172646912,\"color_policy\":\"lowest-index\",\
+         \"response_policy\":\"random\",\"width\":1,\"max_compute\":0,\"validate_sends\":0,\
+         \"watchdog\":512,\"reduce\":0,\"reduce_target\":0,\"epoch\":0,\"n\":3,\"edges\":2,\
+         \"history\":0,\"batches\":0,\"quiescent\":1,\"round\":6,\"hash\":5667456995990929175}\n\
+         {\"type\":\"edge\",\"u\":0,\"v\":1}\n\
+         {\"type\":\"edge\",\"u\":1,\"v\":2}\n\
+         {\"type\":\"crc\",\"value\":3638292092}\n",
+        1,
+    ),
+    (
+        "{\"type\":\"serve-base\",\"version\":2,\"protocol\":\"ec\",\"seed\":1,\
+         \"invite_bits\":4602678819172646912,\"color_policy\":\"lowest-index\",\
+         \"response_policy\":\"random\",\"width\":1,\"max_compute\":0,\"validate_sends\":0,\
+         \"watchdog\":512,\"reduce\":0,\"reduce_target\":0,\"epoch\":1,\"n\":3,\"edges\":2,\
+         \"dead\":0,\"staged\":0,\"batches\":0,\"escalations\":0,\"quiescent\":1,\"round\":0,\
+         \"hash\":5667456995990929175}\n\
+         {\"type\":\"cedge\",\"u\":0,\"v\":1,\"f\":2,\"r\":2}\n\
+         {\"type\":\"cedge\",\"u\":1,\"v\":2,\"f\":1,\"r\":1}\n\
+         {\"type\":\"crc\",\"value\":2205730858}\n",
+        2,
+    ),
+];
+
+#[test]
+fn bases_of_the_earlier_formats_are_refused_by_version() {
+    for (text, version) in EARLIER_BASES {
+        assert!(checkpoint_crc(text).is_some(), "the version {version} base must verify");
+        let err = ColoringService::restore_chain(text, &[], None, Engine::Sequential)
+            .err()
+            .expect("an earlier format must not restore");
+        let ServiceError::Snapshot { line, message } = &err else { panic!("{err}") };
+        assert_eq!(
+            (*line, message.as_str()),
+            (1, &*format!("unsupported snapshot version {version}"))
+        );
+    }
+}
+
+/// IEEE CRC-32, to re-seal a checkpoint whose body a test edits.
+fn crc32(data: &[u8]) -> u32 {
+    let mut c = 0xFFFF_FFFFu32;
+    for &b in data {
+        c ^= u32::from(b);
+        for _ in 0..8 {
+            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+        }
+    }
+    c ^ 0xFFFF_FFFF
+}
+
+/// `text` with its first `key` value (the characters after `"key":`,
+/// up to the next `,` or `}` outside quotes) replaced by `value`, and
+/// its CRC trailer recomputed.
+fn resealed(text: &str, line_tag: &str, key: &str, value: &str) -> String {
+    let (body, _) = text.trim_end().rsplit_once('\n').expect("a trailer");
+    let mut out = String::new();
+    let mut done = false;
+    for line in body.lines() {
+        let pat = format!("\"{key}\":");
+        match line
+            .find(&pat)
+            .filter(|_| !done && line.contains(&format!("\"type\":\"{line_tag}\"")))
+        {
+            Some(at) => {
+                let start = at + pat.len();
+                let rest = &line[start..];
+                let len = if let Some(quoted) = rest.strip_prefix('"') {
+                    quoted.find('"').expect("closing quote") + 2
+                } else {
+                    rest.find([',', '}']).expect("value end")
+                };
+                out.push_str(&line[..start]);
+                out.push_str(value);
+                out.push_str(&rest[len..]);
+                done = true;
+            }
+            None => out.push_str(line),
+        }
+        out.push('\n');
+    }
+    assert!(done, "no {line_tag} line holds {key}");
+    let crc = crc32(out.as_bytes());
+    format!("{out}{{\"type\":\"crc\",\"value\":{crc}}}\n")
+}
+
 /// The corruption matrix: every artifact of a persisted chain — the
-/// materialized base, both deltas, and the journal — is truncated at
-/// every line boundary, cut mid-line, and bit-flipped in each region
-/// (header, body, CRC trailer). Every mutation must yield a typed
-/// error or a clean recovery to a verifiable prefix, never a panic;
-/// recovery from identical damage must be deterministic; and a
-/// recovered service must keep serving.
+/// folded base, both deltas, and the journal — is truncated at every
+/// line boundary, cut mid-line, and bit-flipped in each region (header,
+/// body, CRC trailer) and in each field the base records of the
+/// settled state (round clock, engine stream, row, and Algorithm 2's
+/// memory). Every mutation must yield a typed error or a clean
+/// recovery to a verifiable prefix, never a panic; recovery from
+/// identical damage must be deterministic; and a recovered service
+/// must keep serving. A base whose state fields are malformed but
+/// re-sealed under a valid CRC is refused with a typed error.
 #[test]
 fn corruption_matrix_yields_typed_errors_or_clean_recovery() {
+    for protocol in [ServeProtocol::EdgeColoring, ServeProtocol::StrongColoring] {
+        corruption_matrix(protocol);
+    }
+}
+
+fn corruption_matrix(protocol: ServeProtocol) {
     let n = 16u32;
     let g0 = er(16, 32, 90);
-    let cfg = ServiceConfig::new(ServeProtocol::EdgeColoring, 91);
+    let cfg = ServiceConfig::new(protocol, 91);
     let mut rng = SmallRng::seed_from_u64(92);
     let mut svc = ColoringService::new(&g0, cfg).expect("service construction");
     svc.run_to_quiescence(svc.tick_budget()).expect("initial coloring");
-    // Fold a few batches into a materialized (epoch 1) base, then grow
+    // Fold a few batches into an epoch 1 base, then grow
     // a two-delta chain with a journal tail past it, ending on a
     // staged-but-uncommitted event — every artifact kind is populated.
     for _ in 0..3 {
@@ -402,7 +708,7 @@ fn corruption_matrix_yields_typed_errors_or_clean_recovery() {
         commit_and_settle(&mut svc);
     }
     svc.compact_history().expect("settled service compacts");
-    let base = svc.base_text().expect("base serializes");
+    let base = svc.snapshot_text();
     let base_crc = checkpoint_crc(&base).expect("base CRC");
     stage_batch(&mut svc, &mut rng, n, 2);
     commit_and_settle(&mut svc);
@@ -445,6 +751,26 @@ fn corruption_matrix_yields_typed_errors_or_clean_recovery() {
     assert_eq!(rep.fallback, None);
     assert_eq!(pristine.coloring_hash(), svc.coloring_hash(), "pristine chain round-trips");
 
+    // Malformed state under a valid CRC: the parser refuses it.
+    let mut malformed = vec![
+        resealed(&base, "serve-base", "round", "\"x\""),
+        resealed(&base, "node", "rng", &format!("\"{}\"", "0".repeat(64))),
+        resealed(&base, "node", "rng", "\"abc\""),
+        resealed(&base, "node", "row", "\"x\""),
+        resealed(&base, "node", "g0", "\"99\""),
+    ];
+    if protocol == ServeProtocol::StrongColoring {
+        malformed.push(resealed(&base, "node", "forbid", "\"x\""));
+        malformed.push(resealed(&base, "node", "tried", "\"99:1\""));
+    }
+    for (i, m) in malformed.iter().enumerate() {
+        assert!(checkpoint_crc(m).is_some(), "{protocol} malformed #{i} must verify");
+        let err = restore(m, &delta1, &delta2, &journal)
+            .err()
+            .unwrap_or_else(|| panic!("{protocol} malformed #{i} restored"));
+        assert!(matches!(err, ServiceError::Snapshot { .. }), "{protocol} malformed #{i}: {err}");
+    }
+
     let artifacts: [(&str, &String); 4] =
         [("base", &base), ("delta1", &delta1), ("delta2", &delta2), ("journal", &journal)];
     let mut cases = 0usize;
@@ -467,10 +793,17 @@ fn corruption_matrix_yields_typed_errors_or_clean_recovery() {
             mutations
                 .push(String::from_utf8_lossy(&text.as_bytes()[..text.len() / frac]).into_owned());
         }
-        // One flipped byte in the header, the body middle, and the CRC
-        // trailer.
+        // One flipped byte in the header, the body middle, the CRC
+        // trailer, and (in the base) the first value of each state
+        // field.
         let header_end = text.find('\n').unwrap_or(text.len());
-        for at in [header_end / 2, text.len() / 2, text.len().saturating_sub(5)] {
+        let mut flips = vec![header_end / 2, text.len() / 2, text.len().saturating_sub(5)];
+        if which == "base" {
+            for key in ["\"round\":", "\"rng\":\"", "\"row\":\"", "\"forbid\":\"", "\"tried\":\""] {
+                flips.extend(text.find(key).map(|at| at + key.len()));
+            }
+        }
+        for at in flips {
             let mut bytes = text.clone().into_bytes();
             bytes[at] ^= 0x08;
             mutations.push(String::from_utf8_lossy(&bytes).into_owned());
@@ -487,15 +820,17 @@ fn corruption_matrix_yields_typed_errors_or_clean_recovery() {
                 Err(_) => typed_errors += 1,
                 Ok((mut r, _)) => {
                     recoveries += 1;
-                    let (r2, _) = restore(b, d1, d2, j)
-                        .unwrap_or_else(|e| panic!("{which} #{mi}: second restore failed: {e}"));
+                    let (r2, _) = restore(b, d1, d2, j).unwrap_or_else(|e| {
+                        panic!("{protocol} {which} #{mi}: second restore failed: {e}")
+                    });
                     assert_eq!(
                         r.coloring_hash(),
                         r2.coloring_hash(),
-                        "{which} #{mi}: recovery is not deterministic"
+                        "{protocol} {which} #{mi}: recovery is not deterministic"
                     );
-                    r.run_to_quiescence(r.tick_budget())
-                        .unwrap_or_else(|e| panic!("{which} #{mi}: recovered service wedged: {e}"));
+                    r.run_to_quiescence(r.tick_budget()).unwrap_or_else(|e| {
+                        panic!("{protocol} {which} #{mi}: recovered service wedged: {e}")
+                    });
                 }
             }
         }
