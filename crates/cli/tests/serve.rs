@@ -327,18 +327,18 @@ fn injected_disk_full_is_refused_retryably_and_never_poisons() {
     );
     assert!(!run.stderr.contains("panicked"), "must not panic:\n{}", run.stderr);
 
-    // A fold's base and the shutdown's retry of it both hit disk-full:
-    // the service keeps serving on the old chain, and the restart (which
-    // replays any journal past the fold) reaches the same coloring.
+    // The first fold's base and the next base write both hit disk-full
+    // (the second base write of a fresh state dir is the first fold's):
+    // the service keeps serving on the old chain, and the restart, from
+    // that chain and a journal past the fold when the events landed as
+    // one batch, or from a later fold's base, reaches the same coloring.
     let state = tmp.path("fold");
     let flags = ["--compact-after", "1", "--chaos-storage", "full:snapshot:2,full:snapshot:2"];
     let run = serve(&graph, &state, &flags, &session_events(), true);
     assert!(run.status.success(), "serve failed:\n{}", run.stderr);
     assert!(run.stderr.contains("fold base deferred"), "expected a deferral:\n{}", run.stderr);
-    assert!(run.stderr.contains("final checkpoint failed"), "expected a warning:\n{}", run.stderr);
     let restarted = serve(&graph, &state, &["--compact-after", "1"], &[], true);
     assert!(restarted.status.success(), "restart failed:\n{}", restarted.stderr);
-    assert!(restarted.stderr.contains("restored epoch 0"), "old chain:\n{}", restarted.stderr);
     assert_eq!(final_hash(&restarted), final_hash(&run), "a deferred fold base lost state");
 
     // Disk-full on the very first base write: startup fails with a

@@ -443,6 +443,15 @@ impl ColoringService {
             ServiceError::Snapshot { line: 1, message: "palette bound out of range".into() }
         })?;
         let recorded_hash = header_num(&header, "hash")?;
+        // A live clock never comes near the top of the range; one that
+        // does would overflow on the next tick.
+        let round = header_num(&header, "round")?;
+        if round > i64::MAX as u64 {
+            return Err(ServiceError::Snapshot {
+                line: 1,
+                message: format!("round clock {round} out of range"),
+            });
+        }
         let mut next = |what: &str, tag: &str| -> Result<(usize, Record), ServiceError> {
             let (idx, text) = lines.next().ok_or_else(|| ServiceError::Snapshot {
                 line: crc_lineno,
@@ -543,7 +552,7 @@ impl ColoringService {
             }
         }
         let streams = nodes.into_iter().map(|(_, node)| node.rng).collect();
-        inner.resume(header_num(&header, "round")?, streams);
+        inner.resume(round, streams);
         let mut svc = Self::assemble(cfg, g0, dead, bound0, feed, inner);
         svc.epoch = header_num(&header, "epoch")?;
         svc.history = history;

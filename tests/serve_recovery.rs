@@ -754,6 +754,7 @@ fn corruption_matrix(protocol: ServeProtocol) {
     // Malformed state under a valid CRC: the parser refuses it.
     let mut malformed = vec![
         resealed(&base, "serve-base", "round", "\"x\""),
+        resealed(&base, "serve-base", "round", &u64::MAX.to_string()),
         resealed(&base, "node", "rng", &format!("\"{}\"", "0".repeat(64))),
         resealed(&base, "node", "rng", "\"abc\""),
         resealed(&base, "node", "row", "\"x\""),
