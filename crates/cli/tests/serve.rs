@@ -351,8 +351,8 @@ fn injected_disk_full_is_refused_retryably_and_never_poisons() {
 }
 
 /// Compaction through the real binary: a session past the threshold
-/// folds its history into a materialized base, and the restart recovers
-/// the folded epoch bit-identically.
+/// folds its history and writes the fold's base, and the restart
+/// recovers the folded epoch bit-identically.
 #[test]
 fn compaction_round_trips_through_the_real_binary() {
     let tmp = TmpDir::new("compact");

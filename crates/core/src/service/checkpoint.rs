@@ -774,8 +774,7 @@ fn config_from_header(header: &Record, engine: Engine) -> Result<ServiceConfig, 
 }
 
 /// Write `entries` (occupying history indices `from_h + 1 ..`) in the
-/// journal wire format — shared by the full snapshot body and delta
-/// checkpoints.
+/// journal wire format — shared by base bodies and delta checkpoints.
 fn push_history_lines(out: &mut String, epoch: u64, from_h: u64, entries: &[HistoryEntry]) {
     for (i, entry) in entries.iter().enumerate() {
         let h = from_h + i as u64 + 1;

@@ -545,7 +545,7 @@ impl EventFeed {
     /// Nodes that are dead in the *committed* state (sorted). Together
     /// with [`EventFeed::committed_graph`] — where departed nodes appear
     /// as isolated vertices — this fully describes the committed
-    /// topology, e.g. for a materialized snapshot.
+    /// topology, e.g. for a checkpoint base.
     pub fn committed_dead(&self) -> Vec<VertexId> {
         (0..self.graph.num_vertices() as u32)
             .map(VertexId)

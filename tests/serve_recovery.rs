@@ -212,10 +212,10 @@ fn strong_snapshot_kill_restore_replay_is_bit_identical_across_fifty_seeds() {
 }
 
 /// One session persisted as a checkpoint chain, mirroring the CLI's
-/// trigger logic exactly: a full snapshot anchors the chain, a delta
-/// checkpoint lands every `DELTA_EVERY` batches, and the history is
-/// compacted into a materialized base (journal and deltas reset) once
-/// it reaches `COMPACT_AFTER` entries at a settled point. With
+/// trigger logic exactly: a base anchors the chain, a delta checkpoint
+/// lands every `DELTA_EVERY` batches, and the history is folded and a
+/// fresh base written (journal and deltas reset) once it reaches
+/// `COMPACT_AFTER` entries at a settled point. With
 /// `crash_after = Some(b)` the in-memory service is dropped after batch
 /// `b` and recovered from the chain + journal tail. Every checkpoint is
 /// restored as soon as it is written and must hash like the live
@@ -307,8 +307,8 @@ fn chain_session(
     svc
 }
 
-/// The compaction-era acceptance bar: incremental checkpoints and
-/// epoch-rebasing compaction enabled, a crash in the middle, and the
+/// The chain acceptance bar: incremental checkpoints and history
+/// folds enabled, a crash in the middle, and the
 /// recovered trajectory must stay bit-identical to the uninterrupted
 /// one across the 50-seed sweep.
 fn chain_sweep(protocol: ServeProtocol) {
