@@ -27,6 +27,31 @@ use dima_sim::RunStats;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
+/// What a command returns when its stdout was closed under it (a reader
+/// such as `head` stopped reading); `main` exits quietly on it.
+pub(crate) const STDOUT_CLOSED: &str = "stdout closed";
+
+/// `print!`, reporting a failed write as an error instead of panicking.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!`, reporting a failed write as an error instead of panicking.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+fn write_stdout(args: std::fmt::Arguments<'_>) -> Result<(), String> {
+    std::io::stdout().lock().write_fmt(args).map_err(|e| match e.kind() {
+        std::io::ErrorKind::BrokenPipe => STDOUT_CLOSED.to_string(),
+        _ => format!("writing stdout: {e}"),
+    })
+}
+
 /// Top-level usage text (`dima-cli help`).
 const USAGE: &str = "\
 usage: dima-cli <command> [args]
@@ -567,10 +592,7 @@ fn write_or_print(out: Option<&String>, content: &str) -> Result<(), String> {
         Some(path) => {
             std::fs::write(Path::new(path), content).map_err(|e| format!("writing {path}: {e}"))
         }
-        None => {
-            print!("{content}");
-            Ok(())
-        }
+        None => out!("{content}"),
     }
 }
 
@@ -633,10 +655,7 @@ pub fn dispatch(args: &[String]) -> Result<(), String> {
         "trace" => cmd_trace(&args[1..]),
         "metrics" => cmd_metrics(&args[1..]),
         "serve" => crate::serve::cmd_serve(&args[1..]),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
+        "help" | "--help" | "-h" => outln!("{USAGE}"),
         other => Err(format!("unknown command '{other}'")),
     }
 }
@@ -696,15 +715,15 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
     let g = load_graph(path)?;
     let stats = dima_graph::analysis::DegreeStats::of(&g);
     let (components, _) = dima_graph::analysis::connected_components(&g);
-    println!("vertices:     {}", g.num_vertices());
-    println!("edges:        {}", g.num_edges());
-    println!("Δ (max deg):  {}", stats.max);
-    println!("δ (min deg):  {}", stats.min);
-    println!("mean degree:  {:.2} (σ = {:.2})", stats.mean, stats.stddev);
-    println!("components:   {components}");
-    println!("clustering:   {:.4}", dima_graph::analysis::average_clustering(&g));
+    outln!("vertices:     {}", g.num_vertices())?;
+    outln!("edges:        {}", g.num_edges())?;
+    outln!("Δ (max deg):  {}", stats.max)?;
+    outln!("δ (min deg):  {}", stats.min)?;
+    outln!("mean degree:  {:.2} (σ = {:.2})", stats.mean, stats.stddev)?;
+    outln!("components:   {components}")?;
+    outln!("clustering:   {:.4}", dima_graph::analysis::average_clustering(&g))?;
     if let Some(alpha) = dima_graph::analysis::power_law_exponent(&g, 3) {
-        println!("tail exponent (d ≥ 3): {alpha:.2}");
+        outln!("tail exponent (d ≥ 3): {alpha:.2}")?;
     }
     Ok(())
 }
@@ -1022,11 +1041,11 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
         let d = Digraph::symmetric_closure(&g);
         let colors = coloring_from_text(&text, d.num_arcs())?;
         verify_strong_coloring(&d, &colors).map_err(|e| e.to_string())?;
-        println!("OK: valid strong (Definition 2) coloring of the symmetric closure");
+        outln!("OK: valid strong (Definition 2) coloring of the symmetric closure")?;
     } else {
         let colors = coloring_from_text(&text, g.num_edges())?;
         verify_edge_coloring(&g, &colors).map_err(|e| e.to_string())?;
-        println!("OK: valid proper edge coloring");
+        outln!("OK: valid proper edge coloring")?;
     }
     Ok(())
 }
@@ -1048,8 +1067,7 @@ fn cmd_dot(args: &[String]) -> Result<(), String> {
     };
     let dot =
         io::to_dot(&g, "g", |e| colors.as_ref().and_then(|c| c[e.index()]).map(|c| c.to_string()));
-    print!("{dot}");
-    Ok(())
+    out!("{dot}")
 }
 
 fn cmd_trace(args: &[String]) -> Result<(), String> {
@@ -1392,8 +1410,7 @@ fn cmd_trace_summarize(args: &[String]) -> Result<(), String> {
     let every: usize = flag(&flags, "every", 0)?;
     let tf = load_trace(path)?;
     let summary = summarize_trace(&tf)?;
-    print!("{}", render_summary(&summary, top, every));
-    Ok(())
+    out!("{}", render_summary(&summary, top, every))
 }
 
 /// `trace diff` — lockstep comparison of two traces. Engine identity
@@ -1445,14 +1462,14 @@ fn cmd_trace_diff(args: &[String]) -> Result<(), String> {
     }
     diffs += (a.recs.len().abs_diff(b.recs.len())) as u64;
     if diffs == 0 {
-        println!(
+        outln!(
             "traces identical: {} lines (engines {}x{} vs {}x{})",
             a.recs.len(),
             a.recs[0].str("engine").unwrap_or("?"),
             a.recs[0].num("threads").unwrap_or(0),
             b.recs[0].str("engine").unwrap_or("?"),
             b.recs[0].num("threads").unwrap_or(0),
-        );
+        )?;
         return Ok(());
     }
     if a.recs.len() != b.recs.len() {
@@ -1519,7 +1536,7 @@ fn cmd_metrics_diff(args: &[String]) -> Result<(), String> {
     let (b, blabel) = load(bpath)?;
     let diffs = a.diff(&b);
     if diffs.is_empty() {
-        println!("metrics identical ({alabel} vs {blabel}; mem/ family excluded)");
+        outln!("metrics identical ({alabel} vs {blabel}; mem/ family excluded)")?;
         return Ok(());
     }
     for d in diffs.iter().take(20) {

@@ -31,6 +31,8 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match cmd::dispatch(&args) {
         Ok(()) => ExitCode::SUCCESS,
+        // The reader of stdout has gone: nothing is left to say.
+        Err(msg) if msg == cmd::STDOUT_CLOSED => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("error: {msg}");
             eprintln!("run 'dima-cli help' for usage");

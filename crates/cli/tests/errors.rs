@@ -81,3 +81,35 @@ fn unknown_flags_are_refused_by_every_command() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn a_closed_stdout_ends_the_command_quietly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    let dir = std::env::temp_dir().join(format!("dima-pipe-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let graph = dir.join("er.edges");
+    let g = graph.to_str().expect("utf-8 temp path");
+    let bin = env!("CARGO_BIN_EXE_dima-cli");
+    let gen = ["gen", "er", "--n", "4000", "--avg-degree", "10", "--seed", "1", "--out", g];
+    assert!(Command::new(bin).args(gen).output().expect("spawn").status.success());
+    // About 20,000 coloring lines: more than a pipe buffers, so the
+    // writer meets the closed pipe.
+    let mut child = Command::new(bin)
+        .args(["color", g, "--seed", "1"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn");
+    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let mut first = String::new();
+    stdout.read_line(&mut first).expect("read one line");
+    drop(stdout);
+    let out = child.wait_with_output().expect("wait");
+    std::fs::remove_dir_all(&dir).ok();
+    let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+    assert_eq!(first.split_whitespace().count(), 2, "an `edge color` line: {first:?}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!stderr.contains("error:"), "{stderr}");
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+}
