@@ -439,9 +439,18 @@ impl ColoringService {
         let num_dead = header_num(&header, "dead")? as usize;
         let num_history = header_num(&header, "history")? as usize;
         let num_staged = header_num(&header, "staged")? as usize;
-        let bound0 = u32::try_from(header_num(&header, "bound")?).map_err(|_| {
-            ServiceError::Snapshot { line: 1, message: "palette bound out of range".into() }
-        })?;
+        // No degree reaches n, so no run records a palette bound (1 on an
+        // empty graph), or an Algorithm 1 color, above 2n. A larger one
+        // would size the automata's color rows by it.
+        let limit = (2 * n as u64).max(1);
+        let bound0 = header_num(&header, "bound")?;
+        let bound0 =
+            u32::try_from(bound0).ok().filter(|&b| u64::from(b) <= limit).ok_or_else(|| {
+                ServiceError::Snapshot {
+                    line: 1,
+                    message: format!("palette bound {bound0} above 2n = {limit}"),
+                }
+            })?;
         let recorded_hash = header_num(&header, "hash")?;
         // A live clock never comes near the top of the range; one that
         // does would overflow on the next tick.
@@ -534,7 +543,14 @@ impl ColoringService {
             }
             match &mut inner {
                 Inner::Ec(s) => {
-                    s.nodes_mut()[u.index()].resume_parked(&node.row, node.bound.unwrap_or(bound0))
+                    let bound = node.bound.unwrap_or(bound0);
+                    if u64::from(bound) > limit {
+                        return Err(wrong(&format!("palette bound {bound} above 2n = {limit}")));
+                    }
+                    if let Some(c) = node.row.iter().flatten().find(|c| u64::from(c.0) > limit) {
+                        return Err(wrong(&format!("color {c} above 2n = {limit}")));
+                    }
+                    s.nodes_mut()[u.index()].resume_parked(&node.row, bound)
                 }
                 Inner::Strong(s) => {
                     let forbidden = node.forbid.clone();

@@ -764,6 +764,24 @@ fn corruption_matrix(protocol: ServeProtocol) {
         malformed.push(resealed(&base, "node", "forbid", "\"x\""));
         malformed.push(resealed(&base, "node", "tried", "\"99:1\""));
     }
+    // A palette bound above 2n, in the header or on a node line, and an
+    // Algorithm 1 row color above it: no run records one, and restore
+    // would size the automata's color rows by it.
+    malformed.push(resealed(&base, "serve-base", "bound", &u32::MAX.to_string()));
+    if protocol == ServeProtocol::EdgeColoring {
+        let tagged = format!("\"node\",\"bound\":{}", u32::MAX);
+        malformed.push(resealed(&base, "node", "type", &tagged));
+        let row = base
+            .lines()
+            .find_map(|l| l.split_once("\"row\":\"").map(|(_, rest)| rest))
+            .and_then(|rest| rest.split_once('"'))
+            .map(|(row, _)| row)
+            .expect("a node row");
+        let (_, rest) = row.split_once(',').unwrap_or(("", ""));
+        let forged = [(u32::MAX - 1).to_string(), rest.to_string()].join(",");
+        let forged = forged.trim_end_matches(',');
+        malformed.push(resealed(&base, "node", "row", &format!("\"{forged}\"")));
+    }
     for (i, m) in malformed.iter().enumerate() {
         assert!(checkpoint_crc(m).is_some(), "{protocol} malformed #{i} must verify");
         let err = restore(m, &delta1, &delta2, &journal)
