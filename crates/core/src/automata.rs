@@ -49,6 +49,22 @@ pub enum State {
     Done,
 }
 
+impl State {
+    /// The state's one-letter name, as traces print it.
+    pub fn label(self) -> &'static str {
+        match self {
+            State::Choose => "C",
+            State::Invite => "I",
+            State::Listen => "L",
+            State::Respond => "R",
+            State::Wait => "W",
+            State::Update => "U",
+            State::Exchange => "E",
+            State::Done => "D",
+        }
+    }
+}
+
 /// Which communication round of the computation round we are in.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Phase {

@@ -65,12 +65,14 @@ use dima_sim::{
 };
 use rand::rngs::SmallRng;
 
-use crate::automata::{choose_role, pick_index, pick_uniform, pick_uniform_iter, Phase, Role};
+use crate::automata::{
+    choose_role, pick_index, pick_uniform, pick_uniform_iter, Phase, Role, State,
+};
 use crate::churn::{batch_reports, ChurnColoringResult};
 use crate::config::{ColorPolicy, ColoringConfig};
 use crate::error::CoreError;
 use crate::kempe::{self, reduce_automata, KempeReport, PortCensus};
-use crate::palette::{Color, ColorSet, PortColorSets};
+use crate::palette::{Color, ColorSet};
 use crate::runner::{run_protocol, EngineRun};
 
 /// Messages of Algorithm 1.
@@ -113,106 +115,232 @@ pub enum EcMsg {
     },
 }
 
-/// What the invitor proposed this computation round.
-#[derive(Copy, Clone, Debug)]
-struct Proposal {
-    /// Port (index into `neighbors`) of the invited neighbor.
-    port: usize,
-    color: Color,
-}
+/// The port color of an uncolored edge, and the empty value of a node's
+/// proposal port and newly used color.
+const NONE: u32 = u32::MAX;
 
-/// Per-vertex automata state for Algorithm 1.
-#[derive(Debug)]
-pub struct EdgeColoringNode {
-    /// Sorted neighbor ids.
-    neighbors: Vec<VertexId>,
-    /// Color committed toward each neighbor, if any.
-    edge_color: Vec<Option<Color>>,
-    /// Ports of still-uncolored edges.
-    uncolored: Vec<u32>,
-    /// Colors this node has used (`used_u`).
-    used_self: ColorSet,
-    /// Colors each neighbor is known to have used (`used_v` learned via
-    /// the `E` exchange; the paper's `dead` bookkeeping), one row per
-    /// port.
-    used_nbr: PortColorSets,
-    /// Role this computation round.
-    role: Role,
-    proposal: Option<Proposal>,
-    /// Color newly committed this computation round (for the exchange
-    /// broadcast).
-    newly_used: Option<Color>,
-    invite_probability: f64,
-    color_policy: ColorPolicy,
-    /// `2Δ−1`, the worst-case palette (only the RandomLegal ablation
-    /// samples from it; the default rule discovers its own bound).
-    palette_bound: u32,
+/// Colors per word of a node's color rows.
+const WORD_BITS: u32 = u32::BITS;
+
+/// Churn's deferred work for one node, behind one pointer so that a
+/// static run pays eight bytes for it.
+#[derive(Debug, Default)]
+struct Pending {
     /// Neighbors gained through churn that still owe a [`EcMsg::Hello`]
     /// greeting (flushed at the top of the next round this node runs).
-    pending_hello: Vec<VertexId>,
+    hello: Vec<VertexId>,
     /// Colors released by churn's palette pruning, awaiting a telemetry
     /// [`PaletteAction::Released`] event ([`Protocol::on_topology_change`]
     /// has no tracing context, so they are flushed at the top of the next
     /// round this node runs; drained unconditionally so the buffer never
     /// grows when tracing is off).
-    pending_released: Vec<(Color, VertexId)>,
+    released: Vec<(Color, VertexId)>,
+}
+
+/// Per-vertex automata state for Algorithm 1.
+///
+/// Everything the node keeps per port lives in one heap block of `u32`
+/// words, allocated once when the node is built. For degree `d` and
+/// color rows `s` words wide it holds, in order:
+///
+/// | words | content |
+/// |---|---|
+/// | `d` | neighbor ids, sorted |
+/// | `d` | the color committed toward each port, `u32::MAX` if none |
+/// | `1` | `k`, the number of uncolored ports |
+/// | `d` | the uncolored ports, of which the first `k` are live |
+/// | `s` | the colors this node has used (`used_u`) |
+/// | `d·s` | one row per port: the colors that neighbor is known to have used (`used_v`, learned via the `E` exchange; the paper's `dead` bookkeeping) |
+///
+/// Color rows are bitsets. They start one word wide (colors `0..32`);
+/// a color past the stride re-lays the block at a wider one, keeping
+/// every row's bits.
+#[derive(Debug)]
+pub struct EdgeColoringNode {
+    block: Box<[u32]>,
+    degree: u32,
+    /// Words per color row; always at least 1.
+    stride: u32,
+    /// `2Δ−1`, the worst-case palette (only the RandomLegal ablation
+    /// samples from it; the default rule discovers its own bound).
+    palette_bound: u32,
+    /// Port of the neighbor invited this computation round, [`NONE`] if
+    /// this node sent no invitation.
+    proposal_port: u32,
+    /// The color proposed to it.
+    proposal_color: u32,
+    /// Color newly committed this computation round (for the exchange
+    /// broadcast), [`NONE`] if none.
+    newly_used: u32,
+    invite_probability: f64,
+    pending: Option<Box<Pending>>,
+    /// Role this computation round.
+    role: Role,
+    color_policy: ColorPolicy,
     /// Automata state after the last round; churn reads it to wake a
     /// parked (`D`) node.
-    state: &'static str,
+    state: State,
 }
 
 impl EdgeColoringNode {
     pub(crate) fn new(seed: &NodeSeed<'_>, cfg: &ColoringConfig, palette_bound: u32) -> Self {
-        let degree = seed.neighbors.len();
         EdgeColoringNode {
-            neighbors: seed.neighbors.to_vec(),
-            edge_color: vec![None; degree],
-            uncolored: (0..degree as u32).collect(),
-            // Presized to the 2Δ−1 bound: the hot paths never reallocate.
-            used_self: ColorSet::with_capacity(palette_bound as usize),
-            used_nbr: PortColorSets::new(degree),
-            role: Role::Listener,
-            proposal: None,
-            newly_used: None,
-            invite_probability: cfg.invite_probability,
-            color_policy: cfg.color_policy,
+            block: blank_block(seed.neighbors, 1),
+            degree: seed.neighbors.len() as u32,
+            stride: 1,
             palette_bound,
-            pending_hello: Vec::new(),
-            pending_released: Vec::new(),
-            state: "C",
+            proposal_port: NONE,
+            proposal_color: NONE,
+            newly_used: NONE,
+            invite_probability: cfg.invite_probability,
+            pending: None,
+            role: Role::Listener,
+            color_policy: cfg.color_policy,
+            state: State::Choose,
         }
     }
 
+    #[inline]
+    fn degree(&self) -> usize {
+        self.degree as usize
+    }
+
+    /// Sorted neighbor ids, as raw words.
+    #[inline]
+    fn neighbor_ids(&self) -> &[u32] {
+        &self.block[..self.degree()]
+    }
+
+    #[inline]
+    fn neighbor(&self, port: usize) -> VertexId {
+        VertexId(self.block[port])
+    }
+
+    #[inline]
     fn port_of(&self, v: VertexId) -> Option<usize> {
-        self.neighbors.binary_search(&v).ok()
+        self.neighbor_ids().binary_search(&v.0).ok()
+    }
+
+    /// The color committed toward each port, [`NONE`] where none is.
+    #[inline]
+    fn port_colors(&self) -> &[u32] {
+        let d = self.degree();
+        &self.block[d..2 * d]
+    }
+
+    #[inline]
+    fn color_of(&self, port: usize) -> Option<Color> {
+        let c = self.port_colors()[port];
+        (c != NONE).then_some(Color(c))
+    }
+
+    /// Ports of still-uncolored edges.
+    #[inline]
+    fn uncolored(&self) -> &[u32] {
+        let d = self.degree();
+        let k = self.block[2 * d] as usize;
+        &self.block[2 * d + 1..2 * d + 1 + k]
+    }
+
+    /// Color row `r`: 0 is this node's used set, `1 + p` what it knows
+    /// of port `p`'s.
+    #[inline]
+    fn row(&self, r: usize) -> &[u32] {
+        let at = rows_at(self.degree()) + r * self.stride as usize;
+        &self.block[at..at + self.stride as usize]
+    }
+
+    /// Add `c` to color row `r`, widening every row first if `c` is past
+    /// the stride.
+    fn insert(&mut self, r: usize, c: Color) {
+        let w = c.0 / WORD_BITS;
+        if w >= self.stride {
+            self.widen(w + 1);
+        }
+        let at = rows_at(self.degree()) + r * self.stride as usize + w as usize;
+        self.block[at] |= 1 << (c.0 % WORD_BITS);
+    }
+
+    /// Re-lay the block with color rows `stride` words wide, keeping
+    /// every row's bits.
+    fn widen(&mut self, stride: u32) {
+        let (head, old, new) = (rows_at(self.degree()), self.stride as usize, stride as usize);
+        let mut block = vec![0; head + (self.degree() + 1) * new];
+        block[..head].copy_from_slice(&self.block[..head]);
+        for (to, from) in
+            block[head..].chunks_exact_mut(new).zip(self.block[head..].chunks_exact(old))
+        {
+            to[..old].copy_from_slice(from);
+        }
+        self.block = block.into_boxed_slice();
+        self.stride = stride;
+    }
+
+    /// Rebuild the uncolored-port list and the used set from the port
+    /// colors.
+    fn settle_colors(&mut self) {
+        let d = self.degree();
+        let mut k = 0;
+        for p in 0..d {
+            if self.block[d + p] == NONE {
+                self.block[2 * d + 1 + k] = p as u32;
+                k += 1;
+            }
+        }
+        self.block[2 * d] = k as u32;
+        let at = rows_at(d);
+        self.block[at..at + self.stride as usize].fill(0);
+        for p in 0..d {
+            let c = self.block[d + p];
+            if c != NONE {
+                self.insert(0, Color(c));
+            }
+        }
+    }
+
+    /// Drop `port` from the uncolored list, keeping the others' order.
+    fn remove_uncolored(&mut self, port: usize) {
+        let d = self.degree();
+        let k = self.block[2 * d] as usize;
+        let list = &mut self.block[2 * d + 1..2 * d + 1 + k];
+        if let Some(i) = list.iter().position(|&p| p as usize == port) {
+            list.copy_within(i + 1.., i);
+            self.block[2 * d] -= 1;
+        }
     }
 
     /// The color this node has committed on its edge toward `v`, if any
     /// — the query side of the long-running service.
     pub(crate) fn color_toward(&self, v: VertexId) -> Option<Color> {
-        self.port_of(v).and_then(|p| self.edge_color[p])
+        self.port_of(v).and_then(|p| self.color_of(p))
     }
 
     /// Every color committed on this node's surviving edges, ascending.
     pub(crate) fn palette(&self) -> Vec<Color> {
-        let set: ColorSet = self.edge_color.iter().flatten().copied().collect();
+        let set: ColorSet =
+            self.port_colors().iter().filter(|&&c| c != NONE).map(|&c| Color(c)).collect();
         set.iter().collect()
+    }
+
+    /// Heap bytes of this node's color rows: its used set and its
+    /// knowledge of each neighbor's.
+    fn palette_bytes(&self) -> usize {
+        (self.degree() + 1) * self.stride as usize * std::mem::size_of::<u32>()
     }
 
     /// Pick the color to propose for the edge toward `port`
     /// (line 1.11: lowest available; or the RandomLegal ablation).
     fn propose_color(&self, port: usize, rng: &mut SmallRng) -> Color {
+        let (own, known) = (self.row(0), self.row(1 + port));
         match self.color_policy {
-            ColorPolicy::LowestIndex => self.used_nbr.first_absent_in_union(&self.used_self, port),
+            ColorPolicy::LowestIndex => first_absent_in_union(own, known),
             ColorPolicy::RandomLegal => {
                 // A legal color within the worst-case palette always
-                // exists: |used_self| + |used_nbr| <= 2Δ−2 < 2Δ−1.
-                let legal = self
-                    .used_self
-                    .absent_below(self.palette_bound)
-                    .filter(|&c| !self.used_nbr.contains(port, c));
-                pick_uniform_iter(rng, legal)
-                    .unwrap_or_else(|| self.used_nbr.first_absent_in_union(&self.used_self, port))
+                // exists: |used_u| + |used_v| <= 2Δ−2 < 2Δ−1.
+                let legal = (0..self.palette_bound)
+                    .filter(|&c| !row_has(own, c) && !row_has(known, c))
+                    .map(Color);
+                pick_uniform_iter(rng, legal).unwrap_or_else(|| first_absent_in_union(own, known))
             }
         }
     }
@@ -224,8 +352,8 @@ impl EdgeColoringNode {
     /// departed node keeps its ports while the topology lists none) each
     /// listed neighbor is looked up.
     pub(crate) fn colored_toward(&self, nbrs: &[VertexId]) -> usize {
-        if self.neighbors == nbrs {
-            self.edge_color.iter().filter(|c| c.is_some()).count()
+        if self.neighbor_ids().iter().copied().eq(nbrs.iter().map(|v| v.0)) {
+            self.port_colors().iter().filter(|&&c| c != NONE).count()
         } else {
             nbrs.iter().filter(|&&v| self.color_toward(v).is_some()).count()
         }
@@ -234,8 +362,8 @@ impl EdgeColoringNode {
     /// [`EdgeColoringNode::color_toward`] for a caller that expects `v`
     /// at `port`: one read when it is there, a search when it is not.
     pub(crate) fn color_at(&self, port: usize, v: VertexId) -> Option<Color> {
-        match self.neighbors.get(port) {
-            Some(&w) if w == v => self.edge_color[port],
+        match self.neighbor_ids().get(port) {
+            Some(&w) if w == v.0 => self.color_of(port),
             _ => self.color_toward(v),
         }
     }
@@ -256,7 +384,7 @@ impl EdgeColoringNode {
     pub(crate) fn resume_parked(&mut self, row: &[Option<Color>], palette_bound: u32) {
         self.palette_bound = palette_bound;
         self.adopt_compaction(row);
-        self.state = "D";
+        self.state = State::Done;
     }
 
     /// Overwrite this node's committed colors with the outcome of an
@@ -272,21 +400,12 @@ impl EdgeColoringNode {
     /// neighbor's [`EcMsg::Hello`], which carries its post-compaction
     /// palette.
     pub(crate) fn adopt_compaction(&mut self, own: &[Option<Color>]) {
-        debug_assert_eq!(own.len(), self.neighbors.len());
-        self.edge_color.copy_from_slice(own);
-        self.uncolored = self.uncolored_ports();
-        let mut used = ColorSet::with_capacity(self.palette_bound as usize);
-        for c in self.edge_color.iter().flatten() {
-            used.insert(*c);
+        let d = self.degree();
+        debug_assert_eq!(own.len(), d);
+        for (slot, c) in self.block[d..2 * d].iter_mut().zip(own) {
+            *slot = c.map_or(NONE, |c| c.0);
         }
-        self.used_self = used;
-    }
-
-    /// The ports whose edge carries no color yet.
-    fn uncolored_ports(&self) -> Vec<u32> {
-        (0..self.neighbors.len() as u32)
-            .filter(|&p| self.edge_color[p as usize].is_none())
-            .collect()
+        self.settle_colors();
     }
 
     /// The invitations in `inbox` this listener may accept, as
@@ -304,7 +423,7 @@ impl EdgeColoringNode {
         inbox.iter().filter_map(move |env| match *env.msg() {
             EcMsg::Invite { color } => {
                 let port = self.port_of(env.from)?;
-                (self.edge_color[port].is_none() && !self.used_self.contains(color))
+                (self.color_of(port).is_none() && !row_has(self.row(0), color.0))
                     .then_some((env.from, port, color))
             }
             _ => None,
@@ -313,12 +432,68 @@ impl EdgeColoringNode {
 
     /// Commit `color` on the edge toward `port`.
     fn commit(&mut self, port: usize, color: Color) {
-        debug_assert!(self.edge_color[port].is_none(), "edge colored twice");
-        self.edge_color[port] = Some(color);
-        self.uncolored.retain(|&p| p as usize != port);
-        self.used_self.insert(color);
-        self.newly_used = Some(color);
+        debug_assert!(self.color_of(port).is_none(), "edge colored twice");
+        debug_assert_ne!(color.0, NONE, "a color past the representable range");
+        let d = self.degree();
+        self.block[d + port] = color.0;
+        self.remove_uncolored(port);
+        self.insert(0, color);
+        self.newly_used = color.0;
     }
+
+    /// Enter `state` and trace it with `reason`.
+    fn enter(&mut self, state: State, ctx: &mut RoundCtx<'_, EcMsg>, reason: &'static str) {
+        self.state = state;
+        ctx.trace_state(state.label(), reason);
+    }
+}
+
+/// Where the color rows start in a block for `degree` ports.
+#[inline]
+fn rows_at(degree: usize) -> usize {
+    3 * degree + 1
+}
+
+/// A node's block for `neighbors` with color rows `stride` words wide:
+/// every port uncolored, every row empty.
+fn blank_block(neighbors: &[VertexId], stride: u32) -> Box<[u32]> {
+    let d = neighbors.len();
+    let mut block = vec![0; rows_at(d) + (d + 1) * stride as usize];
+    for (slot, v) in block.iter_mut().zip(neighbors) {
+        *slot = v.0;
+    }
+    block[d..2 * d].fill(NONE);
+    block[2 * d] = d as u32;
+    for (slot, p) in block[2 * d + 1..3 * d + 1].iter_mut().zip(0..) {
+        *slot = p;
+    }
+    block.into_boxed_slice()
+}
+
+/// Membership of color `c` in a color row.
+#[inline]
+fn row_has(row: &[u32], c: u32) -> bool {
+    let w = (c / WORD_BITS) as usize;
+    w < row.len() && (row[w] >> (c % WORD_BITS)) & 1 == 1
+}
+
+/// The lowest color in neither of two color rows of one stride.
+#[inline]
+fn first_absent_in_union(a: &[u32], b: &[u32]) -> Color {
+    for (i, (&x, &y)) in a.iter().zip(b).enumerate() {
+        let used = x | y;
+        if used != u32::MAX {
+            return Color(i as u32 * WORD_BITS + used.trailing_ones());
+        }
+    }
+    Color(a.len() as u32 * WORD_BITS)
+}
+
+/// The colors of a color row, ascending.
+fn row_colors(row: &[u32]) -> impl Iterator<Item = Color> + '_ {
+    row.iter().zip(0u32..).flat_map(|(&word, i)| {
+        (0..WORD_BITS).filter(move |b| (word >> b) & 1 == 1).map(move |b| Color(i * WORD_BITS + b))
+    })
 }
 
 impl Protocol for EdgeColoringNode {
@@ -342,57 +517,57 @@ impl Protocol for EdgeColoringNode {
         for env in ctx.inbox() {
             let Some(p) = self.port_of(env.from) else { continue };
             match env.msg() {
-                EcMsg::Used { color } => {
-                    self.used_nbr.insert(p, *color);
-                }
+                EcMsg::Used { color } => self.insert(1 + p, *color),
                 EcMsg::Hello { used } => {
                     for &c in used.iter() {
-                        self.used_nbr.insert(p, c);
+                        self.insert(1 + p, c);
                     }
                 }
                 _ => {}
             }
         }
-        // Greet neighbors gained through churn (re-checking that they
-        // were not lost again by a later batch before this node ran).
-        for w in std::mem::take(&mut self.pending_hello) {
-            if self.port_of(w).is_some() {
-                ctx.send(w, EcMsg::Hello { used: Shared::new(self.used_self.iter().collect()) });
+        if let Some(pending) = self.pending.take() {
+            // Greet neighbors gained through churn (re-checking that they
+            // were not lost again by a later batch before this node ran).
+            for w in pending.hello {
+                if self.port_of(w).is_some() {
+                    let used = Shared::new(row_colors(self.row(0)).collect());
+                    ctx.send(w, EcMsg::Hello { used });
+                }
             }
-        }
-        for (color, peer) in std::mem::take(&mut self.pending_released) {
-            ctx.trace_palette(PaletteAction::Released, color.0, peer);
+            for (color, peer) in pending.released {
+                ctx.trace_palette(PaletteAction::Released, color.0, peer);
+            }
         }
         match Phase::of_round(ctx.round()) {
             Phase::InviteStep => {
-                self.proposal = None;
-                self.newly_used = None;
-                if self.uncolored.is_empty() {
+                self.proposal_port = NONE;
+                self.newly_used = NONE;
+                if self.uncolored().is_empty() {
                     // Reached by isolated vertices in round 0 and by nodes
                     // whose last uncolored ports were removed by churn. No
                     // neighbor reads this node's colors any more.
-                    self.state = "D";
-                    ctx.trace_state("D", "all-colored");
+                    self.enter(State::Done, ctx, "all-colored");
                     return NodeStatus::Done;
                 }
                 self.role = choose_role(ctx.rng(), self.invite_probability);
-                self.state = if self.role == Role::Invitor { "I" } else { "L" };
-                ctx.trace_state(self.state, "coin");
+                let state = if self.role == Role::Invitor { State::Invite } else { State::Listen };
+                self.enter(state, ctx, "coin");
                 if self.role == Role::Invitor {
                     // The uncolored list is non-empty here today, but
                     // degrade to listening rather than panic if a future
                     // edit breaks that invariant.
-                    let Some(port) = pick_uniform(ctx.rng(), &self.uncolored).map(|&p| p as usize)
+                    let Some(port) = pick_uniform(ctx.rng(), self.uncolored()).map(|&p| p as usize)
                     else {
                         self.role = Role::Listener;
-                        self.state = "L";
-                        ctx.trace_state("L", "no-edge");
+                        self.enter(State::Listen, ctx, "no-edge");
                         return NodeStatus::Active;
                     };
                     let color = self.propose_color(port, ctx.rng());
-                    self.proposal = Some(Proposal { port, color });
-                    ctx.trace_palette(PaletteAction::Proposed, color.0, self.neighbors[port]);
-                    ctx.send(self.neighbors[port], EcMsg::Invite { color });
+                    (self.proposal_port, self.proposal_color) = (port as u32, color.0);
+                    let to = self.neighbor(port);
+                    ctx.trace_palette(PaletteAction::Proposed, color.0, to);
+                    ctx.send(to, EcMsg::Invite { color });
                 }
                 NodeStatus::Active
             }
@@ -425,38 +600,36 @@ impl Protocol for EdgeColoringNode {
                         }
                     }
                 }
-                self.state = if self.role == Role::Invitor { "W" } else { "R" };
-                ctx.trace_state(self.state, "await");
+                let state = if self.role == Role::Invitor { State::Wait } else { State::Respond };
+                self.enter(state, ctx, "await");
                 NodeStatus::Active
             }
             Phase::ExchangeStep => {
                 // W state: the invitor looks for the echo of its own
                 // invitation (reversed ids, same color).
-                if self.role == Role::Invitor {
-                    if let Some(Proposal { port, color }) = self.proposal {
-                        let partner = self.neighbors[port];
-                        let accepted = ctx.inbox().iter().any(|env| {
-                            env.from == partner
-                                && matches!(*env.msg(), EcMsg::Accept { color: c } if c == color)
-                        });
-                        if accepted {
-                            self.commit(port, color);
-                            ctx.trace_palette(PaletteAction::Committed, color.0, partner);
-                        }
+                if self.role == Role::Invitor && self.proposal_port != NONE {
+                    let (port, color) = (self.proposal_port as usize, Color(self.proposal_color));
+                    let partner = self.neighbor(port);
+                    let accepted = ctx.inbox().iter().any(|env| {
+                        env.from == partner
+                            && matches!(*env.msg(), EcMsg::Accept { color: c } if c == color)
+                    });
+                    if accepted {
+                        self.commit(port, color);
+                        ctx.trace_palette(PaletteAction::Committed, color.0, partner);
                     }
                 }
                 // E state: announce the newly used color, if any, to the
                 // neighbors that will read it.
-                if let Some(color) = self.newly_used.take() {
-                    ctx.multicast(&self.uncolored, EcMsg::Used { color });
+                if self.newly_used != NONE {
+                    let color = Color(std::mem::replace(&mut self.newly_used, NONE));
+                    ctx.multicast(self.uncolored(), EcMsg::Used { color });
                 }
-                if self.uncolored.is_empty() {
-                    self.state = "D";
-                    ctx.trace_state("D", "all-colored");
+                if self.uncolored().is_empty() {
+                    self.enter(State::Done, ctx, "all-colored");
                     NodeStatus::Done
                 } else {
-                    self.state = "E";
-                    ctx.trace_state("E", "exchange");
+                    self.enter(State::Exchange, ctx, "exchange");
                     NodeStatus::Active
                 }
             }
@@ -468,8 +641,8 @@ impl Protocol for EdgeColoringNode {
         // handshake: write it off so the node can finish coloring the
         // rest of its residual edges and terminate.
         if let Some(p) = self.port_of(neighbor) {
-            if self.edge_color[p].is_none() {
-                self.uncolored.retain(|&q| q as usize != p);
+            if self.color_of(p).is_none() {
+                self.remove_uncolored(p);
             }
         }
     }
@@ -479,61 +652,65 @@ impl Protocol for EdgeColoringNode {
         seed: NodeSeed<'_>,
         change: &NeighborhoodChange,
     ) -> NodeStatus {
-        let was_parked = self.state == "D";
-        let new_neighbors = seed.neighbors.to_vec();
+        let was_parked = self.state == State::Done;
         // Colors on removed edges leave the palette below ("pruning");
         // queue the telemetry release events now, while the old port map
         // still resolves the departed neighbors.
         for &w in &change.removed {
-            if let Some(op) = self.port_of(w) {
-                if let Some(c) = self.edge_color[op] {
-                    self.pending_released.push((c, w));
-                }
+            if let Some(c) = self.port_of(w).and_then(|op| self.color_of(op)) {
+                self.pending.get_or_insert_default().released.push((c, w));
             }
         }
         // Remap per-port state onto the new neighbor list: surviving
         // ports keep their color and accumulated neighbor knowledge, new
         // ports start blank.
-        let old_port: Vec<Option<usize>> = new_neighbors.iter().map(|&w| self.port_of(w)).collect();
-        let edge_color = old_port.iter().map(|op| op.and_then(|op| self.edge_color[op])).collect();
-        let used_nbr = self.used_nbr.remap(old_port.into_iter());
+        let (d, s) = (seed.neighbors.len(), self.stride as usize);
+        let mut block = blank_block(seed.neighbors, self.stride);
+        for (np, &w) in seed.neighbors.iter().enumerate() {
+            if let Some(op) = self.port_of(w) {
+                block[d + np] = self.port_colors()[op];
+                let at = rows_at(d) + (1 + np) * s;
+                block[at..at + s].copy_from_slice(self.row(1 + op));
+            }
+        }
         // A pending proposal follows its neighbor to the new port index.
         // Dropping a still-valid one would desync a mid-handshake pair —
         // the listener may already have committed — so it dies only with
         // its edge.
-        self.proposal = self.proposal.and_then(|p| {
-            let w = self.neighbors[p.port];
-            new_neighbors.binary_search(&w).ok().map(|np| Proposal { port: np, color: p.color })
-        });
-        self.neighbors = new_neighbors;
-        self.edge_color = edge_color;
-        self.used_nbr = used_nbr;
-        self.uncolored = self.uncolored_ports();
+        if self.proposal_port != NONE {
+            let w = self.neighbor(self.proposal_port as usize);
+            self.proposal_port = seed.neighbors.binary_search(&w).map_or(NONE, |np| np as u32);
+        }
+        self.block = block;
+        self.degree = d as u32;
         // Palette pruning: recompute the used set from the surviving
         // edges only, releasing the colors of removed edges for reuse. A
-        // commit pending its exchange sits in `edge_color` already, so it
-        // is retained iff its edge survived.
-        self.used_self = self.edge_color.iter().flatten().copied().collect();
+        // commit pending its exchange sits in the port colors already, so
+        // it is retained iff its edge survived.
+        self.settle_colors();
         // Churn can raise the local degree past the original Δ; keep the
         // RandomLegal ablation's palette wide enough to stay legal.
-        self.palette_bound =
-            self.palette_bound.max((2 * self.neighbors.len()).saturating_sub(1).max(1) as u32);
-        self.pending_hello.extend(change.added.iter().copied());
+        self.palette_bound = self.palette_bound.max((2 * d).saturating_sub(1).max(1) as u32);
+        if !change.added.is_empty() {
+            self.pending.get_or_insert_default().hello.extend(change.added.iter().copied());
+        }
         if was_parked {
             // A re-entering node resumes from a clean C state.
             self.role = Role::Listener;
-            self.proposal = None;
+            self.proposal_port = NONE;
         }
-        if !self.uncolored.is_empty() {
-            self.state = "C";
+        if !self.uncolored().is_empty() {
+            self.state = State::Choose;
             NodeStatus::Active
-        } else if self.newly_used.is_some() || !self.pending_hello.is_empty() {
+        } else if self.newly_used != NONE
+            || self.pending.as_ref().is_some_and(|p| !p.hello.is_empty())
+        {
             // Nothing left to color, but a commit is mid-exchange (or a
             // greeting is queued): stay up to finish the computation
             // round, then park.
             NodeStatus::Active
         } else {
-            self.state = "D";
+            self.state = State::Done;
             NodeStatus::Done
         }
     }
@@ -662,12 +839,7 @@ fn run_algorithm1<T: Tracer + Sync>(
     let factory = |seed: NodeSeed<'_>| EdgeColoringNode::new(&seed, cfg, palette_bound);
     let mut run = run_protocol(&topo, cfg, max_rounds, schedule, factory, tracer)?;
     // Read before the reduction pass rebuilds any node's used set.
-    let palette_bytes = run
-        .outcome
-        .nodes
-        .iter()
-        .map(|n| (n.used_self.heap_bytes() + n.used_nbr.heap_bytes()) as u64)
-        .sum();
+    let palette_bytes = run.outcome.nodes.iter().map(|n| n.palette_bytes() as u64).sum();
     let reduction = apply_reduction(&topo, schedule.final_graph(), cfg, &mut run.outcome, tracer)?;
     Ok(assemble_result(g, delta, run, reduction, palette_bytes))
 }
@@ -692,8 +864,7 @@ fn assemble_result(
     for (e, (u, v)) in g.edges() {
         let nu = &nodes[u.index()];
         let nv = &nodes[v.index()];
-        let cu = nu.port_of(v).and_then(|p| nu.edge_color[p]);
-        let cv = nv.port_of(u).and_then(|p| nv.edge_color[p]);
+        let (cu, cv) = (nu.color_toward(v), nv.color_toward(u));
         colors[e.index()] = match (!crashed[u.index()], !crashed[v.index()]) {
             (true, true) => {
                 agreement &= cu == cv;
@@ -813,6 +984,8 @@ mod tests {
     fn structured_families_color_correctly() {
         for (name, g) in [
             ("complete8", structured::complete(8)),
+            // Δ = 39: colors past 32 widen every node's color rows mid-run.
+            ("complete40", structured::complete(40)),
             ("cycle9", structured::cycle(9)),
             ("star12", structured::star(12)),
             ("grid", structured::grid(5, 5)),
@@ -1054,6 +1227,39 @@ mod tests {
         // An outbox entry's target is one word too: a multicast carries
         // an index into the sender's port arena, not its port list.
         assert_eq!(dima_sim::outbox_entry_bytes::<EcMsg>(), 24);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn node_struct_stays_small() {
+        // Per-port state lives in the node's one heap block, the churn
+        // buffers behind one pointer: the struct holds scalars beside them.
+        assert!(std::mem::size_of::<EdgeColoringNode>() <= 64);
+    }
+
+    #[test]
+    fn color_rows_widen_past_32_colors_keeping_their_bits() {
+        let nbrs = [VertexId(1), VertexId(4), VertexId(9)];
+        let seed = NodeSeed { node: VertexId(0), neighbors: &nbrs };
+        let mut n = EdgeColoringNode::new(&seed, &ColoringConfig::seeded(1), 5);
+        n.insert(1, Color(3));
+        n.insert(3, Color(31));
+        n.commit(1, Color(2));
+        assert_eq!((n.stride, n.palette_bytes()), (1, 4 * 4));
+        n.insert(2, Color(70));
+        assert_eq!((n.stride, n.palette_bytes()), (3, 4 * 3 * 4));
+        let rows: Vec<Vec<u32>> =
+            (0..4).map(|r| row_colors(n.row(r)).map(|c| c.0).collect()).collect();
+        assert_eq!(rows, [vec![2], vec![3], vec![70], vec![31]]);
+        assert_eq!(n.uncolored(), &[0, 2]);
+        assert_eq!(n.color_toward(VertexId(4)), Some(Color(2)));
+        assert_eq!(n.color_at(0, VertexId(4)), Some(Color(2)), "a port miss falls back to search");
+        assert_eq!(n.palette(), [Color(2)]);
+        // Port 0 knows colors 3; this node uses 2: the lowest free is 0.
+        assert_eq!(first_absent_in_union(n.row(0), n.row(1)), Color(0));
+        let full = [u32::MAX, u32::MAX, 1];
+        assert_eq!(first_absent_in_union(&full, &[0, 0, 2]), Color(66));
+        assert_eq!(first_absent_in_union(&full[..2], &full[..2]), Color(64));
     }
 
     #[test]

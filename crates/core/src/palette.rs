@@ -163,13 +163,6 @@ impl ColorSet {
         iter_words(&self.words)
     }
 
-    /// Heap bytes held by this set's backing bitset. Used by the run
-    /// reports to account palette memory per node (ROADMAP item 2: the
-    /// bitset should stay sized to `O(Δ)` in the hot paths).
-    pub fn heap_bytes(&self) -> usize {
-        self.words.capacity() * std::mem::size_of::<u64>()
-    }
-
     /// Colors in `0..bound` **not** in the set, in increasing order
     /// (used by the random-legal-color ablation policy). Allocation-free:
     /// the policies call this inside their per-round proposal loop, so it
@@ -256,20 +249,6 @@ impl PortColorSets {
         PortColorSets { words, stride }
     }
 
-    /// A matrix whose port `i` holds the colors of this matrix's port
-    /// `old_port[i]`, or none when that is `None` (a churn remap onto a
-    /// new neighbor list).
-    pub fn remap(&self, old_port: impl ExactSizeIterator<Item = Option<usize>>) -> Self {
-        let stride = self.stride;
-        let mut words = vec![0; old_port.len() * stride];
-        for (row, op) in words.chunks_exact_mut(stride).zip(old_port) {
-            if let Some(op) = op {
-                row.copy_from_slice(self.row(op));
-            }
-        }
-        PortColorSets { words, stride }
-    }
-
     /// Number of ports.
     #[inline]
     pub fn ports(&self) -> usize {
@@ -329,11 +308,6 @@ impl PortColorSets {
     /// The colors of `port`'s set, in increasing order.
     pub fn iter(&self, port: usize) -> impl Iterator<Item = Color> + '_ {
         iter_words(self.row(port))
-    }
-
-    /// Heap bytes held by the matrix.
-    pub fn heap_bytes(&self) -> usize {
-        self.words.capacity() * std::mem::size_of::<u64>()
     }
 }
 
@@ -485,7 +459,8 @@ mod tests {
         assert!(!m.contains(0, Color(5)));
         assert!(!m.contains(2, Color(5)));
         assert!(!m.contains(1, Color(500))); // past the stride
-        assert_eq!(m.heap_bytes(), 3 * 8, "one word per port below 64 colors");
+        assert_eq!(PortColorSets::new(0).ports(), 0);
+        assert_eq!(PortColorSets::from_sets(&[]).ports(), 0);
     }
 
     #[test]
@@ -495,7 +470,6 @@ mod tests {
             m.insert(p, Color(c));
         }
         assert!(m.insert(1, Color(130)));
-        assert_eq!(m.heap_bytes(), 3 * 3 * 8, "stride grew to three words");
         let rows: Vec<Vec<u32>> = (0..3).map(|p| m.iter(p).map(|c| c.0).collect()).collect();
         assert_eq!(rows, vec![vec![0, 63], vec![7, 130], vec![40]]);
         assert_eq!(format!("{m:?}"), "[{c0, c63}, {c7, c130}, {c40}]");
@@ -514,18 +488,6 @@ mod tests {
             assert_eq!(m.first_absent_in_union(&own, p), own.first_absent_in_union(set));
         }
         assert_eq!(m.first_absent_in_union(&own, 2), Color(64));
-    }
-
-    #[test]
-    fn port_sets_remap_keeps_surviving_rows() {
-        let sets: Vec<ColorSet> =
-            vec![[1u32].into_iter().map(Color).collect(), [70u32].into_iter().map(Color).collect()];
-        let m = PortColorSets::from_sets(&sets);
-        let r = m.remap([Some(1), None, Some(0)].into_iter());
-        assert_eq!(r.ports(), 3);
-        assert_eq!(format!("{r:?}"), "[{c70}, {}, {c1}]");
-        assert_eq!(PortColorSets::new(0).ports(), 0);
-        assert_eq!(PortColorSets::from_sets(&[]).ports(), 0);
     }
 
     #[test]

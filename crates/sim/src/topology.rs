@@ -7,16 +7,23 @@
 //! [`Topology::from_digraph`] uses the underlying graph. Under churn the
 //! engine patches its table from each batch's diff
 //! ([`Topology::apply`]).
+//!
+//! The table is shared: a clone (every engine [`crate::Stepper`] holds
+//! one of its caller's topology) bumps two reference counts, and
+//! [`Topology::apply`] writes a fresh table, leaving other holders of
+//! the old one as they were.
+
+use std::sync::Arc;
 
 use dima_graph::{Digraph, Graph, VertexId};
 
 use crate::churn::ChurnBatch;
 
-/// A neighbor table for the simulator.
+/// A neighbor table for the simulator. Cloning it shares the table.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Topology {
-    offsets: Vec<u32>,
-    neighbors: Vec<VertexId>,
+    offsets: Arc<Vec<u32>>,
+    neighbors: Arc<Vec<VertexId>>,
     /// The largest row length, kept by every constructor and
     /// [`Topology::apply`] so reading it costs nothing.
     max_degree: usize,
@@ -34,7 +41,7 @@ impl Topology {
             offsets.push(neighbors.len() as u32);
             max_degree = max_degree.max(g.degree(v));
         }
-        Topology { offsets, neighbors, max_degree }
+        Topology { offsets: Arc::new(offsets), neighbors: Arc::new(neighbors), max_degree }
     }
 
     /// Topology of a digraph: radio neighbors are the union of in- and
@@ -107,15 +114,15 @@ impl Topology {
     /// and every changed node's row drops its `removed` neighbors and
     /// merges in its `added` ones (a joiner's row is empty before, so it
     /// becomes its `added` list). Rows stay sorted; untouched rows are
-    /// copied as they are. The maximum degree is taken on the way.
+    /// copied as they are. The maximum degree is taken on the way. The
+    /// patched table is a new one: clones taken before keep the old.
     pub fn apply(&mut self, batch: &ChurnBatch) {
-        let (old_offsets, old) =
-            (std::mem::take(&mut self.offsets), std::mem::take(&mut self.neighbors));
-        self.max_degree = 0;
+        let (old_offsets, old) = (&self.offsets, &self.neighbors);
+        let mut max_degree = 0;
         let grown: usize = batch.changes.iter().map(|(_, c)| c.added.len()).sum();
-        self.offsets.reserve(old_offsets.len());
-        self.neighbors.reserve(old.len() + grown);
-        self.offsets.push(0);
+        let mut offsets = Vec::with_capacity(old_offsets.len());
+        let mut neighbors = Vec::with_capacity(old.len() + grown);
+        offsets.push(0);
         let mut leaves = batch.leaves.iter().peekable();
         let mut changes = batch.changes.iter().peekable();
         for (v, span) in old_offsets.windows(2).enumerate() {
@@ -126,18 +133,19 @@ impl Topology {
                 let mut added = change.added.iter().copied().peekable();
                 for &w in row.iter().filter(|w| change.removed.binary_search(w).is_err()) {
                     while let Some(a) = added.next_if(|&a| a < w) {
-                        self.neighbors.push(a);
+                        neighbors.push(a);
                     }
-                    self.neighbors.push(w);
+                    neighbors.push(w);
                 }
-                self.neighbors.extend(added);
+                neighbors.extend(added);
             } else {
-                self.neighbors.extend_from_slice(row);
+                neighbors.extend_from_slice(row);
             }
-            let end = self.neighbors.len() as u32;
-            self.max_degree = self.max_degree.max((end - self.offsets[v]) as usize);
-            self.offsets.push(end);
+            let end = neighbors.len() as u32;
+            max_degree = max_degree.max((end - offsets[v]) as usize);
+            offsets.push(end);
         }
+        *self = Topology { offsets: Arc::new(offsets), neighbors: Arc::new(neighbors), max_degree };
     }
 }
 
@@ -177,6 +185,26 @@ mod tests {
         let t = Topology::from_graph(&Graph::empty(0));
         assert_eq!(t.num_nodes(), 0);
         assert_eq!(t.max_degree(), 0);
+    }
+
+    #[test]
+    fn clones_share_the_table_until_one_is_patched() {
+        use crate::churn::NeighborhoodChange;
+        let t = Topology::from_graph(&structured::path(3)); // 0-1-2
+        let mut u = t.clone();
+        assert!(Arc::ptr_eq(&t.neighbors, &u.neighbors) && Arc::ptr_eq(&t.offsets, &u.offsets));
+        let removed = NeighborhoodChange { added: vec![], removed: vec![VertexId(2)] };
+        let batch = ChurnBatch {
+            round: 0,
+            events: vec![],
+            joins: vec![],
+            leaves: vec![VertexId(2)],
+            changes: vec![(VertexId(1), removed)],
+        };
+        u.apply(&batch);
+        assert_eq!(u.neighbors(VertexId(1)), &[VertexId(0)]);
+        assert_eq!((u.num_links(), u.max_degree()), (1, 1));
+        assert_eq!(t, Topology::from_graph(&structured::path(3)), "the clone kept the old table");
     }
 
     #[test]
